@@ -109,6 +109,40 @@ def _integral_matrix(grid, last_layer):
     return sp.csr_matrix(w)
 
 
+def _integral_rows(Y, last_layer):
+    """Blocks (Ru, Rw) with Ru @ u + Rw @ W = 0 exactly when W = K @ u.
+
+    The two-term trapezoid recurrence of `_integral_matrix`: W(Ymax) = 0 and
+    W_j = W_{j+1} + dY_j (u_j + u_{j+1})/2 downwards, or for the last layer
+    W(0) = 0 and W_j = W_{j-1} - dY_{j-1} (u_{j-1} + u_j)/2 upwards.
+    """
+    h = 0.5 * np.diff(Y)
+    one = np.ones(Y.size)
+    if last_layer:
+        return (sp.diags([np.r_[0.0, h], h], [0, -1]),
+                sp.diags([one, -one[1:]], [0, -1]))
+    return (-sp.diags([np.r_[h, 0.0], h], [0, 1]),
+            sp.diags([one, -one[1:]], [0, 1]))
+
+
+def _wall_rows(Y, last_layer):
+    """Row mask of the interior equations, and the two boundary rows.
+
+    Row 0 imposes u(x,0) = g; row nY-1 imposes u(x,Ymax) = 0, or for the
+    last layer the one-sided d_Y u(x,Ymax) = 0.
+    """
+    nY = Y.size
+    mask = np.ones(nY)
+    mask[[0, -1]] = 0.0
+    if last_layer:
+        idx, w = one_sided_row(Y, False, 1, 3)
+    else:
+        idx, w = np.array([nY - 1]), np.array([1.0])
+    rows = np.r_[0, np.full(idx.size, nY - 1)]
+    walls = sp.csr_matrix((np.r_[1.0, w], (rows, np.r_[0, idx])), shape=(nY, nY))
+    return sp.diags(mask), walls
+
+
 def _dxu_at_inflow(grid, F0, m_coef, kind, kq, g_slope=0.0):
     """Consistent d_x u at x=0 from the PDE with u(0,.) = 0.
 
@@ -230,7 +264,7 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
 
     d2 = diff_matrix(Y, 2)
     kq = _integral_matrix(grid, last_layer)
-    ider, wder = one_sided_row(Y, False, 1, 3)
+    interior, walls = _wall_rows(Y, last_layer)
 
     U = np.zeros((nx, nY))
     DXU = np.zeros((nx, nY))
@@ -239,30 +273,37 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
     g_slope = (g[1] - g[0]) / (x[1] - x[0])
     DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, kq, g_slope=g_slope)
 
-    diagY = sp.diags(Y)
-    eye = sp.identity(nY, format="csr")
-    conv = eye if kind == "plus" else (diagY + kq)
+    # step matrix (m/dx) C - theta D + E; on the minus side W = kq @ u joins
+    # the unknowns through its recurrence rows, so it stays sparse
+    coupled = kind == "minus"
+    conv = sp.diags(Y) if coupled else sp.identity(nY, format="csr")
+    C, D, E = interior @ conv, interior @ d2, walls
+    if coupled:
+        zero = sp.csr_matrix((nY, nY))
+        C = sp.bmat([[C, interior], [zero, zero]])
+        D = sp.bmat([[D, zero], [zero, zero]])
+        E = sp.bmat([[E, None], list(_integral_rows(Y, last_layer))])
+        W = kq @ U[0]
+    C, D, E = C.tocsc(), D.tocsc(), E.tocsc()
+    lus = {}   # the step matrix depends on (dx, theta) only
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
         th = 1.0 if (scheme == "be" or k <= be_steps) else 0.5
         theta[k] = th
-        A = (m_coef / dx) * conv - th * d2
-        b = (th * F[k] + (1.0 - th) * F[k - 1]
-             + (m_coef / dx) * (conv @ U[k - 1])
+        if (dx, th) not in lus:
+            lus[dx, th] = spla.splu((m_coef / dx) * C - th * D + E)
+        carry = conv @ U[k - 1]
+        if coupled:
+            carry += W
+        b = (th * F[k] + (1.0 - th) * F[k - 1] + (m_coef / dx) * carry
              + (1.0 - th) * (d2 @ U[k - 1]))
-        A = A.tolil()
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-        b = np.asarray(b, dtype=float)
         b[0] = g[k]
-        A[-1, :] = 0.0
-        if last_layer:
-            A[-1, ider] = wder
-            b[-1] = 0.0
+        b[-1] = 0.0
+        if coupled:
+            sol = lus[dx, th].solve(np.r_[b, np.zeros(nY)])
+            U[k], W = sol[:nY], sol[nY:]
         else:
-            A[-1, -1] = 1.0
-            b[-1] = 0.0
-        U[k] = spla.spsolve(A.tocsc(), b)
+            U[k] = lus[dx, th].solve(b)
         if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > blowup * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
         DXU[k] = (U[k] - U[k - 1]) / dx
@@ -278,24 +319,20 @@ def _march_minus_picard(grid, F, g, last_layer, m_coef, tol=1e-10, max_it=200):
     g = np.zeros(nx) if g is None else np.asarray(g, dtype=float)
     d2 = diff_matrix(Y, 2)
     kq = _integral_matrix(grid, last_layer)
-    ider, wder = one_sided_row(Y, False, 1, 3)
+    interior, walls = _wall_rows(Y, last_layer)
     U = np.zeros((nx, nY))
     U[0, 0] = g[0]
     DXU = np.zeros((nx, nY))
     DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, "minus", kq,
                             g_slope=(g[1] - g[0]) / (x[1] - x[0]))
     diagY = sp.diags(Y)
+    lus = {}
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
-        A = ((m_coef / dx) * diagY - d2).tolil()
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-        A[-1, :] = 0.0
-        if last_layer:
-            A[-1, ider] = wder
-        else:
-            A[-1, -1] = 1.0
-        lu = spla.splu(A.tocsc())
+        if dx not in lus:
+            A = interior @ ((m_coef / dx) * diagY - d2) + walls
+            lus[dx] = spla.splu(A.tocsc())
+        lu = lus[dx]
         v = kq @ DXU[k - 1]
         delta = np.inf
         for _ in range(max_it):
@@ -464,10 +501,10 @@ class PartBase:
         self._cache = {}
 
     def fields(self, target):
-        key = id(target)
-        if key not in self._cache:
-            self._cache[key] = self._evaluate(target)
-        return self._cache[key]
+        # keyed on the target itself: an id is reused once its object is freed
+        if target not in self._cache:
+            self._cache[target] = self._evaluate(target)
+        return self._cache[target]
 
     def _evaluate(self, target):
         raise NotImplementedError

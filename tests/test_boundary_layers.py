@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chasflow.boundary_layers import (CutLayer, LayerProfile, MarchError,
+from chasflow.boundary_layers import (BasePart, CutLayer, LayerProfile,
+                                      LayerTarget, MarchError, _integral_matrix,
                                       apply_cutoff, chi, chi_prime,
                                       solve_layer_minus, solve_layer_plus)
-from chasflow.discretization import DiffOps, HalfLineGrid, build_channel_grid, diff_matrix
+from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
+                                     diff_matrix, one_sided_row)
+from chasflow.profiles import build_profile
 
 L = 0.1
 
@@ -66,6 +69,52 @@ def test_minus_picard_fallback_agrees():
     a = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0, scheme="be")
     b = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0, method="picard")
     assert np.abs(a.U - b.U).max() < 1e-7
+
+
+@pytest.mark.parametrize("scheme", ["be", "cn"])
+@pytest.mark.parametrize("last_layer", [False, True])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_march_matches_dense_step_reference(side, last_layer, scheme):
+    # uniform x with dx = 2^-8 exactly: the same dx recurs across the
+    # backward-Euler -> Crank-Nicolson switch after three steps, so a step
+    # factorization reused by dx alone would solve the wrong system
+    be_steps = 3
+    x = np.arange(21) / 256.0
+    grid = HalfLineGrid(x[-1], None, 41, x=x)
+    X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
+    F = np.sin(40.0 * X) * np.exp(-Y) + 0.3 * Y * np.exp(-Y)
+    g = 0.1 * np.sin(np.pi * grid.x / (2 * x[-1])) + grid.x
+    m = {"plus": 2.0, "minus": 1.0}[side]
+    solver = {"plus": solve_layer_plus, "minus": solve_layer_minus}[side]
+    lay = solver(F, g, grid, last_layer=last_layer, m_coef=m, scheme=scheme)
+
+    # each step solved densely: m/dx conv u - th u_YY = theta-weighted rest
+    nY = grid.nY
+    d2 = diff_matrix(grid.Y, 2).toarray()
+    kq = _integral_matrix(grid, last_layer).toarray()
+    conv = np.eye(nY) if side == "plus" else np.diag(grid.Y) + kq
+    ider, wder = one_sided_row(grid.Y, False, 1, 3)
+    U = np.zeros(grid.shape)
+    U[0, 0] = g[0]
+    for k in range(1, grid.nx):
+        dx = x[k] - x[k - 1]
+        th = 1.0 if (scheme == "be" or k <= be_steps) else 0.5
+        A = (m / dx) * conv - th * d2
+        b = (th * F[k] + (1.0 - th) * F[k - 1] + (m / dx) * conv @ U[k - 1]
+             + (1.0 - th) * d2 @ U[k - 1])
+        A[[0, -1]] = 0.0
+        A[0, 0] = 1.0
+        b[0], b[-1] = g[k], 0.0
+        if last_layer:
+            A[-1, ider] = wder
+        else:
+            A[-1, -1] = 1.0
+        U[k] = np.linalg.solve(A, b)
+    # V of the marched columns; the x = 0 column is the inflow convention
+    V = (np.diff(U, axis=0) / np.diff(x)[:, None]) @ kq.T
+    V = V if side == "minus" else -V
+    assert np.abs(lay.U - U).max() <= 1e-10 * np.abs(U).max()
+    assert np.abs(lay.V[1:] - V).max() <= 1e-10 * np.abs(V).max()
 
 
 def test_layer_linearity():
@@ -205,3 +254,13 @@ def test_layer_serialization_roundtrip(tmp_path):
     assert np.array_equal(back["V"], lay.V)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"CHAS"
+
+
+def test_part_fields_follow_each_target():
+    # a part caches its fields per target; a target freed after use hands
+    # its id on to the next one, which must still get fields of its own grid
+    part = BasePart(build_profile("couette", 1.0, 0.0))
+    grids = [HalfLineGrid(L, 11, 21), HalfLineGrid(L, 17, 33)]
+    for grid in grids * 3:
+        f = part.fields(LayerTarget("minus", grid, 1e-2))
+        assert f["u"].shape == grid.shape
