@@ -704,8 +704,8 @@ class Cascade:
     commutators, mu-approximation errors, viscous-x leftovers and the
     shear-convection term) onto tagged per-side lists.  A layer solve takes
     minus the accumulated u-list as forcing; an aux pressure zeroes the
-    v-list.  Euler-Euler interactions are excluded: they form the O(eps^2)
-    Euler remainder measured separately.
+    v-list.  Euler-Euler interactions are excluded: they stay in the
+    measured remainder.
     """
 
     def __init__(self, profile, eps, a0, channel_target, minus_target, plus_target,
@@ -800,7 +800,7 @@ class Cascade:
                 if isinstance(Q, AuxPart) or isinstance(new_part, AuxPart):
                     continue  # pressure-only parts have no convection products
                 if Q.is_euler and new_part.is_euler:
-                    continue  # Euler-Euler goes to the eps^2 Euler remainder
+                    continue  # Euler-Euler stays in the measured remainder
                 self._push(side, "u", "quad", _pair_terms(new_part, Q, tgt, "u"))
                 self._push(side, "v", "quad", _pair_terms(new_part, Q, tgt, "v"))
 
@@ -893,45 +893,6 @@ class Cascade:
             self._push(side, "u", "aux_pressure_gradient", px)
         self.parts.append(part)
         return part
-
-    # -- remainder assembly ---------------------------------------------------
-
-    def remainder(self, target):
-        """(R_u, R_v): the full momentum residual of all registered parts."""
-        shape = ((target.grid.nx, target.grid.ny) if target.kind == "channel"
-                 else (target.grid.nx, target.grid.Y.size))
-        Ru = np.zeros(shape)
-        Rv = np.zeros(shape)
-        n = len(self.parts)
-        for i in range(n):
-            P = self.parts[i]
-            fi = P.fields(target)
-            Ru += _self_terms(P, target, "u") + fi["px"] - self.eps * fi["lap_u"]
-            Rv += _self_terms(P, target, "v") + fi["py"] - self.eps * fi["lap_v"]
-            for j in range(i + 1, n):
-                Q = self.parts[j]
-                if P.layer_side and Q.layer_side and P.layer_side != Q.layer_side:
-                    continue
-                if isinstance(P, AuxPart) or isinstance(Q, AuxPart):
-                    continue
-                Ru += _pair_terms(P, Q, target, "u")
-                Rv += _pair_terms(P, Q, target, "v")
-        return Ru, Rv
-
-    def euler_remainder(self, target):
-        """The O(eps^2) momentum residual of the Euler partial sums alone."""
-        shape = (target.grid.nx, target.grid.ny)
-        Ru = np.zeros(shape)
-        Rv = np.zeros(shape)
-        eul = [p for p in self.parts if p.is_euler]
-        for i, P in enumerate(eul):
-            fi = P.fields(target)
-            Ru += _self_terms(P, target, "u") - self.eps * fi["lap_u"]
-            Rv += _self_terms(P, target, "v") - self.eps * fi["lap_v"]
-            for Q in eul[i + 1:]:
-                Ru += _pair_terms(P, Q, target, "u")
-                Rv += _pair_terms(P, Q, target, "v")
-        return Ru, Rv
 
     def dumped_report(self):
         out = {}

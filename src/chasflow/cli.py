@@ -15,14 +15,14 @@ import sys
 
 import numpy as np
 
-from .discretization import DiffOps, Field2D, GridResolutionError, build_channel_grid
+from .discretization import Field2D, GridResolutionError, build_channel_grid
 from .expansion import (CASES, ExpansionConfig, ExpansionError,
                         construct_expansion, expansion_report)
 from .nonlinear import (ConvergenceError, ForcingError, assemble_full_solution,
                         build_case_forcing, newton_solve, picard_solve)
 from .profiles import PerturbationSpec, ProfileError, build_profile
 from .verification import (SweepPlan, audit_invariants, report_to_csv,
-                           report_to_json, run_point, run_sweep)
+                           report_to_json, run_sweep)
 
 log = logging.getLogger("chasflow")
 
@@ -35,8 +35,6 @@ SCHEMA = {
     "profile.alpha2": (float, 0.0),
     "profile.perturbation.amplitude": (float, 0.0),
     "profile.perturbation.exponent": (float, 0.0),
-    "profile.ratio2_threshold": (float, 0.5),
-    "profile.ratio3_threshold": (float, 5.0),
     "grid.L": (float, 0.1),
     "grid.nx": (int, 48),
     "grid.ny": (int, 96),
@@ -234,7 +232,8 @@ def _sweep_plan(cfg):
 def cmd_sweep(cfg, args):
     plan = _sweep_plan(cfg)
     if args.jobs and args.jobs > 1:
-        report = _run_sweep_parallel(plan, args.jobs)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            report = run_sweep(plan, map=ex.map)
     else:
         report = run_sweep(plan)
     out = _outdir(cfg, args)
@@ -243,56 +242,6 @@ def cmd_sweep(cfg, args):
     _write_plot_data(report, os.path.join(out, "plot_data.csv"))
     log.info("sweep: pass=%s", report["pass"])
     return EXIT_OK
-
-
-def _point_worker(payload):
-    plan_dict, eps = payload
-    plan = SweepPlan(**plan_dict)
-    try:
-        values, *_ = run_point(plan, eps)
-        return eps, values, None
-    except Exception as exc:
-        return eps, None, f"{type(exc).__name__}: {exc}"
-
-
-def _run_sweep_parallel(plan, jobs):
-    from .verification import MARGINS, PROVEN, SLOPE_MARGIN, fit_quantity
-
-    plan_dict = {k: getattr(plan, k) for k in
-                 ("case", "epsilons", "L", "nx", "ny_base", "M", "gamma",
-                  "alpha1", "alpha2", "pert_amplitude", "pert_exponent",
-                  "grid_policy", "min_layer_nodes", "ny_cap", "a0")}
-    work = [(plan_dict, eps) for eps in plan.epsilons]
-    results = {}
-    failures = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        for eps, values, err in ex.map(_point_worker, work):
-            if err is None:
-                results[eps] = values
-            else:
-                failures.append({"epsilon": eps, "error": err})
-    records = [(e, results[e]) for e in plan.epsilons if e in results]
-    if len(records) < 4:
-        raise RuntimeError(f"only {len(records)} sweep points survived: {failures}")
-    eps_ok = [e for e, _ in records]
-    proven = PROVEN.get(plan.case, {})
-    quantities = []
-    for name in sorted(records[0][1].keys()):
-        vals = [v[name] for _, v in records]
-        entry = {"name": name, "values": vals}
-        if name not in ("iterations", "ny"):
-            entry.update(fit_quantity(eps_ok, vals))
-            if name in proven:
-                entry["proven"] = proven[name]
-                margin = MARGINS.get(name, SLOPE_MARGIN)
-                entry["pass"] = True if entry["exact"] else bool(
-                    entry["slope"] >= proven[name] - margin)
-        quantities.append(entry)
-    return {"case": plan.case, "L": plan.L, "M": plan.M, "epsilons": eps_ok,
-            "exact_family": all(q.get("exact", False) for q in quantities
-                                if q["name"] in ("sup_u_minus_mu", "sup_v")),
-            "quantities": quantities, "failures": failures, "audits": [],
-            "pass": all(q.get("pass", True) for q in quantities)}
 
 
 def _write_plot_data(report, path):

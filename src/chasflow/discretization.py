@@ -259,9 +259,9 @@ class HalfLineGrid:
 
 
 class Field2D:
-    """Scalar grid function with per-edge boundary-condition tags."""
+    """Scalar grid function on a channel or half-line grid."""
 
-    def __init__(self, grid, values=None, bc_tags=None):
+    def __init__(self, grid, values=None):
         self.grid = grid
         if values is None:
             values = np.zeros(grid.shape)
@@ -269,7 +269,6 @@ class Field2D:
         if values.shape != tuple(grid.shape):
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.values = values
-        self.bc_tags = dict(bc_tags or {})
 
     def check_finite(self):
         if not np.all(np.isfinite(self.values)):

@@ -48,15 +48,13 @@ class EulerSolver:
     boundary-condition variant (first/plus/minus) serves every index i.
     """
 
-    def __init__(self, grid, profile, ops=None, ratio2_threshold=None,
-                 higher_outflow="dirichlet"):
+    def __init__(self, grid, profile, ops=None, ratio2_threshold=None):
         self.grid = grid
         self.profile = profile
         self.ops = ops if ops is not None else DiffOps(grid.x, grid.y)
         # traces handed down by the layers need not vanish at the outflow end;
         # production solves run on an extended strip so that the outflow
         # corner (where the trace meets v=0) lies outside the reported domain.
-        self.higher_outflow = higher_outflow
         self.w = np.tile(profile.ratio2(grid.y), (grid.nx, 1))
         if not np.all(np.isfinite(self.w)):
             raise EulerSolveError("mu''/mu is unbounded on this profile")
@@ -95,12 +93,10 @@ class EulerSolver:
             if kind[rL] == _INTERIOR:
                 kind[rL] = _DIR_OUT  # v = 0 at outflow
 
-        neumann_out = side != "first" and self.higher_outflow == "neumann"
         A = self._base.tolil()
         idy0, wy0 = one_sided_row(g.y, True, 1, 3)
         idy2, wy2 = one_sided_row(g.y, False, 1, 3)
         idx0, wx0 = one_sided_row(g.x, True, 1, 3)
-        idxL, wxL = one_sided_row(g.x, False, 1, 3)
         for i in range(g.nx):
             for j in y_dir:
                 r = self._node(i, j)
@@ -117,13 +113,8 @@ class EulerSolver:
                 A.rows[r0] = [self._node(k, j) for k in idx0]
                 A.data[r0] = list(wx0)
             if kind[rL] == _DIR_OUT:
-                if neumann_out:
-                    kind[rL] = _NEUMANN
-                    A.rows[rL] = [self._node(k, j) for k in idxL]
-                    A.data[rL] = list(wxL)
-                else:
-                    A.rows[rL] = [rL]
-                    A.data[rL] = [1.0]
+                A.rows[rL] = [rL]
+                A.data[rL] = [1.0]
         return A.tocsc(), kind
 
     def _factorize(self, side):

@@ -79,12 +79,8 @@ class ExpansionResult:
         self.ops = ops
         self.correctors = CorrectorSet()
         self.fields = {}         # u_s, v_s, P_s and semi-analytic derivatives
-        self.us_E = None
-        self.vs_E = None
         self.Fu = None           # eps^{-M0}-scaled momentum remainders
         self.Fv = None
-        self.T_eps2 = None       # (u, v) pure-Euler residual pair
-        self.F_eps3 = None
         self.report = {}
         self.cascade = None
         self.ext = None          # (grid_ext, ops_ext, slice into reporting)
@@ -185,8 +181,6 @@ def _build_direct(res, profile, config, grid, ops):
         f["P_s"] = -2.0 * eps * profile.alpha2 * grid.XX
         f["Ps_x"] = -2.0 * eps * profile.alpha2 * np.ones(grid.shape)
     res.fields = f
-    res.us_E = f["u_s"].copy()
-    res.vs_E = f["v_s"].copy()
 
 
 def _build_couette(res, profile, config, grid, ops):
@@ -296,20 +290,10 @@ def _assemble(res, grid, ops):
             f[dst] = f[dst] + pf[src]
         f["P_s"] = f["P_s"] + _part_pressure(part, res, tgt)
     res.fields = f
-    # Euler-only partial sums
-    usE = np.tile(res.profile.mu(grid.y), (grid.nx, 1))
-    vsE = np.zeros(grid.shape)
-    for part in casc.parts:
-        if part.is_euler:
-            pf = part.fields(tgt)
-            usE = usE + pf["u"]
-            vsE = vsE + pf["v"]
-    res.us_E, res.vs_E = usE, vsE
 
 
 def _part_pressure(part, res, tgt):
     from .boundary_layers import AuxPart
-    from .discretization import cumtrapz0
     if part.is_euler:
         return part.prefac * _restrict_like(part.corr.P, part.corr.grid, tgt.grid)
     if isinstance(part, AuxPart):
@@ -327,34 +311,20 @@ def _restrict_like(field, src_grid, dst_grid):
 
 
 def compute_remainders(res):
-    """Momentum remainders evaluated semi-analytically, plus the eps^2 split."""
-    grid, ops = res.grid, res.ops
-    cfg = res.config
-    eps, M0 = cfg.eps, cfg.M0
-    if res.cascade is not None:
-        tgt = res._report_target
-        Ru, Rv = res.cascade.remainder(tgt)
-        Tu, Tv = res.cascade.euler_remainder(tgt)
-    else:
-        f = res.fields
-        Ru = (f["u_s"] * f["us_x"] + f["v_s"] * f["us_y"] + f["Ps_x"]
-              - eps * f["lap_us"])
-        Rv = (f["u_s"] * f["vs_x"] + f["v_s"] * f["vs_y"] + f["Ps_y"]
-              - eps * f["lap_vs"])
-        Tu = np.zeros(grid.shape)
-        Tv = np.zeros(grid.shape)
+    """Momentum remainders of the assembled fields, semi-analytic derivatives."""
+    eps, M0 = res.config.eps, res.config.M0
+    ops, f = res.ops, res.fields
+    Ru = (f["u_s"] * f["us_x"] + f["v_s"] * f["us_y"] + f["Ps_x"]
+          - eps * f["lap_us"])
+    Rv = (f["u_s"] * f["vs_x"] + f["v_s"] * f["vs_y"] + f["Ps_y"]
+          - eps * f["lap_vs"])
     res.Fu = -Ru / eps ** M0
     res.Fv = -Rv / eps ** M0
-    res.T_eps2 = (-Tu, -Tv)
-    res.F_eps3 = (-(Ru - Tu), -(Rv - Tv))
-    scaled_u, scaled_v = -Ru, -Rv  # eps^{M0} F
     res.report["remainder_norms"] = {
-        "Fu_H2": ops.norm(scaled_u, "H2"),
-        "Fv_H2": ops.norm(scaled_v, "H2"),
-        "Fu_L2": ops.norm(scaled_u, "L2"),
-        "Fv_L2": ops.norm(scaled_v, "L2"),
-        "T2_H2": ops.norm(Tu, "H2") + ops.norm(Tv, "H2"),
-        "F3_H2": ops.norm(Ru - Tu, "H2") + ops.norm(Rv - Tv, "H2"),
+        "Fu_H2": ops.norm(Ru, "H2"),
+        "Fv_H2": ops.norm(Rv, "H2"),
+        "Fu_L2": ops.norm(Ru, "L2"),
+        "Fv_L2": ops.norm(Rv, "L2"),
     }
     res.report["pointwise_constants"] = _pointwise_constants(res)
     return res.Fu, res.Fv

@@ -13,8 +13,6 @@ from .linearized import (LinearizedProblem, factorize_linearized,
                          momentum_residual, compute_norms, RemainderSolution,
                          assemble_linearized_operator, _bc_rows, _apply_bc)
 
-CASE_TAGS = ("poiseuille_couette_noforce", "couette_noforce", "forced")
-
 
 class ConvergenceError(RuntimeError):
     pass

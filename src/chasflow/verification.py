@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .discretization import DiffOps, GridResolutionError, build_channel_grid, lsq_slope
+from .discretization import GridResolutionError, build_channel_grid, lsq_slope
 from .expansion import ExpansionConfig, construct_expansion
 from .nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from .profiles import PerturbationSpec, build_profile
@@ -46,8 +46,8 @@ EXACT_LEVEL = 1e-11
 class SweepPlan:
     def __init__(self, case, epsilons=DEFAULT_EPSILONS, L=0.1, nx=48,
                  ny_base=96, M=3, gamma=0.05, alpha1=1.0, alpha2=0.0,
-                 pert_amplitude=0.0, pert_exponent=0.0, grid_policy="adapted",
-                 min_layer_nodes=8, ny_cap=224, quantities=None, a0=0.25):
+                 pert_amplitude=0.0, pert_exponent=0.0, min_layer_nodes=8,
+                 ny_cap=224, a0=0.25):
         eps = tuple(float(e) for e in epsilons)
         if len(eps) < 4:
             raise ValueError("a sweep needs at least 4 epsilon values")
@@ -64,10 +64,8 @@ class SweepPlan:
         self.alpha2 = alpha2
         self.pert_amplitude = pert_amplitude
         self.pert_exponent = pert_exponent
-        self.grid_policy = grid_policy
         self.min_layer_nodes = min_layer_nodes
         self.ny_cap = ny_cap
-        self.quantities = quantities
         self.a0 = a0
 
 
@@ -77,7 +75,6 @@ def adapted_grid(plan, eps):
     while True:
         try:
             return build_channel_grid(plan.L, plan.nx, ny, eps,
-                                      stretching=plan.grid_policy == "adapted",
                                       min_layer_nodes=plan.min_layer_nodes)
         except GridResolutionError:
             if ny >= plan.ny_cap:
@@ -97,10 +94,10 @@ def run_point(plan, eps):
     profile = build_profile(kind, plan.alpha1, plan.alpha2,
                             perturbation=pert, eps=eps)
     grid = adapted_grid(plan, eps)
-    ops = DiffOps(grid.x, grid.y)
     cfg = ExpansionConfig(eps, M=plan.M, gamma=gamma, a0=plan.a0,
                           case=plan.case)
     expansion = construct_expansion(profile, cfg, grid)
+    ops = expansion.ops
     forcing = build_case_forcing(plan.case, profile, grid, ops, eps, M0,
                                  expansion=expansion)
     sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)
@@ -140,26 +137,45 @@ def fit_quantity(epsilons, values):
             "fit_residual": float(resid), "loo": float(loo)}
 
 
-def run_sweep(plan):
-    """Execute the sweep and fit log-log rates for every tracked quantity."""
+def _sweep_point(plan, eps):
+    """One sweep point as plain data: (values, audit summary, error).
+
+    A point that raises is recorded by its error and the sweep continues.
+    """
+    try:
+        values, expansion, sol, full = run_point(plan, eps)
+    except Exception as exc:  # recorded, sweep continues
+        return None, None, f"{type(exc).__name__}: {exc}"
+    audit = audit_invariants(expansion, sol=sol, full=full)
+    summary = {"epsilon": eps, "pass": audit["pass"],
+               "checks": [{"name": c["name"], "pass": c["pass"],
+                           "value": c["value"]} for c in audit["checks"]]}
+    return values, summary, None
+
+
+def run_sweep(plan, map=map):
+    """Execute the sweep and fit log-log rates for every tracked quantity.
+
+    ``map`` runs the points; an executor's ``map`` runs them concurrently
+    and gives the same report, since every point is independent.
+    """
     records = []
     failures = []
-    audits = []
-    for eps in plan.epsilons:
-        try:
-            values, expansion, sol, full = run_point(plan, eps)
+    audit = None
+    points = map(_sweep_point, [plan] * len(plan.epsilons), plan.epsilons)
+    for eps, (values, summary, error) in zip(plan.epsilons, points):
+        if error is None:
             records.append((eps, values))
-            last_bundle = (eps, expansion, sol, full)
-        except Exception as exc:  # recorded, sweep continues
-            failures.append({"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"})
+            audit = summary
+        else:
+            failures.append({"epsilon": eps, "error": error})
     if len(records) < 4:
         raise RuntimeError(
             f"only {len(records)} sweep points survived (need >= 4): {failures}")
     eps_ok = [e for e, _ in records]
     proven = PROVEN.get(plan.case, {})
-    names = plan.quantities or sorted(records[0][1].keys())
     quantities = []
-    for name in names:
+    for name in sorted(records[0][1].keys()):
         vals = [v[name] for _, v in records]
         entry = {"name": name, "values": vals}
         if name in ("iterations", "ny"):
@@ -174,11 +190,6 @@ def run_sweep(plan):
             else:
                 entry["pass"] = bool(entry["slope"] >= proven[name] - margin)
         quantities.append(entry)
-    eps_a, expansion, sol, full = last_bundle
-    audit = audit_invariants(expansion, sol=sol, full=full)
-    audits.append({"epsilon": eps_a, "pass": audit["pass"],
-                   "checks": [{"name": c["name"], "pass": c["pass"],
-                               "value": c["value"]} for c in audit["checks"]]})
     report = {
         "case": plan.case,
         "L": plan.L,
@@ -188,7 +199,7 @@ def run_sweep(plan):
                             if q["name"] in ("sup_u_minus_mu", "sup_v")),
         "quantities": quantities,
         "failures": failures,
-        "audits": audits,
+        "audits": [audit],
         "pass": all(q.get("pass", True) for q in quantities),
     }
     return report

@@ -124,14 +124,21 @@ def test_criterion_4_degenerate_mms_order():
                         f"{flat[1]:.1e} under halving [{dt:.0f}s]")
 
 
-def test_criterion_5_remainder_scaling():
+@pytest.fixture(scope="module")
+def couette_rate_sweep():
+    """The Couette sweep that criteria 5 and 7 both read, run once, with
+    its elapsed time so that each criterion still checks its budget."""
     t0 = time.time()
     plan = SweepPlan("couette_noforce", pert_amplitude=0.05,
                      pert_exponent=0.0, M=3)
     report = run_sweep(plan)
+    return report, time.time() - t0
+
+
+def test_criterion_5_remainder_scaling(couette_rate_sweep):
+    report, dt = couette_rate_sweep
     q = {e["name"]: e for e in report["quantities"]}
     slope = q["remainder_H2"]["slope"]
-    dt = time.time() - t0
     ok = slope >= 1.8 and dt < 600
     assert _line(5, ok, f"remainder H2 scaling: slope={slope:.2f} "
                         f"(>= 1.8, proven eps^2 alpha0) [{dt:.0f}s]")
@@ -152,14 +159,10 @@ def test_criterion_6_family_perturbation_rates():
                         f"proven 9/8) [{dt:.0f}s]")
 
 
-def test_criterion_7_couette_rate():
-    t0 = time.time()
-    plan = SweepPlan("couette_noforce", pert_amplitude=0.05,
-                     pert_exponent=0.0, M=3)
-    report = run_sweep(plan)
+def test_criterion_7_couette_rate(couette_rate_sweep):
+    report, dt = couette_rate_sweep
     q = {e["name"]: e for e in report["quantities"]}
     s = q["sup_u_plus_v"]["slope"]
-    dt = time.time() - t0
     ok = s >= 0.90 and dt < 900
     assert _line(7, ok, f"Couette finite-perturbation rate: |u-mu|_inf + |v|_inf slope={s:.2f} "
                         f"(>= 0.90, proven 1) [{dt:.0f}s]")

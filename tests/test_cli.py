@@ -101,3 +101,23 @@ def test_report_command(tmp_path, capsys):
     assert "expansion_report.json" in capsys.readouterr().out
     rc = main(["report", "--out", str(tmp_path / "empty")])
     assert rc == EXIT_CONFIG
+
+
+def test_degeneracy_threshold_keys_are_rejected():
+    from chasflow.cli import ConfigError
+    for key in ("profile.ratio2_threshold", "profile.ratio3_threshold"):
+        with pytest.raises(ConfigError):
+            load_config(None, [f"{key}=1e-12"])
+
+
+def test_sweep_jobs_report_matches_serial(tmp_path):
+    args = ["sweep", "--set", "sweep.nx=24", "--set", "sweep.ny_base=64",
+            "--set", "sweep.m_layers=1", "--set", "sweep.pert_amplitude=0.05",
+            "--set", "sweep.epsilons=1e-1,10**-1.5,1e-2,10**-2.5"]
+    for jobs in ("1", "2"):
+        assert main(args + ["--jobs", jobs, "--out",
+                            str(tmp_path / jobs)]) == EXIT_OK
+    serial = (tmp_path / "1" / "rate_report.json").read_bytes()
+    assert (tmp_path / "2" / "rate_report.json").read_bytes() == serial
+    audits = json.loads(serial)["audits"]
+    assert len(audits) == 1 and audits[0]["pass"], audits
