@@ -9,9 +9,9 @@ start-up steps, Crank-Nicolson after) with graded x steps near the inflow.
 
 The cascade bookkeeping is mechanical: every x-momentum residual term that
 the correctors built so far generate at a wall is held in a per-side pending
-list (tagged cut / approx / quad / shear / aux_pressure_gradient); the next
-same-side layer takes the accumulated sum as its forcing, and an auxiliary
-layer pressure zeroes the pending vertical-momentum terms order by order.
+list (tagged cut / approx / quad / shear); the next same-side layer takes
+the accumulated sum as its forcing, and an auxiliary layer pressure zeroes
+the pending vertical-momentum terms order by order.
 """
 
 import struct
@@ -143,7 +143,7 @@ def _wall_rows(Y, last_layer):
     return sp.diags(mask), walls
 
 
-def _dxu_at_inflow(grid, F0, m_coef, kind, kq, g_slope=0.0):
+def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope=0.0):
     """Consistent d_x u at x=0 from the PDE with u(0,.) = 0.
 
     The wall row carries the data slope g'(0) so the divergence relation
@@ -271,7 +271,7 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
     theta = np.ones(nx)
     U[0, 0] = g[0]
     g_slope = (g[1] - g[0]) / (x[1] - x[0])
-    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, kq, g_slope=g_slope)
+    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
 
     # step matrix (m/dx) C - theta D + E; on the minus side W = kq @ u joins
     # the unknowns through its recurrence rows, so it stays sparse
@@ -323,7 +323,7 @@ def _march_minus_picard(grid, F, g, last_layer, m_coef, tol=1e-10, max_it=200):
     U = np.zeros((nx, nY))
     U[0, 0] = g[0]
     DXU = np.zeros((nx, nY))
-    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, "minus", kq,
+    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, "minus",
                             g_slope=(g[1] - g[0]) / (x[1] - x[0]))
     diagY = sp.diags(Y)
     lus = {}
@@ -409,7 +409,6 @@ class CutLayer:
         self.chi = chi(yy / a0)
         self.chip = chi_prime(yy / a0)
         sgn = -1.0 if side == "minus" else 1.0
-        self.sgn_cut = sgn
         scale = eps ** s / a0
         self.cc = sgn * scale * self.chip
         self.c1 = scale * self.chip
@@ -454,7 +453,6 @@ class LayerTarget:
         self.grid = grid
         self.eps = eps
         self.s = S_EXP[side]
-        self.chain = SIGN_Y[side] * eps ** (-self.s)   # d/dy factor
         if side == "minus":
             self.y_of_Y = np.clip(eps ** self.s * grid.Y, 0.0, 2.0)
         else:
@@ -489,6 +487,16 @@ def interp_channel_field(field, cgrid, xq, yq):
     return PchipInterpolator(cgrid.x, tmp, axis=0)(xc)
 
 
+def restrict_channel_field(field, src, dst):
+    """A field on channel grid src, on dst: exact slicing when dst's nodes
+    are a leading x block of src's with the same y, else interpolated."""
+    if (src.nx >= dst.nx and src.ny == dst.ny
+            and np.allclose(src.x[:dst.nx], dst.x)
+            and np.allclose(src.y, dst.y)):
+        return field[:dst.nx]
+    return interp_channel_field(field, src, dst.x, dst.y)
+
+
 class PartBase:
     """One additive contribution to (u_s, v_s, P_s), evaluable on any target."""
 
@@ -521,15 +529,9 @@ class BasePart(PartBase):
         self.profile = profile
 
     def _evaluate(self, target):
-        if target.kind == "channel":
-            y = target.grid.y
-            nx = target.grid.nx
-        else:
-            y = target.y_of_Y
-            nx = target.grid.nx
-        z = np.zeros((nx, y.size))
+        y = target.grid.y if target.kind == "channel" else target.y_of_Y
+        nx = target.grid.nx
         f = _zero_fields((nx, y.size))
-        f = dict(f)
         f["u"] = np.tile(self.profile.mu(y), (nx, 1))
         f["uy"] = np.tile(self.profile.mu(y, 1), (nx, 1))
         f["lap_u"] = np.tile(self.profile.mu(y, 2), (nx, 1))
@@ -582,14 +584,7 @@ class EulerPart(PartBase):
             base = self._channel_fields()
             self._cache["channel_raw"] = base
         if target.kind == "channel":
-            g, tg = self.corr.grid, target.grid
-            if g is tg:
-                return base
-            if (g.nx >= tg.nx and g.ny == tg.ny
-                    and np.allclose(g.x[:tg.nx], tg.x)
-                    and np.allclose(g.y, tg.y)):
-                return {k: v[:tg.nx] for k, v in base.items()}
-            return {k: interp_channel_field(v, g, tg.x, tg.y)
+            return {k: restrict_channel_field(v, self.corr.grid, target.grid)
                     for k, v in base.items()}
         out = {}
         for k in _FIELD_KEYS:
@@ -601,7 +596,7 @@ class EulerPart(PartBase):
 class LayerPart(PartBase):
     """One cut boundary-layer corrector with divergence-consistent fields."""
 
-    def __init__(self, cut, prefac_u, channel_grid=None):
+    def __init__(self, cut, prefac_u):
         super().__init__()
         lay = cut.layer
         self.name = f"layer{lay.index}{lay.side[0]}"
@@ -662,13 +657,11 @@ class AuxPart(PartBase):
     def _evaluate(self, target):
         if target.kind == self.layer_side:
             f = _zero_fields(self.py_native.shape)
-            f = dict(f)
             f["px"] = self.px_native
             f["py"] = self.py_native
             return f
         if target.kind == "channel":
             f = _zero_fields((target.grid.nx, target.grid.ny))
-            f = dict(f)
             f["px"] = interp_layer_field(self.px_native, self.lgrid,
                                          self.layer_side, self.eps,
                                          target.grid.x, target.grid.y)
@@ -708,16 +701,10 @@ class Cascade:
     measured remainder.
     """
 
-    def __init__(self, profile, eps, a0, channel_target, minus_target, plus_target,
-                 aux_absorb=False):
+    def __init__(self, profile, eps, a0, channel_target, minus_target, plus_target):
         self.profile = profile
         self.eps = eps
         self.a0 = a0
-        # aux-pressure gradients are eps^2-order; feeding them back into the
-        # next forcing re-amplifies marching dust by
-        # 1/q per level at desk resolutions, so by default they stay in the
-        # measured remainder (crossover far below desk-scale eps).
-        self.aux_absorb = aux_absorb
         self.targets = {"channel": channel_target,
                         "minus": minus_target, "plus": plus_target}
         self.m0 = float(profile.mu(np.array([0.0]), 1)[0])
@@ -855,12 +842,6 @@ class Cascade:
             shear = part.cv * mup_y[None, :] * cut.Vhat
         self._push(side, "u", "cut", q * commut)
         self._push(side, "u", "approx", approx)
-        if self.aux_absorb:
-            # the viscous-x leftover is one equation order down (eps^{1/3}
-            # resp. eps^{1/2} relative); like the aux gradients it is only
-            # re-expanded in deep-absorption mode and otherwise stays in the
-            # measured remainder at eps^{7/3}-order
-            self._push(side, "u", "quad", -cu * self.eps * cut.dXX(cut.Uhat))
         if shear is not None:
             self._push(side, "u", "shear", shear)
         # vertical momentum: base convection + viscous of the layer's v
@@ -874,6 +855,9 @@ class Cascade:
 
     def make_aux(self, side, index):
         """Auxiliary pressure killing the accumulated (ramped) v-momentum terms."""
+        # its eps^2-order x-gradient (like the layers' viscous-x leftover)
+        # stays in the measured remainder: fed into the next forcing it would
+        # re-amplify marching dust by 1/q per level at desk resolutions
         tgt = self.targets[side]
         lgrid = tgt.grid
         ramp = self.ramp_aux[side]
@@ -889,8 +873,6 @@ class Cascade:
         # the fit is unconstrained where the corner weight vanishes
         px = self.ramp[side] * (sgn * self.eps ** s * (dxpv @ wtail.T.toarray()))
         part = AuxPart(side, lgrid, self.eps, py, px, Pi, index)
-        if self.aux_absorb:
-            self._push(side, "u", "aux_pressure_gradient", px)
         self.parts.append(part)
         return part
 

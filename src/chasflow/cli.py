@@ -15,14 +15,13 @@ import sys
 
 import numpy as np
 
-from .discretization import Field2D, GridResolutionError, build_channel_grid
-from .expansion import (CASES, ExpansionConfig, ExpansionError,
-                        construct_expansion, expansion_report)
-from .nonlinear import (ConvergenceError, ForcingError, assemble_full_solution,
-                        build_case_forcing, newton_solve, picard_solve)
-from .profiles import PerturbationSpec, ProfileError, build_profile
-from .verification import (SweepPlan, audit_invariants, report_to_csv,
-                           report_to_json, run_sweep)
+from .discretization import Field2D, GridResolutionError
+from .expansion import ExpansionError, expansion_report
+from .nonlinear import ConvergenceError, ForcingError, newton_solve
+from .profiles import ProfileError
+from .verification import (RunSpec, audit_invariants, construct_point,
+                           report_to_csv, report_to_json, run_sweep,
+                           solve_point)
 
 log = logging.getLogger("chasflow")
 
@@ -48,7 +47,6 @@ SCHEMA = {
     "expansion.case": (str, "couette_noforce"),
     "expansion.layer_ny": (int, 320),
     "expansion.ext_factor": (float, 1.25),
-    "expansion.aux_absorb": (bool, False),
     "expansion.scheme": (str, "be"),
     "solver.tol": (float, 1e-10),
     "solver.max_iter": (int, 50),
@@ -66,6 +64,20 @@ SCHEMA = {
     "sweep.alpha2": (float, 0.0),
     "output.dir": (str, "out"),
     "output.formats": (str, "json,csv"),
+}
+
+# In a sweep each of these sweep.* keys stands in for the key it maps to;
+# every other key is read from its own section by every command.
+SWEEP_KEYS = {
+    "expansion.case": "sweep.case",
+    "expansion.m_layers": "sweep.m_layers",
+    "grid.nx": "sweep.nx",
+    "grid.ny": "sweep.ny_base",
+    "grid.min_layer_nodes": "sweep.min_layer_nodes",
+    "profile.alpha1": "sweep.alpha1",
+    "profile.alpha2": "sweep.alpha2",
+    "profile.perturbation.amplitude": "sweep.pert_amplitude",
+    "profile.perturbation.exponent": "sweep.pert_exponent",
 }
 
 
@@ -127,36 +139,25 @@ def _parse_epsilons(text):
     return vals
 
 
-def _build_profile(cfg, eps):
-    pert = None
-    if cfg["profile.perturbation.amplitude"] > 0:
-        pert = PerturbationSpec(cfg["profile.perturbation.amplitude"],
-                                cfg["profile.perturbation.exponent"])
-    return build_profile(cfg["profile.kind"], cfg["profile.alpha1"],
-                         cfg["profile.alpha2"], perturbation=pert, eps=eps)
-
-
-def _pipeline(cfg):
-    eps = cfg["expansion.epsilon"]
-    case = cfg["expansion.case"]
-    if case not in CASES:
-        raise ConfigError(f"expansion.case must be one of {CASES}")
-    if case == "couette_noforce" and cfg["profile.alpha2"] != 0.0:
-        raise ConfigError("case couette_noforce requires profile.alpha2 = 0")
-    profile = _build_profile(cfg, eps)
-    grid = build_channel_grid(cfg["grid.L"], cfg["grid.nx"], cfg["grid.ny"],
-                              eps, stretching=cfg["grid.stretching"],
-                              resolve_factor=cfg["grid.resolve_factor"],
-                              min_layer_nodes=cfg["grid.min_layer_nodes"])
-    ecfg = ExpansionConfig(eps, M=cfg["expansion.m_layers"],
-                           gamma=cfg["expansion.gamma"],
-                           a0=cfg["expansion.a0"], case=case,
-                           layer_nY=cfg["expansion.layer_ny"],
-                           ext_factor=cfg["expansion.ext_factor"],
-                           aux_absorb=cfg["expansion.aux_absorb"],
-                           scheme=cfg["expansion.scheme"])
-    expansion = construct_expansion(profile, ecfg, grid)
-    return profile, grid, ecfg, expansion
+def _run_spec(cfg, sweep=False):
+    """The run spec of a command; a single point never refines its grid."""
+    if sweep:
+        cfg = dict(cfg, **{key: cfg[alias] for key, alias in SWEEP_KEYS.items()})
+    return RunSpec(cfg["expansion.case"], L=cfg["grid.L"], nx=cfg["grid.nx"],
+                   ny=cfg["grid.ny"],
+                   ny_cap=cfg["sweep.ny_cap"] if sweep else cfg["grid.ny"],
+                   M=cfg["expansion.m_layers"], kind=cfg["profile.kind"],
+                   alpha1=cfg["profile.alpha1"], alpha2=cfg["profile.alpha2"],
+                   pert_amplitude=cfg["profile.perturbation.amplitude"],
+                   pert_exponent=cfg["profile.perturbation.exponent"],
+                   stretching=cfg["grid.stretching"],
+                   resolve_factor=cfg["grid.resolve_factor"],
+                   min_layer_nodes=cfg["grid.min_layer_nodes"],
+                   gamma=cfg["expansion.gamma"], a0=cfg["expansion.a0"],
+                   layer_nY=cfg["expansion.layer_ny"],
+                   ext_factor=cfg["expansion.ext_factor"],
+                   scheme=cfg["expansion.scheme"], tol=cfg["solver.tol"],
+                   max_iter=cfg["solver.max_iter"])
 
 
 def _write_json(payload, path):
@@ -172,11 +173,11 @@ def _outdir(cfg, args):
 
 
 def cmd_construct(cfg, args):
-    profile, grid, ecfg, expansion = _pipeline(cfg)
+    expansion = construct_point(_run_spec(cfg), cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
     formats = cfg["output.formats"].split(",")
     for name in ("u_s", "v_s", "P_s"):
-        field = Field2D(grid, expansion.fields[name])
+        field = Field2D(expansion.grid, expansion.fields[name])
         if "csv" in formats:
             field.to_csv(os.path.join(out, f"{name}.csv"))
         field.to_binary(os.path.join(out, f"{name}.bin"))
@@ -186,15 +187,10 @@ def cmd_construct(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    profile, grid, ecfg, expansion = _pipeline(cfg)
-    ops = expansion.ops
-    eps, M0 = ecfg.eps, ecfg.M0
-    forcing = build_case_forcing(ecfg.case, profile, grid, ops, eps, M0,
-                                 expansion=expansion)
-    sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops,
-                              tol=cfg["solver.tol"],
-                              k_max=cfg["solver.max_iter"])
-    full = assemble_full_solution(expansion.fields, profile, sol, eps, M0)
+    expansion, forcing, sol, trace, full = solve_point(
+        _run_spec(cfg), cfg["expansion.epsilon"])
+    grid, ops = expansion.grid, expansion.ops
+    eps, M0 = expansion.config.eps, expansion.config.M0
     out = _outdir(cfg, args)
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
     for name, arr in (("u_full", full["u"]), ("v_full", full["v"]),
@@ -215,27 +211,14 @@ def cmd_solve(cfg, args):
     return EXIT_OK
 
 
-def _sweep_plan(cfg):
-    eps = _parse_epsilons(cfg["sweep.epsilons"])
-    if len(eps) < 4:
-        raise ConfigError("sweep.epsilons needs at least 4 values")
-    return SweepPlan(cfg["sweep.case"], epsilons=eps, L=cfg["grid.L"],
-                     nx=cfg["sweep.nx"], ny_base=cfg["sweep.ny_base"],
-                     M=cfg["sweep.m_layers"], gamma=cfg["expansion.gamma"],
-                     alpha1=cfg["sweep.alpha1"], alpha2=cfg["sweep.alpha2"],
-                     pert_amplitude=cfg["sweep.pert_amplitude"],
-                     pert_exponent=cfg["sweep.pert_exponent"],
-                     min_layer_nodes=cfg["sweep.min_layer_nodes"],
-                     ny_cap=cfg["sweep.ny_cap"], a0=cfg["expansion.a0"])
-
-
 def cmd_sweep(cfg, args):
-    plan = _sweep_plan(cfg)
+    spec = _run_spec(cfg, sweep=True)
+    eps = _parse_epsilons(cfg["sweep.epsilons"])
     if args.jobs and args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            report = run_sweep(plan, map=ex.map)
+            report = run_sweep(spec, eps, map=ex.map)
     else:
-        report = run_sweep(plan)
+        report = run_sweep(spec, eps)
     out = _outdir(cfg, args)
     report_to_json(report, os.path.join(out, "rate_report.json"))
     report_to_csv(report, os.path.join(out, "rate_report.csv"))
@@ -256,12 +239,8 @@ def _write_plot_data(report, path):
 
 
 def cmd_audit(cfg, args):
-    profile, grid, ecfg, expansion = _pipeline(cfg)
-    ops = expansion.ops
-    forcing = build_case_forcing(ecfg.case, profile, grid, ops, ecfg.eps,
-                                 ecfg.M0, expansion=expansion)
-    sol, _ = picard_solve(expansion.fields, forcing, ecfg.eps, ecfg.M0, grid, ops)
-    full = assemble_full_solution(expansion.fields, profile, sol, ecfg.eps, ecfg.M0)
+    expansion, _, sol, _, full = solve_point(_run_spec(cfg),
+                                             cfg["expansion.epsilon"])
     report = audit_invariants(expansion, sol=sol, full=full)
     out = _outdir(cfg, args)
     _write_json(report, os.path.join(out, "audit.json"))
@@ -323,6 +302,10 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](cfg, args)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but raised by a failed factorization or fit
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ProfileError, ForcingError, ExpansionError,
             GridResolutionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

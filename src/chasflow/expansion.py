@@ -17,10 +17,13 @@ from .discretization import (ChannelGrid, DiffOps, HalfLineGrid,
 from .euler_correctors import EulerSolver
 from .boundary_layers import (Cascade, ChannelTarget, LayerTarget, S_EXP,
                               solve_layer_minus, solve_layer_plus,
-                              interp_layer_field)
+                              interp_layer_field, restrict_channel_field)
 from .profiles import check_couette_degeneracy
 
 CASES = ("poiseuille_couette_noforce", "couette_noforce", "forced")
+SCHEMES = ("be", "cn")
+LAYER_SUB = 24                           # graded sub-steps in the first x cell
+AUX_LIMIT = {"minus": 5, "plus": 3}      # levels that get an aux pressure
 
 
 class ExpansionError(RuntimeError):
@@ -31,9 +34,8 @@ class ExpansionConfig:
     """Knobs of the Section-2 construction."""
 
     def __init__(self, eps, M=3, gamma=0.05, a0=0.25, case="couette_noforce",
-                 layer_nY=320, layer_sub=24, ext_factor=1.25,
-                 aux_limit_minus=5, aux_limit_plus=3, scheme="be",
-                 aux_absorb=False, degeneracy_thresholds=None):
+                 layer_nY=320, ext_factor=1.25, scheme="be",
+                 degeneracy_thresholds=None):
         if eps <= 0:
             raise ExpansionError("eps must be positive")
         if M < 1:
@@ -44,6 +46,8 @@ class ExpansionConfig:
             raise ExpansionError(f"case must be one of {CASES}")
         if not 0.0 < a0 <= 1.0:
             raise ExpansionError("a0 must lie in (0, 1]")
+        if scheme not in SCHEMES:
+            raise ExpansionError(f"scheme must be one of {SCHEMES}")
         self.eps = float(eps)
         self.M = int(M)
         self.gamma = float(gamma)
@@ -51,12 +55,8 @@ class ExpansionConfig:
         self.a0 = float(a0)
         self.case = case
         self.layer_nY = int(layer_nY)
-        self.layer_sub = int(layer_sub)
         self.ext_factor = float(ext_factor)
-        self.aux_limit_minus = int(aux_limit_minus)
-        self.aux_limit_plus = int(aux_limit_plus)
         self.scheme = scheme
-        self.aux_absorb = bool(aux_absorb)
         self.degeneracy_thresholds = degeneracy_thresholds
 
 
@@ -66,7 +66,6 @@ class CorrectorSet:
     def __init__(self):
         self.euler = []        # EulerCorrector
         self.layers = []       # LayerProfile
-        self.aux = []          # AuxPart
         self.parts = []        # everything, in assembly order (base first)
         self.forcing_records = []
 
@@ -84,10 +83,6 @@ class ExpansionResult:
         self.report = {}
         self.cascade = None
         self.ext = None          # (grid_ext, ops_ext, slice into reporting)
-
-    def background(self):
-        """Coefficient fields for the linearized solver."""
-        return self.fields
 
 
 def _extended_grid(grid, factor):
@@ -189,7 +184,7 @@ def _build_couette(res, profile, config, grid, ops):
     ops_ext = DiffOps(grid_ext.x, grid_ext.y)
     res.ext = (grid_ext, ops_ext)
 
-    lay_x = _layer_xgrid(grid_ext.x, config.layer_sub)
+    lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
     grids = {}
     for side in ("minus", "plus"):
         s = S_EXP[side]
@@ -200,8 +195,7 @@ def _build_couette(res, profile, config, grid, ops):
     tgt_c = ChannelTarget(grid_ext, ops_ext)
     tgt_m = LayerTarget("minus", grids["minus"], eps)
     tgt_p = LayerTarget("plus", grids["plus"], eps)
-    casc = Cascade(profile, eps, a0, tgt_c, tgt_m, tgt_p,
-                   aux_absorb=config.aux_absorb)
+    casc = Cascade(profile, eps, a0, tgt_c, tgt_m, tgt_p)
     res.cascade = casc
 
     solver = EulerSolver(grid_ext, profile, ops=ops_ext)
@@ -213,7 +207,7 @@ def _build_couette(res, profile, config, grid, ops):
     euler_of = {"minus": {1: e1}, "plus": {1: e1}}
     solve_fn = {"minus": solve_layer_minus, "plus": solve_layer_plus}
     m_coef = {"minus": casc.m0, "plus": casc.m1}
-    aux_lim = {"minus": config.aux_limit_minus, "plus": config.aux_limit_plus}
+    parts = {}   # the level-i layer part of each side
 
     for i in range(1, M + 1):
         for side in ("minus", "plus"):
@@ -227,21 +221,17 @@ def _build_couette(res, profile, config, grid, ops):
                                  last_layer=(i == M), m_coef=m_coef[side],
                                  index=i, scheme=config.scheme)
             res.correctors.layers.append(lay)
-            part = casc.add_layer(lay, i)
+            parts[side] = casc.add_layer(lay, i)
             rec = {"index": i, "side": side, "far_field": lay.far_field(),
                    "forcing_max": float(np.max(np.abs(F))) if F is not None else 0.0,
                    "components_max": {k: float(np.max(np.abs(v)))
                                       for k, v in comps.items()}}
             res.correctors.forcing_records.append(rec)
-            if i <= aux_lim[side]:
+            if i <= AUX_LIMIT[side]:
                 casc.make_aux(side, i)
         if i < M:
             for side in ("minus", "plus"):
-                lay = [p for p in res.correctors.layers
-                       if p.side == side and p.index == i][0]
-                part = [p for p in casc.parts
-                        if getattr(p, "layer", None) is lay][0]
-                vhat_wall = part.cut.Vhat[:, 0]
+                vhat_wall = parts[side].cut.Vhat[:, 0]
                 trace = -_interp1(grids[side].x, vhat_wall, grid_ext.x)
                 smooth = _mollify_corner(trace, grid_ext.x, 4.0 * grid_ext.x[1])
                 res.report["wall_deficit"] = (
@@ -295,19 +285,12 @@ def _assemble(res, grid, ops):
 def _part_pressure(part, res, tgt):
     from .boundary_layers import AuxPart
     if part.is_euler:
-        return part.prefac * _restrict_like(part.corr.P, part.corr.grid, tgt.grid)
+        return part.prefac * restrict_channel_field(part.corr.P, part.corr.grid,
+                                                    tgt.grid)
     if isinstance(part, AuxPart):
         return interp_layer_field(part.Pi_phys, part.lgrid, part.layer_side,
                                   part.eps, tgt.grid.x, tgt.grid.y)
     return np.zeros(tgt.grid.shape)
-
-
-def _restrict_like(field, src_grid, dst_grid):
-    if src_grid.nx >= dst_grid.nx and np.allclose(src_grid.x[:dst_grid.nx], dst_grid.x) \
-            and src_grid.ny == dst_grid.ny:
-        return field[:dst_grid.nx]
-    from .boundary_layers import interp_channel_field
-    return interp_channel_field(field, src_grid, dst_grid.x, dst_grid.y)
 
 
 def compute_remainders(res):

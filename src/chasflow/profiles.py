@@ -215,11 +215,14 @@ def check_couette_degeneracy(profile, thresholds=None, n_samples=10000, k=2):
     r2 = profile.ratio2(y)
     r3 = profile.ratio3(y)
     sup_r2 = float(np.max(np.abs(r2)))
-    ck = float(np.max(np.abs(r3)))
-    d = r3.copy()
-    for _ in range(k):
-        d = np.gradient(d, y)
-        ck = max(ck, float(np.max(np.abs(d))))
+    if np.all(np.isfinite(r3)):
+        ck = float(np.max(np.abs(r3)))
+        d = r3
+        for _ in range(k):
+            d = np.gradient(d, y)
+            ck = max(ck, float(np.max(np.abs(d))))
+    else:
+        ck = np.inf   # mu''' does not vanish at a wall where mu does
     report = {
         "sup_ratio2": sup_r2,
         "ratio3_ck": ck,

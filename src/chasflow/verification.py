@@ -1,4 +1,5 @@
-"""eps-sweeps, convergence-rate fits against the proven bounds, and audits.
+"""The run spec and the one point pipeline (construct, then solve), eps-sweeps,
+convergence-rate fits against the proven bounds, and audits.
 
 The proven rates are upper bounds, so every rate criterion is one-sided:
 an observed slope not less than (proven - margin) passes, faster decay is
@@ -12,7 +13,7 @@ import json
 import numpy as np
 
 from .discretization import GridResolutionError, build_channel_grid, lsq_slope
-from .expansion import ExpansionConfig, construct_expansion
+from .expansion import ExpansionConfig, ExpansionError, construct_expansion
 from .nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from .profiles import PerturbationSpec, build_profile
 
@@ -43,65 +44,75 @@ PROVEN = {
 EXACT_LEVEL = 1e-11
 
 
-class SweepPlan:
-    def __init__(self, case, epsilons=DEFAULT_EPSILONS, L=0.1, nx=48,
-                 ny_base=96, M=3, gamma=0.05, alpha1=1.0, alpha2=0.0,
-                 pert_amplitude=0.0, pert_exponent=0.0, min_layer_nodes=8,
-                 ny_cap=224, a0=0.25):
-        eps = tuple(float(e) for e in epsilons)
-        if len(eps) < 4:
-            raise ValueError("a sweep needs at least 4 epsilon values")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ValueError("epsilon values must be strictly decreasing")
+class RunSpec:
+    """Everything one point of the pipeline needs but eps, validated once
+    so that a bad sweep setting fails before any point runs.  The grid
+    steps ny up to ny_cap until the layers are resolved."""
+
+    def __init__(self, case, L=0.1, nx=48, ny=96, ny_cap=224, M=3,
+                 kind="couette", alpha1=1.0, alpha2=0.0, pert_amplitude=0.0,
+                 pert_exponent=0.0, stretching=True, resolve_factor=0.25,
+                 min_layer_nodes=8, gamma=0.05, a0=0.25, layer_nY=320,
+                 ext_factor=1.25, scheme="be", tol=1e-10, max_iter=50):
         self.case = case
-        self.epsilons = eps
-        self.L = L
-        self.nx = nx
-        self.ny_base = ny_base
-        self.M = M
-        self.gamma = gamma
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
-        self.pert_amplitude = pert_amplitude
-        self.pert_exponent = pert_exponent
-        self.min_layer_nodes = min_layer_nodes
-        self.ny_cap = ny_cap
-        self.a0 = a0
+        self.L, self.nx, self.ny, self.ny_cap, self.M = L, nx, ny, ny_cap, M
+        self.kind, self.alpha1, self.alpha2 = kind, alpha1, alpha2
+        self.grid_kwargs = {"stretching": stretching,
+                            "resolve_factor": resolve_factor,
+                            "min_layer_nodes": min_layer_nodes}
+        self.expansion_kwargs = {"M": M, "gamma": gamma, "a0": a0, "case": case,
+                                 "layer_nY": layer_nY, "ext_factor": ext_factor,
+                                 "scheme": scheme}
+        self.tol, self.max_iter = tol, max_iter
+        # every check that does not depend on eps, made once
+        ExpansionConfig(1.0, **self.expansion_kwargs)
+        build_profile(kind, alpha1, alpha2)
+        self.perturbation = (PerturbationSpec(pert_amplitude, pert_exponent)
+                             if pert_amplitude != 0 else None)
+        if case == "couette_noforce" and alpha2 != 0.0:
+            raise ExpansionError("case couette_noforce requires alpha2 = 0")
+
+    def profile(self, eps):
+        return build_profile(self.kind, self.alpha1, self.alpha2,
+                             perturbation=self.perturbation, eps=eps)
 
 
-def adapted_grid(plan, eps):
-    """Smallest ny (stepping from ny_base) that resolves the layers."""
-    ny = plan.ny_base
+def adapted_grid(spec, eps):
+    """Smallest ny (stepping from spec.ny) that resolves the layers."""
+    ny = spec.ny
     while True:
         try:
-            return build_channel_grid(plan.L, plan.nx, ny, eps,
-                                      min_layer_nodes=plan.min_layer_nodes)
+            return build_channel_grid(spec.L, spec.nx, ny, eps,
+                                      **spec.grid_kwargs)
         except GridResolutionError:
-            if ny >= plan.ny_cap:
+            if ny >= spec.ny_cap:
                 raise
-            ny = min(plan.ny_cap, ny + 32)
+            ny = min(spec.ny_cap, ny + 32)
 
 
-def run_point(plan, eps):
+def construct_point(spec, eps):
+    """The multi-scale approximation at one eps."""
+    return construct_expansion(spec.profile(eps),
+                               ExpansionConfig(eps, **spec.expansion_kwargs),
+                               adapted_grid(spec, eps))
+
+
+def solve_point(spec, eps):
+    """Construct, Picard-solve: (expansion, forcing, sol, trace, full)."""
+    expansion = construct_point(spec, eps)
+    cfg, grid, ops = expansion.config, expansion.grid, expansion.ops
+    forcing = build_case_forcing(cfg.case, expansion.profile, grid, ops, eps,
+                                 cfg.M0, expansion=expansion)
+    sol, trace = picard_solve(expansion.fields, forcing, eps, cfg.M0, grid, ops,
+                              tol=spec.tol, k_max=spec.max_iter)
+    full = assemble_full_solution(expansion.fields, expansion.profile, sol,
+                                  eps, cfg.M0)
+    return expansion, forcing, sol, trace, full
+
+
+def run_point(spec, eps):
     """One sweep point: construct, solve, record the tracked quantities."""
-    gamma = plan.gamma
-    M0 = 11.0 / 8.0 + gamma
-    pert = None
-    if plan.pert_amplitude > 0:
-        pert = PerturbationSpec(plan.pert_amplitude, plan.pert_exponent)
-    kind = ("couette" if plan.alpha2 == 0 else
-            ("poiseuille" if plan.alpha1 == 0 else "poiseuille_couette"))
-    profile = build_profile(kind, plan.alpha1, plan.alpha2,
-                            perturbation=pert, eps=eps)
-    grid = adapted_grid(plan, eps)
-    cfg = ExpansionConfig(eps, M=plan.M, gamma=gamma, a0=plan.a0,
-                          case=plan.case)
-    expansion = construct_expansion(profile, cfg, grid)
-    ops = expansion.ops
-    forcing = build_case_forcing(plan.case, profile, grid, ops, eps, M0,
-                                 expansion=expansion)
-    sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)
-    full = assemble_full_solution(expansion.fields, profile, sol, eps, M0)
+    expansion, _, sol, _, full = solve_point(spec, eps)
     rep = full["report"]
     rn = expansion.report["remainder_norms"]
     values = {
@@ -115,7 +126,7 @@ def run_point(plan, eps):
         "X_norm": sol.norms["X_norm"],
         "iterations": sol.norms["iterations"],
         "nonlinear_residual": rep["nonlinear_residual"],
-        "ny": grid.ny,
+        "ny": expansion.grid.ny,
     }
     return values, expansion, sol, full
 
@@ -137,13 +148,13 @@ def fit_quantity(epsilons, values):
             "fit_residual": float(resid), "loo": float(loo)}
 
 
-def _sweep_point(plan, eps):
+def _sweep_point(spec, eps):
     """One sweep point as plain data: (values, audit summary, error).
 
     A point that raises is recorded by its error and the sweep continues.
     """
     try:
-        values, expansion, sol, full = run_point(plan, eps)
+        values, expansion, sol, full = run_point(spec, eps)
     except Exception as exc:  # recorded, sweep continues
         return None, None, f"{type(exc).__name__}: {exc}"
     audit = audit_invariants(expansion, sol=sol, full=full)
@@ -153,17 +164,23 @@ def _sweep_point(plan, eps):
     return values, summary, None
 
 
-def run_sweep(plan, map=map):
+def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
     """Execute the sweep and fit log-log rates for every tracked quantity.
 
-    ``map`` runs the points; an executor's ``map`` runs them concurrently
-    and gives the same report, since every point is independent.
+    ``epsilons`` needs at least four strictly decreasing values.  ``map``
+    runs the points; an executor's ``map`` runs them concurrently and gives
+    the same report, since every point is independent.
     """
+    epsilons = tuple(float(e) for e in epsilons)
+    if len(epsilons) < 4:
+        raise ValueError("a sweep needs at least 4 epsilon values")
+    if any(e2 >= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
+        raise ValueError("epsilon values must be strictly decreasing")
     records = []
     failures = []
     audit = None
-    points = map(_sweep_point, [plan] * len(plan.epsilons), plan.epsilons)
-    for eps, (values, summary, error) in zip(plan.epsilons, points):
+    points = map(_sweep_point, [spec] * len(epsilons), epsilons)
+    for eps, (values, summary, error) in zip(epsilons, points):
         if error is None:
             records.append((eps, values))
             audit = summary
@@ -173,7 +190,7 @@ def run_sweep(plan, map=map):
         raise RuntimeError(
             f"only {len(records)} sweep points survived (need >= 4): {failures}")
     eps_ok = [e for e, _ in records]
-    proven = PROVEN.get(plan.case, {})
+    proven = PROVEN.get(spec.case, {})
     quantities = []
     for name in sorted(records[0][1].keys()):
         vals = [v[name] for _, v in records]
@@ -191,9 +208,9 @@ def run_sweep(plan, map=map):
                 entry["pass"] = bool(entry["slope"] >= proven[name] - margin)
         quantities.append(entry)
     report = {
-        "case": plan.case,
-        "L": plan.L,
-        "M": plan.M,
+        "case": spec.case,
+        "L": spec.L,
+        "M": spec.M,
         "epsilons": eps_ok,
         "exact_family": all(q.get("exact", False) for q in quantities
                             if q["name"] in ("sup_u_minus_mu", "sup_v")),

@@ -19,7 +19,7 @@ from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
 from chasflow.nonlinear import (assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
 from chasflow.profiles import PerturbationSpec, build_profile
-from chasflow.verification import SweepPlan, audit_invariants, run_sweep
+from chasflow.verification import RunSpec, audit_invariants, run_sweep
 from conftest import make_grid
 
 L = 0.1
@@ -129,8 +129,8 @@ def couette_rate_sweep():
     """The Couette sweep that criteria 5 and 7 both read, run once, with
     its elapsed time so that each criterion still checks its budget."""
     t0 = time.time()
-    plan = SweepPlan("couette_noforce", pert_amplitude=0.05,
-                     pert_exponent=0.0, M=3)
+    plan = RunSpec("couette_noforce", pert_amplitude=0.05,
+                   pert_exponent=0.0, M=3)
     report = run_sweep(plan)
     return report, time.time() - t0
 
@@ -146,8 +146,8 @@ def test_criterion_5_remainder_scaling(couette_rate_sweep):
 
 def test_criterion_6_family_perturbation_rates():
     t0 = time.time()
-    plan = SweepPlan("poiseuille_couette_noforce", alpha1=0.5, alpha2=0.5,
-                     pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + GAMMA, M=1)
+    plan = RunSpec("poiseuille_couette_noforce", alpha1=0.5, alpha2=0.5,
+                   pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + GAMMA, M=1)
     report = run_sweep(plan)
     q = {e["name"]: e for e in report["quantities"]}
     su = q["sup_u_minus_mu"]["slope"]

@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from chasflow.cli import EXIT_CONFIG, EXIT_OK, load_config, main
+from chasflow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -121,3 +122,65 @@ def test_sweep_jobs_report_matches_serial(tmp_path):
     assert (tmp_path / "2" / "rate_report.json").read_bytes() == serial
     audits = json.loads(serial)["audits"]
     assert len(audits) == 1 and audits[0]["pass"], audits
+
+
+SMALL_SWEEP = ["sweep", "--set", "sweep.nx=24", "--set", "sweep.ny_base=64",
+               "--set", "sweep.m_layers=1", "--set", "sweep.pert_amplitude=0.05",
+               "--set", "sweep.epsilons=1e-1,10**-1.5,1e-2,10**-2.5"]
+SMALL_AUDIT = ["audit", "--set", "grid.nx=32", "--set", "grid.ny=64",
+               "--set", "profile.perturbation.amplitude=0.05",
+               "--set", "expansion.m_layers=2"]
+
+
+def test_sweep_reads_solver_keys(tmp_path, capsys):
+    rc = main(SMALL_SWEEP + ["--set", "solver.max_iter=1",
+                             "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_reads_expansion_keys(tmp_path):
+    assert main(SMALL_SWEEP + ["--out", str(tmp_path / "be")]) == EXIT_OK
+    assert main(SMALL_SWEEP + ["--set", "expansion.scheme=cn",
+                               "--out", str(tmp_path / "cn")]) == EXIT_OK
+    be = (tmp_path / "be" / "rate_report.json").read_bytes()
+    assert (tmp_path / "cn" / "rate_report.json").read_bytes() != be
+
+
+def test_audit_reads_solver_keys(tmp_path, capsys):
+    rc = main(SMALL_AUDIT + ["--set", "solver.max_iter=1",
+                             "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["sweep.case=bogus", "sweep.alpha2=1.0",
+                                 "sweep.pert_amplitude=-0.05"])
+def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
+                                                   monkeypatch):
+    import chasflow.verification as verification
+
+    def no_point(spec, eps):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(verification, "run_point", no_point)
+    rc = main(SMALL_SWEEP + ["--set", bad, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_scheme_is_config_error(tmp_path, capsys):
+    rc = main(["construct", "--set", "grid.nx=24", "--set", "grid.ny=64",
+               "--set", "expansion.scheme=bogus", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "scheme" in capsys.readouterr().err
+
+
+def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def singular(spec, eps):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("chasflow.cli.solve_point", singular)
+    rc = main(["solve", "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err

@@ -85,20 +85,24 @@ def test_degeneracy_poiseuille_fails(poiseuille):
     assert not np.isfinite(rep["sup_ratio2"]) or rep["sup_ratio2"] > 1e3
 
 
+def _cubic_bump_mu(y, k=0):
+    # d^k/dy^k of mu = y + 0.01 y^3 (2-y)^3, whose third derivative is
+    # 0.48 at y = 0
+    y = np.asarray(y, dtype=float)
+    c = 0.01
+    p = np.polynomial.polynomial.polymul(
+        np.polynomial.polynomial.polypow([0, 0, 0, 1.0], 1),
+        np.polynomial.polynomial.polypow([2.0, -1.0], 3))
+    polys = [np.polynomial.polynomial.polyadd([0, 1.0], c * np.asarray(p))]
+    for _ in range(4):
+        polys.append(np.polynomial.polynomial.polyder(polys[-1]))
+    return np.polynomial.polynomial.polyval(y, polys[k])
+
+
 def test_degeneracy_cubic_bump_sampling_oracle():
     # mu = y + 0.01 y^3 (2-y)^3: sample at 1e4 points and Richardson-extrapolate
     # the wall limit of mu''/mu; the series evaluator must agree
-    def mu(y, k=0):
-        y = np.asarray(y, dtype=float)
-        c = 0.01
-        p = np.polynomial.polynomial.polymul(
-            np.polynomial.polynomial.polypow([0, 0, 0, 1.0], 1),
-            np.polynomial.polynomial.polypow([2.0, -1.0], 3))
-        polys = [np.polynomial.polynomial.polyadd([0, 1.0], c * np.asarray(p))]
-        for _ in range(4):
-            polys.append(np.polynomial.polynomial.polyder(polys[-1]))
-        return np.polynomial.polynomial.polyval(y, polys[k])
-
+    mu = _cubic_bump_mu
     prof = build_profile("custom", 1.0, 0.0, custom=mu)
     rep = check_couette_degeneracy(prof, n_samples=10000)
     assert np.isfinite(rep["sup_ratio2"])
@@ -108,6 +112,16 @@ def test_degeneracy_cubic_bump_sampling_oracle():
     wall = vals[1] + (vals[1] - vals[0])  # first-order extrapolation in h
     series = prof.ratio2(np.array([0.0]))[0]
     assert series == pytest.approx(wall, rel=5e-3)
+
+
+def test_degeneracy_unbounded_ratio3_without_nan_arithmetic():
+    # mu'''/mu is infinite at y = 0; the gate must say so without
+    # differentiating the non-finite samples
+    prof = build_profile("custom", 1.0, 0.0, custom=_cubic_bump_mu)
+    with np.errstate(all="raise"):
+        rep = check_couette_degeneracy(prof, n_samples=10000)
+    assert rep["ratio3_ck"] == np.inf
+    assert not rep["pass"]
 
 
 def test_degeneracy_thresholds_configurable(perturbed_couette):

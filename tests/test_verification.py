@@ -6,7 +6,7 @@ import pytest
 from chasflow.discretization import DiffOps, build_channel_grid
 from chasflow.expansion import ExpansionConfig, construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
-from chasflow.verification import (SweepPlan, audit_invariants, fit_quantity,
+from chasflow.verification import (RunSpec, audit_invariants, fit_quantity,
                                    report_to_csv, report_to_json, run_point,
                                    run_sweep)
 
@@ -17,9 +17,10 @@ M0 = 11.0 / 8.0 + 0.05
 
 def test_sweep_plan_validation():
     with pytest.raises(ValueError):
-        SweepPlan("couette_noforce", epsilons=(1e-1, 1e-2))  # too few
+        run_sweep(RunSpec("couette_noforce"), epsilons=(1e-1, 1e-2))  # too few
     with pytest.raises(ValueError):
-        SweepPlan("couette_noforce", epsilons=(1e-1, 1e-1, 1e-2, 1e-3))
+        run_sweep(RunSpec("couette_noforce"),
+                  epsilons=(1e-1, 1e-1, 1e-2, 1e-3))
 
 
 def test_fit_quantity_synthetic():
@@ -42,7 +43,7 @@ def test_fit_leave_one_out_sensitivity():
 
 
 def test_run_point_exact_couette():
-    plan = SweepPlan("couette_noforce", nx=32, ny_base=64)
+    plan = RunSpec("couette_noforce", nx=32, ny=64)
     values, expansion, sol, full = run_point(plan, EPS)
     assert values["sup_u_minus_mu"] < 1e-11
     assert values["sup_v"] < 1e-11
@@ -50,17 +51,15 @@ def test_run_point_exact_couette():
 
 
 def test_run_sweep_exact_family_flagged():
-    plan = SweepPlan("couette_noforce", epsilons=(1e-1, 3e-2, 1e-2, 3e-3),
-                     nx=24, ny_base=64, M=1)
-    report = run_sweep(plan)
+    plan = RunSpec("couette_noforce", nx=24, ny=64, M=1)
+    report = run_sweep(plan, epsilons=(1e-1, 3e-2, 1e-2, 3e-3))
     assert report["exact_family"]
     assert report["pass"]
 
 
 def test_report_serialization(tmp_path):
-    plan = SweepPlan("couette_noforce", epsilons=(1e-1, 3e-2, 1e-2, 3e-3),
-                     nx=24, ny_base=64, M=1)
-    report = run_sweep(plan)
+    plan = RunSpec("couette_noforce", nx=24, ny=64, M=1)
+    report = run_sweep(plan, epsilons=(1e-1, 3e-2, 1e-2, 3e-3))
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
     text = report_to_json(report, jpath)
