@@ -14,17 +14,17 @@ the accumulated sum as its forcing, and an auxiliary layer pressure zeroes
 the pending vertical-momentum terms order by order.
 """
 
-import struct
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import PchipInterpolator
 
-from .discretization import BINARY_VERSION, MAGIC, diff_matrix, cumtrapz0, one_sided_row
+from .discretization import diff_matrix, cumtrapz0, one_sided_row
 
 SIGN_Y = {"minus": 1.0, "plus": -1.0}   # d/dy -> SIGN_Y * eps^(-s) d/dY
 S_EXP = {"minus": 1.0 / 3.0, "plus": 0.5}
+BE_STEPS = 3     # backward-Euler start-up steps of the "cn" scheme
+BLOWUP = 1e6     # a marched column above this times the data scale fails
 
 
 class MarchError(RuntimeError):
@@ -47,39 +47,43 @@ def chi(t):
     return _smoothstep(2.0 * (1.0 - t))
 
 
-def chi_prime(t, h=1e-6):
+def chi_prime(t):
     t = np.asarray(t, dtype=float)
+    h = 1e-6
     return (chi(t + h) - chi(t - h)) / (2.0 * h)
 
 
-def chi_d2(t, h=1e-4):
+def chi_d2(t):
     t = np.asarray(t, dtype=float)
+    h = 1e-4
     return (chi(t + h) - 2.0 * chi(t) + chi(t - h)) / h ** 2
 
 
-def chi_d3(t, h=1e-4):
+def chi_d3(t):
     t = np.asarray(t, dtype=float)
+    h = 1e-4
     return (chi(t + 2 * h) - 2 * chi(t + h) + 2 * chi(t - h)
             - chi(t - 2 * h)) / (2.0 * h ** 3)
 
 
-def smooth_x(field, passes=4):
-    """Damp grid-scale x-oscillations (1/4, 1/2, 1/4 filter passes)."""
+def smooth_x(field):
+    """Damp grid-scale x-oscillations (two 1/4, 1/2, 1/4 filter passes)."""
     f = np.array(field, dtype=float)
-    for _ in range(passes):
+    for _ in range(2):
         g = f.copy()
         g[1:-1] = 0.25 * f[:-2] + 0.5 * f[1:-1] + 0.25 * f[2:]
         f = g
     return f
 
 
-def fitted_dx(x, field, weight, degree=8):
-    """d/dx via a weighted Chebyshev least-squares fit along x.
+def fitted_dx(x, field, weight):
+    """d/dx via a weighted degree-8 Chebyshev least-squares fit along x.
 
     The genuine cascade forcings vary on the channel scale; fitting before
     differentiating annihilates marching dust and inflow-corner spikes that
     a grid derivative would amplify.
     """
+    degree = 8
     t = 2.0 * (x - x[0]) / (x[-1] - x[0]) - 1.0
     B = np.polynomial.chebyshev.chebvander(t, degree)
     W = weight.reshape(-1, 1)
@@ -143,7 +147,7 @@ def _wall_rows(Y, last_layer):
     return sp.diags(mask), walls
 
 
-def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope=0.0):
+def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope):
     """Consistent d_x u at x=0 from the PDE with u(0,.) = 0.
 
     The wall row carries the data slope g'(0) so the divergence relation
@@ -164,8 +168,7 @@ def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope=0.0):
 class LayerProfile:
     """One solved boundary-layer corrector on its half-line grid."""
 
-    def __init__(self, grid, side, index, last_layer, U, DXU, V, g, F,
-                 m_coef, theta):
+    def __init__(self, grid, side, index, last_layer, U, DXU, V, F):
         self.grid = grid
         self.side = side
         self.index = index
@@ -173,67 +176,17 @@ class LayerProfile:
         self.U = U          # (nx, nY)
         self.DXU = DXU      # backward differences, consistent with the march
         self.V = V          # divergence-consistent vertical velocity
-        self.W = cumtrapz0(V, grid.x, axis=0)
+        self.W = cumtrapz0(V, grid.x)
         self.DXW = np.empty_like(V)
         self.DXW[0] = V[0]
         self.DXW[1:] = 0.5 * (V[1:] + V[:-1])
-        self.g = g
-        self.F = F
-        self.m_coef = m_coef
-        self.theta = theta  # per-step implicitness, scheme-residual evaluation
-
-    def scheme_d2(self, field, d2Y):
-        """theta-weighted d2/dY2 that the march actually balanced."""
-        d2f = (d2Y @ field.T).T
-        out = np.empty_like(d2f)
-        out[0] = d2f[0]
-        th = self.theta[1:, None]
-        out[1:] = th * d2f[1:] + (1.0 - th) * d2f[:-1]
-        return out
-
-    def scheme_forcing(self):
-        F = self.F if self.F is not None else np.zeros(self.grid.shape)
-        out = np.empty_like(F)
-        out[0] = F[0]
-        th = self.theta[1:, None]
-        out[1:] = th * F[1:] + (1.0 - th) * F[:-1]
-        return out
+        self.F = F          # the forcing the march balanced (None: zero)
 
     def far_field(self):
         if self.last_layer:
             dY = self.grid.Y[-1] - self.grid.Y[-2]
             return float(np.max(np.abs(self.U[:, -1] - self.U[:, -2])) / dY)
         return float(np.max(np.abs(self.U[:, -1])))
-
-    def to_binary(self, path):
-        """Field2D-style dump with an extension header carrying side/index."""
-        g = self.grid
-        head = struct.pack("<4sIII", MAGIC, BINARY_VERSION + 1, g.nx, g.nY)
-        ext = struct.pack("<ccHI", b"+" if self.side == "plus" else b"-",
-                          b"L" if self.last_layer else b" ",
-                          self.index, 0)
-        with open(path, "wb") as fh:
-            fh.write(head)
-            fh.write(ext)
-            fh.write(np.ascontiguousarray(g.x).tobytes())
-            fh.write(np.ascontiguousarray(g.Y).tobytes())
-            fh.write(np.ascontiguousarray(self.U).tobytes())
-            fh.write(np.ascontiguousarray(self.V).tobytes())
-
-    @staticmethod
-    def read_binary(path):
-        with open(path, "rb") as fh:
-            magic, version, nx, nY = struct.unpack("<4sIII", fh.read(16))
-            if magic != MAGIC:
-                raise ValueError(f"bad magic {magic!r}")
-            side_b, last_b, index, _ = struct.unpack("<ccHI", fh.read(8))
-            x = np.frombuffer(fh.read(8 * nx))
-            Y = np.frombuffer(fh.read(8 * nY))
-            U = np.frombuffer(fh.read(8 * nx * nY)).reshape(nx, nY)
-            V = np.frombuffer(fh.read(8 * nx * nY)).reshape(nx, nY)
-        return {"version": version, "side": "plus" if side_b == b"+" else "minus",
-                "last_layer": last_b == b"L", "index": index,
-                "x": x, "Y": Y, "U": U, "V": V}
 
     def weighted_norm(self, m=0, n=0, l=0):
         """|| (1+Y)^m dx^n dY^l U || on the half-line grid."""
@@ -251,8 +204,7 @@ class LayerProfile:
         return float(np.sqrt(np.sum(w2 * f * f)))
 
 
-def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
-           blowup=1e6, g0_tol=None):
+def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", g0_tol=None):
     """Implicit theta-scheme march in x for both layer types."""
     x, Y = grid.x, grid.Y
     nx, nY = grid.nx, grid.nY
@@ -268,7 +220,6 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
 
     U = np.zeros((nx, nY))
     DXU = np.zeros((nx, nY))
-    theta = np.ones(nx)
     U[0, 0] = g[0]
     g_slope = (g[1] - g[0]) / (x[1] - x[0])
     DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
@@ -288,8 +239,7 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
     lus = {}   # the step matrix depends on (dx, theta) only
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
-        th = 1.0 if (scheme == "be" or k <= be_steps) else 0.5
-        theta[k] = th
+        th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
         if (dx, th) not in lus:
             lus[dx, th] = spla.splu((m_coef / dx) * C - th * D + E)
         carry = conv @ U[k - 1]
@@ -304,54 +254,11 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", be_steps=3,
             U[k], W = sol[:nY], sol[nY:]
         else:
             U[k] = lus[dx, th].solve(b)
-        if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > blowup * scale:
+        if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > BLOWUP * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
         DXU[k] = (U[k] - U[k - 1]) / dx
     V = DXU @ kq.T.toarray()
-    return U, DXU, V, theta
-
-
-def _march_minus_picard(grid, F, g, last_layer, m_coef, tol=1e-10, max_it=200):
-    """Inner fixed-point fallback for the degenerate solver (backward Euler)."""
-    x, Y = grid.x, grid.Y
-    nx, nY = grid.nx, grid.nY
-    F = np.zeros((nx, nY)) if F is None else np.asarray(F, dtype=float)
-    g = np.zeros(nx) if g is None else np.asarray(g, dtype=float)
-    d2 = diff_matrix(Y, 2)
-    kq = _integral_matrix(grid, last_layer)
-    interior, walls = _wall_rows(Y, last_layer)
-    U = np.zeros((nx, nY))
-    U[0, 0] = g[0]
-    DXU = np.zeros((nx, nY))
-    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, "minus",
-                            g_slope=(g[1] - g[0]) / (x[1] - x[0]))
-    diagY = sp.diags(Y)
-    lus = {}
-    for k in range(1, nx):
-        dx = x[k] - x[k - 1]
-        if dx not in lus:
-            A = interior @ ((m_coef / dx) * diagY - d2) + walls
-            lus[dx] = spla.splu(A.tocsc())
-        lu = lus[dx]
-        v = kq @ DXU[k - 1]
-        delta = np.inf
-        for _ in range(max_it):
-            b = F[k] + (m_coef / dx) * (diagY @ U[k - 1]) - m_coef * v
-            b[0] = g[k]
-            b[-1] = 0.0
-            unew = lu.solve(b)
-            vnew = kq @ ((unew - U[k - 1]) / dx)
-            delta = np.max(np.abs(vnew - v))
-            v = vnew
-            if delta < tol * max(1.0, np.max(np.abs(v))):
-                break
-        else:
-            raise MarchError(f"inner Picard stalled at step {k}: delta={delta:.3g}")
-        U[k] = unew
-        DXU[k] = (U[k] - U[k - 1]) / dx
-    V = DXU @ kq.T.toarray()
-    theta = np.ones(nx)
-    return U, DXU, V, theta
+    return U, DXU, V
 
 
 def solve_layer_plus(F, g, grid, last_layer=False, m_coef=2.0, index=0,
@@ -361,28 +268,21 @@ def solve_layer_plus(F, g, grid, last_layer=False, m_coef=2.0, index=0,
     The stored V carries the divergence-consistent sign for the upper wall:
     V = -int_Y^inf dx u (last layer: V = +int_0^Y dx u, so V(x,0) = 0).
     """
-    U, DXU, V, theta = _march(grid, F, g, last_layer, "plus", m_coef,
-                              scheme=scheme, g0_tol=g0_tol)
-    return LayerProfile(grid, "plus", index, last_layer, U, DXU, -V, g, F,
-                        m_coef, theta)
+    U, DXU, V = _march(grid, F, g, last_layer, "plus", m_coef,
+                       scheme=scheme, g0_tol=g0_tol)
+    return LayerProfile(grid, "plus", index, last_layer, U, DXU, -V, F)
 
 
 def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0,
-                      method="monolithic", scheme="cn", picard_tol=1e-10,
-                      g0_tol=None):
+                      scheme="cn", g0_tol=None):
     """u solves m (Y u_x + v) - u_YY = F with the nonlocal vertical velocity.
 
-    Each implicit step couples u to v = int_Y^inf dx u; the default solves the
-    coupled system monolithically, the fallback iterates v to picard_tol.
+    Each implicit step couples u to v = int_Y^inf dx u and solves the
+    coupled system monolithically.
     """
-    if method == "monolithic":
-        U, DXU, V, theta = _march(grid, F, g, last_layer, "minus", m_coef,
-                                  scheme=scheme, g0_tol=g0_tol)
-    else:
-        U, DXU, V, theta = _march_minus_picard(grid, F, g, last_layer, m_coef,
-                                               tol=picard_tol)
-    return LayerProfile(grid, "minus", index, last_layer, U, DXU, V, g, F,
-                        m_coef, theta)
+    U, DXU, V = _march(grid, F, g, last_layer, "minus", m_coef,
+                       scheme=scheme, g0_tol=g0_tol)
+    return LayerProfile(grid, "minus", index, last_layer, U, DXU, V, F)
 
 
 # -- cut-off -----------------------------------------------------------------
@@ -396,24 +296,22 @@ class CutLayer:
 
     def __init__(self, layer, a0, eps, x2_floor=0.0):
         self.layer = layer
-        self.a0 = a0
         self.eps = eps
         # rows below the reporting-grid cell scale carry unresolvable
         # corner singularities of d_xx; they are zeroed (sub-quadrature).
         self.x2_mask = (layer.grid.x >= x2_floor).astype(float)[:, None]
         side = layer.side
         s = S_EXP[side]
-        self.s = s
         yy = eps ** s * layer.grid.Y          # distance from the wall
         self.y_wall_dist = yy
         self.chi = chi(yy / a0)
-        self.chip = chi_prime(yy / a0)
+        chip = chi_prime(yy / a0)
         sgn = -1.0 if side == "minus" else 1.0
         scale = eps ** s / a0
-        self.cc = sgn * scale * self.chip
-        self.c1 = scale * self.chip
+        self.c1 = scale * chip
         self.c2 = scale ** 2 * chi_d2(yy / a0)
-        self.ccp = sgn * scale ** 2 * chi_d2(yy / a0)
+        self.cc = sgn * self.c1       # a sign flip is exact
+        self.ccp = sgn * self.c2
         self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
         cc = self.cc
         self.Uhat = self.chi[None, :] * layer.U + cc[None, :] * layer.W
@@ -451,12 +349,11 @@ class LayerTarget:
     def __init__(self, side, grid, eps):
         self.kind = side              # 'minus' or 'plus'
         self.grid = grid
-        self.eps = eps
-        self.s = S_EXP[side]
+        s = S_EXP[side]
         if side == "minus":
-            self.y_of_Y = np.clip(eps ** self.s * grid.Y, 0.0, 2.0)
+            self.y_of_Y = np.clip(eps ** s * grid.Y, 0.0, 2.0)
         else:
-            self.y_of_Y = np.clip(2.0 - eps ** self.s * grid.Y, 0.0, 2.0)
+            self.y_of_Y = np.clip(2.0 - eps ** s * grid.Y, 0.0, 2.0)
 
 
 _FIELD_KEYS = ("u", "v", "ux", "uy", "vx", "vy", "lap_u", "lap_v", "px", "py")
@@ -467,14 +364,14 @@ def _zero_fields(shape):
     return {k: z for k in _FIELD_KEYS}
 
 
-def interp_layer_field(field, lgrid, side, eps, cx, cy, fill=0.0):
+def interp_layer_field(field, lgrid, side, eps, cx, cy):
     """Interpolate a half-line field to channel nodes (0 beyond Ymax)."""
     s = S_EXP[side]
     Yq = (cy / eps ** s) if side == "minus" else ((2.0 - cy) / eps ** s)
     inside = Yq <= lgrid.Ymax
     Yc = np.clip(Yq, 0.0, lgrid.Ymax)
     tmp = PchipInterpolator(lgrid.Y, field, axis=1)(Yc)
-    tmp[:, ~inside] = fill
+    tmp[:, ~inside] = 0.0
     out = PchipInterpolator(lgrid.x, tmp, axis=0)(cx)
     return out
 
@@ -500,7 +397,6 @@ def restrict_channel_field(field, src, dst):
 class PartBase:
     """One additive contribution to (u_s, v_s, P_s), evaluable on any target."""
 
-    name = "part"
     is_base = False
     is_euler = False
     layer_side = None   # 'minus'/'plus' for layer and aux parts
@@ -521,7 +417,6 @@ class PartBase:
 class BasePart(PartBase):
     """The base shear flow (mu(y), 0) with constant pressure."""
 
-    name = "base"
     is_base = True
 
     def __init__(self, profile):
@@ -550,7 +445,6 @@ class EulerPart(PartBase):
 
     def __init__(self, corrector, prefac, channel_ops, profile, rhs_x):
         super().__init__()
-        self.name = f"euler{corrector.index}{corrector.side[0]}"
         self.corr = corrector
         self.prefac = prefac
         self.ops = channel_ops
@@ -599,7 +493,6 @@ class LayerPart(PartBase):
     def __init__(self, cut, prefac_u):
         super().__init__()
         lay = cut.layer
-        self.name = f"layer{lay.index}{lay.side[0]}"
         self.cut = cut
         self.layer = lay
         self.layer_side = lay.side
@@ -643,16 +536,14 @@ class LayerPart(PartBase):
 class AuxPart(PartBase):
     """Auxiliary layer pressure: zeroes pending vertical-momentum terms."""
 
-    def __init__(self, side, lgrid, eps, py_native, px_native, Pi_phys, index):
+    def __init__(self, side, lgrid, eps, py_native, px_native, Pi_phys):
         super().__init__()
-        self.name = f"aux{index}{side[0]}"
         self.layer_side = side
         self.lgrid = lgrid
         self.eps = eps
         self.py_native = py_native
         self.px_native = px_native
         self.Pi_phys = Pi_phys
-        self.index = index
 
     def _evaluate(self, target):
         if target.kind == self.layer_side:
@@ -737,14 +628,6 @@ class Cascade:
         lst = self.pending_u[side] if comp == "u" else self.pending_v[side]
         lst.append([tag, field])
 
-    def pending_total(self, side, comp="u"):
-        lst = self.pending_u[side] if comp == "u" else self.pending_v[side]
-        tgt = self.targets[side]
-        tot = np.zeros((tgt.grid.nx, tgt.grid.Y.size))
-        for _, f in lst:
-            tot = tot + f
-        return tot
-
     def eq_scale(self, side, index):
         if side == "minus":
             return self.eps ** (4.0 / 3.0 + (index - 1) / 3.0)
@@ -767,7 +650,7 @@ class Cascade:
         for tag in comps:
             comps[tag] = -(ramp * comps[tag]) / q
             F = F + comps[tag]
-        return smooth_x(F, passes=2), comps
+        return smooth_x(F), comps
 
     # -- adding correctors ----------------------------------------------------
 
@@ -791,11 +674,9 @@ class Cascade:
                 self._push(side, "u", "quad", _pair_terms(new_part, Q, tgt, "u"))
                 self._push(side, "v", "quad", _pair_terms(new_part, Q, tgt, "v"))
 
-    def add_euler(self, corrector, prefac, channel_ops, rhs_x=None):
-        if rhs_x is None:
-            rhs_x = (self.profile.mu(corrector.grid.y, 2)
-                     if corrector.side == "first"
-                     else np.zeros(corrector.grid.ny))
+    def add_euler(self, corrector, prefac, channel_ops):
+        rhs_x = (self.profile.mu(corrector.grid.y, 2)
+                 if corrector.side == "first" else np.zeros(corrector.grid.ny))
         part = EulerPart(corrector, prefac, channel_ops, self.profile, rhs_x)
         self._push_quads(part)
         self.parts.append(part)
@@ -853,7 +734,7 @@ class Cascade:
         self.parts.append(part)
         return part
 
-    def make_aux(self, side, index):
+    def make_aux(self, side):
         """Auxiliary pressure killing the accumulated (ramped) v-momentum terms."""
         # its eps^2-order x-gradient (like the layers' viscous-x leftover)
         # stays in the measured remainder: fed into the next forcing it would
@@ -861,7 +742,8 @@ class Cascade:
         tgt = self.targets[side]
         lgrid = tgt.grid
         ramp = self.ramp_aux[side]
-        pv = ramp * self.pending_total(side, "v")
+        pv = ramp * sum((f for _, f in self.pending_v[side]),
+                        np.zeros(lgrid.shape))
         for item in self.pending_v[side]:
             item[1] = (1.0 - ramp) * item[1]
         py = -pv
@@ -872,7 +754,7 @@ class Cascade:
         dxpv = fitted_dx(lgrid.x, pv, self.ramp[side].ravel())
         # the fit is unconstrained where the corner weight vanishes
         px = self.ramp[side] * (sgn * self.eps ** s * (dxpv @ wtail.T.toarray()))
-        part = AuxPart(side, lgrid, self.eps, py, px, Pi, index)
+        part = AuxPart(side, lgrid, self.eps, py, px, Pi)
         self.parts.append(part)
         return part
 

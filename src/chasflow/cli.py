@@ -29,7 +29,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
 # key -> (type, default).  Every configurable surface of the artifact.
 SCHEMA = {
-    "profile.kind": (str, "couette"),
+    "profile.kind": (str, "poiseuille_couette"),
     "profile.alpha1": (float, 1.0),
     "profile.alpha2": (float, 0.0),
     "profile.perturbation.amplitude": (float, 0.0),

@@ -79,12 +79,11 @@ def _fix_low_moments(w, d, deriv):
     return w
 
 
-def diff_matrix(x, deriv, npts=None):
+def diff_matrix(x, deriv):
     """Sparse 1-D differentiation matrix of order `deriv` on nodes x."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if npts is None:
-        npts = _NPTS[deriv]
+    npts = _NPTS[deriv]
     if npts > n:
         raise ValueError(f"need at least {npts} nodes for d{deriv}, got {n}")
     rows, cols, vals = [], [], []
@@ -122,19 +121,12 @@ def trapezoid_weights(x):
     return w
 
 
-def cumtrapz0(f, x, axis=0):
-    """Cumulative trapezoid along `axis`, zero at the first node."""
+def cumtrapz0(f, x):
+    """Cumulative trapezoid along the first axis, zero at the first node."""
     f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    shape = [1] * f.ndim
-    shape[axis] = x.size - 1
-    dx = np.diff(x).reshape(shape)
-    avg = 0.5 * (np.take(f, range(1, x.size), axis=axis)
-                 + np.take(f, range(0, x.size - 1), axis=axis))
+    dx = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (f.ndim - 1))
     out = np.zeros_like(f)
-    idx = [slice(None)] * f.ndim
-    idx[axis] = slice(1, None)
-    out[tuple(idx)] = np.cumsum(avg * dx, axis=axis)
+    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * dx, axis=0)
     return out
 
 
@@ -156,13 +148,12 @@ class ChannelGrid:
     layer at y=0 and the eps^(1/2) layer at y=2.
     """
 
-    def __init__(self, L, x, y, eps=None, sigma=0.0):
+    def __init__(self, L, x, y, sigma=0.0):
         self.L = float(L)
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.nx = self.x.size
         self.ny = self.y.size
-        self.eps = eps
         self.sigma = sigma
         self.XX, self.YY = np.meshgrid(self.x, self.y, indexing="ij")
 
@@ -196,7 +187,7 @@ def build_channel_grid(L, nx, ny, eps, stretching=True, resolve_factor=0.25,
         if y[1] - y[0] > target:
             raise GridResolutionError(
                 f"uniform ny={ny} gives spacing {y[1] - y[0]:.3g} > {target:.3g}")
-        return ChannelGrid(L, x, y, eps=eps, sigma=0.0)
+        return ChannelGrid(L, x, y)
 
     sigma_max = 6.0
     lo, hi = 0.0, sigma_max
@@ -212,7 +203,7 @@ def build_channel_grid(L, nx, ny, eps, stretching=True, resolve_factor=0.25,
 
     good, y = ok(0.0)
     if good:
-        return ChannelGrid(L, x, y, eps=eps, sigma=0.0)
+        return ChannelGrid(L, x, y)
     good, y = ok(sigma_max)
     if not good:
         raise GridResolutionError(
@@ -226,14 +217,13 @@ def build_channel_grid(L, nx, ny, eps, stretching=True, resolve_factor=0.25,
         else:
             lo = mid
     y = tanh_stretched(0.0, 2.0, ny, hi)
-    return ChannelGrid(L, x, y, eps=eps, sigma=hi)
+    return ChannelGrid(L, x, y, sigma=hi)
 
 
 class HalfLineGrid:
     """Layer grid: x in [0,L] graded towards 0, Y in [0,Ymax] graded towards 0."""
 
-    def __init__(self, L, nx, nY, Ymax=20.0, x_grading=2.0, Y_grading=2.0,
-                 x=None, Y=None):
+    def __init__(self, L, nx, nY, Ymax=20.0, x=None, Y=None):
         if Ymax < 20.0:
             Ymax = 20.0
         self.L = float(L)
@@ -241,13 +231,13 @@ class HalfLineGrid:
             self.x = np.asarray(x, dtype=float)
         else:
             s = np.linspace(0.0, 1.0, int(nx))
-            self.x = L * s ** x_grading
+            self.x = L * s ** 2.0
         self.nx = self.x.size
         if Y is not None:
             self.Y = np.asarray(Y, dtype=float)
         else:
             t = np.linspace(0.0, 1.0, int(nY))
-            self.Y = Ymax * t ** Y_grading
+            self.Y = Ymax * t ** 2.0
         self.nY = self.Y.size
         self.Ymax = float(self.Y[-1])
         self.wY = trapezoid_weights(self.Y)
@@ -270,11 +260,6 @@ class Field2D:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.values = values
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("field contains NaN/Inf")
-        return self
-
     def to_csv(self, path):
         xs = getattr(self.grid, "x")
         ys = getattr(self.grid, "y", None)
@@ -286,7 +271,7 @@ class Field2D:
                 for j, yv in enumerate(ys):
                     fh.write(f"{xv!r},{yv!r},{self.values[i, j]!r}\n")
 
-    def to_binary(self, path, extra=b""):
+    def to_binary(self, path):
         xs = np.asarray(getattr(self.grid, "x"), dtype=float)
         ys = getattr(self.grid, "y", None)
         if ys is None:
@@ -295,22 +280,20 @@ class Field2D:
         header = struct.pack("<4sIII", MAGIC, BINARY_VERSION, xs.size, ys.size)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(extra)
             fh.write(xs.tobytes())
             fh.write(ys.tobytes())
             fh.write(np.ascontiguousarray(self.values).tobytes())
 
     @staticmethod
-    def read_binary(path, extra_len=0):
+    def read_binary(path):
         with open(path, "rb") as fh:
             magic, version, nx, ny = struct.unpack("<4sIII", fh.read(16))
             if magic != MAGIC:
                 raise ValueError(f"bad magic {magic!r}")
-            extra = fh.read(extra_len)
             x = np.frombuffer(fh.read(8 * nx))
             y = np.frombuffer(fh.read(8 * ny))
             vals = np.frombuffer(fh.read(8 * nx * ny)).reshape(nx, ny)
-        return {"version": version, "x": x, "y": y, "values": vals, "extra": extra}
+        return {"version": version, "x": x, "y": y, "values": vals}
 
 
 class DiffOps:
@@ -374,22 +357,15 @@ class DiffOps:
     def integrate(self, f):
         return float(self.w2 @ np.asarray(f, dtype=float).ravel())
 
-    def norm_l2(self, f, weight=None):
+    def norm_l2(self, f):
         v = np.asarray(f, dtype=float).ravel() ** 2
-        if weight is not None:
-            w = np.asarray(weight, dtype=float).ravel()
-            if w.size != v.size:
-                raise ValueError("weight shape does not match field")
-            v = v * w
         return float(np.sqrt(max(self.w2 @ v, 0.0)))
 
-    def norm(self, f, kind="L2", weight=None):
-        """Quadrature-weighted norm: L2, H1, H2, Linf or weighted_L2."""
+    def norm(self, f, kind="L2"):
+        """Quadrature-weighted norm: L2, H1, H2 or Linf."""
         f = np.asarray(f, dtype=float)
         if kind == "Linf":
             return float(np.max(np.abs(f)))
-        if kind == "weighted_L2":
-            return self.norm_l2(f, weight=weight)
         if kind == "L2":
             return self.norm_l2(f)
         fx = self.apply(self.Dx, f)

@@ -27,15 +27,13 @@ class EulerSolveError(RuntimeError):
 class EulerCorrector:
     """Velocity/pressure triple for one corrector layer on the channel grid."""
 
-    def __init__(self, index, side, grid, u, v, P, trace=None, diagnostics=None):
+    def __init__(self, index, side, grid, u, v, P):
         self.index = index
         self.side = side
         self.grid = grid
         self.u = u
         self.v = v
         self.P = P
-        self.trace = trace
-        self.diagnostics = dict(diagnostics or {})
 
     def divergence(self, ops):
         return ops.apply(ops.Dx, self.u) + ops.apply(ops.Dy, self.v)
@@ -48,7 +46,7 @@ class EulerSolver:
     boundary-condition variant (first/plus/minus) serves every index i.
     """
 
-    def __init__(self, grid, profile, ops=None, ratio2_threshold=None):
+    def __init__(self, grid, profile, ops=None):
         self.grid = grid
         self.profile = profile
         self.ops = ops if ops is not None else DiffOps(grid.x, grid.y)
@@ -58,10 +56,6 @@ class EulerSolver:
         self.w = np.tile(profile.ratio2(grid.y), (grid.nx, 1))
         if not np.all(np.isfinite(self.w)):
             raise EulerSolveError("mu''/mu is unbounded on this profile")
-        if ratio2_threshold is not None and np.max(np.abs(self.w)) > ratio2_threshold:
-            raise EulerSolveError(
-                f"sup|mu''/mu| = {np.max(np.abs(self.w)):.3g} exceeds the "
-                f"well-posedness threshold {ratio2_threshold:.3g}")
         self._base = (-self.ops.lap + sp.diags(self.w.ravel())).tocsr()
         self._lu = {}
         self._rows = {}
@@ -124,20 +118,6 @@ class EulerSolver:
             self._rows[side] = kind
         return self._lu[side], self._rows[side]
 
-    def min_singular_estimate(self, side="first", iters=25, seed=0):
-        """Inverse-power estimate of the smallest singular value (conditioning)."""
-        lu, _ = self._factorize(side)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.grid.nx * self.grid.ny)
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for _ in range(iters):
-            y = lu.solve(x, trans="T")
-            z = lu.solve(y, trans="N")
-            lam = np.linalg.norm(z)
-            x = z / lam
-        return 1.0 / np.sqrt(lam)
-
     def _solve_v(self, side, rhs, trace):
         g = self.grid
         lu, kind = self._factorize(side)
@@ -160,10 +140,11 @@ class EulerSolver:
         v = self._solve_v("first", rhs, None)
         return self._complete(1, "first", v, rhs_x=self.profile.mu(self.grid.y, 2))
 
-    def solve_higher(self, index, side, trace, g0_rtol=0.05):
+    def solve_higher(self, index, side, trace):
         """Corrector i >= 2 whose wall trace cancels the previous layer's v.
 
         side 'plus': v = trace on y=2, dv/dy = 0 on y=0 (mirrored for 'minus').
+        The trace must nearly vanish at the inflow: |g(0)| <= 0.25 max|g|.
         """
         if side not in ("plus", "minus"):
             raise ValueError("higher correctors take side 'plus' or 'minus'")
@@ -171,19 +152,18 @@ class EulerSolver:
         if trace.shape != (self.grid.nx,):
             raise ValueError("trace must be sampled on the grid x nodes")
         scale = float(np.max(np.abs(trace)))
-        if abs(trace[0]) > g0_rtol * scale + 1e-13:
+        if abs(trace[0]) > 0.25 * scale + 1e-13:
             raise EulerSolveError(
                 f"incompatible trace: g(0) = {trace[0]:.3g} vs scale {scale:.3g}")
         v = self._solve_v(side, np.zeros(self.grid.shape), trace)
-        return self._complete(index, side, v, rhs_x=np.zeros(self.grid.ny), trace=trace)
+        return self._complete(index, side, v, rhs_x=np.zeros(self.grid.ny))
 
-    def _complete(self, index, side, v, rhs_x, trace=None):
+    def _complete(self, index, side, v, rhs_x):
         g, ops = self.grid, self.ops
         vy = ops.apply(ops.Dy, v)
-        u = -cumtrapz0(vy, g.x, axis=0)
+        u = -cumtrapz0(vy, g.x)
         P = recover_corrector_pressure_fields(u, v, g, self.profile, rhs_x, ops=ops)
-        diag = {"max_abs_v": float(np.max(np.abs(v)))}
-        return EulerCorrector(index, side, g, u, v, P, trace=trace, diagnostics=diag)
+        return EulerCorrector(index, side, g, u, v, P)
 
 
 def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops=None):
@@ -199,21 +179,4 @@ def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops=None):
         ops = DiffOps(grid.x, grid.y)
     dxu = -ops.apply(ops.Dy, v)
     integrand = rhs_x[None, :] - mu[None, :] * dxu - mup[None, :] * v
-    return cumtrapz0(integrand, grid.x, axis=0)
-
-
-def recover_corrector_pressure(corrector, profile, rhs_x=None, ops=None):
-    """Spec-facing wrapper returning the pressure field of a corrector."""
-    if rhs_x is None:
-        rhs_x = (profile.mu(corrector.grid.y, 2) if corrector.side == "first"
-                 else np.zeros(corrector.grid.ny))
-    return recover_corrector_pressure_fields(corrector.u, corrector.v,
-                                             corrector.grid, profile, rhs_x, ops=ops)
-
-
-def pressure_cross_residual(corrector, profile, ops):
-    """|| dP/dy + mu dv/dx || — the y-momentum consistency check."""
-    mu = profile.mu(corrector.grid.y)
-    py = ops.apply(ops.Dy, corrector.P)
-    vx = ops.apply(ops.Dx, corrector.v)
-    return ops.norm(py + mu[None, :] * vx, "L2")
+    return cumtrapz0(integrand, grid.x)

@@ -12,8 +12,7 @@ all assembled fields and remainders are restricted to [0, L] by slicing.
 
 import numpy as np
 
-from .discretization import (ChannelGrid, DiffOps, HalfLineGrid,
-                             trapezoid_weights)
+from .discretization import ChannelGrid, DiffOps, HalfLineGrid
 from .euler_correctors import EulerSolver
 from .boundary_layers import (Cascade, ChannelTarget, LayerTarget, S_EXP,
                               solve_layer_minus, solve_layer_plus,
@@ -34,8 +33,7 @@ class ExpansionConfig:
     """Knobs of the Section-2 construction."""
 
     def __init__(self, eps, M=3, gamma=0.05, a0=0.25, case="couette_noforce",
-                 layer_nY=320, ext_factor=1.25, scheme="be",
-                 degeneracy_thresholds=None):
+                 layer_nY=320, ext_factor=1.25, scheme="be"):
         if eps <= 0:
             raise ExpansionError("eps must be positive")
         if M < 1:
@@ -57,16 +55,14 @@ class ExpansionConfig:
         self.layer_nY = int(layer_nY)
         self.ext_factor = float(ext_factor)
         self.scheme = scheme
-        self.degeneracy_thresholds = degeneracy_thresholds
 
 
 class CorrectorSet:
-    """All solved correctors plus the additive parts used for assembly."""
+    """All solved correctors and the forcing record of each layer."""
 
     def __init__(self):
         self.euler = []        # EulerCorrector
         self.layers = []       # LayerProfile
-        self.parts = []        # everything, in assembly order (base first)
         self.forcing_records = []
 
 
@@ -82,21 +78,21 @@ class ExpansionResult:
         self.Fv = None
         self.report = {}
         self.cascade = None
-        self.ext = None          # (grid_ext, ops_ext, slice into reporting)
+        self.ext = None          # (grid, ops) of the extended corrector strip
 
 
 def _extended_grid(grid, factor):
     h = grid.x[1] - grid.x[0]
     n_extra = int(np.ceil((factor - 1.0) * (grid.nx - 1)))
     x_ext = h * np.arange(grid.nx + n_extra)
-    return ChannelGrid(x_ext[-1], x_ext, grid.y, eps=grid.eps, sigma=grid.sigma)
+    return ChannelGrid(x_ext[-1], x_ext, grid.y, sigma=grid.sigma)
 
 
-def _layer_xgrid(x_ext, nsub, beta=2.0):
-    """Extended channel x nodes with a graded refinement of the first cell."""
+def _layer_xgrid(x_ext, nsub):
+    """Extended channel x nodes with a quadratically graded first cell."""
     first = x_ext[1]
     s = np.linspace(0.0, 1.0, nsub + 1)[1:-1]
-    inner = first * s ** beta
+    inner = first * s ** 2.0
     return np.concatenate([[0.0], inner, x_ext[1:]])
 
 
@@ -140,7 +136,7 @@ def construct_expansion(profile, config, grid):
     if config.case == "couette_noforce":
         if profile.alpha2 != 0.0:
             raise ExpansionError("couette_noforce requires alpha2 = 0")
-        gate = check_couette_degeneracy(profile, thresholds=config.degeneracy_thresholds)
+        gate = check_couette_degeneracy(profile)
         res.report["degeneracy"] = gate
         if not gate["pass"]:
             raise ExpansionError(
@@ -228,7 +224,7 @@ def _build_couette(res, profile, config, grid, ops):
                                       for k, v in comps.items()}}
             res.correctors.forcing_records.append(rec)
             if i <= AUX_LIMIT[side]:
-                casc.make_aux(side, i)
+                casc.make_aux(side)
         if i < M:
             for side in ("minus", "plus"):
                 vhat_wall = parts[side].cut.Vhat[:, 0]
@@ -238,12 +234,11 @@ def _build_couette(res, profile, config, grid, ops):
                     res.report.get("wall_deficit", 0.0)
                     + casc.u_prefac(side, i + 1)
                     * float(np.max(np.abs(smooth - trace))))
-                ue = solver.solve_higher(i + 1, side, smooth, g0_rtol=0.25)
+                ue = solver.solve_higher(i + 1, side, smooth)
                 euler_of[side][i + 1] = ue
                 res.correctors.euler.append(ue)
                 casc.add_euler(ue, casc.u_prefac(side, i + 1), ops_ext)
 
-    res.correctors.parts = list(casc.parts)
     _assemble(res, grid, ops)
     res.report["dumped"] = casc.dumped_report()
     res.report["opposite_wall_traces"] = _opposite_wall_traces(res, grid_ext)

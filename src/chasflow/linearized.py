@@ -64,17 +64,15 @@ class StreamFunctionField:
 
 
 class RemainderSolution:
-    def __init__(self, grid, ops, u, v, P=None, psi=None, norms=None,
-                 residuals=None):
+    def __init__(self, grid, ops, u, v, P=None, psi=None):
         self.grid = grid
         self.ops = ops
         self.u = u
         self.v = v
-        self.P = P
+        self.P = P          # recover_pressure sets it
         self.psi = psi
-        self.norms = dict(norms or {})
-        self.residuals = dict(residuals or {})
-        self.q = None
+        self.norms = {}
+        self.residuals = {}
 
 
 def _bc_rows(grid):
@@ -122,21 +120,12 @@ def _apply_bc(A, rows):
     return A.tocsc()
 
 
-def _row_scale(A, b=None):
+def _row_scale(A):
+    """(diag(1/d) A as CSC, d), d the largest |entry| of each row (1 if none);
+    a right-hand side b of A goes with b / d."""
     d = np.abs(A).max(axis=1).toarray().ravel()
     d[d == 0.0] = 1.0
-    D = sp.diags(1.0 / d)
-    if b is None:
-        return (D @ A).tocsc()
-    return (D @ A).tocsc(), b / d
-
-
-def bilinear_form(ops, psi, phi):
-    """B[psi, phi] = int (psi_xx phi_xx + 2 psi_xy phi_xy + psi_yy phi_yy)."""
-    terms = 0.0
-    for op, w in ((ops.Dxx, 1.0), (ops.Dxy, 2.0), (ops.Dyy, 1.0)):
-        terms += w * float((ops.w2 * (op @ psi.ravel())) @ (op @ phi.ravel()))
-    return terms
+    return (sp.diags(1.0 / d) @ A).tocsc(), d
 
 
 def solve_biharmonic(f, grid, ops=None):
@@ -148,9 +137,9 @@ def solve_biharmonic(f, grid, ops=None):
     b = np.asarray(f, dtype=float).ravel().copy()
     for r in rows:
         b[r] = 0.0
-    A, b = _row_scale(A, b)
+    A, d = _row_scale(A)
     try:
-        psi = spla.splu(A).solve(b)
+        psi = spla.splu(A).solve(b / d)
     except RuntimeError as exc:
         raise LinearSolveError(f"biharmonic solve failed: {exc}")
     if not np.all(np.isfinite(psi)):
@@ -184,10 +173,7 @@ def assemble_linearized_operator(problem):
 def factorize_linearized(problem):
     """LU of the (row-scaled) linearized operator with boundary rows."""
     rows = _bc_rows(problem.grid)
-    A = _apply_bc(assemble_linearized_operator(problem), rows)
-    d = np.abs(A).max(axis=1).toarray().ravel()
-    d[d == 0.0] = 1.0
-    A = (sp.diags(1.0 / d) @ A).tocsc()
+    A, d = _row_scale(_apply_bc(assemble_linearized_operator(problem), rows))
     return (spla.splu(A), d, rows)
 
 
@@ -207,7 +193,7 @@ def solve_curl_rhs(problem, curl, lu=None):
     return RemainderSolution(problem.grid, problem.ops, u, v, psi=sf.psi)
 
 
-def solve_linearized(problem, lu=None, return_lu=False):
+def solve_linearized(problem, lu=None):
     """One linear remainder solve with the frozen pair in problem.(ubar, vbar).
 
     The assembled operator depends only on the background, so a cached
@@ -219,10 +205,7 @@ def solve_linearized(problem, lu=None, return_lu=False):
             - ops.apply(ops.Dx, N2 + problem.F2))
     if lu is None:
         lu = factorize_linearized(problem)
-    sol = solve_curl_rhs(problem, curl, lu=lu)
-    if return_lu:
-        return sol, lu
-    return sol
+    return solve_curl_rhs(problem, curl, lu=lu)
 
 
 def recover_pressure(sol, problem):
@@ -332,13 +315,13 @@ def curl_residual(sol, problem):
     return lhs - curl_rhs
 
 
-def compute_q(u_s, v, grid, ops, mu_prime_wall=None, floor_frac=1e-10):
-    """q = v/u_s with l'Hopital wall rows where u_s vanishes."""
+def compute_q(u_s, v, grid, ops):
+    """q = v/u_s with l'Hopital wall rows where |u_s| <= 1e-10 max|u_s|."""
     q = np.empty_like(v)
     scale = float(np.max(np.abs(u_s)))
     if scale <= 0.0:
         raise LinearSolveError("background u_s vanishes identically")
-    floor = floor_frac * scale
+    floor = 1e-10 * scale
     dy_v = ops.apply(ops.Dy, v)
     dy_us = ops.apply(ops.Dy, u_s)
     safe = np.abs(u_s) > floor
@@ -356,7 +339,7 @@ def compute_q(u_s, v, grid, ops, mu_prime_wall=None, floor_frac=1e-10):
     return q
 
 
-def compute_norms(sol, background, eps, q_floor=1e-10):
+def compute_norms(sol, background, eps):
     """A1, A2, A3 and the weighted solution norm of a remainder pair.
 
     ``X_norm`` is the sum of four terms, weighted as implemented here:
@@ -378,8 +361,7 @@ def compute_norms(sol, background, eps, q_floor=1e-10):
     vy = ops.apply(ops.Dy, v)
     A1 = np.sqrt(ops.norm_l2(sqrt_us * vy) ** 2 + ops.norm_l2(sqrt_us * vx) ** 2)
 
-    q = compute_q(u_s, v, grid, ops, floor_frac=q_floor)
-    sol.q = q
+    q = compute_q(u_s, v, grid, ops)
     qxx = ops.apply(ops.Dxx, q)
     qxy = ops.apply(ops.Dxy, q)
     qyy = ops.apply(ops.Dyy, q)

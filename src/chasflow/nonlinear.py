@@ -7,11 +7,16 @@ Newton solve of the same discrete system serves as an independent oracle.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .linearized import (LinearizedProblem, factorize_linearized,
-                         solve_linearized, solve_curl_rhs, recover_pressure,
+                         solve_linearized, recover_pressure,
                          momentum_residual, compute_norms, RemainderSolution,
-                         assemble_linearized_operator, _bc_rows, _apply_bc)
+                         assemble_linearized_operator, _bc_rows, _apply_bc,
+                         _row_scale)
+
+
+NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
 
 
 class ConvergenceError(RuntimeError):
@@ -92,7 +97,7 @@ def _diff_xnorm(grid, ops, bg, eps, u1, v1, u0, v0):
 
 
 def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
-                 k_max=50, noncontraction_limit=3):
+                 k_max=50):
     """Iterate the linearized map from zero until the X-norm difference
     drops below tol; returns the converged remainder and its trace."""
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
@@ -114,7 +119,7 @@ def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
         trace.add(k, xnorm, diff, ratio)
         if prev_diff is not None and prev_diff > 0 and diff >= prev_diff:
             bad += 1
-            if bad >= noncontraction_limit:
+            if bad >= NONCONTRACTION_LIMIT:
                 raise ConvergenceError(
                     f"no contraction for {bad} consecutive steps "
                     f"(diff {prev_diff:.3e} -> {diff:.3e})")
@@ -153,9 +158,10 @@ def _newton_jacobian_curlN(prob, u, v):
     return (ops.Dy @ J1 - ops.Dx @ J2).tocsr()
 
 
-def newton_solve(background, forcing, eps, M0, grid, ops, tol=1e-12,
-                 max_iter=30):
-    """Damped Newton on the discrete nonlinear psi system (Picard oracle)."""
+def newton_solve(background, forcing, eps, M0, grid, ops):
+    """Damped Newton on the discrete nonlinear psi system (Picard oracle):
+    at most 30 steps, to a 1e-12 relative residual."""
+    tol, max_iter = 1e-12, 30
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
     rows = _bc_rows(grid)
@@ -175,7 +181,6 @@ def newton_solve(background, forcing, eps, M0, grid, ops, tol=1e-12,
         curlN = (ops.apply(ops.Dy, N1) - ops.apply(ops.Dx, N2)).ravel()
         return A_bc @ psi_flat - mask * curlN - curlF, u, v
 
-    import scipy.sparse.linalg as spla
     psi = np.zeros(grid.nx * grid.ny)
     G, u, v = residual(psi)
     g0 = np.linalg.norm(G)
@@ -187,9 +192,8 @@ def newton_solve(background, forcing, eps, M0, grid, ops, tol=1e-12,
         if gnorm <= tol * max(1.0, g0) or g0 == 0.0:
             break
         J = A_bc - sp.diags(mask) @ _newton_jacobian_curlN(prob, u, v)
-        d = np.abs(J).max(axis=1).toarray().ravel()
-        d[d == 0.0] = 1.0
-        delta = spla.splu((sp.diags(1.0 / d) @ J).tocsc()).solve(-G / d)
+        J, d = _row_scale(J)
+        delta = spla.splu(J).solve(-G / d)
         step = 1.0
         for _ in range(20):
             G_new, u_new, v_new = residual(psi + step * delta)

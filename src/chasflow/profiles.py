@@ -9,7 +9,9 @@ so raw division is 0/0 there).
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-PROFILE_KINDS = ("couette", "poiseuille", "poiseuille_couette", "perturbed", "custom")
+PROFILE_KINDS = ("couette", "poiseuille", "poiseuille_couette", "custom")
+# the degeneracy gate of the Couette construction
+RATIO2_SUP, RATIO3_CK = 0.5, 5.0
 
 _FINE = np.linspace(0.0, 2.0, 10001)
 
@@ -117,8 +119,9 @@ class ShearProfile:
 
     # -- degenerate ratios ---------------------------------------------------
 
-    def _ratio(self, y, num_order, wall_window=1e-4):
-        """mu^(num_order)/mu with series treatment where mu vanishes."""
+    def _ratio(self, y, num_order):
+        """mu^(num_order)/mu, by series within 1e-4 of a wall where mu vanishes."""
+        wall_window = 1e-4
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty_like(y)
         plain = np.ones(y.shape, dtype=bool)
@@ -167,50 +170,49 @@ class ShearProfile:
         dmu0 = float(self.mu(np.array([0.0]), 1)[0])
         return bool(np.all(vals > 0.0) and dmu0 > 0.0)
 
-    def wall_values_ok(self, tol=1e-12):
-        m0 = abs(float(self.mu(np.array([0.0]))[0]))
-        m2 = abs(float(self.mu(np.array([2.0]))[0]) - 2.0 * self.alpha1)
-        return max(m0, m2) < tol
-
     def __repr__(self):
         return (f"ShearProfile(kind={self.kind!r}, alpha1={self.alpha1}, "
                 f"alpha2={self.alpha2}, admissible={self.admissible})")
 
 
 def build_profile(kind, alpha1, alpha2, perturbation=None, eps=1.0,
-                  require_admissible=True, custom=None):
+                  custom=None):
     """Construct and validate a profile of the Poiseuille-Couette family.
 
-    kind "perturbed" adds the PerturbationSpec on top of U; "custom" takes a
-    (y, k) -> d^k mu callable.  Rejects mu <= 0 in the interior or mu'(0) <= 0
-    when an admissible profile is requested.
+    "couette" needs alpha2 = 0 and "poiseuille" alpha1 = 0;
+    "poiseuille_couette" takes any pair.  A perturbation adds its bump on
+    top of U.  "custom" takes a (y, k) -> d^k mu callable.
+    Rejects mu <= 0 in the interior or mu'(0) <= 0.
     """
     if kind not in PROFILE_KINDS:
         raise ProfileError(f"unknown profile kind {kind!r}")
+    if kind == "custom" and custom is None:
+        raise ProfileError("profile kind 'custom' needs a mu callable, "
+                           "which no config key can give")
+    if kind == "couette" and alpha2 != 0.0:
+        raise ProfileError("profile kind 'couette' needs alpha2 = 0")
+    if kind == "poiseuille" and alpha1 != 0.0:
+        raise ProfileError("profile kind 'poiseuille' needs alpha1 = 0")
     if alpha1 < 0 or alpha2 < 0:
         raise ProfileError("alpha1, alpha2 must be >= 0")
     if kind != "custom" and alpha1 + alpha2 <= 0:
         raise ProfileError("family profiles need alpha1 + alpha2 > 0")
-    if kind in ("couette", "poiseuille", "poiseuille_couette") and perturbation is not None:
-        kind = "perturbed"
     prof = ShearProfile(kind, alpha1, alpha2, perturbation=perturbation,
                         eps=eps, custom=custom)
-    if require_admissible and not prof.admissible:
+    if not prof.admissible:
         raise ProfileError(
             "profile is not admissible: needs mu > 0 on (0,2) and mu'(0) > 0")
     return prof
 
 
-def check_couette_degeneracy(profile, thresholds=None, n_samples=10000, k=2):
-    """Report sup|mu''/mu| and |mu'''/mu|_{C^k} against configured thresholds.
+def check_couette_degeneracy(profile, n_samples=10000):
+    """Report sup|mu''/mu| and |mu'''/mu|_{C^k} against RATIO2_SUP and RATIO3_CK.
 
     Wall values use the series limits (mu'(0) > 0 makes them well defined for
     degenerate profiles); C^k derivatives of the ratio are measured on the
     sample grid.  Report-only: never raises.
     """
-    thresholds = dict(thresholds or {})
-    t2 = thresholds.get("ratio2_sup", 0.5)
-    t3 = thresholds.get("ratio3_ck", 5.0)
+    k = 2
     y = np.linspace(0.0, 2.0, n_samples)
     r2 = profile.ratio2(y)
     r3 = profile.ratio3(y)
@@ -227,9 +229,9 @@ def check_couette_degeneracy(profile, thresholds=None, n_samples=10000, k=2):
         "sup_ratio2": sup_r2,
         "ratio3_ck": ck,
         "k": k,
-        "thresholds": {"ratio2_sup": t2, "ratio3_ck": t3},
-        "pass_ratio2": bool(np.isfinite(sup_r2) and sup_r2 <= t2),
-        "pass_ratio3": bool(np.isfinite(ck) and ck <= t3),
+        "thresholds": {"ratio2_sup": RATIO2_SUP, "ratio3_ck": RATIO3_CK},
+        "pass_ratio2": bool(np.isfinite(sup_r2) and sup_r2 <= RATIO2_SUP),
+        "pass_ratio3": bool(np.isfinite(ck) and ck <= RATIO3_CK),
     }
     report["pass"] = report["pass_ratio2"] and report["pass_ratio3"]
     return report

@@ -155,7 +155,10 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", ["sweep.case=bogus", "sweep.alpha2=1.0",
-                                 "sweep.pert_amplitude=-0.05"])
+                                 "sweep.pert_amplitude=-0.05",
+                                 "sweep.case=forced",
+                                 "profile.kind=poiseuille",
+                                 "profile.kind=custom"])
 def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
                                                    monkeypatch):
     import chasflow.verification as verification

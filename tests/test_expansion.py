@@ -72,13 +72,14 @@ def test_couette_case_requires_alpha2_zero(poiseuille):
 
 
 def test_degeneracy_gate_blocks():
-    # a profile passing admissibility but failing the ratio thresholds
-    pert = PerturbationSpec(0.05, 0.0)
+    # a profile passing admissibility but failing the ratio thresholds:
+    # the C^k norm of mu^(3)/mu is 7.04 > 5.0 for a 0.2 bump
+    pert = PerturbationSpec(0.2, 0.0)
     prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
+    assert prof.admissible
     grid = build_channel_grid(L, 32, 64, 1e-2)
-    cfg = ExpansionConfig(1e-2, degeneracy_thresholds={"ratio2_sup": 1e-12})
-    with pytest.raises(ExpansionError):
-        construct_expansion(prof, cfg, grid)
+    with pytest.raises(ExpansionError, match="degeneracy gate"):
+        construct_expansion(prof, ExpansionConfig(1e-2), grid)
 
 
 def test_wall_conditions_exact(couette_expansion):

@@ -4,7 +4,7 @@ import sympy as sy
 
 from chasflow.discretization import DiffOps
 from chasflow.linearized import (LinearizedProblem, RemainderSolution,
-                                 bilinear_form, compute_norms, compute_q,
+                                 compute_norms, compute_q,
                                  curl_residual, momentum_residual,
                                  recover_pressure, solve_biharmonic,
                                  solve_curl_rhs, solve_linearized)
@@ -53,18 +53,6 @@ def test_biharmonic_mms_order():
         errs.append(e)
     order = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
     assert order >= 1.9
-
-
-def test_bilinear_form_symmetry(channel_48x96, ops_48x96):
-    rng = np.random.default_rng(11)
-    # random grid functions in the BC space: psi-shaped envelopes
-    env = (np.sin(np.pi * channel_48x96.XX / (2 * L))
-           * np.sin(np.pi * channel_48x96.YY / 2) ** 2)
-    a = env * rng.standard_normal(channel_48x96.shape)
-    b = env * rng.standard_normal(channel_48x96.shape)
-    lhs = bilinear_form(ops_48x96, a, b)
-    rhs = bilinear_form(ops_48x96, b, a)
-    assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_full_operator_mms():

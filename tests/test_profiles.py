@@ -69,6 +69,11 @@ def test_admissibility_rejections():
         build_profile("custom", 1.0, 0.0,
                       custom=lambda y, k=0: -np.asarray(y) if k == 0 else
                       (-np.ones_like(y) if k == 1 else np.zeros_like(y)))
+    # the kind is read: a pair outside it, or custom without its mu
+    for kind, alpha1, alpha2 in (("couette", 1.0, 0.5),
+                                 ("poiseuille", 1.0, 0.5), ("custom", 1.0, 0.0)):
+        with pytest.raises(ProfileError, match=kind):
+            build_profile(kind, alpha1, alpha2)
 
 
 def test_degeneracy_couette_zero(couette):
@@ -121,10 +126,4 @@ def test_degeneracy_unbounded_ratio3_without_nan_arithmetic():
     with np.errstate(all="raise"):
         rep = check_couette_degeneracy(prof, n_samples=10000)
     assert rep["ratio3_ck"] == np.inf
-    assert not rep["pass"]
-
-
-def test_degeneracy_thresholds_configurable(perturbed_couette):
-    rep = check_couette_degeneracy(perturbed_couette,
-                                   thresholds={"ratio2_sup": 1e-9})
     assert not rep["pass"]
