@@ -6,6 +6,7 @@ truncated half-line layer grids defined here.  Operators are second order on
 smoothly stretched nonuniform nodes; quadrature is trapezoidal to match.
 """
 
+import functools
 import math
 import struct
 
@@ -20,23 +21,27 @@ class GridResolutionError(ValueError):
     """Requested node counts cannot resolve the layers at the given eps."""
 
 
-def fornberg_weights(z, x, m):
-    """Finite-difference weights for the m-th derivative at z from nodes x.
+def _fornberg_rows(z, X, m):
+    """Finite-difference weights for the m-th derivative, one stencil per row.
 
-    Classic Fornberg recursion; exact for polynomials of degree len(x)-1.
-    Computed in extended precision so the h^-k amplification of weight
-    roundoff stays below the operator invariants.
+    Row r holds the weights at z[r] from the nodes X[r]: the classic
+    Fornberg recursion (Math. Comp. 51, 1988), run on all rows at once and
+    exact for polynomials of degree X.shape[1]-1.  Computed in extended
+    precision so the h^-k amplification of weight roundoff stays below the
+    operator invariants; each row sees the same operations in the same
+    order as a one-stencil recursion, so the weights do not depend on how
+    many rows share a call.
     """
-    x = np.asarray(x, dtype=np.longdouble)
-    z = np.longdouble(z)
-    n = x.size
-    w = np.zeros((n, m + 1), dtype=np.longdouble)
+    x = np.asarray(X, dtype=np.longdouble).T
+    z = np.asarray(z, dtype=np.longdouble)
+    n = x.shape[0]
+    w = np.zeros((n, m + 1, z.size), dtype=np.longdouble)
     w[0, 0] = 1.0
-    c1 = 1.0
+    c1 = np.ones_like(z)
     c4 = x[0] - z
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        c2 = np.ones_like(z)
         c5 = c4
         c4 = x[i] - z
         for j in range(i):
@@ -50,7 +55,7 @@ def fornberg_weights(z, x, m):
                 w[j, k] = ((x[i] - z) * w[j, k] - k * w[j, k - 1]) / c3
             w[j, 0] = (x[i] - z) * w[j, 0] / c3
         c1 = c2
-    return w[:, m].astype(float)
+    return np.array(w[:, m].T, dtype=float, order="C")
 
 
 # stencil widths per derivative order; chosen so the formal order stays >= 2
@@ -80,23 +85,34 @@ def _fix_low_moments(w, d, deriv):
 
 
 def diff_matrix(x, deriv):
-    """Sparse 1-D differentiation matrix of order `deriv` on nodes x."""
+    """Sparse 1-D differentiation matrix of order `deriv` on nodes x.
+
+    Built once per (nodes, deriv) in each process; every call returns its
+    own copy, so a caller may edit the result.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"nodes must be a 1-D array, got shape {x.shape}")
+    return _diff_matrix(x.tobytes(), deriv).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _diff_matrix(xbytes, deriv):
+    # keyed on the float64 bytes: equal keys are equal nodes, bit for bit
+    x = np.frombuffer(xbytes)
     n = x.size
     npts = _NPTS[deriv]
     if npts > n:
         raise ValueError(f"need at least {npts} nodes for d{deriv}, got {n}")
-    rows, cols, vals = [], [], []
-    half = npts // 2
+    lo = np.clip(np.arange(n) - npts // 2, 0, n - npts)
+    idx = lo[:, None] + np.arange(npts)
+    nodes = x[idx]
+    w = _fornberg_rows(x, nodes, deriv)
+    d = nodes - x[:, None]
     for i in range(n):
-        lo = min(max(i - half, 0), n - npts)
-        idx = np.arange(lo, lo + npts)
-        w = fornberg_weights(x[i], x[idx], deriv)
-        w = _fix_low_moments(w, x[idx] - x[i], deriv)
-        rows.extend([i] * npts)
-        cols.extend(idx)
-        vals.extend(w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        _fix_low_moments(w[i], d[i], deriv)
+    rows = np.repeat(np.arange(n), npts)
+    return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
 
 
 def one_sided_row(x, at_start, deriv, npts):
@@ -108,9 +124,26 @@ def one_sided_row(x, at_start, deriv, npts):
     else:
         idx = np.arange(x.size - npts, x.size)
         z = x[-1]
-    w = fornberg_weights(z, x[idx], deriv)
+    w = _fornberg_rows([z], x[idx][None, :], deriv)[0]
     w = _fix_low_moments(w, x[idx] - z, deriv)
     return idx, w
+
+
+def replace_rows(A, rows):
+    """A with each row r replaced by rows[r] = (cols, vals), as CSC.
+
+    The kept rows keep every stored entry, explicit zeros included (SuperLU
+    orders the columns by the sparsity structure), and so does a
+    replacement row, which lists each column once.  Equal, array for array,
+    to setting the rows of ``A.tolil()`` and converting with ``tocsc()``.
+    """
+    A = A.tocoo()
+    kept = ~np.isin(A.row, np.fromiter(rows, dtype=np.int64, count=len(rows)))
+    i = [A.row[kept]] + [np.full(len(cols), r) for r, (cols, _) in rows.items()]
+    j = [A.col[kept]] + [cols for cols, _ in rows.values()]
+    v = [A.data[kept]] + [vals for _, vals in rows.values()]
+    ij = (np.concatenate(i), np.concatenate(j))
+    return sp.coo_matrix((np.concatenate(v), ij), shape=A.shape).tocsc()
 
 
 def trapezoid_weights(x):

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import DiffOps, cumtrapz0, one_sided_row
+from .discretization import DiffOps, cumtrapz0, one_sided_row, replace_rows
 
 SIDES = ("first", "plus", "minus")
 
@@ -87,29 +87,24 @@ class EulerSolver:
             if kind[rL] == _INTERIOR:
                 kind[rL] = _DIR_OUT  # v = 0 at outflow
 
-        A = self._base.tolil()
         idy0, wy0 = one_sided_row(g.y, True, 1, 3)
         idy2, wy2 = one_sided_row(g.y, False, 1, 3)
         idx0, wx0 = one_sided_row(g.x, True, 1, 3)
+        rows = {}
         for i in range(g.nx):
             for j in y_dir:
                 r = self._node(i, j)
-                A.rows[r] = [r]
-                A.data[r] = [1.0]
+                rows[r] = ([r], [1.0])
             for j in y_neu:
-                r = self._node(i, j)
                 idx, wgt = (idy0, wy0) if j == 0 else (idy2, wy2)
-                A.rows[r] = [self._node(i, k) for k in idx]
-                A.data[r] = list(wgt)
+                rows[self._node(i, j)] = ([self._node(i, k) for k in idx], wgt)
         for j in range(g.ny):
             r0, rL = self._node(0, j), self._node(g.nx - 1, j)
             if kind[r0] == _NEUMANN and j not in y_neu:
-                A.rows[r0] = [self._node(k, j) for k in idx0]
-                A.data[r0] = list(wx0)
+                rows[r0] = ([self._node(k, j) for k in idx0], wx0)
             if kind[rL] == _DIR_OUT:
-                A.rows[rL] = [rL]
-                A.data[rL] = [1.0]
-        return A.tocsc(), kind
+                rows[rL] = ([rL], [1.0])
+        return replace_rows(self._base, rows), kind
 
     def _factorize(self, side):
         if side not in self._lu:

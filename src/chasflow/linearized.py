@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import DiffOps, diff_matrix, one_sided_row
+from .discretization import DiffOps, diff_matrix, one_sided_row, replace_rows
 
 
 class LinearSolveError(RuntimeError):
@@ -112,14 +112,6 @@ def _bc_rows(grid):
     return rows
 
 
-def _apply_bc(A, rows):
-    A = A.tolil()
-    for r, (cols, vals) in rows.items():
-        A.rows[r] = list(cols)
-        A.data[r] = list(vals)
-    return A.tocsc()
-
-
 def _row_scale(A):
     """(diag(1/d) A as CSC, d), d the largest |entry| of each row (1 if none);
     a right-hand side b of A goes with b / d."""
@@ -133,7 +125,7 @@ def solve_biharmonic(f, grid, ops=None):
     if ops is None:
         ops = DiffOps(grid.x, grid.y)
     rows = _bc_rows(grid)
-    A = _apply_bc(ops.bih.copy(), rows)
+    A = replace_rows(ops.bih, rows)
     b = np.asarray(f, dtype=float).ravel().copy()
     for r in rows:
         b[r] = 0.0
@@ -173,7 +165,7 @@ def assemble_linearized_operator(problem):
 def factorize_linearized(problem):
     """LU of the (row-scaled) linearized operator with boundary rows."""
     rows = _bc_rows(problem.grid)
-    A, d = _row_scale(_apply_bc(assemble_linearized_operator(problem), rows))
+    A, d = _row_scale(replace_rows(assemble_linearized_operator(problem), rows))
     return (spla.splu(A), d, rows)
 
 
@@ -235,30 +227,27 @@ def recover_pressure(sol, problem):
     def nd(i, j):
         return i * ny + j
 
-    A = ops.lap.tolil()
     b = rhs.ravel().copy()
     ix0, wx0 = one_sided_row(grid.x, True, 1, 3)
     ixL, wxL = one_sided_row(grid.x, False, 1, 3)
     iy0, wy0 = one_sided_row(grid.y, True, 1, 3)
     iyL, wyL = one_sided_row(grid.y, False, 1, 3)
+    rows = {}
     for i in range(nx):
         r = nd(i, 0)
-        A.rows[r] = [nd(i, k) for k in iy0]
-        A.data[r] = list(wy0)
+        rows[r] = ([nd(i, k) for k in iy0], wy0)
         b[r] = gy[i, 0]
         r = nd(i, ny - 1)
-        A.rows[r] = [nd(i, k) for k in iyL]
-        A.data[r] = list(wyL)
+        rows[r] = ([nd(i, k) for k in iyL], wyL)
         b[r] = gy[i, ny - 1]
     for j in range(1, ny - 1):
         r = nd(0, j)
-        A.rows[r] = [nd(k, j) for k in ix0]
-        A.data[r] = list(wx0)
+        rows[r] = ([nd(k, j) for k in ix0], wx0)
         b[r] = gx[0, j]
         r = nd(nx - 1, j)
-        A.rows[r] = [nd(k, j) for k in ixL]
-        A.data[r] = list(wxL)
+        rows[r] = ([nd(k, j) for k in ixL], wxL)
         b[r] = gx[nx - 1, j]
+    A = replace_rows(ops.lap, rows)
     # compatibility (Green): int rhs = sum of oriented boundary fluxes;
     # report the defect, then solve the bordered system with a mean-zero
     # Lagrange constraint (a point pin would amplify the defect into a
@@ -274,7 +263,7 @@ def recover_pressure(sol, problem):
     for j in range(ny):
         bnd[nd(0, j)] = bnd[nd(nx - 1, j)] = True
     col = (~bnd).astype(float)
-    Ab = sp.bmat([[A.tocsr(), col.reshape(-1, 1)],
+    Ab = sp.bmat([[A, col.reshape(-1, 1)],
                   [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
     bb = np.concatenate([b, [0.0]])
     P = spla.splu(Ab).solve(bb)[:-1].reshape(nx, ny)

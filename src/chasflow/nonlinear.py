@@ -9,11 +9,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .discretization import replace_rows
 from .linearized import (LinearizedProblem, factorize_linearized,
                          solve_linearized, recover_pressure,
                          momentum_residual, compute_norms, RemainderSolution,
-                         assemble_linearized_operator, _bc_rows, _apply_bc,
-                         _row_scale)
+                         assemble_linearized_operator, _bc_rows, _row_scale)
 
 
 NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
@@ -165,8 +165,7 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
     rows = _bc_rows(grid)
-    A = assemble_linearized_operator(prob)
-    A_bc = _apply_bc(A.copy(), rows)
+    A_bc = replace_rows(assemble_linearized_operator(prob), rows)
     curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
     for r in rows:

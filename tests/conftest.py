@@ -41,3 +41,23 @@ def make_grid(n, L=0.1, sigma=1.2):
     x = np.linspace(0.0, L, 2 * n + 1)
     y = tanh_stretched(0.0, 2.0, n + 1, sigma)
     return ChannelGrid(L, x, y)
+
+
+def lil_replace_rows(A, assignments):
+    """Row replacement through LIL, the reference for ``replace_rows``.
+
+    Sets each (row, cols, vals) of ``assignments`` on ``A.tolil()`` in
+    order, so a later assignment to a row wins, then converts to CSC.
+    """
+    A = A.tolil()
+    for r, cols, vals in assignments:
+        A.rows[r] = list(cols)
+        A.data[r] = list(vals)
+    return A.tocsc()
+
+
+def same_arrays(a, b):
+    """Two compressed sparse matrices store the same arrays, byte for byte."""
+    return all(getattr(a, f).dtype == getattr(b, f).dtype
+               and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("data", "indices", "indptr"))

@@ -2,12 +2,18 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from chasflow.discretization import (ChannelGrid, DiffOps, Field2D,
+from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, HalfLineGrid,
-                                     build_channel_grid, diff_matrix,
-                                     mms_convergence, tanh_stretched)
-from conftest import make_grid
+                                     _fix_low_moments, build_channel_grid,
+                                     diff_matrix, mms_convergence,
+                                     one_sided_row, replace_rows,
+                                     tanh_stretched)
+from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
+from chasflow.linearized import (LinearizedProblem, _bc_rows,
+                                 assemble_linearized_operator)
+from conftest import lil_replace_rows, make_grid, same_arrays
 
 
 def test_build_channel_grid_resolves_layers():
@@ -172,3 +178,133 @@ def test_field2d_serialization_roundtrip(tmp_path, channel_48x96):
     with open(csvpath) as fh:
         header = fh.readline().strip()
     assert header == "x,y,value"
+
+
+# -- difference operators against the one-stencil Fornberg recursion --------
+
+def fornberg_weights(z, x, m):
+    """Weights for the m-th derivative at z from nodes x, one stencil at a
+    time: the scalar recursion the library's row-vectorized kernel replaced,
+    kept as its reference."""
+    x = np.asarray(x, dtype=np.longdouble)
+    z = np.longdouble(z)
+    n = x.size
+    w = np.zeros((n, m + 1), dtype=np.longdouble)
+    w[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - z
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
+                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                w[j, k] = ((x[i] - z) * w[j, k] - k * w[j, k - 1]) / c3
+            w[j, 0] = (x[i] - z) * w[j, 0] / c3
+        c1 = c2
+    return w[:, m].astype(float)
+
+
+def _diff_matrix_loop(x, deriv):
+    n = x.size
+    npts = _NPTS[deriv]
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        lo = min(max(i - npts // 2, 0), n - npts)
+        idx = np.arange(lo, lo + npts)
+        w = _fix_low_moments(fornberg_weights(x[i], x[idx], deriv),
+                             x[idx] - x[i], deriv)
+        rows.extend([i] * npts)
+        cols.extend(idx)
+        vals.extend(w)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _workload_node_sets():
+    """The channel x/y of the 48x96 sweep at its five eps and of the 96x192
+    oracle, the layer x (60 and 83 nodes) and Y (320 nodes), and a random
+    sorted set."""
+    sets = []
+    for eps in (1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3):
+        g = build_channel_grid(0.1, 48, 96, eps)
+        sets += [g.x, g.y]
+    g = build_channel_grid(0.1, 96, 192, 1e-2)
+    sets += [g.x, g.y]
+    x_ext = _extended_grid(build_channel_grid(0.1, 48, 96, 1e-2), 1.25).x
+    x_layer = _layer_xgrid(x_ext, LAYER_SUB)
+    sets += [x_ext, x_layer, HalfLineGrid(0.1, None, 320, x=x_layer).Y]
+    sets.append(np.sort(np.random.default_rng(11).uniform(0.0, 3.0, 41)))
+    assert [x.size for x in sets[-4:]] == [60, 83, 320, 41]
+    return sets
+
+
+def test_diff_matrix_bit_identical_to_fornberg_loop():
+    for x in _workload_node_sets():
+        for deriv in (1, 2, 3, 4):
+            assert same_arrays(diff_matrix(x, deriv),
+                               _diff_matrix_loop(x, deriv)), (x.size, deriv)
+
+
+def test_one_sided_row_bit_identical_to_fornberg_loop():
+    for x in _workload_node_sets():
+        for at_start in (True, False):
+            for deriv, npts in ((1, 3), (1, 4), (2, 5), (3, 6)):
+                idx, w = one_sided_row(x, at_start, deriv, npts)
+                z = x[0] if at_start else x[-1]
+                ref = _fix_low_moments(fornberg_weights(z, x[idx], deriv),
+                                       x[idx] - z, deriv)
+                assert w.tobytes() == ref.tobytes(), (x.size, deriv, npts)
+
+
+def test_diff_matrix_memo_is_sound():
+    x = tanh_stretched(0.0, 2.0, 30, 1.3)
+    first = diff_matrix(x, 2)
+    ref = first.copy()
+    first.data[:] = 0.0          # a caller editing its matrix
+    assert same_arrays(diff_matrix(x, 2), ref)
+    other = tanh_stretched(0.0, 2.0, 30, 0.7)
+    assert (diff_matrix(other, 2) != ref).nnz > 0
+    assert (diff_matrix(x, 1) != ref).nnz > 0
+    assert same_arrays(diff_matrix(x.tolist(), 2), ref)
+
+
+# -- boundary-row replacement against the LIL loop it replaced --------------
+
+def _as_assignments(rows):
+    return [(r, cols, vals) for r, (cols, vals) in rows.items()]
+
+
+def test_replace_rows_matches_lil_on_biharmonic(channel_48x96, ops_48x96):
+    rows = _bc_rows(channel_48x96)
+    assert same_arrays(replace_rows(ops_48x96.bih, rows),
+                       lil_replace_rows(ops_48x96.bih, _as_assignments(rows)))
+
+
+def test_replace_rows_matches_lil_on_linearized(channel_48x96, ops_48x96):
+    g = channel_48x96
+    rng = np.random.default_rng(5)
+    bg = {k: rng.standard_normal(g.shape)
+          for k in ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y",
+                    "lap_us", "lap_vs")}
+    A = assemble_linearized_operator(
+        LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05, grid=g, ops=ops_48x96))
+    rows = _bc_rows(g)
+    assert same_arrays(replace_rows(A, rows),
+                       lil_replace_rows(A, _as_assignments(rows)))
+
+
+def test_replace_rows_keeps_explicit_zeros():
+    A = sp.csr_matrix(np.arange(1.0, 17.0).reshape(4, 4))
+    A.data[[1, 6]] = 0.0                   # stored zeros in kept rows
+    rows = {2: ([3, 0], [7.0, 0.0])}       # unsorted, with a stored zero
+    out = replace_rows(A, rows)
+    assert same_arrays(out, lil_replace_rows(A, _as_assignments(rows)))
+    assert out.nnz == 14
+    assert A.nnz == 16 and A.data[1] == 0.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from chasflow.discretization import DiffOps, build_channel_grid, mms_convergence
-from chasflow.euler_correctors import (EulerSolveError, EulerSolver,
+from chasflow.discretization import (DiffOps, build_channel_grid,
+                                     mms_convergence, one_sided_row)
+from chasflow.euler_correctors import (_DIR_OUT, _NEUMANN, EulerSolveError,
+                                       EulerSolver,
                                        recover_corrector_pressure_fields)
 from chasflow.profiles import PerturbationSpec, build_profile
+from conftest import lil_replace_rows, same_arrays
 
 L = 0.1
 
@@ -126,3 +129,37 @@ def test_pressure_wrapper_matches(perturbed_couette, channel_48x96):
         c.u, c.v, c.grid, perturbed_couette,
         perturbed_couette.mu(c.grid.y, 2), ops=s.ops)
     assert np.allclose(P, c.P)
+
+
+def _lil_boundary_rows(solver, side, kind):
+    """The boundary rows of each variant, in the order the LIL loop that
+    assembled them set them."""
+    g, nd = solver.grid, solver._node
+    y_dir, y_neu = {"first": ((0, g.ny - 1), ()), "plus": ((g.ny - 1,), (0,)),
+                    "minus": ((0,), (g.ny - 1,))}[side]
+    idy0, wy0 = one_sided_row(g.y, True, 1, 3)
+    idy2, wy2 = one_sided_row(g.y, False, 1, 3)
+    idx0, wx0 = one_sided_row(g.x, True, 1, 3)
+    out = []
+    for i in range(g.nx):
+        for j in y_dir:
+            out.append((nd(i, j), [nd(i, j)], [1.0]))
+        for j in y_neu:
+            idx, wgt = (idy0, wy0) if j == 0 else (idy2, wy2)
+            out.append((nd(i, j), [nd(i, k) for k in idx], wgt))
+    for j in range(g.ny):
+        r0, rL = nd(0, j), nd(g.nx - 1, j)
+        if kind[r0] == _NEUMANN and j not in y_neu:
+            out.append((r0, [nd(k, j) for k in idx0], wx0))
+        if kind[rL] == _DIR_OUT:
+            out.append((rL, [rL], [1.0]))
+    return out
+
+
+@pytest.mark.parametrize("side", ["first", "plus", "minus"])
+def test_assembled_variants_match_lil_rows(side, perturbed_couette,
+                                           channel_48x96):
+    s = EulerSolver(channel_48x96, perturbed_couette)
+    A, kind = s._assemble(side)
+    assert same_arrays(A, lil_replace_rows(s._base,
+                                           _lil_boundary_rows(s, side, kind)))

@@ -130,19 +130,25 @@ def test_assembly_audit_bit_identical(couette_expansion):
 
 
 def test_forcing_component_sum_audit(perturbed_couette):
-    # F^{i} equals the signed sum of its recorded components pointwise
-    from chasflow.boundary_layers import Cascade, LayerTarget
+    # F^i is smooth_x of the signed sum of its components, and that filter
+    # is a convex average, so max|F^i| cannot exceed the sum of the recorded
+    # component maxima (the record keeps only those maxima, so the sum is
+    # not checked pointwise)
     grid = build_channel_grid(L, 32, 64, 1e-2)
     cfg = ExpansionConfig(1e-2, M=2)
     res = construct_expansion(perturbed_couette, cfg, grid)
+    checked = 0
     for layer in res.correctors.layers:
         if layer.F is None or not np.any(layer.F):
             continue
-        casc = res.cascade
-        # recompute from the recorded breakdown
         rec = [r for r in res.correctors.forcing_records
                if r["index"] == layer.index and r["side"] == layer.side][0]
         assert rec["forcing_max"] == pytest.approx(np.abs(layer.F).max())
+        comps = rec["components_max"].values()
+        assert any(c > 0.0 for c in comps)
+        assert rec["forcing_max"] <= sum(comps) * (1.0 + 1e-12)
+        checked += 1
+    assert checked == 2
 
 
 def test_forcing_components_recorded(couette_expansion):
@@ -181,9 +187,33 @@ def test_pointwise_constants_finite(couette_expansion):
     "an eps-independent geometry constant (~7-12 at L=0.1) against only "
     "eps^(1/3) of ladder decay, and the last layer's aux pressure (required "
     "for the Couette rate criterion) carries O(eps^2)-order content whose "
-    "constant grows with the level; see the decisions ledger"))
+    "constant grows with the level; see the docstring"))
 def test_m_ordering_of_remainders():
-    # more layers should shrink the measured remainder
+    """More layers should shrink the measured remainder; at desk scale they
+    do not.
+
+    Each level hands its wall datum to the next through an Euler corrector.
+    That step multiplies the datum by a constant of the L = 0.1 strip (the
+    trace gain), which does not fall with eps, while the level prefactor
+    falls only by eps^(1/3) on the minus side and eps^(1/2) on the plus
+    side.  Measured on the 40x96 grid below (amplitude 0.05), as max over
+    x of the level-(i+1) wall datum |u_e^(i+1)| over the level-i one:
+
+        eps    side   gain 1->2  gain 2->3  gain * prefactor ratio
+        1e-2   minus    6.70       8.67       1.44, 1.87
+        1e-2   plus     4.47       4.80       0.45, 0.48
+        1e-3   minus    8.43      15.8        0.84, 1.58
+        1e-3   plus     5.88       8.08       0.19, 0.26
+
+    On the minus side a level is about as large as the one before it, or
+    larger, so adding levels adds remainder instead of removing it.  On top
+    of that, the last layer's aux pressure, which the Couette rate
+    criterion needs, carries content of order eps^2 whose constant grows
+    with the level.  At eps = 1e-3 the remainder L2 norm is 5.5e-8 for
+    M = 1, 3.2e-7 for M = 2 and 1.0e-6 for M = 3.  The ordering can only
+    be expected where eps^(1/3) times the gain is well below 1, far below
+    the eps this suite runs.
+    """
     eps = 1e-3
     pert = PerturbationSpec(0.05, 0.0)
     prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=eps)

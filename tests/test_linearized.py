@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import sympy as sy
 
-from chasflow.discretization import DiffOps
+import chasflow.linearized as linearized
+from chasflow.discretization import DiffOps, one_sided_row, replace_rows
 from chasflow.linearized import (LinearizedProblem, RemainderSolution,
                                  compute_norms, compute_q,
                                  curl_residual, momentum_residual,
                                  recover_pressure, solve_biharmonic,
                                  solve_curl_rhs, solve_linearized)
-from conftest import make_grid
+from conftest import lil_replace_rows, make_grid, same_arrays
 
 L = 0.1
 M0 = 11.0 / 8.0 + 0.05
@@ -132,6 +133,36 @@ def test_pressure_recovery_trivial():
     P = recover_pressure(sol, prob)
     assert np.abs(P).max() < 1e-10
     assert abs(ops.integrate(P)) < 1e-12
+
+
+def test_pressure_neumann_rows_match_lil(monkeypatch):
+    g = make_grid(24, L=L)
+    ops = DiffOps(g.x, g.y)
+    built = []
+
+    def capture(A, rows):
+        built.append(replace_rows(A, rows))
+        return built[-1]
+
+    monkeypatch.setattr(linearized, "replace_rows", capture)
+    prob = LinearizedProblem(_couette_bg(g), 1e-2, M0, grid=g, ops=ops)
+    recover_pressure(RemainderSolution(g, ops, np.zeros(g.shape),
+                                       np.zeros(g.shape)), prob)
+    # the Neumann rows in the order the LIL loop set them
+    nx, ny = g.nx, g.ny
+    ix0, wx0 = one_sided_row(g.x, True, 1, 3)
+    ixL, wxL = one_sided_row(g.x, False, 1, 3)
+    iy0, wy0 = one_sided_row(g.y, True, 1, 3)
+    iyL, wyL = one_sided_row(g.y, False, 1, 3)
+    ref = []
+    for i in range(nx):
+        ref.append((i * ny, [i * ny + k for k in iy0], wy0))
+        ref.append((i * ny + ny - 1, [i * ny + k for k in iyL], wyL))
+    for j in range(1, ny - 1):
+        ref.append((j, [k * ny + j for k in ix0], wx0))
+        ref.append(((nx - 1) * ny + j, [k * ny + j for k in ixL], wxL))
+    assert len(built) == 1
+    assert same_arrays(built[0], lil_replace_rows(ops.lap, ref))
 
 
 def test_pressure_recovery_mms_order():
