@@ -335,19 +335,12 @@ class CutLayer:
         return self.x2_mask * (self._d2x @ f)
 
 
-# -- field evaluation targets -------------------------------------------------
-
-class ChannelTarget:
-    kind = "channel"
-
-    def __init__(self, grid, ops):
-        self.grid = grid
-        self.ops = ops
-
+# -- corrector parts --------------------------------------------------------
 
 class LayerTarget:
+    """A wall's half-line grid and the channel y of each of its Y nodes."""
+
     def __init__(self, side, grid, eps):
-        self.kind = side              # 'minus' or 'plus'
         self.grid = grid
         s = S_EXP[side]
         if side == "minus":
@@ -356,12 +349,7 @@ class LayerTarget:
             self.y_of_Y = np.clip(2.0 - eps ** s * grid.Y, 0.0, 2.0)
 
 
-_FIELD_KEYS = ("u", "v", "ux", "uy", "vx", "vy", "lap_u", "lap_v", "px", "py")
-
-
-def _zero_fields(shape):
-    z = np.zeros(shape)
-    return {k: z for k in _FIELD_KEYS}
+_CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
 
 
 def interp_layer_field(field, lgrid, side, eps, cx, cy):
@@ -394,46 +382,31 @@ def restrict_channel_field(field, src, dst):
     return interp_channel_field(field, src, dst.x, dst.y)
 
 
-class PartBase:
-    """One additive contribution to (u_s, v_s, P_s), evaluable on any target."""
-
-    is_base = False
-    is_euler = False
-    layer_side = None   # 'minus'/'plus' for layer and aux parts
-
-    def __init__(self):
-        self._cache = {}
-
-    def fields(self, target):
-        # keyed on the target itself: an id is reused once its object is freed
-        if target not in self._cache:
-            self._cache[target] = self._evaluate(target)
-        return self._cache[target]
-
-    def _evaluate(self, target):
-        raise NotImplementedError
+def _layer_to_channel(fields, lgrid, side, eps, grid):
+    return {k: interp_layer_field(f, lgrid, side, eps, grid.x, grid.y)
+            for k, f in fields.items()}
 
 
-class BasePart(PartBase):
+# Every part gives channel_fields(grid): its nonzero keys among u, v, ux, uy,
+# vx, vy, lap_u, lap_v, P, px, py on a channel grid.  Euler and layer parts
+# also give convection(side): the _CONV_KEYS on that wall's layer grid,
+# cached per side.  side is the wall of a layer or aux part, None for an
+# Euler part.
+
+class BasePart:
     """The base shear flow (mu(y), 0) with constant pressure."""
 
-    is_base = True
-
     def __init__(self, profile):
-        super().__init__()
         self.profile = profile
 
-    def _evaluate(self, target):
-        y = target.grid.y if target.kind == "channel" else target.y_of_Y
-        nx = target.grid.nx
-        f = _zero_fields((nx, y.size))
-        f["u"] = np.tile(self.profile.mu(y), (nx, 1))
-        f["uy"] = np.tile(self.profile.mu(y, 1), (nx, 1))
-        f["lap_u"] = np.tile(self.profile.mu(y, 2), (nx, 1))
-        return f
+    def channel_fields(self, grid):
+        mu, nx = self.profile.mu, grid.nx
+        return {"u": np.tile(mu(grid.y), (nx, 1)),
+                "uy": np.tile(mu(grid.y, 1), (nx, 1)),
+                "lap_u": np.tile(mu(grid.y, 2), (nx, 1))}
 
 
-class EulerPart(PartBase):
+class EulerPart:
     """One Euler corrector, prefactor included; exact-construction derivatives.
 
     ux is stored as -d_y v (the divergence relation used to build u) and the
@@ -441,131 +414,95 @@ class EulerPart(PartBase):
     y-momentum kills cancel pointwise in the remainder assembly.
     """
 
-    is_euler = True
+    side = None
 
-    def __init__(self, corrector, prefac, channel_ops, profile, rhs_x):
-        super().__init__()
-        self.corr = corrector
+    def __init__(self, corr, prefac, ops, profile, rhs_x, walls):
+        self.corr = corr
         self.prefac = prefac
-        self.ops = channel_ops
-        self.profile = profile
-        self.rhs_x = rhs_x  # mu'' for the first corrector, 0 for higher ones
-
-    def _channel_fields(self):
-        c = self.prefac
-        ops = self.ops
-        corr = self.corr
-        mu = self.profile.mu(corr.grid.y)
-        mup = self.profile.mu(corr.grid.y, 1)
+        self.walls = walls
+        c = prefac
+        mu = profile.mu(corr.grid.y)
+        mup = profile.mu(corr.grid.y, 1)
         vy = ops.apply(ops.Dy, corr.v)
         vx = ops.apply(ops.Dx, corr.v)
         ux = -vy
         uy = ops.apply(ops.Dy, corr.u)
-        f = {
+        # rhs_x: mu'' for the first corrector, 0 for higher ones
+        self.fields = {   # on the corrector's own grid
             "u": c * corr.u, "v": c * corr.v,
             "ux": c * ux, "uy": c * uy,
             "vx": c * vx, "vy": c * vy,
             "lap_u": c * ops.apply(ops.lap, corr.u),
             "lap_v": c * ops.apply(ops.lap, corr.v),
-            "px": c * (self.rhs_x[None, :] - mu[None, :] * ux - mup[None, :] * corr.v),
+            "px": c * (rhs_x[None, :] - mu[None, :] * ux - mup[None, :] * corr.v),
             "py": -c * mu[None, :] * vx,
         }
+        self._conv = {}
+
+    def channel_fields(self, grid):
+        src = self.corr.grid
+        f = {k: restrict_channel_field(v, src, grid) for k, v in self.fields.items()}
+        f["P"] = self.prefac * restrict_channel_field(self.corr.P, src, grid)
         return f
 
-    def _evaluate(self, target):
-        base = self._cache.get("channel_raw")
-        if base is None:
-            base = self._channel_fields()
-            self._cache["channel_raw"] = base
-        if target.kind == "channel":
-            return {k: restrict_channel_field(v, self.corr.grid, target.grid)
-                    for k, v in base.items()}
-        out = {}
-        for k in _FIELD_KEYS:
-            out[k] = interp_channel_field(base[k], self.corr.grid,
-                                          target.grid.x, target.y_of_Y)
-        return out
+    def convection(self, side):
+        if side not in self._conv:
+            wall = self.walls[side]
+            self._conv[side] = {
+                k: interp_channel_field(self.fields[k], self.corr.grid,
+                                        wall.grid.x, wall.y_of_Y)
+                for k in _CONV_KEYS}
+        return self._conv[side]
 
 
-class LayerPart(PartBase):
+class LayerPart:
     """One cut boundary-layer corrector with divergence-consistent fields."""
 
-    def __init__(self, cut, prefac_u):
-        super().__init__()
+    def __init__(self, cut, cu):
         lay = cut.layer
         self.cut = cut
         self.layer = lay
-        self.layer_side = lay.side
+        self.side = lay.side
         self.eps = cut.eps
-        self.s = S_EXP[lay.side]
-        self.cu = prefac_u
-        self.cv = prefac_u * cut.eps ** self.s
-        self.chain = SIGN_Y[lay.side] * cut.eps ** (-self.s)
-
-    def _native_fields(self):
-        cut, cu, cv = self.cut, self.cu, self.cv
-        e2s = self.eps ** (-2.0 * self.s)
-        f = {
+        s = S_EXP[lay.side]
+        cv = self.cv = cu * cut.eps ** s
+        chain = SIGN_Y[lay.side] * cut.eps ** (-s)
+        e2s = self.eps ** (-2.0 * s)
+        self.fields = {   # on the layer grid
             "u": cu * cut.Uhat, "v": cv * cut.Vhat,
-            "ux": cu * cut.DXUhat, "uy": cu * self.chain * cut.dY(cut.Uhat),
-            "vx": cv * cut.DXVhat, "vy": cv * self.chain * cut.dY(cut.Vhat),
+            "ux": cu * cut.DXUhat, "uy": cu * chain * cut.dY(cut.Uhat),
+            "vx": cv * cut.DXVhat, "vy": cv * chain * cut.dY(cut.Vhat),
             "lap_u": cu * (cut.dXX(cut.Uhat) + e2s * cut.dYY(cut.Uhat)),
             "lap_v": cv * (cut.dXX(cut.Vhat) + e2s * cut.dYY(cut.Vhat)),
-            "px": np.zeros_like(cut.Uhat), "py": np.zeros_like(cut.Uhat),
         }
-        return f
+        # cut supports are disjoint: a layer convects at its own wall only
+        self._conv = {self.side: {k: self.fields[k] for k in _CONV_KEYS}}
 
-    def _evaluate(self, target):
-        native = self._cache.get("native")
-        if native is None:
-            native = self._native_fields()
-            self._cache["native"] = native
-        if target.kind == self.layer_side:
-            return native
-        if target.kind == "channel":
-            out = {}
-            for k in _FIELD_KEYS:
-                out[k] = interp_layer_field(native[k], self.layer.grid,
-                                            self.layer_side, self.eps,
-                                            target.grid.x, target.grid.y)
-            return out
-        # other wall: cut supports are disjoint
-        return _zero_fields((target.grid.nx, target.grid.Y.size))
+    def channel_fields(self, grid):
+        return _layer_to_channel(self.fields, self.layer.grid, self.side,
+                                 self.eps, grid)
+
+    def convection(self, side):
+        return self._conv[side]
 
 
-class AuxPart(PartBase):
+class AuxPart:
     """Auxiliary layer pressure: zeroes pending vertical-momentum terms."""
 
-    def __init__(self, side, lgrid, eps, py_native, px_native, Pi_phys):
-        super().__init__()
-        self.layer_side = side
+    def __init__(self, side, lgrid, eps, py, px, P):
+        self.side = side
         self.lgrid = lgrid
         self.eps = eps
-        self.py_native = py_native
-        self.px_native = px_native
-        self.Pi_phys = Pi_phys
+        self.fields = {"px": px, "py": py, "P": P}   # on the layer grid
 
-    def _evaluate(self, target):
-        if target.kind == self.layer_side:
-            f = _zero_fields(self.py_native.shape)
-            f["px"] = self.px_native
-            f["py"] = self.py_native
-            return f
-        if target.kind == "channel":
-            f = _zero_fields((target.grid.nx, target.grid.ny))
-            f["px"] = interp_layer_field(self.px_native, self.lgrid,
-                                         self.layer_side, self.eps,
-                                         target.grid.x, target.grid.y)
-            f["py"] = interp_layer_field(self.py_native, self.lgrid,
-                                         self.layer_side, self.eps,
-                                         target.grid.x, target.grid.y)
-            return f
-        return _zero_fields((target.grid.nx, target.grid.Y.size))
+    def channel_fields(self, grid):
+        return _layer_to_channel(self.fields, self.lgrid, self.side,
+                                 self.eps, grid)
 
 
-def _pair_terms(P, Q, target, comp):
+def _pair_terms(P, Q, side, comp):
     """Quadratic convection products of two parts (P != Q), both orderings."""
-    a, b = P.fields(target), Q.fields(target)
+    a, b = P.convection(side), Q.convection(side)
     if comp == "u":
         return (a["u"] * b["ux"] + b["u"] * a["ux"]
                 + a["v"] * b["uy"] + b["v"] * a["uy"])
@@ -573,8 +510,8 @@ def _pair_terms(P, Q, target, comp):
             + a["v"] * b["vy"] + b["v"] * a["vy"])
 
 
-def _self_terms(P, target, comp):
-    a = P.fields(target)
+def _self_terms(P, side, comp):
+    a = P.convection(side)
     if comp == "u":
         return a["u"] * a["ux"] + a["v"] * a["uy"]
     return a["u"] * a["vx"] + a["v"] * a["vy"]
@@ -592,28 +529,27 @@ class Cascade:
     measured remainder.
     """
 
-    def __init__(self, profile, eps, a0, channel_target, minus_target, plus_target):
+    def __init__(self, profile, eps, a0, grid, layer_grids):
         self.profile = profile
         self.eps = eps
         self.a0 = a0
-        self.targets = {"channel": channel_target,
-                        "minus": minus_target, "plus": plus_target}
+        self.hx = grid.x[1] - grid.x[0]   # of the Euler correctors' grid
+        self.walls = {side: LayerTarget(side, layer_grids[side], eps)
+                      for side in ("minus", "plus")}
         self.m0 = float(profile.mu(np.array([0.0]), 1)[0])
         self.m1 = float(profile.mu(np.array([2.0]))[0])
-        self.parts = []
+        self.parts = [BasePart(profile)]   # every part, in assembly order
+        self.convecting = []               # the Euler and layer parts
         self.pending_u = {"minus": [], "plus": []}
         self.pending_v = {"minus": [], "plus": []}
-        self.base = BasePart(profile)
-        self.parts.append(self.base)
         # corner ramp: forcings and aux pressures only absorb residual terms
         # where the inflow-corner singularities are resolvable; the sliver
         # below a few reporting cells stays in the measured remainder.
-        hx = channel_target.grid.x[1] - channel_target.grid.x[0]
-        L = channel_target.grid.L
-        width = max(L / 3.0, 8.0 * hx)
+        hx = self.hx
+        width = max(grid.L / 3.0, 8.0 * hx)
         self.ramp = {}
         self.ramp_aux = {}
-        for side, tgt in (("minus", minus_target), ("plus", plus_target)):
+        for side, tgt in self.walls.items():
             # forcing absorption ramps on the macro scale (re-expanding sharp
             # onsets would amplify); the aux kill only needs the corner guard
             self.ramp[side] = _smoothstep((tgt.grid.x - 2.0 * hx) / width)[:, None]
@@ -641,7 +577,7 @@ class Cascade:
     def layer_forcing(self, side, index):
         """Forcing for the next layer plus its recorded component breakdown."""
         q = self.eq_scale(side, index)
-        tgt = self.targets[side]
+        tgt = self.walls[side]
         ramp = self.ramp[side]
         comps = {}
         for tag, f in self.pending_u[side]:
@@ -655,40 +591,34 @@ class Cascade:
     # -- adding correctors ----------------------------------------------------
 
     def _push_quads(self, new_part, sides=("minus", "plus")):
+        # base x layer is handled analytically in add_layer, and the aux
+        # pressures have no convection products
         for side in sides:
-            tgt = self.targets[side]
-            for Q in self.parts:
-                if Q.is_base:
-                    continue  # base x layer handled analytically in add_layer
-                if Q.layer_side is not None and new_part.layer_side is not None \
-                        and Q.layer_side != new_part.layer_side:
-                    continue  # disjoint cut supports
-                if Q.layer_side is not None and Q.layer_side != side:
-                    continue  # a layer of the other wall contributes nothing here
-                if new_part.layer_side is not None and new_part.layer_side != side:
-                    continue
-                if isinstance(Q, AuxPart) or isinstance(new_part, AuxPart):
-                    continue  # pressure-only parts have no convection products
-                if Q.is_euler and new_part.is_euler:
+            for Q in self.convecting:
+                pair = {Q.side, new_part.side}
+                if pair == {None}:
                     continue  # Euler-Euler stays in the measured remainder
-                self._push(side, "u", "quad", _pair_terms(new_part, Q, tgt, "u"))
-                self._push(side, "v", "quad", _pair_terms(new_part, Q, tgt, "v"))
+                if pair - {None, side}:
+                    continue  # a layer of the other wall contributes nothing here
+                self._push(side, "u", "quad", _pair_terms(new_part, Q, side, "u"))
+                self._push(side, "v", "quad", _pair_terms(new_part, Q, side, "v"))
 
     def add_euler(self, corrector, prefac, channel_ops):
         rhs_x = (self.profile.mu(corrector.grid.y, 2)
                  if corrector.side == "first" else np.zeros(corrector.grid.ny))
-        part = EulerPart(corrector, prefac, channel_ops, self.profile, rhs_x)
+        part = EulerPart(corrector, prefac, channel_ops, self.profile, rhs_x,
+                         self.walls)
         self._push_quads(part)
         self.parts.append(part)
+        self.convecting.append(part)
         return part
 
     def add_layer(self, layer, index):
         side = layer.side
-        tgt = self.targets[side]
+        tgt = self.walls[side]
         cu = self.u_prefac(side, index)
         q = self.eq_scale(side, index)
-        hx = self.targets["channel"].grid.x[1] - self.targets["channel"].grid.x[0]
-        cut = CutLayer(layer, self.a0, self.eps, x2_floor=1.5 * hx)
+        cut = CutLayer(layer, self.a0, self.eps, x2_floor=1.5 * self.hx)
         part = LayerPart(cut, cu)
         mu_y = self.profile.mu(tgt.y_of_Y)
         mup_y = self.profile.mu(tgt.y_of_Y, 1)
@@ -726,12 +656,13 @@ class Cascade:
         if shear is not None:
             self._push(side, "u", "shear", shear)
         # vertical momentum: base convection + viscous of the layer's v
-        nf = part.fields(tgt)
+        nf = part.fields
         self._push(side, "v", "vmom", mu_y[None, :] * nf["vx"] - self.eps * nf["lap_v"])
-        self._push(side, "v", "vmom", _self_terms(part, tgt, "v"))
-        self._push(side, "u", "quad", _self_terms(part, tgt, "u"))
+        self._push(side, "v", "vmom", _self_terms(part, side, "v"))
+        self._push(side, "u", "quad", _self_terms(part, side, "u"))
         self._push_quads(part, sides=(side,))
         self.parts.append(part)
+        self.convecting.append(part)
         return part
 
     def make_aux(self, side):
@@ -739,8 +670,7 @@ class Cascade:
         # its eps^2-order x-gradient (like the layers' viscous-x leftover)
         # stays in the measured remainder: fed into the next forcing it would
         # re-amplify marching dust by 1/q per level at desk resolutions
-        tgt = self.targets[side]
-        lgrid = tgt.grid
+        lgrid = self.walls[side].grid
         ramp = self.ramp_aux[side]
         pv = ramp * sum((f for _, f in self.pending_v[side]),
                         np.zeros(lgrid.shape))

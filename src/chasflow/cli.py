@@ -19,9 +19,9 @@ from .discretization import Field2D, GridResolutionError
 from .expansion import ExpansionError, expansion_report
 from .nonlinear import ConvergenceError, ForcingError, newton_solve
 from .profiles import ProfileError
-from .verification import (RunSpec, audit_invariants, construct_point,
-                           report_to_csv, report_to_json, run_sweep,
-                           solve_point)
+from .verification import (ConfigError, RunSpec, audit_invariants,
+                           construct_point, report_to_csv, report_to_json,
+                           run_sweep, solve_point)
 
 log = logging.getLogger("chasflow")
 
@@ -81,10 +81,6 @@ SWEEP_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _coerce(key, raw):
     typ, _ = SCHEMA[key]
     if typ is bool:
@@ -131,11 +127,14 @@ def _parse_epsilons(text):
         tok = tok.strip()
         if not tok:
             continue
-        if "**" in tok:
-            base, exp = tok.split("**")
-            vals.append(float(base) ** float(exp))
-        else:
-            vals.append(float(tok))
+        try:
+            if "**" in tok:
+                base, exp = tok.split("**")
+                vals.append(float(base) ** float(exp))
+            else:
+                vals.append(float(tok))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep.epsilons: cannot read {tok!r} ({exc})")
     return vals
 
 
@@ -302,15 +301,14 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](cfg, args)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but raised by a failed factorization or fit
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ConfigError, ProfileError, ForcingError, ExpansionError,
-            GridResolutionError, ValueError) as exc:
+            GridResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, RuntimeError, FloatingPointError) as exc:
+    # any other ValueError (a failed factorization or fit among them) comes
+    # from the numerics: every config value is checked before a point runs
+    except (ConvergenceError, RuntimeError, FloatingPointError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

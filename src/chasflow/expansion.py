@@ -14,15 +14,18 @@ import numpy as np
 
 from .discretization import ChannelGrid, DiffOps, HalfLineGrid
 from .euler_correctors import EulerSolver
-from .boundary_layers import (Cascade, ChannelTarget, LayerTarget, S_EXP,
-                              solve_layer_minus, solve_layer_plus,
-                              interp_layer_field, restrict_channel_field)
+from .boundary_layers import (BasePart, Cascade, S_EXP, solve_layer_minus,
+                              solve_layer_plus)
 from .profiles import check_couette_degeneracy
 
 CASES = ("poiseuille_couette_noforce", "couette_noforce", "forced")
 SCHEMES = ("be", "cn")
 LAYER_SUB = 24                           # graded sub-steps in the first x cell
 AUX_LIMIT = {"minus": 5, "plus": 3}      # levels that get an aux pressure
+# assembled field <- part key (see boundary_layers' parts)
+ASSEMBLED = (("u_s", "u"), ("v_s", "v"), ("us_x", "ux"), ("us_y", "uy"),
+             ("vs_x", "vx"), ("vs_y", "vy"), ("lap_us", "lap_u"),
+             ("lap_vs", "lap_v"), ("P_s", "P"), ("Ps_x", "px"), ("Ps_y", "py"))
 
 
 class ExpansionError(RuntimeError):
@@ -46,6 +49,11 @@ class ExpansionConfig:
             raise ExpansionError("a0 must lie in (0, 1]")
         if scheme not in SCHEMES:
             raise ExpansionError(f"scheme must be one of {SCHEMES}")
+        if layer_nY < 4:
+            raise ExpansionError("layer_nY must be >= 4 (the d2 stencil)")
+        if not ext_factor >= 1.0:
+            raise ExpansionError("ext_factor must be >= 1: the corrector "
+                                 "strip has to cover the channel")
         self.eps = float(eps)
         self.M = int(M)
         self.gamma = float(gamma)
@@ -142,31 +150,18 @@ def construct_expansion(profile, config, grid):
             raise ExpansionError(
                 f"degeneracy gate failed: sup|mu''/mu|={gate['sup_ratio2']:.3g}, "
                 f"|mu'''/mu|_Ck={gate['ratio3_ck']:.3g}")
-        _build_couette(res, profile, config, grid, ops)
+        _build_couette(res, profile, config, grid)
     else:
-        _build_direct(res, profile, config, grid, ops)
+        _build_direct(res, profile, config, grid)
 
     compute_remainders(res)
     return res
 
 
-def _base_fields(profile, grid):
-    mu = profile.mu(grid.y)
-    z = np.zeros((grid.nx, grid.ny))
-    return {
-        "u_s": np.tile(mu, (grid.nx, 1)), "v_s": z.copy(),
-        "us_x": z.copy(), "us_y": np.tile(profile.mu(grid.y, 1), (grid.nx, 1)),
-        "vs_x": z.copy(), "vs_y": z.copy(),
-        "lap_us": np.tile(profile.mu(grid.y, 2), (grid.nx, 1)),
-        "lap_vs": z.copy(),
-        "P_s": z.copy(), "Ps_x": z.copy(), "Ps_y": z.copy(),
-    }
-
-
-def _build_direct(res, profile, config, grid, ops):
+def _build_direct(res, profile, config, grid):
     """Cases (i) and (iii): u_s = (mu, 0) with the family pressure."""
     eps = config.eps
-    f = _base_fields(profile, grid)
+    f = _assemble([BasePart(profile)], grid)
     if config.case == "poiseuille_couette_noforce":
         # P_s = eps U'' x = -2 eps alpha2 x
         f["P_s"] = -2.0 * eps * profile.alpha2 * grid.XX
@@ -174,7 +169,7 @@ def _build_direct(res, profile, config, grid, ops):
     res.fields = f
 
 
-def _build_couette(res, profile, config, grid, ops):
+def _build_couette(res, profile, config, grid):
     eps, M, a0 = config.eps, config.M, config.a0
     grid_ext = _extended_grid(grid, config.ext_factor)
     ops_ext = DiffOps(grid_ext.x, grid_ext.y)
@@ -188,10 +183,7 @@ def _build_couette(res, profile, config, grid, ops):
         grids[side] = HalfLineGrid(grid_ext.L, None, config.layer_nY,
                                    Ymax=ymax, x=lay_x)
 
-    tgt_c = ChannelTarget(grid_ext, ops_ext)
-    tgt_m = LayerTarget("minus", grids["minus"], eps)
-    tgt_p = LayerTarget("plus", grids["plus"], eps)
-    casc = Cascade(profile, eps, a0, tgt_c, tgt_m, tgt_p)
+    casc = Cascade(profile, eps, a0, grid_ext, grids)
     res.cascade = casc
 
     solver = EulerSolver(grid_ext, profile, ops=ops_ext)
@@ -239,12 +231,12 @@ def _build_couette(res, profile, config, grid, ops):
                 res.correctors.euler.append(ue)
                 casc.add_euler(ue, casc.u_prefac(side, i + 1), ops_ext)
 
-    _assemble(res, grid, ops)
+    res.fields = _assemble(casc.parts, grid)
     res.report["dumped"] = casc.dumped_report()
-    res.report["opposite_wall_traces"] = _opposite_wall_traces(res, grid_ext)
+    res.report["opposite_wall_traces"] = _opposite_wall_traces(res)
 
 
-def _opposite_wall_traces(res, grid_ext):
+def _opposite_wall_traces(res):
     """max |v_e^{i,+}| on y=0 and |v_e^{i,-}| on y=2 over the reported x range."""
     nx = res.grid.nx
     out = {}
@@ -258,34 +250,19 @@ def _opposite_wall_traces(res, grid_ext):
     return out
 
 
-def _assemble(res, grid, ops):
-    """Sum all parts on the reporting grid (semi-analytic derivatives)."""
-    casc = res.cascade
-    tgt = ChannelTarget(grid, ops)
-    res._report_target = tgt
-    f = {k: np.zeros(grid.shape) for k in
-         ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y", "lap_us", "lap_vs",
-          "P_s", "Ps_x", "Ps_y")}
-    key_map = (("u_s", "u"), ("v_s", "v"), ("us_x", "ux"), ("us_y", "uy"),
-               ("vs_x", "vx"), ("vs_y", "vy"), ("lap_us", "lap_u"),
-               ("lap_vs", "lap_v"), ("Ps_x", "px"), ("Ps_y", "py"))
-    for part in casc.parts:
-        pf = part.fields(tgt)
-        for dst, src in key_map:
-            f[dst] = f[dst] + pf[src]
-        f["P_s"] = f["P_s"] + _part_pressure(part, res, tgt)
-    res.fields = f
+def _assemble(parts, grid):
+    """Sum the parts on the reporting grid (semi-analytic derivatives).
 
-
-def _part_pressure(part, res, tgt):
-    from .boundary_layers import AuxPart
-    if part.is_euler:
-        return part.prefac * restrict_channel_field(part.corr.P, part.corr.grid,
-                                                    tgt.grid)
-    if isinstance(part, AuxPart):
-        return interp_layer_field(part.Pi_phys, part.lgrid, part.layer_side,
-                                  part.eps, tgt.grid.x, tgt.grid.y)
-    return np.zeros(tgt.grid.shape)
+    Each sum starts at +0.0 and takes the parts in order; a part adds only
+    the keys it has, which changes no bit, since such a sum never holds -0.0.
+    """
+    f = {dst: np.zeros(grid.shape) for dst, _ in ASSEMBLED}
+    for part in parts:
+        pf = part.channel_fields(grid)
+        for dst, src in ASSEMBLED:
+            if src in pf:
+                f[dst] = f[dst] + pf[src]
+    return f
 
 
 def compute_remainders(res):

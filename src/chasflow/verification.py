@@ -40,6 +40,10 @@ PROVEN = {
 EXACT_LEVEL = 1e-11
 
 
+class ConfigError(ValueError):
+    """A setting that no run can use, raised before any point runs."""
+
+
 class RunSpec:
     """Everything one point of the pipeline needs but eps, validated once
     so that a bad sweep setting fails before any point runs.  The grid
@@ -62,6 +66,16 @@ class RunSpec:
                                  "scheme": scheme}
         self.tol, self.max_iter = tol, max_iter
         # every check that does not depend on eps, made once
+        if not L > 0:
+            raise ConfigError("L must be positive")
+        if nx < 8:   # ny is refined from any start, nx never is
+            raise ConfigError("nx must be >= 8")
+        if not resolve_factor > 0:
+            raise ConfigError("resolve_factor must be positive")
+        if not tol > 0:
+            raise ConfigError("tol must be positive")
+        if max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
         ExpansionConfig(1.0, **self.expansion_kwargs)
         if case == "forced":
             raise ExpansionError("case forced needs a control force g, which "
@@ -174,9 +188,11 @@ def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
     """
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) < 4:
-        raise ValueError("a sweep needs at least 4 epsilon values")
+        raise ConfigError("a sweep needs at least 4 epsilon values")
     if any(e2 >= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilon values must be strictly decreasing")
+        raise ConfigError("epsilon values must be strictly decreasing")
+    if not epsilons[-1] > 0:
+        raise ConfigError("epsilon values must be positive")
     records = []
     failures = []
     audit = None

@@ -5,14 +5,12 @@ from scipy.special import erfc
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chasflow.boundary_layers import (BasePart, CutLayer, LayerTarget,
-                                      MarchError, _dxu_at_inflow,
+from chasflow.boundary_layers import (CutLayer, MarchError, _dxu_at_inflow,
                                       _integral_matrix, _wall_rows,
                                       apply_cutoff, chi, chi_prime,
                                       solve_layer_minus, solve_layer_plus)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
                                      diff_matrix, one_sided_row)
-from chasflow.profiles import build_profile
 
 L = 0.1
 
@@ -281,13 +279,3 @@ def test_channel_divergence_after_cutoff_converges():
         rel.append(ops.norm(div, "L2") / ops.norm(ops.apply(ops.Dx, u), "L2"))
     assert rel[1] < rel[0]
     assert rel[1] < 0.1
-
-
-def test_part_fields_follow_each_target():
-    # a part caches its fields per target; a target freed after use hands
-    # its id on to the next one, which must still get fields of its own grid
-    part = BasePart(build_profile("couette", 1.0, 0.0))
-    grids = [HalfLineGrid(L, 11, 21), HalfLineGrid(L, 17, 33)]
-    for grid in grids * 3:
-        f = part.fields(LayerTarget("minus", grid, 1e-2))
-        assert f["u"].shape == grid.shape

@@ -158,7 +158,16 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
                                  "sweep.pert_amplitude=-0.05",
                                  "sweep.case=forced",
                                  "profile.kind=poiseuille",
-                                 "profile.kind=custom"])
+                                 "profile.kind=custom",
+                                 "expansion.ext_factor=0.5",
+                                 "expansion.layer_ny=3",
+                                 "grid.L=0", "grid.L=-1",
+                                 "grid.resolve_factor=0", "sweep.nx=2",
+                                 "solver.max_iter=0", "solver.tol=-1",
+                                 "sweep.epsilons=1e-1,1e-2,1e-3",
+                                 "sweep.epsilons=1e-1,x,1e-2,1e-3,1e-4",
+                                 "sweep.epsilons=1e-1,1e-3,1e-2,1e-4",
+                                 "sweep.epsilons=1e-1,1e-2,1e-3,-1"])
 def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
                                                    monkeypatch):
     import chasflow.verification as verification
@@ -184,6 +193,19 @@ def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr("chasflow.cli.solve_point", singular)
+    rc = main(["solve", "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_value_error_in_solve_is_numerical_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    # every config value is checked before a point runs, so a ValueError
+    # raised inside the solve (here by scipy) is a numerical failure
+    def bad_interp(spec, eps):
+        raise ValueError("`x` must be strictly increasing sequence.")
+
+    monkeypatch.setattr("chasflow.cli.solve_point", bad_interp)
     rc = main(["solve", "--out", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err

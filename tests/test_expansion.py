@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chasflow.boundary_layers import ChannelTarget
+import chasflow.boundary_layers as bl
 from chasflow.discretization import DiffOps, build_channel_grid
 from chasflow.expansion import (ExpansionConfig, ExpansionError,
                                 construct_expansion, expansion_report)
@@ -28,6 +28,10 @@ def test_config_invariants():
         ExpansionConfig(1e-2, gamma=0.0)
     with pytest.raises(ExpansionError):
         ExpansionConfig(1e-2, case="bogus")
+    with pytest.raises(ExpansionError):
+        ExpansionConfig(1e-2, layer_nY=3)
+    with pytest.raises(ExpansionError):
+        ExpansionConfig(1e-2, ext_factor=0.5)
 
 
 def test_exact_couette_all_zero(couette):
@@ -117,16 +121,52 @@ def test_opposite_wall_traces_small(couette_expansion):
 
 
 def test_assembly_audit_bit_identical(couette_expansion):
-    # re-summing the stored parts reproduces u_s, v_s bit for bit
-    tgt = couette_expansion._report_target
+    # re-summing the stored parts reproduces u_s, v_s bit for bit; a part
+    # without a key (the aux pressures, the base v) adds nothing to it
     u = np.zeros(couette_expansion.grid.shape)
     v = np.zeros(couette_expansion.grid.shape)
     for part in couette_expansion.cascade.parts:
-        pf = part.fields(tgt)
-        u = u + pf["u"]
-        v = v + pf["v"]
+        pf = part.channel_fields(couette_expansion.grid)
+        u = u + pf.get("u", 0.0)
+        v = v + pf.get("v", 0.0)
     assert np.array_equal(u, couette_expansion.fields["u_s"])
     assert np.array_equal(v, couette_expansion.fields["v_s"])
+
+
+def test_euler_convection_follows_each_wall(couette_expansion):
+    # an Euler part's convection keys on a wall are its own fields
+    # interpolated to that wall's layer nodes, one cache entry per wall
+    casc = couette_expansion.cascade
+    part = next(p for p in casc.convecting if p.side is None)
+    for side, wall in casc.walls.items():
+        conv = part.convection(side)
+        assert set(conv) == {"u", "v", "ux", "uy", "vx", "vy"}
+        for key, field in conv.items():
+            assert field.shape == wall.grid.shape
+            direct = bl.interp_channel_field(part.fields[key], part.corr.grid,
+                                             wall.grid.x, wall.y_of_Y)
+            assert np.array_equal(field, direct), (side, key)
+
+
+def test_interpolation_work_per_construct(perturbed_couette, monkeypatch):
+    # each Euler part sends the six convection keys to each wall (3 parts
+    # x 2 walls x 6); each layer sends its 8 nonzero keys and each aux
+    # pressure its 3 to the channel (4 x 8 + 4 x 3)
+    calls = {"interp_channel_field": 0, "interp_layer_field": 0}
+
+    def counting(name):
+        fn = getattr(bl, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(bl, name, counting(name))
+    grid = build_channel_grid(L, 32, 64, 1e-2)
+    construct_expansion(perturbed_couette, ExpansionConfig(1e-2, M=2), grid)
+    assert calls == {"interp_channel_field": 36, "interp_layer_field": 44}
 
 
 def test_forcing_component_sum_audit(perturbed_couette):

@@ -11,6 +11,9 @@ chasflow imported from this checkout's ``src`` and ``OPENBLAS_NUM_THREADS=1``,
 and writes its artifacts to ``OUT/<name>/``:
 
 - ``construct`` at eps = 1e-1, 1e-2 and 1e-3 (amplitude 0.05);
+- a case-(i) ``construct`` with the profile and case keys of
+  ``perfbench/run.py`` ``ORACLE`` at eps = 1e-2 (amplitude 0.05), the
+  direct path that bypasses the corrector cascade;
 - the couette sweep (the default plan, amplitude 0.05);
 - the family sweep (``perfbench/run.py`` ``FAMILY``, amplitude 0.05);
 - the oracle ``solve`` (``perfbench/run.py`` ``ORACLE``, amplitude 0.05);
@@ -51,6 +54,9 @@ def commands():
                               "profile.perturbation.amplitude=0.05"])
         for eps in ("1e-1", "1e-2", "1e-3")
     }
+    sets["construct_family_1e-2"] = (
+        "construct", [k for k in oracle if k.startswith(("profile.", "expansion."))]
+        + ["profile.perturbation.amplitude=0.05"])
     sets["couette_sweep"] = ("sweep", ["sweep.pert_amplitude=0.05"])
     sets["family_sweep"] = ("sweep", family + ["sweep.pert_amplitude=0.05"])
     sets["oracle_solve"] = ("solve",
