@@ -118,7 +118,24 @@ def load_config(path=None, overrides=()):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _coerce(key, raw)
+    # values no command can use, checked whichever command runs: a sweep
+    # reads sweep.min_layer_nodes in place of grid.min_layer_nodes, and only
+    # construct reads output.formats
+    for key in ("grid.min_layer_nodes", "sweep.min_layer_nodes"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    _formats(cfg)
     return cfg
+
+
+def _formats(cfg):
+    """The output.formats tokens; json and csv are the only ones."""
+    tokens = {tok.strip() for tok in cfg["output.formats"].split(",")} - {""}
+    unknown = sorted(tokens - {"json", "csv"})
+    if unknown:
+        raise ConfigError(f"output.formats: unknown format(s) {unknown}; "
+                          "use json and/or csv")
+    return tokens
 
 
 def _parse_epsilons(text):
@@ -174,7 +191,7 @@ def _outdir(cfg, args):
 def cmd_construct(cfg, args):
     expansion = construct_point(_run_spec(cfg), cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
-    formats = cfg["output.formats"].split(",")
+    formats = _formats(cfg)
     for name in ("u_s", "v_s", "P_s"):
         field = Field2D(expansion.grid, expansion.fields[name])
         if "csv" in formats:

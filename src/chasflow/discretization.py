@@ -1,4 +1,4 @@
-"""Grids, sparse difference operators, quadrature and discrete norms.
+"""Grids, sparse difference operators and their LU, quadrature and norms.
 
 Everything downstream (Euler correctors, boundary layers, the biharmonic
 stream-function solver) is built on the tensor-product channel grid and the
@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 MAGIC = b"CHAS"
 BINARY_VERSION = 1
@@ -144,6 +145,91 @@ def replace_rows(A, rows):
     v = [A.data[kept]] + [vals for _, vals in rows.values()]
     ij = (np.concatenate(i), np.concatenate(j))
     return sp.coo_matrix((np.concatenate(v), ij), shape=A.shape).tocsc()
+
+
+# Geometric nested dissection of the tensor-grid systems (George, SIAM J.
+# Numer. Anal. 10, 1973).  A separator three node lines wide disconnects
+# the two halves for every interior stencil that reaches at most three
+# nodes, as the seven-point d4 of the biharmonic does; blocks of at most
+# ND_LEAF nodes keep their natural order.  SuperLU pivots on the diagonal
+# unless it is below ND_PIVOT times the largest entry of its column.  With
+# 0 (never pivot) the backward error at 48x96 was 20x COLAMD's on the
+# stream-function system and 7000x on the bordered pressure system.
+ND_SEPARATOR = 3
+ND_LEAF = 64
+ND_PIVOT = 0.01
+
+
+@functools.lru_cache(maxsize=8)
+def nested_dissection(nx, ny):
+    """Elimination order of the nodes of an nx x ny grid (C-order numbers).
+
+    Each block of more than ND_LEAF nodes is cut across its longer side by
+    ND_SEPARATOR node lines; the two halves come first, each ordered the
+    same way, and the separator last.  Read-only, shared by every caller.
+    """
+    node = np.arange(nx * ny).reshape(nx, ny)
+    parts = []
+
+    def order(block):
+        ni, nj = block.shape
+        if ni * nj <= ND_LEAF:
+            parts.append(block.ravel())
+            return
+        # more than ND_LEAF nodes make the longer side at least 9 nodes, so
+        # both halves are nonempty
+        axis = 0 if ni >= nj else 1
+        mid = (block.shape[axis] - ND_SEPARATOR) // 2
+        low, separator, high = np.split(block, [mid, mid + ND_SEPARATOR],
+                                        axis=axis)
+        order(low)
+        order(high)
+        parts.append(separator.ravel())
+
+    order(node)
+    perm = np.concatenate(parts)
+    perm.flags.writeable = False
+    return perm
+
+
+class GridLU:
+    """Sparse LU of a system whose unknowns are eliminated in order ``perm``.
+
+    ``solve(b)`` takes and returns vectors in the system's own numbering.
+    ``L`` and ``U`` are the factors of the permuted system (SuperLU builds
+    them on each access).
+    """
+
+    def __init__(self, lu, perm):
+        self._lu = lu
+        self.perm = perm
+
+    def solve(self, b):
+        x = np.empty(self.perm.size)
+        x[self.perm] = self._lu.solve(np.asarray(b, dtype=float)[self.perm])
+        return x
+
+    @property
+    def L(self):
+        return self._lu.L
+
+    @property
+    def U(self):
+        return self._lu.U
+
+
+def grid_lu(A, nx, ny):
+    """LU of a system whose first nx*ny unknowns are the nodes of an
+    nx x ny grid, ordered by nested dissection; any further (border)
+    unknowns, such as a Lagrange multiplier, are eliminated last."""
+    n = A.shape[0]
+    perm = np.concatenate([nested_dissection(nx, ny), np.arange(nx * ny, n)])
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    A = A.tocoo()
+    B = sp.csc_matrix((A.data, (rank[A.row], rank[A.col])), shape=A.shape)
+    lu = spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
+    return GridLU(lu, perm)
 
 
 def trapezoid_weights(x):

@@ -10,9 +10,9 @@ u = -int_0^x v_y and the pressure from the x-momentum balance.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .discretization import DiffOps, cumtrapz0, one_sided_row, replace_rows
+from .discretization import (DiffOps, cumtrapz0, grid_lu, one_sided_row,
+                             replace_rows)
 
 SIDES = ("first", "plus", "minus")
 
@@ -109,7 +109,7 @@ class EulerSolver:
     def _factorize(self, side):
         if side not in self._lu:
             A, kind = self._assemble(side)
-            self._lu[side] = spla.splu(A)
+            self._lu[side] = grid_lu(A, self.grid.nx, self.grid.ny)
             self._rows[side] = kind
         return self._lu[side], self._rows[side]
 

@@ -10,9 +10,9 @@ and the weighted solution norm) live here as well.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .discretization import DiffOps, diff_matrix, one_sided_row, replace_rows
+from .discretization import (DiffOps, diff_matrix, grid_lu, one_sided_row,
+                             replace_rows)
 
 
 class LinearSolveError(RuntimeError):
@@ -131,7 +131,7 @@ def solve_biharmonic(f, grid, ops=None):
         b[r] = 0.0
     A, d = _row_scale(A)
     try:
-        psi = spla.splu(A).solve(b / d)
+        psi = grid_lu(A, grid.nx, grid.ny).solve(b / d)
     except RuntimeError as exc:
         raise LinearSolveError(f"biharmonic solve failed: {exc}")
     if not np.all(np.isfinite(psi)):
@@ -166,7 +166,7 @@ def factorize_linearized(problem):
     """LU of the (row-scaled) linearized operator with boundary rows."""
     rows = _bc_rows(problem.grid)
     A, d = _row_scale(replace_rows(assemble_linearized_operator(problem), rows))
-    return (spla.splu(A), d, rows)
+    return (grid_lu(A, problem.grid.nx, problem.grid.ny), d, rows)
 
 
 def solve_curl_rhs(problem, curl, lu=None):
@@ -266,7 +266,7 @@ def recover_pressure(sol, problem):
     Ab = sp.bmat([[A, col.reshape(-1, 1)],
                   [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
     bb = np.concatenate([b, [0.0]])
-    P = spla.splu(Ab).solve(bb)[:-1].reshape(nx, ny)
+    P = grid_lu(Ab, nx, ny).solve(bb)[:-1].reshape(nx, ny)
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
     sol.P = P
     return P

@@ -7,9 +7,8 @@ Newton solve of the same discrete system serves as an independent oracle.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .discretization import replace_rows
+from .discretization import grid_lu, replace_rows
 from .linearized import (LinearizedProblem, factorize_linearized,
                          solve_linearized, recover_pressure,
                          momentum_residual, compute_norms, RemainderSolution,
@@ -192,7 +191,7 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
             break
         J = A_bc - sp.diags(mask) @ _newton_jacobian_curlN(prob, u, v)
         J, d = _row_scale(J)
-        delta = spla.splu(J).solve(-G / d)
+        delta = grid_lu(J, grid.nx, grid.ny).solve(-G / d)
         step = 1.0
         for _ in range(20):
             G_new, u_new, v_new = residual(psi + step * delta)

@@ -72,6 +72,8 @@ class RunSpec:
             raise ConfigError("nx must be >= 8")
         if not resolve_factor > 0:
             raise ConfigError("resolve_factor must be positive")
+        if min_layer_nodes < 1:
+            raise ConfigError("min_layer_nodes must be >= 1")
         if not tol > 0:
             raise ConfigError("tol must be positive")
         if max_iter < 1:

@@ -163,6 +163,8 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
                                  "expansion.layer_ny=3",
                                  "grid.L=0", "grid.L=-1",
                                  "grid.resolve_factor=0", "sweep.nx=2",
+                                 "sweep.min_layer_nodes=0",
+                                 "grid.min_layer_nodes=-3",
                                  "solver.max_iter=0", "solver.tol=-1",
                                  "sweep.epsilons=1e-1,1e-2,1e-3",
                                  "sweep.epsilons=1e-1,x,1e-2,1e-3,1e-4",
@@ -179,6 +181,19 @@ def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
     rc = main(SMALL_SWEEP + ["--set", bad, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formats", ["xyz", "json,cvs"])
+def test_unknown_output_format_is_config_error(formats, tmp_path, capsys,
+                                               monkeypatch):
+    def no_construct(spec, eps):
+        raise AssertionError("construct ran")
+
+    monkeypatch.setattr("chasflow.cli.construct_point", no_construct)
+    rc = main(["construct", "--set", f"output.formats={formats}",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "output.formats" in capsys.readouterr().err
 
 
 def test_unknown_scheme_is_config_error(tmp_path, capsys):

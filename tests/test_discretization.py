@@ -3,13 +3,14 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, HalfLineGrid,
                                      _fix_low_moments, build_channel_grid,
-                                     diff_matrix, mms_convergence,
-                                     one_sided_row, replace_rows,
-                                     tanh_stretched)
+                                     diff_matrix, grid_lu, mms_convergence,
+                                     nested_dissection, one_sided_row,
+                                     replace_rows, tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
 from chasflow.linearized import (LinearizedProblem, _bc_rows,
                                  assemble_linearized_operator)
@@ -308,3 +309,87 @@ def test_replace_rows_keeps_explicit_zeros():
     assert same_arrays(out, lil_replace_rows(A, _as_assignments(rows)))
     assert out.nnz == 14
     assert A.nnz == 16 and A.data[1] == 0.0
+
+
+# -- nested-dissection LU of the tensor-grid systems -------------------------
+
+@pytest.mark.parametrize("nx, ny, border", [(24, 48, 0), (25, 47, 0),
+                                             (9, 96, 0), (60, 96, 0),
+                                             (24, 48, 1)])
+def test_grid_order_is_a_permutation(nx, ny, border):
+    n = nx * ny
+    perm = nested_dissection(nx, ny)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    A = sp.identity(n + border, format="csc")
+    lu = grid_lu(A, nx, ny)
+    assert np.array_equal(np.sort(lu.perm), np.arange(n + border))
+    assert np.array_equal(lu.perm[n:], np.arange(n, n + border))  # border last
+    assert nested_dissection(nx, ny) is perm                       # cached
+
+
+@pytest.fixture(scope="module")
+def grid_systems():
+    """name -> (A, nx, ny): the last system of each kind that the library
+    factors on a 24x48 grid, caught at its call of ``grid_lu``.  The last
+    Newton Jacobian carries the nonlinear terms of a nonzero iterate."""
+    import chasflow.euler_correctors as euler
+    import chasflow.linearized as linearized
+    import chasflow.nonlinear as nonlinear
+    from chasflow.expansion import ExpansionConfig, construct_expansion
+    from chasflow.nonlinear import build_case_forcing, newton_solve
+    from chasflow.profiles import PerturbationSpec, build_profile
+
+    eps, M0 = 1e-2, 11.0 / 8.0 + 0.05
+    grid = build_channel_grid(0.1, 24, 48, eps)
+    ops = DiffOps(grid.x, grid.y)
+    systems = {}
+
+    def catch(name):
+        def lu(A, nx, ny):
+            systems[name] = (A.tocsc(), nx, ny)
+            return grid_lu(A, nx, ny)
+        return lu
+
+    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
+    prof = build_profile("poiseuille_couette", 0.5, 0.5, perturbation=pert,
+                         eps=eps)
+    exp = construct_expansion(prof, ExpansionConfig(
+        eps, case="poiseuille_couette_noforce"), grid)
+    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid, ops,
+                                 eps, M0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linearized, "grid_lu", catch("biharmonic"))
+        linearized.solve_biharmonic(np.ones(grid.shape), grid, ops)
+        mp.setattr(linearized, "grid_lu", catch("linearized"))
+        linearized.factorize_linearized(LinearizedProblem(
+            exp.fields, eps, M0, grid=grid, ops=ops))
+        mp.setattr(nonlinear, "grid_lu", catch("newton"))
+        mp.setattr(linearized, "grid_lu", catch("pressure"))
+        newton_solve(exp.fields, forcing, eps, M0, grid, ops)
+        mp.setattr(euler, "grid_lu", catch("euler"))
+        euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._factorize(
+            "minus")
+    return systems
+
+
+def _backward_error(A, x, b):
+    """Normwise backward error |Ax - b| / (|A| |x| + |b|), infinity norms."""
+    return (np.abs(A @ x - b).max()
+            / (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()))
+
+
+@pytest.mark.parametrize("name", ["biharmonic", "linearized", "newton",
+                                  "euler", "pressure"])
+def test_grid_lu_matches_colamd(grid_systems, name):
+    A, nx, ny = grid_systems[name]
+    assert A.shape[0] == nx * ny + (name == "pressure")
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    x = grid_lu(A, nx, ny).solve(b)
+    x_ref = spla.splu(A).solve(b)
+    err, err_ref = _backward_error(A, x, b), _backward_error(A, x_ref, b)
+    assert err <= 10.0 * err_ref, (err, err_ref)
+    # both are backward stable, so they differ by at most the condition
+    # number times their backward errors
+    kappa = np.linalg.cond(A.toarray(), np.inf)
+    gap = np.abs(x - x_ref).max() / np.abs(x_ref).max()
+    assert gap <= 4.0 * kappa * (err + err_ref), (gap, kappa)

@@ -6,9 +6,9 @@ import pytest
 from chasflow.discretization import DiffOps, build_channel_grid
 from chasflow.expansion import ExpansionConfig, construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
-from chasflow.verification import (RunSpec, audit_invariants, fit_quantity,
-                                   report_to_csv, report_to_json, run_point,
-                                   run_sweep)
+from chasflow.verification import (ConfigError, RunSpec, audit_invariants,
+                                   fit_quantity, report_to_csv, report_to_json,
+                                   run_point, run_sweep)
 
 L = 0.1
 EPS = 1e-2
@@ -21,6 +21,8 @@ def test_sweep_plan_validation():
     with pytest.raises(ValueError):
         run_sweep(RunSpec("couette_noforce"),
                   epsilons=(1e-1, 1e-1, 1e-2, 1e-3))
+    with pytest.raises(ConfigError):   # a vacuous layer-resolution check
+        RunSpec("couette_noforce", min_layer_nodes=0)
 
 
 def test_fit_quantity_synthetic():

@@ -21,18 +21,26 @@ and writes its artifacts to ``OUT/<name>/``:
 
 Run it in two checkouts to show that a change leaves every report byte
 for byte as it was.  ``--compare A B`` lists every file that differs or
-exists on one side only, and exits 1 if there is any.
+exists on one side only, and exits 1 if there is any.  For a JSON file that
+differs it also sizes the move: the largest relative move over the numeric
+leaves with ``max(|a|, |b|) >= 1e-12``, the largest absolute move over the
+smaller ones (round-off-level audits), and every other leaf that differs.
 """
 
 import argparse
 import filecmp
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# below this magnitude a value is round-off, and only its absolute move counts
+TINY = 1e-12
 
 
 def _perfbench_sets():
@@ -95,6 +103,68 @@ def differing(a, b):
     return [str(p) for p in out], len(files_a | files_b)
 
 
+def _leaves(node, path="$"):
+    """(path, value) of every leaf of a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def json_moves(a, b):
+    """How far two JSON documents are apart, leaf by leaf.
+
+    Returns (relative, absolute, others): the largest relative move
+    ``|a - b| / max(|a|, |b|)`` over numeric leaves with
+    ``max(|a|, |b|) >= TINY`` and the largest ``|a - b|`` over the rest,
+    each as (move, path) or None when no leaf of its kind moved, and the
+    (path, a, b) of every other leaf that differs or exists on one side
+    only (verdicts, notes, non-finite values).
+    """
+    leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
+    relative = absolute = None
+    others = []
+    for path in sorted(leaves_a.keys() | leaves_b.keys()):
+        va, vb = leaves_a.get(path), leaves_b.get(path)
+        if path in leaves_a and path in leaves_b and _number(va) and _number(vb):
+            if va == vb:
+                continue
+            scale = max(abs(va), abs(vb))
+            if scale >= TINY:
+                move = (abs(va - vb) / scale, path)
+                relative = max(relative or move, move)
+            else:
+                move = (abs(va - vb), path)
+                absolute = max(absolute or move, move)
+        elif (path not in leaves_a or path not in leaves_b
+              or repr(va) != repr(vb)):
+            others.append((path, leaves_a.get(path, "<absent>"),
+                           leaves_b.get(path, "<absent>")))
+    return relative, absolute, others
+
+
+def _print_moves(a, b):
+    with open(a) as fa, open(b) as fb:
+        relative, absolute, others = json_moves(json.load(fa), json.load(fb))
+    if relative:
+        print(f"  largest relative move {relative[0]:.3g} at {relative[1]}")
+    if absolute:
+        print(f"  largest absolute move {absolute[0]:.3g} at {absolute[1]} "
+              f"(|value| < {TINY:g})")
+    for path, va, vb in others:
+        print(f"  differs at {path}: {va!r} -> {vb!r}")
+    return relative
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="directory to write")
@@ -102,9 +172,19 @@ def main(argv=None):
                         help="compare two written directories")
     args = parser.parse_args(argv)
     if args.compare:
-        diff, total = differing(*args.compare)
+        a, b = (Path(d) for d in args.compare)
+        diff, total = differing(a, b)
+        largest = None
         for name in diff:
             print(f"differs: {name}")
+            if (name.endswith(".json") and (a / name).is_file()
+                    and (b / name).is_file()):
+                move = _print_moves(a / name, b / name)
+                if move:
+                    largest = max(largest or move, (move[0], f"{name} {move[1]}"))
+        if largest:
+            print(f"largest relative move over all JSON files: "
+                  f"{largest[0]:.3g} at {largest[1]}")
         print(f"{total - len(diff)}/{total} files identical")
         return 1 if diff else 0
     if args.out is None:
