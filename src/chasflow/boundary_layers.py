@@ -14,17 +14,20 @@ the accumulated sum as its forcing, and an auxiliary layer pressure zeroes
 the pending vertical-momentum terms order by order.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import PchipInterpolator
 
-from .discretization import diff_matrix, cumtrapz0, one_sided_row
+from .discretization import cumtrapz0, diff_matrix, one_sided_row, pchip_operator
 
 SIGN_Y = {"minus": 1.0, "plus": -1.0}   # d/dy -> SIGN_Y * eps^(-s) d/dY
 S_EXP = {"minus": 1.0 / 3.0, "plus": 0.5}
 BE_STEPS = 3     # backward-Euler start-up steps of the "cn" scheme
 BLOWUP = 1e6     # a marched column above this times the data scale fails
+# step LUs each process keeps; a couette sweep factors 128 distinct ones
+MARCH_LU_MEMO = 192
 
 
 class MarchError(RuntimeError):
@@ -204,6 +207,25 @@ class LayerProfile:
         return float(np.sqrt(np.sum(w2 * f * f)))
 
 
+_step_lus = OrderedDict()
+
+
+def _step_lu(A):
+    """splu of a CSC step matrix, shared by every march that builds the same
+    matrix: the layer grids, m_coef and the x steps do not change with eps,
+    so the points of a sweep factor the same matrices."""
+    # the exact arrays are the key, so equal keys are equal matrices
+    key = (A.shape, A.data.tobytes(), A.indices.dtype.str,
+           A.indices.tobytes(), A.indptr.tobytes())
+    lu = _step_lus.pop(key, None)
+    if lu is None:
+        lu = spla.splu(A)
+    _step_lus[key] = lu
+    if len(_step_lus) > MARCH_LU_MEMO:
+        _step_lus.popitem(last=False)
+    return lu
+
+
 def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", g0_tol=None):
     """Implicit theta-scheme march in x for both layer types."""
     x, Y = grid.x, grid.Y
@@ -241,7 +263,7 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", g0_tol=None):
         dx = x[k] - x[k - 1]
         th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
         if (dx, th) not in lus:
-            lus[dx, th] = spla.splu((m_coef / dx) * C - th * D + E)
+            lus[dx, th] = _step_lu((m_coef / dx) * C - th * D + E)
         carry = conv @ U[k - 1]
         if coupled:
             carry += W
@@ -357,19 +379,19 @@ def interp_layer_field(field, lgrid, side, eps, cx, cy):
     s = S_EXP[side]
     Yq = (cy / eps ** s) if side == "minus" else ((2.0 - cy) / eps ** s)
     inside = Yq <= lgrid.Ymax
-    Yc = np.clip(Yq, 0.0, lgrid.Ymax)
-    tmp = PchipInterpolator(lgrid.Y, field, axis=1)(Yc)
-    tmp[:, ~inside] = 0.0
-    out = PchipInterpolator(lgrid.x, tmp, axis=0)(cx)
-    return out
+    # the columns beyond Ymax are +0.0, so only the inside ones interpolate
+    tmp = np.zeros((field.shape[0], cy.size))
+    Yc = np.clip(Yq[inside], 0.0, lgrid.Ymax)
+    tmp[:, inside] = pchip_operator(lgrid.Y, Yc)(field, axis=1)
+    return pchip_operator(lgrid.x, cx)(tmp, axis=0)
 
 
 def interp_channel_field(field, cgrid, xq, yq):
     """Interpolate a channel field to arbitrary (xq, yq) tensor nodes."""
     yc = np.clip(yq, cgrid.y[0], cgrid.y[-1])
     xc = np.clip(xq, cgrid.x[0], cgrid.x[-1])
-    tmp = PchipInterpolator(cgrid.y, field, axis=1)(yc)
-    return PchipInterpolator(cgrid.x, tmp, axis=0)(xc)
+    tmp = pchip_operator(cgrid.y, yc)(field, axis=1)
+    return pchip_operator(cgrid.x, xc)(tmp, axis=0)
 
 
 def restrict_channel_field(field, src, dst):

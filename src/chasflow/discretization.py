@@ -130,6 +130,180 @@ def one_sided_row(x, at_start, deriv, npts):
     return idx, w
 
 
+# (source nodes, query nodes) pairs whose PCHIP operator each process keeps;
+# a couette sweep transfers fields between 23 distinct pairs
+PCHIP_MEMO = 64
+
+
+def pchip_operator(xs, xq):
+    """PCHIP interpolation from nodes xs to the 1-D queries xq, as an
+    operator: ``pchip_operator(xs, xq)(y, axis)`` equals scipy's
+    ``PchipInterpolator(xs, y, axis)(xq)`` bit for bit, extrapolation
+    included.
+
+    Built once per (xs, xq) in each process and shared by every caller.
+    xs needs at least 3 strictly increasing nodes (scipy's linear 2-node
+    rule is not copied).
+    """
+    xs = np.asarray(xs, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    if xs.ndim != 1 or xq.ndim != 1:
+        raise ValueError("pchip_operator needs 1-D nodes and queries")
+    return _pchip_operator(xs.tobytes(), xq.tobytes())
+
+
+@functools.lru_cache(maxsize=PCHIP_MEMO)
+def _pchip_operator(xsbytes, xqbytes):
+    # keyed on the float64 bytes: equal keys are equal nodes, bit for bit
+    return PchipOperator(np.frombuffer(xsbytes), np.frombuffer(xqbytes))
+
+
+def _as_index(ix):
+    """An integer index array as a slice when it runs through consecutive
+    integers, up or down, so that indexing with it makes a view."""
+    if ix.size:
+        step = 1 if ix[-1] >= ix[0] else -1
+        if np.array_equal(ix, ix[0] + step * np.arange(ix.size)):
+            stop = int(ix[-1]) + step
+            return slice(int(ix[0]), None if stop < 0 else stop, step)
+    return ix
+
+
+def _take(a, ix, out):
+    """out = a[ix] (ix a slice or an index array), without a temporary."""
+    if isinstance(ix, slice):
+        np.copyto(out, a[ix])
+    else:
+        # the indices are in range; the default mode="raise" buffers out
+        np.take(a, ix, axis=0, out=out, mode="clip")
+    return out
+
+
+class PchipOperator:
+    """The data-free part of scipy's PCHIP on fixed nodes and queries.
+
+    Each query lies in the interval that scipy's ``PPoly`` picks (the end
+    intervals extrapolate); only the knots of the used intervals get a
+    slope.  A call forms the Fritsch–Butland slopes there (Fritsch and
+    Carlson, SIAM J. Numer. Anal. 17, 1980; Fritsch and Butland, SIAM J.
+    Sci. Stat. Comput. 5, 1984) with the operations of scipy 1.17's
+    ``PchipInterpolator._find_derivatives`` and ``_edge_case``, in their
+    order, then the coefficients as ``CubicHermiteSpline`` forms them and
+    ``PPoly``'s power sum, so every bit, signs of zero included, is
+    scipy's.
+    """
+
+    def __init__(self, xs, xq):
+        n = xs.size
+        if n < 3:
+            raise ValueError(f"PCHIP needs at least 3 nodes, got {n}")
+        if not np.all(np.isfinite(xs)) or np.any(np.diff(xs) <= 0.0):
+            raise ValueError("PCHIP nodes must be finite and strictly increasing")
+        hk = xs[1:] - xs[:-1]
+        iv = np.clip(np.searchsorted(xs, xq, "right") - 1, 0, n - 2)
+        used, at = np.unique(iv, return_inverse=True)
+        knots = np.union1d(used, used + 1)
+        inner = knots[(knots >= 1) & (knots <= n - 2)]
+        first = knots.size > 0 and knots[0] == 0
+        last = knots.size > 0 and knots[-1] == n - 1
+        # secants the slopes read: interior knot k reads k-1 and k, an end
+        # knot the two intervals next to it
+        need = [inner - 1, inner]
+        if first:
+            need.append([0, 1])
+        if last:
+            need.append([n - 2, n - 3])
+        sec = np.unique(np.concatenate(need))
+        col = (-1, 1)
+        self.n, self.nknots = n, knots.size
+        self.sec, self.sec1 = _as_index(sec), _as_index(sec + 1)
+        self.hsec = hk[sec].reshape(col)
+        self.inner = _as_index(np.searchsorted(knots, inner))
+        self.left = _as_index(np.searchsorted(sec, inner - 1))
+        self.right = _as_index(np.searchsorted(sec, inner))
+        w1 = 2 * hk[inner] + hk[inner - 1]
+        w2 = hk[inner] + 2 * hk[inner - 1]
+        self.w1, self.w2 = w1.reshape(col), w2.reshape(col)
+        self.w12 = (w1 + w2).reshape(col)
+        # (knot position, h0, h1, secant of h0, secant of h1) per end knot
+        self.ends = []
+        if first:
+            self.ends.append((0, hk[0], hk[1], *np.searchsorted(sec, [0, 1])))
+        if last:
+            self.ends.append((knots.size - 1, hk[n - 2], hk[n - 3],
+                              *np.searchsorted(sec, [n - 2, n - 3])))
+        lo = np.searchsorted(knots, used)      # knot used + 1 is at lo + 1
+        self.lo, self.hi = _as_index(lo), _as_index(lo + 1)
+        self.useg = _as_index(np.searchsorted(sec, used))
+        self.hused = hk[used].reshape(col)
+        self.at = _as_index(at)
+        self.at_query = _as_index(iv)
+        s = (xq - xs[iv]).reshape(col)
+        self.s, self.s2 = s, s * s
+        self.s3 = self.s2 * s
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+
+    def __call__(self, y, axis=0):
+        """The interpolant of y (values at the nodes along axis) at the
+        queries, which take the place of that axis."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[axis] != self.n:
+            raise ValueError(f"data has {y.shape[axis]} values along axis "
+                             f"{axis}, the nodes {self.n}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("PCHIP data must be finite")
+        y = np.moveaxis(y, axis, 0)
+        rest = y.shape[1:]
+        y = y.reshape(self.n, math.prod(rest))
+        mk = y[self.sec1] - y[self.sec]
+        mk /= self.hsec
+
+        # every knot is interior or an end, so each row of d is set below
+        d = np.empty((self.nknots, y.shape[1]))
+        m0, m1 = mk[self.left], mk[self.right]
+        condition = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+        # an overflowing w/mk makes whmean inf and the slope 1/inf = 0, as
+        # in scipy, which ignores only the division by zero and 0/0 here
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            whmean = self.w1 / m0
+            whmean += self.w2 / m1
+            whmean /= self.w12
+            np.divide(1.0, whmean, out=whmean)
+        np.copyto(whmean, 0.0, where=condition)
+        d[self.inner] = whmean
+        for k, h0, h1, a, b in self.ends:
+            m0, m1 = mk[a], mk[b]
+            dk = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            mask = np.sign(dk) != np.sign(m0)
+            mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(dk) > 3. * np.abs(m0))
+            mmm = (~mask) & mask2
+            dk[mask] = 0.
+            dk[mmm] = 3. * m0[mmm]
+            d[k] = dk
+
+        slope = mk[self.useg]
+        dl = d[self.lo]
+        t = dl + d[self.hi]
+        t -= 2 * slope
+        t /= self.hused
+        c0 = t / self.hused
+        c1 = slope - dl
+        c1 /= self.hused
+        c1 -= t
+        # PPoly's sum ((0 + c3) + c2 s) + c1 s^2 + c0 s^3, into a C-ordered
+        # (query, column) array as PPoly writes it; x + 0.0 is 0.0 + x
+        out = _take(y, self.at_query, np.empty((self.s.shape[0], y.shape[1])))
+        out += 0.0
+        term = np.empty_like(out)
+        for c, p in ((dl, self.s), (c1, self.s2), (c0, self.s3)):
+            _take(c, self.at, term)
+            term *= p
+            out += term
+        return np.moveaxis(out.reshape(out.shape[:1] + rest), 0, axis)
+
+
 def replace_rows(A, rows):
     """A with each row r replaced by rows[r] = (cols, vals), as CSC.
 

@@ -12,7 +12,7 @@ all assembled fields and remainders are restricted to [0, L] by slicing.
 
 import numpy as np
 
-from .discretization import ChannelGrid, DiffOps, HalfLineGrid
+from .discretization import ChannelGrid, DiffOps, HalfLineGrid, pchip_operator
 from .euler_correctors import EulerSolver
 from .boundary_layers import (BasePart, Cascade, S_EXP, solve_layer_minus,
                               solve_layer_plus)
@@ -102,11 +102,6 @@ def _layer_xgrid(x_ext, nsub):
     s = np.linspace(0.0, 1.0, nsub + 1)[1:-1]
     inner = first * s ** 2.0
     return np.concatenate([[0.0], inner, x_ext[1:]])
-
-
-def _interp1(xs, vals, xq):
-    from scipy.interpolate import PchipInterpolator
-    return PchipInterpolator(xs, vals)(xq)
 
 
 def _mollify_corner(g, x, x0):
@@ -201,7 +196,7 @@ def _build_couette(res, profile, config, grid):
         for side in ("minus", "plus"):
             lg = grids[side]
             ue = euler_of[side][i]
-            g_layer = -_interp1(grid_ext.x, ue.u[:, wall_row[side]], lg.x)
+            g_layer = -pchip_operator(grid_ext.x, lg.x)(ue.u[:, wall_row[side]])
             F, comps = casc.layer_forcing(side, i)
             # default scheme "be": the L-stable march keeps the cascade's
             # repeated differentiation of marched fields free of ringing
@@ -220,7 +215,7 @@ def _build_couette(res, profile, config, grid):
         if i < M:
             for side in ("minus", "plus"):
                 vhat_wall = parts[side].cut.Vhat[:, 0]
-                trace = -_interp1(grids[side].x, vhat_wall, grid_ext.x)
+                trace = -pchip_operator(grids[side].x, grid_ext.x)(vhat_wall)
                 smooth = _mollify_corner(trace, grid_ext.x, 4.0 * grid_ext.x[1])
                 res.report["wall_deficit"] = (
                     res.report.get("wall_deficit", 0.0)

@@ -1,12 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from chasflow.discretization import ChannelGrid, DiffOps, build_channel_grid, tanh_stretched
 from chasflow.profiles import PerturbationSpec, build_profile
-
-warnings.filterwarnings("ignore", category=RuntimeWarning)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chasflow.boundary_layers import (CutLayer, MarchError, _dxu_at_inflow,
-                                      _integral_matrix, _wall_rows,
+                                      _integral_matrix, _step_lu, _wall_rows,
                                       apply_cutoff, chi, chi_prime,
                                       solve_layer_minus, solve_layer_plus)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
@@ -155,6 +155,37 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     V = V if side == "minus" else -V
     assert np.abs(lay.U - U).max() <= 1e-10 * np.abs(U).max()
     assert np.abs(lay.V[1:] - V).max() <= 1e-10 * np.abs(V).max()
+
+
+def test_step_lu_memo_is_sound():
+    # the step LUs are shared through a process memo keyed on the exact CSC
+    # arrays: an equal matrix gets the same factor, a matrix that differs in
+    # one entry its own
+    n = 30
+    A = sp.diags([-1.0, 4.0, -1.5], [-1, 0, 1], shape=(n, n), format="csc")
+    B = A.copy()
+    B.data[7] += 1e-12
+    lu = _step_lu(A)
+    assert _step_lu(A.copy()) is lu
+    other = _step_lu(B)
+    assert other is not lu
+    b = np.arange(n, dtype=float)
+    assert lu.solve(b).tobytes() == spla.splu(A).solve(b).tobytes()
+    assert other.solve(b).tobytes() == spla.splu(B).solve(b).tobytes()
+    assert other.solve(b).tobytes() != lu.solve(b).tobytes()
+
+
+def test_repeated_march_factors_nothing(monkeypatch):
+    grid = HalfLineGrid(L, 41, 61)
+    X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
+    F = np.exp(-Y) * (1.0 + X)
+    first = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0)
+
+    def no_splu(A, *args, **kwargs):
+        raise AssertionError("step matrix refactored")
+    monkeypatch.setattr(spla, "splu", no_splu)
+    again = solve_layer_minus(2.0 * F, 2.0 * grid.x, grid, m_coef=1.0)
+    assert np.array_equal(again.U, 2.0 * first.U)
 
 
 def test_layer_linearity():

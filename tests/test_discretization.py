@@ -1,16 +1,19 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.interpolate import PchipInterpolator
 
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, HalfLineGrid,
                                      _fix_low_moments, build_channel_grid,
                                      diff_matrix, grid_lu, mms_convergence,
                                      nested_dissection, one_sided_row,
-                                     replace_rows, tanh_stretched)
+                                     pchip_operator, replace_rows,
+                                     tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
 from chasflow.linearized import (LinearizedProblem, _bc_rows,
                                  assemble_linearized_operator)
@@ -274,6 +277,105 @@ def test_diff_matrix_memo_is_sound():
     assert (diff_matrix(other, 2) != ref).nnz > 0
     assert (diff_matrix(x, 1) != ref).nnz > 0
     assert same_arrays(diff_matrix(x.tolist(), 2), ref)
+
+
+# -- PCHIP transfers against scipy's PchipInterpolator ----------------------
+
+def _pchip_reference(xs, y, xq, axis=0):
+    return PchipInterpolator(xs, y, axis=axis)(xq)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(17)
+    xs = np.sort(rng.uniform(0.0, 2.0, 25))
+    xq = rng.uniform(-0.3, 2.3, 40)          # ends extrapolate
+    y = rng.standard_normal((25, 7))
+    # flat runs, exact zeros of both signs and sign changes
+    steps = np.where(rng.random((25, 7)) < 0.5, 0.0,
+                     rng.integers(-2, 3, (25, 7)).astype(float))
+    flat = np.cumsum(steps, axis=0)
+    flat[3:6] = 0.0
+    flat[10] = -0.0
+    at_nodes = np.concatenate([xs, [xs[0], xs[-1], xs[0] - 1.0, xs[-1] + 1.0]])
+    few = np.array([0.5 * (xs[11] + xs[12]), xs[12], 0.3 * xs[4] + 0.7 * xs[5]])
+    return {
+        "random-axis0": (xs, y, xq, 0),
+        "random-axis1": (xs, np.ascontiguousarray(y.T), xq, 1),
+        "random-1d": (xs, y[:, 2], xq, 0),
+        "flat-zeros-signs": (xs, flat, xq, 0),
+        "flat-axis1": (xs, np.ascontiguousarray(flat.T), at_nodes, 1),
+        "nodes-ends-outside": (xs, y, at_nodes, 0),
+        "few-intervals": (xs, y, few, 0),
+        "few-intervals-1d": (xs, flat[:, 1], few, 0),
+        "first-interval-only": (xs, y, np.array([xs[0], 0.5 * (xs[0] + xs[1])]), 0),
+        "last-interval-only": (xs, y, np.array([xs[-1], xs[-1] + 0.1]), 0),
+        "three-nodes": (xs[:3], y[:3], xq, 0),
+        "3d-axis2": (xs, np.moveaxis(y.reshape(25, 7, 1), 0, 2), xq, 2),
+        "no-queries": (xs, y, np.array([]), 0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pchip_cases()))
+def test_pchip_operator_bit_identical_to_scipy(name):
+    xs, y, xq, axis = _pchip_cases()[name]
+    got = pchip_operator(xs, xq)(y, axis=axis)
+    assert _same_bits(got, _pchip_reference(xs, y, xq, axis))
+
+
+def test_pchip_operator_overflowing_secants_match_scipy_silently():
+    # secant slopes near 1e-308: w/mk overflows, whmean is inf and the
+    # slope 1/inf = 0; scipy warns there, the operator must not
+    xs = np.linspace(0.0, 8.0, 9)
+    y = np.cumsum(np.full((9, 3), 5e-309), axis=0)
+    y[:, 1] *= -1.0
+    y[4:, 2] = 1.0
+    xq = np.linspace(-0.5, 8.5, 23)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        PchipInterpolator(xs, y)(xq)
+    with np.errstate(over="ignore"):
+        ref = _pchip_reference(xs, y, xq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pchip_operator(xs, xq)(y)
+    assert _same_bits(got, ref)
+
+
+def test_pchip_operator_rejects_bad_nodes():
+    xq = np.linspace(0.0, 1.0, 5)
+    for xs in ([0.0, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0],
+               [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            pchip_operator(xs, xq)
+    op = pchip_operator([0.0, 0.5, 1.0], xq)
+    with pytest.raises(ValueError):
+        op(np.ones(4))
+    with pytest.raises(ValueError):
+        op(np.array([0.0, np.inf, 1.0]))
+
+
+def test_pchip_operator_memo_is_sound():
+    xs = tanh_stretched(0.0, 2.0, 30, 1.3)
+    other = tanh_stretched(0.0, 2.0, 30, 0.7)
+    xq = np.linspace(0.0, 2.0, 17)
+    y = np.sin(3.0 * xs)
+    op = pchip_operator(xs, xq)
+    assert pchip_operator(xs.tolist(), xq) is op
+    assert pchip_operator(other, xq) is not op
+    assert pchip_operator(xs, xq[:-1]) is not op
+    assert _same_bits(pchip_operator(other, xq)(y),
+                      _pchip_reference(other, y, xq))
+    arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) > 10
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 # -- boundary-row replacement against the LIL loop it replaced --------------
