@@ -234,10 +234,11 @@ class PchipOperator:
                               *np.searchsorted(sec, [n - 2, n - 3])))
         lo = np.searchsorted(knots, used)      # knot used + 1 is at lo + 1
         self.lo, self.hi = _as_index(lo), _as_index(lo + 1)
-        self.useg = _as_index(np.searchsorted(sec, used))
+        self.used_sec = _as_index(np.searchsorted(sec, used))
         self.hused = hk[used].reshape(col)
-        self.at = _as_index(at)
-        self.at_query = _as_index(iv)
+        # per query: its interval, and that interval's place among the used
+        self.interval = _as_index(iv)
+        self.slot = _as_index(at)
         s = (xq - xs[iv]).reshape(col)
         self.s, self.s2 = s, s * s
         self.s3 = self.s2 * s
@@ -283,7 +284,7 @@ class PchipOperator:
             dk[mmm] = 3. * m0[mmm]
             d[k] = dk
 
-        slope = mk[self.useg]
+        slope = mk[self.used_sec]
         dl = d[self.lo]
         t = dl + d[self.hi]
         t -= 2 * slope
@@ -294,11 +295,11 @@ class PchipOperator:
         c1 -= t
         # PPoly's sum ((0 + c3) + c2 s) + c1 s^2 + c0 s^3, into a C-ordered
         # (query, column) array as PPoly writes it; x + 0.0 is 0.0 + x
-        out = _take(y, self.at_query, np.empty((self.s.shape[0], y.shape[1])))
+        out = _take(y, self.interval, np.empty((self.s.shape[0], y.shape[1])))
         out += 0.0
         term = np.empty_like(out)
         for c, p in ((dl, self.s), (c1, self.s2), (c0, self.s3)):
-            _take(c, self.at, term)
+            _take(c, self.slot, term)
             term *= p
             out += term
         return np.moveaxis(out.reshape(out.shape[:1] + rest), 0, axis)
