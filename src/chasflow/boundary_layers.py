@@ -14,7 +14,7 @@ the accumulated sum as its forcing, and an auxiliary layer pressure zeroes
 the pending vertical-momentum terms order by order.
 """
 
-from collections import OrderedDict
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,21 +98,22 @@ def fitted_dx(x, field, weight):
 
 # -- half-line marching solvers ---------------------------------------------
 
-def _integral_matrix(grid, last_layer):
-    """K with V = K @ (dx u): from Ymax down (decaying) or -int from 0 (last)."""
-    nY = grid.nY
-    w = np.zeros((nY, nY))
-    dY = np.diff(grid.Y)
-    if not last_layer:
-        for j in range(nY - 2, -1, -1):
-            w[j] = w[j + 1]
-            w[j, j] += 0.5 * dY[j]
-            w[j, j + 1] += 0.5 * dY[j]
+@functools.lru_cache(maxsize=8)
+def _integral_matrix(Ybytes, last_layer):
+    """K with V = K @ (dx u) on the Y nodes (their float64 bytes): from Ymax
+    down (decaying) or -int from 0 (last).  Built once per process; shared.
+
+    An entry is a sum of at most two half-spacings: column c takes h_c from
+    the trapezoid on [Y_c, Y_c+1] (lo) and h_c-1 from the one on
+    [Y_c-1, Y_c] (hi), in every row whose integral covers that trapezoid.
+    """
+    h = 0.5 * np.diff(np.frombuffer(Ybytes))
+    lo, hi = np.r_[h, 0.0], np.r_[0.0, h]
+    n = lo.size
+    if last_layer:
+        w = -(np.tril(np.tile(lo + hi, (n, 1)), -1) + np.diag(hi))
     else:
-        for j in range(1, nY):
-            w[j] = w[j - 1]
-            w[j, j - 1] -= 0.5 * dY[j - 1]
-            w[j, j] -= 0.5 * dY[j - 1]
+        w = np.triu(np.tile(lo + hi, (n, 1)), 1) + np.diag(lo)
     return sp.csr_matrix(w)
 
 
@@ -207,103 +208,101 @@ class LayerProfile:
         return float(np.sqrt(np.sum(w2 * f * f)))
 
 
-_step_lus = OrderedDict()
+class _MarchPlan:
+    """What a march builds before its first step: it depends on the Y nodes,
+    the side and the far-field row alone, so each process builds it once
+    (`_march_plan`) and keeps the step LUs of every (m/dx, theta) on it."""
+
+    def __init__(self, Y, side, last_layer):
+        nY = Y.size
+        self.coupled = side == "minus"
+        self.d2 = diff_matrix(Y, 2)
+        self.kq = _integral_matrix(Y.tobytes(), last_layer)
+        self.kqT = self.kq.T.toarray()
+        self.kqT.flags.writeable = False
+        interior, walls = _wall_rows(Y, last_layer)
+        # step matrix (m/dx) C - theta D + E; on the minus side W = kq @ u
+        # joins the unknowns through its recurrence rows, so it stays sparse
+        self.conv = sp.diags(Y) if self.coupled else sp.identity(nY, format="csr")
+        C, D, E = interior @ self.conv, interior @ self.d2, walls
+        if self.coupled:
+            zero = sp.csr_matrix((nY, nY))
+            C = sp.bmat([[C, interior], [zero, zero]])
+            D = sp.bmat([[D, zero], [zero, zero]])
+            E = sp.bmat([[E, None], list(_integral_rows(Y, last_layer))])
+        self.C, self.D, self.E = C.tocsc(), D.tocsc(), E.tocsc()
+
+    @functools.lru_cache(maxsize=MARCH_LU_MEMO)
+    def step_lu(self, m_dx, th):
+        """splu of the step matrix; m_dx is the quotient m/dx that scales C,
+        so (plan, m_dx, th) fixes the matrix bit for bit."""
+        return spla.splu(m_dx * self.C - th * self.D + self.E)
 
 
-def _step_lu(A):
-    """splu of a CSC step matrix, shared by every march that builds the same
-    matrix: the layer grids, m_coef and the x steps do not change with eps,
-    so the points of a sweep factor the same matrices."""
-    # the exact arrays are the key, so equal keys are equal matrices
-    key = (A.shape, A.data.tobytes(), A.indices.dtype.str,
-           A.indices.tobytes(), A.indptr.tobytes())
-    lu = _step_lus.pop(key, None)
-    if lu is None:
-        lu = spla.splu(A)
-    _step_lus[key] = lu
-    if len(_step_lus) > MARCH_LU_MEMO:
-        _step_lus.popitem(last=False)
-    return lu
+@functools.lru_cache(maxsize=8)
+def _march_plan(Ybytes, side, last_layer):
+    # keyed on the float64 bytes: equal keys are equal nodes, bit for bit
+    return _MarchPlan(np.frombuffer(Ybytes), side, last_layer)
 
 
-def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn", g0_tol=None):
+def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn"):
     """Implicit theta-scheme march in x for both layer types."""
-    x, Y = grid.x, grid.Y
+    x = grid.x
     nx, nY = grid.nx, grid.nY
     F = np.zeros((nx, nY)) if F is None else np.asarray(F, dtype=float)
     g = np.zeros(nx) if g is None else np.asarray(g, dtype=float)
     scale = max(np.max(np.abs(g)), np.max(np.abs(F)), 1.0)
-    if g0_tol is not None and abs(g[0]) > g0_tol * max(np.max(np.abs(g)), 1e-300) + 1e-13:
-        raise MarchError(f"incompatible corner data g(0) = {g[0]:.3g}")
-
-    d2 = diff_matrix(Y, 2)
-    kq = _integral_matrix(grid, last_layer)
-    interior, walls = _wall_rows(Y, last_layer)
+    plan = _march_plan(grid.Y.tobytes(), kind, last_layer)
 
     U = np.zeros((nx, nY))
     DXU = np.zeros((nx, nY))
     U[0, 0] = g[0]
     g_slope = (g[1] - g[0]) / (x[1] - x[0])
     DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
-
-    # step matrix (m/dx) C - theta D + E; on the minus side W = kq @ u joins
-    # the unknowns through its recurrence rows, so it stays sparse
-    coupled = kind == "minus"
-    conv = sp.diags(Y) if coupled else sp.identity(nY, format="csr")
-    C, D, E = interior @ conv, interior @ d2, walls
-    if coupled:
-        zero = sp.csr_matrix((nY, nY))
-        C = sp.bmat([[C, interior], [zero, zero]])
-        D = sp.bmat([[D, zero], [zero, zero]])
-        E = sp.bmat([[E, None], list(_integral_rows(Y, last_layer))])
-        W = kq @ U[0]
-    C, D, E = C.tocsc(), D.tocsc(), E.tocsc()
-    lus = {}   # the step matrix depends on (dx, theta) only
+    W = plan.kq @ U[0]
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
         th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
-        if (dx, th) not in lus:
-            lus[dx, th] = _step_lu((m_coef / dx) * C - th * D + E)
-        carry = conv @ U[k - 1]
-        if coupled:
+        m_dx = m_coef / dx
+        carry = plan.conv @ U[k - 1]
+        if plan.coupled:
             carry += W
-        b = (th * F[k] + (1.0 - th) * F[k - 1] + (m_coef / dx) * carry
-             + (1.0 - th) * (d2 @ U[k - 1]))
+        b = (th * F[k] + (1.0 - th) * F[k - 1] + m_dx * carry
+             + (1.0 - th) * (plan.d2 @ U[k - 1]))
         b[0] = g[k]
         b[-1] = 0.0
-        if coupled:
-            sol = lus[dx, th].solve(np.r_[b, np.zeros(nY)])
+        lu = plan.step_lu(m_dx, th)
+        if plan.coupled:
+            sol = lu.solve(np.r_[b, np.zeros(nY)])
             U[k], W = sol[:nY], sol[nY:]
         else:
-            U[k] = lus[dx, th].solve(b)
+            U[k] = lu.solve(b)
         if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > BLOWUP * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
         DXU[k] = (U[k] - U[k - 1]) / dx
-    V = DXU @ kq.T.toarray()
+    V = DXU @ plan.kqT
     return U, DXU, V
 
 
 def solve_layer_plus(F, g, grid, last_layer=False, m_coef=2.0, index=0,
-                     scheme="cn", g0_tol=None):
+                     scheme="cn"):
     """u solves m u_x - u_YY = F, u(0,Y)=0, u(x,0)=g, decaying far field.
 
     The stored V carries the divergence-consistent sign for the upper wall:
     V = -int_Y^inf dx u (last layer: V = +int_0^Y dx u, so V(x,0) = 0).
     """
-    U, DXU, V = _march(grid, F, g, last_layer, "plus", m_coef,
-                       scheme=scheme, g0_tol=g0_tol)
+    U, DXU, V = _march(grid, F, g, last_layer, "plus", m_coef, scheme=scheme)
     return LayerProfile(grid, "plus", index, last_layer, U, DXU, -V, F)
 
 
 def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0,
-                      scheme="cn", g0_tol=None):
+                      scheme="cn"):
     """u solves m (Y u_x + v) - u_YY = F with the nonlocal vertical velocity.
 
     Each implicit step couples u to v = int_Y^inf dx u and solves the
     coupled system monolithically.
     """
-    U, DXU, V = _march(grid, F, g, last_layer, "minus", m_coef,
-                       scheme=scheme, g0_tol=g0_tol)
+    U, DXU, V = _march(grid, F, g, last_layer, "minus", m_coef, scheme=scheme)
     return LayerProfile(grid, "minus", index, last_layer, U, DXU, V, F)
 
 
@@ -395,13 +394,13 @@ def interp_channel_field(field, cgrid, xq, yq):
 
 
 def restrict_channel_field(field, src, dst):
-    """A field on channel grid src, on dst: exact slicing when dst's nodes
-    are a leading x block of src's with the same y, else interpolated."""
-    if (src.nx >= dst.nx and src.ny == dst.ny
+    """A field on channel grid src, on dst, whose nodes are a leading x block
+    of src's with the same y (to round-off: the strip's nodes are h*arange)."""
+    if not (src.nx >= dst.nx and src.ny == dst.ny
             and np.allclose(src.x[:dst.nx], dst.x)
             and np.allclose(src.y, dst.y)):
-        return field[:dst.nx]
-    return interp_channel_field(field, src, dst.x, dst.y)
+        raise ValueError("dst grid is not a leading x block of src grid")
+    return field[:dst.nx]
 
 
 def _layer_to_channel(fields, lgrid, side, eps, grid):
@@ -701,11 +700,11 @@ class Cascade:
         py = -pv
         s = S_EXP[side]
         sgn = 1.0 if side == "minus" else -1.0
-        wtail = _integral_matrix(lgrid, last_layer=False)  # int_Y^Ymax
-        Pi = sgn * self.eps ** s * (pv @ wtail.T.toarray())
+        tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT  # int_Y^Ymax
+        Pi = sgn * self.eps ** s * (pv @ tail)
         dxpv = fitted_dx(lgrid.x, pv, self.ramp[side].ravel())
         # the fit is unconstrained where the corner weight vanishes
-        px = self.ramp[side] * (sgn * self.eps ** s * (dxpv @ wtail.T.toarray()))
+        px = self.ramp[side] * (sgn * self.eps ** s * (dxpv @ tail))
         part = AuxPart(side, lgrid, self.eps, py, px, Pi)
         self.parts.append(part)
         return part

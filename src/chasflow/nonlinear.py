@@ -159,7 +159,8 @@ def _newton_jacobian_curlN(prob, u, v):
 
 def newton_solve(background, forcing, eps, M0, grid, ops):
     """Damped Newton on the discrete nonlinear psi system (Picard oracle):
-    at most 30 steps, to a 1e-12 relative residual."""
+    at most 30 steps, to a 1e-12 relative residual.  The oracle compares
+    velocities, so no pressure is recovered (P stays None)."""
     tol, max_iter = 1e-12, 30
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
@@ -206,8 +207,6 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
     else:
         raise ConvergenceError("Newton did not converge")
     sol = RemainderSolution(grid, ops, u, v, psi=psi.reshape(grid.nx, grid.ny))
-    prob.ubar, prob.vbar = u, v
-    recover_pressure(sol, prob)
     compute_norms(sol, background, eps)
     return sol
 

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chasflow.boundary_layers import (CutLayer, MarchError, _dxu_at_inflow,
-                                      _integral_matrix, _step_lu, _wall_rows,
+                                      _integral_matrix, _march_plan, _wall_rows,
                                       apply_cutoff, chi, chi_prime,
+                                      restrict_channel_field,
                                       solve_layer_minus, solve_layer_plus)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
                                      diff_matrix, one_sided_row)
@@ -70,7 +71,7 @@ def _march_minus_picard(grid, F, g, last_layer, m_coef, tol=1e-10, max_it=200):
     x, Y = grid.x, grid.Y
     nx, nY = grid.nx, grid.nY
     d2 = diff_matrix(Y, 2)
-    kq = _integral_matrix(grid, last_layer)
+    kq = _integral_matrix(grid.Y.tobytes(), last_layer)
     interior, walls = _wall_rows(Y, last_layer)
     U = np.zeros((nx, nY))
     U[0, 0] = g[0]
@@ -131,7 +132,7 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     # each step solved densely: m/dx conv u - th u_YY = theta-weighted rest
     nY = grid.nY
     d2 = diff_matrix(grid.Y, 2).toarray()
-    kq = _integral_matrix(grid, last_layer).toarray()
+    kq = _integral_matrix(grid.Y.tobytes(), last_layer).toarray()
     conv = np.eye(nY) if side == "plus" else np.diag(grid.Y) + kq
     ider, wder = one_sided_row(grid.Y, False, 1, 3)
     U = np.zeros(grid.shape)
@@ -157,22 +158,56 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     assert np.abs(lay.V[1:] - V).max() <= 1e-10 * np.abs(V).max()
 
 
-def test_step_lu_memo_is_sound():
-    # the step LUs are shared through a process memo keyed on the exact CSC
-    # arrays: an equal matrix gets the same factor, a matrix that differs in
-    # one entry its own
-    n = 30
-    A = sp.diags([-1.0, 4.0, -1.5], [-1, 0, 1], shape=(n, n), format="csc")
-    B = A.copy()
-    B.data[7] += 1e-12
-    lu = _step_lu(A)
-    assert _step_lu(A.copy()) is lu
-    other = _step_lu(B)
-    assert other is not lu
-    b = np.arange(n, dtype=float)
-    assert lu.solve(b).tobytes() == spla.splu(A).solve(b).tobytes()
-    assert other.solve(b).tobytes() == spla.splu(B).solve(b).tobytes()
-    assert other.solve(b).tobytes() != lu.solve(b).tobytes()
+def _integral_matrix_rows(Y, last_layer):
+    """The trapezoid integral matrix built one row at a time from the last."""
+    nY = Y.size
+    w = np.zeros((nY, nY))
+    dY = np.diff(Y)
+    if not last_layer:
+        for j in range(nY - 2, -1, -1):
+            w[j] = w[j + 1]
+            w[j, j] += 0.5 * dY[j]
+            w[j, j + 1] += 0.5 * dY[j]
+    else:
+        for j in range(1, nY):
+            w[j] = w[j - 1]
+            w[j, j - 1] -= 0.5 * dY[j - 1]
+            w[j, j] -= 0.5 * dY[j - 1]
+    return sp.csr_matrix(w)
+
+
+@pytest.mark.parametrize("last_layer", [False, True])
+def test_integral_matrix_matches_row_loop(last_layer):
+    Y = HalfLineGrid(L, 11, 57).Y
+    K, ref = _integral_matrix(Y.tobytes(), last_layer), _integral_matrix_rows(Y, last_layer)
+    for a in ("data", "indices", "indptr"):
+        assert getattr(K, a).tobytes() == getattr(ref, a).tobytes()
+    assert K.T.toarray().tobytes() == ref.T.toarray().tobytes()
+
+
+def test_march_plan_memo_is_sound():
+    # plans are keyed on (Y bytes, side, last_layer) and their step LUs on
+    # (m/dx, theta): equal inputs share a factor, any other input has its own
+    Y = HalfLineGrid(L, 11, 31).Y
+    Y1 = Y.copy()
+    Y1[5] = np.nextafter(Y1[5], 1.0)
+    base = dict(Y=Y, side="minus", last_layer=False, m_dx=50.0, th=0.5)
+
+    def plan_and_lu(**change):
+        a = {**base, **change}
+        plan = _march_plan(a["Y"].tobytes(), a["side"], a["last_layer"])
+        return plan, plan.step_lu(a["m_dx"], a["th"]), a
+
+    _, lu, _ = plan_and_lu()
+    assert plan_and_lu(Y=Y.copy())[1] is lu
+    rng = np.random.default_rng(5)
+    for change in ({}, {"m_dx": np.nextafter(50.0, 51.0)}, {"th": 1.0}, {"last_layer": True},
+                   {"side": "plus"}, {"Y": Y1}):
+        plan, other, a = plan_and_lu(**change)
+        assert (other is lu) == (not change)
+        b = rng.standard_normal(plan.C.shape[0])
+        A = a["m_dx"] * plan.C - a["th"] * plan.D + plan.E
+        assert other.solve(b).tobytes() == spla.splu(A).solve(b).tobytes()
 
 
 def test_repeated_march_factors_nothing(monkeypatch):
@@ -210,12 +245,6 @@ def test_marching_x_order():
         errs.append(np.abs(lay.U - np.sin(k * X) * np.exp(-Y)).max())
     order = np.polyfit(np.log([1 / 50, 1 / 100, 1 / 200]), np.log(errs), 1)[0]
     assert order >= 1.7
-
-
-def test_corner_compatibility_guard():
-    grid = HalfLineGrid(L, 61, 101)
-    with pytest.raises(MarchError):
-        solve_layer_plus(None, np.ones(61), grid, m_coef=2.0, g0_tol=1e-8)
 
 
 def test_last_layer_wall_normal_velocity_zero():
@@ -310,3 +339,9 @@ def test_channel_divergence_after_cutoff_converges():
         rel.append(ops.norm(div, "L2") / ops.norm(ops.apply(ops.Dx, u), "L2"))
     assert rel[1] < rel[0]
     assert rel[1] < 0.1
+
+
+def test_restrict_channel_field_needs_a_leading_block():
+    src, dst = build_channel_grid(0.1, 24, 48, 1e-2), build_channel_grid(0.1, 24, 40, 1e-2)
+    with pytest.raises(ValueError):
+        restrict_channel_field(np.zeros((24, 48)), src, dst)

@@ -433,7 +433,8 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 def grid_systems():
     """name -> (A, nx, ny): the last system of each kind that the library
     factors on a 24x48 grid, caught at its call of ``grid_lu``.  The last
-    Newton Jacobian carries the nonlinear terms of a nonzero iterate."""
+    Newton Jacobian carries the nonlinear terms of a nonzero iterate; the
+    pressure system comes from recovering the Newton iterate's pressure."""
     import chasflow.euler_correctors as euler
     import chasflow.linearized as linearized
     import chasflow.nonlinear as nonlinear
@@ -466,8 +467,11 @@ def grid_systems():
         linearized.factorize_linearized(LinearizedProblem(
             exp.fields, eps, M0, grid=grid, ops=ops))
         mp.setattr(nonlinear, "grid_lu", catch("newton"))
+        newton = newton_solve(exp.fields, forcing, eps, M0, grid, ops)
         mp.setattr(linearized, "grid_lu", catch("pressure"))
-        newton_solve(exp.fields, forcing, eps, M0, grid, ops)
+        linearized.recover_pressure(newton, LinearizedProblem(
+            exp.fields, eps, M0, F1=forcing.F1, F2=forcing.F2, ubar=newton.u,
+            vbar=newton.v, grid=grid, ops=ops))
         mp.setattr(euler, "grid_lu", catch("euler"))
         euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._factorize(
             "minus")
