@@ -37,7 +37,6 @@ SCHEMA = {
     "grid.L": (float, 0.1),
     "grid.nx": (int, 48),
     "grid.ny": (int, 96),
-    "grid.stretching": (bool, True),
     "grid.resolve_factor": (float, 0.25),
     "grid.min_layer_nodes": (int, 6),
     "expansion.epsilon": (float, 1e-2),
@@ -166,7 +165,6 @@ def _run_spec(cfg, sweep=False):
                    alpha1=cfg["profile.alpha1"], alpha2=cfg["profile.alpha2"],
                    pert_amplitude=cfg["profile.perturbation.amplitude"],
                    pert_exponent=cfg["profile.perturbation.exponent"],
-                   stretching=cfg["grid.stretching"],
                    resolve_factor=cfg["grid.resolve_factor"],
                    min_layer_nodes=cfg["grid.min_layer_nodes"],
                    gamma=cfg["expansion.gamma"], a0=cfg["expansion.a0"],
@@ -286,6 +284,20 @@ def cmd_report(cfg, args):
     return EXIT_OK
 
 
+# CHAS_LOG values, in any case (logging.getLevelNamesMapping needs 3.11)
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _start_logging():
+    """Log at the CHAS_LOG level (WARNING when unset)."""
+    raw = os.environ.get("CHAS_LOG", "warning")
+    if raw.upper() not in LOG_LEVELS:
+        raise ConfigError(f"CHAS_LOG={raw!r}: use one of "
+                          f"{', '.join(LOG_LEVELS)} (any case)")
+    logging.basicConfig(level=getattr(logging, raw.upper()),
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 COMMANDS = {
     "construct": cmd_construct,
     "solve": cmd_solve,
@@ -308,10 +320,8 @@ def main(argv=None):
                         help="concurrent sweep points")
     args = parser.parse_args(argv)
 
-    level = os.environ.get("CHAS_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        _start_logging()
         cfg = load_config(args.config, args.set)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -322,6 +322,35 @@ def replace_rows(A, rows):
     return sp.coo_matrix((np.concatenate(v), ij), shape=A.shape).tocsc()
 
 
+def boundary_rows(x, y, conditions):
+    """The ``replace_rows`` rows that impose wall conditions on the C-order
+    nodes ``i * ny + j`` of the tensor grid x by y.
+
+    Each condition ``(axis, at_start, deriv, npts, offset, span)`` imposes
+    the deriv-th derivative along axis (0: x, 1: y) at the wall where that
+    axis starts (at_start) or ends, with the weights of
+    ``one_sided_row(nodes, at_start, deriv, npts)``; deriv 0 is the wall
+    value itself (npts unused).  The condition is written in the grid line
+    offset nodes in from that wall, at the nodes span (a slice or an index
+    array) along the other axis.  A later condition replaces an earlier one
+    in a row they share.
+    """
+    nodes = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    number = np.arange(nodes[0].size * nodes[1].size).reshape(
+        nodes[0].size, nodes[1].size)
+    rows = {}
+    for axis, at_start, deriv, npts, offset, span in conditions:
+        lines = np.moveaxis(number, axis, 0)      # lines[k] is a grid line
+        if deriv:
+            idx, w = one_sided_row(nodes[axis], at_start, deriv, npts)
+        else:
+            idx, w = [0 if at_start else -1], np.ones(1)
+        at = lines[offset if at_start else -1 - offset, span]
+        cols = lines[idx][:, span].T
+        rows.update((r, (c, w)) for r, c in zip(at.tolist(), cols))
+    return rows
+
+
 # Geometric nested dissection of the tensor-grid systems (George, SIAM J.
 # Numer. Anal. 10, 1973).  A separator three node lines wide disconnects
 # the two halves for every interior stencil that reaches at most three
@@ -462,8 +491,7 @@ class ChannelGrid:
         return f"ChannelGrid(L={self.L}, nx={self.nx}, ny={self.ny}, sigma={self.sigma:.3g})"
 
 
-def build_channel_grid(L, nx, ny, eps, stretching=True, resolve_factor=0.25,
-                       min_layer_nodes=6):
+def build_channel_grid(L, nx, ny, eps, resolve_factor=0.25, min_layer_nodes=6):
     """Channel grid whose near-wall spacing resolves both layer scales.
 
     Raises GridResolutionError when ny cannot give min_layer_nodes intervals
@@ -476,13 +504,6 @@ def build_channel_grid(L, nx, ny, eps, stretching=True, resolve_factor=0.25,
         raise GridResolutionError("eps must be positive")
     x = np.linspace(0.0, L, nx)
     target = resolve_factor * min(eps ** (1.0 / 3.0), eps ** 0.5)
-    if not stretching:
-        y = np.linspace(0.0, 2.0, ny)
-        if y[1] - y[0] > target:
-            raise GridResolutionError(
-                f"uniform ny={ny} gives spacing {y[1] - y[0]:.3g} > {target:.3g}")
-        return ChannelGrid(L, x, y)
-
     sigma_max = 6.0
     lo, hi = 0.0, sigma_max
     widths = (eps ** (1.0 / 3.0), eps ** 0.5)

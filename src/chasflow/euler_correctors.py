@@ -11,13 +11,13 @@ u = -int_0^x v_y and the pressure from the x-momentum balance.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (DiffOps, cumtrapz0, grid_lu, one_sided_row,
+from .discretization import (DiffOps, boundary_rows, cumtrapz0, grid_lu,
                              replace_rows)
 
-SIDES = ("first", "plus", "minus")
-
-# row kinds in the assembled operator
-_INTERIOR, _DIR_WALL, _DIR_OUT, _NEUMANN = 0, 1, 2, 3
+# side -> (at_start, deriv) of the conditions on the y = 0 and y = 2 walls:
+# v = 0 or the handed-down trace (deriv 0), or dv/dy = 0 (deriv 1)
+WALLS = {"first": ((True, 0), (False, 0)), "plus": ((True, 1), (False, 0)),
+         "minus": ((True, 0), (False, 1))}
 
 
 class EulerSolveError(RuntimeError):
@@ -58,72 +58,30 @@ class EulerSolver:
             raise EulerSolveError("mu''/mu is unbounded on this profile")
         self._base = (-self.ops.lap + sp.diags(self.w.ravel())).tocsr()
         self._lu = {}
-        self._rows = {}
-
-    def _node(self, i, j):
-        return i * self.grid.ny + j
-
-    def _assemble(self, side):
-        g = self.grid
-        if side == "first":
-            y_dir, y_neu = (0, g.ny - 1), ()
-        elif side == "plus":
-            y_dir, y_neu = (g.ny - 1,), (0,)
-        elif side == "minus":
-            y_dir, y_neu = (0,), (g.ny - 1,)
-        else:
-            raise ValueError(f"side must be one of {SIDES}")
-
-        kind = np.zeros(g.nx * g.ny, dtype=np.int8)
-        for i in range(g.nx):
-            for j in y_dir:
-                kind[self._node(i, j)] = _DIR_WALL
-            for j in y_neu:
-                kind[self._node(i, j)] = _NEUMANN
-        for j in range(g.ny):
-            r0, rL = self._node(0, j), self._node(g.nx - 1, j)
-            if kind[r0] == _INTERIOR:
-                kind[r0] = _NEUMANN  # v_x = 0 at inflow
-            if kind[rL] == _INTERIOR:
-                kind[rL] = _DIR_OUT  # v = 0 at outflow
-
-        idy0, wy0 = one_sided_row(g.y, True, 1, 3)
-        idy2, wy2 = one_sided_row(g.y, False, 1, 3)
-        idx0, wx0 = one_sided_row(g.x, True, 1, 3)
-        rows = {}
-        for i in range(g.nx):
-            for j in y_dir:
-                r = self._node(i, j)
-                rows[r] = ([r], [1.0])
-            for j in y_neu:
-                idx, wgt = (idy0, wy0) if j == 0 else (idy2, wy2)
-                rows[self._node(i, j)] = ([self._node(i, k) for k in idx], wgt)
-        for j in range(g.ny):
-            r0, rL = self._node(0, j), self._node(g.nx - 1, j)
-            if kind[r0] == _NEUMANN and j not in y_neu:
-                rows[r0] = ([self._node(k, j) for k in idx0], wx0)
-            if kind[rL] == _DIR_OUT:
-                rows[rL] = ([rL], [1.0])
-        return replace_rows(self._base, rows), kind
 
     def _factorize(self, side):
+        """LU of the side's system and its boundary rows, built once."""
+        if side not in WALLS:
+            raise ValueError(f"side must be one of {tuple(WALLS)}")
         if side not in self._lu:
-            A, kind = self._assemble(side)
-            self._lu[side] = grid_lu(A, self.grid.nx, self.grid.ny)
-            self._rows[side] = kind
-        return self._lu[side], self._rows[side]
+            g, inner = self.grid, slice(1, -1)
+            rows = boundary_rows(g.x, g.y, [
+                (1, at_start, deriv, 3, 0, slice(None))
+                for at_start, deriv in WALLS[side]] + [
+                (0, True, 1, 3, 0, inner),     # v_x = 0 at inflow
+                (0, False, 0, 1, 0, inner)])   # v = 0 at outflow
+            A = replace_rows(self._base, rows)
+            self._lu[side] = (grid_lu(A, g.nx, g.ny), np.fromiter(rows, int))
+        return self._lu[side]
 
     def _solve_v(self, side, rhs, trace):
         g = self.grid
-        lu, kind = self._factorize(side)
+        lu, bnd = self._factorize(side)
         b = np.asarray(rhs, dtype=float).ravel().copy()
-        b[kind == _NEUMANN] = 0.0
-        b[kind == _DIR_OUT] = 0.0
-        wall = np.where(kind == _DIR_WALL)[0]
-        if trace is None:
-            b[wall] = 0.0
-        else:
-            b[wall] = np.asarray(trace, dtype=float)[wall // g.ny]
+        b[bnd] = 0.0
+        if trace is not None:   # on the one Dirichlet wall of plus or minus
+            j_wall = 0 if side == "minus" else g.ny - 1
+            b[j_wall + g.ny * np.arange(g.nx)] = np.asarray(trace, dtype=float)
         v = lu.solve(b).reshape(g.nx, g.ny)
         if not np.all(np.isfinite(v)):
             raise EulerSolveError("corrector solve produced non-finite values")

@@ -11,7 +11,7 @@ and the weighted solution norm) live here as well.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (DiffOps, diff_matrix, grid_lu, one_sided_row,
+from .discretization import (DiffOps, boundary_rows, diff_matrix, grid_lu,
                              replace_rows)
 
 
@@ -50,19 +50,6 @@ class LinearizedProblem:
         return N1, N2
 
 
-class StreamFunctionField:
-    """psi with the mixed boundary-condition set of the remainder space."""
-
-    def __init__(self, grid, psi):
-        self.grid = grid
-        self.psi = psi
-
-    def velocity(self, ops):
-        u = ops.apply(ops.Dy, self.psi)
-        v = -ops.apply(ops.Dx, self.psi)
-        return u, v
-
-
 class RemainderSolution:
     def __init__(self, grid, ops, u, v, P=None, psi=None):
         self.grid = grid
@@ -82,34 +69,14 @@ def _bc_rows(grid):
     psi_xxx = 0 (col nx-2); y walls: psi = 0 (wall rows), psi_y = 0
     (adjacent rows).  Corner-adjacent rows give wall conditions precedence.
     """
-    nx, ny = grid.nx, grid.ny
-    rows = {}
-
-    def nd(i, j):
-        return i * ny + j
-
-    ixx, wxx = one_sided_row(grid.x, True, 2, 5)
-    ixxx, wxxx = one_sided_row(grid.x, False, 3, 6)
-    ix1, wx1 = one_sided_row(grid.x, False, 1, 4)
+    every, inner = slice(None), slice(1, -1)
     # the wall psi_y rows use the same 3-pt stencil as the Dy boundary rows,
     # so u = Dy psi vanishes at the walls to machine precision
-    iy0, wy0 = one_sided_row(grid.y, True, 1, 3)
-    iy2, wy2 = one_sided_row(grid.y, False, 1, 3)
-
-    for i in range(nx):
-        for j in (0, ny - 1):
-            rows[nd(i, j)] = ([nd(i, j)], [1.0])
-    for j in range(ny):
-        rows[nd(0, j)] = ([nd(0, j)], [1.0])
-    for j in range(1, ny - 1):
-        rows[nd(nx - 1, j)] = ([nd(k, j) for k in ix1], list(wx1))
-    for j in range(1, ny - 1):
-        rows[nd(1, j)] = ([nd(k, j) for k in ixx], list(wxx))
-        rows[nd(nx - 2, j)] = ([nd(k, j) for k in ixxx], list(wxxx))
-    for i in range(2, nx - 2):
-        rows[nd(i, 1)] = ([nd(i, k) for k in iy0], list(wy0))
-        rows[nd(i, ny - 2)] = ([nd(i, k) for k in iy2], list(wy2))
-    return rows
+    return boundary_rows(grid.x, grid.y, [
+        (1, True, 0, 1, 0, every), (1, False, 0, 1, 0, every),
+        (0, True, 0, 1, 0, every), (0, False, 1, 4, 0, inner),
+        (0, True, 2, 5, 1, inner), (0, False, 3, 6, 1, inner),
+        (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2))])
 
 
 def _row_scale(A):
@@ -120,23 +87,36 @@ def _row_scale(A):
     return (sp.diags(1.0 / d) @ A).tocsc(), d
 
 
+def _psi_system(A, grid):
+    """(LU, row scale, boundary rows) of the psi operator A with the
+    boundary rows of ``_bc_rows`` set and every row scaled."""
+    rows = _bc_rows(grid)
+    A, d = _row_scale(replace_rows(A, rows))
+    try:
+        lu = grid_lu(A, grid.nx, grid.ny)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"psi factorization failed: {exc}")
+    return lu, d, np.fromiter(rows, int)
+
+
+def _solve_psi(system, f, grid):
+    """psi, as an (nx, ny) array, of a ``_psi_system`` with interior
+    right-hand side f and homogeneous boundary rows."""
+    lu, d, bnd = system
+    b = np.asarray(f, dtype=float).ravel().copy()
+    b[bnd] = 0.0
+    psi = lu.solve(b / d)
+    if not np.all(np.isfinite(psi)):
+        raise LinearSolveError("psi solve produced non-finite values")
+    return psi.reshape(grid.nx, grid.ny)
+
+
 def solve_biharmonic(f, grid, ops=None):
-    """Discrete lap^2 psi = f with the seven-condition mixed BC set."""
+    """Discrete lap^2 psi = f with the seven-condition mixed BC set; returns
+    the (nx, ny) psi."""
     if ops is None:
         ops = DiffOps(grid.x, grid.y)
-    rows = _bc_rows(grid)
-    A = replace_rows(ops.bih, rows)
-    b = np.asarray(f, dtype=float).ravel().copy()
-    for r in rows:
-        b[r] = 0.0
-    A, d = _row_scale(A)
-    try:
-        psi = grid_lu(A, grid.nx, grid.ny).solve(b / d)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"biharmonic solve failed: {exc}")
-    if not np.all(np.isfinite(psi)):
-        raise LinearSolveError("biharmonic solve produced non-finite values")
-    return StreamFunctionField(grid, psi.reshape(grid.nx, grid.ny))
+    return _solve_psi(_psi_system(ops.bih, grid), f, grid)
 
 
 def assemble_linearized_operator(problem):
@@ -164,25 +144,17 @@ def assemble_linearized_operator(problem):
 
 def factorize_linearized(problem):
     """LU of the (row-scaled) linearized operator with boundary rows."""
-    rows = _bc_rows(problem.grid)
-    A, d = _row_scale(replace_rows(assemble_linearized_operator(problem), rows))
-    return (grid_lu(A, problem.grid.nx, problem.grid.ny), d, rows)
+    return _psi_system(assemble_linearized_operator(problem), problem.grid)
 
 
 def solve_curl_rhs(problem, curl, lu=None):
     """Solve the psi system for a given curl right-hand side."""
     if lu is None:
         lu = factorize_linearized(problem)
-    fac, d, rows = lu
-    b = np.asarray(curl, dtype=float).ravel().copy()
-    for r in rows:
-        b[r] = 0.0
-    psi = fac.solve(b / d)
-    if not np.all(np.isfinite(psi)):
-        raise LinearSolveError("linearized solve produced non-finite values")
-    sf = StreamFunctionField(problem.grid, psi.reshape(problem.grid.nx, problem.grid.ny))
-    u, v = sf.velocity(problem.ops)
-    return RemainderSolution(problem.grid, problem.ops, u, v, psi=sf.psi)
+    ops = problem.ops
+    psi = _solve_psi(lu, curl, problem.grid)
+    return RemainderSolution(problem.grid, ops, ops.apply(ops.Dy, psi),
+                             -ops.apply(ops.Dx, psi), psi=psi)
 
 
 def solve_linearized(problem, lu=None):
@@ -223,30 +195,14 @@ def recover_pressure(sol, problem):
                + v * bg["vs_y"] - eps * ops.apply(ops.lap, v))
 
     nx, ny = grid.nx, grid.ny
-
-    def nd(i, j):
-        return i * ny + j
-
-    b = rhs.ravel().copy()
-    ix0, wx0 = one_sided_row(grid.x, True, 1, 3)
-    ixL, wxL = one_sided_row(grid.x, False, 1, 3)
-    iy0, wy0 = one_sided_row(grid.y, True, 1, 3)
-    iyL, wyL = one_sided_row(grid.y, False, 1, 3)
-    rows = {}
-    for i in range(nx):
-        r = nd(i, 0)
-        rows[r] = ([nd(i, k) for k in iy0], wy0)
-        b[r] = gy[i, 0]
-        r = nd(i, ny - 1)
-        rows[r] = ([nd(i, k) for k in iyL], wyL)
-        b[r] = gy[i, ny - 1]
-    for j in range(1, ny - 1):
-        r = nd(0, j)
-        rows[r] = ([nd(k, j) for k in ix0], wx0)
-        b[r] = gx[0, j]
-        r = nd(nx - 1, j)
-        rows[r] = ([nd(k, j) for k in ixL], wxL)
-        b[r] = gx[nx - 1, j]
+    # Neumann rows on the walls, then at inflow and outflow between them
+    every, inner = slice(None), slice(1, -1)
+    rows = boundary_rows(grid.x, grid.y, [
+        (1, True, 1, 3, 0, every), (1, False, 1, 3, 0, every),
+        (0, True, 1, 3, 0, inner), (0, False, 1, 3, 0, inner)])
+    b = rhs.copy()
+    b[:, [0, -1]] = gy[:, [0, -1]]
+    b[[0, -1], 1:-1] = gx[[0, -1], 1:-1]
     A = replace_rows(ops.lap, rows)
     # compatibility (Green): int rhs = sum of oriented boundary fluxes;
     # report the defect, then solve the bordered system with a mean-zero
@@ -257,15 +213,11 @@ def recover_pressure(sol, problem):
     area = float(ops.w2.sum())
     defect = (ops.integrate(rhs) - flux) / area
     sol.residuals["pressure_compatibility_defect"] = abs(defect)
-    bnd = np.zeros(nx * ny, dtype=bool)
-    for i in range(nx):
-        bnd[nd(i, 0)] = bnd[nd(i, ny - 1)] = True
-    for j in range(ny):
-        bnd[nd(0, j)] = bnd[nd(nx - 1, j)] = True
-    col = (~bnd).astype(float)
+    col = np.ones(nx * ny)
+    col[np.fromiter(rows, int)] = 0.0
     Ab = sp.bmat([[A, col.reshape(-1, 1)],
                   [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
-    bb = np.concatenate([b, [0.0]])
+    bb = np.concatenate([b.ravel(), [0.0]])
     P = grid_lu(Ab, nx, ny).solve(bb)[:-1].reshape(nx, ny)
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
     sol.P = P

@@ -167,10 +167,9 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
     rows = _bc_rows(grid)
     A_bc = replace_rows(assemble_linearized_operator(prob), rows)
     curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
+    bnd = list(rows)
     mask = np.ones(grid.nx * grid.ny)
-    for r in rows:
-        mask[r] = 0.0
-        curlF[r] = 0.0
+    mask[bnd] = curlF[bnd] = 0.0
 
     def residual(psi_flat):
         sf = psi_flat.reshape(grid.nx, grid.ny)

@@ -51,15 +51,13 @@ class RunSpec:
 
     def __init__(self, case, L=0.1, nx=48, ny=96, ny_cap=224, M=3,
                  kind="poiseuille_couette", alpha1=1.0, alpha2=0.0,
-                 pert_amplitude=0.0, pert_exponent=0.0, stretching=True,
-                 resolve_factor=0.25,
+                 pert_amplitude=0.0, pert_exponent=0.0, resolve_factor=0.25,
                  min_layer_nodes=8, gamma=0.05, a0=0.25, layer_nY=320,
                  ext_factor=1.25, scheme="be", tol=1e-10, max_iter=50):
         self.case = case
         self.L, self.nx, self.ny, self.ny_cap, self.M = L, nx, ny, ny_cap, M
         self.kind, self.alpha1, self.alpha2 = kind, alpha1, alpha2
-        self.grid_kwargs = {"stretching": stretching,
-                            "resolve_factor": resolve_factor,
+        self.grid_kwargs = {"resolve_factor": resolve_factor,
                             "min_layer_nodes": min_layer_nodes}
         self.expansion_kwargs = {"M": M, "gamma": gamma, "a0": a0, "case": case,
                                  "layer_nY": layer_nY, "ext_factor": ext_factor,

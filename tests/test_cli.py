@@ -1,10 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chasflow.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, load_config, main
+from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
+                          load_config, main)
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -224,3 +227,24 @@ def test_value_error_in_solve_is_numerical_failure(tmp_path, capsys,
     rc = main(["solve", "--out", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level, rc", [("verbose", EXIT_CONFIG),
+                                       ("BASIC_FORMAT", EXIT_CONFIG),
+                                       ("info", EXIT_OK)])
+def test_chas_log_level(level, rc, tmp_path, monkeypatch, capsys):
+    (tmp_path / "audit.json").write_text("{}")
+    monkeypatch.setenv("CHAS_LOG", level)
+    assert main(["report", "--out", str(tmp_path)]) == rc
+    if rc == EXIT_CONFIG:
+        assert "config error: CHAS_LOG" in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_schema():
+    """The backticked keys in the first column of the README's config
+    table are exactly the config keys."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = text.split("| key | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [key for line in table.splitlines()[1:]
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(SCHEMA)

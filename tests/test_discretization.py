@@ -9,7 +9,8 @@ from scipy.interpolate import PchipInterpolator
 
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, HalfLineGrid,
-                                     _fix_low_moments, build_channel_grid,
+                                     _fix_low_moments, boundary_rows,
+                                     build_channel_grid,
                                      diff_matrix, grid_lu, mms_convergence,
                                      nested_dissection, one_sided_row,
                                      pchip_operator, replace_rows,
@@ -31,7 +32,7 @@ def test_build_channel_grid_resolves_layers():
 
 
 def test_build_channel_grid_uniform_when_eps_large():
-    g = build_channel_grid(0.1, 16, 256, 0.5, stretching=True)
+    g = build_channel_grid(0.1, 16, 256, 0.5)
     assert g.sigma == 0.0
     assert np.allclose(np.diff(g.y), np.diff(g.y)[0])
 
@@ -382,6 +383,84 @@ def test_pchip_operator_memo_is_sound():
 
 def _as_assignments(rows):
     return [(r, cols, vals) for r, (cols, vals) in rows.items()]
+
+
+def _same_rows(rows, expect):
+    """Equal row dicts: the same rows, each with the same columns in the
+    same order and bit-identical weights."""
+    return rows.keys() == expect.keys() and all(
+        list(rows[r][0]) == list(cols)
+        and np.asarray(rows[r][1], dtype=float).tobytes()
+        == np.asarray(vals, dtype=float).tobytes()
+        for r, (cols, vals) in expect.items())
+
+
+def test_boundary_rows_on_a_small_grid():
+    x = np.array([0.0, 0.1, 0.25, 0.45, 0.7])
+    y = np.array([0.0, 0.3, 0.5, 0.9, 1.2])
+    nx, ny = x.size, y.size
+
+    def nd(i, j):
+        return i * ny + j
+
+    rows = boundary_rows(x, y, [
+        (1, True, 0, 1, 0, slice(None)),      # f = 0 on y = 0
+        (1, False, 1, 3, 0, slice(None)),     # f_y = 0 on the top wall
+        (1, True, 1, 3, 1, [2]),              # f_y = 0 at y = 0, in row 1
+        (0, True, 2, 4, 1, slice(1, -1)),     # f_xx = 0 at x = 0, in column 1
+        (0, False, 1, 3, 0, slice(1, -1)),    # f_x = 0 on the last column
+        (0, True, 1, 3, 0, slice(None))])     # f_x = 0 on x = 0, corners too
+    iy0, wy0 = one_sided_row(y, True, 1, 3)
+    iyL, wyL = one_sided_row(y, False, 1, 3)
+    ix0, wx0 = one_sided_row(x, True, 1, 3)
+    ixx, wxx = one_sided_row(x, True, 2, 4)
+    ixL, wxL = one_sided_row(x, False, 1, 3)
+    expect = {}
+    for i in range(nx):
+        expect[nd(i, 0)] = ([nd(i, 0)], [1.0])
+        expect[nd(i, ny - 1)] = ([nd(i, k) for k in iyL], wyL)
+    expect[nd(2, 1)] = ([nd(2, k) for k in iy0], wy0)
+    for j in range(1, ny - 1):
+        expect[nd(1, j)] = ([nd(k, j) for k in ixx], wxx)
+        expect[nd(nx - 1, j)] = ([nd(k, j) for k in ixL], wxL)
+    for j in range(ny):
+        expect[nd(0, j)] = ([nd(k, j) for k in ix0], wx0)
+    assert _same_rows(rows, expect)
+
+
+def _bc_rows_loop(grid):
+    """The psi rows as the per-node loop that ``_bc_rows`` replaced set them."""
+    nx, ny = grid.nx, grid.ny
+    rows = {}
+
+    def nd(i, j):
+        return i * ny + j
+
+    ixx, wxx = one_sided_row(grid.x, True, 2, 5)
+    ixxx, wxxx = one_sided_row(grid.x, False, 3, 6)
+    ix1, wx1 = one_sided_row(grid.x, False, 1, 4)
+    iy0, wy0 = one_sided_row(grid.y, True, 1, 3)
+    iy2, wy2 = one_sided_row(grid.y, False, 1, 3)
+    for i in range(nx):
+        for j in (0, ny - 1):
+            rows[nd(i, j)] = ([nd(i, j)], [1.0])
+    for j in range(ny):
+        rows[nd(0, j)] = ([nd(0, j)], [1.0])
+    for j in range(1, ny - 1):
+        rows[nd(nx - 1, j)] = ([nd(k, j) for k in ix1], list(wx1))
+    for j in range(1, ny - 1):
+        rows[nd(1, j)] = ([nd(k, j) for k in ixx], list(wxx))
+        rows[nd(nx - 2, j)] = ([nd(k, j) for k in ixxx], list(wxxx))
+    for i in range(2, nx - 2):
+        rows[nd(i, 1)] = ([nd(i, k) for k in iy0], list(wy0))
+        rows[nd(i, ny - 2)] = ([nd(i, k) for k in iy2], list(wy2))
+    return rows
+
+
+@pytest.mark.parametrize("nx, ny", [(48, 96), (33, 57)])
+def test_psi_rows_match_node_loop(nx, ny):
+    g = build_channel_grid(0.1, nx, ny, 1e-2)
+    assert _same_rows(_bc_rows(g), _bc_rows_loop(g))
 
 
 def test_replace_rows_matches_lil_on_biharmonic(channel_48x96, ops_48x96):
