@@ -332,7 +332,6 @@ class CutLayer:
         self.c1 = scale * chip
         self.c2 = scale ** 2 * chi_d2(yy / a0)
         self.cc = sgn * self.c1       # a sign flip is exact
-        self.ccp = sgn * self.c2
         self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
         cc = self.cc
         self.Uhat = self.chi[None, :] * layer.U + cc[None, :] * layer.W
@@ -656,15 +655,14 @@ class Cascade:
         # scheme residual stays in the measured remainder, never in the
         # forcing: dividing it by the next equation order would compound
         # solver truncation through the cascade)
-        UY = (cut._d1Y @ layer.U.T).T
-        sgnW = 1.0 if side == "plus" else -1.0
+        UY = cut.dY(layer.U)
         conv = (self.m0 * tgt.grid.Y[None, :] if side == "minus" else self.m1)
         commut = (conv * cut.cc[None, :] * layer.DXW
                   - cut.c2[None, :] * layer.U
                   - 2.0 * cut.c1[None, :] * UY
                   - cut.ccpp[None, :] * layer.W
-                  - 2.0 * sgnW * cut.ccp[None, :] * layer.U
-                  - sgnW * cut.cc[None, :] * UY)
+                  - 2.0 * cut.c2[None, :] * layer.U
+                  - cut.c1[None, :] * UY)
         if side == "minus":
             approx = (cu * (mu_y - self.m0 * tgt.y_of_Y)[None, :] * cut.DXUhat
                       + part.cv * (mup_y - self.m0)[None, :] * cut.Vhat)

@@ -540,7 +540,7 @@ class HalfLineGrid:
 
     def __init__(self, L, nx, nY, Ymax=20.0, x=None, Y=None):
         if Ymax < 20.0:
-            Ymax = 20.0
+            raise ValueError(f"Ymax must be at least 20, got {Ymax}")
         self.L = float(L)
         if x is not None:
             self.x = np.asarray(x, dtype=float)

@@ -46,10 +46,10 @@ class EulerSolver:
     boundary-condition variant (first/plus/minus) serves every index i.
     """
 
-    def __init__(self, grid, profile, ops=None):
+    def __init__(self, grid, profile):
         self.grid = grid
         self.profile = profile
-        self.ops = ops if ops is not None else DiffOps(grid.x, grid.y)
+        self.ops = DiffOps(grid.x, grid.y)
         # traces handed down by the layers need not vanish at the outflow end;
         # production solves run on an extended strip so that the outflow
         # corner (where the trace meets v=0) lies outside the reported domain.
@@ -115,11 +115,11 @@ class EulerSolver:
         g, ops = self.grid, self.ops
         vy = ops.apply(ops.Dy, v)
         u = -cumtrapz0(vy, g.x)
-        P = recover_corrector_pressure_fields(u, v, g, self.profile, rhs_x, ops=ops)
+        P = recover_corrector_pressure_fields(u, v, g, self.profile, rhs_x, ops)
         return EulerCorrector(index, side, g, u, v, P)
 
 
-def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops=None):
+def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops):
     """Integrate dP/dx = rhs_x - mu du/dx - mu' v along x (P = 0 at inflow).
 
     du/dx = -dv/dy exactly by construction, so the y-momentum relation
@@ -128,8 +128,6 @@ def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops=None):
     """
     mu = profile.mu(grid.y)
     mup = profile.mu(grid.y, 1)
-    if ops is None:
-        ops = DiffOps(grid.x, grid.y)
     dxu = -ops.apply(ops.Dy, v)
     integrand = rhs_x[None, :] - mu[None, :] * dxu - mup[None, :] * v
     return cumtrapz0(integrand, grid.x)

@@ -167,7 +167,8 @@ def _build_direct(res, profile, config, grid):
 def _build_couette(res, profile, config, grid):
     eps, M, a0 = config.eps, config.M, config.a0
     grid_ext = _extended_grid(grid, config.ext_factor)
-    ops_ext = DiffOps(grid_ext.x, grid_ext.y)
+    solver = EulerSolver(grid_ext, profile)
+    ops_ext = solver.ops
     res.ext = (grid_ext, ops_ext)
 
     lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
@@ -181,7 +182,6 @@ def _build_couette(res, profile, config, grid):
     casc = Cascade(profile, eps, a0, grid_ext, grids)
     res.cascade = casc
 
-    solver = EulerSolver(grid_ext, profile, ops=ops_ext)
     e1 = solver.solve_first()
     res.correctors.euler.append(e1)
     casc.add_euler(e1, eps, ops_ext)

@@ -11,8 +11,7 @@ and the weighted solution norm) live here as well.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (DiffOps, boundary_rows, diff_matrix, grid_lu,
-                             replace_rows)
+from .discretization import boundary_rows, grid_lu, replace_rows
 
 
 class LinearSolveError(RuntimeError):
@@ -23,7 +22,7 @@ class LinearizedProblem:
     """Background fields, frozen convected pair and force for one solve."""
 
     def __init__(self, background, eps, M0, F1=None, F2=None,
-                 ubar=None, vbar=None, grid=None, ops=None):
+                 ubar=None, vbar=None, *, grid, ops):
         self.bg = background          # dict of u_s, v_s and derivatives
         self.eps = float(eps)
         self.M0 = float(M0)
@@ -79,29 +78,28 @@ def _bc_rows(grid):
         (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2))])
 
 
-def _row_scale(A):
-    """(diag(1/d) A as CSC, d), d the largest |entry| of each row (1 if none);
-    a right-hand side b of A goes with b / d."""
+def psi_rows(A, grid):
+    """(A with the psi boundary rows of ``_bc_rows`` set, as CSC; the
+    indices of those rows)."""
+    rows = _bc_rows(grid)
+    return replace_rows(A, rows), np.fromiter(rows, int)
+
+
+def factor_psi(A, grid):
+    """(LU, d) of diag(1/d) A, d the largest |entry| of each row of the psi
+    operator A (1 if none); a right-hand side b of A goes with b / d."""
     d = np.abs(A).max(axis=1).toarray().ravel()
     d[d == 0.0] = 1.0
-    return (sp.diags(1.0 / d) @ A).tocsc(), d
-
-
-def _psi_system(A, grid):
-    """(LU, row scale, boundary rows) of the psi operator A with the
-    boundary rows of ``_bc_rows`` set and every row scaled."""
-    rows = _bc_rows(grid)
-    A, d = _row_scale(replace_rows(A, rows))
     try:
-        lu = grid_lu(A, grid.nx, grid.ny)
+        lu = grid_lu((sp.diags(1.0 / d) @ A).tocsc(), grid.nx, grid.ny)
     except RuntimeError as exc:
         raise LinearSolveError(f"psi factorization failed: {exc}")
-    return lu, d, np.fromiter(rows, int)
+    return lu, d
 
 
 def _solve_psi(system, f, grid):
-    """psi, as an (nx, ny) array, of a ``_psi_system`` with interior
-    right-hand side f and homogeneous boundary rows."""
+    """psi, as an (nx, ny) array, of a factored psi system (LU, d, boundary
+    rows) with interior right-hand side f and homogeneous boundary rows."""
     lu, d, bnd = system
     b = np.asarray(f, dtype=float).ravel().copy()
     b[bnd] = 0.0
@@ -111,29 +109,23 @@ def _solve_psi(system, f, grid):
     return psi.reshape(grid.nx, grid.ny)
 
 
-def solve_biharmonic(f, grid, ops=None):
+def solve_biharmonic(f, grid, ops):
     """Discrete lap^2 psi = f with the seven-condition mixed BC set; returns
     the (nx, ny) psi."""
-    if ops is None:
-        ops = DiffOps(grid.x, grid.y)
-    return _solve_psi(_psi_system(ops.bih, grid), f, grid)
+    A, bnd = psi_rows(ops.bih, grid)
+    return _solve_psi(factor_psi(A, grid) + (bnd,), f, grid)
 
 
 def assemble_linearized_operator(problem):
     """u_s psi_xyy + u_s psi_xxx - lap(u_s) psi_x + S(psi_y, -psi_x) - eps lap^2."""
     ops = problem.ops
     bg = problem.bg
-    nx, ny = problem.grid.nx, problem.grid.ny
     us = sp.diags(bg["u_s"].ravel())
     vs = sp.diags(bg["v_s"].ravel())
     usx = sp.diags(bg["us_x"].ravel())
     vsx = sp.diags(bg["vs_x"].ravel())
     lap_us = sp.diags(bg["lap_us"].ravel())
-    Ix = sp.identity(nx, format="csr")
-    Iy = sp.identity(ny, format="csr")
-    d3x = diff_matrix(problem.grid.x, 3)
-    Dxyy = sp.kron(ops.d1x, ops.d2y, format="csr")
-    Dxxx = sp.kron(d3x, Iy, format="csr")
+    Dxxx, _, Dxyy, _ = ops.third_ops()
     A = us @ (Dxyy + Dxxx) - lap_us @ ops.Dx
     # S(u, v) with u = psi_y, v = -psi_x
     S = (ops.Dy @ (usx @ ops.Dy + vs @ ops.Dyy)
@@ -143,33 +135,31 @@ def assemble_linearized_operator(problem):
 
 
 def factorize_linearized(problem):
-    """LU of the (row-scaled) linearized operator with boundary rows."""
-    return _psi_system(assemble_linearized_operator(problem), problem.grid)
+    """(LU, row scale, boundary rows) of the linearized psi operator."""
+    A, bnd = psi_rows(assemble_linearized_operator(problem), problem.grid)
+    return factor_psi(A, problem.grid) + (bnd,)
 
 
-def solve_curl_rhs(problem, curl, lu=None):
-    """Solve the psi system for a given curl right-hand side."""
-    if lu is None:
-        lu = factorize_linearized(problem)
+def solve_curl_rhs(problem, curl, lu):
+    """Solve the psi system, factored by ``factorize_linearized``, for a
+    given curl right-hand side."""
     ops = problem.ops
     psi = _solve_psi(lu, curl, problem.grid)
     return RemainderSolution(problem.grid, ops, ops.apply(ops.Dy, psi),
                              -ops.apply(ops.Dx, psi), psi=psi)
 
 
-def solve_linearized(problem, lu=None):
+def solve_linearized(problem, lu):
     """One linear remainder solve with the frozen pair in problem.(ubar, vbar).
 
-    The assembled operator depends only on the background, so a cached
-    factorization is reused across Picard iterations.
+    The assembled operator depends only on the background, so the one
+    factorization ``lu`` serves every Picard iteration.
     """
     ops = problem.ops
     N1, N2 = problem.nonlinear_terms()
     curl = (ops.apply(ops.Dy, N1 + problem.F1)
             - ops.apply(ops.Dx, N2 + problem.F2))
-    if lu is None:
-        lu = factorize_linearized(problem)
-    return solve_curl_rhs(problem, curl, lu=lu)
+    return solve_curl_rhs(problem, curl, lu)
 
 
 def recover_pressure(sol, problem):
@@ -177,22 +167,19 @@ def recover_pressure(sol, problem):
     ops = problem.ops
     grid = problem.grid
     bg = problem.bg
-    eps = problem.eps
     u, v = sol.u, sol.v
     N1, N2 = problem.nonlinear_terms()
     f1 = N1 + problem.F1
     f2 = N2 + problem.F2
-    ux = ops.apply(ops.Dx, u)
     uy = ops.apply(ops.Dy, u)
     vx = ops.apply(ops.Dx, v)
     vy = ops.apply(ops.Dy, v)
     rhs = (ops.apply(ops.Dx, f1) + ops.apply(ops.Dy, f2)
            - (2.0 * bg["us_y"] * vx + 4.0 * bg["vs_y"] * vy + 2.0 * bg["vs_x"] * uy))
     # Neumann data from the momentum balances
-    gx = f1 - (bg["u_s"] * ux + bg["us_y"] * v + bg["us_x"] * u
-               + bg["v_s"] * uy - eps * ops.apply(ops.lap, u))
-    gy = f2 - (bg["u_s"] * vx + bg["v_s"] * vy + bg["vs_x"] * u
-               + v * bg["vs_y"] - eps * ops.apply(ops.lap, v))
+    m1, m2 = _momentum_balances(problem, u, v)
+    gx = f1 - m1
+    gy = f2 - m2
 
     nx, ny = grid.nx, grid.ny
     # Neumann rows on the walls, then at inflow and outflow between them
@@ -224,19 +211,26 @@ def recover_pressure(sol, problem):
     return P
 
 
-def momentum_residual(sol, problem):
-    """Residuals of the two linearized momentum equations with recovered P."""
+def _momentum_balances(problem, u, v):
+    """The two linearized momentum balances of (u, v) without pressure and
+    force: background convection minus eps times the Laplacian."""
     ops = problem.ops
     bg = problem.bg
     eps = problem.eps
-    u, v, P = sol.u, sol.v, sol.P
+    m1 = (bg["u_s"] * ops.apply(ops.Dx, u) + bg["us_y"] * v + bg["us_x"] * u
+          + bg["v_s"] * ops.apply(ops.Dy, u) - eps * ops.apply(ops.lap, u))
+    m2 = (bg["u_s"] * ops.apply(ops.Dx, v) + bg["v_s"] * ops.apply(ops.Dy, v)
+          + bg["vs_x"] * u + v * bg["vs_y"] - eps * ops.apply(ops.lap, v))
+    return m1, m2
+
+
+def momentum_residual(sol, problem):
+    """Residuals of the two linearized momentum equations with recovered P."""
+    ops = problem.ops
     N1, N2 = problem.nonlinear_terms()
-    r1 = (bg["u_s"] * ops.apply(ops.Dx, u) + bg["us_y"] * v + bg["us_x"] * u
-          + bg["v_s"] * ops.apply(ops.Dy, u) - eps * ops.apply(ops.lap, u)
-          + ops.apply(ops.Dx, P) - N1 - problem.F1)
-    r2 = (bg["u_s"] * ops.apply(ops.Dx, v) + bg["v_s"] * ops.apply(ops.Dy, v)
-          + bg["vs_x"] * u + v * bg["vs_y"] - eps * ops.apply(ops.lap, v)
-          + ops.apply(ops.Dy, P) - N2 - problem.F2)
+    m1, m2 = _momentum_balances(problem, sol.u, sol.v)
+    r1 = m1 + ops.apply(ops.Dx, sol.P) - N1 - problem.F1
+    r2 = m2 + ops.apply(ops.Dy, sol.P) - N2 - problem.F2
     return r1, r2
 
 
@@ -315,16 +309,14 @@ def compute_norms(sol, background, eps):
              + ops.norm_l2(sqrt_us * qyy) ** 2)
     A2 = np.sqrt(eps * grad2 + edge_qy ** 2 + edge_qx ** 2)
 
-    Dxxx, Dxxy, Dxyy, Dyyy = ops.third_ops()
-    A3 = np.sqrt(eps ** 3 * (ops.norm_l2(ops.apply(Dxxx, v)) ** 2
-                             + ops.norm_l2(ops.apply(Dxxy, v)) ** 2
-                             + ops.norm_l2(ops.apply(Dxyy, v)) ** 2))
+    # squared norms of (Dxxx, Dxxy, Dxyy, Dyyy) applied to u, then to v
+    third = [ops.norm_l2(ops.apply(op, f)) ** 2
+             for f in (u, v) for op in ops.third_ops()]
+    A3 = np.sqrt(eps ** 3 * (third[4] + third[5] + third[6]))
     third_sum = 0.0
-    for f in (u, v):
-        for op in (Dxxx, Dxxy, Dxyy, Dyyy):
-            third_sum += ops.norm_l2(ops.apply(op, f)) ** 2
-    X = (np.sqrt(ops.norm_l2(sqrt_us * vx) ** 2 + ops.norm_l2(sqrt_us * vy) ** 2)
-         + np.sqrt(eps) * np.sqrt(grad2)
+    for t in third:     # left to right: sum() compensates from Python 3.12
+        third_sum += t
+    X = (A1 + np.sqrt(eps) * np.sqrt(grad2)
          + eps ** 1.5 * np.sqrt(third_sum)
          + edge_qy)
     report = {"A1": float(A1), "A2": float(A2), "A3": float(A3),

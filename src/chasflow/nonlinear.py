@@ -8,11 +8,10 @@ Newton solve of the same discrete system serves as an independent oracle.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import grid_lu, replace_rows
 from .linearized import (LinearizedProblem, factorize_linearized,
                          solve_linearized, recover_pressure,
                          momentum_residual, compute_norms, RemainderSolution,
-                         assemble_linearized_operator, _bc_rows, _row_scale)
+                         assemble_linearized_operator, psi_rows, factor_psi)
 
 
 NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
@@ -36,13 +35,13 @@ class CaseForcing:
 
 
 def build_case_forcing(case, profile, grid, ops, eps, M0, expansion=None,
-                       g_eps=None, alpha0=None, gamma=None):
+                       g_eps=None, alpha0=None):
     """Assemble the case forcing.
 
     (i)  family flow, no force:  F = (eps^{1-M0} (mu'' - U''), 0)
     (ii) Couette construction:   F = the measured expansion remainders
     (iii) forced:                F = eps^{-M0} g, after checking the
-          smallness hypothesis ||g||_{H2} <= alpha0 eps^{11/8 + gamma}.
+          smallness hypothesis ||g||_{H2} <= alpha0 eps^M0, M0 = 11/8 + gamma.
     """
     shape = (grid.nx, grid.ny)
     if case == "poiseuille_couette_noforce":
@@ -58,13 +57,12 @@ def build_case_forcing(case, profile, grid, ops, eps, M0, expansion=None,
             raise ForcingError("forced case needs the control force g_eps")
         g1, g2 = g_eps
         if alpha0 is not None:
-            gam = 0.05 if gamma is None else gamma
             h2 = np.hypot(ops.norm(g1, "H2"), ops.norm(g2, "H2"))
-            bound = alpha0 * eps ** (11.0 / 8.0 + gam)
+            bound = alpha0 * eps ** M0
             if h2 > bound:
                 raise ForcingError(
                     f"control force too large: ||g||_H2 = {h2:.3e} > "
-                    f"alpha0 eps^(11/8+gamma) = {bound:.3e}")
+                    f"alpha0 eps^M0 = {bound:.3e}")
         return CaseForcing(case, g1 / eps ** M0, g2 / eps ** M0)
     raise ForcingError(f"unknown case {case!r}")
 
@@ -164,10 +162,8 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
     tol, max_iter = 1e-12, 30
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
-    rows = _bc_rows(grid)
-    A_bc = replace_rows(assemble_linearized_operator(prob), rows)
+    A_bc, bnd = psi_rows(assemble_linearized_operator(prob), grid)
     curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
-    bnd = list(rows)
     mask = np.ones(grid.nx * grid.ny)
     mask[bnd] = curlF[bnd] = 0.0
 
@@ -189,9 +185,10 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
         # and the Newton step size instead
         if gnorm <= tol * max(1.0, g0) or g0 == 0.0:
             break
-        J = A_bc - sp.diags(mask) @ _newton_jacobian_curlN(prob, u, v)
-        J, d = _row_scale(J)
-        delta = grid_lu(J, grid.nx, grid.ny).solve(-G / d)
+        lu, d = factor_psi(
+            A_bc - sp.diags(mask) @ _newton_jacobian_curlN(prob, u, v), grid)
+        delta = lu.solve(-G / d)
+        del lu   # free this factor before the next one is built
         step = 1.0
         for _ in range(20):
             G_new, u_new, v_new = residual(psi + step * delta)

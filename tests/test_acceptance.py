@@ -176,9 +176,9 @@ def test_criterion_8_opposite_wall_traces():
     expansion = construct_expansion(prof, ExpansionConfig(1e-2, M=3), grid)
     # discretization tolerance calibrated by an MMS of the same elliptic
     # operator on the same extended grid at a comparable data norm
-    gext, opsx = expansion.ext
+    gext, _ = expansion.ext
     from chasflow.euler_correctors import EulerSolver
-    s = EulerSolver(gext, prof, ops=opsx)
+    s = EulerSolver(gext, prof)
     vstar = (np.cos(np.pi * gext.XX / (2 * gext.L))
              * np.sin(np.pi * gext.YY / 2) ** 2)
     w = np.tile(prof.ratio2(gext.y), (gext.nx, 1))

@@ -161,6 +161,11 @@ def test_halfline_grid_defaults():
     assert dY[0] < dY[-1]
 
 
+def test_halfline_grid_rejects_short_ymax():
+    with pytest.raises(ValueError, match="Ymax"):
+        HalfLineGrid(0.1, 64, 128, Ymax=19.5)
+
+
 def test_field2d_shape_and_nan_guard(channel_48x96):
     with pytest.raises(ValueError):
         Field2D(channel_48x96, np.zeros((3, 3)))
@@ -516,7 +521,6 @@ def grid_systems():
     pressure system comes from recovering the Newton iterate's pressure."""
     import chasflow.euler_correctors as euler
     import chasflow.linearized as linearized
-    import chasflow.nonlinear as nonlinear
     from chasflow.expansion import ExpansionConfig, construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve
     from chasflow.profiles import PerturbationSpec, build_profile
@@ -545,7 +549,7 @@ def grid_systems():
         mp.setattr(linearized, "grid_lu", catch("linearized"))
         linearized.factorize_linearized(LinearizedProblem(
             exp.fields, eps, M0, grid=grid, ops=ops))
-        mp.setattr(nonlinear, "grid_lu", catch("newton"))
+        mp.setattr(linearized, "grid_lu", catch("newton"))
         newton = newton_solve(exp.fields, forcing, eps, M0, grid, ops)
         mp.setattr(linearized, "grid_lu", catch("pressure"))
         linearized.recover_pressure(newton, LinearizedProblem(

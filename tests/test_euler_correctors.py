@@ -85,16 +85,17 @@ def test_divergence_free(perturbed_couette, channel_48x96):
     assert np.abs(div).max() < 5e-2 * scale
 
 
-def test_pressure_trivial_cases(couette, poiseuille, channel_48x96):
+def test_pressure_trivial_cases(couette, poiseuille, channel_48x96,
+                                ops_48x96):
     g = channel_48x96
     zero = np.zeros(g.shape)
     # Couette, zero corrector: dP/dx = mu'' = 0 -> constant
     P = recover_corrector_pressure_fields(zero, zero, g, couette,
-                                          couette.mu(g.y, 2))
+                                          couette.mu(g.y, 2), ops_48x96)
     assert np.abs(P).max() < 1e-14
     # Poiseuille-like: mu'' = -2 alpha2 -> P = -2 alpha2 x + const
     P = recover_corrector_pressure_fields(zero, zero, g, poiseuille,
-                                          poiseuille.mu(g.y, 2))
+                                          poiseuille.mu(g.y, 2), ops_48x96)
     assert np.allclose(P, -2.0 * g.XX, rtol=1e-10, atol=1e-12)
 
 

@@ -1,16 +1,19 @@
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from chasflow.discretization import DiffOps, build_channel_grid
+from chasflow.discretization import DiffOps, build_channel_grid, grid_lu
 from chasflow.expansion import ExpansionConfig, construct_expansion
-from chasflow.linearized import RemainderSolution, compute_norms, solve_linearized
+from chasflow.linearized import (RemainderSolution, compute_norms,
+                                 factorize_linearized, solve_linearized)
 from chasflow.linearized import LinearizedProblem
 from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
 from chasflow.profiles import PerturbationSpec, build_profile
+from conftest import same_arrays
 
 L = 0.1
 EPS = 1e-2
@@ -59,7 +62,7 @@ def test_fixed_point_property(case_i_setup):
     prob = LinearizedProblem(expansion.fields, EPS, M0, F1=forcing.F1,
                              F2=forcing.F2, ubar=sol.u, vbar=sol.v,
                              grid=grid, ops=ops)
-    again = solve_linearized(prob)
+    again = solve_linearized(prob, factorize_linearized(prob))
     d = RemainderSolution(grid, ops, again.u - sol.u, again.v - sol.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
     assert dx < 1e-9 * max(1.0, sol.norms["X_norm"])
@@ -105,6 +108,72 @@ def test_case_iii_precondition(couette):
                                  g_eps=(small, np.zeros(grid.shape)),
                                  alpha0=0.05)
     assert np.isfinite(forcing.F1).all()
+
+
+def test_case_iii_bound_uses_the_runs_gamma(couette):
+    # the smallness bound is alpha0 eps^M0 with the run's own M0 = 11/8 +
+    # gamma; a force between the gamma = 0.2 and gamma = 0.05 bounds (2x
+    # apart at eps = 1e-2) must fail at gamma = 0.2
+    grid = build_channel_grid(L, 32, 64, EPS)
+    ops = DiffOps(grid.x, grid.y)
+    m0, alpha0 = 11.0 / 8.0 + 0.2, 0.05
+    shape = np.sin(np.pi * grid.XX / L) * np.sin(np.pi * grid.YY / 2)
+    g1 = 1.5 * alpha0 * EPS ** m0 / ops.norm(shape, "H2") * shape
+    h2 = ops.norm(g1, "H2")
+    assert alpha0 * EPS ** m0 < h2 < alpha0 * EPS ** (11.0 / 8.0 + 0.05)
+    with pytest.raises(ForcingError):
+        build_case_forcing("forced", couette, grid, ops, EPS, m0,
+                           g_eps=(g1, np.zeros(grid.shape)), alpha0=alpha0)
+
+
+@pytest.fixture(scope="module")
+def case_i_24x48():
+    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
+    prof = build_profile("poiseuille_couette", 0.5, 0.5,
+                         perturbation=pert, eps=EPS)
+    grid = build_channel_grid(L, 24, 48, EPS)
+    ops = DiffOps(grid.x, grid.y)
+    expansion = construct_expansion(
+        prof, ExpansionConfig(EPS, case="poiseuille_couette_noforce"), grid)
+    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
+                                 ops, EPS, M0)
+    return expansion.fields, forcing, grid, ops
+
+
+def _catch_grid_lu(monkeypatch):
+    """Route the psi and pressure factorizations through a wrapper; returns
+    the list it fills with (matrix, factors still alive) per call."""
+    import chasflow.linearized as linearized
+    calls, refs = [], []
+
+    def lu(A, nx, ny):
+        calls.append((A, sum(r() is not None for r in refs)))
+        fac = grid_lu(A, nx, ny)
+        refs.append(weakref.ref(fac))
+        return fac
+
+    monkeypatch.setattr(linearized, "grid_lu", lu)
+    return calls
+
+
+def test_newton_holds_one_factor_at_a_time(case_i_24x48, monkeypatch):
+    calls = _catch_grid_lu(monkeypatch)
+    fields, forcing, grid, ops = case_i_24x48
+    newton_solve(fields, forcing, EPS, M0, grid, ops)
+    alive = [n for _, n in calls]
+    assert len(alive) >= 2
+    assert alive == [0] * len(alive)
+
+
+def test_newton_first_jacobian_is_picards_operator(case_i_24x48, monkeypatch):
+    # J_N vanishes at psi = 0, so Newton's first system is Picard's
+    fields, forcing, grid, ops = case_i_24x48
+    calls = _catch_grid_lu(monkeypatch)
+    picard_solve(fields, forcing, EPS, M0, grid, ops)
+    picard = calls[0][0]
+    calls.clear()
+    newton_solve(fields, forcing, EPS, M0, grid, ops)
+    assert same_arrays(calls[0][0], picard)
 
 
 def test_assemble_full_solution_zero_remainder(couette):
