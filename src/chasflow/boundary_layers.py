@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 from .discretization import cumtrapz0, diff_matrix, one_sided_row, pchip_operator
 
 SIGN_Y = {"minus": 1.0, "plus": -1.0}   # d/dy -> SIGN_Y * eps^(-s) d/dY
+WALL_Y = {"minus": 0.0, "plus": 2.0}    # y = WALL_Y + SIGN_Y * eps^s * Y
 S_EXP = {"minus": 1.0 / 3.0, "plus": 0.5}
 BE_STEPS = 3     # backward-Euler start-up steps of the "cn" scheme
 BLOWUP = 1e6     # a marched column above this times the data scale fails
@@ -327,7 +328,7 @@ class CutLayer:
         self.y_wall_dist = yy
         self.chi = chi(yy / a0)
         chip = chi_prime(yy / a0)
-        sgn = -1.0 if side == "minus" else 1.0
+        sgn = -SIGN_Y[side]
         scale = eps ** s / a0
         self.c1 = scale * chip
         self.c2 = scale ** 2 * chi_d2(yy / a0)
@@ -362,11 +363,8 @@ class LayerTarget:
 
     def __init__(self, side, grid, eps):
         self.grid = grid
-        s = S_EXP[side]
-        if side == "minus":
-            self.y_of_Y = np.clip(eps ** s * grid.Y, 0.0, 2.0)
-        else:
-            self.y_of_Y = np.clip(2.0 - eps ** s * grid.Y, 0.0, 2.0)
+        self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
+                              * (eps ** S_EXP[side] * grid.Y), 0.0, 2.0)
 
 
 _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
@@ -375,7 +373,7 @@ _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
 def interp_layer_field(field, lgrid, side, eps, cx, cy):
     """Interpolate a half-line field to channel nodes (0 beyond Ymax)."""
     s = S_EXP[side]
-    Yq = (cy / eps ** s) if side == "minus" else ((2.0 - cy) / eps ** s)
+    Yq = SIGN_Y[side] * (cy - WALL_Y[side]) / eps ** s
     inside = Yq <= lgrid.Ymax
     # the columns beyond Ymax are +0.0, so only the inside ones interpolate
     tmp = np.zeros((field.shape[0], cy.size))
@@ -697,7 +695,7 @@ class Cascade:
             item[1] = (1.0 - ramp) * item[1]
         py = -pv
         s = S_EXP[side]
-        sgn = 1.0 if side == "minus" else -1.0
+        sgn = SIGN_Y[side]
         tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT  # int_Y^Ymax
         Pi = sgn * self.eps ** s * (pv @ tail)
         dxpv = fitted_dx(lgrid.x, pv, self.ramp[side].ravel())

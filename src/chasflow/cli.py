@@ -158,6 +158,9 @@ def _run_spec(cfg, sweep=False):
     """The run spec of a command; a single point never refines its grid."""
     if sweep:
         cfg = dict(cfg, **{key: cfg[alias] for key, alias in SWEEP_KEYS.items()})
+    if cfg["expansion.case"] == "forced":
+        raise ConfigError("case forced needs a control force g, which no "
+                          "config key can give; it runs from the library only")
     return RunSpec(cfg["expansion.case"], L=cfg["grid.L"], nx=cfg["grid.nx"],
                    ny=cfg["grid.ny"],
                    ny_cap=cfg["sweep.ny_cap"] if sweep else cfg["grid.ny"],
@@ -204,7 +207,7 @@ def cmd_solve(cfg, args):
     expansion, forcing, sol, trace, full = solve_point(
         _run_spec(cfg), cfg["expansion.epsilon"])
     grid, ops = expansion.grid, expansion.ops
-    eps, M0 = expansion.config.eps, expansion.config.M0
+    eps, M0 = expansion.eps, expansion.M0
     out = _outdir(cfg, args)
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
     for name, arr in (("u_full", full["u"]), ("v_full", full["v"]),

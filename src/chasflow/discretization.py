@@ -536,25 +536,27 @@ def build_channel_grid(L, nx, ny, eps, resolve_factor=0.25, min_layer_nodes=6):
 
 
 class HalfLineGrid:
-    """Layer grid: x in [0,L] graded towards 0, Y in [0,Ymax] graded towards 0."""
+    """Layer grid: x in [0,L] and Y in [0,Ymax] (20 by default), both graded
+    towards 0.  Nodes x replace nx and end at L; nodes Y replace nY and Ymax."""
 
-    def __init__(self, L, nx, nY, Ymax=20.0, x=None, Y=None):
-        if Ymax < 20.0:
-            raise ValueError(f"Ymax must be at least 20, got {Ymax}")
-        self.L = float(L)
-        if x is not None:
-            self.x = np.asarray(x, dtype=float)
-        else:
-            s = np.linspace(0.0, 1.0, int(nx))
-            self.x = L * s ** 2.0
-        self.nx = self.x.size
-        if Y is not None:
-            self.Y = np.asarray(Y, dtype=float)
-        else:
-            t = np.linspace(0.0, 1.0, int(nY))
-            self.Y = Ymax * t ** 2.0
-        self.nY = self.Y.size
+    def __init__(self, L, nx, nY, Ymax=None, x=None, Y=None):
+        if x is None:
+            x = L * np.linspace(0.0, 1.0, int(nx)) ** 2.0
+        elif nx is not None or L != x[-1]:
+            raise ValueError(f"nodes x replace nx and end at L: got nx={nx}, "
+                             f"L={L}, x[-1]={x[-1]}")
+        if Y is None:
+            Ymax = 20.0 if Ymax is None else Ymax
+            Y = Ymax * np.linspace(0.0, 1.0, int(nY)) ** 2.0
+        elif nY is not None or Ymax not in (None, Y[-1]):
+            raise ValueError(f"nodes Y replace nY and Ymax: got nY={nY}, "
+                             f"Ymax={Ymax}, Y[-1]={Y[-1]}")
+        self.x = np.asarray(x, dtype=float)
+        self.Y = np.asarray(Y, dtype=float)
+        self.nx, self.nY = self.x.size, self.Y.size
         self.Ymax = float(self.Y[-1])
+        if self.Ymax < 20.0:
+            raise ValueError(f"Ymax must be at least 20, got {self.Ymax}")
         self.wY = trapezoid_weights(self.Y)
         self.wx = trapezoid_weights(self.x)
 

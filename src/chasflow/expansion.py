@@ -32,39 +32,6 @@ class ExpansionError(RuntimeError):
     pass
 
 
-class ExpansionConfig:
-    """Knobs of the Section-2 construction."""
-
-    def __init__(self, eps, M=3, gamma=0.05, a0=0.25, case="couette_noforce",
-                 layer_nY=320, ext_factor=1.25, scheme="be"):
-        if eps <= 0:
-            raise ExpansionError("eps must be positive")
-        if M < 1:
-            raise ExpansionError("M must be >= 1")
-        if gamma <= 0:
-            raise ExpansionError("gamma must be positive")
-        if case not in CASES:
-            raise ExpansionError(f"case must be one of {CASES}")
-        if not 0.0 < a0 <= 1.0:
-            raise ExpansionError("a0 must lie in (0, 1]")
-        if scheme not in SCHEMES:
-            raise ExpansionError(f"scheme must be one of {SCHEMES}")
-        if layer_nY < 4:
-            raise ExpansionError("layer_nY must be >= 4 (the d2 stencil)")
-        if not ext_factor >= 1.0:
-            raise ExpansionError("ext_factor must be >= 1: the corrector "
-                                 "strip has to cover the channel")
-        self.eps = float(eps)
-        self.M = int(M)
-        self.gamma = float(gamma)
-        self.M0 = 11.0 / 8.0 + self.gamma
-        self.a0 = float(a0)
-        self.case = case
-        self.layer_nY = int(layer_nY)
-        self.ext_factor = float(ext_factor)
-        self.scheme = scheme
-
-
 class CorrectorSet:
     """All solved correctors and the forcing record of each layer."""
 
@@ -75,9 +42,11 @@ class CorrectorSet:
 
 
 class ExpansionResult:
-    def __init__(self, profile, config, grid, ops):
+    def __init__(self, profile, spec, eps, grid, ops):
         self.profile = profile
-        self.config = config
+        self.spec = spec         # the settings (verification.RunSpec)
+        self.eps = float(eps)
+        self.M0 = spec.M0
         self.grid = grid         # reporting grid, x in [0, L]
         self.ops = ops
         self.correctors = CorrectorSet()
@@ -125,18 +94,18 @@ def _mollify_corner(g, x, x0):
     return g
 
 
-def construct_expansion(profile, config, grid):
+def construct_expansion(profile, spec, eps, grid):
     """Build (u_s, v_s, P_s) per the expansion ansatz and measure everything.
 
-    couette_noforce runs the full corrector cascade (requires alpha2 = 0 and
-    the degeneracy gate); the other cases return the base flow with the exact
-    family pressure.
+    ``spec`` (a ``verification.RunSpec``) holds the case and the construction
+    settings.  couette_noforce runs the full corrector cascade (requires
+    alpha2 = 0 and the degeneracy gate); the other cases return the base
+    flow with the exact family pressure.
     """
     ops = DiffOps(grid.x, grid.y)
-    res = ExpansionResult(profile, config, grid, ops)
-    eps, M = config.eps, config.M
+    res = ExpansionResult(profile, spec, eps, grid, ops)
 
-    if config.case == "couette_noforce":
+    if spec.case == "couette_noforce":
         if profile.alpha2 != 0.0:
             raise ExpansionError("couette_noforce requires alpha2 = 0")
         gate = check_couette_degeneracy(profile)
@@ -145,28 +114,28 @@ def construct_expansion(profile, config, grid):
             raise ExpansionError(
                 f"degeneracy gate failed: sup|mu''/mu|={gate['sup_ratio2']:.3g}, "
                 f"|mu'''/mu|_Ck={gate['ratio3_ck']:.3g}")
-        _build_couette(res, profile, config, grid)
+        _build_couette(res, profile, spec, grid)
     else:
-        _build_direct(res, profile, config, grid)
+        _build_direct(res, profile, spec, grid)
 
     compute_remainders(res)
     return res
 
 
-def _build_direct(res, profile, config, grid):
+def _build_direct(res, profile, spec, grid):
     """Cases (i) and (iii): u_s = (mu, 0) with the family pressure."""
-    eps = config.eps
+    eps = res.eps
     f = _assemble([BasePart(profile)], grid)
-    if config.case == "poiseuille_couette_noforce":
+    if spec.case == "poiseuille_couette_noforce":
         # P_s = eps U'' x = -2 eps alpha2 x
         f["P_s"] = -2.0 * eps * profile.alpha2 * grid.XX
         f["Ps_x"] = -2.0 * eps * profile.alpha2 * np.ones(grid.shape)
     res.fields = f
 
 
-def _build_couette(res, profile, config, grid):
-    eps, M, a0 = config.eps, config.M, config.a0
-    grid_ext = _extended_grid(grid, config.ext_factor)
+def _build_couette(res, profile, spec, grid):
+    eps, M, a0 = res.eps, spec.M, spec.a0
+    grid_ext = _extended_grid(grid, spec.ext_factor)
     solver = EulerSolver(grid_ext, profile)
     ops_ext = solver.ops
     res.ext = (grid_ext, ops_ext)
@@ -176,7 +145,7 @@ def _build_couette(res, profile, config, grid):
     for side in ("minus", "plus"):
         s = S_EXP[side]
         ymax = max(20.0, 1.1 * a0 * eps ** (-s))
-        grids[side] = HalfLineGrid(grid_ext.L, None, config.layer_nY,
+        grids[side] = HalfLineGrid(grid_ext.L, None, spec.layer_nY,
                                    Ymax=ymax, x=lay_x)
 
     casc = Cascade(profile, eps, a0, grid_ext, grids)
@@ -202,7 +171,7 @@ def _build_couette(res, profile, config, grid):
             # repeated differentiation of marched fields free of ringing
             lay = solve_fn[side](F if i > 1 else None, g_layer, lg,
                                  last_layer=(i == M), m_coef=m_coef[side],
-                                 index=i, scheme=config.scheme)
+                                 index=i, scheme=spec.scheme)
             res.correctors.layers.append(lay)
             parts[side] = casc.add_layer(lay, i)
             rec = {"index": i, "side": side, "far_field": lay.far_field(),
@@ -262,7 +231,7 @@ def _assemble(parts, grid):
 
 def compute_remainders(res):
     """Momentum remainders of the assembled fields, semi-analytic derivatives."""
-    eps, M0 = res.config.eps, res.config.M0
+    eps, M0 = res.eps, res.M0
     ops, f = res.ops, res.fields
     Ru = (f["u_s"] * f["us_x"] + f["v_s"] * f["us_y"] + f["Ps_x"]
           - eps * f["lap_us"])
@@ -282,8 +251,7 @@ def compute_remainders(res):
 
 def _pointwise_constants(res):
     """Fitted constants of the pointwise corrector-size bounds."""
-    grid, f = res.grid, res.fields
-    eps = res.config.eps
+    grid, f, eps = res.grid, res.fields, res.eps
     y = grid.y
     inner = slice(1, -1)
     yv = y[inner]
@@ -306,12 +274,11 @@ def _pointwise_constants(res):
 
 def expansion_report(res):
     """JSON-ready expansion report."""
-    cfg = res.config
     rep = {
-        "epsilon": cfg.eps,
-        "M": cfg.M,
-        "M0": cfg.M0,
-        "case": cfg.case,
+        "epsilon": res.eps,
+        "M": res.spec.M,
+        "M0": res.M0,
+        "case": res.spec.case,
         "L": res.grid.L,
         "norms": {k: res.report["remainder_norms"][k]
                   for k in ("Fu_H2", "Fv_H2")},

@@ -28,8 +28,7 @@ class ForcingError(ValueError):
 class CaseForcing:
     """Right-hand side (F1, F2) of the remainder system per flow case."""
 
-    def __init__(self, case, F1, F2):
-        self.case = case
+    def __init__(self, F1, F2):
         self.F1 = F1
         self.F2 = F2
 
@@ -47,11 +46,11 @@ def build_case_forcing(case, profile, grid, ops, eps, M0, expansion=None,
     if case == "poiseuille_couette_noforce":
         dmu2 = profile.delta_mu(grid.y, 2)
         F1 = eps ** (1.0 - M0) * np.tile(dmu2, (grid.nx, 1))
-        return CaseForcing(case, F1, np.zeros(shape))
+        return CaseForcing(F1, np.zeros(shape))
     if case == "couette_noforce":
         if expansion is None:
             raise ForcingError("couette_noforce needs the constructed expansion")
-        return CaseForcing(case, expansion.Fu, expansion.Fv)
+        return CaseForcing(expansion.Fu, expansion.Fv)
     if case == "forced":
         if g_eps is None:
             raise ForcingError("forced case needs the control force g_eps")
@@ -63,7 +62,7 @@ def build_case_forcing(case, profile, grid, ops, eps, M0, expansion=None,
                 raise ForcingError(
                     f"control force too large: ||g||_H2 = {h2:.3e} > "
                     f"alpha0 eps^M0 = {bound:.3e}")
-        return CaseForcing(case, g1 / eps ** M0, g2 / eps ** M0)
+        return CaseForcing(g1 / eps ** M0, g2 / eps ** M0)
     raise ForcingError(f"unknown case {case!r}")
 
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .discretization import GridResolutionError, build_channel_grid, lsq_slope
-from .expansion import ExpansionConfig, ExpansionError, construct_expansion
+from .expansion import CASES, SCHEMES, construct_expansion
 from .nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from .profiles import PerturbationSpec, build_profile
 
@@ -45,7 +45,7 @@ class ConfigError(ValueError):
 
 
 class RunSpec:
-    """Everything one point of the pipeline needs but eps, validated once
+    """Every setting of one pipeline point but eps, each checked here once,
     so that a bad sweep setting fails before any point runs.  The grid
     steps ny up to ny_cap until the layers are resolved."""
 
@@ -54,16 +54,6 @@ class RunSpec:
                  pert_amplitude=0.0, pert_exponent=0.0, resolve_factor=0.25,
                  min_layer_nodes=8, gamma=0.05, a0=0.25, layer_nY=320,
                  ext_factor=1.25, scheme="be", tol=1e-10, max_iter=50):
-        self.case = case
-        self.L, self.nx, self.ny, self.ny_cap, self.M = L, nx, ny, ny_cap, M
-        self.kind, self.alpha1, self.alpha2 = kind, alpha1, alpha2
-        self.grid_kwargs = {"resolve_factor": resolve_factor,
-                            "min_layer_nodes": min_layer_nodes}
-        self.expansion_kwargs = {"M": M, "gamma": gamma, "a0": a0, "case": case,
-                                 "layer_nY": layer_nY, "ext_factor": ext_factor,
-                                 "scheme": scheme}
-        self.tol, self.max_iter = tol, max_iter
-        # every check that does not depend on eps, made once
         if not L > 0:
             raise ConfigError("L must be positive")
         if nx < 8:   # ny is refined from any start, nx never is
@@ -76,16 +66,33 @@ class RunSpec:
             raise ConfigError("tol must be positive")
         if max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        ExpansionConfig(1.0, **self.expansion_kwargs)
-        if case == "forced":
-            raise ExpansionError("case forced needs a control force g, which "
-                                 "no config key can give; it runs from the "
-                                 "library only")
+        if M < 1:
+            raise ConfigError("M must be >= 1")
+        if gamma <= 0:
+            raise ConfigError("gamma must be positive")
+        if case not in CASES:
+            raise ConfigError(f"case must be one of {CASES}")
+        if not 0.0 < a0 <= 1.0:
+            raise ConfigError("a0 must lie in (0, 1]")
+        if scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {SCHEMES}")
+        if layer_nY < 4:
+            raise ConfigError("layer_nY must be >= 4 (the d2 stencil)")
+        if not ext_factor >= 1.0:
+            raise ConfigError("ext_factor must be >= 1: the corrector "
+                              "strip has to cover the channel")
         build_profile(kind, alpha1, alpha2)
+        if case == "couette_noforce" and alpha2 != 0.0:
+            raise ConfigError("case couette_noforce requires alpha2 = 0")
+        self.case, self.L, self.nx, self.ny, self.ny_cap = case, L, nx, ny, ny_cap
+        self.kind, self.alpha1, self.alpha2 = kind, alpha1, alpha2
         self.perturbation = (PerturbationSpec(pert_amplitude, pert_exponent)
                              if pert_amplitude != 0 else None)
-        if case == "couette_noforce" and alpha2 != 0.0:
-            raise ExpansionError("case couette_noforce requires alpha2 = 0")
+        self.resolve_factor, self.min_layer_nodes = resolve_factor, min_layer_nodes
+        self.M, self.gamma, self.a0 = int(M), float(gamma), float(a0)
+        self.M0 = 11.0 / 8.0 + self.gamma
+        self.layer_nY, self.ext_factor = int(layer_nY), float(ext_factor)
+        self.scheme, self.tol, self.max_iter = scheme, tol, max_iter
 
     def profile(self, eps):
         return build_profile(self.kind, self.alpha1, self.alpha2,
@@ -98,7 +105,8 @@ def adapted_grid(spec, eps):
     while True:
         try:
             return build_channel_grid(spec.L, spec.nx, ny, eps,
-                                      **spec.grid_kwargs)
+                                      resolve_factor=spec.resolve_factor,
+                                      min_layer_nodes=spec.min_layer_nodes)
         except GridResolutionError:
             if ny >= spec.ny_cap:
                 raise
@@ -107,21 +115,23 @@ def adapted_grid(spec, eps):
 
 def construct_point(spec, eps):
     """The multi-scale approximation at one eps."""
-    return construct_expansion(spec.profile(eps),
-                               ExpansionConfig(eps, **spec.expansion_kwargs),
+    # before the profile: a bump eps**exponent is complex for eps < 0
+    if not eps > 0:
+        raise ConfigError(f"epsilon must be positive, got {eps}")
+    return construct_expansion(spec.profile(eps), spec, eps,
                                adapted_grid(spec, eps))
 
 
 def solve_point(spec, eps):
     """Construct, Picard-solve: (expansion, forcing, sol, trace, full)."""
     expansion = construct_point(spec, eps)
-    cfg, grid, ops = expansion.config, expansion.grid, expansion.ops
-    forcing = build_case_forcing(cfg.case, expansion.profile, grid, ops, eps,
-                                 cfg.M0, expansion=expansion)
-    sol, trace = picard_solve(expansion.fields, forcing, eps, cfg.M0, grid, ops,
+    grid, ops, M0 = expansion.grid, expansion.ops, expansion.M0
+    forcing = build_case_forcing(spec.case, expansion.profile, grid, ops, eps,
+                                 M0, expansion=expansion)
+    sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops,
                               tol=spec.tol, k_max=spec.max_iter)
     full = assemble_full_solution(expansion.fields, expansion.profile, sol,
-                                  eps, cfg.M0)
+                                  eps, M0)
     return expansion, forcing, sol, trace, full
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import erfc
 
 from chasflow.discretization import DiffOps, HalfLineGrid, build_channel_grid
-from chasflow.expansion import ExpansionConfig, construct_expansion
+from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
                                  solve_biharmonic)
 from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
@@ -35,8 +35,7 @@ def _line(num, ok, detail):
 def _solve_case(profile, case, eps=1e-2, nx=48, ny=96, M=3):
     grid = build_channel_grid(L, nx, ny, eps)
     ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(profile, ExpansionConfig(eps, M=M, case=case),
-                                    grid)
+    expansion = construct_expansion(profile, RunSpec(case, M=M), eps, grid)
     forcing = build_case_forcing(case, profile, grid, ops, eps, M0,
                                  expansion=expansion)
     sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)
@@ -173,7 +172,8 @@ def test_criterion_8_opposite_wall_traces():
     pert = PerturbationSpec(0.05, 0.0)
     prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
     grid = build_channel_grid(L, 48, 96, 1e-2)
-    expansion = construct_expansion(prof, ExpansionConfig(1e-2, M=3), grid)
+    expansion = construct_expansion(prof, RunSpec("couette_noforce", M=3), 1e-2,
+                                    grid)
     # discretization tolerance calibrated by an MMS of the same elliptic
     # operator on the same extended grid at a comparable data norm
     gext, _ = expansion.ext
@@ -225,7 +225,7 @@ def test_criterion_10_invariant_suite():
     base = HalfLineGrid(L, 81, 201, Ymax=20.0)
     ext_Y = np.concatenate([base.Y, base.Y[-1] + np.cumsum(
         np.full(40, base.Y[-1] - base.Y[-2]))])
-    doubled = HalfLineGrid(L, 81, None, x=base.x, Y=ext_Y)
+    doubled = HalfLineGrid(L, None, None, x=base.x, Y=ext_Y)
     g = -0.1 * np.sin(np.pi * base.x / (2 * L)) ** 2
     drift = 0.0
     for m in (0, 2, 4):
@@ -243,7 +243,8 @@ def test_criterion_10_invariant_suite():
     # determinism of reports
     from chasflow.expansion import expansion_report
     rep1 = json.dumps(expansion_report(expansion), sort_keys=True)
-    expansion2 = construct_expansion(prof, ExpansionConfig(1e-2, M=3), grid)
+    expansion2 = construct_expansion(prof, RunSpec("couette_noforce", M=3),
+                                     1e-2, grid)
     rep2 = json.dumps(expansion_report(expansion2), sort_keys=True)
 
     dt = time.time() - t0

@@ -265,7 +265,7 @@ def test_far_field_decay_and_ymax_doubling():
     # extend with the same node set below Ymax so only the tail changes
     ext_Y = np.concatenate([base.Y, base.Y[-1] + np.cumsum(
         np.full(40, base.Y[-1] - base.Y[-2]))])
-    doubled = HalfLineGrid(L, 81, None, x=base.x, Y=ext_Y)
+    doubled = HalfLineGrid(L, None, None, x=base.x, Y=ext_Y)
     norms = {}
     for grid in (base, doubled):
         lay = solve_layer_plus(None, g, grid, m_coef=2.0)

@@ -1,13 +1,16 @@
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
-                          load_config, main)
+                          _run_spec, load_config, main)
+from chasflow.discretization import GridResolutionError
+from chasflow.verification import RunSpec, adapted_grid
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -204,6 +207,63 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys):
                "--set", "expansion.scheme=bogus", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "scheme" in capsys.readouterr().err
+
+
+def test_negative_epsilon_exits_before_the_profile(tmp_path, capsys):
+    # the bump amplitude * eps**exponent is complex for eps < 0, so eps is
+    # checked before the profile is built, with no warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["construct", "--set", "expansion.epsilon=-1e-2",
+                   "--set", "profile.perturbation.amplitude=0.05",
+                   "--set", "profile.perturbation.exponent=0.425",
+                   "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert "epsilon" in capsys.readouterr().err
+
+
+SMALL_CONSTRUCT = ["construct", "--set", "grid.nx=24", "--set", "grid.ny=64",
+                   "--set", "profile.perturbation.amplitude=0.05",
+                   "--set", "expansion.m_layers=2"]
+
+
+@pytest.fixture(scope="module")
+def default_construct_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default")
+    assert main(SMALL_CONSTRUCT + ["--out", str(out)]) == EXIT_OK
+    return (out / "expansion_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("setting", ["expansion.gamma=0.1", "expansion.a0=0.3",
+                                     "expansion.layer_ny=256",
+                                     "expansion.ext_factor=1.5",
+                                     "expansion.scheme=cn"])
+def test_construct_reads_expansion_setting(setting, default_construct_report,
+                                           tmp_path):
+    assert main(SMALL_CONSTRUCT + ["--set", setting,
+                                   "--out", str(tmp_path)]) == EXIT_OK
+    text = (tmp_path / "expansion_report.json").read_bytes()
+    assert text != default_construct_report
+    if setting == "expansion.gamma=0.1":
+        assert json.loads(text)["M0"] == 11.0 / 8.0 + 0.1
+
+
+@pytest.mark.parametrize("cap, ny", [(16, None), (224, 48)])
+def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
+    spec = _run_spec(load_config(None, ["sweep.ny_base=16",
+                                        f"sweep.ny_cap={cap}"]), sweep=True)
+    if ny is None:
+        with pytest.raises(GridResolutionError):
+            adapted_grid(spec, 1e-3)
+    else:
+        assert adapted_grid(spec, 1e-3).ny == ny
+
+
+def test_sweep_spec_defaults_match_run_spec():
+    # SCHEMA and RunSpec are the two places a default is declared
+    assert vars(_run_spec(load_config(), sweep=True)) == vars(
+        RunSpec("couette_noforce"))
 
 
 def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -164,6 +164,23 @@ def test_halfline_grid_defaults():
 def test_halfline_grid_rejects_short_ymax():
     with pytest.raises(ValueError, match="Ymax"):
         HalfLineGrid(0.1, 64, 128, Ymax=19.5)
+    # the check reads the grid's own Ymax, given nodes included
+    with pytest.raises(ValueError, match="Ymax"):
+        HalfLineGrid(0.1, 11, None, Y=np.linspace(0.0, 10.0, 5))
+
+
+def test_halfline_grid_rejects_replaced_inputs():
+    x, Y = 0.1 * np.linspace(0.0, 1.0, 11) ** 2, np.linspace(0.0, 30.0, 31)
+    g = HalfLineGrid(0.1, None, None, Ymax=30.0, x=x, Y=Y)
+    assert (g.nx, g.nY, g.Ymax) == (11, 31, 30.0)
+    for args, kwargs in (((0.1, 11, None), {"x": x, "Y": Y}),
+                         ((0.2, None, None), {"x": x, "Y": Y}),
+                         ((0.1, None, 31), {"x": x, "Y": Y}),
+                         ((0.1, 11, 31), {"Ymax": 50.0,
+                                          "Y": np.linspace(0.0, 10.0, 5)}),
+                         ((0.1, None, None), {"Ymax": 50.0, "x": x, "Y": Y})):
+        with pytest.raises(ValueError, match="replace"):
+            HalfLineGrid(*args, **kwargs)
 
 
 def test_field2d_shape_and_nan_guard(channel_48x96):
@@ -249,7 +266,7 @@ def _workload_node_sets():
     sets += [g.x, g.y]
     x_ext = _extended_grid(build_channel_grid(0.1, 48, 96, 1e-2), 1.25).x
     x_layer = _layer_xgrid(x_ext, LAYER_SUB)
-    sets += [x_ext, x_layer, HalfLineGrid(0.1, None, 320, x=x_layer).Y]
+    sets += [x_ext, x_layer, HalfLineGrid(x_layer[-1], None, 320, x=x_layer).Y]
     sets.append(np.sort(np.random.default_rng(11).uniform(0.0, 3.0, 41)))
     assert [x.size for x in sets[-4:]] == [60, 83, 320, 41]
     return sets
@@ -521,9 +538,10 @@ def grid_systems():
     pressure system comes from recovering the Newton iterate's pressure."""
     import chasflow.euler_correctors as euler
     import chasflow.linearized as linearized
-    from chasflow.expansion import ExpansionConfig, construct_expansion
+    from chasflow.expansion import construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve
     from chasflow.profiles import PerturbationSpec, build_profile
+    from chasflow.verification import RunSpec
 
     eps, M0 = 1e-2, 11.0 / 8.0 + 0.05
     grid = build_channel_grid(0.1, 24, 48, eps)
@@ -539,8 +557,8 @@ def grid_systems():
     pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
     prof = build_profile("poiseuille_couette", 0.5, 0.5, perturbation=pert,
                          eps=eps)
-    exp = construct_expansion(prof, ExpansionConfig(
-        eps, case="poiseuille_couette_noforce"), grid)
+    exp = construct_expansion(prof, RunSpec("poiseuille_couette_noforce"),
+                              eps, grid)
     forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid, ops,
                                  eps, M0)
     with pytest.MonkeyPatch.context() as mp:

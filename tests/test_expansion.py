@@ -3,9 +3,10 @@ import pytest
 
 import chasflow.boundary_layers as bl
 from chasflow.discretization import DiffOps, build_channel_grid
-from chasflow.expansion import (ExpansionConfig, ExpansionError,
-                                construct_expansion, expansion_report)
+from chasflow.expansion import (ExpansionError, construct_expansion,
+                                expansion_report)
 from chasflow.profiles import PerturbationSpec, build_profile
+from chasflow.verification import ConfigError, RunSpec, construct_point
 
 L = 0.1
 
@@ -13,30 +14,38 @@ L = 0.1
 @pytest.fixture(scope="module")
 def couette_expansion(perturbed_couette):
     grid = build_channel_grid(L, 48, 96, 1e-2)
-    cfg = ExpansionConfig(1e-2, M=3)
-    return construct_expansion(perturbed_couette, cfg, grid)
+    return construct_expansion(perturbed_couette,
+                               RunSpec("couette_noforce", M=3), 1e-2, grid)
 
 
 def test_config_invariants():
-    cfg = ExpansionConfig(1e-2, gamma=0.07)
-    assert cfg.M0 == pytest.approx(11.0 / 8.0 + 0.07)
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(-1.0)
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(1e-2, M=0)
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(1e-2, gamma=0.0)
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(1e-2, case="bogus")
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(1e-2, layer_nY=3)
-    with pytest.raises(ExpansionError):
-        ExpansionConfig(1e-2, ext_factor=0.5)
+    spec = RunSpec("couette_noforce", gamma=0.07)
+    assert spec.M0 == pytest.approx(11.0 / 8.0 + 0.07)
+    with pytest.raises(ConfigError, match="epsilon"):
+        construct_point(RunSpec("couette_noforce"), -1.0)
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", M=0)
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", gamma=0.0)
+    with pytest.raises(ConfigError):
+        RunSpec("bogus")
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", layer_nY=3)
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", ext_factor=0.5)
+    for a0 in (0.0, 1.5):
+        with pytest.raises(ConfigError):
+            RunSpec("couette_noforce", a0=a0)
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", scheme="rk4")
+    with pytest.raises(ConfigError):
+        RunSpec("couette_noforce", alpha2=1.0)
 
 
 def test_exact_couette_all_zero(couette):
     grid = build_channel_grid(L, 32, 64, 1e-2)
-    res = construct_expansion(couette, ExpansionConfig(1e-2, M=3), grid)
+    res = construct_expansion(couette, RunSpec("couette_noforce", M=3), 1e-2,
+                              grid)
     mu = np.tile(couette.mu(grid.y), (grid.nx, 1))
     assert np.abs(res.fields["u_s"] - mu).max() == 0.0
     assert np.abs(res.fields["v_s"]).max() == 0.0
@@ -47,8 +56,8 @@ def test_exact_couette_all_zero(couette):
 def test_exact_poiseuille_zero_remainder(poiseuille):
     # Poiseuille with P_s = -2 eps x solves the system exactly
     grid = build_channel_grid(L, 32, 64, 1e-2)
-    cfg = ExpansionConfig(1e-2, case="poiseuille_couette_noforce")
-    res = construct_expansion(poiseuille, cfg, grid)
+    res = construct_expansion(poiseuille, RunSpec("poiseuille_couette_noforce"),
+                              1e-2, grid)
     assert np.abs(res.Fu).max() == 0.0
     assert np.abs(res.Fv).max() == 0.0
 
@@ -61,9 +70,9 @@ def test_case_i_remainder_equals_bump_second_derivative():
     prof = build_profile("poiseuille_couette", 0.5, 0.5,
                          perturbation=pert, eps=eps)
     grid = build_channel_grid(L, 32, 64, eps)
-    cfg = ExpansionConfig(eps, case="poiseuille_couette_noforce")
-    res = construct_expansion(prof, cfg, grid)
-    expected = eps ** (1.0 - cfg.M0) * np.tile(prof.delta_mu(grid.y, 2),
+    spec = RunSpec("poiseuille_couette_noforce")
+    res = construct_expansion(prof, spec, eps, grid)
+    expected = eps ** (1.0 - spec.M0) * np.tile(prof.delta_mu(grid.y, 2),
                                                (grid.nx, 1))
     assert np.allclose(res.Fu, expected, rtol=1e-12, atol=1e-12)
     assert np.abs(res.Fv).max() == 0.0
@@ -72,7 +81,7 @@ def test_case_i_remainder_equals_bump_second_derivative():
 def test_couette_case_requires_alpha2_zero(poiseuille):
     grid = build_channel_grid(L, 32, 64, 1e-2)
     with pytest.raises(ExpansionError):
-        construct_expansion(poiseuille, ExpansionConfig(1e-2), grid)
+        construct_expansion(poiseuille, RunSpec("couette_noforce"), 1e-2, grid)
 
 
 def test_degeneracy_gate_blocks():
@@ -83,7 +92,7 @@ def test_degeneracy_gate_blocks():
     assert prof.admissible
     grid = build_channel_grid(L, 32, 64, 1e-2)
     with pytest.raises(ExpansionError, match="degeneracy gate"):
-        construct_expansion(prof, ExpansionConfig(1e-2), grid)
+        construct_expansion(prof, RunSpec("couette_noforce"), 1e-2, grid)
 
 
 def test_wall_conditions_exact(couette_expansion):
@@ -165,7 +174,8 @@ def test_interpolation_work_per_construct(perturbed_couette, monkeypatch):
     for name in calls:
         monkeypatch.setattr(bl, name, counting(name))
     grid = build_channel_grid(L, 32, 64, 1e-2)
-    construct_expansion(perturbed_couette, ExpansionConfig(1e-2, M=2), grid)
+    construct_expansion(perturbed_couette, RunSpec("couette_noforce", M=2),
+                        1e-2, grid)
     assert calls == {"interp_channel_field": 36, "interp_layer_field": 44}
 
 
@@ -175,8 +185,8 @@ def test_forcing_component_sum_audit(perturbed_couette):
     # component maxima (the record keeps only those maxima, so the sum is
     # not checked pointwise)
     grid = build_channel_grid(L, 32, 64, 1e-2)
-    cfg = ExpansionConfig(1e-2, M=2)
-    res = construct_expansion(perturbed_couette, cfg, grid)
+    res = construct_expansion(perturbed_couette,
+                              RunSpec("couette_noforce", M=2), 1e-2, grid)
     checked = 0
     for layer in res.correctors.layers:
         if layer.F is None or not np.any(layer.F):
@@ -260,7 +270,8 @@ def test_m_ordering_of_remainders():
     grid = build_channel_grid(L, 40, 96, eps)
     norms = {}
     for M in (1, 3):
-        res = construct_expansion(prof, ExpansionConfig(eps, M=M), grid)
+        res = construct_expansion(prof, RunSpec("couette_noforce", M=M), eps,
+                                  grid)
         n = res.report["remainder_norms"]
         norms[M] = np.hypot(n["Fu_L2"], n["Fv_L2"])
     assert norms[3] <= norms[1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chasflow.discretization import DiffOps, build_channel_grid, grid_lu
-from chasflow.expansion import ExpansionConfig, construct_expansion
+from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
                                  factorize_linearized, solve_linearized)
 from chasflow.linearized import LinearizedProblem
@@ -13,6 +13,7 @@ from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
 from chasflow.profiles import PerturbationSpec, build_profile
+from chasflow.verification import RunSpec
 from conftest import same_arrays
 
 L = 0.1
@@ -27,8 +28,8 @@ def case_i_setup():
                          perturbation=pert, eps=EPS)
     grid = build_channel_grid(L, 48, 96, EPS)
     ops = DiffOps(grid.x, grid.y)
-    cfg = ExpansionConfig(EPS, case="poiseuille_couette_noforce")
-    expansion = construct_expansion(prof, cfg, grid)
+    expansion = construct_expansion(
+        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
     forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
                                  ops, EPS, M0)
     return prof, grid, ops, expansion, forcing
@@ -39,7 +40,7 @@ def test_exact_families_one_iteration(couette, poiseuille):
     ops = DiffOps(grid.x, grid.y)
     for prof, case in ((couette, "couette_noforce"),
                        (poiseuille, "poiseuille_couette_noforce")):
-        expansion = construct_expansion(prof, ExpansionConfig(EPS, case=case), grid)
+        expansion = construct_expansion(prof, RunSpec(case), EPS, grid)
         forcing = build_case_forcing(case, prof, grid, ops, EPS, M0,
                                      expansion=expansion)
         sol, trace = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
@@ -85,8 +86,8 @@ def test_smallness_monotonicity():
         pert = PerturbationSpec(amp, 3.0 / 8.0 + 0.05)
         prof = build_profile("poiseuille_couette", 0.5, 0.5,
                              perturbation=pert, eps=EPS)
-        cfg = ExpansionConfig(EPS, case="poiseuille_couette_noforce")
-        expansion = construct_expansion(prof, cfg, grid)
+        expansion = construct_expansion(
+            prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
         forcing = build_case_forcing("poiseuille_couette_noforce", prof,
                                      grid, ops, EPS, M0)
         sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
@@ -134,7 +135,7 @@ def case_i_24x48():
     grid = build_channel_grid(L, 24, 48, EPS)
     ops = DiffOps(grid.x, grid.y)
     expansion = construct_expansion(
-        prof, ExpansionConfig(EPS, case="poiseuille_couette_noforce"), grid)
+        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
     forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
                                  ops, EPS, M0)
     return expansion.fields, forcing, grid, ops
@@ -179,7 +180,8 @@ def test_newton_first_jacobian_is_picards_operator(case_i_24x48, monkeypatch):
 def test_assemble_full_solution_zero_remainder(couette):
     grid = build_channel_grid(L, 32, 64, EPS)
     ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(couette, ExpansionConfig(EPS), grid)
+    expansion = construct_expansion(couette, RunSpec("couette_noforce"), EPS,
+                                    grid)
     zero = RemainderSolution(grid, ops, np.zeros(grid.shape),
                              np.zeros(grid.shape), P=np.zeros(grid.shape))
     full = assemble_full_solution(expansion.fields, couette, zero, EPS, M0)
@@ -219,7 +221,7 @@ def test_nonconvergence_guard():
     prof = build_profile("poiseuille_couette", 0.5, 0.5,
                          perturbation=pert, eps=EPS)
     expansion = construct_expansion(
-        prof, ExpansionConfig(EPS, case="poiseuille_couette_noforce"), grid)
+        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
     forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
                                  ops, EPS, M0)
     with pytest.raises(ConvergenceError):
@@ -243,7 +245,7 @@ def test_linear_estimate_constant_stability():
         grid = build_channel_grid(L, 48, 96, eps)
         ops = DiffOps(grid.x, grid.y)
         expansion = construct_expansion(
-            prof, ExpansionConfig(eps, case="poiseuille_couette_noforce"), grid)
+            prof, RunSpec("poiseuille_couette_noforce"), eps, grid)
         forcing = build_case_forcing("poiseuille_couette_noforce", prof,
                                      grid, ops, eps, M0)
         sol, _ = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from chasflow.discretization import DiffOps, build_channel_grid
-from chasflow.expansion import ExpansionConfig, construct_expansion
+from chasflow.expansion import construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from chasflow.verification import (ConfigError, RunSpec, audit_invariants,
-                                   fit_quantity, report_to_csv, report_to_json,
-                                   run_point, run_sweep)
+                                   construct_point, fit_quantity,
+                                   report_to_csv, report_to_json, run_point,
+                                   run_sweep)
 
 L = 0.1
 EPS = 1e-2
@@ -23,6 +24,25 @@ def test_sweep_plan_validation():
                   epsilons=(1e-1, 1e-1, 1e-2, 1e-3))
     with pytest.raises(ConfigError):   # a vacuous layer-resolution check
         RunSpec("couette_noforce", min_layer_nodes=0)
+
+
+def test_forced_case_runs_from_the_library():
+    # no config key gives the control force, but a RunSpec may name the case
+    spec = RunSpec("forced", nx=24, ny=48, kind="poiseuille_couette",
+                   alpha1=0.5, alpha2=0.5)
+    expansion = construct_point(spec, EPS)
+    grid, ops = expansion.grid, expansion.ops
+    mu = expansion.profile.mu(grid.y)
+    assert np.array_equal(expansion.fields["u_s"], np.tile(mu, (grid.nx, 1)))
+    assert not np.any(expansion.fields["v_s"]) and not np.any(
+        expansion.fields["P_s"])
+    shape = np.sin(np.pi * grid.XX / L) * np.sin(np.pi * grid.YY / 2)
+    g1 = 0.5 * 0.05 * EPS ** spec.M0 / ops.norm(shape, "H2") * shape
+    forcing = build_case_forcing("forced", expansion.profile, grid, ops, EPS,
+                                 spec.M0, g_eps=(g1, np.zeros(grid.shape)),
+                                 alpha0=0.05)
+    sol, _ = picard_solve(expansion.fields, forcing, EPS, spec.M0, grid, ops)
+    assert 0 < sol.norms["X_norm"] and sol.residuals["nonlinear_momentum"] < 1e-6
 
 
 def test_fit_quantity_synthetic():
@@ -79,7 +99,8 @@ def _solved_bundle(amp=0.05):
     prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=EPS)
     grid = build_channel_grid(L, 48, 96, EPS)
     ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(prof, ExpansionConfig(EPS, M=2), grid)
+    expansion = construct_expansion(prof, RunSpec("couette_noforce", M=2), EPS,
+                                    grid)
     forcing = build_case_forcing("couette_noforce", prof, grid, ops, EPS, M0,
                                  expansion=expansion)
     sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)

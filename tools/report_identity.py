@@ -14,6 +14,9 @@ and writes its artifacts to ``OUT/<name>/``:
 - a case-(i) ``construct`` with the profile and case keys of
   ``perfbench/run.py`` ``ORACLE`` at eps = 1e-2 (amplitude 0.05), the
   direct path that bypasses the corrector cascade;
+- a ``construct`` at eps = 1e-2 (amplitude 0.05) with every construction
+  and grid setting away from its default, so that a setting dropped on its
+  way to the construction shows;
 - the couette sweep (the default plan, amplitude 0.05);
 - the family sweep (``perfbench/run.py`` ``FAMILY``, amplitude 0.05);
 - the oracle ``solve`` (``perfbench/run.py`` ``ORACLE``, amplitude 0.05);
@@ -65,6 +68,13 @@ def commands():
     sets["construct_family_1e-2"] = (
         "construct", [k for k in oracle if k.startswith(("profile.", "expansion."))]
         + ["profile.perturbation.amplitude=0.05"])
+    sets["construct_settings_1e-2"] = (
+        "construct", ["expansion.epsilon=1e-2",
+                      "profile.perturbation.amplitude=0.05",
+                      "expansion.gamma=0.1", "expansion.a0=0.3",
+                      "expansion.layer_ny=256", "expansion.ext_factor=1.5",
+                      "expansion.scheme=cn", "grid.resolve_factor=0.2",
+                      "grid.min_layer_nodes=7"])
     sets["couette_sweep"] = ("sweep", ["sweep.pert_amplitude=0.05"])
     sets["family_sweep"] = ("sweep", family + ["sweep.pert_amplitude=0.05"])
     sets["oracle_solve"] = ("solve",
