@@ -16,12 +16,13 @@ import sys
 import numpy as np
 
 from .discretization import Field2D, GridResolutionError
-from .expansion import ExpansionError, expansion_report
+from .expansion import ExpansionError, construct_expansion, expansion_report
+from .linearized import norm_report
 from .nonlinear import ConvergenceError, ForcingError, newton_solve
 from .profiles import ProfileError
 from .verification import (ConfigError, RunSpec, audit_invariants,
-                           construct_point, report_to_csv, report_to_json,
-                           run_sweep, solve_point)
+                           report_to_csv, report_to_json, run_sweep,
+                           solve_point)
 
 log = logging.getLogger("chasflow")
 
@@ -190,7 +191,7 @@ def _outdir(cfg, args):
 
 
 def cmd_construct(cfg, args):
-    expansion = construct_point(_run_spec(cfg), cfg["expansion.epsilon"])
+    expansion = construct_expansion(_run_spec(cfg), cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
     formats = _formats(cfg)
     for name in ("u_s", "v_s", "P_s"):
@@ -206,22 +207,17 @@ def cmd_construct(cfg, args):
 def cmd_solve(cfg, args):
     expansion, forcing, sol, trace, full = solve_point(
         _run_spec(cfg), cfg["expansion.epsilon"])
-    grid, ops = expansion.grid, expansion.ops
-    eps, M0 = expansion.eps, expansion.M0
     out = _outdir(cfg, args)
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
     for name, arr in (("u_full", full["u"]), ("v_full", full["v"]),
                       ("P_full", full["P"])):
-        Field2D(grid, arr).to_binary(os.path.join(out, f"{name}.bin"))
-    from .linearized import LinearizedProblem, norm_report
-    prob = LinearizedProblem(expansion.fields, eps, M0, F1=forcing.F1,
-                             F2=forcing.F2, ubar=sol.u, vbar=sol.v,
-                             grid=grid, ops=ops)
+        Field2D(expansion.grid, arr).to_binary(os.path.join(out, f"{name}.bin"))
     payload = {"expansion": expansion_report(expansion),
                "solution": full["report"],
-               "norms": norm_report(sol, prob), "residuals": sol.residuals}
+               "norms": norm_report(sol, sol.problem),
+               "residuals": sol.residuals}
     if cfg["solver.newton_check"]:
-        newton = newton_solve(expansion.fields, forcing, eps, M0, grid, ops)
+        newton = newton_solve(expansion, forcing)
         payload["newton_X_norm"] = newton.norms["X_norm"]
     _write_json(payload, os.path.join(out, "solve_report.json"))
     log.info("solve: converged in %d iterations", sol.norms["iterations"])
@@ -231,7 +227,7 @@ def cmd_solve(cfg, args):
 def cmd_sweep(cfg, args):
     spec = _run_spec(cfg, sweep=True)
     eps = _parse_epsilons(cfg["sweep.epsilons"])
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
             report = run_sweep(spec, eps, map=ex.map)
     else:
@@ -325,6 +321,8 @@ def main(argv=None):
 
     try:
         _start_logging()
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config, args.set)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

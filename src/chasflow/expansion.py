@@ -42,13 +42,15 @@ class CorrectorSet:
 
 
 class ExpansionResult:
-    def __init__(self, profile, spec, eps, grid, ops):
-        self.profile = profile
+    """One point: its settings, profile and grid, and all it constructs."""
+
+    def __init__(self, spec, eps):
         self.spec = spec         # the settings (verification.RunSpec)
+        self.profile = spec.profile(eps)
         self.eps = float(eps)
         self.M0 = spec.M0
-        self.grid = grid         # reporting grid, x in [0, L]
-        self.ops = ops
+        self.grid = spec.grid(eps)   # reporting grid, x in [0, L]
+        self.ops = DiffOps(self.grid.x, self.grid.y)
         self.correctors = CorrectorSet()
         self.fields = {}         # u_s, v_s, P_s and semi-analytic derivatives
         self.Fu = None           # eps^{-M0}-scaled momentum remainders
@@ -94,46 +96,44 @@ def _mollify_corner(g, x, x0):
     return g
 
 
-def construct_expansion(profile, spec, eps, grid):
+def construct_expansion(spec, eps):
     """Build (u_s, v_s, P_s) per the expansion ansatz and measure everything.
 
-    ``spec`` (a ``verification.RunSpec``) holds the case and the construction
-    settings.  couette_noforce runs the full corrector cascade (requires
-    alpha2 = 0 and the degeneracy gate); the other cases return the base
-    flow with the exact family pressure.
+    ``spec`` (a ``verification.RunSpec``) gives the case, the profile, the
+    grid and the construction settings.  couette_noforce runs the full
+    corrector cascade behind the degeneracy gate; the other cases return
+    the base flow with the exact family pressure.
     """
-    ops = DiffOps(grid.x, grid.y)
-    res = ExpansionResult(profile, spec, eps, grid, ops)
+    res = ExpansionResult(spec, eps)
 
     if spec.case == "couette_noforce":
-        if profile.alpha2 != 0.0:
-            raise ExpansionError("couette_noforce requires alpha2 = 0")
-        gate = check_couette_degeneracy(profile)
+        gate = check_couette_degeneracy(res.profile)
         res.report["degeneracy"] = gate
         if not gate["pass"]:
             raise ExpansionError(
                 f"degeneracy gate failed: sup|mu''/mu|={gate['sup_ratio2']:.3g}, "
                 f"|mu'''/mu|_Ck={gate['ratio3_ck']:.3g}")
-        _build_couette(res, profile, spec, grid)
+        _build_couette(res)
     else:
-        _build_direct(res, profile, spec, grid)
+        _build_direct(res)
 
     compute_remainders(res)
     return res
 
 
-def _build_direct(res, profile, spec, grid):
+def _build_direct(res):
     """Cases (i) and (iii): u_s = (mu, 0) with the family pressure."""
-    eps = res.eps
+    eps, profile, grid = res.eps, res.profile, res.grid
     f = _assemble([BasePart(profile)], grid)
-    if spec.case == "poiseuille_couette_noforce":
+    if res.spec.case == "poiseuille_couette_noforce":
         # P_s = eps U'' x = -2 eps alpha2 x
         f["P_s"] = -2.0 * eps * profile.alpha2 * grid.XX
         f["Ps_x"] = -2.0 * eps * profile.alpha2 * np.ones(grid.shape)
     res.fields = f
 
 
-def _build_couette(res, profile, spec, grid):
+def _build_couette(res):
+    profile, spec, grid = res.profile, res.spec, res.grid
     eps, M, a0 = res.eps, spec.M, spec.a0
     grid_ext = _extended_grid(grid, spec.ext_factor)
     solver = EulerSolver(grid_ext, profile)

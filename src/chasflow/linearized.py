@@ -57,6 +57,7 @@ class RemainderSolution:
         self.v = v
         self.P = P          # recover_pressure sets it
         self.psi = psi
+        self.problem = None  # picard_solve sets its converged problem
         self.norms = {}
         self.residuals = {}
 

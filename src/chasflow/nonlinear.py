@@ -33,37 +33,34 @@ class CaseForcing:
         self.F2 = F2
 
 
-def build_case_forcing(case, profile, grid, ops, eps, M0, expansion=None,
-                       g_eps=None, alpha0=None):
-    """Assemble the case forcing.
+def build_case_forcing(expansion, g_eps=None, alpha0=None):
+    """Assemble the forcing of the expansion's case.
 
     (i)  family flow, no force:  F = (eps^{1-M0} (mu'' - U''), 0)
     (ii) Couette construction:   F = the measured expansion remainders
     (iii) forced:                F = eps^{-M0} g, after checking the
           smallness hypothesis ||g||_{H2} <= alpha0 eps^M0, M0 = 11/8 + gamma.
     """
-    shape = (grid.nx, grid.ny)
+    case, grid, eps, M0 = (expansion.spec.case, expansion.grid, expansion.eps,
+                           expansion.M0)
     if case == "poiseuille_couette_noforce":
-        dmu2 = profile.delta_mu(grid.y, 2)
+        dmu2 = expansion.profile.delta_mu(grid.y, 2)
         F1 = eps ** (1.0 - M0) * np.tile(dmu2, (grid.nx, 1))
-        return CaseForcing(F1, np.zeros(shape))
+        return CaseForcing(F1, np.zeros(grid.shape))
     if case == "couette_noforce":
-        if expansion is None:
-            raise ForcingError("couette_noforce needs the constructed expansion")
         return CaseForcing(expansion.Fu, expansion.Fv)
-    if case == "forced":
-        if g_eps is None:
-            raise ForcingError("forced case needs the control force g_eps")
-        g1, g2 = g_eps
-        if alpha0 is not None:
-            h2 = np.hypot(ops.norm(g1, "H2"), ops.norm(g2, "H2"))
-            bound = alpha0 * eps ** M0
-            if h2 > bound:
-                raise ForcingError(
-                    f"control force too large: ||g||_H2 = {h2:.3e} > "
-                    f"alpha0 eps^M0 = {bound:.3e}")
-        return CaseForcing(g1 / eps ** M0, g2 / eps ** M0)
-    raise ForcingError(f"unknown case {case!r}")
+    if g_eps is None or alpha0 is None:
+        raise ForcingError("forced case needs the control force g_eps and "
+                           "the alpha0 of its smallness hypothesis")
+    g1, g2 = g_eps
+    ops = expansion.ops
+    h2 = np.hypot(ops.norm(g1, "H2"), ops.norm(g2, "H2"))
+    bound = alpha0 * eps ** M0
+    if h2 > bound:
+        raise ForcingError(
+            f"control force too large: ||g||_H2 = {h2:.3e} > "
+            f"alpha0 eps^M0 = {bound:.3e}")
+    return CaseForcing(g1 / eps ** M0, g2 / eps ** M0)
 
 
 class IterationTrace:
@@ -87,15 +84,13 @@ class IterationTrace:
         return [r[3] for r in self.rows]
 
 
-def _diff_xnorm(grid, ops, bg, eps, u1, v1, u0, v0):
-    tmp = RemainderSolution(grid, ops, u1 - u0, v1 - v0)
-    return compute_norms(tmp, bg, eps)["X_norm"]
-
-
-def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
-                 k_max=50):
+def picard_solve(expansion, forcing):
     """Iterate the linearized map from zero until the X-norm difference
-    drops below tol; returns the converged remainder and its trace."""
+    drops below the spec's tol, in at most its max_iter steps; returns the
+    converged remainder, with its problem on ``sol.problem``, and the trace."""
+    grid, ops, eps, M0 = (expansion.grid, expansion.ops, expansion.eps,
+                          expansion.M0)
+    background, spec = expansion.fields, expansion.spec
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
     lu = factorize_linearized(prob)
@@ -105,10 +100,11 @@ def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
     prev_diff = None
     bad = 0
     sol = None
-    for k in range(1, k_max + 1):
+    for k in range(1, spec.max_iter + 1):
         prob.ubar, prob.vbar = ubar, vbar
         sol = solve_linearized(prob, lu=lu)
-        diff = _diff_xnorm(grid, ops, background, eps, sol.u, sol.v, ubar, vbar)
+        step = RemainderSolution(grid, ops, sol.u - ubar, sol.v - vbar)
+        diff = compute_norms(step, background, eps)["X_norm"]
         xnorm = compute_norms(sol, background, eps)["X_norm"]
         ratio = np.nan if prev_diff is None else (
             diff / prev_diff if prev_diff > 0 else 0.0)
@@ -123,10 +119,11 @@ def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
             bad = 0
         ubar, vbar = sol.u, sol.v
         prev_diff = diff
-        if diff < tol * max(1.0, xnorm):
+        if diff < spec.tol * max(1.0, xnorm):
             break
     else:
-        raise ConvergenceError(f"Picard did not converge in {k_max} iterations")
+        raise ConvergenceError(
+            f"Picard did not converge in {spec.max_iter} iterations")
     prob.ubar, prob.vbar = sol.u, sol.v
     recover_pressure(sol, prob)
     r1, r2 = momentum_residual(sol, prob)
@@ -134,6 +131,7 @@ def picard_solve(background, forcing, eps, M0, grid, ops, tol=1e-10,
     trace.rows[-1] = trace.rows[-1][:4] + (resid,)
     sol.residuals["nonlinear_momentum"] = resid
     sol.norms["iterations"] = len(trace.rows)
+    sol.problem = prob
     return sol, trace
 
 
@@ -154,13 +152,14 @@ def _newton_jacobian_curlN(prob, u, v):
     return (ops.Dy @ J1 - ops.Dx @ J2).tocsr()
 
 
-def newton_solve(background, forcing, eps, M0, grid, ops):
+def newton_solve(expansion, forcing):
     """Damped Newton on the discrete nonlinear psi system (Picard oracle):
     at most 30 steps, to a 1e-12 relative residual.  The oracle compares
     velocities, so no pressure is recovered (P stays None)."""
     tol, max_iter = 1e-12, 30
-    prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
-                             grid=grid, ops=ops)
+    grid, ops = expansion.grid, expansion.ops
+    prob = LinearizedProblem(expansion.fields, expansion.eps, expansion.M0,
+                             F1=forcing.F1, F2=forcing.F2, grid=grid, ops=ops)
     A_bc, bnd = psi_rows(assemble_linearized_operator(prob), grid)
     curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
@@ -202,14 +201,15 @@ def newton_solve(background, forcing, eps, M0, grid, ops):
     else:
         raise ConvergenceError("Newton did not converge")
     sol = RemainderSolution(grid, ops, u, v, psi=psi.reshape(grid.nx, grid.ny))
-    compute_norms(sol, background, eps)
+    compute_norms(sol, expansion.fields, expansion.eps)
     return sol
 
 
-def assemble_full_solution(background, profile, sol, eps, M0):
+def assemble_full_solution(expansion, sol):
     """u^eps = u_s + eps^M0 u with the boundary audit of the full fields."""
-    grid, ops = sol.grid, sol.ops
-    c = eps ** M0
+    grid, ops = expansion.grid, expansion.ops
+    background, profile = expansion.fields, expansion.profile
+    c = expansion.eps ** expansion.M0
     u_full = background["u_s"] + c * sol.u
     v_full = background["v_s"] + c * sol.v
     P_full = background.get("P_s", np.zeros_like(u_full)) + (

@@ -58,6 +58,8 @@ class RunSpec:
             raise ConfigError("L must be positive")
         if nx < 8:   # ny is refined from any start, nx never is
             raise ConfigError("nx must be >= 8")
+        if ny_cap < ny:
+            raise ConfigError("ny_cap must be >= ny")
         if not resolve_factor > 0:
             raise ConfigError("resolve_factor must be positive")
         if min_layer_nodes < 1:
@@ -95,44 +97,32 @@ class RunSpec:
         self.scheme, self.tol, self.max_iter = scheme, tol, max_iter
 
     def profile(self, eps):
+        # before the bump: amplitude * eps**exponent is complex for eps < 0
+        if not eps > 0:
+            raise ConfigError(f"epsilon must be positive, got {eps}")
         return build_profile(self.kind, self.alpha1, self.alpha2,
                              perturbation=self.perturbation, eps=eps)
 
-
-def adapted_grid(spec, eps):
-    """Smallest ny (stepping from spec.ny) that resolves the layers."""
-    ny = spec.ny
-    while True:
-        try:
-            return build_channel_grid(spec.L, spec.nx, ny, eps,
-                                      resolve_factor=spec.resolve_factor,
-                                      min_layer_nodes=spec.min_layer_nodes)
-        except GridResolutionError:
-            if ny >= spec.ny_cap:
-                raise
-            ny = min(spec.ny_cap, ny + 32)
-
-
-def construct_point(spec, eps):
-    """The multi-scale approximation at one eps."""
-    # before the profile: a bump eps**exponent is complex for eps < 0
-    if not eps > 0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
-    return construct_expansion(spec.profile(eps), spec, eps,
-                               adapted_grid(spec, eps))
+    def grid(self, eps):
+        """Smallest ny (stepping from ny) that resolves the layers."""
+        ny = self.ny
+        while True:
+            try:
+                return build_channel_grid(self.L, self.nx, ny, eps,
+                                          resolve_factor=self.resolve_factor,
+                                          min_layer_nodes=self.min_layer_nodes)
+            except GridResolutionError:
+                if ny >= self.ny_cap:
+                    raise
+                ny = min(self.ny_cap, ny + 32)
 
 
 def solve_point(spec, eps):
     """Construct, Picard-solve: (expansion, forcing, sol, trace, full)."""
-    expansion = construct_point(spec, eps)
-    grid, ops, M0 = expansion.grid, expansion.ops, expansion.M0
-    forcing = build_case_forcing(spec.case, expansion.profile, grid, ops, eps,
-                                 M0, expansion=expansion)
-    sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops,
-                              tol=spec.tol, k_max=spec.max_iter)
-    full = assemble_full_solution(expansion.fields, expansion.profile, sol,
-                                  eps, M0)
-    return expansion, forcing, sol, trace, full
+    expansion = construct_expansion(spec, eps)
+    forcing = build_case_forcing(expansion)
+    sol, trace = picard_solve(expansion, forcing)
+    return expansion, forcing, sol, trace, assemble_full_solution(expansion, sol)
 
 
 def run_point(spec, eps):

@@ -3,6 +3,7 @@ import pytest
 
 from chasflow.discretization import ChannelGrid, DiffOps, build_channel_grid, tanh_stretched
 from chasflow.profiles import PerturbationSpec, build_profile
+from chasflow.verification import RunSpec
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,13 @@ def perturbed_couette():
     """Couette with a fixed 0.05 bump (the finite-perturbation setup)."""
     pert = PerturbationSpec(0.05, 0.0)
     return build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
+
+
+def point_spec(case, nx, ny, **settings):
+    """The RunSpec of a point on ``build_channel_grid(0.1, nx, ny, eps)``:
+    ny is never refined, and a layer needs that function's 6 nodes."""
+    return RunSpec(case, nx=nx, ny=ny, ny_cap=ny, min_layer_nodes=6,
+                   **settings)
 
 
 def make_grid(n, L=0.1, sigma=1.2):

@@ -11,20 +11,18 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chasflow.discretization import DiffOps, HalfLineGrid, build_channel_grid
+from chasflow.discretization import DiffOps, HalfLineGrid
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
                                  solve_biharmonic)
 from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
 from chasflow.nonlinear import (assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
-from chasflow.profiles import PerturbationSpec, build_profile
 from chasflow.verification import RunSpec, audit_invariants, run_sweep
-from conftest import make_grid
+from conftest import make_grid, point_spec
 
 L = 0.1
 GAMMA = 0.05
-M0 = 11.0 / 8.0 + GAMMA
 
 
 def _line(num, ok, detail):
@@ -32,22 +30,20 @@ def _line(num, ok, detail):
     return ok
 
 
-def _solve_case(profile, case, eps=1e-2, nx=48, ny=96, M=3):
-    grid = build_channel_grid(L, nx, ny, eps)
-    ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(profile, RunSpec(case, M=M), eps, grid)
-    forcing = build_case_forcing(case, profile, grid, ops, eps, M0,
-                                 expansion=expansion)
-    sol, trace = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)
-    return grid, ops, expansion, forcing, sol, trace
+def _solve_case(case, eps=1e-2, nx=48, ny=96, M=3, **profile):
+    expansion = construct_expansion(point_spec(case, nx, ny, M=M, **profile),
+                                    eps)
+    forcing = build_case_forcing(expansion)
+    sol, trace = picard_solve(expansion, forcing)
+    return expansion.grid, expansion.ops, expansion, forcing, sol, trace
 
 
 def test_criterion_1_exact_family():
     t0 = time.time()
-    couette = build_profile("couette", 1.0, 0.0)
-    poiseuille = build_profile("poiseuille", 0.0, 1.0)
-    _, _, _, _, sol_c, tr_c = _solve_case(couette, "couette_noforce")
-    _, _, _, _, sol_p, tr_p = _solve_case(poiseuille, "poiseuille_couette_noforce")
+    _, _, _, _, sol_c, tr_c = _solve_case("couette_noforce", kind="couette")
+    _, _, _, _, sol_p, tr_p = _solve_case(
+        "poiseuille_couette_noforce", kind="poiseuille", alpha1=0.0,
+        alpha2=1.0)
     dt = time.time() - t0
     ok = (sol_c.norms["X_norm"] < 1e-8 and len(tr_c.rows) == 1
           and sol_p.norms["X_norm"] < 1e-8 and len(tr_p.rows) == 1 and dt < 30)
@@ -169,11 +165,10 @@ def test_criterion_7_couette_rate(couette_rate_sweep):
 
 def test_criterion_8_opposite_wall_traces():
     t0 = time.time()
-    pert = PerturbationSpec(0.05, 0.0)
-    prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
-    grid = build_channel_grid(L, 48, 96, 1e-2)
-    expansion = construct_expansion(prof, RunSpec("couette_noforce", M=3), 1e-2,
-                                    grid)
+    expansion = construct_expansion(
+        point_spec("couette_noforce", 48, 96, M=3, kind="couette",
+                   pert_amplitude=0.05), 1e-2)
+    prof = expansion.profile
     # discretization tolerance calibrated by an MMS of the same elliptic
     # operator on the same extended grid at a comparable data norm
     gext, _ = expansion.ext
@@ -198,12 +193,10 @@ def test_criterion_8_opposite_wall_traces():
 
 def test_criterion_9_oracle_equivalence():
     t0 = time.time()
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + GAMMA)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                         perturbation=pert, eps=1e-2)
     grid, ops, expansion, forcing, sol, _ = _solve_case(
-        prof, "poiseuille_couette_noforce")
-    newton = newton_solve(expansion.fields, forcing, 1e-2, M0, grid, ops)
+        "poiseuille_couette_noforce", kind="poiseuille_couette", alpha1=0.5,
+        alpha2=0.5, pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + GAMMA)
+    newton = newton_solve(expansion, forcing)
     d = RemainderSolution(grid, ops, sol.u - newton.u, sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, 1e-2)["X_norm"]
     dt = time.time() - t0
@@ -214,10 +207,9 @@ def test_criterion_9_oracle_equivalence():
 
 def test_criterion_10_invariant_suite():
     t0 = time.time()
-    pert = PerturbationSpec(0.05, 0.0)
-    prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
-    grid, ops, expansion, forcing, sol, _ = _solve_case(prof, "couette_noforce")
-    full = assemble_full_solution(expansion.fields, prof, sol, 1e-2, M0)
+    grid, ops, expansion, forcing, sol, _ = _solve_case(
+        "couette_noforce", kind="couette", pert_amplitude=0.05)
+    full = assemble_full_solution(expansion, sol)
     audit = audit_invariants(expansion, sol=sol, full=full)
     failed = [c["name"] for c in audit["checks"] if not c["pass"]]
 
@@ -243,8 +235,7 @@ def test_criterion_10_invariant_suite():
     # determinism of reports
     from chasflow.expansion import expansion_report
     rep1 = json.dumps(expansion_report(expansion), sort_keys=True)
-    expansion2 = construct_expansion(prof, RunSpec("couette_noforce", M=3),
-                                     1e-2, grid)
+    expansion2 = construct_expansion(expansion.spec, 1e-2)
     rep2 = json.dumps(expansion_report(expansion2), sort_keys=True)
 
     dt = time.time() - t0

@@ -10,7 +10,7 @@ import pytest
 from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
                           _run_spec, load_config, main)
 from chasflow.discretization import GridResolutionError
-from chasflow.verification import RunSpec, adapted_grid
+from chasflow.verification import RunSpec
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
@@ -169,7 +169,7 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
                                  "expansion.layer_ny=3",
                                  "grid.L=0", "grid.L=-1",
                                  "grid.resolve_factor=0", "sweep.nx=2",
-                                 "sweep.min_layer_nodes=0",
+                                 "sweep.min_layer_nodes=0", "sweep.ny_cap=48",
                                  "grid.min_layer_nodes=-3",
                                  "solver.max_iter=0", "solver.tol=-1",
                                  "sweep.epsilons=1e-1,1e-2,1e-3",
@@ -189,13 +189,27 @@ def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_exits_before_any_point(jobs, tmp_path, capsys,
+                                                     monkeypatch):
+    import chasflow.verification as verification
+
+    def no_point(spec, eps):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(verification, "run_point", no_point)
+    rc = main(SMALL_SWEEP + ["--jobs", jobs, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("formats", ["xyz", "json,cvs"])
 def test_unknown_output_format_is_config_error(formats, tmp_path, capsys,
                                                monkeypatch):
     def no_construct(spec, eps):
         raise AssertionError("construct ran")
 
-    monkeypatch.setattr("chasflow.cli.construct_point", no_construct)
+    monkeypatch.setattr("chasflow.cli.construct_expansion", no_construct)
     rc = main(["construct", "--set", f"output.formats={formats}",
                "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
@@ -255,9 +269,9 @@ def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
                                         f"sweep.ny_cap={cap}"]), sweep=True)
     if ny is None:
         with pytest.raises(GridResolutionError):
-            adapted_grid(spec, 1e-3)
+            spec.grid(1e-3)
     else:
-        assert adapted_grid(spec, 1e-3).ny == ny
+        assert spec.grid(1e-3).ny == ny
 
 
 def test_sweep_spec_defaults_match_run_spec():

@@ -540,12 +540,16 @@ def grid_systems():
     import chasflow.linearized as linearized
     from chasflow.expansion import construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve
-    from chasflow.profiles import PerturbationSpec, build_profile
-    from chasflow.verification import RunSpec
+    from chasflow.profiles import build_profile
+    from conftest import point_spec
 
-    eps, M0 = 1e-2, 11.0 / 8.0 + 0.05
-    grid = build_channel_grid(0.1, 24, 48, eps)
-    ops = DiffOps(grid.x, grid.y)
+    eps = 1e-2
+    exp = construct_expansion(
+        point_spec("poiseuille_couette_noforce", 24, 48,
+                   kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
+                   pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), eps)
+    grid, ops, M0 = exp.grid, exp.ops, exp.M0
+    forcing = build_case_forcing(exp)
     systems = {}
 
     def catch(name):
@@ -554,13 +558,6 @@ def grid_systems():
             return grid_lu(A, nx, ny)
         return lu
 
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5, perturbation=pert,
-                         eps=eps)
-    exp = construct_expansion(prof, RunSpec("poiseuille_couette_noforce"),
-                              eps, grid)
-    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid, ops,
-                                 eps, M0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linearized, "grid_lu", catch("biharmonic"))
         linearized.solve_biharmonic(np.ones(grid.shape), grid, ops)
@@ -568,7 +565,7 @@ def grid_systems():
         linearized.factorize_linearized(LinearizedProblem(
             exp.fields, eps, M0, grid=grid, ops=ops))
         mp.setattr(linearized, "grid_lu", catch("newton"))
-        newton = newton_solve(exp.fields, forcing, eps, M0, grid, ops)
+        newton = newton_solve(exp, forcing)
         mp.setattr(linearized, "grid_lu", catch("pressure"))
         linearized.recover_pressure(newton, LinearizedProblem(
             exp.fields, eps, M0, F1=forcing.F1, F2=forcing.F2, ubar=newton.u,

@@ -2,27 +2,28 @@ import numpy as np
 import pytest
 
 import chasflow.boundary_layers as bl
-from chasflow.discretization import DiffOps, build_channel_grid
+from chasflow.discretization import build_channel_grid
 from chasflow.expansion import (ExpansionError, construct_expansion,
                                 expansion_report)
-from chasflow.profiles import PerturbationSpec, build_profile
-from chasflow.verification import ConfigError, RunSpec, construct_point
+from chasflow.verification import ConfigError, RunSpec
+from conftest import point_spec
 
 L = 0.1
+# the profile of the perturbed_couette fixture
+PERTURBED_COUETTE = dict(kind="couette", pert_amplitude=0.05)
 
 
 @pytest.fixture(scope="module")
-def couette_expansion(perturbed_couette):
-    grid = build_channel_grid(L, 48, 96, 1e-2)
-    return construct_expansion(perturbed_couette,
-                               RunSpec("couette_noforce", M=3), 1e-2, grid)
+def couette_expansion():
+    return construct_expansion(
+        point_spec("couette_noforce", 48, 96, M=3, **PERTURBED_COUETTE), 1e-2)
 
 
 def test_config_invariants():
     spec = RunSpec("couette_noforce", gamma=0.07)
     assert spec.M0 == pytest.approx(11.0 / 8.0 + 0.07)
     with pytest.raises(ConfigError, match="epsilon"):
-        construct_point(RunSpec("couette_noforce"), -1.0)
+        construct_expansion(RunSpec("couette_noforce"), -1.0)
     with pytest.raises(ConfigError):
         RunSpec("couette_noforce", M=0)
     with pytest.raises(ConfigError):
@@ -43,9 +44,9 @@ def test_config_invariants():
 
 
 def test_exact_couette_all_zero(couette):
-    grid = build_channel_grid(L, 32, 64, 1e-2)
-    res = construct_expansion(couette, RunSpec("couette_noforce", M=3), 1e-2,
-                              grid)
+    res = construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=3, kind="couette"), 1e-2)
+    grid = res.grid
     mu = np.tile(couette.mu(grid.y), (grid.nx, 1))
     assert np.abs(res.fields["u_s"] - mu).max() == 0.0
     assert np.abs(res.fields["v_s"]).max() == 0.0
@@ -53,11 +54,11 @@ def test_exact_couette_all_zero(couette):
     assert np.abs(res.Fv).max() == 0.0
 
 
-def test_exact_poiseuille_zero_remainder(poiseuille):
+def test_exact_poiseuille_zero_remainder():
     # Poiseuille with P_s = -2 eps x solves the system exactly
-    grid = build_channel_grid(L, 32, 64, 1e-2)
-    res = construct_expansion(poiseuille, RunSpec("poiseuille_couette_noforce"),
-                              1e-2, grid)
+    res = construct_expansion(
+        point_spec("poiseuille_couette_noforce", 32, 64, kind="poiseuille",
+                   alpha1=0.0, alpha2=1.0), 1e-2)
     assert np.abs(res.Fu).max() == 0.0
     assert np.abs(res.Fv).max() == 0.0
 
@@ -66,33 +67,45 @@ def test_case_i_remainder_equals_bump_second_derivative():
     # eps^{M0} F_u = eps (mu'' - U''): checked against the closed-form
     # second derivative of the configured bump
     eps = 1e-2
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                         perturbation=pert, eps=eps)
-    grid = build_channel_grid(L, 32, 64, eps)
-    spec = RunSpec("poiseuille_couette_noforce")
-    res = construct_expansion(prof, spec, eps, grid)
-    expected = eps ** (1.0 - spec.M0) * np.tile(prof.delta_mu(grid.y, 2),
-                                               (grid.nx, 1))
+    spec = point_spec("poiseuille_couette_noforce", 32, 64,
+                      kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
+                      pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05)
+    res = construct_expansion(spec, eps)
+    grid = res.grid
+    expected = eps ** (1.0 - spec.M0) * np.tile(
+        res.profile.delta_mu(grid.y, 2), (grid.nx, 1))
     assert np.allclose(res.Fu, expected, rtol=1e-12, atol=1e-12)
     assert np.abs(res.Fv).max() == 0.0
 
 
-def test_couette_case_requires_alpha2_zero(poiseuille):
-    grid = build_channel_grid(L, 32, 64, 1e-2)
-    with pytest.raises(ExpansionError):
-        construct_expansion(poiseuille, RunSpec("couette_noforce"), 1e-2, grid)
+def test_spec_gives_the_profile_and_grid():
+    # the expansion builds its profile and grid from the spec alone
+    spec = RunSpec("poiseuille_couette_noforce", kind="poiseuille_couette",
+                   alpha1=0.5, alpha2=0.5, pert_amplitude=0.05,
+                   pert_exponent=3.0 / 8.0 + 0.05, nx=48, ny=96, ny_cap=96,
+                   min_layer_nodes=6)
+    res = construct_expansion(spec, 1e-2)
+    assert res.profile.alpha1 == res.profile.alpha2 == 0.5
+    assert res.profile.perturbation.amplitude == 0.05
+    grid = build_channel_grid(L, 48, 96, 1e-2)
+    assert res.grid.x.tobytes() == grid.x.tobytes()
+    assert res.grid.y.tobytes() == grid.y.tobytes()
+
+
+def test_couette_case_requires_alpha2_zero():
+    # no spec can carry the conflict to the construction
+    with pytest.raises(ConfigError, match="alpha2"):
+        RunSpec("couette_noforce", kind="poiseuille", alpha1=0.0, alpha2=1.0)
 
 
 def test_degeneracy_gate_blocks():
     # a profile passing admissibility but failing the ratio thresholds:
     # the C^k norm of mu^(3)/mu is 7.04 > 5.0 for a 0.2 bump
-    pert = PerturbationSpec(0.2, 0.0)
-    prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=1e-2)
-    assert prof.admissible
-    grid = build_channel_grid(L, 32, 64, 1e-2)
+    spec = point_spec("couette_noforce", 32, 64, kind="couette",
+                      pert_amplitude=0.2)
+    assert spec.profile(1e-2).admissible
     with pytest.raises(ExpansionError, match="degeneracy gate"):
-        construct_expansion(prof, RunSpec("couette_noforce"), 1e-2, grid)
+        construct_expansion(spec, 1e-2)
 
 
 def test_wall_conditions_exact(couette_expansion):
@@ -157,7 +170,7 @@ def test_euler_convection_follows_each_wall(couette_expansion):
             assert np.array_equal(field, direct), (side, key)
 
 
-def test_interpolation_work_per_construct(perturbed_couette, monkeypatch):
+def test_interpolation_work_per_construct(monkeypatch):
     # each Euler part sends the six convection keys to each wall (3 parts
     # x 2 walls x 6); each layer sends its 8 nonzero keys and each aux
     # pressure its 3 to the channel (4 x 8 + 4 x 3)
@@ -173,20 +186,18 @@ def test_interpolation_work_per_construct(perturbed_couette, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bl, name, counting(name))
-    grid = build_channel_grid(L, 32, 64, 1e-2)
-    construct_expansion(perturbed_couette, RunSpec("couette_noforce", M=2),
-                        1e-2, grid)
+    construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
     assert calls == {"interp_channel_field": 36, "interp_layer_field": 44}
 
 
-def test_forcing_component_sum_audit(perturbed_couette):
+def test_forcing_component_sum_audit():
     # F^i is smooth_x of the signed sum of its components, and that filter
     # is a convex average, so max|F^i| cannot exceed the sum of the recorded
     # component maxima (the record keeps only those maxima, so the sum is
     # not checked pointwise)
-    grid = build_channel_grid(L, 32, 64, 1e-2)
-    res = construct_expansion(perturbed_couette,
-                              RunSpec("couette_noforce", M=2), 1e-2, grid)
+    res = construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
     checked = 0
     for layer in res.correctors.layers:
         if layer.F is None or not np.any(layer.F):
@@ -265,13 +276,11 @@ def test_m_ordering_of_remainders():
     the eps this suite runs.
     """
     eps = 1e-3
-    pert = PerturbationSpec(0.05, 0.0)
-    prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=eps)
-    grid = build_channel_grid(L, 40, 96, eps)
     norms = {}
     for M in (1, 3):
-        res = construct_expansion(prof, RunSpec("couette_noforce", M=M), eps,
-                                  grid)
+        res = construct_expansion(
+            point_spec("couette_noforce", 40, 96, M=M, **PERTURBED_COUETTE),
+            eps)
         n = res.report["remainder_norms"]
         norms[M] = np.hypot(n["Fu_L2"], n["Fv_L2"])
     assert norms[3] <= norms[1]

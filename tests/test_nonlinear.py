@@ -4,53 +4,52 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chasflow.discretization import DiffOps, build_channel_grid, grid_lu
+from chasflow.discretization import grid_lu
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
                                  factorize_linearized, solve_linearized)
 from chasflow.linearized import LinearizedProblem
-from chasflow.nonlinear import (ConvergenceError, ForcingError,
+from chasflow.nonlinear import (CaseForcing, ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
-from chasflow.profiles import PerturbationSpec, build_profile
-from chasflow.verification import RunSpec
-from conftest import same_arrays
+from conftest import point_spec, same_arrays
 
 L = 0.1
 EPS = 1e-2
 M0 = 11.0 / 8.0 + 0.05
+# the case-(i) profile: the family at alpha1 = alpha2 = 0.5 with a bump
+CASE_I = dict(kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
+              pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05)
+
+
+def _case_i(nx, ny, eps=EPS, **settings):
+    """(expansion, forcing) of a case-(i) point on an nx x ny grid."""
+    spec = point_spec("poiseuille_couette_noforce", nx, ny,
+                      **dict(CASE_I, **settings))
+    expansion = construct_expansion(spec, eps)
+    return expansion, build_case_forcing(expansion)
 
 
 @pytest.fixture(scope="module")
 def case_i_setup():
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                         perturbation=pert, eps=EPS)
-    grid = build_channel_grid(L, 48, 96, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(
-        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
-    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
-                                 ops, EPS, M0)
-    return prof, grid, ops, expansion, forcing
+    return _case_i(48, 96)
 
 
-def test_exact_families_one_iteration(couette, poiseuille):
-    grid = build_channel_grid(L, 48, 96, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    for prof, case in ((couette, "couette_noforce"),
-                       (poiseuille, "poiseuille_couette_noforce")):
-        expansion = construct_expansion(prof, RunSpec(case), EPS, grid)
-        forcing = build_case_forcing(case, prof, grid, ops, EPS, M0,
-                                     expansion=expansion)
-        sol, trace = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
+def test_exact_families_one_iteration():
+    for case, kind, alpha1, alpha2 in (
+            ("couette_noforce", "couette", 1.0, 0.0),
+            ("poiseuille_couette_noforce", "poiseuille", 0.0, 1.0)):
+        expansion = construct_expansion(
+            point_spec(case, 48, 96, kind=kind, alpha1=alpha1, alpha2=alpha2),
+            EPS)
+        sol, trace = picard_solve(expansion, build_case_forcing(expansion))
         assert len(trace.rows) == 1
         assert sol.norms["X_norm"] < 1e-8
 
 
 def test_case_i_contracts(case_i_setup):
-    prof, grid, ops, expansion, forcing = case_i_setup
-    sol, trace = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
+    expansion, forcing = case_i_setup
+    sol, trace = picard_solve(expansion, forcing)
     assert sol.norms["X_norm"] > 0
     ratios = [r for r in trace.ratios if np.isfinite(r)]
     assert all(r < 0.5 for r in ratios[:2])
@@ -58,8 +57,9 @@ def test_case_i_contracts(case_i_setup):
 
 
 def test_fixed_point_property(case_i_setup):
-    prof, grid, ops, expansion, forcing = case_i_setup
-    sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
+    expansion, forcing = case_i_setup
+    grid, ops = expansion.grid, expansion.ops
+    sol, _ = picard_solve(expansion, forcing)
     prob = LinearizedProblem(expansion.fields, EPS, M0, F1=forcing.F1,
                              F2=forcing.F2, ubar=sol.u, vbar=sol.v,
                              grid=grid, ops=ops)
@@ -70,75 +70,74 @@ def test_fixed_point_property(case_i_setup):
 
 
 def test_newton_oracle_agreement(case_i_setup):
-    prof, grid, ops, expansion, forcing = case_i_setup
-    sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
-    newton = newton_solve(expansion.fields, forcing, EPS, M0, grid, ops)
-    d = RemainderSolution(grid, ops, sol.u - newton.u, sol.v - newton.v)
+    expansion, forcing = case_i_setup
+    sol, _ = picard_solve(expansion, forcing)
+    newton = newton_solve(expansion, forcing)
+    d = RemainderSolution(expansion.grid, expansion.ops, sol.u - newton.u,
+                          sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
     assert dx < 1e-8
 
 
 def test_smallness_monotonicity():
-    grid = build_channel_grid(L, 48, 96, EPS)
-    ops = DiffOps(grid.x, grid.y)
     xs = []
     for amp in (0.05, 0.025):
-        pert = PerturbationSpec(amp, 3.0 / 8.0 + 0.05)
-        prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                             perturbation=pert, eps=EPS)
-        expansion = construct_expansion(
-            prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
-        forcing = build_case_forcing("poiseuille_couette_noforce", prof,
-                                     grid, ops, EPS, M0)
-        sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
+        sol, _ = picard_solve(*_case_i(48, 96, pert_amplitude=amp))
         xs.append(sol.norms["X_norm"])
     assert xs[1] < xs[0]
     # near-linear response: halving the amplitude roughly halves the norm
     assert xs[1] == pytest.approx(0.5 * xs[0], rel=0.2)
 
 
-def test_case_iii_precondition(couette):
-    grid = build_channel_grid(L, 32, 64, EPS)
-    ops = DiffOps(grid.x, grid.y)
+def _forced(**settings):
+    """The constructed couette base flow of a forced point on 32x64."""
+    return construct_expansion(
+        point_spec("forced", 32, 64, kind="couette", **settings), EPS)
+
+
+def test_case_iii_precondition():
+    expansion = _forced()
+    grid = expansion.grid
     g1 = np.ones(grid.shape)  # violates the smallness hypothesis by far
     with pytest.raises(ForcingError):
-        build_case_forcing("forced", couette, grid, ops, EPS, M0,
-                           g_eps=(g1, np.zeros(grid.shape)), alpha0=0.05)
+        build_case_forcing(expansion, g_eps=(g1, np.zeros(grid.shape)),
+                           alpha0=0.05)
     small = 1e-12 * np.sin(np.pi * grid.XX / L) * np.sin(np.pi * grid.YY / 2)
-    forcing = build_case_forcing("forced", couette, grid, ops, EPS, M0,
+    forcing = build_case_forcing(expansion,
                                  g_eps=(small, np.zeros(grid.shape)),
                                  alpha0=0.05)
     assert np.isfinite(forcing.F1).all()
 
 
-def test_case_iii_bound_uses_the_runs_gamma(couette):
+def test_case_iii_always_checks_smallness():
+    # a force without alpha0 cannot be checked, so it is refused, however
+    # small it is
+    expansion = _forced()
+    small = 1e-12 * np.ones(expansion.grid.shape)
+    with pytest.raises(ForcingError, match="alpha0"):
+        build_case_forcing(expansion, g_eps=(small, np.zeros_like(small)))
+
+
+def test_case_iii_bound_uses_the_runs_gamma():
     # the smallness bound is alpha0 eps^M0 with the run's own M0 = 11/8 +
     # gamma; a force between the gamma = 0.2 and gamma = 0.05 bounds (2x
     # apart at eps = 1e-2) must fail at gamma = 0.2
-    grid = build_channel_grid(L, 32, 64, EPS)
-    ops = DiffOps(grid.x, grid.y)
+    expansion = _forced(gamma=0.2)
+    grid, ops = expansion.grid, expansion.ops
     m0, alpha0 = 11.0 / 8.0 + 0.2, 0.05
+    assert expansion.M0 == m0
     shape = np.sin(np.pi * grid.XX / L) * np.sin(np.pi * grid.YY / 2)
     g1 = 1.5 * alpha0 * EPS ** m0 / ops.norm(shape, "H2") * shape
     h2 = ops.norm(g1, "H2")
     assert alpha0 * EPS ** m0 < h2 < alpha0 * EPS ** (11.0 / 8.0 + 0.05)
     with pytest.raises(ForcingError):
-        build_case_forcing("forced", couette, grid, ops, EPS, m0,
-                           g_eps=(g1, np.zeros(grid.shape)), alpha0=alpha0)
+        build_case_forcing(expansion, g_eps=(g1, np.zeros(grid.shape)),
+                           alpha0=alpha0)
 
 
 @pytest.fixture(scope="module")
 def case_i_24x48():
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                         perturbation=pert, eps=EPS)
-    grid = build_channel_grid(L, 24, 48, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(
-        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
-    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
-                                 ops, EPS, M0)
-    return expansion.fields, forcing, grid, ops
+    return _case_i(24, 48)
 
 
 def _catch_grid_lu(monkeypatch):
@@ -159,8 +158,7 @@ def _catch_grid_lu(monkeypatch):
 
 def test_newton_holds_one_factor_at_a_time(case_i_24x48, monkeypatch):
     calls = _catch_grid_lu(monkeypatch)
-    fields, forcing, grid, ops = case_i_24x48
-    newton_solve(fields, forcing, EPS, M0, grid, ops)
+    newton_solve(*case_i_24x48)
     alive = [n for _, n in calls]
     assert len(alive) >= 2
     assert alive == [0] * len(alive)
@@ -168,23 +166,21 @@ def test_newton_holds_one_factor_at_a_time(case_i_24x48, monkeypatch):
 
 def test_newton_first_jacobian_is_picards_operator(case_i_24x48, monkeypatch):
     # J_N vanishes at psi = 0, so Newton's first system is Picard's
-    fields, forcing, grid, ops = case_i_24x48
     calls = _catch_grid_lu(monkeypatch)
-    picard_solve(fields, forcing, EPS, M0, grid, ops)
+    picard_solve(*case_i_24x48)
     picard = calls[0][0]
     calls.clear()
-    newton_solve(fields, forcing, EPS, M0, grid, ops)
+    newton_solve(*case_i_24x48)
     assert same_arrays(calls[0][0], picard)
 
 
-def test_assemble_full_solution_zero_remainder(couette):
-    grid = build_channel_grid(L, 32, 64, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(couette, RunSpec("couette_noforce"), EPS,
-                                    grid)
-    zero = RemainderSolution(grid, ops, np.zeros(grid.shape),
+def test_assemble_full_solution_zero_remainder():
+    expansion = construct_expansion(
+        point_spec("couette_noforce", 32, 64, kind="couette"), EPS)
+    grid = expansion.grid
+    zero = RemainderSolution(grid, expansion.ops, np.zeros(grid.shape),
                              np.zeros(grid.shape), P=np.zeros(grid.shape))
-    full = assemble_full_solution(expansion.fields, couette, zero, EPS, M0)
+    full = assemble_full_solution(expansion, zero)
     assert np.array_equal(full["u"], expansion.fields["u_s"])
     audit = full["report"]["boundary_audit"]
     assert max(audit["u_wall_bottom"], audit["v_wall_bottom"],
@@ -193,9 +189,9 @@ def test_assemble_full_solution_zero_remainder(couette):
 
 
 def test_boundary_audit_full_solution(case_i_setup):
-    prof, grid, ops, expansion, forcing = case_i_setup
-    sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
-    full = assemble_full_solution(expansion.fields, prof, sol, EPS, M0)
+    expansion, forcing = case_i_setup
+    sol, _ = picard_solve(expansion, forcing)
+    full = assemble_full_solution(expansion, sol)
     audit = full["report"]["boundary_audit"]
     for key in ("u_wall_bottom", "v_wall_bottom", "u_wall_top",
                 "v_wall_top", "inflow_u"):
@@ -203,8 +199,7 @@ def test_boundary_audit_full_solution(case_i_setup):
 
 
 def test_iteration_trace_csv(tmp_path, case_i_setup):
-    prof, grid, ops, expansion, forcing = case_i_setup
-    sol, trace = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
+    sol, trace = picard_solve(*case_i_setup)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -213,20 +208,24 @@ def test_iteration_trace_csv(tmp_path, case_i_setup):
 
 
 def test_nonconvergence_guard():
-    # an artificially amplified nonlinearity (negative remainder exponent)
-    # breaks the contraction; the ratio monitor must abort with a diagnostic
-    grid = build_channel_grid(L, 32, 64, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + 0.05)
-    prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                         perturbation=pert, eps=EPS)
-    expansion = construct_expansion(
-        prof, RunSpec("poiseuille_couette_noforce"), EPS, grid)
-    forcing = build_case_forcing("poiseuille_couette_noforce", prof, grid,
-                                 ops, EPS, M0)
-    with pytest.raises(ConvergenceError):
-        picard_solve(expansion.fields, forcing, EPS, -4.0, grid, ops,
-                     k_max=30)
+    # an artificially amplified nonlinearity breaks the contraction; the
+    # ratio monitor must abort with a diagnostic.  The map with remainder
+    # exponent M0' = -4 and force F is the map with the run's M0 and force
+    # eps^(M0' - M0) F, its iterates scaled by that constant (N is
+    # quadratic), so scaling the force amplifies the nonlinearity alike
+    expansion, forcing = _case_i(32, 64, max_iter=30)
+    scale = EPS ** (-4.0 - expansion.M0)
+    amplified = CaseForcing(scale * forcing.F1, scale * forcing.F2)
+    with pytest.raises(ConvergenceError, match="no contraction"):
+        picard_solve(expansion, amplified)
+
+
+def test_picard_reads_the_spec_stopping_settings():
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        picard_solve(*_case_i(24, 48, max_iter=1))
+    _, strict = picard_solve(*_case_i(24, 48))
+    _, loose = picard_solve(*_case_i(24, 48, tol=1e-2))
+    assert len(loose.rows) < len(strict.rows)
 
 
 def test_linear_estimate_constant_stability():
@@ -235,20 +234,11 @@ def test_linear_estimate_constant_stability():
     # test_perturbed_c4_bound). The estimate bounds C from above only, so C
     # may fall as eps falls but must not grow by the factor 50.
     gamma = 0.05
-    pert = PerturbationSpec(0.05, 3.0 / 8.0 + gamma)
-    alpha0 = pert.amplitude
+    alpha0 = CASE_I["pert_amplitude"]
     eps_values = (1e-1, 1e-2, 1e-3)
     consts = []
     for eps in eps_values:
-        prof = build_profile("poiseuille_couette", 0.5, 0.5,
-                             perturbation=pert, eps=eps)
-        grid = build_channel_grid(L, 48, 96, eps)
-        ops = DiffOps(grid.x, grid.y)
-        expansion = construct_expansion(
-            prof, RunSpec("poiseuille_couette_noforce"), eps, grid)
-        forcing = build_case_forcing("poiseuille_couette_noforce", prof,
-                                     grid, ops, eps, M0)
-        sol, _ = picard_solve(expansion.fields, forcing, eps, M0, grid, ops)
+        sol, _ = picard_solve(*_case_i(48, 96, eps=eps))
         x = sol.norms["X_norm"]
         # a zero remainder would meet the upper bound trivially
         assert x > 0.0

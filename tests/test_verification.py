@@ -3,17 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from chasflow.discretization import DiffOps, build_channel_grid
 from chasflow.expansion import construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from chasflow.verification import (ConfigError, RunSpec, audit_invariants,
-                                   construct_point, fit_quantity,
-                                   report_to_csv, report_to_json, run_point,
-                                   run_sweep)
+                                   fit_quantity, report_to_csv, report_to_json,
+                                   run_point, run_sweep)
+from conftest import point_spec
 
 L = 0.1
 EPS = 1e-2
-M0 = 11.0 / 8.0 + 0.05
 
 
 def test_sweep_plan_validation():
@@ -30,7 +28,7 @@ def test_forced_case_runs_from_the_library():
     # no config key gives the control force, but a RunSpec may name the case
     spec = RunSpec("forced", nx=24, ny=48, kind="poiseuille_couette",
                    alpha1=0.5, alpha2=0.5)
-    expansion = construct_point(spec, EPS)
+    expansion = construct_expansion(spec, EPS)
     grid, ops = expansion.grid, expansion.ops
     mu = expansion.profile.mu(grid.y)
     assert np.array_equal(expansion.fields["u_s"], np.tile(mu, (grid.nx, 1)))
@@ -38,10 +36,9 @@ def test_forced_case_runs_from_the_library():
         expansion.fields["P_s"])
     shape = np.sin(np.pi * grid.XX / L) * np.sin(np.pi * grid.YY / 2)
     g1 = 0.5 * 0.05 * EPS ** spec.M0 / ops.norm(shape, "H2") * shape
-    forcing = build_case_forcing("forced", expansion.profile, grid, ops, EPS,
-                                 spec.M0, g_eps=(g1, np.zeros(grid.shape)),
+    forcing = build_case_forcing(expansion, g_eps=(g1, np.zeros(grid.shape)),
                                  alpha0=0.05)
-    sol, _ = picard_solve(expansion.fields, forcing, EPS, spec.M0, grid, ops)
+    sol, _ = picard_solve(expansion, forcing)
     assert 0 < sol.norms["X_norm"] and sol.residuals["nonlinear_momentum"] < 1e-6
 
 
@@ -94,17 +91,11 @@ def test_report_serialization(tmp_path):
 
 
 def _solved_bundle(amp=0.05):
-    from chasflow.profiles import PerturbationSpec, build_profile
-    pert = PerturbationSpec(amp, 0.0)
-    prof = build_profile("couette", 1.0, 0.0, perturbation=pert, eps=EPS)
-    grid = build_channel_grid(L, 48, 96, EPS)
-    ops = DiffOps(grid.x, grid.y)
-    expansion = construct_expansion(prof, RunSpec("couette_noforce", M=2), EPS,
-                                    grid)
-    forcing = build_case_forcing("couette_noforce", prof, grid, ops, EPS, M0,
-                                 expansion=expansion)
-    sol, _ = picard_solve(expansion.fields, forcing, EPS, M0, grid, ops)
-    full = assemble_full_solution(expansion.fields, prof, sol, EPS, M0)
+    expansion = construct_expansion(
+        point_spec("couette_noforce", 48, 96, M=2, kind="couette",
+                   pert_amplitude=amp), EPS)
+    sol, _ = picard_solve(expansion, build_case_forcing(expansion))
+    full = assemble_full_solution(expansion, sol)
     return expansion, sol, full
 
 
