@@ -217,7 +217,7 @@ def cmd_solve(cfg, args):
                "norms": norm_report(sol, sol.problem),
                "residuals": sol.residuals}
     if cfg["solver.newton_check"]:
-        newton = newton_solve(expansion, forcing)
+        newton = newton_solve(expansion, forcing, sol.problem)
         payload["newton_X_norm"] = newton.norms["X_norm"]
     _write_json(payload, os.path.join(out, "solve_report.json"))
     log.info("solve: converged in %d iterations", sol.norms["iterations"])
@@ -316,13 +316,16 @@ def main(argv=None):
                         help="override section.key=value (repeatable)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep points")
+                        help="concurrent sweep points (sweep only)")
     args = parser.parse_args(argv)
 
     try:
         _start_logging()
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.jobs != 1 and args.command != "sweep":
+            raise ConfigError(f"--jobs runs sweep points concurrently; "
+                              f"{args.command} takes none (got {args.jobs})")
         cfg = load_config(args.config, args.set)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

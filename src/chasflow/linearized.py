@@ -33,6 +33,7 @@ class LinearizedProblem:
         self.F2 = np.zeros(shape) if F2 is None else F2
         self.ubar = np.zeros(shape) if ubar is None else ubar
         self.vbar = np.zeros(shape) if vbar is None else vbar
+        self.factor = None   # (LU, d, boundary rows); picard_solve sets it
 
     def nonlinear_terms(self, ubar=None, vbar=None):
         """N1, N2 of the frozen pair (the eps^M0-weighted quadratic terms)."""

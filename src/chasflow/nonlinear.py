@@ -2,19 +2,29 @@
 
 The map freezes the quadratic terms at the previous iterate and solves the
 linearized system; its fixed point is the Navier-Stokes remainder.  A damped
-Newton solve of the same discrete system serves as an independent oracle.
+Newton-Krylov solve of the same discrete system serves as an independent
+oracle: GMRES, preconditioned by Picard's factor, solves each Newton step,
+while Newton's own residual and stopping rule set the root.
 """
+
+import logging
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .linearized import (LinearizedProblem, factorize_linearized,
                          solve_linearized, recover_pressure,
                          momentum_residual, compute_norms, RemainderSolution,
-                         assemble_linearized_operator, psi_rows, factor_psi)
+                         assemble_linearized_operator, psi_rows)
 
 
 NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
+# relative residual each Newton step's GMRES solve must reach; the direct
+# solve's own backward error is about 5e-9, so not much below 1e-8
+NEWTON_INNER_RTOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
@@ -87,13 +97,14 @@ class IterationTrace:
 def picard_solve(expansion, forcing):
     """Iterate the linearized map from zero until the X-norm difference
     drops below the spec's tol, in at most its max_iter steps; returns the
-    converged remainder, with its problem on ``sol.problem``, and the trace."""
+    converged remainder, with its problem on ``sol.problem`` (and that
+    problem's factor on ``sol.problem.factor``), and the trace."""
     grid, ops, eps, M0 = (expansion.grid, expansion.ops, expansion.eps,
                           expansion.M0)
     background, spec = expansion.fields, expansion.spec
     prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
                              grid=grid, ops=ops)
-    lu = factorize_linearized(prob)
+    lu = prob.factor = factorize_linearized(prob)
     trace = IterationTrace()
     ubar = np.zeros((grid.nx, grid.ny))
     vbar = np.zeros_like(ubar)
@@ -152,10 +163,14 @@ def _newton_jacobian_curlN(prob, u, v):
     return (ops.Dy @ J1 - ops.Dx @ J2).tocsr()
 
 
-def newton_solve(expansion, forcing):
+def newton_solve(expansion, forcing, problem):
     """Damped Newton on the discrete nonlinear psi system (Picard oracle):
-    at most 30 steps, to a 1e-12 relative residual.  The oracle compares
-    velocities, so no pressure is recovered (P stays None)."""
+    at most 30 steps, to a 1e-12 relative residual.  GMRES solves each
+    Jacobian system to NEWTON_INNER_RTOL, preconditioned by the factor that
+    ``picard_solve`` left on ``problem.factor``; a factor that fits badly
+    costs iterations but cannot move the root, which Newton's own residual
+    sets.  The oracle compares velocities, so no pressure is recovered (P
+    stays None); ``norms["gmres_iterations"]`` counts the inner iterations."""
     tol, max_iter = 1e-12, 30
     grid, ops = expansion.grid, expansion.ops
     prob = LinearizedProblem(expansion.fields, expansion.eps, expansion.M0,
@@ -164,6 +179,8 @@ def newton_solve(expansion, forcing):
     curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
     mask[bnd] = curlF[bnd] = 0.0
+    lu, d, _ = problem.factor
+    precond = LinearOperator(A_bc.shape, matvec=lu.solve)
 
     def residual(psi_flat):
         sf = psi_flat.reshape(grid.nx, grid.ny)
@@ -176,6 +193,7 @@ def newton_solve(expansion, forcing):
     psi = np.zeros(grid.nx * grid.ny)
     G, u, v = residual(psi)
     g0 = np.linalg.norm(G)
+    inner_total = 0
     for it in range(max_iter):
         gnorm = np.linalg.norm(G)
         # the operator rows scale like eps/h^4, so the achievable absolute
@@ -183,10 +201,23 @@ def newton_solve(expansion, forcing):
         # and the Newton step size instead
         if gnorm <= tol * max(1.0, g0) or g0 == 0.0:
             break
-        lu, d = factor_psi(
-            A_bc - sp.diags(mask) @ _newton_jacobian_curlN(prob, u, v), grid)
-        delta = lu.solve(-G / d)
-        del lu   # free this factor before the next one is built
+        Js = (sp.diags(1.0 / d) @ (A_bc - sp.diags(mask)
+                                    @ _newton_jacobian_curlN(prob, u, v))).tocsr()
+        b = -G / d
+        inner = []
+        delta, _ = gmres(Js, b, rtol=NEWTON_INNER_RTOL, restart=30, maxiter=2,
+                         M=precond, callback=inner.append,
+                         callback_type="pr_norm")
+        # gmres's info does not say how far it got: test the true residual
+        rel = np.linalg.norm(b - Js @ delta) / np.linalg.norm(b)
+        inner_total += len(inner)
+        log.debug("newton step %d: |G| %.3e, %d GMRES iterations, inner "
+                  "residual %.1e", it + 1, gnorm, len(inner), rel)
+        if not rel <= NEWTON_INNER_RTOL:
+            raise ConvergenceError(
+                f"Newton step {it + 1}: GMRES reached a relative residual of "
+                f"{rel:.1e} > {NEWTON_INNER_RTOL:.0e} in {len(inner)} "
+                "iterations")
         step = 1.0
         for _ in range(20):
             G_new, u_new, v_new = residual(psi + step * delta)
@@ -202,6 +233,7 @@ def newton_solve(expansion, forcing):
         raise ConvergenceError("Newton did not converge")
     sol = RemainderSolution(grid, ops, u, v, psi=psi.reshape(grid.nx, grid.ny))
     compute_norms(sol, expansion.fields, expansion.eps)
+    sol.norms["gmres_iterations"] = inner_total
     return sol
 
 

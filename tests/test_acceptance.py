@@ -196,7 +196,7 @@ def test_criterion_9_oracle_equivalence():
     grid, ops, expansion, forcing, sol, _ = _solve_case(
         "poiseuille_couette_noforce", kind="poiseuille_couette", alpha1=0.5,
         alpha2=0.5, pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + GAMMA)
-    newton = newton_solve(expansion, forcing)
+    newton = newton_solve(expansion, forcing, sol.problem)
     d = RemainderSolution(grid, ops, sol.u - newton.u, sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, 1e-2)["X_norm"]
     dt = time.time() - t0

@@ -203,6 +203,23 @@ def test_sweep_jobs_below_one_exits_before_any_point(jobs, tmp_path, capsys,
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct", "solve", "audit", "report"])
+def test_jobs_outside_sweep_exits_before_any_work(command, tmp_path, capsys,
+                                                  monkeypatch):
+    # only a sweep runs points concurrently; any other command would run
+    # serially and ignore --jobs without a word
+    def no_work(spec, eps):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr("chasflow.cli.construct_expansion", no_work)
+    monkeypatch.setattr("chasflow.cli.solve_point", no_work)
+    (tmp_path / "expansion_report.json").write_text("{}\n")  # for report
+    rc = main([command, "--jobs", "4", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["expansion_report.json"]
+
+
 @pytest.mark.parametrize("formats", ["xyz", "json,cvs"])
 def test_unknown_output_format_is_config_error(formats, tmp_path, capsys,
                                                monkeypatch):

@@ -533,13 +533,15 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 @pytest.fixture(scope="module")
 def grid_systems():
     """name -> (A, nx, ny): the last system of each kind that the library
-    factors on a 24x48 grid, caught at its call of ``grid_lu``.  The last
-    Newton Jacobian carries the nonlinear terms of a nonzero iterate; the
+    factors on a 24x48 grid, caught at its call of ``grid_lu``.  Newton
+    factors nothing: its last (row-scaled) Jacobian, which carries the
+    nonlinear terms of a nonzero iterate, is caught at its GMRES call.  The
     pressure system comes from recovering the Newton iterate's pressure."""
     import chasflow.euler_correctors as euler
     import chasflow.linearized as linearized
+    import chasflow.nonlinear as nonlinear
     from chasflow.expansion import construct_expansion
-    from chasflow.nonlinear import build_case_forcing, newton_solve
+    from chasflow.nonlinear import build_case_forcing, newton_solve, picard_solve
     from chasflow.profiles import build_profile
     from conftest import point_spec
 
@@ -550,6 +552,7 @@ def grid_systems():
                    pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), eps)
     grid, ops, M0 = exp.grid, exp.ops, exp.M0
     forcing = build_case_forcing(exp)
+    sol, _ = picard_solve(exp, forcing)     # Newton's preconditioner
     systems = {}
 
     def catch(name):
@@ -564,8 +567,13 @@ def grid_systems():
         mp.setattr(linearized, "grid_lu", catch("linearized"))
         linearized.factorize_linearized(LinearizedProblem(
             exp.fields, eps, M0, grid=grid, ops=ops))
-        mp.setattr(linearized, "grid_lu", catch("newton"))
-        newton = newton_solve(exp, forcing)
+
+        def gmres(A, b, **kwargs):
+            systems["newton"] = (A.tocsc(), grid.nx, grid.ny)
+            return spla.gmres(A, b, **kwargs)
+
+        mp.setattr(nonlinear, "gmres", gmres)
+        newton = newton_solve(exp, forcing, sol.problem)
         mp.setattr(linearized, "grid_lu", catch("pressure"))
         linearized.recover_pressure(newton, LinearizedProblem(
             exp.fields, eps, M0, F1=forcing.F1, F2=forcing.F2, ubar=newton.u,

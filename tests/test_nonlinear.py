@@ -1,18 +1,20 @@
-import weakref
+import types
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from chasflow.discretization import grid_lu
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
                                  factorize_linearized, solve_linearized)
 from chasflow.linearized import LinearizedProblem
+import chasflow.nonlinear as nonlinear
 from chasflow.nonlinear import (CaseForcing, ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
-from conftest import point_spec, same_arrays
+from conftest import point_spec
 
 L = 0.1
 EPS = 1e-2
@@ -72,7 +74,7 @@ def test_fixed_point_property(case_i_setup):
 def test_newton_oracle_agreement(case_i_setup):
     expansion, forcing = case_i_setup
     sol, _ = picard_solve(expansion, forcing)
-    newton = newton_solve(expansion, forcing)
+    newton = newton_solve(expansion, forcing, sol.problem)
     d = RemainderSolution(expansion.grid, expansion.ops, sol.u - newton.u,
                           sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
@@ -142,36 +144,84 @@ def case_i_24x48():
 
 def _catch_grid_lu(monkeypatch):
     """Route the psi and pressure factorizations through a wrapper; returns
-    the list it fills with (matrix, factors still alive) per call."""
+    the list it fills with the factor of each call."""
     import chasflow.linearized as linearized
-    calls, refs = [], []
+    calls = []
 
     def lu(A, nx, ny):
-        calls.append((A, sum(r() is not None for r in refs)))
-        fac = grid_lu(A, nx, ny)
-        refs.append(weakref.ref(fac))
-        return fac
+        calls.append(grid_lu(A, nx, ny))
+        return calls[-1]
 
     monkeypatch.setattr(linearized, "grid_lu", lu)
     return calls
 
 
-def test_newton_holds_one_factor_at_a_time(case_i_24x48, monkeypatch):
+def test_newton_factors_nothing(case_i_24x48, monkeypatch):
+    sol, _ = picard_solve(*case_i_24x48)
     calls = _catch_grid_lu(monkeypatch)
-    newton_solve(*case_i_24x48)
-    alive = [n for _, n in calls]
-    assert len(alive) >= 2
-    assert alive == [0] * len(alive)
+    newton_solve(*case_i_24x48, sol.problem)
+    assert calls == []
 
 
-def test_newton_first_jacobian_is_picards_operator(case_i_24x48, monkeypatch):
-    # J_N vanishes at psi = 0, so Newton's first system is Picard's
+def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
     calls = _catch_grid_lu(monkeypatch)
-    picard_solve(*case_i_24x48)
-    picard = calls[0][0]
-    calls.clear()
-    newton_solve(*case_i_24x48)
-    assert same_arrays(calls[0][0], picard)
+    sol, _ = picard_solve(*case_i_24x48)
+    picard = calls[0]        # the psi LU; calls[1] is the pressure LU
+    assert sol.problem.factor[0] is picard
+    matvecs = []
+
+    def operator(shape, matvec):
+        matvecs.append(matvec)
+        return LinearOperator(shape, matvec=matvec)
+
+    monkeypatch.setattr(nonlinear, "LinearOperator", operator)
+    newton_solve(*case_i_24x48, sol.problem)
+    assert len(matvecs) == 1 and matvecs[0].__self__ is picard
+
+
+def _newton_with(factor, expansion, forcing):
+    """Newton on (expansion, forcing) with ``factor`` as its preconditioner."""
+    return newton_solve(expansion, forcing,
+                        types.SimpleNamespace(factor=factor))
+
+
+def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48):
+    # the factor of another amplitude on the same grid only preconditions:
+    # GMRES needs more iterations, but Newton's residual sets the root
+    expansion, forcing = case_i_24x48
+    sol, _ = picard_solve(expansion, forcing)
+    matched = newton_solve(expansion, forcing, sol.problem)
+    other, _ = picard_solve(*_case_i(24, 48, pert_amplitude=0.025))
+    assert other.problem.factor[0] is not sol.problem.factor[0]
+    mismatched = _newton_with(other.problem.factor, expansion, forcing)
+    d = RemainderSolution(expansion.grid, expansion.ops,
+                          matched.u - mismatched.u, matched.v - mismatched.v)
+    assert compute_norms(d, expansion.fields, EPS)["X_norm"] < 1e-8
+    assert (mismatched.norms["gmres_iterations"]
+            > matched.norms["gmres_iterations"] > 0)
+
+
+def test_newton_refuses_a_missed_inner_tolerance(case_i_24x48):
+    # with no preconditioning GMRES cannot reach the inner tolerance within
+    # its iterations; Newton must fail, not step on an inexact solve
+    expansion, forcing = case_i_24x48
+    sol, _ = picard_solve(expansion, forcing)
+    _, d, bnd = sol.problem.factor
+    identity = types.SimpleNamespace(solve=lambda b: b)
+    with pytest.raises(ConvergenceError, match="GMRES"):
+        _newton_with((identity, d, bnd), expansion, forcing)
+
+
+def test_newton_logs_each_step(case_i_24x48, caplog):
+    expansion, forcing = case_i_24x48
+    sol, _ = picard_solve(expansion, forcing)
+    with caplog.at_level("DEBUG", logger="chasflow.nonlinear"):
+        newton = newton_solve(expansion, forcing, sol.problem)
+    steps = [r.args for r in caplog.records
+             if r.getMessage().startswith("newton step")]
+    assert [s[0] for s in steps] == list(range(1, len(steps) + 1))
+    assert sum(s[2] for s in steps) == newton.norms["gmres_iterations"]
+    assert all(s[3] <= nonlinear.NEWTON_INNER_RTOL for s in steps)
 
 
 def test_assemble_full_solution_zero_remainder():
