@@ -205,8 +205,8 @@ def cmd_construct(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    expansion, forcing, sol, trace, full = solve_point(
-        _run_spec(cfg), cfg["expansion.epsilon"])
+    expansion, sol, trace, full = solve_point(_run_spec(cfg),
+                                              cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
     for name, arr in (("u_full", full["u"]), ("v_full", full["v"]),
@@ -217,7 +217,7 @@ def cmd_solve(cfg, args):
                "norms": norm_report(sol, sol.problem),
                "residuals": sol.residuals}
     if cfg["solver.newton_check"]:
-        newton = newton_solve(expansion, forcing, sol.problem)
+        newton = newton_solve(sol.problem)
         payload["newton_X_norm"] = newton.norms["X_norm"]
     _write_json(payload, os.path.join(out, "solve_report.json"))
     log.info("solve: converged in %d iterations", sol.norms["iterations"])
@@ -252,8 +252,8 @@ def _write_plot_data(report, path):
 
 
 def cmd_audit(cfg, args):
-    expansion, _, sol, _, full = solve_point(_run_spec(cfg),
-                                             cfg["expansion.epsilon"])
+    expansion, sol, _, full = solve_point(_run_spec(cfg),
+                                          cfg["expansion.epsilon"])
     report = audit_invariants(expansion, sol=sol, full=full)
     out = _outdir(cfg, args)
     _write_json(report, os.path.join(out, "audit.json"))

@@ -33,7 +33,7 @@ class LinearizedProblem:
         self.F2 = np.zeros(shape) if F2 is None else F2
         self.ubar = np.zeros(shape) if ubar is None else ubar
         self.vbar = np.zeros(shape) if vbar is None else vbar
-        self.factor = None   # (LU, d, boundary rows); picard_solve sets it
+        self.system = None   # the PsiSystem; picard_solve sets it
 
     def nonlinear_terms(self, ubar=None, vbar=None):
         """N1, N2 of the frozen pair (the eps^M0-weighted quadratic terms)."""
@@ -80,42 +80,33 @@ def _bc_rows(grid):
         (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2))])
 
 
-def psi_rows(A, grid):
-    """(A with the psi boundary rows of ``_bc_rows`` set, as CSC; the
-    indices of those rows)."""
-    rows = _bc_rows(grid)
-    return replace_rows(A, rows), np.fromiter(rows, int)
+class PsiSystem:
+    """The psi operator A with the boundary rows of ``_bc_rows`` set, and
+    the LU of diag(1/d) A, d the largest |entry| of each row (1 if none)."""
 
+    def __init__(self, A, grid):
+        rows = _bc_rows(grid)
+        self.A = replace_rows(A, rows)
+        self.bnd = np.fromiter(rows, int)
+        self.grid = grid
+        d = np.abs(self.A).max(axis=1).toarray().ravel()
+        d[d == 0.0] = 1.0
+        self.d = d
+        try:
+            self.lu = grid_lu((sp.diags(1.0 / d) @ self.A).tocsc(),
+                              grid.nx, grid.ny)
+        except RuntimeError as exc:
+            raise LinearSolveError(f"psi factorization failed: {exc}")
 
-def factor_psi(A, grid):
-    """(LU, d) of diag(1/d) A, d the largest |entry| of each row of the psi
-    operator A (1 if none); a right-hand side b of A goes with b / d."""
-    d = np.abs(A).max(axis=1).toarray().ravel()
-    d[d == 0.0] = 1.0
-    try:
-        lu = grid_lu((sp.diags(1.0 / d) @ A).tocsc(), grid.nx, grid.ny)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"psi factorization failed: {exc}")
-    return lu, d
-
-
-def _solve_psi(system, f, grid):
-    """psi, as an (nx, ny) array, of a factored psi system (LU, d, boundary
-    rows) with interior right-hand side f and homogeneous boundary rows."""
-    lu, d, bnd = system
-    b = np.asarray(f, dtype=float).ravel().copy()
-    b[bnd] = 0.0
-    psi = lu.solve(b / d)
-    if not np.all(np.isfinite(psi)):
-        raise LinearSolveError("psi solve produced non-finite values")
-    return psi.reshape(grid.nx, grid.ny)
-
-
-def solve_biharmonic(f, grid, ops):
-    """Discrete lap^2 psi = f with the seven-condition mixed BC set; returns
-    the (nx, ny) psi."""
-    A, bnd = psi_rows(ops.bih, grid)
-    return _solve_psi(factor_psi(A, grid) + (bnd,), f, grid)
+    def solve(self, f):
+        """psi, as an (nx, ny) array, with interior right-hand side f and
+        homogeneous boundary rows."""
+        b = np.asarray(f, dtype=float).ravel().copy()
+        b[self.bnd] = 0.0
+        psi = self.lu.solve(b / self.d)
+        if not np.all(np.isfinite(psi)):
+            raise LinearSolveError("psi solve produced non-finite values")
+        return psi.reshape(self.grid.nx, self.grid.ny)
 
 
 def assemble_linearized_operator(problem):
@@ -136,32 +127,18 @@ def assemble_linearized_operator(problem):
     return A.tocsr()
 
 
-def factorize_linearized(problem):
-    """(LU, row scale, boundary rows) of the linearized psi operator."""
-    A, bnd = psi_rows(assemble_linearized_operator(problem), problem.grid)
-    return factor_psi(A, problem.grid) + (bnd,)
-
-
-def solve_curl_rhs(problem, curl, lu):
-    """Solve the psi system, factored by ``factorize_linearized``, for a
-    given curl right-hand side."""
-    ops = problem.ops
-    psi = _solve_psi(lu, curl, problem.grid)
-    return RemainderSolution(problem.grid, ops, ops.apply(ops.Dy, psi),
-                             -ops.apply(ops.Dx, psi), psi=psi)
-
-
-def solve_linearized(problem, lu):
+def solve_linearized(problem):
     """One linear remainder solve with the frozen pair in problem.(ubar, vbar).
 
     The assembled operator depends only on the background, so the one
-    factorization ``lu`` serves every Picard iteration.
+    factored ``problem.system`` serves every Picard iteration.
     """
     ops = problem.ops
     N1, N2 = problem.nonlinear_terms()
-    curl = (ops.apply(ops.Dy, N1 + problem.F1)
-            - ops.apply(ops.Dx, N2 + problem.F2))
-    return solve_curl_rhs(problem, curl, lu)
+    psi = problem.system.solve(ops.apply(ops.Dy, N1 + problem.F1)
+                               - ops.apply(ops.Dx, N2 + problem.F2))
+    return RemainderSolution(problem.grid, ops, ops.apply(ops.Dy, psi),
+                             -ops.apply(ops.Dx, psi), psi=psi)
 
 
 def recover_pressure(sol, problem):

@@ -13,10 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .linearized import (LinearizedProblem, factorize_linearized,
-                         solve_linearized, recover_pressure,
-                         momentum_residual, compute_norms, RemainderSolution,
-                         assemble_linearized_operator, psi_rows)
+from .linearized import (LinearizedProblem, PsiSystem, RemainderSolution,
+                         assemble_linearized_operator, compute_norms,
+                         momentum_residual, recover_pressure, solve_linearized)
 
 
 NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
@@ -35,42 +34,27 @@ class ForcingError(ValueError):
     pass
 
 
-class CaseForcing:
-    """Right-hand side (F1, F2) of the remainder system per flow case."""
-
-    def __init__(self, F1, F2):
-        self.F1 = F1
-        self.F2 = F2
-
-
 def build_case_forcing(expansion, g_eps=None, alpha0=None):
-    """Assemble the forcing of the expansion's case.
+    """The forcing (F1, F2) of the expansion's case.
 
-    (i)  family flow, no force:  F = (eps^{1-M0} (mu'' - U''), 0)
-    (ii) Couette construction:   F = the measured expansion remainders
-    (iii) forced:                F = eps^{-M0} g, after checking the
-          smallness hypothesis ||g||_{H2} <= alpha0 eps^M0, M0 = 11/8 + gamma.
+    (i), (ii) unforced:  F = the measured expansion remainders (Fu, Fv)
+    (iii) forced:        F = eps^{-M0} g, after checking the smallness
+          hypothesis ||g||_{H2} <= alpha0 eps^M0, M0 = 11/8 + gamma.
     """
-    case, grid, eps, M0 = (expansion.spec.case, expansion.grid, expansion.eps,
-                           expansion.M0)
-    if case == "poiseuille_couette_noforce":
-        dmu2 = expansion.profile.delta_mu(grid.y, 2)
-        F1 = eps ** (1.0 - M0) * np.tile(dmu2, (grid.nx, 1))
-        return CaseForcing(F1, np.zeros(grid.shape))
-    if case == "couette_noforce":
-        return CaseForcing(expansion.Fu, expansion.Fv)
+    if expansion.spec.case != "forced":
+        return expansion.Fu, expansion.Fv
     if g_eps is None or alpha0 is None:
         raise ForcingError("forced case needs the control force g_eps and "
                            "the alpha0 of its smallness hypothesis")
     g1, g2 = g_eps
-    ops = expansion.ops
+    eps, M0, ops = expansion.eps, expansion.M0, expansion.ops
     h2 = np.hypot(ops.norm(g1, "H2"), ops.norm(g2, "H2"))
     bound = alpha0 * eps ** M0
     if h2 > bound:
         raise ForcingError(
             f"control force too large: ||g||_H2 = {h2:.3e} > "
             f"alpha0 eps^M0 = {bound:.3e}")
-    return CaseForcing(g1 / eps ** M0, g2 / eps ** M0)
+    return g1 / eps ** M0, g2 / eps ** M0
 
 
 class IterationTrace:
@@ -97,14 +81,15 @@ class IterationTrace:
 def picard_solve(expansion, forcing):
     """Iterate the linearized map from zero until the X-norm difference
     drops below the spec's tol, in at most its max_iter steps; returns the
-    converged remainder, with its problem on ``sol.problem`` (and that
-    problem's factor on ``sol.problem.factor``), and the trace."""
+    converged remainder, with its problem (and that problem's factored
+    ``system``) on ``sol.problem``, and the trace."""
     grid, ops, eps, M0 = (expansion.grid, expansion.ops, expansion.eps,
                           expansion.M0)
     background, spec = expansion.fields, expansion.spec
-    prob = LinearizedProblem(background, eps, M0, F1=forcing.F1, F2=forcing.F2,
-                             grid=grid, ops=ops)
-    lu = prob.factor = factorize_linearized(prob)
+    F1, F2 = forcing
+    prob = LinearizedProblem(background, eps, M0, F1=F1, F2=F2, grid=grid,
+                             ops=ops)
+    prob.system = PsiSystem(assemble_linearized_operator(prob), grid)
     trace = IterationTrace()
     ubar = np.zeros((grid.nx, grid.ny))
     vbar = np.zeros_like(ubar)
@@ -113,7 +98,7 @@ def picard_solve(expansion, forcing):
     sol = None
     for k in range(1, spec.max_iter + 1):
         prob.ubar, prob.vbar = ubar, vbar
-        sol = solve_linearized(prob, lu=lu)
+        sol = solve_linearized(prob)
         step = RemainderSolution(grid, ops, sol.u - ubar, sol.v - vbar)
         diff = compute_norms(step, background, eps)["X_norm"]
         xnorm = compute_norms(sol, background, eps)["X_norm"]
@@ -163,32 +148,33 @@ def _newton_jacobian_curlN(prob, u, v):
     return (ops.Dy @ J1 - ops.Dx @ J2).tocsr()
 
 
-def newton_solve(expansion, forcing, problem):
-    """Damped Newton on the discrete nonlinear psi system (Picard oracle):
-    at most 30 steps, to a 1e-12 relative residual.  GMRES solves each
-    Jacobian system to NEWTON_INNER_RTOL, preconditioned by the factor that
-    ``picard_solve`` left on ``problem.factor``; a factor that fits badly
-    costs iterations but cannot move the root, which Newton's own residual
-    sets.  The oracle compares velocities, so no pressure is recovered (P
-    stays None); ``norms["gmres_iterations"]`` counts the inner iterations."""
+def newton_solve(problem):
+    """Damped Newton on the discrete nonlinear psi system of Picard's
+    converged ``problem`` (the oracle): at most 30 steps, to a 1e-12
+    relative residual or a Newton correction of at most 1e-13 max(1, |psi|);
+    a line search that cannot decrease the residual raises
+    ``ConvergenceError``.  GMRES solves each Jacobian system to
+    NEWTON_INNER_RTOL, preconditioned by the factor of ``problem.system``; a
+    factor that fits badly costs iterations but cannot move the root, which
+    Newton's own residual sets.  The problem's frozen pair is left as it is.
+    The oracle compares velocities, so no pressure is recovered (P stays
+    None); ``norms["gmres_iterations"]`` counts the inner iterations."""
     tol, max_iter = 1e-12, 30
-    grid, ops = expansion.grid, expansion.ops
-    prob = LinearizedProblem(expansion.fields, expansion.eps, expansion.M0,
-                             F1=forcing.F1, F2=forcing.F2, grid=grid, ops=ops)
-    A_bc, bnd = psi_rows(assemble_linearized_operator(prob), grid)
-    curlF = (ops.apply(ops.Dy, prob.F1) - ops.apply(ops.Dx, prob.F2)).ravel()
+    grid, ops, system = problem.grid, problem.ops, problem.system
+    A, d = system.A, system.d
+    curlF = (ops.apply(ops.Dy, problem.F1)
+             - ops.apply(ops.Dx, problem.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
-    mask[bnd] = curlF[bnd] = 0.0
-    lu, d, _ = problem.factor
-    precond = LinearOperator(A_bc.shape, matvec=lu.solve)
+    mask[system.bnd] = curlF[system.bnd] = 0.0
+    precond = LinearOperator(A.shape, matvec=system.lu.solve)
 
     def residual(psi_flat):
         sf = psi_flat.reshape(grid.nx, grid.ny)
         u = ops.apply(ops.Dy, sf)
         v = -ops.apply(ops.Dx, sf)
-        N1, N2 = prob.nonlinear_terms(u, v)
+        N1, N2 = problem.nonlinear_terms(u, v)
         curlN = (ops.apply(ops.Dy, N1) - ops.apply(ops.Dx, N2)).ravel()
-        return A_bc @ psi_flat - mask * curlN - curlF, u, v
+        return A @ psi_flat - mask * curlN - curlF, u, v
 
     psi = np.zeros(grid.nx * grid.ny)
     G, u, v = residual(psi)
@@ -201,8 +187,9 @@ def newton_solve(expansion, forcing, problem):
         # and the Newton step size instead
         if gnorm <= tol * max(1.0, g0) or g0 == 0.0:
             break
-        Js = (sp.diags(1.0 / d) @ (A_bc - sp.diags(mask)
-                                    @ _newton_jacobian_curlN(prob, u, v))).tocsr()
+        Js = (sp.diags(1.0 / d) @ (A - sp.diags(mask)
+                                   @ _newton_jacobian_curlN(problem, u, v))
+              ).tocsr()
         b = -G / d
         inner = []
         delta, _ = gmres(Js, b, rtol=NEWTON_INNER_RTOL, restart=30, maxiter=2,
@@ -218,21 +205,27 @@ def newton_solve(expansion, forcing, problem):
                 f"Newton step {it + 1}: GMRES reached a relative residual of "
                 f"{rel:.1e} > {NEWTON_INNER_RTOL:.0e} in {len(inner)} "
                 "iterations")
+        # a Newton correction within the step tolerance is convergence: the
+        # residual may sit at its round-off floor, where no step decreases
+        # it.  A larger correction must decrease the residual
+        if np.linalg.norm(delta) <= 1e-13 * max(1.0, np.linalg.norm(psi)):
+            break
         step = 1.0
         for _ in range(20):
             G_new, u_new, v_new = residual(psi + step * delta)
             if np.linalg.norm(G_new) < (1.0 - 0.25 * step) * gnorm:
                 break
             step *= 0.5
+        else:
+            raise ConvergenceError(
+                f"Newton step {it + 1}: line search found no decrease of "
+                f"|G| = {gnorm:.3e} down to a step of {2.0 * step:.1e}")
         psi = psi + step * delta
-        if np.linalg.norm(step * delta) <= 1e-13 * max(1.0, np.linalg.norm(psi)):
-            G, u, v = G_new, u_new, v_new
-            break
         G, u, v = G_new, u_new, v_new
     else:
         raise ConvergenceError("Newton did not converge")
     sol = RemainderSolution(grid, ops, u, v, psi=psi.reshape(grid.nx, grid.ny))
-    compute_norms(sol, expansion.fields, expansion.eps)
+    compute_norms(sol, problem.bg, problem.eps)
     sol.norms["gmres_iterations"] = inner_total
     return sol
 

@@ -60,7 +60,7 @@ class BumpShape:
 
 
 class PerturbationSpec:
-    """Perturbation delta_mu = amplitude * eps^exponent * shape(y)."""
+    """Perturbation mu - U = amplitude * eps^exponent * shape(y)."""
 
     def __init__(self, amplitude, exponent=0.0, shape=None):
         if amplitude < 0:
@@ -110,12 +110,6 @@ class ShearProfile:
         if self.perturbation is not None:
             out = out + self.perturbation.delta(y, self.eps, k)
         return out
-
-    def delta_mu(self, y, k=0):
-        """mu - U (the perturbation part alone; zero when unperturbed)."""
-        if self.perturbation is None:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return self.perturbation.delta(y, self.eps, k)
 
     # -- degenerate ratios ---------------------------------------------------
 

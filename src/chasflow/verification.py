@@ -54,6 +54,13 @@ class RunSpec:
                  pert_amplitude=0.0, pert_exponent=0.0, resolve_factor=0.25,
                  min_layer_nodes=8, gamma=0.05, a0=0.25, layer_nY=320,
                  ext_factor=1.25, scheme="be", tol=1e-10, max_iter=50):
+        floats = dict(L=L, resolve_factor=resolve_factor, gamma=gamma, a0=a0,
+                      ext_factor=ext_factor, tol=tol, alpha1=alpha1,
+                      alpha2=alpha2, pert_amplitude=pert_amplitude,
+                      pert_exponent=pert_exponent)
+        for name, value in floats.items():
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not L > 0:
             raise ConfigError("L must be positive")
         if nx < 8:   # ny is refined from any start, nx never is
@@ -98,8 +105,8 @@ class RunSpec:
 
     def profile(self, eps):
         # before the bump: amplitude * eps**exponent is complex for eps < 0
-        if not eps > 0:
-            raise ConfigError(f"epsilon must be positive, got {eps}")
+        if not 0.0 < eps < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {eps}")
         return build_profile(self.kind, self.alpha1, self.alpha2,
                              perturbation=self.perturbation, eps=eps)
 
@@ -118,16 +125,15 @@ class RunSpec:
 
 
 def solve_point(spec, eps):
-    """Construct, Picard-solve: (expansion, forcing, sol, trace, full)."""
+    """Construct, Picard-solve: (expansion, sol, trace, full)."""
     expansion = construct_expansion(spec, eps)
-    forcing = build_case_forcing(expansion)
-    sol, trace = picard_solve(expansion, forcing)
-    return expansion, forcing, sol, trace, assemble_full_solution(expansion, sol)
+    sol, trace = picard_solve(expansion, build_case_forcing(expansion))
+    return expansion, sol, trace, assemble_full_solution(expansion, sol)
 
 
 def run_point(spec, eps):
     """One sweep point: construct, solve, record the tracked quantities."""
-    expansion, _, sol, _, full = solve_point(spec, eps)
+    expansion, sol, _, full = solve_point(spec, eps)
     rep = full["report"]
     rn = expansion.report["remainder_norms"]
     values = {
@@ -191,8 +197,8 @@ def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
         raise ConfigError("a sweep needs at least 4 epsilon values")
     if any(e2 >= e1 for e1, e2 in zip(epsilons, epsilons[1:])):
         raise ConfigError("epsilon values must be strictly decreasing")
-    if not epsilons[-1] > 0:
-        raise ConfigError("epsilon values must be positive")
+    if not all(0.0 < e < np.inf for e in epsilons):
+        raise ConfigError("epsilon values must be positive and finite")
     records = []
     failures = []
     audit = None

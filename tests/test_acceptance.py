@@ -13,8 +13,7 @@ from scipy.special import erfc
 
 from chasflow.discretization import DiffOps, HalfLineGrid
 from chasflow.expansion import construct_expansion
-from chasflow.linearized import (RemainderSolution, compute_norms,
-                                 solve_biharmonic)
+from chasflow.linearized import PsiSystem, RemainderSolution, compute_norms
 from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
 from chasflow.nonlinear import (assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
@@ -33,15 +32,14 @@ def _line(num, ok, detail):
 def _solve_case(case, eps=1e-2, nx=48, ny=96, M=3, **profile):
     expansion = construct_expansion(point_spec(case, nx, ny, M=M, **profile),
                                     eps)
-    forcing = build_case_forcing(expansion)
-    sol, trace = picard_solve(expansion, forcing)
-    return expansion.grid, expansion.ops, expansion, forcing, sol, trace
+    sol, trace = picard_solve(expansion, build_case_forcing(expansion))
+    return expansion.grid, expansion.ops, expansion, sol, trace
 
 
 def test_criterion_1_exact_family():
     t0 = time.time()
-    _, _, _, _, sol_c, tr_c = _solve_case("couette_noforce", kind="couette")
-    _, _, _, _, sol_p, tr_p = _solve_case(
+    _, _, _, sol_c, tr_c = _solve_case("couette_noforce", kind="couette")
+    _, _, _, sol_p, tr_p = _solve_case(
         "poiseuille_couette_noforce", kind="poiseuille", alpha1=0.0,
         alpha2=1.0)
     dt = time.time() - t0
@@ -64,7 +62,7 @@ def test_criterion_2_biharmonic_mms():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = solve_biharmonic(f, g, ops=ops)
+        psi = PsiSystem(ops.bih, g).solve(f)
         errs.append(np.abs(psi - X * Y).max())
     order = float(np.polyfit(np.log([1 / 48, 1 / 96, 1 / 192]),
                              np.log(errs), 1)[0])
@@ -193,10 +191,10 @@ def test_criterion_8_opposite_wall_traces():
 
 def test_criterion_9_oracle_equivalence():
     t0 = time.time()
-    grid, ops, expansion, forcing, sol, _ = _solve_case(
+    grid, ops, expansion, sol, _ = _solve_case(
         "poiseuille_couette_noforce", kind="poiseuille_couette", alpha1=0.5,
         alpha2=0.5, pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + GAMMA)
-    newton = newton_solve(expansion, forcing, sol.problem)
+    newton = newton_solve(sol.problem)
     d = RemainderSolution(grid, ops, sol.u - newton.u, sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, 1e-2)["X_norm"]
     dt = time.time() - t0
@@ -207,7 +205,7 @@ def test_criterion_9_oracle_equivalence():
 
 def test_criterion_10_invariant_suite():
     t0 = time.time()
-    grid, ops, expansion, forcing, sol, _ = _solve_case(
+    grid, ops, expansion, sol, _ = _solve_case(
         "couette_noforce", kind="couette", pert_amplitude=0.05)
     full = assemble_full_solution(expansion, sol)
     audit = audit_invariants(expansion, sol=sol, full=full)

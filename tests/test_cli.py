@@ -160,6 +160,14 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# a sweep reads every float setting of RunSpec through these keys
+NON_FINITE = [f"{key}={value}" for value in ("nan", "inf") for key in (
+    "grid.L", "grid.resolve_factor", "expansion.gamma", "expansion.a0",
+    "expansion.ext_factor", "solver.tol", "sweep.alpha1", "sweep.alpha2",
+    "sweep.pert_amplitude", "sweep.pert_exponent")] + [
+    "sweep.epsilons=nan,1e-1,1e-2,1e-3", "sweep.epsilons=inf,1e-1,1e-2,1e-3"]
+
+
 @pytest.mark.parametrize("bad", ["sweep.case=bogus", "sweep.alpha2=1.0",
                                  "sweep.pert_amplitude=-0.05",
                                  "sweep.case=forced",
@@ -175,7 +183,8 @@ def test_audit_reads_solver_keys(tmp_path, capsys):
                                  "sweep.epsilons=1e-1,1e-2,1e-3",
                                  "sweep.epsilons=1e-1,x,1e-2,1e-3,1e-4",
                                  "sweep.epsilons=1e-1,1e-3,1e-2,1e-4",
-                                 "sweep.epsilons=1e-1,1e-2,1e-3,-1"])
+                                 "sweep.epsilons=1e-1,1e-2,1e-3,-1"]
+                         + NON_FINITE)
 def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
                                                    monkeypatch):
     import chasflow.verification as verification
@@ -187,6 +196,33 @@ def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
     rc = main(SMALL_SWEEP + ["--set", bad, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_newton_check_assembles_the_operator_once(tmp_path, monkeypatch):
+    # Newton reuses Picard's psi system instead of assembling its own
+    import chasflow.linearized as linearized
+    import chasflow.nonlinear as nonlinear
+    assemble = linearized.assemble_linearized_operator
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return assemble(problem)
+
+    for module in (linearized, nonlinear):
+        monkeypatch.setattr(module, "assemble_linearized_operator", counted)
+    rc = main(["solve", "--set", "grid.nx=24", "--set", "grid.ny=48",
+               "--set", "expansion.case=poiseuille_couette_noforce",
+               "--set", "profile.kind=poiseuille_couette",
+               "--set", "profile.alpha1=0.5", "--set", "profile.alpha2=0.5",
+               "--set", "profile.perturbation.amplitude=0.05",
+               "--set", "profile.perturbation.exponent=0.425",
+               "--set", "solver.newton_check=true", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    payload = json.loads((tmp_path / "solve_report.json").read_text())
+    assert payload["newton_X_norm"] == pytest.approx(
+        payload["norms"]["X_norm"], rel=1e-6)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -242,16 +278,18 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys):
 
 def test_negative_epsilon_exits_before_the_profile(tmp_path, capsys):
     # the bump amplitude * eps**exponent is complex for eps < 0, so eps is
-    # checked before the profile is built, with no warning on the way
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["construct", "--set", "expansion.epsilon=-1e-2",
-                   "--set", "profile.perturbation.amplitude=0.05",
-                   "--set", "profile.perturbation.exponent=0.425",
-                   "--out", str(tmp_path)])
-    assert rc == EXIT_CONFIG
-    assert [str(w.message) for w in caught] == []
-    assert "epsilon" in capsys.readouterr().err
+    # checked before the profile is built, with no warning on the way; so
+    # is a non-finite eps
+    for eps in ("-1e-2", "nan", "inf"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["construct", "--set", f"expansion.epsilon={eps}",
+                       "--set", "profile.perturbation.amplitude=0.05",
+                       "--set", "profile.perturbation.exponent=0.425",
+                       "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert "epsilon" in capsys.readouterr().err
 
 
 SMALL_CONSTRUCT = ["construct", "--set", "grid.nx=24", "--set", "grid.ny=64",

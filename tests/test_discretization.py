@@ -16,7 +16,7 @@ from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      pchip_operator, replace_rows,
                                      tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
-from chasflow.linearized import (LinearizedProblem, _bc_rows,
+from chasflow.linearized import (LinearizedProblem, PsiSystem, _bc_rows,
                                  assemble_linearized_operator)
 from conftest import lil_replace_rows, make_grid, same_arrays
 
@@ -482,7 +482,12 @@ def _bc_rows_loop(grid):
 @pytest.mark.parametrize("nx, ny", [(48, 96), (33, 57)])
 def test_psi_rows_match_node_loop(nx, ny):
     g = build_channel_grid(0.1, nx, ny, 1e-2)
-    assert _same_rows(_bc_rows(g), _bc_rows_loop(g))
+    loop = _bc_rows_loop(g)
+    assert _same_rows(_bc_rows(g), loop)
+    bih = DiffOps(g.x, g.y).bih
+    system = PsiSystem(bih, g)
+    assert sorted(system.bnd) == sorted(loop)
+    assert same_arrays(system.A, lil_replace_rows(bih, _as_assignments(loop)))
 
 
 def test_replace_rows_matches_lil_on_biharmonic(channel_48x96, ops_48x96):
@@ -532,11 +537,12 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 
 @pytest.fixture(scope="module")
 def grid_systems():
-    """name -> (A, nx, ny): the last system of each kind that the library
-    factors on a 24x48 grid, caught at its call of ``grid_lu``.  Newton
-    factors nothing: its last (row-scaled) Jacobian, which carries the
-    nonlinear terms of a nonzero iterate, is caught at its GMRES call.  The
-    pressure system comes from recovering the Newton iterate's pressure."""
+    """name -> (A, nx, ny): each kind of system that the library factors on
+    a 24x48 grid, caught at its call of ``grid_lu``: the biharmonic
+    ``PsiSystem``, then Picard's linearized ``PsiSystem`` and pressure, then
+    an Euler system.  Newton factors nothing: its last (row-scaled)
+    Jacobian, which carries the nonlinear terms of a nonzero iterate, is
+    caught at its GMRES call."""
     import chasflow.euler_correctors as euler
     import chasflow.linearized as linearized
     import chasflow.nonlinear as nonlinear
@@ -545,42 +551,34 @@ def grid_systems():
     from chasflow.profiles import build_profile
     from conftest import point_spec
 
-    eps = 1e-2
     exp = construct_expansion(
         point_spec("poiseuille_couette_noforce", 24, 48,
                    kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
-                   pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), eps)
-    grid, ops, M0 = exp.grid, exp.ops, exp.M0
-    forcing = build_case_forcing(exp)
-    sol, _ = picard_solve(exp, forcing)     # Newton's preconditioner
+                   pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), 1e-2)
+    grid = exp.grid
+    caught = []
     systems = {}
 
-    def catch(name):
-        def lu(A, nx, ny):
-            systems[name] = (A.tocsc(), nx, ny)
-            return grid_lu(A, nx, ny)
-        return lu
+    def lu(A, nx, ny):
+        caught.append((A.tocsc(), nx, ny))
+        return grid_lu(A, nx, ny)
+
+    def gmres(A, b, **kwargs):
+        systems["newton"] = (A.tocsc(), grid.nx, grid.ny)
+        return spla.gmres(A, b, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linearized, "grid_lu", catch("biharmonic"))
-        linearized.solve_biharmonic(np.ones(grid.shape), grid, ops)
-        mp.setattr(linearized, "grid_lu", catch("linearized"))
-        linearized.factorize_linearized(LinearizedProblem(
-            exp.fields, eps, M0, grid=grid, ops=ops))
-
-        def gmres(A, b, **kwargs):
-            systems["newton"] = (A.tocsc(), grid.nx, grid.ny)
-            return spla.gmres(A, b, **kwargs)
-
+        mp.setattr(linearized, "grid_lu", lu)
+        mp.setattr(euler, "grid_lu", lu)
         mp.setattr(nonlinear, "gmres", gmres)
-        newton = newton_solve(exp, forcing, sol.problem)
-        mp.setattr(linearized, "grid_lu", catch("pressure"))
-        linearized.recover_pressure(newton, LinearizedProblem(
-            exp.fields, eps, M0, F1=forcing.F1, F2=forcing.F2, ubar=newton.u,
-            vbar=newton.v, grid=grid, ops=ops))
-        mp.setattr(euler, "grid_lu", catch("euler"))
+        PsiSystem(exp.ops.bih, grid)
+        sol, _ = picard_solve(exp, build_case_forcing(exp))
+        newton_solve(sol.problem)
         euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._factorize(
             "minus")
+    assert len(caught) == 4
+    systems.update(zip(("biharmonic", "linearized", "pressure", "euler"),
+                       caught))
     return systems
 
 

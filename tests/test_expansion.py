@@ -5,6 +5,7 @@ import chasflow.boundary_layers as bl
 from chasflow.discretization import build_channel_grid
 from chasflow.expansion import (ExpansionError, construct_expansion,
                                 expansion_report)
+from chasflow.nonlinear import build_case_forcing
 from chasflow.verification import ConfigError, RunSpec
 from conftest import point_spec
 
@@ -73,9 +74,16 @@ def test_case_i_remainder_equals_bump_second_derivative():
     res = construct_expansion(spec, eps)
     grid = res.grid
     expected = eps ** (1.0 - spec.M0) * np.tile(
-        res.profile.delta_mu(grid.y, 2), (grid.nx, 1))
+        res.profile.perturbation.delta(grid.y, eps, 2), (grid.nx, 1))
     assert np.allclose(res.Fu, expected, rtol=1e-12, atol=1e-12)
     assert np.abs(res.Fv).max() == 0.0
+    # so both unforced cases solve with the measured remainder as force
+    couette = construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=2, kind="couette",
+                   pert_amplitude=0.05), eps)
+    for point in (res, couette):
+        F1, F2 = build_case_forcing(point)
+        assert F1 is point.Fu and F2 is point.Fv
 
 
 def test_spec_gives_the_profile_and_grid():

@@ -4,12 +4,11 @@ import sympy as sy
 
 import chasflow.linearized as linearized
 from chasflow.discretization import DiffOps, one_sided_row, replace_rows
-from chasflow.linearized import (LinearizedProblem, RemainderSolution,
-                                 compute_norms, compute_q,
-                                 curl_residual, factorize_linearized,
-                                 momentum_residual,
-                                 recover_pressure, solve_biharmonic,
-                                 solve_curl_rhs, solve_linearized)
+from chasflow.linearized import (LinearizedProblem, PsiSystem,
+                                 RemainderSolution,
+                                 assemble_linearized_operator, compute_norms,
+                                 compute_q, curl_residual, momentum_residual,
+                                 recover_pressure, solve_linearized)
 from conftest import lil_replace_rows, make_grid, same_arrays
 
 L = 0.1
@@ -29,9 +28,15 @@ def _couette_bg(grid):
             "lap_us": z, "lap_vs": z}
 
 
+def _solve(prob):
+    """solve_linearized on the problem's own factored psi system."""
+    prob.system = PsiSystem(assemble_linearized_operator(prob), prob.grid)
+    return solve_linearized(prob)
+
+
 def test_biharmonic_zero_rhs(channel_48x96, ops_48x96):
-    psi = solve_biharmonic(np.zeros(channel_48x96.shape), channel_48x96,
-                           ops_48x96)
+    psi = PsiSystem(ops_48x96.bih, channel_48x96).solve(
+        np.zeros(channel_48x96.shape))
     assert np.abs(psi).max() < 1e-14
 
 
@@ -47,7 +52,7 @@ def test_biharmonic_mms_order():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = solve_biharmonic(f, g, ops=ops)
+        psi = PsiSystem(ops.bih, g).solve(f)
         return 1.0 / n, np.abs(psi - X * Y).max()
 
     errs = []
@@ -87,9 +92,9 @@ def test_full_operator_mms():
               "lap_us": fns["lapus"](g.XX, g.YY),
               "lap_vs": fns["lapvs"](g.XX, g.YY)}
         prob = LinearizedProblem(bg, eps, M0, grid=g, ops=ops)
-        sol = solve_curl_rhs(prob, fns["f"](g.XX, g.YY),
-                             factorize_linearized(prob))
-        errs.append(np.abs(sol.psi - fns["psi"](g.XX, g.YY)).max())
+        psi = PsiSystem(assemble_linearized_operator(prob), g).solve(
+            fns["f"](g.XX, g.YY))
+        errs.append(np.abs(psi - fns["psi"](g.XX, g.YY)).max())
     order = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
     assert order >= 1.9
 
@@ -98,7 +103,7 @@ def test_zero_forcing_zero_solution():
     g = make_grid(32, L=L)
     ops = DiffOps(g.x, g.y)
     prob = LinearizedProblem(_couette_bg(g), 1e-2, M0, grid=g, ops=ops)
-    sol = solve_linearized(prob, factorize_linearized(prob))
+    sol = _solve(prob)
     assert np.abs(sol.u).max() < 1e-13
     assert np.abs(sol.v).max() < 1e-13
 
@@ -110,7 +115,7 @@ def test_remainder_divergence_exact():
     prob = LinearizedProblem(_couette_bg(g), 1e-2, M0,
                              F1=np.sin(g.XX * 31) * np.sin(np.pi * g.YY),
                              grid=g, ops=ops)
-    sol = solve_linearized(prob, factorize_linearized(prob))
+    sol = _solve(prob)
     div = ops.apply(ops.Dx, sol.u) + ops.apply(ops.Dy, sol.v)
     assert np.abs(div).max() < 1e-12 * max(np.abs(sol.u).max(), 1e-30)
 
@@ -305,7 +310,7 @@ def test_residual_substitution_small():
     eps = 1e-2
     F1 = 1e-3 * np.sin(np.pi * g.XX / L) * np.sin(np.pi * g.YY)
     prob = LinearizedProblem(bg, eps, M0, F1=F1, grid=g, ops=ops)
-    sol = solve_linearized(prob, factorize_linearized(prob))
+    sol = _solve(prob)
     recover_pressure(sol, prob)
     r1, r2 = momentum_residual(sol, prob)
     resid = np.hypot(ops.norm(r1, "L2"), ops.norm(r2, "L2"))

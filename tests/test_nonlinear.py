@@ -1,3 +1,4 @@
+import copy
 import types
 from itertools import combinations
 
@@ -8,17 +9,15 @@ from scipy.sparse.linalg import LinearOperator
 from chasflow.discretization import grid_lu
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
-                                 factorize_linearized, solve_linearized)
-from chasflow.linearized import LinearizedProblem
+                                 solve_linearized)
 import chasflow.nonlinear as nonlinear
-from chasflow.nonlinear import (CaseForcing, ConvergenceError, ForcingError,
+from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
 from conftest import point_spec
 
 L = 0.1
 EPS = 1e-2
-M0 = 11.0 / 8.0 + 0.05
 # the case-(i) profile: the family at alpha1 = alpha2 = 0.5 with a bump
 CASE_I = dict(kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
               pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05)
@@ -62,10 +61,9 @@ def test_fixed_point_property(case_i_setup):
     expansion, forcing = case_i_setup
     grid, ops = expansion.grid, expansion.ops
     sol, _ = picard_solve(expansion, forcing)
-    prob = LinearizedProblem(expansion.fields, EPS, M0, F1=forcing.F1,
-                             F2=forcing.F2, ubar=sol.u, vbar=sol.v,
-                             grid=grid, ops=ops)
-    again = solve_linearized(prob, factorize_linearized(prob))
+    # Picard leaves its problem frozen at the converged pair
+    assert sol.problem.ubar is sol.u and sol.problem.vbar is sol.v
+    again = solve_linearized(sol.problem)
     d = RemainderSolution(grid, ops, again.u - sol.u, again.v - sol.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
     assert dx < 1e-9 * max(1.0, sol.norms["X_norm"])
@@ -74,11 +72,15 @@ def test_fixed_point_property(case_i_setup):
 def test_newton_oracle_agreement(case_i_setup):
     expansion, forcing = case_i_setup
     sol, _ = picard_solve(expansion, forcing)
-    newton = newton_solve(expansion, forcing, sol.problem)
+    ubar, vbar = sol.problem.ubar.copy(), sol.problem.vbar.copy()
+    newton = newton_solve(sol.problem)
     d = RemainderSolution(expansion.grid, expansion.ops, sol.u - newton.u,
                           sol.v - newton.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
     assert dx < 1e-8
+    # Newton reads Picard's problem and leaves its frozen pair as it was
+    assert sol.problem.ubar is sol.u and sol.problem.vbar is sol.v
+    assert np.array_equal(sol.u, ubar) and np.array_equal(sol.v, vbar)
 
 
 def test_smallness_monotonicity():
@@ -108,7 +110,7 @@ def test_case_iii_precondition():
     forcing = build_case_forcing(expansion,
                                  g_eps=(small, np.zeros(grid.shape)),
                                  alpha0=0.05)
-    assert np.isfinite(forcing.F1).all()
+    assert np.isfinite(forcing[0]).all()
 
 
 def test_case_iii_always_checks_smallness():
@@ -159,7 +161,7 @@ def _catch_grid_lu(monkeypatch):
 def test_newton_factors_nothing(case_i_24x48, monkeypatch):
     sol, _ = picard_solve(*case_i_24x48)
     calls = _catch_grid_lu(monkeypatch)
-    newton_solve(*case_i_24x48, sol.problem)
+    newton_solve(sol.problem)
     assert calls == []
 
 
@@ -167,7 +169,7 @@ def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
     calls = _catch_grid_lu(monkeypatch)
     sol, _ = picard_solve(*case_i_24x48)
     picard = calls[0]        # the psi LU; calls[1] is the pressure LU
-    assert sol.problem.factor[0] is picard
+    assert sol.problem.system.lu is picard
     matvecs = []
 
     def operator(shape, matvec):
@@ -175,25 +177,21 @@ def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
         return LinearOperator(shape, matvec=matvec)
 
     monkeypatch.setattr(nonlinear, "LinearOperator", operator)
-    newton_solve(*case_i_24x48, sol.problem)
+    newton_solve(sol.problem)
     assert len(matvecs) == 1 and matvecs[0].__self__ is picard
 
 
-def _newton_with(factor, expansion, forcing):
-    """Newton on (expansion, forcing) with ``factor`` as its preconditioner."""
-    return newton_solve(expansion, forcing,
-                        types.SimpleNamespace(factor=factor))
-
-
-def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48):
+def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48,
+                                                         monkeypatch):
     # the factor of another amplitude on the same grid only preconditions:
     # GMRES needs more iterations, but Newton's residual sets the root
     expansion, forcing = case_i_24x48
     sol, _ = picard_solve(expansion, forcing)
-    matched = newton_solve(expansion, forcing, sol.problem)
+    matched = newton_solve(sol.problem)
     other, _ = picard_solve(*_case_i(24, 48, pert_amplitude=0.025))
-    assert other.problem.factor[0] is not sol.problem.factor[0]
-    mismatched = _newton_with(other.problem.factor, expansion, forcing)
+    assert other.problem.system.lu is not sol.problem.system.lu
+    monkeypatch.setattr(sol.problem.system, "lu", other.problem.system.lu)
+    mismatched = newton_solve(sol.problem)
     d = RemainderSolution(expansion.grid, expansion.ops,
                           matched.u - mismatched.u, matched.v - mismatched.v)
     assert compute_norms(d, expansion.fields, EPS)["X_norm"] < 1e-8
@@ -201,22 +199,35 @@ def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48):
             > matched.norms["gmres_iterations"] > 0)
 
 
-def test_newton_refuses_a_missed_inner_tolerance(case_i_24x48):
+def test_newton_refuses_a_missed_inner_tolerance(case_i_24x48, monkeypatch):
     # with no preconditioning GMRES cannot reach the inner tolerance within
     # its iterations; Newton must fail, not step on an inexact solve
-    expansion, forcing = case_i_24x48
-    sol, _ = picard_solve(expansion, forcing)
-    _, d, bnd = sol.problem.factor
-    identity = types.SimpleNamespace(solve=lambda b: b)
+    sol, _ = picard_solve(*case_i_24x48)
+    monkeypatch.setattr(sol.problem.system, "lu",
+                        types.SimpleNamespace(solve=lambda b: b))
     with pytest.raises(ConvergenceError, match="GMRES"):
-        _newton_with((identity, d, bnd), expansion, forcing)
+        newton_solve(sol.problem)
+
+
+def test_newton_refuses_a_stalled_line_search(case_i_24x48):
+    # nonlinear terms far off the Jacobian that Newton steps by, so no
+    # halving of the step decreases the residual.  With the force scaled
+    # down, the last halving's step is within the step tolerance; Newton
+    # must fail, not return that step (psi of about 1e-15) as the root
+    sol, _ = picard_solve(*case_i_24x48)
+    problem = copy.copy(sol.problem)
+    problem.F1, problem.F2 = 1e-3 * problem.F1, 1e-3 * problem.F2
+    terms = problem.nonlinear_terms
+    problem.nonlinear_terms = lambda u, v: tuple(1e24 * n for n in terms(u, v))
+    with pytest.raises(ConvergenceError, match="line search"):
+        newton_solve(problem)
 
 
 def test_newton_logs_each_step(case_i_24x48, caplog):
     expansion, forcing = case_i_24x48
     sol, _ = picard_solve(expansion, forcing)
     with caplog.at_level("DEBUG", logger="chasflow.nonlinear"):
-        newton = newton_solve(expansion, forcing, sol.problem)
+        newton = newton_solve(sol.problem)
     steps = [r.args for r in caplog.records
              if r.getMessage().startswith("newton step")]
     assert [s[0] for s in steps] == list(range(1, len(steps) + 1))
@@ -265,9 +276,8 @@ def test_nonconvergence_guard():
     # quadratic), so scaling the force amplifies the nonlinearity alike
     expansion, forcing = _case_i(32, 64, max_iter=30)
     scale = EPS ** (-4.0 - expansion.M0)
-    amplified = CaseForcing(scale * forcing.F1, scale * forcing.F2)
     with pytest.raises(ConvergenceError, match="no contraction"):
-        picard_solve(expansion, amplified)
+        picard_solve(expansion, tuple(scale * f for f in forcing))
 
 
 def test_picard_reads_the_spec_stopping_settings():

@@ -34,7 +34,7 @@ def test_perturbed_c4_bound():
     eps = 1e-2
     pert = PerturbationSpec(0.1, 3.0 / 8.0 + 0.05)
     prof = build_profile("couette", 1, 0, perturbation=pert, eps=eps)
-    c4 = max(np.max(np.abs(prof.delta_mu(FINE, k))) for k in range(5))
+    c4 = max(np.max(np.abs(prof.perturbation.delta(FINE, eps, k))) for k in range(5))
     assert c4 <= 0.1 * eps ** (3.0 / 8.0 + 0.05) * (1 + 1e-9)
 
 

@@ -5,8 +5,11 @@ and the number of parameters (every parameter of every function, method and
 lambda: positional, keyword-only, ``*args`` and ``**kwargs``, ``self``
 included).
 
-Usage: python3 tools/src_stats.py [SRC_DIR]   (default: this checkout's
-src/chasflow)
+Usage: python3 tools/src_stats.py [SRC_DIR [AFTER_DIR]]
+
+SRC_DIR defaults to this checkout's src/chasflow.  Given AFTER_DIR as well,
+each count reads ``before → after``, SRC_DIR being before (a module missing
+on one side counts as 0 there).
 """
 
 import ast
@@ -27,16 +30,21 @@ def stats(path):
     return len(text.splitlines()), options, params
 
 
+def _table(src):
+    """module -> (lines, options, params) of every module in ``src``."""
+    return {path.stem: stats(path) for path in sorted(Path(src).glob("*.py"))}
+
+
 def main(argv):
-    src = Path(argv[1]) if len(argv) > 1 else (
-        Path(__file__).resolve().parent.parent / "src" / "chasflow")
-    total = [0, 0, 0]
-    print(f"{'module':<20}{'lines':>8}{'options':>9}{'params':>8}")
-    for path in sorted(src.glob("*.py")):
-        row = stats(path)
-        total = [t + n for t, n in zip(total, row)]
-        print(f"{path.stem:<20}{row[0]:>8}{row[1]:>9}{row[2]:>8}")
-    print(f"{'total':<20}{total[0]:>8}{total[1]:>9}{total[2]:>8}")
+    default = Path(__file__).resolve().parent.parent / "src" / "chasflow"
+    tables = [_table(d) for d in (argv[1:3] or [default])]
+    names = sorted(set().union(*tables))
+    print(f"{'module':<20}{'lines':>16}{'options':>14}{'params':>14}")
+    for name in names + ["total"]:
+        rows = [t.get(name, (0, 0, 0)) if name != "total"
+                else tuple(map(sum, zip(*t.values()))) for t in tables]
+        cells = [" → ".join(str(row[k]) for row in rows) for k in range(3)]
+        print(f"{name:<20}{cells[0]:>16}{cells[1]:>14}{cells[2]:>14}")
 
 
 if __name__ == "__main__":
