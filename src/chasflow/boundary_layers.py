@@ -425,43 +425,27 @@ class BasePart:
 
 
 class EulerPart:
-    """One Euler corrector, prefactor included; exact-construction derivatives.
+    """One Euler corrector, prefactor included: its field record scaled.
 
-    ux is stored as -d_y v (the divergence relation used to build u) and the
-    pressure gradients as the exact momentum balances, so the x- and
-    y-momentum kills cancel pointwise in the remainder assembly.
+    The record's derivatives are exact for the construction (ux is -d_y v,
+    the divergence relation used to build u) and px and py are its exact
+    momentum balances, so the x- and y-momentum kills cancel pointwise in
+    the remainder assembly.
     """
 
     side = None
 
-    def __init__(self, corr, prefac, ops, profile, rhs_x, walls):
+    def __init__(self, corr, prefac, walls):
         self.corr = corr
-        self.prefac = prefac
         self.walls = walls
-        c = prefac
-        mu = profile.mu(corr.grid.y)
-        mup = profile.mu(corr.grid.y, 1)
-        vy = ops.apply(ops.Dy, corr.v)
-        vx = ops.apply(ops.Dx, corr.v)
-        ux = -vy
-        uy = ops.apply(ops.Dy, corr.u)
-        # rhs_x: mu'' for the first corrector, 0 for higher ones
-        self.fields = {   # on the corrector's own grid
-            "u": c * corr.u, "v": c * corr.v,
-            "ux": c * ux, "uy": c * uy,
-            "vx": c * vx, "vy": c * vy,
-            "lap_u": c * ops.apply(ops.lap, corr.u),
-            "lap_v": c * ops.apply(ops.lap, corr.v),
-            "px": c * (rhs_x[None, :] - mu[None, :] * ux - mup[None, :] * corr.v),
-            "py": -c * mu[None, :] * vx,
-        }
+        # on the corrector's own grid
+        self.fields = {k: prefac * f for k, f in corr.fields.items()}
+        self.fields["py"] = -prefac * corr.mu[None, :] * corr.fields["vx"]
         self._conv = {}
 
     def channel_fields(self, grid):
-        src = self.corr.grid
-        f = {k: restrict_channel_field(v, src, grid) for k, v in self.fields.items()}
-        f["P"] = self.prefac * restrict_channel_field(self.corr.P, src, grid)
-        return f
+        return {k: restrict_channel_field(v, self.corr.grid, grid)
+                for k, v in self.fields.items()}
 
     def convection(self, side):
         if side not in self._conv:
@@ -621,11 +605,8 @@ class Cascade:
                 self._push(side, "u", "quad", _pair_terms(new_part, Q, side, "u"))
                 self._push(side, "v", "quad", _pair_terms(new_part, Q, side, "v"))
 
-    def add_euler(self, corrector, prefac, channel_ops):
-        rhs_x = (self.profile.mu(corrector.grid.y, 2)
-                 if corrector.side == "first" else np.zeros(corrector.grid.ny))
-        part = EulerPart(corrector, prefac, channel_ops, self.profile, rhs_x,
-                         self.walls)
+    def add_euler(self, corrector, prefac):
+        part = EulerPart(corrector, prefac, self.walls)
         self._push_quads(part)
         self.parts.append(part)
         self.convecting.append(part)

@@ -5,7 +5,8 @@ The first corrector balances the viscous stress of the base shear flow:
 both walls.  Higher correctors solve the homogeneous equation with a wall
 trace handed down from the previous boundary layer and a Neumann condition on
 the opposite wall.  u is recovered from the divergence-free relation
-u = -int_0^x v_y and the pressure from the x-momentum balance.
+u = -int_0^x v_y and the pressure from the x-momentum balance; each
+corrector keeps every field the cascade reads in one record.
 """
 
 import numpy as np
@@ -25,15 +26,16 @@ class EulerSolveError(RuntimeError):
 
 
 class EulerCorrector:
-    """Velocity/pressure triple for one corrector layer on the channel grid."""
+    """One corrector layer on the channel grid: its unit-prefactor field
+    record and mu on the grid's y nodes."""
 
-    def __init__(self, index, side, grid, u, v, P):
+    def __init__(self, index, side, grid, fields, mu):
         self.index = index
         self.side = side
         self.grid = grid
-        self.u = u
-        self.v = v
-        self.P = P
+        self.fields = fields    # u, v, ux, uy, vx, vy, lap_u, lap_v, px, P
+        self.mu = mu
+        self.u, self.v, self.P = fields["u"], fields["v"], fields["P"]
 
     def divergence(self, ops):
         return ops.apply(ops.Dx, self.u) + ops.apply(ops.Dy, self.v)
@@ -112,22 +114,24 @@ class EulerSolver:
         return self._complete(index, side, v, rhs_x=np.zeros(self.grid.ny))
 
     def _complete(self, index, side, v, rhs_x):
+        """The field record of v; rhs_x is mu'' for the first corrector, 0
+        for higher ones.
+
+        u = -int_0^x v_y, so du/dx = -dv/dy exactly, and P integrates the
+        x-momentum balance dP/dx = rhs_x - mu du/dx - mu' v from P = 0 at
+        the inflow; the y-momentum relation dP/dy = -mu dv/dx then holds
+        identically in the continuum, and its discrete residual is pure
+        discretization error.
+        """
         g, ops = self.grid, self.ops
+        mu, mup = self.profile.mu(g.y), self.profile.mu(g.y, 1)
         vy = ops.apply(ops.Dy, v)
         u = -cumtrapz0(vy, g.x)
-        P = recover_corrector_pressure_fields(u, v, g, self.profile, rhs_x, ops)
-        return EulerCorrector(index, side, g, u, v, P)
-
-
-def recover_corrector_pressure_fields(u, v, grid, profile, rhs_x, ops):
-    """Integrate dP/dx = rhs_x - mu du/dx - mu' v along x (P = 0 at inflow).
-
-    du/dx = -dv/dy exactly by construction, so the y-momentum relation
-    dP/dy = -mu dv/dx holds identically in the continuum; the cross
-    -consistency residual measures pure discretization error.
-    """
-    mu = profile.mu(grid.y)
-    mup = profile.mu(grid.y, 1)
-    dxu = -ops.apply(ops.Dy, v)
-    integrand = rhs_x[None, :] - mu[None, :] * dxu - mup[None, :] * v
-    return cumtrapz0(integrand, grid.x)
+        ux = -vy
+        px = rhs_x[None, :] - mu[None, :] * ux - mup[None, :] * v
+        fields = {"u": u, "v": v, "ux": ux, "uy": ops.apply(ops.Dy, u),
+                  "vx": ops.apply(ops.Dx, v), "vy": vy,
+                  "lap_u": ops.apply(ops.lap, u),
+                  "lap_v": ops.apply(ops.lap, v),
+                  "px": px, "P": cumtrapz0(px, g.x)}
+        return EulerCorrector(index, side, g, fields, mu)

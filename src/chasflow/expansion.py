@@ -137,8 +137,7 @@ def _build_couette(res):
     eps, M, a0 = res.eps, spec.M, spec.a0
     grid_ext = _extended_grid(grid, spec.ext_factor)
     solver = EulerSolver(grid_ext, profile)
-    ops_ext = solver.ops
-    res.ext = (grid_ext, ops_ext)
+    res.ext = (grid_ext, solver.ops)
 
     lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
     grids = {}
@@ -153,7 +152,7 @@ def _build_couette(res):
 
     e1 = solver.solve_first()
     res.correctors.euler.append(e1)
-    casc.add_euler(e1, eps, ops_ext)
+    casc.add_euler(e1, eps)
 
     wall_row = {"minus": 0, "plus": grid_ext.ny - 1}
     euler_of = {"minus": {1: e1}, "plus": {1: e1}}
@@ -193,7 +192,7 @@ def _build_couette(res):
                 ue = solver.solve_higher(i + 1, side, smooth)
                 euler_of[side][i + 1] = ue
                 res.correctors.euler.append(ue)
-                casc.add_euler(ue, casc.u_prefac(side, i + 1), ops_ext)
+                casc.add_euler(ue, casc.u_prefac(side, i + 1))
 
     res.fields = _assemble(casc.parts, grid)
     res.report["dumped"] = casc.dumped_report()

@@ -4,8 +4,8 @@ import pytest
 from chasflow.discretization import (DiffOps, build_channel_grid,
                                      mms_convergence, one_sided_row)
 from chasflow.discretization import replace_rows
-from chasflow.euler_correctors import (EulerSolveError, EulerSolver,
-                                       recover_corrector_pressure_fields)
+from chasflow.discretization import cumtrapz0
+from chasflow.euler_correctors import EulerSolveError, EulerSolver
 from chasflow.profiles import PerturbationSpec, build_profile
 from conftest import lil_replace_rows, same_arrays
 
@@ -85,18 +85,17 @@ def test_divergence_free(perturbed_couette, channel_48x96):
     assert np.abs(div).max() < 5e-2 * scale
 
 
-def test_pressure_trivial_cases(couette, poiseuille, channel_48x96,
-                                ops_48x96):
+def test_pressure_trivial_cases(couette, perturbed_couette, channel_48x96):
     g = channel_48x96
     zero = np.zeros(g.shape)
     # Couette, zero corrector: dP/dx = mu'' = 0 -> constant
-    P = recover_corrector_pressure_fields(zero, zero, g, couette,
-                                          couette.mu(g.y, 2), ops_48x96)
-    assert np.abs(P).max() < 1e-14
-    # Poiseuille-like: mu'' = -2 alpha2 -> P = -2 alpha2 x + const
-    P = recover_corrector_pressure_fields(zero, zero, g, poiseuille,
-                                          poiseuille.mu(g.y, 2), ops_48x96)
-    assert np.allclose(P, -2.0 * g.XX, rtol=1e-10, atol=1e-12)
+    c = EulerSolver(g, couette)._complete(1, "first", zero, couette.mu(g.y, 2))
+    assert np.abs(c.P).max() < 1e-14
+    # zero corrector: dP/dx = mu'' -> P = mu''(y) x
+    s = EulerSolver(g, perturbed_couette)
+    mupp = perturbed_couette.mu(g.y, 2)
+    c = s._complete(1, "first", zero, mupp)
+    assert np.allclose(c.P, g.XX * mupp[None, :], rtol=1e-10, atol=1e-12)
 
 
 def test_pressure_cross_consistency_refines(perturbed_couette):
@@ -123,13 +122,28 @@ def test_pressure_cross_consistency_refines(perturbed_couette):
     assert order >= 1.9
 
 
-def test_pressure_wrapper_matches(perturbed_couette, channel_48x96):
+def test_field_record_matches_its_relations(perturbed_couette,
+                                            channel_48x96):
+    # the record holds the derivatives of the construction and P is the
+    # integral of its own x-momentum balance px
     s = EulerSolver(channel_48x96, perturbed_couette)
+    g, ops = channel_48x96, s.ops
     c = s.solve_first()
-    P = recover_corrector_pressure_fields(
-        c.u, c.v, c.grid, perturbed_couette,
-        perturbed_couette.mu(c.grid.y, 2), ops=s.ops)
-    assert np.allclose(P, c.P)
+    f = c.fields
+    assert sorted(f) == sorted(["u", "v", "ux", "uy", "vx", "vy", "lap_u",
+                                "lap_v", "px", "P"])
+    assert np.array_equal(f["ux"], -ops.apply(ops.Dy, c.v))
+    assert np.array_equal(f["u"], cumtrapz0(f["ux"], g.x))
+    assert np.array_equal(f["P"], cumtrapz0(f["px"], g.x))
+    mu, mup = perturbed_couette.mu(g.y), perturbed_couette.mu(g.y, 1)
+    px = (perturbed_couette.mu(g.y, 2)[None, :] - mu[None, :] * f["ux"]
+          - mup[None, :] * c.v)
+    assert np.array_equal(f["px"], px)
+    for key, op, src in (("uy", ops.Dy, "u"), ("vx", ops.Dx, "v"),
+                         ("vy", ops.Dy, "v"), ("lap_u", ops.lap, "u"),
+                         ("lap_v", ops.lap, "v")):
+        assert np.array_equal(f[key], ops.apply(op, f[src])), key
+    assert np.abs(f["v"]).max() > 0.0
 
 
 def _lil_boundary_rows(grid, side):
