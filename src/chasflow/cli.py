@@ -79,6 +79,9 @@ SWEEP_KEYS = {
     "profile.perturbation.amplitude": "sweep.pert_amplitude",
     "profile.perturbation.exponent": "sweep.pert_exponent",
 }
+# the key a single point reads in place of each sweep.* key
+POINT_KEYS = {alias: key for key, alias in SWEEP_KEYS.items()} | {
+    "sweep.epsilons": "expansion.epsilon", "sweep.ny_cap": "grid.ny"}
 
 
 def _coerce(key, raw):
@@ -96,9 +99,11 @@ def _coerce(key, raw):
         raise ConfigError(f"{key}: {exc}")
 
 
-def load_config(path=None, overrides=()):
-    """Parse the sectioned key=value config plus --set overrides."""
+def load_config(path=None, overrides=(), command=None):
+    """Parse the sectioned key=value config plus --set overrides; with a
+    command, refuse a given key that it reads another key in place of."""
     cfg = {k: v for k, (_, v) in SCHEMA.items()}
+    given = []
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -106,24 +111,21 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"config file {path!r} not found")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                full = f"{section}.{key}"
-                if full not in SCHEMA:
-                    raise ConfigError(f"unknown config key {full!r}")
-                cfg[full] = _coerce(full, raw)
+                given.append((f"{section}.{key}", raw))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        key = key.strip()
+        given.append((key.strip(), raw))
+    for key, raw in given:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        instead = (SWEEP_KEYS if command == "sweep" else POINT_KEYS).get(key)
+        if command is not None and instead is not None:
+            raise ConfigError(f"{command} does not read {key}; it reads "
+                              f"{instead} in its place")
         cfg[key] = _coerce(key, raw)
-    # values no command can use, checked whichever command runs: a sweep
-    # reads sweep.min_layer_nodes in place of grid.min_layer_nodes, and only
-    # construct reads output.formats
-    for key in ("grid.min_layer_nodes", "sweep.min_layer_nodes"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    # only construct reads output.formats, checked whichever command runs
     _formats(cfg)
     return cfg
 
@@ -326,7 +328,7 @@ def main(argv=None):
         if args.jobs != 1 and args.command != "sweep":
             raise ConfigError(f"--jobs runs sweep points concurrently; "
                               f"{args.command} takes none (got {args.jobs})")
-        cfg = load_config(args.config, args.set)
+        cfg = load_config(args.config, args.set, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -436,6 +436,45 @@ def grid_lu(A, nx, ny):
     return GridLU(lu, perm)
 
 
+class GridSolveError(RuntimeError):
+    """A grid system's solve produced non-finite values."""
+
+
+class GridSystem:
+    """A on the C-order nodes of a channel grid (then any border unknowns,
+    such as the pressure's Lagrange multiplier), with the ``boundary_rows``
+    of the condition table walls in place of its rows there; keeps that
+    ``A``, the rows ``bnd``, the row scale ``d`` (the largest |entry| of
+    each grid-node row, 1 for an empty or border row) and the ``grid_lu``
+    factor ``lu`` of diag(1/d) A."""
+
+    def __init__(self, A, grid, walls):
+        rows = boundary_rows(grid.x, grid.y, walls)
+        self.A = replace_rows(A, rows)
+        self.bnd = np.fromiter(rows, int)
+        self.grid = grid
+        d = abs(self.A).max(axis=1).toarray().ravel()
+        d[d == 0.0] = 1.0
+        # scaling the pressure's Lagrange row (weights of size hx*hy) moves
+        # SuperLU's pivots: at 96x192 L+U grew from 2.55M to 13.6M nonzeros
+        d[grid.nx * grid.ny:] = 1.0
+        self.d = d
+        self.lu = grid_lu((sp.diags(1.0 / d) @ self.A).tocsc(),
+                          grid.nx, grid.ny)
+
+    def solve(self, f, wall=0.0):
+        """The grid unknowns (nx, ny) for right-hand side f, wall (a scalar
+        or an (nx, ny) array) at the boundary rows and 0 at border rows."""
+        nx, ny = self.grid.nx, self.grid.ny
+        b = np.zeros(self.A.shape[0])
+        b[:nx * ny] = np.ravel(f)
+        b[self.bnd] = np.broadcast_to(wall, (nx, ny)).reshape(-1)[self.bnd]
+        x = self.lu.solve(b / self.d)[:nx * ny]
+        if not np.all(np.isfinite(x)):
+            raise GridSolveError("grid system solve produced non-finite values")
+        return x.reshape(nx, ny)
+
+
 def trapezoid_weights(x):
     x = np.asarray(x, dtype=float)
     w = np.zeros_like(x)

@@ -12,13 +12,17 @@ corrector keeps every field the cascade reads in one record.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import (DiffOps, boundary_rows, cumtrapz0, grid_lu,
-                             replace_rows)
+from .discretization import DiffOps, GridSystem, cumtrapz0
 
-# side -> (at_start, deriv) of the conditions on the y = 0 and y = 2 walls:
-# v = 0 or the handed-down trace (deriv 0), or dv/dy = 0 (deriv 1)
-WALLS = {"first": ((True, 0), (False, 0)), "plus": ((True, 1), (False, 0)),
-         "minus": ((True, 0), (False, 1))}
+# side -> its ``boundary_rows`` table: on the y = 0 and y = 2 walls, at every
+# x node, v = 0 or the handed-down trace (deriv 0) or dv/dy = 0 (deriv 1);
+# then v_x = 0 at the inflow and v = 0 at the outflow between the walls
+WALLS = {side: ((1, True, d0, 3, 0, slice(None)),
+                (1, False, d2, 3, 0, slice(None)),
+                (0, True, 1, 3, 0, slice(1, -1)),
+                (0, False, 0, 1, 0, slice(1, -1)))
+         for side, (d0, d2) in (("first", (0, 0)), ("plus", (1, 0)),
+                                ("minus", (0, 1)))}
 
 
 class EulerSolveError(RuntimeError):
@@ -42,10 +46,11 @@ class EulerCorrector:
 
 
 class EulerSolver:
-    """Shared sparse factorizations for all corrector layers on one grid.
+    """The corrector systems of all layers on one grid.
 
-    The homogeneous vorticity operator is layer independent, so one LU per
-    boundary-condition variant (first/plus/minus) serves every index i.
+    The homogeneous vorticity operator is layer independent, so one
+    ``GridSystem`` per boundary-condition variant (first/plus/minus),
+    built on first use, serves every index i.
     """
 
     def __init__(self, grid, profile):
@@ -59,35 +64,17 @@ class EulerSolver:
         if not np.all(np.isfinite(self.w)):
             raise EulerSolveError("mu''/mu is unbounded on this profile")
         self._base = (-self.ops.lap + sp.diags(self.w.ravel())).tocsr()
-        self._lu = {}
-
-    def _factorize(self, side):
-        """LU of the side's system and its boundary rows, built once."""
-        if side not in WALLS:
-            raise ValueError(f"side must be one of {tuple(WALLS)}")
-        if side not in self._lu:
-            g, inner = self.grid, slice(1, -1)
-            rows = boundary_rows(g.x, g.y, [
-                (1, at_start, deriv, 3, 0, slice(None))
-                for at_start, deriv in WALLS[side]] + [
-                (0, True, 1, 3, 0, inner),     # v_x = 0 at inflow
-                (0, False, 0, 1, 0, inner)])   # v = 0 at outflow
-            A = replace_rows(self._base, rows)
-            self._lu[side] = (grid_lu(A, g.nx, g.ny), np.fromiter(rows, int))
-        return self._lu[side]
+        self.systems = {}
 
     def _solve_v(self, side, rhs, trace):
-        g = self.grid
-        lu, bnd = self._factorize(side)
-        b = np.asarray(rhs, dtype=float).ravel().copy()
-        b[bnd] = 0.0
+        """v of the side's system; the trace (or 0) on its Dirichlet walls."""
+        if side not in self.systems:
+            self.systems[side] = GridSystem(self._base, self.grid,
+                                            WALLS[side])
+        wall = np.zeros(self.grid.shape)
         if trace is not None:   # on the one Dirichlet wall of plus or minus
-            j_wall = 0 if side == "minus" else g.ny - 1
-            b[j_wall + g.ny * np.arange(g.nx)] = np.asarray(trace, dtype=float)
-        v = lu.solve(b).reshape(g.nx, g.ny)
-        if not np.all(np.isfinite(v)):
-            raise EulerSolveError("corrector solve produced non-finite values")
-        return v
+            wall[:, 0 if side == "minus" else -1] = trace
+        return self.systems[side].solve(rhs, wall)
 
     def solve_first(self):
         """First Euler corrector: offsets the base viscous stress (rhs mu'''/mu)."""
@@ -115,14 +102,9 @@ class EulerSolver:
 
     def _complete(self, index, side, v, rhs_x):
         """The field record of v; rhs_x is mu'' for the first corrector, 0
-        for higher ones.
-
-        u = -int_0^x v_y, so du/dx = -dv/dy exactly, and P integrates the
-        x-momentum balance dP/dx = rhs_x - mu du/dx - mu' v from P = 0 at
-        the inflow; the y-momentum relation dP/dy = -mu dv/dx then holds
-        identically in the continuum, and its discrete residual is pure
-        discretization error.
-        """
+        for higher ones.  u = -int_0^x v_y makes du/dx = -dv/dy exact, and P
+        integrates the x-momentum balance px from P = 0 at the inflow, so
+        dP/dy = -mu dv/dx holds in the continuum."""
         g, ops = self.grid, self.ops
         mu, mup = self.profile.mu(g.y), self.profile.mu(g.y, 1)
         vy = ops.apply(ops.Dy, v)

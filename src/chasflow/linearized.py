@@ -11,7 +11,7 @@ and the weighted solution norm) live here as well.
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import boundary_rows, grid_lu, replace_rows
+from .discretization import GridSystem
 
 
 class LinearSolveError(RuntimeError):
@@ -33,7 +33,7 @@ class LinearizedProblem:
         self.F2 = np.zeros(shape) if F2 is None else F2
         self.ubar = np.zeros(shape) if ubar is None else ubar
         self.vbar = np.zeros(shape) if vbar is None else vbar
-        self.system = None   # the PsiSystem; picard_solve sets it
+        self.system = None   # its psi GridSystem; picard_solve sets it
 
     def nonlinear_terms(self, ubar=None, vbar=None):
         """N1, N2 of the frozen pair (the eps^M0-weighted quadratic terms)."""
@@ -51,62 +51,35 @@ class LinearizedProblem:
 
 
 class RemainderSolution:
-    def __init__(self, grid, ops, u, v, P=None, psi=None):
+    def __init__(self, grid, ops, u, v, psi=None):
         self.grid = grid
         self.ops = ops
         self.u = u
         self.v = v
-        self.P = P          # recover_pressure sets it
+        self.P = None       # recover_pressure sets it
         self.psi = psi
         self.problem = None  # picard_solve sets its converged problem
         self.norms = {}
         self.residuals = {}
 
 
-def _bc_rows(grid):
-    """Row assignment for the psi system.
-
-    x=0: psi = 0 (col 0), psi_xx = 0 (col 1); x=L: psi_x = 0 (last col),
-    psi_xxx = 0 (col nx-2); y walls: psi = 0 (wall rows), psi_y = 0
-    (adjacent rows).  Corner-adjacent rows give wall conditions precedence.
-    """
-    every, inner = slice(None), slice(1, -1)
-    # the wall psi_y rows use the same 3-pt stencil as the Dy boundary rows,
-    # so u = Dy psi vanishes at the walls to machine precision
-    return boundary_rows(grid.x, grid.y, [
-        (1, True, 0, 1, 0, every), (1, False, 0, 1, 0, every),
-        (0, True, 0, 1, 0, every), (0, False, 1, 4, 0, inner),
-        (0, True, 2, 5, 1, inner), (0, False, 3, 6, 1, inner),
-        (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2))])
-
-
-class PsiSystem:
-    """The psi operator A with the boundary rows of ``_bc_rows`` set, and
-    the LU of diag(1/d) A, d the largest |entry| of each row (1 if none)."""
-
-    def __init__(self, A, grid):
-        rows = _bc_rows(grid)
-        self.A = replace_rows(A, rows)
-        self.bnd = np.fromiter(rows, int)
-        self.grid = grid
-        d = np.abs(self.A).max(axis=1).toarray().ravel()
-        d[d == 0.0] = 1.0
-        self.d = d
-        try:
-            self.lu = grid_lu((sp.diags(1.0 / d) @ self.A).tocsc(),
-                              grid.nx, grid.ny)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"psi factorization failed: {exc}")
-
-    def solve(self, f):
-        """psi, as an (nx, ny) array, with interior right-hand side f and
-        homogeneous boundary rows."""
-        b = np.asarray(f, dtype=float).ravel().copy()
-        b[self.bnd] = 0.0
-        psi = self.lu.solve(b / self.d)
-        if not np.all(np.isfinite(psi)):
-            raise LinearSolveError("psi solve produced non-finite values")
-        return psi.reshape(self.grid.nx, self.grid.ny)
+# The psi system's wall conditions (a ``boundary_rows`` table): x=0: psi = 0
+# (col 0), psi_xx = 0 (col 1); x=L: psi_x = 0 (last col), psi_xxx = 0 (col
+# nx-2); y walls: psi = 0 (wall rows), psi_y = 0 (adjacent rows).
+# Corner-adjacent rows give wall conditions precedence.  The wall psi_y rows
+# use the same 3-pt stencil as the Dy boundary rows, so u = Dy psi vanishes
+# at the walls to machine precision.
+_EVERY, _INNER = slice(None), slice(1, -1)
+PSI_WALLS = (
+    (1, True, 0, 1, 0, _EVERY), (1, False, 0, 1, 0, _EVERY),
+    (0, True, 0, 1, 0, _EVERY), (0, False, 1, 4, 0, _INNER),
+    (0, True, 2, 5, 1, _INNER), (0, False, 3, 6, 1, _INNER),
+    (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2)))
+# the pressure's Neumann rows on the walls, then at inflow and outflow
+# between them
+PRESSURE_WALLS = (
+    (1, True, 1, 3, 0, _EVERY), (1, False, 1, 3, 0, _EVERY),
+    (0, True, 1, 3, 0, _INNER), (0, False, 1, 3, 0, _INNER))
 
 
 def assemble_linearized_operator(problem):
@@ -161,30 +134,21 @@ def recover_pressure(sol, problem):
     gy = f2 - m2
 
     nx, ny = grid.nx, grid.ny
-    # Neumann rows on the walls, then at inflow and outflow between them
-    every, inner = slice(None), slice(1, -1)
-    rows = boundary_rows(grid.x, grid.y, [
-        (1, True, 1, 3, 0, every), (1, False, 1, 3, 0, every),
-        (0, True, 1, 3, 0, inner), (0, False, 1, 3, 0, inner)])
-    b = rhs.copy()
-    b[:, [0, -1]] = gy[:, [0, -1]]
-    b[[0, -1], 1:-1] = gx[[0, -1], 1:-1]
-    A = replace_rows(ops.lap, rows)
+    wall = gx.copy()    # gx at inflow and outflow, gy on the walls
+    wall[:, [0, -1]] = gy[:, [0, -1]]
     # compatibility (Green): int rhs = sum of oriented boundary fluxes;
     # report the defect, then solve the bordered system with a mean-zero
     # Lagrange constraint (a point pin would amplify the defect into a
-    # spurious constant through the near-null mode)
+    # spurious constant through the near-null mode).  The wall rows replace
+    # the border column's entries as well.
     flux = (float(ops.wx @ gy[:, ny - 1]) - float(ops.wx @ gy[:, 0])
             + float(ops.wy @ gx[nx - 1, :]) - float(ops.wy @ gx[0, :]))
     area = float(ops.w2.sum())
     defect = (ops.integrate(rhs) - flux) / area
     sol.residuals["pressure_compatibility_defect"] = abs(defect)
-    col = np.ones(nx * ny)
-    col[np.fromiter(rows, int)] = 0.0
-    Ab = sp.bmat([[A, col.reshape(-1, 1)],
-                  [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
-    bb = np.concatenate([b.ravel(), [0.0]])
-    P = grid_lu(Ab, nx, ny).solve(bb)[:-1].reshape(nx, ny)
+    A = sp.bmat([[ops.lap, np.ones((nx * ny, 1))],
+                 [sp.csr_matrix(ops.w2.reshape(1, -1)), None]])
+    P = GridSystem(A, grid, PRESSURE_WALLS).solve(rhs, wall)
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
     sol.P = P
     return P

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chasflow.discretization import DiffOps, HalfLineGrid
+from chasflow.discretization import DiffOps, GridSystem, HalfLineGrid
 from chasflow.expansion import construct_expansion
-from chasflow.linearized import PsiSystem, RemainderSolution, compute_norms
+from chasflow.linearized import PSI_WALLS, RemainderSolution, compute_norms
 from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
 from chasflow.nonlinear import (assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
@@ -62,7 +62,7 @@ def test_criterion_2_biharmonic_mms():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = PsiSystem(ops.bih, g).solve(f)
+        psi = GridSystem(ops.bih, g, PSI_WALLS).solve(f)
         errs.append(np.abs(psi - X * Y).max())
     order = float(np.polyfit(np.log([1 / 48, 1 / 96, 1 / 192]),
                              np.log(errs), 1)[0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
-                          _run_spec, load_config, main)
+                          SWEEP_KEYS, _run_spec, load_config, main)
 from chasflow.discretization import GridResolutionError
 from chasflow.verification import RunSpec
 
@@ -223,6 +223,45 @@ def test_newton_check_assembles_the_operator_once(tmp_path, monkeypatch):
     assert payload["newton_X_norm"] == pytest.approx(
         payload["norms"]["X_norm"], rel=1e-6)
     assert len(calls) == 1
+
+
+def test_newton_check_on_an_exact_point_writes_zero(tmp_path):
+    # the unperturbed family point is exact: the forcing, and with it the
+    # first Newton residual, is zero, so Newton returns psi = 0 at once
+    rc = main(["solve", "--set", "grid.nx=24", "--set", "grid.ny=48",
+               "--set", "expansion.case=poiseuille_couette_noforce",
+               "--set", "profile.kind=poiseuille_couette",
+               "--set", "profile.alpha1=0.5", "--set", "profile.alpha2=0.5",
+               "--set", "solver.newton_check=true", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    payload = json.loads((tmp_path / "solve_report.json").read_text())
+    assert payload["newton_X_norm"] == 0.0
+
+
+# (command, key it ignores, the key it reads in its place): each pair of
+# SWEEP_KEYS both ways, and the two sweep-only keys
+IGNORED = ([("sweep", key, alias) for key, alias in SWEEP_KEYS.items()]
+           + [("solve", alias, key) for key, alias in SWEEP_KEYS.items()]
+           + [("construct", "sweep.epsilons", "expansion.epsilon"),
+              ("audit", "sweep.ny_cap", "grid.ny")])
+
+
+@pytest.mark.parametrize("command, key, instead", IGNORED)
+def test_a_key_the_command_ignores_exits_before_any_point(
+        command, key, instead, tmp_path, capsys, monkeypatch):
+    def no_work(spec, eps):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr("chasflow.verification.run_point", no_work)
+    monkeypatch.setattr("chasflow.cli.construct_expansion", no_work)
+    monkeypatch.setattr("chasflow.cli.solve_point", no_work)
+    # even the default value, given, is refused
+    rc = main([command, "--set", f"{key}={SCHEMA[key][1]}",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"does not read {key};" in err and f"reads {instead} in" in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import PchipInterpolator
 
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
-                                     GridResolutionError, HalfLineGrid,
+                                     GridResolutionError, GridSolveError,
+                                     GridSystem, HalfLineGrid,
                                      _fix_low_moments, boundary_rows,
                                      build_channel_grid,
                                      diff_matrix, grid_lu, mms_convergence,
@@ -16,7 +17,7 @@ from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      pchip_operator, replace_rows,
                                      tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
-from chasflow.linearized import (LinearizedProblem, PsiSystem, _bc_rows,
+from chasflow.linearized import (PRESSURE_WALLS, PSI_WALLS, LinearizedProblem,
                                  assemble_linearized_operator)
 from conftest import lil_replace_rows, make_grid, same_arrays
 
@@ -451,7 +452,8 @@ def test_boundary_rows_on_a_small_grid():
 
 
 def _bc_rows_loop(grid):
-    """The psi rows as the per-node loop that ``_bc_rows`` replaced set them."""
+    """The psi rows as the per-node loop that ``PSI_WALLS`` replaced set
+    them."""
     nx, ny = grid.nx, grid.ny
     rows = {}
 
@@ -483,15 +485,16 @@ def _bc_rows_loop(grid):
 def test_psi_rows_match_node_loop(nx, ny):
     g = build_channel_grid(0.1, nx, ny, 1e-2)
     loop = _bc_rows_loop(g)
-    assert _same_rows(_bc_rows(g), loop)
+    assert _same_rows(boundary_rows(g.x, g.y, PSI_WALLS), loop)
     bih = DiffOps(g.x, g.y).bih
-    system = PsiSystem(bih, g)
+    system = GridSystem(bih, g, PSI_WALLS)
     assert sorted(system.bnd) == sorted(loop)
     assert same_arrays(system.A, lil_replace_rows(bih, _as_assignments(loop)))
 
 
 def test_replace_rows_matches_lil_on_biharmonic(channel_48x96, ops_48x96):
-    rows = _bc_rows(channel_48x96)
+    g = channel_48x96
+    rows = boundary_rows(g.x, g.y, PSI_WALLS)
     assert same_arrays(replace_rows(ops_48x96.bih, rows),
                        lil_replace_rows(ops_48x96.bih, _as_assignments(rows)))
 
@@ -504,7 +507,7 @@ def test_replace_rows_matches_lil_on_linearized(channel_48x96, ops_48x96):
                     "lap_us", "lap_vs")}
     A = assemble_linearized_operator(
         LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05, grid=g, ops=ops_48x96))
-    rows = _bc_rows(g)
+    rows = boundary_rows(g.x, g.y, PSI_WALLS)
     assert same_arrays(replace_rows(A, rows),
                        lil_replace_rows(A, _as_assignments(rows)))
 
@@ -538,13 +541,13 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 @pytest.fixture(scope="module")
 def grid_systems():
     """name -> (A, nx, ny): each kind of system that the library factors on
-    a 24x48 grid, caught at its call of ``grid_lu``: the biharmonic
-    ``PsiSystem``, then Picard's linearized ``PsiSystem`` and pressure, then
-    an Euler system.  Newton factors nothing: its last (row-scaled)
+    a 24x48 grid, caught at the call of ``grid_lu`` in ``GridSystem``: the
+    biharmonic system, then Picard's linearized psi system and pressure,
+    then an Euler system.  Newton factors nothing: its last (row-scaled)
     Jacobian, which carries the nonlinear terms of a nonzero iterate, is
     caught at its GMRES call."""
+    import chasflow.discretization as discretization
     import chasflow.euler_correctors as euler
-    import chasflow.linearized as linearized
     import chasflow.nonlinear as nonlinear
     from chasflow.expansion import construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve, picard_solve
@@ -568,14 +571,13 @@ def grid_systems():
         return spla.gmres(A, b, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linearized, "grid_lu", lu)
-        mp.setattr(euler, "grid_lu", lu)
+        mp.setattr(discretization, "grid_lu", lu)
         mp.setattr(nonlinear, "gmres", gmres)
-        PsiSystem(exp.ops.bih, grid)
+        GridSystem(exp.ops.bih, grid, PSI_WALLS)
         sol, _ = picard_solve(exp, build_case_forcing(exp))
         newton_solve(sol.problem)
-        euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._factorize(
-            "minus")
+        euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._solve_v(
+            "minus", np.zeros(grid.shape), None)
     assert len(caught) == 4
     systems.update(zip(("biharmonic", "linearized", "pressure", "euler"),
                        caught))
@@ -603,3 +605,55 @@ def test_grid_lu_matches_colamd(grid_systems, name):
     kappa = np.linalg.cond(A.toarray(), np.inf)
     gap = np.abs(x - x_ref).max() / np.abs(x_ref).max()
     assert gap <= 4.0 * kappa * (err + err_ref), (gap, kappa)
+
+
+# -- one grid system for the psi, Euler and pressure solves ------------------
+
+def _bordered_neumann():
+    """A small grid, its bordered Laplacian (the pressure's: a Lagrange
+    column of ones and the quadrature row), and the same system built
+    apart: the Neumann rows set on the Laplacian, then bordered with the
+    column's wall entries zeroed."""
+    g = make_grid(8, L=0.1)
+    ops = DiffOps(g.x, g.y)
+    n = g.nx * g.ny
+    w2 = sp.csr_matrix(ops.w2.reshape(1, -1))
+    A = sp.bmat([[ops.lap, np.ones((n, 1))], [w2, None]])
+    rows = boundary_rows(g.x, g.y, PRESSURE_WALLS)
+    col = np.ones(n)
+    col[np.fromiter(rows, int)] = 0.0
+    ref = sp.bmat([[replace_rows(ops.lap, rows), col.reshape(-1, 1)],
+                   [w2, None]], format="csc")
+    return g, A, ref
+
+
+def test_grid_system_solves_a_bordered_neumann_system():
+    g, A, ref = _bordered_neumann()
+    system = GridSystem(A, g, PRESSURE_WALLS)
+    assert same_arrays(system.A, ref)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(g.shape)
+    wall = rng.standard_normal(g.shape)    # read at the boundary rows only
+    b = np.r_[f.ravel(), 0.0]
+    b[system.bnd] = wall.ravel()[system.bnd]
+    expect = np.linalg.solve(ref.toarray(), b)[:-1].reshape(g.shape)
+    x = system.solve(f, wall)
+    assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+def test_grid_system_scales_grid_rows_only():
+    g, A, _ = _bordered_neumann()
+    system = GridSystem(A, g, PRESSURE_WALLS)
+    n = g.nx * g.ny
+    largest = abs(system.A).max(axis=1).toarray().ravel()
+    assert np.array_equal(system.d[:n], largest[:n])
+    assert largest[n] < 1.0 and system.d[n] == 1.0
+
+
+def test_grid_system_refuses_a_non_finite_result():
+    g, A, _ = _bordered_neumann()
+    system = GridSystem(A, g, PRESSURE_WALLS)
+    f = np.zeros(g.shape)
+    f[3, 4] = np.nan
+    with pytest.raises(GridSolveError, match="non-finite"):
+        system.solve(f)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy as sy
 
-import chasflow.linearized as linearized
-from chasflow.discretization import DiffOps, one_sided_row, replace_rows
-from chasflow.linearized import (LinearizedProblem, PsiSystem,
+import chasflow.discretization as discretization
+from chasflow.discretization import (DiffOps, GridSystem, one_sided_row,
+                                     replace_rows)
+from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  RemainderSolution,
                                  assemble_linearized_operator, compute_norms,
                                  compute_q, curl_residual, momentum_residual,
@@ -30,12 +32,13 @@ def _couette_bg(grid):
 
 def _solve(prob):
     """solve_linearized on the problem's own factored psi system."""
-    prob.system = PsiSystem(assemble_linearized_operator(prob), prob.grid)
+    prob.system = GridSystem(assemble_linearized_operator(prob), prob.grid,
+                             PSI_WALLS)
     return solve_linearized(prob)
 
 
 def test_biharmonic_zero_rhs(channel_48x96, ops_48x96):
-    psi = PsiSystem(ops_48x96.bih, channel_48x96).solve(
+    psi = GridSystem(ops_48x96.bih, channel_48x96, PSI_WALLS).solve(
         np.zeros(channel_48x96.shape))
     assert np.abs(psi).max() < 1e-14
 
@@ -52,7 +55,7 @@ def test_biharmonic_mms_order():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = PsiSystem(ops.bih, g).solve(f)
+        psi = GridSystem(ops.bih, g, PSI_WALLS).solve(f)
         return 1.0 / n, np.abs(psi - X * Y).max()
 
     errs = []
@@ -92,7 +95,8 @@ def test_full_operator_mms():
               "lap_us": fns["lapus"](g.XX, g.YY),
               "lap_vs": fns["lapvs"](g.XX, g.YY)}
         prob = LinearizedProblem(bg, eps, M0, grid=g, ops=ops)
-        psi = PsiSystem(assemble_linearized_operator(prob), g).solve(
+        psi = GridSystem(assemble_linearized_operator(prob), g,
+                         PSI_WALLS).solve(
             fns["f"](g.XX, g.YY))
         errs.append(np.abs(psi - fns["psi"](g.XX, g.YY)).max())
     order = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
@@ -152,7 +156,7 @@ def test_pressure_neumann_rows_match_lil(monkeypatch):
         built.append(replace_rows(A, rows))
         return built[-1]
 
-    monkeypatch.setattr(linearized, "replace_rows", capture)
+    monkeypatch.setattr(discretization, "replace_rows", capture)
     prob = LinearizedProblem(_couette_bg(g), 1e-2, M0, grid=g, ops=ops)
     recover_pressure(RemainderSolution(g, ops, np.zeros(g.shape),
                                        np.zeros(g.shape)), prob)
@@ -169,8 +173,12 @@ def test_pressure_neumann_rows_match_lil(monkeypatch):
     for j in range(1, ny - 1):
         ref.append((j, [k * ny + j for k in ix0], wx0))
         ref.append(((nx - 1) * ny + j, [k * ny + j for k in ixL], wxL))
+    # the bordered Laplacian: its wall rows drop the border column too
+    n = nx * ny
+    bordered = sp.bmat([[ops.lap, np.ones((n, 1))],
+                        [sp.csr_matrix(ops.w2.reshape(1, -1)), None]])
     assert len(built) == 1
-    assert same_arrays(built[0], lil_replace_rows(ops.lap, ref))
+    assert same_arrays(built[0], lil_replace_rows(bordered, ref))
 
 
 def test_pressure_recovery_mms_order():

@@ -145,16 +145,16 @@ def case_i_24x48():
 
 
 def _catch_grid_lu(monkeypatch):
-    """Route the psi and pressure factorizations through a wrapper; returns
-    the list it fills with the factor of each call."""
-    import chasflow.linearized as linearized
+    """Route every GridSystem factorization through a wrapper; returns the
+    list it fills with the factor of each call."""
+    import chasflow.discretization as discretization
     calls = []
 
     def lu(A, nx, ny):
         calls.append(grid_lu(A, nx, ny))
         return calls[-1]
 
-    monkeypatch.setattr(linearized, "grid_lu", lu)
+    monkeypatch.setattr(discretization, "grid_lu", lu)
     return calls
 
 
@@ -240,7 +240,8 @@ def test_assemble_full_solution_zero_remainder():
         point_spec("couette_noforce", 32, 64, kind="couette"), EPS)
     grid = expansion.grid
     zero = RemainderSolution(grid, expansion.ops, np.zeros(grid.shape),
-                             np.zeros(grid.shape), P=np.zeros(grid.shape))
+                             np.zeros(grid.shape))
+    zero.P = np.zeros(grid.shape)     # as recover_pressure sets it
     full = assemble_full_solution(expansion, zero)
     assert np.array_equal(full["u"], expansion.fields["u_s"])
     audit = full["report"]["boundary_audit"]

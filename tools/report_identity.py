@@ -28,6 +28,9 @@ exists on one side only, and exits 1 if there is any.  For a JSON file that
 differs it also sizes the move: the largest relative move over the numeric
 leaves with ``max(|a|, |b|) >= 1e-12``, the largest absolute move over the
 smaller ones (round-off-level audits), and every other leaf that differs.
+A binary field file (``.bin``, read with ``Field2D.read_binary``) that
+differs is sized the same way over its values, node by node, and by its
+largest move over its largest |value|.
 """
 
 import argparse
@@ -39,6 +42,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -162,9 +167,46 @@ def json_moves(a, b):
     return relative, absolute, others
 
 
+def field_moves(a, b):
+    """How far two binary field files are apart, node by node.
+
+    Returns (relative, absolute, field): the largest relative and absolute
+    moves of the values, each sized as ``json_moves`` sizes a leaf and
+    given as (move, "values[i, j]") or None, and the largest move over the
+    largest |value| of the field (moves near a zero crossing are large
+    relative to their node's value but not to the field).  Raises
+    ValueError when the files differ in their nodes or hold a non-finite
+    value.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
+    from chasflow.discretization import Field2D
+    fa, fb = Field2D.read_binary(a), Field2D.read_binary(b)
+    if not (np.array_equal(fa["x"], fb["x"])
+            and np.array_equal(fa["y"], fb["y"])):
+        raise ValueError("the fields lie on different nodes")
+    va, vb = fa["values"], fb["values"]
+    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
+        raise ValueError("a field holds a non-finite value")
+    scale = np.maximum(np.abs(va), np.abs(vb))
+    move = np.abs(va - vb)
+    big = scale >= TINY
+    out = []
+    for m in (np.divide(move, scale, out=np.zeros_like(move), where=big),
+              np.where(big, 0.0, move)):
+        i, j = np.unravel_index(np.argmax(m), m.shape)
+        out.append((float(m[i, j]), f"values[{i}, {j}]") if m[i, j] else None)
+    return out[0], out[1], float(move.max() / max(scale.max(), TINY))
+
+
 def _print_moves(a, b):
-    with open(a) as fa, open(b) as fb:
-        relative, absolute, others = json_moves(json.load(fa), json.load(fb))
+    if a.suffix == ".bin":
+        relative, absolute, field = field_moves(a, b)
+        others = []
+        print(f"  largest move over the largest |value|: {field:.3g}")
+    else:
+        with open(a) as fa, open(b) as fb:
+            relative, absolute, others = json_moves(json.load(fa),
+                                                    json.load(fb))
     if relative:
         print(f"  largest relative move {relative[0]:.3g} at {relative[1]}")
     if absolute:
@@ -187,10 +229,10 @@ def main(argv=None):
         largest = None
         for name in diff:
             print(f"differs: {name}")
-            if (name.endswith(".json") and (a / name).is_file()
+            if (name.endswith((".json", ".bin")) and (a / name).is_file()
                     and (b / name).is_file()):
                 move = _print_moves(a / name, b / name)
-                if move:
+                if move and name.endswith(".json"):
                     largest = max(largest or move, (move[0], f"{name} {move[1]}"))
         if largest:
             print(f"largest relative move over all JSON files: "
