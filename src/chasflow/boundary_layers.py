@@ -425,7 +425,8 @@ class BasePart:
 
 
 class EulerPart:
-    """One Euler corrector, prefactor included: its field record scaled.
+    """One Euler corrector, prefactor included: its field record, scaled
+    when read (the record is the only copy).
 
     The record's derivatives are exact for the construction (ux is -d_y v,
     the divergence relation used to build u) and px and py are its exact
@@ -436,22 +437,24 @@ class EulerPart:
     side = None
 
     def __init__(self, corr, prefac, walls):
-        self.corr = corr
-        self.walls = walls
-        # on the corrector's own grid
-        self.fields = {k: prefac * f for k, f in corr.fields.items()}
-        self.fields["py"] = -prefac * corr.mu[None, :] * corr.fields["vx"]
+        self.corr, self.prefac, self.walls = corr, prefac, walls
         self._conv = {}
 
+    def scaled(self, key):
+        """A field of the record times the prefactor (py = -prefac mu vx)."""
+        if key == "py":
+            return -self.prefac * self.corr.mu[None, :] * self.corr.fields["vx"]
+        return self.prefac * self.corr.fields[key]
+
     def channel_fields(self, grid):
-        return {k: restrict_channel_field(v, self.corr.grid, grid)
-                for k, v in self.fields.items()}
+        return {k: restrict_channel_field(self.scaled(k), self.corr.grid, grid)
+                for k in [*self.corr.fields, "py"]}
 
     def convection(self, side):
         if side not in self._conv:
             wall = self.walls[side]
             self._conv[side] = {
-                k: interp_channel_field(self.fields[k], self.corr.grid,
+                k: interp_channel_field(self.scaled(k), self.corr.grid,
                                         wall.grid.x, wall.y_of_Y)
                 for k in _CONV_KEYS}
         return self._conv[side]

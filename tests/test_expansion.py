@@ -173,7 +173,7 @@ def test_euler_convection_follows_each_wall(couette_expansion):
         assert set(conv) == {"u", "v", "ux", "uy", "vx", "vy"}
         for key, field in conv.items():
             assert field.shape == wall.grid.shape
-            direct = bl.interp_channel_field(part.fields[key], part.corr.grid,
+            direct = bl.interp_channel_field(part.scaled(key), part.corr.grid,
                                              wall.grid.x, wall.y_of_Y)
             assert np.array_equal(field, direct), (side, key)
 
