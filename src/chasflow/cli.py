@@ -121,7 +121,7 @@ def load_config(path=None, overrides=(), command=None):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         instead = (SWEEP_KEYS if command == "sweep" else POINT_KEYS).get(key)
-        if command is not None and instead is not None:
+        if command and instead:
             raise ConfigError(f"{command} does not read {key}; it reads "
                               f"{instead} in its place")
         cfg[key] = _coerce(key, raw)

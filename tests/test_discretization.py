@@ -451,7 +451,7 @@ def test_boundary_rows_on_a_small_grid():
     assert _same_rows(rows, expect)
 
 
-def _bc_rows_loop(grid):
+def _psi_rows_loop(grid):
     """The psi rows as the per-node loop that ``PSI_WALLS`` replaced set
     them."""
     nx, ny = grid.nx, grid.ny
@@ -484,7 +484,7 @@ def _bc_rows_loop(grid):
 @pytest.mark.parametrize("nx, ny", [(48, 96), (33, 57)])
 def test_psi_rows_match_node_loop(nx, ny):
     g = build_channel_grid(0.1, nx, ny, 1e-2)
-    loop = _bc_rows_loop(g)
+    loop = _psi_rows_loop(g)
     assert _same_rows(boundary_rows(g.x, g.y, PSI_WALLS), loop)
     bih = DiffOps(g.x, g.y).bih
     system = GridSystem(bih, g, PSI_WALLS)

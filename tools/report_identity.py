@@ -178,7 +178,8 @@ def field_moves(a, b):
     ValueError when the files differ in their nodes or hold a non-finite
     value.
     """
-    sys.path.insert(0, str(ROOT / "src"))
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
     from chasflow.discretization import Field2D
     fa, fb = Field2D.read_binary(a), Field2D.read_binary(b)
     if not (np.array_equal(fa["x"], fb["x"])
