@@ -79,9 +79,11 @@ SWEEP_KEYS = {
     "profile.perturbation.amplitude": "sweep.pert_amplitude",
     "profile.perturbation.exponent": "sweep.pert_exponent",
 }
+# the sweep.* key a sweep reads in place of each key a single point reads
+SWEEP_STAND_INS = SWEEP_KEYS | {"expansion.epsilon": "sweep.epsilons"}
 # the key a single point reads in place of each sweep.* key
-POINT_KEYS = {alias: key for key, alias in SWEEP_KEYS.items()} | {
-    "sweep.epsilons": "expansion.epsilon", "sweep.ny_cap": "grid.ny"}
+POINT_KEYS = {alias: key for key, alias in SWEEP_STAND_INS.items()} | {
+    "sweep.ny_cap": "grid.ny"}
 
 
 def _coerce(key, raw):
@@ -99,9 +101,9 @@ def _coerce(key, raw):
         raise ConfigError(f"{key}: {exc}")
 
 
-def load_config(path=None, overrides=(), command=None):
-    """Parse the sectioned key=value config plus --set overrides; with a
-    command, refuse a given key that it reads another key in place of."""
+def load_config(path, overrides, command):
+    """Parse the sectioned key=value config plus --set overrides, refusing
+    a given key that the command reads another key in place of."""
     cfg = {k: v for k, (_, v) in SCHEMA.items()}
     given = []
     if path is not None:
@@ -117,13 +119,13 @@ def load_config(path=None, overrides=(), command=None):
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         key, raw = item.split("=", 1)
         given.append((key.strip(), raw))
+    stand_ins = SWEEP_STAND_INS if command == "sweep" else POINT_KEYS
     for key, raw in given:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        instead = (SWEEP_KEYS if command == "sweep" else POINT_KEYS).get(key)
-        if command and instead:
+        if key in stand_ins:
             raise ConfigError(f"{command} does not read {key}; it reads "
-                              f"{instead} in its place")
+                              f"{stand_ins[key]} in its place")
         cfg[key] = _coerce(key, raw)
     # only construct reads output.formats, checked whichever command runs
     _formats(cfg)
@@ -299,13 +301,8 @@ def _start_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-COMMANDS = {
-    "construct": cmd_construct,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "audit": cmd_audit,
-    "report": cmd_report,
-}
+COMMANDS = {"construct": cmd_construct, "solve": cmd_solve, "sweep": cmd_sweep,
+            "audit": cmd_audit, "report": cmd_report}
 
 
 def main(argv=None):

@@ -14,13 +14,14 @@ from chasflow.verification import RunSpec
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
-    cfg = load_config(None, ["expansion.epsilon=1e-3", "grid.ny=128"])
+    cfg = load_config(None, ["expansion.epsilon=1e-3", "grid.ny=128"],
+                      "construct")
     assert cfg["expansion.epsilon"] == 1e-3
     assert cfg["grid.ny"] == 128
     path = tmp_path / "run.cfg"
     path.write_text("[profile]\nkind = couette\nalpha1 = 2.0\n"
                     "[expansion]\nepsilon = 1e-2\n")
-    cfg = load_config(str(path))
+    cfg = load_config(str(path), (), "construct")
     assert cfg["profile.alpha1"] == 2.0
 
 
@@ -29,9 +30,9 @@ def test_unknown_key_is_hard_error(tmp_path):
     path.write_text("[profile]\nbogus = 1\n")
     from chasflow.cli import ConfigError
     with pytest.raises(ConfigError):
-        load_config(str(path))
+        load_config(str(path), (), "solve")
     with pytest.raises(ConfigError):
-        load_config(None, ["no_such.key=1"])
+        load_config(None, ["no_such.key=1"], "solve")
 
 
 def test_construct_minimal_couette(tmp_path):
@@ -114,7 +115,7 @@ def test_degeneracy_threshold_keys_are_rejected():
     from chasflow.cli import ConfigError
     for key in ("profile.ratio2_threshold", "profile.ratio3_threshold"):
         with pytest.raises(ConfigError):
-            load_config(None, [f"{key}=1e-12"])
+            load_config(None, [f"{key}=1e-12"], "solve")
 
 
 def test_sweep_jobs_report_matches_serial(tmp_path):
@@ -242,7 +243,8 @@ def test_newton_check_on_an_exact_point_writes_zero(tmp_path):
 # SWEEP_KEYS both ways, and the two sweep-only keys
 IGNORED = ([("sweep", key, alias) for key, alias in SWEEP_KEYS.items()]
            + [("solve", alias, key) for key, alias in SWEEP_KEYS.items()]
-           + [("construct", "sweep.epsilons", "expansion.epsilon"),
+           + [("sweep", "expansion.epsilon", "sweep.epsilons"),
+              ("construct", "sweep.epsilons", "expansion.epsilon"),
               ("audit", "sweep.ny_cap", "grid.ny")])
 
 
@@ -360,7 +362,8 @@ def test_construct_reads_expansion_setting(setting, default_construct_report,
 @pytest.mark.parametrize("cap, ny", [(16, None), (224, 48)])
 def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
     spec = _run_spec(load_config(None, ["sweep.ny_base=16",
-                                        f"sweep.ny_cap={cap}"]), sweep=True)
+                                        f"sweep.ny_cap={cap}"], "sweep"),
+                     sweep=True)
     if ny is None:
         with pytest.raises(GridResolutionError):
             spec.grid(1e-3)
@@ -370,7 +373,7 @@ def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
 
 def test_sweep_spec_defaults_match_run_spec():
     # SCHEMA and RunSpec are the two places a default is declared
-    assert vars(_run_spec(load_config(), sweep=True)) == vars(
+    assert vars(_run_spec(load_config(None, (), "sweep"), sweep=True)) == vars(
         RunSpec("couette_noforce"))
 
 

@@ -170,13 +170,14 @@ def json_moves(a, b):
 def field_moves(a, b):
     """How far two binary field files are apart, node by node.
 
-    Returns (relative, absolute, field): the largest relative and absolute
-    moves of the values, each sized as ``json_moves`` sizes a leaf and
-    given as (move, "values[i, j]") or None, and the largest move over the
-    largest |value| of the field (moves near a zero crossing are large
-    relative to their node's value but not to the field).  Raises
-    ValueError when the files differ in their nodes or hold a non-finite
-    value.
+    Returns (relative, absolute, others, field): the largest relative and
+    absolute moves of the finite values, each sized as ``json_moves`` sizes
+    a leaf and given as (move, "values[i, j]") or None, the (where, a, b)
+    of what cannot be sized (different nodes, or the first of the nodes
+    whose values differ and are not both finite), and the largest move
+    over the largest |value| of the field (moves near a zero crossing are
+    large relative to their node's value but not to the field), or None
+    when the fields lie on different nodes.
     """
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
@@ -184,10 +185,20 @@ def field_moves(a, b):
     fa, fb = Field2D.read_binary(a), Field2D.read_binary(b)
     if not (np.array_equal(fa["x"], fb["x"])
             and np.array_equal(fa["y"], fb["y"])):
-        raise ValueError("the fields lie on different nodes")
+        return None, None, [("the node coordinates",
+                             f"{fa['values'].shape} nodes",
+                             f"{fb['values'].shape} nodes")], None
     va, vb = fa["values"], fb["values"]
-    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
-        raise ValueError("a field holds a non-finite value")
+    finite = np.isfinite(va) & np.isfinite(vb)
+    odd = np.argwhere(~finite & (va != vb)
+                      & ~(np.isnan(va) & np.isnan(vb)))
+    others = []
+    if len(odd):
+        i, j = odd[0]
+        others.append((f"values[{i}, {j}] (first of {len(odd)} non-finite "
+                       "nodes that differ)", float(va[i, j]),
+                       float(vb[i, j])))
+    va, vb = np.where(finite, va, 0.0), np.where(finite, vb, 0.0)
     scale = np.maximum(np.abs(va), np.abs(vb))
     move = np.abs(va - vb)
     big = scale >= TINY
@@ -196,14 +207,15 @@ def field_moves(a, b):
               np.where(big, 0.0, move)):
         i, j = np.unravel_index(np.argmax(m), m.shape)
         out.append((float(m[i, j]), f"values[{i}, {j}]") if m[i, j] else None)
-    return out[0], out[1], float(move.max() / max(scale.max(), TINY))
+    return (out[0], out[1], others,
+            float(move.max() / max(scale.max(), TINY)))
 
 
 def _print_moves(a, b):
     if a.suffix == ".bin":
-        relative, absolute, field = field_moves(a, b)
-        others = []
-        print(f"  largest move over the largest |value|: {field:.3g}")
+        relative, absolute, others, field = field_moves(a, b)
+        if field is not None:
+            print(f"  largest move over the largest |value|: {field:.3g}")
     else:
         with open(a) as fa, open(b) as fb:
             relative, absolute, others = json_moves(json.load(fa),
