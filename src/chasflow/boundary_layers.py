@@ -7,11 +7,14 @@ are stored with the sign that makes the physical corrector pair
 divergence-free.  Marching is an implicit theta scheme (backward-Euler
 start-up steps, Crank-Nicolson after) with graded x steps near the inflow.
 
-The cascade bookkeeping is mechanical: every x-momentum residual term that
-the correctors built so far generate at a wall is held in a per-side pending
-list (tagged cut / approx / quad / shear); the next same-side layer takes
-the accumulated sum as its forcing, and an auxiliary layer pressure zeroes
-the pending vertical-momentum terms order by order.
+The cascade bookkeeping is mechanical: each wall is one record (`Wall`:
+layer grid, march coefficient, corner ramps, pending lists), and every
+x-momentum residual term that the correctors built so far generate at a
+wall is held in that wall's pending list (tagged cut / approx / quad /
+shear); the next layer of that wall takes the accumulated sum as its
+forcing, and an auxiliary layer pressure zeroes the pending
+vertical-momentum terms order by order.  Each layer level is one part
+(`LayerPart`): the cut-off coefficients, the cut fields and their record.
 """
 
 import functools
@@ -307,64 +310,31 @@ def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0,
     return LayerProfile(grid, "minus", index, last_layer, U, DXU, V, F)
 
 
-# -- cut-off -----------------------------------------------------------------
-
-class CutLayer:
-    """Cut-off layer fields on the half-line grid, divergence-consistent.
-
-    minus: Uhat = chi U - (eps^s/a0) chi' W;  plus: Uhat = chi U + (eps^s/a0) chi' W
-    (the sign difference mirrors the stored V sign); Vhat = chi V.
-    """
-
-    def __init__(self, layer, a0, eps, x2_floor=0.0):
-        self.layer = layer
-        self.eps = eps
-        # rows below the reporting-grid cell scale carry unresolvable
-        # corner singularities of d_xx; they are zeroed (sub-quadrature).
-        self.x2_mask = (layer.grid.x >= x2_floor).astype(float)[:, None]
-        side = layer.side
-        s = S_EXP[side]
-        yy = eps ** s * layer.grid.Y          # distance from the wall
-        self.y_wall_dist = yy
-        self.chi = chi(yy / a0)
-        chip = chi_prime(yy / a0)
-        sgn = -SIGN_Y[side]
-        scale = eps ** s / a0
-        self.c1 = scale * chip
-        self.c2 = scale ** 2 * chi_d2(yy / a0)
-        self.cc = sgn * self.c1       # a sign flip is exact
-        self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
-        cc = self.cc
-        self.Uhat = self.chi[None, :] * layer.U + cc[None, :] * layer.W
-        self.DXUhat = self.chi[None, :] * layer.DXU + cc[None, :] * layer.DXW
-        self.Vhat = self.chi[None, :] * layer.V
-        self.DXVhat = np.empty_like(self.Vhat)
-        self.DXVhat[0] = 0.0
-        dxs = np.diff(layer.grid.x)[:, None]
-        self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
-        self._d1Y = diff_matrix(layer.grid.Y, 1)
-        self._d2Y = diff_matrix(layer.grid.Y, 2)
-        self._d2x = diff_matrix(layer.grid.x, 2)
-
-    def dY(self, f):
-        return (self._d1Y @ f.T).T
-
-    def dYY(self, f):
-        return (self._d2Y @ f.T).T
-
-    def dXX(self, f):
-        return self.x2_mask * (self._d2x @ f)
-
-
 # -- corrector parts --------------------------------------------------------
 
-class LayerTarget:
-    """A wall's half-line grid and the channel y of each of its Y nodes."""
+class Wall:
+    """One wall's layer state: its half-line grid, the channel y of each of
+    its Y nodes, the march coefficient, the corner ramps and the pending
+    x- and y-momentum lists of the cascade."""
 
-    def __init__(self, side, grid, eps):
+    def __init__(self, side, grid, profile, eps, hx, width):
         self.grid = grid
         self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
                               * (eps ** S_EXP[side] * grid.Y), 0.0, 2.0)
+        # convection at the wall: mu'(0) Y at the lower wall, mu(2) at the upper
+        if side == "minus":
+            self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
+        else:
+            self.m_coef = float(profile.mu(np.array([2.0]))[0])
+        # corner ramp: forcings and aux pressures only absorb residual terms
+        # where the inflow-corner singularities are resolvable; the sliver
+        # below a few reporting cells stays in the measured remainder.
+        # Forcing absorption ramps on the macro scale (re-expanding sharp
+        # onsets would amplify); the aux kill only needs the corner guard.
+        self.ramp = _smoothstep((grid.x - 2.0 * hx) / width)[:, None]
+        self.ramp_aux = _smoothstep((grid.x - 2.0 * hx) / (4.0 * hx))[:, None]
+        self.pending_u = []   # [tag, field] items
+        self.pending_v = []
 
 
 _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
@@ -461,27 +431,60 @@ class EulerPart:
 
 
 class LayerPart:
-    """One cut boundary-layer corrector with divergence-consistent fields."""
+    """One boundary-layer corrector cut off at its wall, prefactor cu
+    included, with divergence-consistent fields.
 
-    def __init__(self, cut, cu):
-        lay = cut.layer
-        self.cut = cut
-        self.layer = lay
-        self.side = lay.side
-        self.eps = cut.eps
-        s = S_EXP[lay.side]
-        cv = self.cv = cu * cut.eps ** s
-        chain = SIGN_Y[lay.side] * cut.eps ** (-s)
-        e2s = self.eps ** (-2.0 * s)
+    minus: Uhat = chi U - (eps^s/a0) chi' W;  plus: Uhat = chi U + (eps^s/a0) chi' W
+    (the sign difference mirrors the stored V sign); Vhat = chi V.
+    """
+
+    def __init__(self, layer, cu, a0, eps, x2_floor=0.0):
+        self.layer = layer
+        self.side = side = layer.side
+        self.eps = eps
+        lgrid = layer.grid
+        s = S_EXP[side]
+        yy = eps ** s * lgrid.Y               # distance from the wall
+        self.chi = chi(yy / a0)
+        chip = chi_prime(yy / a0)
+        sgn = -SIGN_Y[side]
+        scale = eps ** s / a0
+        self.c1 = scale * chip
+        self.c2 = scale ** 2 * chi_d2(yy / a0)
+        self.cc = sgn * self.c1       # a sign flip is exact
+        self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
+        chiv, cc = self.chi[None, :], self.cc[None, :]
+        self.Uhat = chiv * layer.U + cc * layer.W
+        self.DXUhat = chiv * layer.DXU + cc * layer.DXW
+        self.Vhat = chiv * layer.V
+        self.DXVhat = np.empty_like(self.Vhat)
+        self.DXVhat[0] = 0.0
+        dxs = np.diff(lgrid.x)[:, None]
+        self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
+        self._d1Y = diff_matrix(lgrid.Y, 1)
+        d2Y = diff_matrix(lgrid.Y, 2)
+        d2x = diff_matrix(lgrid.x, 2)
+        # rows below the reporting-grid cell scale carry unresolvable
+        # corner singularities of d_xx; they are zeroed (sub-quadrature).
+        x2_mask = (lgrid.x >= x2_floor).astype(float)[:, None]
+        e2s = eps ** (-2.0 * s)
+
+        def lap(f):
+            return x2_mask * (d2x @ f) + e2s * (d2Y @ f.T).T
+
+        cv = self.cv = cu * eps ** s
+        chain = SIGN_Y[side] * eps ** (-s)
         self.fields = {   # on the layer grid
-            "u": cu * cut.Uhat, "v": cv * cut.Vhat,
-            "ux": cu * cut.DXUhat, "uy": cu * chain * cut.dY(cut.Uhat),
-            "vx": cv * cut.DXVhat, "vy": cv * chain * cut.dY(cut.Vhat),
-            "lap_u": cu * (cut.dXX(cut.Uhat) + e2s * cut.dYY(cut.Uhat)),
-            "lap_v": cv * (cut.dXX(cut.Vhat) + e2s * cut.dYY(cut.Vhat)),
+            "u": cu * self.Uhat, "v": cv * self.Vhat,
+            "ux": cu * self.DXUhat, "uy": cu * chain * self.dY(self.Uhat),
+            "vx": cv * self.DXVhat, "vy": cv * chain * self.dY(self.Vhat),
+            "lap_u": cu * lap(self.Uhat), "lap_v": cv * lap(self.Vhat),
         }
         # cut supports are disjoint: a layer convects at its own wall only
-        self._conv = {self.side: {k: self.fields[k] for k in _CONV_KEYS}}
+        self._conv = {side: {k: self.fields[k] for k in _CONV_KEYS}}
+
+    def dY(self, f):
+        return (self._d1Y @ f.T).T
 
     def channel_fields(self, grid):
         return _layer_to_channel(self.fields, self.layer.grid, self.side,
@@ -528,9 +531,9 @@ class Cascade:
     Every corrector added pushes the x- and y-momentum residual terms it
     creates at each wall (quadratic interactions and, for layers, cut-off
     commutators, mu-approximation errors, viscous-x leftovers and the
-    shear-convection term) onto tagged per-side lists.  A layer solve takes
-    minus the accumulated u-list as forcing; an aux pressure zeroes the
-    v-list.  Euler-Euler interactions are excluded: they stay in the
+    shear-convection term) onto that wall's tagged lists.  A layer solve
+    takes minus the accumulated u-list as forcing; an aux pressure zeroes
+    the v-list.  Euler-Euler interactions are excluded: they stay in the
     measured remainder.
     """
 
@@ -539,34 +542,20 @@ class Cascade:
         self.eps = eps
         self.a0 = a0
         self.hx = grid.x[1] - grid.x[0]   # of the Euler correctors' grid
-        self.walls = {side: LayerTarget(side, layer_grids[side], eps)
+        width = max(grid.L / 3.0, 8.0 * self.hx)
+        self.walls = {side: Wall(side, layer_grids[side], profile, eps,
+                                 self.hx, width)
                       for side in ("minus", "plus")}
-        self.m0 = float(profile.mu(np.array([0.0]), 1)[0])
-        self.m1 = float(profile.mu(np.array([2.0]))[0])
         self.parts = [BasePart(profile)]   # every part, in assembly order
         self.convecting = []               # the Euler and layer parts
-        self.pending_u = {"minus": [], "plus": []}
-        self.pending_v = {"minus": [], "plus": []}
-        # corner ramp: forcings and aux pressures only absorb residual terms
-        # where the inflow-corner singularities are resolvable; the sliver
-        # below a few reporting cells stays in the measured remainder.
-        hx = self.hx
-        width = max(grid.L / 3.0, 8.0 * hx)
-        self.ramp = {}
-        self.ramp_aux = {}
-        for side, tgt in self.walls.items():
-            # forcing absorption ramps on the macro scale (re-expanding sharp
-            # onsets would amplify); the aux kill only needs the corner guard
-            self.ramp[side] = _smoothstep((tgt.grid.x - 2.0 * hx) / width)[:, None]
-            self.ramp_aux[side] = _smoothstep((tgt.grid.x - 2.0 * hx)
-                                              / (4.0 * hx))[:, None]
 
     # -- bookkeeping helpers ------------------------------------------------
 
     def _push(self, side, comp, tag, field):
         if not np.any(field):
             return
-        lst = self.pending_u[side] if comp == "u" else self.pending_v[side]
+        wall = self.walls[side]
+        lst = wall.pending_u if comp == "u" else wall.pending_v
         lst.append([tag, field])
 
     def eq_scale(self, side, index):
@@ -582,23 +571,22 @@ class Cascade:
     def layer_forcing(self, side, index):
         """Forcing for the next layer plus its recorded component breakdown."""
         q = self.eq_scale(side, index)
-        tgt = self.walls[side]
-        ramp = self.ramp[side]
+        wall = self.walls[side]
         comps = {}
-        for tag, f in self.pending_u[side]:
+        for tag, f in wall.pending_u:
             comps[tag] = comps.get(tag, 0.0) + f
-        F = np.zeros((tgt.grid.nx, tgt.grid.Y.size))
+        F = np.zeros((wall.grid.nx, wall.grid.Y.size))
         for tag in comps:
-            comps[tag] = -(ramp * comps[tag]) / q
+            comps[tag] = -(wall.ramp * comps[tag]) / q
             F = F + comps[tag]
         return smooth_x(F), comps
 
     # -- adding correctors ----------------------------------------------------
 
-    def _push_quads(self, new_part, sides=("minus", "plus")):
+    def _push_quads(self, new_part):
         # base x layer is handled analytically in add_layer, and the aux
         # pressures have no convection products
-        for side in sides:
+        for side in self.walls:
             for Q in self.convecting:
                 pair = {Q.side, new_part.side}
                 if pair == {None}:
@@ -617,41 +605,39 @@ class Cascade:
 
     def add_layer(self, layer, index):
         side = layer.side
-        tgt = self.walls[side]
+        wall = self.walls[side]
         cu = self.u_prefac(side, index)
         q = self.eq_scale(side, index)
-        cut = CutLayer(layer, self.a0, self.eps, x2_floor=1.5 * self.hx)
-        part = LayerPart(cut, cu)
-        mu_y = self.profile.mu(tgt.y_of_Y)
-        mup_y = self.profile.mu(tgt.y_of_Y, 1)
-        chiv = cut.chi[None, :]
+        part = LayerPart(layer, cu, self.a0, self.eps, x2_floor=1.5 * self.hx)
+        mu_y = self.profile.mu(wall.y_of_Y)
+        mup_y = self.profile.mu(wall.y_of_Y, 1)
 
         # old pending content survives outside the new cut support and in
         # the unabsorbed corner sliver
-        damp = 1.0 - self.ramp[side] * chiv
-        for lst in (self.pending_u[side],):
-            for item in lst:
-                item[1] = damp * item[1]
+        damp = 1.0 - wall.ramp * part.chi[None, :]
+        for item in wall.pending_u:
+            item[1] = damp * item[1]
 
         # cut-off commutator, analytic in the layer fields (the discrete
         # scheme residual stays in the measured remainder, never in the
         # forcing: dividing it by the next equation order would compound
         # solver truncation through the cascade)
-        UY = cut.dY(layer.U)
-        conv = (self.m0 * tgt.grid.Y[None, :] if side == "minus" else self.m1)
-        commut = (conv * cut.cc[None, :] * layer.DXW
-                  - cut.c2[None, :] * layer.U
-                  - 2.0 * cut.c1[None, :] * UY
-                  - cut.ccpp[None, :] * layer.W
-                  - 2.0 * cut.c2[None, :] * layer.U
-                  - cut.c1[None, :] * UY)
+        UY = part.dY(layer.U)
+        m = wall.m_coef
+        conv = (m * wall.grid.Y[None, :] if side == "minus" else m)
+        commut = (conv * part.cc[None, :] * layer.DXW
+                  - part.c2[None, :] * layer.U
+                  - 2.0 * part.c1[None, :] * UY
+                  - part.ccpp[None, :] * layer.W
+                  - 2.0 * part.c2[None, :] * layer.U
+                  - part.c1[None, :] * UY)
         if side == "minus":
-            approx = (cu * (mu_y - self.m0 * tgt.y_of_Y)[None, :] * cut.DXUhat
-                      + part.cv * (mup_y - self.m0)[None, :] * cut.Vhat)
+            approx = (cu * (mu_y - m * wall.y_of_Y)[None, :] * part.DXUhat
+                      + part.cv * (mup_y - m)[None, :] * part.Vhat)
             shear = None
         else:
-            approx = cu * (mu_y - self.m1)[None, :] * cut.DXUhat
-            shear = part.cv * mup_y[None, :] * cut.Vhat
+            approx = cu * (mu_y - m)[None, :] * part.DXUhat
+            shear = part.cv * mup_y[None, :] * part.Vhat
         self._push(side, "u", "cut", q * commut)
         self._push(side, "u", "approx", approx)
         if shear is not None:
@@ -661,7 +647,7 @@ class Cascade:
         self._push(side, "v", "vmom", mu_y[None, :] * nf["vx"] - self.eps * nf["lap_v"])
         self._push(side, "v", "vmom", _self_terms(part, side, "v"))
         self._push(side, "u", "quad", _self_terms(part, side, "u"))
-        self._push_quads(part, sides=(side,))
+        self._push_quads(part)
         self.parts.append(part)
         self.convecting.append(part)
         return part
@@ -671,45 +657,29 @@ class Cascade:
         # its eps^2-order x-gradient (like the layers' viscous-x leftover)
         # stays in the measured remainder: fed into the next forcing it would
         # re-amplify marching dust by 1/q per level at desk resolutions
-        lgrid = self.walls[side].grid
-        ramp = self.ramp_aux[side]
-        pv = ramp * sum((f for _, f in self.pending_v[side]),
-                        np.zeros(lgrid.shape))
-        for item in self.pending_v[side]:
-            item[1] = (1.0 - ramp) * item[1]
+        wall = self.walls[side]
+        lgrid = wall.grid
+        pv = wall.ramp_aux * sum((f for _, f in wall.pending_v),
+                                 np.zeros(lgrid.shape))
+        for item in wall.pending_v:
+            item[1] = (1.0 - wall.ramp_aux) * item[1]
         py = -pv
         s = S_EXP[side]
         sgn = SIGN_Y[side]
         tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT  # int_Y^Ymax
         Pi = sgn * self.eps ** s * (pv @ tail)
-        dxpv = fitted_dx(lgrid.x, pv, self.ramp[side].ravel())
+        dxpv = fitted_dx(lgrid.x, pv, wall.ramp.ravel())
         # the fit is unconstrained where the corner weight vanishes
-        px = self.ramp[side] * (sgn * self.eps ** s * (dxpv @ tail))
+        px = wall.ramp * (sgn * self.eps ** s * (dxpv @ tail))
         part = AuxPart(side, lgrid, self.eps, py, px, Pi)
         self.parts.append(part)
         return part
 
     def dumped_report(self):
         out = {}
-        for side in ("minus", "plus"):
-            for comp, lst in (("u", self.pending_u[side]), ("v", self.pending_v[side])):
+        for side, wall in self.walls.items():
+            for comp, lst in (("u", wall.pending_u), ("v", wall.pending_v)):
                 for tag, f in lst:
                     key = f"{side}.{comp}.{tag}"
                     out[key] = out.get(key, 0.0) + float(np.max(np.abs(f)))
         return out
-
-
-def apply_cutoff(layer, a0, eps, channel_grid):
-    """Cut a layer and express the corrector pair on the channel grid.
-
-    Returns (u_field, v_field, cut) where u,v carry the layer-variable
-    profile only (unit prefactor); the divergence identity of the cut pair
-    holds analytically and is verified discretely in the tests.
-    """
-    cut = CutLayer(layer, a0, eps)
-    s = S_EXP[layer.side]
-    u = interp_layer_field(cut.Uhat, layer.grid, layer.side, eps,
-                           channel_grid.x, channel_grid.y)
-    v = eps ** s * interp_layer_field(cut.Vhat, layer.grid, layer.side, eps,
-                                      channel_grid.x, channel_grid.y)
-    return u, v, cut

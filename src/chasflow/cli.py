@@ -102,8 +102,8 @@ def _coerce(key, raw):
 
 
 def load_config(path, overrides, command):
-    """Parse the sectioned key=value config plus --set overrides, refusing
-    a given key that the command reads another key in place of."""
+    """Parse the config file plus --set overrides, refusing a given key that
+    the command reads another key in place of (report: any but output.dir)."""
     cfg = {k: v for k, (_, v) in SCHEMA.items()}
     given = []
     if path is not None:
@@ -123,6 +123,9 @@ def load_config(path, overrides, command):
     for key, raw in given:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        if command == "report" and key != "output.dir":
+            raise ConfigError(f"report does not read {key}; output.dir is "
+                              "the only key it reads")
         if key in stand_ins:
             raise ConfigError(f"{command} does not read {key}; it reads "
                               f"{stand_ins[key]} in its place")

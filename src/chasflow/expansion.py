@@ -140,14 +140,11 @@ def _build_couette(res):
     res.ext = (grid_ext, solver.ops)
 
     lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
-    grids = {}
-    for side in ("minus", "plus"):
-        s = S_EXP[side]
-        ymax = max(20.0, 1.1 * a0 * eps ** (-s))
-        grids[side] = HalfLineGrid(grid_ext.L, None, spec.layer_nY,
-                                   Ymax=ymax, x=lay_x)
-
-    casc = Cascade(profile, eps, a0, grid_ext, grids)
+    casc = Cascade(profile, eps, a0, grid_ext, {
+        side: HalfLineGrid(grid_ext.L, None, spec.layer_nY,
+                           Ymax=max(20.0, 1.1 * a0 * eps ** (-S_EXP[side])),
+                           x=lay_x)
+        for side in ("minus", "plus")})
     res.cascade = casc
 
     e1 = solver.solve_first()
@@ -155,42 +152,39 @@ def _build_couette(res):
     casc.add_euler(e1, eps)
 
     wall_row = {"minus": 0, "plus": grid_ext.ny - 1}
-    euler_of = {"minus": {1: e1}, "plus": {1: e1}}
+    euler_of = {"minus": e1, "plus": e1}   # the corrector a side's layer cancels
     solve_fn = {"minus": solve_layer_minus, "plus": solve_layer_plus}
-    m_coef = {"minus": casc.m0, "plus": casc.m1}
     parts = {}   # the level-i layer part of each side
 
     for i in range(1, M + 1):
-        for side in ("minus", "plus"):
-            lg = grids[side]
-            ue = euler_of[side][i]
-            g_layer = -pchip_operator(grid_ext.x, lg.x)(ue.u[:, wall_row[side]])
+        for side, wall in casc.walls.items():
+            ue = euler_of[side]
+            g_layer = -pchip_operator(grid_ext.x, wall.grid.x)(ue.u[:, wall_row[side]])
             F, comps = casc.layer_forcing(side, i)
             # default scheme "be": the L-stable march keeps the cascade's
             # repeated differentiation of marched fields free of ringing
-            lay = solve_fn[side](F if i > 1 else None, g_layer, lg,
-                                 last_layer=(i == M), m_coef=m_coef[side],
+            lay = solve_fn[side](F if i > 1 else None, g_layer, wall.grid,
+                                 last_layer=(i == M), m_coef=wall.m_coef,
                                  index=i, scheme=spec.scheme)
             res.correctors.layers.append(lay)
             parts[side] = casc.add_layer(lay, i)
             rec = {"index": i, "side": side, "far_field": lay.far_field(),
-                   "forcing_max": float(np.max(np.abs(F))) if F is not None else 0.0,
+                   "forcing_max": float(np.max(np.abs(F))),
                    "components_max": {k: float(np.max(np.abs(v)))
                                       for k, v in comps.items()}}
             res.correctors.forcing_records.append(rec)
             if i <= AUX_LIMIT[side]:
                 casc.make_aux(side)
         if i < M:
-            for side in ("minus", "plus"):
-                vhat_wall = parts[side].cut.Vhat[:, 0]
-                trace = -pchip_operator(grids[side].x, grid_ext.x)(vhat_wall)
+            for side, wall in casc.walls.items():
+                trace = -pchip_operator(wall.grid.x, grid_ext.x)(parts[side].Vhat[:, 0])
                 smooth = _mollify_corner(trace, grid_ext.x, 4.0 * grid_ext.x[1])
                 res.report["wall_deficit"] = (
                     res.report.get("wall_deficit", 0.0)
                     + casc.u_prefac(side, i + 1)
                     * float(np.max(np.abs(smooth - trace))))
                 ue = solver.solve_higher(i + 1, side, smooth)
-                euler_of[side][i + 1] = ue
+                euler_of[side] = ue
                 res.correctors.euler.append(ue)
                 casc.add_euler(ue, casc.u_prefac(side, i + 1))
 

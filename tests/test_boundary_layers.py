@@ -5,10 +5,9 @@ from scipy.special import erfc
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chasflow.boundary_layers import (CutLayer, MarchError, _dxu_at_inflow,
+from chasflow.boundary_layers import (LayerPart, MarchError, _dxu_at_inflow,
                                       _integral_matrix, _march_plan, _wall_rows,
-                                      apply_cutoff, chi, chi_prime,
-                                      restrict_channel_field,
+                                      chi, chi_prime, restrict_channel_field,
                                       solve_layer_minus, solve_layer_plus)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
                                      diff_matrix, one_sided_row)
@@ -294,13 +293,13 @@ def test_cutoff_zero_layer_and_identity_region():
     grid = HalfLineGrid(L, 81, 201, Ymax=max(20.0, 1.1 * a0 * eps ** -0.5))
     lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0)
     cg = build_channel_grid(L, 32, 96, eps)
-    u, v, cut = apply_cutoff(lay, a0, eps, cg)
-    assert np.abs(u).max() == 0.0 and np.abs(v).max() == 0.0
+    f = LayerPart(lay, 1.0, a0, eps).channel_fields(cg)
+    assert np.abs(f["u"]).max() == 0.0 and np.abs(f["v"]).max() == 0.0
     # chi = 1 where the wall distance stays below a0/2
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
                             grid, m_coef=2.0)
-    cut2 = CutLayer(lay2, a0, eps)
-    inner = cut2.y_wall_dist <= a0 / 2
+    cut2 = LayerPart(lay2, 1.0, a0, eps)
+    inner = eps ** 0.5 * grid.Y <= a0 / 2
     assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, inner], atol=1e-300)
 
 
@@ -316,7 +315,7 @@ def test_cutoff_divergence_identity():
                             Ymax=max(20.0, 1.1 * a0 * eps ** (-1 / 2)))
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
         lay = solver(None, g, grid, m_coef=m)
-        cut = CutLayer(lay, a0, eps)
+        cut = LayerPart(lay, 1.0, a0, eps)
         d1Y = diff_matrix(grid.Y, 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
         div = cut.DXUhat + sgn * (d1Y @ cut.Vhat.T).T
@@ -333,7 +332,8 @@ def test_channel_divergence_after_cutoff_converges():
         g = 0.05 * np.sin(np.pi * grid.x / (2 * L))
         lay = solve_layer_minus(None, g, grid, m_coef=1.0)
         cg = build_channel_grid(L, 32 * n, 96 * n, eps)
-        u, v, _ = apply_cutoff(lay, a0, eps, cg)
+        f = LayerPart(lay, 1.0, a0, eps).channel_fields(cg)
+        u, v = f["u"], f["v"]
         ops = DiffOps(cg.x, cg.y)
         div = ops.apply(ops.Dx, u) + ops.apply(ops.Dy, v)
         rel.append(ops.norm(div, "L2") / ops.norm(ops.apply(ops.Dx, u), "L2"))

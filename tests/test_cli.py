@@ -266,6 +266,16 @@ def test_a_key_the_command_ignores_exits_before_any_point(
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key", ["grid.nx", "sweep.nx"])
+def test_report_refuses_every_key_but_output_dir(key, tmp_path, capsys):
+    (tmp_path / "expansion_report.json").write_text("{}\n")
+    rc = main(["report", "--set", f"{key}=3", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"report does not read {key}; output.dir is the only key" in err
+    assert main(["report", "--set", f"output.dir={tmp_path}"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_jobs_below_one_exits_before_any_point(jobs, tmp_path, capsys,
                                                      monkeypatch):

@@ -300,3 +300,36 @@ def test_expansion_report_shape(couette_expansion):
     assert rep["M"] == 3
     assert "Fu_H2" in rep["norms"]
     assert len(rep["per_layer"]) == 6
+
+
+def test_layer_pushes_land_on_its_own_wall_only(monkeypatch):
+    # cut supports are disjoint, so every residual term a layer part adds is
+    # pushed onto its own wall; an Euler part convects at both walls and,
+    # once a layer of each wall is in, pushes onto both
+    pushes = []   # (corrector kind, the walls its add_* pushed onto)
+
+    def spying(method, kind):
+        def wrapped(self, new, *args):
+            pushes.append((kind(new), set()))
+            return method(self, new, *args)
+        return wrapped
+
+    push = bl.Cascade._push
+
+    def spy_push(self, side, *args):
+        pushes[-1][1].add(side)
+        return push(self, side, *args)
+
+    monkeypatch.setattr(bl.Cascade, "_push", spy_push)
+    monkeypatch.setattr(bl.Cascade, "add_layer",
+                        spying(bl.Cascade.add_layer, lambda lay: lay.side))
+    monkeypatch.setattr(bl.Cascade, "add_euler",
+                        spying(bl.Cascade.add_euler, lambda corr: "euler"))
+    construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
+    assert [kind for kind, _ in pushes] == [
+        "euler", "minus", "plus", "euler", "euler", "minus", "plus"]
+    # the first Euler part has no convecting part to pair with yet
+    assert pushes[0][1] == set()
+    for kind, walls in pushes[1:]:
+        assert walls == ({"minus", "plus"} if kind == "euler" else {kind})

@@ -27,7 +27,10 @@ for byte as it was.  ``--compare A B`` lists every file that differs or
 exists on one side only, and exits 1 if there is any.  For a JSON file that
 differs it also sizes the move: the largest relative move over the numeric
 leaves with ``max(|a|, |b|) >= 1e-12``, the largest absolute move over the
-smaller ones (round-off-level audits), and every other leaf that differs.
+smaller ones, the largest absolute move of an audit residue (a
+``checks[i].value`` leaf: a residue that an audit holds against its
+tolerance, often the cancellation of far larger terms, so never sized
+relatively), and every other leaf that differs.
 A binary field file (``.bin``, read with ``Field2D.read_binary``) that
 differs is sized the same way over its values, node by node, and by its
 largest move over its largest |value|.
@@ -39,6 +42,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # below this magnitude a value is round-off, and only its absolute move counts
 TINY = 1e-12
+# an audit check's value: a residue sized by its absolute move alone
+AUDIT_VALUE = re.compile(r"\.checks\[\d+\]\.value$")
 
 
 def _perfbench_sets():
@@ -138,15 +144,16 @@ def _number(value):
 def json_moves(a, b):
     """How far two JSON documents are apart, leaf by leaf.
 
-    Returns (relative, absolute, others): the largest relative move
+    Returns (relative, absolute, audit, others): the largest relative move
     ``|a - b| / max(|a|, |b|)`` over numeric leaves with
-    ``max(|a|, |b|) >= TINY`` and the largest ``|a - b|`` over the rest,
-    each as (move, path) or None when no leaf of its kind moved, and the
-    (path, a, b) of every other leaf that differs or exists on one side
-    only (verdicts, notes, non-finite values).
+    ``max(|a|, |b|) >= TINY``, the largest ``|a - b|`` over the rest and
+    the largest ``|a - b|`` over the audit residues (``AUDIT_VALUE``),
+    which the other two leave out, each as (move, path) or None when no
+    leaf of its kind moved, and the (path, a, b) of every other leaf that
+    differs or exists on one side only (verdicts, notes, non-finite values).
     """
     leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
-    relative = absolute = None
+    relative = absolute = audit = None
     others = []
     for path in sorted(leaves_a.keys() | leaves_b.keys()):
         va, vb = leaves_a.get(path), leaves_b.get(path)
@@ -154,7 +161,10 @@ def json_moves(a, b):
             if va == vb:
                 continue
             scale = max(abs(va), abs(vb))
-            if scale >= TINY:
+            if AUDIT_VALUE.search(path):
+                move = (abs(va - vb), path)
+                audit = max(audit or move, move)
+            elif scale >= TINY:
                 move = (abs(va - vb) / scale, path)
                 relative = max(relative or move, move)
             else:
@@ -164,7 +174,7 @@ def json_moves(a, b):
               or repr(va) != repr(vb)):
             others.append((path, leaves_a.get(path, "<absent>"),
                            leaves_b.get(path, "<absent>")))
-    return relative, absolute, others
+    return relative, absolute, audit, others
 
 
 def field_moves(a, b):
@@ -218,8 +228,11 @@ def _print_moves(a, b):
             print(f"  largest move over the largest |value|: {field:.3g}")
     else:
         with open(a) as fa, open(b) as fb:
-            relative, absolute, others = json_moves(json.load(fa),
-                                                    json.load(fb))
+            relative, absolute, audit, others = json_moves(json.load(fa),
+                                                           json.load(fb))
+        if audit:
+            print(f"  largest absolute move of an audit residue "
+                  f"{audit[0]:.3g} at {audit[1]}")
     if relative:
         print(f"  largest relative move {relative[0]:.3g} at {relative[1]}")
     if absolute:
