@@ -55,19 +55,16 @@ def chi(t):
 
 
 def chi_prime(t):
-    t = np.asarray(t, dtype=float)
     h = 1e-6
     return (chi(t + h) - chi(t - h)) / (2.0 * h)
 
 
 def chi_d2(t):
-    t = np.asarray(t, dtype=float)
     h = 1e-4
     return (chi(t + h) - 2.0 * chi(t) + chi(t - h)) / h ** 2
 
 
 def chi_d3(t):
-    t = np.asarray(t, dtype=float)
     h = 1e-4
     return (chi(t + 2 * h) - 2 * chi(t + h) + 2 * chi(t - h)
             - chi(t - 2 * h)) / (2.0 * h ** 3)
@@ -321,7 +318,7 @@ class Wall:
         self.grid = grid
         self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
                               * (eps ** S_EXP[side] * grid.Y), 0.0, 2.0)
-        # convection at the wall: mu'(0) Y at the lower wall, mu(2) at the upper
+        # convection at the wall: mu'(0) Y below, mu(2) above
         if side == "minus":
             self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
         else:
@@ -438,7 +435,7 @@ class LayerPart:
     (the sign difference mirrors the stored V sign); Vhat = chi V.
     """
 
-    def __init__(self, layer, cu, a0, eps, x2_floor=0.0):
+    def __init__(self, layer, cu, a0, eps, x2_floor):
         self.layer = layer
         self.side = side = layer.side
         self.eps = eps
@@ -631,17 +628,16 @@ class Cascade:
                   - part.ccpp[None, :] * layer.W
                   - 2.0 * part.c2[None, :] * layer.U
                   - part.c1[None, :] * UY)
-        if side == "minus":
-            approx = (cu * (mu_y - m * wall.y_of_Y)[None, :] * part.DXUhat
-                      + part.cv * (mup_y - m)[None, :] * part.Vhat)
-            shear = None
-        else:
-            approx = cu * (mu_y - m)[None, :] * part.DXUhat
-            shear = part.cv * mup_y[None, :] * part.Vhat
         self._push(side, "u", "cut", q * commut)
-        self._push(side, "u", "approx", approx)
-        if shear is not None:
-            self._push(side, "u", "shear", shear)
+        if side == "minus":
+            self._push(side, "u", "approx",
+                       cu * (mu_y - m * wall.y_of_Y)[None, :] * part.DXUhat
+                       + part.cv * (mup_y - m)[None, :] * part.Vhat)
+        else:
+            self._push(side, "u", "approx",
+                       cu * (mu_y - m)[None, :] * part.DXUhat)
+            self._push(side, "u", "shear",
+                       part.cv * mup_y[None, :] * part.Vhat)
         # vertical momentum: base convection + viscous of the layer's v
         nf = part.fields
         self._push(side, "v", "vmom", mu_y[None, :] * nf["vx"] - self.eps * nf["lap_v"])

@@ -140,11 +140,12 @@ def _build_couette(res):
     res.ext = (grid_ext, solver.ops)
 
     lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
-    casc = Cascade(profile, eps, a0, grid_ext, {
-        side: HalfLineGrid(grid_ext.L, None, spec.layer_nY,
-                           Ymax=max(20.0, 1.1 * a0 * eps ** (-S_EXP[side])),
-                           x=lay_x)
-        for side in ("minus", "plus")})
+    grids = {}
+    for side in ("minus", "plus"):
+        ymax = max(20.0, 1.1 * a0 * eps ** (-S_EXP[side]))
+        grids[side] = HalfLineGrid(grid_ext.L, None, spec.layer_nY,
+                                   Ymax=ymax, x=lay_x)
+    casc = Cascade(profile, eps, a0, grid_ext, grids)
     res.cascade = casc
 
     e1 = solver.solve_first()
@@ -152,14 +153,15 @@ def _build_couette(res):
     casc.add_euler(e1, eps)
 
     wall_row = {"minus": 0, "plus": grid_ext.ny - 1}
-    euler_of = {"minus": e1, "plus": e1}   # the corrector a side's layer cancels
+    euler_of = {"minus": e1, "plus": e1}   # what each side's layer cancels
     solve_fn = {"minus": solve_layer_minus, "plus": solve_layer_plus}
     parts = {}   # the level-i layer part of each side
 
     for i in range(1, M + 1):
         for side, wall in casc.walls.items():
             ue = euler_of[side]
-            g_layer = -pchip_operator(grid_ext.x, wall.grid.x)(ue.u[:, wall_row[side]])
+            g_layer = -pchip_operator(grid_ext.x, wall.grid.x)(
+                ue.u[:, wall_row[side]])
             F, comps = casc.layer_forcing(side, i)
             # default scheme "be": the L-stable march keeps the cascade's
             # repeated differentiation of marched fields free of ringing
@@ -177,7 +179,8 @@ def _build_couette(res):
                 casc.make_aux(side)
         if i < M:
             for side, wall in casc.walls.items():
-                trace = -pchip_operator(wall.grid.x, grid_ext.x)(parts[side].Vhat[:, 0])
+                vhat_wall = parts[side].Vhat[:, 0]
+                trace = -pchip_operator(wall.grid.x, grid_ext.x)(vhat_wall)
                 smooth = _mollify_corner(trace, grid_ext.x, 4.0 * grid_ext.x[1])
                 res.report["wall_deficit"] = (
                     res.report.get("wall_deficit", 0.0)

@@ -293,12 +293,12 @@ def test_cutoff_zero_layer_and_identity_region():
     grid = HalfLineGrid(L, 81, 201, Ymax=max(20.0, 1.1 * a0 * eps ** -0.5))
     lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0)
     cg = build_channel_grid(L, 32, 96, eps)
-    f = LayerPart(lay, 1.0, a0, eps).channel_fields(cg)
+    f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
     assert np.abs(f["u"]).max() == 0.0 and np.abs(f["v"]).max() == 0.0
     # chi = 1 where the wall distance stays below a0/2
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
                             grid, m_coef=2.0)
-    cut2 = LayerPart(lay2, 1.0, a0, eps)
+    cut2 = LayerPart(lay2, 1.0, a0, eps, 0.0)
     inner = eps ** 0.5 * grid.Y <= a0 / 2
     assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, inner], atol=1e-300)
 
@@ -315,7 +315,7 @@ def test_cutoff_divergence_identity():
                             Ymax=max(20.0, 1.1 * a0 * eps ** (-1 / 2)))
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
         lay = solver(None, g, grid, m_coef=m)
-        cut = LayerPart(lay, 1.0, a0, eps)
+        cut = LayerPart(lay, 1.0, a0, eps, 0.0)
         d1Y = diff_matrix(grid.Y, 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
         div = cut.DXUhat + sgn * (d1Y @ cut.Vhat.T).T
@@ -332,7 +332,7 @@ def test_channel_divergence_after_cutoff_converges():
         g = 0.05 * np.sin(np.pi * grid.x / (2 * L))
         lay = solve_layer_minus(None, g, grid, m_coef=1.0)
         cg = build_channel_grid(L, 32 * n, 96 * n, eps)
-        f = LayerPart(lay, 1.0, a0, eps).channel_fields(cg)
+        f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
         u, v = f["u"], f["v"]
         ops = DiffOps(cg.x, cg.y)
         div = ops.apply(ops.Dx, u) + ops.apply(ops.Dy, v)
