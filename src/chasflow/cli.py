@@ -84,6 +84,10 @@ SWEEP_STAND_INS = SWEEP_KEYS | {"expansion.epsilon": "sweep.epsilons"}
 # the key a single point reads in place of each sweep.* key
 POINT_KEYS = {alias: key for key, alias in SWEEP_STAND_INS.items()} | {
     "sweep.ny_cap": "grid.ny"}
+# the solver.* keys that a command does not read: construct runs no solver,
+# and only solve runs the Newton check
+UNREAD = {"construct": ("solver.tol", "solver.max_iter", "solver.newton_check"),
+          "sweep": ("solver.newton_check",), "audit": ("solver.newton_check",)}
 
 
 def _coerce(key, raw):
@@ -103,7 +107,8 @@ def _coerce(key, raw):
 
 def load_config(path, overrides, command):
     """Parse the config file plus --set overrides, refusing a given key that
-    the command reads another key in place of (report: any but output.dir)."""
+    the command reads another key in place of or does not read at all
+    (report: any but output.dir)."""
     cfg = {k: v for k, (_, v) in SCHEMA.items()}
     given = []
     if path is not None:
@@ -129,6 +134,8 @@ def load_config(path, overrides, command):
         if key in stand_ins:
             raise ConfigError(f"{command} does not read {key}; it reads "
                               f"{stand_ins[key]} in its place")
+        if key in UNREAD.get(command, ()):
+            raise ConfigError(f"{command} does not read {key}")
         cfg[key] = _coerce(key, raw)
     # only construct reads output.formats, checked whichever command runs
     _formats(cfg)
@@ -162,13 +169,18 @@ def _parse_epsilons(text):
     return vals
 
 
-def _run_spec(cfg, sweep=False):
-    """The run spec of a command; a single point never refines its grid."""
+def _run_spec(cfg, command):
+    """The run spec of a command; a single point never refines its grid,
+    and construct, which runs no solver, takes the solver settings' own
+    defaults."""
+    sweep = command == "sweep"
     if sweep:
         cfg = dict(cfg, **{key: cfg[alias] for key, alias in SWEEP_KEYS.items()})
     if cfg["expansion.case"] == "forced":
         raise ConfigError("case forced needs a control force g, which no "
                           "config key can give; it runs from the library only")
+    solver = {} if command == "construct" else {
+        "tol": cfg["solver.tol"], "max_iter": cfg["solver.max_iter"]}
     return RunSpec(cfg["expansion.case"], L=cfg["grid.L"], nx=cfg["grid.nx"],
                    ny=cfg["grid.ny"],
                    ny_cap=cfg["sweep.ny_cap"] if sweep else cfg["grid.ny"],
@@ -181,8 +193,7 @@ def _run_spec(cfg, sweep=False):
                    gamma=cfg["expansion.gamma"], a0=cfg["expansion.a0"],
                    layer_nY=cfg["expansion.layer_ny"],
                    ext_factor=cfg["expansion.ext_factor"],
-                   scheme=cfg["expansion.scheme"], tol=cfg["solver.tol"],
-                   max_iter=cfg["solver.max_iter"])
+                   scheme=cfg["expansion.scheme"], **solver)
 
 
 def _write_json(payload, path):
@@ -198,7 +209,8 @@ def _outdir(cfg, args):
 
 
 def cmd_construct(cfg, args):
-    expansion = construct_expansion(_run_spec(cfg), cfg["expansion.epsilon"])
+    expansion = construct_expansion(_run_spec(cfg, "construct"),
+                                    cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
     formats = _formats(cfg)
     for name in ("u_s", "v_s", "P_s"):
@@ -212,7 +224,7 @@ def cmd_construct(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    expansion, sol, trace, full = solve_point(_run_spec(cfg),
+    expansion, sol, trace, full = solve_point(_run_spec(cfg, "solve"),
                                               cfg["expansion.epsilon"])
     out = _outdir(cfg, args)
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
@@ -232,7 +244,7 @@ def cmd_solve(cfg, args):
 
 
 def cmd_sweep(cfg, args):
-    spec = _run_spec(cfg, sweep=True)
+    spec = _run_spec(cfg, "sweep")
     eps = _parse_epsilons(cfg["sweep.epsilons"])
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
@@ -259,7 +271,7 @@ def _write_plot_data(report, path):
 
 
 def cmd_audit(cfg, args):
-    expansion, sol, _, full = solve_point(_run_spec(cfg),
+    expansion, sol, _, full = solve_point(_run_spec(cfg, "audit"),
                                           cfg["expansion.epsilon"])
     report = audit_invariants(expansion, sol=sol, full=full)
     out = _outdir(cfg, args)

@@ -239,13 +239,18 @@ def test_newton_check_on_an_exact_point_writes_zero(tmp_path):
     assert payload["newton_X_norm"] == 0.0
 
 
-# (command, key it ignores, the key it reads in its place): each pair of
-# SWEEP_KEYS both ways, and the two sweep-only keys
+# (command, key it ignores, the key it reads in its place or None): each
+# pair of SWEEP_KEYS both ways, the two sweep-only keys, and the solver keys
+# of a command that runs no solver or no Newton check
 IGNORED = ([("sweep", key, alias) for key, alias in SWEEP_KEYS.items()]
            + [("solve", alias, key) for key, alias in SWEEP_KEYS.items()]
            + [("sweep", "expansion.epsilon", "sweep.epsilons"),
               ("construct", "sweep.epsilons", "expansion.epsilon"),
-              ("audit", "sweep.ny_cap", "grid.ny")])
+              ("audit", "sweep.ny_cap", "grid.ny")]
+           + [("construct", key, None) for key in (
+               "solver.tol", "solver.max_iter", "solver.newton_check")]
+           + [(command, "solver.newton_check", None)
+              for command in ("sweep", "audit")])
 
 
 @pytest.mark.parametrize("command, key, instead", IGNORED)
@@ -262,7 +267,9 @@ def test_a_key_the_command_ignores_exits_before_any_point(
                "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"does not read {key};" in err and f"reads {instead} in" in err
+    assert f"{command} does not read {key}" in err
+    if instead is not None:
+        assert f"does not read {key}; it reads {instead} in" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -373,7 +380,7 @@ def test_construct_reads_expansion_setting(setting, default_construct_report,
 def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
     spec = _run_spec(load_config(None, ["sweep.ny_base=16",
                                         f"sweep.ny_cap={cap}"], "sweep"),
-                     sweep=True)
+                     "sweep")
     if ny is None:
         with pytest.raises(GridResolutionError):
             spec.grid(1e-3)
@@ -383,7 +390,7 @@ def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
 
 def test_sweep_spec_defaults_match_run_spec():
     # SCHEMA and RunSpec are the two places a default is declared
-    assert vars(_run_spec(load_config(None, (), "sweep"), sweep=True)) == vars(
+    assert vars(_run_spec(load_config(None, (), "sweep"), "sweep")) == vars(
         RunSpec("couette_noforce"))
 
 

@@ -542,16 +542,14 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 def grid_systems():
     """name -> (A, nx, ny): each kind of system that the library factors on
     a 24x48 grid, caught at the call of ``grid_lu`` in ``GridSystem``: the
-    biharmonic system, then Picard's linearized psi system and pressure,
-    then an Euler system.  Newton factors nothing: its last (row-scaled)
-    Jacobian, which carries the nonlinear terms of a nonzero iterate, is
-    caught at its GMRES call."""
+    biharmonic system, then Picard's linearized psi system and pressure.
+    Newton factors nothing: its last (row-scaled) Jacobian, which carries
+    the nonlinear terms of a nonzero iterate, is caught at its GMRES call.
+    The Euler corrector systems are solved without a grid LU."""
     import chasflow.discretization as discretization
-    import chasflow.euler_correctors as euler
     import chasflow.nonlinear as nonlinear
     from chasflow.expansion import construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve, picard_solve
-    from chasflow.profiles import build_profile
     from conftest import point_spec
 
     exp = construct_expansion(
@@ -576,11 +574,8 @@ def grid_systems():
         GridSystem(exp.ops.bih, grid, PSI_WALLS)
         sol, _ = picard_solve(exp, build_case_forcing(exp))
         newton_solve(sol.problem)
-        euler.EulerSolver(grid, build_profile("couette", 1.0, 0.0))._solve_v(
-            "minus", np.zeros(grid.shape), None)
-    assert len(caught) == 4
-    systems.update(zip(("biharmonic", "linearized", "pressure", "euler"),
-                       caught))
+    assert len(caught) == 3
+    systems.update(zip(("biharmonic", "linearized", "pressure"), caught))
     return systems
 
 
@@ -591,7 +586,7 @@ def _backward_error(A, x, b):
 
 
 @pytest.mark.parametrize("name", ["biharmonic", "linearized", "newton",
-                                  "euler", "pressure"])
+                                  "pressure"])
 def test_grid_lu_matches_colamd(grid_systems, name):
     A, nx, ny = grid_systems[name]
     assert A.shape[0] == nx * ny + (name == "pressure")
@@ -607,7 +602,7 @@ def test_grid_lu_matches_colamd(grid_systems, name):
     assert gap <= 4.0 * kappa * (err + err_ref), (gap, kappa)
 
 
-# -- one grid system for the psi, Euler and pressure solves ------------------
+# -- one grid system for the psi and pressure solves -----------------------
 
 def _bordered_neumann():
     """A small grid, its bordered Laplacian (the pressure's: a Lagrange

@@ -1,11 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from chasflow import euler_correctors
+from chasflow.cli import EXIT_NUMERICAL, main
 from chasflow.discretization import (build_channel_grid, cumtrapz0,
                                      mms_convergence, one_sided_row)
-from chasflow.euler_correctors import EulerSolveError, EulerSolver
+from chasflow.euler_correctors import (SIDES, EulerSolveError, EulerSolver,
+                                       LineModes, SeparableSystem)
+from chasflow.expansion import _extended_grid
 from chasflow.profiles import PerturbationSpec, build_profile
-from conftest import lil_replace_rows, same_arrays
+from conftest import lil_replace_rows
 
 L = 0.1
 
@@ -172,13 +180,93 @@ def _lil_boundary_rows(grid, side):
     return out
 
 
+def _reference_v(A, grid, side, rhs, wall):
+    """v from a sparse LU of A with the LIL boundary rows of the side: the
+    corrector system as it was assembled before the separable solve."""
+    lil = _lil_boundary_rows(grid, side)
+    rows = [r for r, _, _ in lil]
+    b = rhs.ravel().copy()
+    b[rows] = wall.ravel()[rows]
+    return spla.splu(lil_replace_rows(A, lil)).solve(b).reshape(grid.shape)
+
+
+def _operator(solver):
+    """-lap + mu''/mu on the solver's grid, C-order."""
+    return -solver.ops.lap + sp.diags(np.tile(solver.w, solver.grid.nx))
+
+
+def _stretched_24x48():
+    return build_channel_grid(L, 24, 48, 1e-2)
+
+
+def _extended_strip_60x96():
+    return _extended_grid(build_channel_grid(L, 48, 96, 1e-3), 1.25)
+
+
+@pytest.mark.parametrize("make", [_stretched_24x48, _extended_strip_60x96],
+                         ids=["stretched_24x48", "strip_60x96"])
 @pytest.mark.parametrize("side", ["first", "plus", "minus"])
-def test_assembled_variants_match_lil_rows(side, perturbed_couette,
-                                           channel_48x96):
+def test_separable_solve_matches_sparse_lu(side, make, perturbed_couette):
+    g = make()
+    s = EulerSolver(g, perturbed_couette)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(g.shape)
+    trace = None if side == "first" else rng.standard_normal(g.nx)
+    wall = np.zeros(g.shape)
+    if trace is not None:
+        wall[:, 0 if side == "minus" else -1] = trace
+    v = s._solve_v(side, rhs, trace)
+    ref = _reference_v(_operator(s), g, side, rhs, wall)
+    assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
+    # data at every wall row, as GridSystem.solve takes them: the Neumann,
+    # inflow and outflow rows too
+    wall = rng.standard_normal(g.shape)
+    v = s.systems[side].solve(rhs, wall)
+    ref = _reference_v(_operator(s), g, side, rhs, wall)
+    assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_a_complex_spectrum_is_solved_in_complex_arithmetic(
+        perturbed_couette):
+    # a skew coupling of two y nodes gives Ky a complex-conjugate spectrum
+    # (eigenvector condition number 2.7); the solve keeps the real part
+    g = _stretched_24x48()
+    s = EulerSolver(g, perturbed_couette)
+    skew = sp.csr_matrix(([1e4, -1e4], ([20, 21], [21, 20])),
+                         shape=(g.ny, g.ny))
+    ym = LineModes(g.y, s.ops.d2y + skew, SIDES["plus"], s.w[1:-1])
+    assert np.iscomplexobj(ym.lam)
+    rng = np.random.default_rng(6)
+    rhs, wall = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    v = SeparableSystem(s.x_modes, ym).solve(rhs, wall)
+    assert v.dtype == np.float64
+    A = _operator(s) - sp.kron(sp.identity(g.nx), skew)
+    ref = _reference_v(A, g, "plus", rhs, wall)
+    assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_ill_conditioned_modes_are_refused(perturbed_couette, channel_48x96,
+                                           monkeypatch, tmp_path, capsys):
+    # every eigenvector matrix has condition number >= 1
+    monkeypatch.setattr(euler_correctors, "EIG_COND_LIMIT", 0.5)
+    with pytest.raises(EulerSolveError, match="condition number"):
+        EulerSolver(channel_48x96, perturbed_couette)
+    rc = main(["construct", "--set", "grid.nx=24", "--set", "grid.ny=64",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_each_side_build_logs_one_debug_line(perturbed_couette, channel_48x96,
+                                             caplog):
+    caplog.set_level(logging.DEBUG, logger="chasflow.euler_correctors")
     s = EulerSolver(channel_48x96, perturbed_couette)
-    s._solve_v(side, np.zeros(channel_48x96.shape), None)
-    system = s.systems[side]
-    lil = _lil_boundary_rows(channel_48x96, side)
-    assert same_arrays(system.A, lil_replace_rows(s._base, lil))
-    assert np.array_equal(np.sort(system.bnd),
-                          np.unique([r for r, _, _ in lil]))
+    trace = 0.1 * np.sin(np.pi * channel_48x96.x / (2 * L))
+    s.solve_first()
+    for _ in range(2):
+        s.solve_higher(2, "plus", trace)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    assert lines[0].startswith("euler first system: 46 x 94 modes, lambda in")
+    assert lines[1].startswith("euler plus system: 46 x 94 modes")
+    assert "eigenvector cond" in lines[1]
