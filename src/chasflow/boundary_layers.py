@@ -309,15 +309,27 @@ def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0,
 
 # -- corrector parts --------------------------------------------------------
 
-class Wall:
-    """One wall's layer state: its half-line grid, the channel y of each of
-    its Y nodes, the march coefficient, the corner ramps and the pending
-    x- and y-momentum lists of the cascade."""
+def support_width(Y, side, eps, a0):
+    """How many leading Y nodes carry a layer's cut fields: chi(t), t = eps^s
+    Y / a0, is 0 for t >= 1 and chi_d3 reads chi(t + 2e-4), so every cut
+    coefficient is 0 from t = 1 + 3e-4 on, whatever the data; 4 more nodes
+    keep the d1/d2 stencils of nonzero nodes off the cut end and end on a
+    PCHIP interval with zero ends and slopes, which gives exactly +0.0."""
+    t = eps ** S_EXP[side] * Y / a0
+    return min(Y.size, int(np.count_nonzero(t < 1.0 + 3e-4)) + 4)
 
-    def __init__(self, side, grid, profile, eps, hx, width):
+
+class Wall:
+    """One wall's layer state: its half-line grid (full width: the march's),
+    the support width nS, its first nS Y nodes and their channel y, the march
+    coefficient, the corner ramps and the (nx, nS) pending momentum lists."""
+
+    def __init__(self, side, grid, profile, eps, a0, hx, width):
         self.grid = grid
+        self.nS = support_width(grid.Y, side, eps, a0)
+        self.Y = grid.Y[:self.nS]
         self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
-                              * (eps ** S_EXP[side] * grid.Y), 0.0, 2.0)
+                              * (eps ** S_EXP[side] * self.Y), 0.0, 2.0)
         # convection at the wall: mu'(0) Y below, mu(2) above
         if side == "minus":
             self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
@@ -338,15 +350,16 @@ _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
 
 
 def interp_layer_field(field, lgrid, side, eps, cx, cy):
-    """Interpolate a half-line field to channel nodes (0 beyond Ymax)."""
-    s = S_EXP[side]
-    Yq = SIGN_Y[side] * (cy - WALL_Y[side]) / eps ** s
-    inside = Yq <= lgrid.Ymax
-    # the columns beyond Ymax are +0.0, so only the inside ones interpolate
-    tmp = np.zeros((field.shape[0], cy.size))
-    Yc = np.clip(Yq[inside], 0.0, lgrid.Ymax)
-    tmp[:, inside] = pchip_operator(lgrid.Y, Yc)(field, axis=1)
-    return pchip_operator(lgrid.x, cx)(tmp, axis=0)
+    """Interpolate a cut field on the first `support_width` Y nodes of a
+    layer grid to channel nodes.  Past those, PCHIP of the full-width field
+    gives exactly +0.0, so those channel columns stay zero untouched."""
+    Y = lgrid.Y[:field.shape[1]]
+    Yq = SIGN_Y[side] * (cy - WALL_Y[side]) / eps ** S_EXP[side]
+    inside = Yq <= Y[-1]
+    tmp = pchip_operator(Y, np.clip(Yq[inside], 0.0, Y[-1]))(field, axis=1)
+    out = np.zeros((cx.size, cy.size))
+    out[:, inside] = pchip_operator(lgrid.x, cx)(tmp, axis=0)
+    return out
 
 
 def interp_channel_field(field, cgrid, xq, yq):
@@ -433,6 +446,7 @@ class LayerPart:
 
     minus: Uhat = chi U - (eps^s/a0) chi' W;  plus: Uhat = chi U + (eps^s/a0) chi' W
     (the sign difference mirrors the stored V sign); Vhat = chi V.
+    Every array it keeps is on the first nS = `support_width` Y nodes.
     """
 
     def __init__(self, layer, cu, a0, eps, x2_floor):
@@ -441,7 +455,8 @@ class LayerPart:
         self.eps = eps
         lgrid = layer.grid
         s = S_EXP[side]
-        yy = eps ** s * lgrid.Y               # distance from the wall
+        self.nS = nS = support_width(lgrid.Y, side, eps, a0)
+        yy = eps ** s * lgrid.Y[:nS]          # distance from the wall
         self.chi = chi(yy / a0)
         chip = chi_prime(yy / a0)
         sgn = -SIGN_Y[side]
@@ -451,15 +466,15 @@ class LayerPart:
         self.cc = sgn * self.c1       # a sign flip is exact
         self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
         chiv, cc = self.chi[None, :], self.cc[None, :]
-        self.Uhat = chiv * layer.U + cc * layer.W
-        self.DXUhat = chiv * layer.DXU + cc * layer.DXW
-        self.Vhat = chiv * layer.V
+        self.Uhat = chiv * layer.U[:, :nS] + cc * layer.W[:, :nS]
+        self.DXUhat = chiv * layer.DXU[:, :nS] + cc * layer.DXW[:, :nS]
+        self.Vhat = chiv * layer.V[:, :nS]
         self.DXVhat = np.empty_like(self.Vhat)
         self.DXVhat[0] = 0.0
         dxs = np.diff(lgrid.x)[:, None]
         self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
-        self._d1Y = diff_matrix(lgrid.Y, 1)
-        d2Y = diff_matrix(lgrid.Y, 2)
+        self._d1Y = diff_matrix(lgrid.Y[:nS], 1)
+        d2Y = diff_matrix(lgrid.Y[:nS], 2)
         d2x = diff_matrix(lgrid.x, 2)
         # rows below the reporting-grid cell scale carry unresolvable
         # corner singularities of d_xx; they are zeroed (sub-quadrature).
@@ -471,7 +486,7 @@ class LayerPart:
 
         cv = self.cv = cu * eps ** s
         chain = SIGN_Y[side] * eps ** (-s)
-        self.fields = {   # on the layer grid
+        self.fields = {   # on the layer grid's first nS Y nodes
             "u": cu * self.Uhat, "v": cv * self.Vhat,
             "ux": cu * self.DXUhat, "uy": cu * chain * self.dY(self.Uhat),
             "vx": cv * self.DXVhat, "vy": cv * chain * self.dY(self.Vhat),
@@ -498,7 +513,7 @@ class AuxPart:
         self.side = side
         self.lgrid = lgrid
         self.eps = eps
-        self.fields = {"px": px, "py": py, "P": P}   # on the layer grid
+        self.fields = {"px": px, "py": py, "P": P}   # at support width
 
     def channel_fields(self, grid):
         return _layer_to_channel(self.fields, self.lgrid, self.side,
@@ -540,7 +555,7 @@ class Cascade:
         self.a0 = a0
         self.hx = grid.x[1] - grid.x[0]   # of the Euler correctors' grid
         width = max(grid.L / 3.0, 8.0 * self.hx)
-        self.walls = {side: Wall(side, layer_grids[side], profile, eps,
+        self.walls = {side: Wall(side, layer_grids[side], profile, eps, a0,
                                  self.hx, width)
                       for side in ("minus", "plus")}
         self.parts = [BasePart(profile)]   # every part, in assembly order
@@ -572,10 +587,10 @@ class Cascade:
         comps = {}
         for tag, f in wall.pending_u:
             comps[tag] = comps.get(tag, 0.0) + f
-        F = np.zeros((wall.grid.nx, wall.grid.Y.size))
+        F = np.zeros(wall.grid.shape)   # the march's width: 0 past nS
         for tag in comps:
             comps[tag] = -(wall.ramp * comps[tag]) / q
-            F = F + comps[tag]
+            F[:, :wall.nS] += comps[tag]
         return smooth_x(F), comps
 
     # -- adding correctors ----------------------------------------------------
@@ -619,14 +634,15 @@ class Cascade:
         # scheme residual stays in the measured remainder, never in the
         # forcing: dividing it by the next equation order would compound
         # solver truncation through the cascade)
-        UY = part.dY(layer.U)
+        U, W, DXW = (f[:, :wall.nS] for f in (layer.U, layer.W, layer.DXW))
+        UY = part.dY(U)
         m = wall.m_coef
-        conv = (m * wall.grid.Y[None, :] if side == "minus" else m)
-        commut = (conv * part.cc[None, :] * layer.DXW
-                  - part.c2[None, :] * layer.U
+        conv = (m * wall.Y[None, :] if side == "minus" else m)
+        commut = (conv * part.cc[None, :] * DXW
+                  - part.c2[None, :] * U
                   - 2.0 * part.c1[None, :] * UY
-                  - part.ccpp[None, :] * layer.W
-                  - 2.0 * part.c2[None, :] * layer.U
+                  - part.ccpp[None, :] * W
+                  - 2.0 * part.c2[None, :] * U
                   - part.c1[None, :] * UY)
         self._push(side, "u", "cut", q * commut)
         if side == "minus":
@@ -654,15 +670,16 @@ class Cascade:
         # stays in the measured remainder: fed into the next forcing it would
         # re-amplify marching dust by 1/q per level at desk resolutions
         wall = self.walls[side]
-        lgrid = wall.grid
+        lgrid, n = wall.grid, wall.nS
         pv = wall.ramp_aux * sum((f for _, f in wall.pending_v),
-                                 np.zeros(lgrid.shape))
+                                 np.zeros((lgrid.nx, n)))
         for item in wall.pending_v:
             item[1] = (1.0 - wall.ramp_aux) * item[1]
         py = -pv
         s = S_EXP[side]
         sgn = SIGN_Y[side]
-        tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT  # int_Y^Ymax
+        # int_Y^Ymax; pv is 0 beyond the support, so its block suffices
+        tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT[:n, :n]
         Pi = sgn * self.eps ** s * (pv @ tail)
         dxpv = fitted_dx(lgrid.x, pv, wall.ramp.ravel())
         # the fit is unconstrained where the corner weight vanishes

@@ -84,10 +84,13 @@ SWEEP_STAND_INS = SWEEP_KEYS | {"expansion.epsilon": "sweep.epsilons"}
 # the key a single point reads in place of each sweep.* key
 POINT_KEYS = {alias: key for key, alias in SWEEP_STAND_INS.items()} | {
     "sweep.ny_cap": "grid.ny"}
-# the solver.* keys that a command does not read: construct runs no solver,
-# and only solve runs the Newton check
+# the keys that a command does not read: construct runs no solver, only
+# solve runs the Newton check, and only construct writes the fields that
+# output.formats lists (load_config checks that list before construct runs)
 UNREAD = {"construct": ("solver.tol", "solver.max_iter", "solver.newton_check"),
-          "sweep": ("solver.newton_check",), "audit": ("solver.newton_check",)}
+          "solve": ("output.formats",),
+          "sweep": ("solver.newton_check", "output.formats"),
+          "audit": ("solver.newton_check", "output.formats")}
 
 
 def _coerce(key, raw):
@@ -137,7 +140,6 @@ def load_config(path, overrides, command):
         if key in UNREAD.get(command, ()):
             raise ConfigError(f"{command} does not read {key}")
         cfg[key] = _coerce(key, raw)
-    # only construct reads output.formats, checked whichever command runs
     _formats(cfg)
     return cfg
 

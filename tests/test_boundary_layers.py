@@ -5,10 +5,14 @@ from scipy.special import erfc
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chasflow.boundary_layers import (LayerPart, MarchError, _dxu_at_inflow,
+from chasflow.boundary_layers import (S_EXP, SIGN_Y, LayerPart, LayerProfile,
+                                      MarchError, _dxu_at_inflow,
                                       _integral_matrix, _march_plan, _wall_rows,
-                                      chi, chi_prime, restrict_channel_field,
-                                      solve_layer_minus, solve_layer_plus)
+                                      chi, chi_d2, chi_d3, chi_prime,
+                                      interp_layer_field,
+                                      restrict_channel_field,
+                                      solve_layer_minus, solve_layer_plus,
+                                      support_width)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
                                      diff_matrix, one_sided_row)
 
@@ -299,8 +303,88 @@ def test_cutoff_zero_layer_and_identity_region():
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
                             grid, m_coef=2.0)
     cut2 = LayerPart(lay2, 1.0, a0, eps, 0.0)
-    inner = eps ** 0.5 * grid.Y <= a0 / 2
-    assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, inner], atol=1e-300)
+    # the part keeps the first nS nodes, which hold every node of chi = 1
+    inner = eps ** 0.5 * grid.Y[:cut2.nS] <= a0 / 2
+    assert np.count_nonzero(inner) == np.count_nonzero(
+        eps ** 0.5 * grid.Y <= a0 / 2)
+    assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, :cut2.nS][:, inner],
+                       atol=1e-300)
+
+
+def _full_width_cut(layer, cu, a0, eps, x2_floor):
+    """LayerPart's arrays built over every Y node of the layer grid, with
+    the full-width difference matrices, in LayerPart's operations."""
+    side, grid = layer.side, layer.grid
+    s = S_EXP[side]
+    yy = eps ** s * grid.Y
+    scale, sgn = eps ** s / a0, -SIGN_Y[side]
+    c1 = scale * chi_prime(yy / a0)
+    f = {"chi": chi(yy / a0), "c1": c1, "c2": scale ** 2 * chi_d2(yy / a0),
+         "cc": sgn * c1, "ccpp": sgn * scale ** 3 * chi_d3(yy / a0)}
+    chiv, cc = f["chi"][None, :], f["cc"][None, :]
+    f["Uhat"] = chiv * layer.U + cc * layer.W
+    f["DXUhat"] = chiv * layer.DXU + cc * layer.DXW
+    f["Vhat"] = chiv * layer.V
+    f["DXVhat"] = np.zeros_like(f["Vhat"])
+    f["DXVhat"][1:] = (f["Vhat"][1:] - f["Vhat"][:-1]) / np.diff(grid.x)[:, None]
+    d1Y, d2Y = diff_matrix(grid.Y, 1), diff_matrix(grid.Y, 2)
+    d2x = diff_matrix(grid.x, 2)
+    x2_mask = (grid.x >= x2_floor).astype(float)[:, None]
+
+    def lap(g):
+        return x2_mask * (d2x @ g) + eps ** (-2.0 * s) * (d2Y @ g.T).T
+
+    cv, chain = cu * eps ** s, SIGN_Y[side] * eps ** (-s)
+    fields = {"u": cu * f["Uhat"], "v": cv * f["Vhat"],
+              "ux": cu * f["DXUhat"], "uy": cu * chain * (d1Y @ f["Uhat"].T).T,
+              "vx": cv * f["DXVhat"], "vy": cv * chain * (d1Y @ f["Vhat"].T).T,
+              "lap_u": cu * lap(f["Uhat"]), "lap_v": cv * lap(f["Vhat"])}
+    return f, fields
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("a0", [0.25, 1.0])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
+    # every cut field built at full width is exactly 0 from column
+    # support_width on, and LayerPart's support-width field is that field's
+    # leading block bit for bit.  The data is nonzero on every node.  On the
+    # graded nodes the last nonzero column lies close to the support's end,
+    # so the pad is what keeps the stencils off it; packed nodes at
+    # t = eps^s Y / a0 in [1 - 2e-3, 1 + 2e-3] make a wider reach of the chi
+    # quotients (chi_d3 reads chi(t + 2e-4)) put a nonzero column past it.
+    s = S_EXP[side]
+    edge = a0 * eps ** -s
+    ymax = max(20.0, 1.1 * edge)
+    Y = ymax * np.linspace(0.0, 1.0, 121) ** 2
+    if packed:
+        Y = np.union1d(Y, edge * (1.0 + 1e-4 * np.arange(-20, 21)))
+    grid = HalfLineGrid(L, 21, None, Y=Y)
+    rng = np.random.default_rng(7)
+    U, DXU, V = rng.uniform(0.5, 1.5, (3, grid.nx, Y.size))
+    layer = LayerProfile(grid, side, 1, False, U, DXU, V, None)
+    x2_floor = 1.5 * grid.x[1]
+    part = LayerPart(layer, 0.5, a0, eps, x2_floor)
+    nS = support_width(Y, side, eps, a0)
+    assert part.nS == nS < Y.size
+    full, full_fields = _full_width_cut(layer, 0.5, a0, eps, x2_floor)
+    kept = {k: getattr(part, k) for k in full}
+    full |= {f"fields.{k}": f for k, f in full_fields.items()}
+    kept |= {f"fields.{k}": f for k, f in part.fields.items()}
+    assert set(kept) == set(full)
+    for key, f in full.items():
+        assert not np.any(f[..., nS:]), key
+        assert f[..., :nS].tobytes() == kept[key].tobytes(), key
+    if packed:   # the packed nodes reach into the quotients' nonzero band
+        assert np.any(full["ccpp"][Y > 0.999 * edge])
+    # in the channel: the columns past the support are the +0.0 that the
+    # full-width field interpolates to
+    cx, cy = np.linspace(0.0, L, 9), np.linspace(0.0, 2.0, 401)
+    for key, f in part.fields.items():
+        ref = interp_layer_field(full_fields[key], grid, side, eps, cx, cy)
+        got = interp_layer_field(f, grid, side, eps, cx, cy)
+        assert ref.tobytes() == got.tobytes(), key
 
 
 def test_cutoff_divergence_identity():
@@ -316,7 +400,7 @@ def test_cutoff_divergence_identity():
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
         lay = solver(None, g, grid, m_coef=m)
         cut = LayerPart(lay, 1.0, a0, eps, 0.0)
-        d1Y = diff_matrix(grid.Y, 1)
+        d1Y = diff_matrix(grid.Y[:cut.nS], 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
         div = cut.DXUhat + sgn * (d1Y @ cut.Vhat.T).T
         scale = np.abs(cut.DXUhat).max()

@@ -314,6 +314,27 @@ def test_jobs_outside_sweep_exits_before_any_work(command, tmp_path, capsys,
     assert os.listdir(tmp_path) == ["expansion_report.json"]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "audit"])
+def test_output_formats_is_refused_where_no_csv_is_written(command, tmp_path,
+                                                           capsys, monkeypatch):
+    # only construct writes the fields whose formats the key lists
+    def no_work(spec, eps):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr("chasflow.verification.run_point", no_work)
+    monkeypatch.setattr("chasflow.cli.solve_point", no_work)
+    for formats in ("csv", "json,csv"):
+        rc = main([command, "--set", f"output.formats={formats}",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert f"{command} does not read output.formats" in \
+            capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # construct still reads it
+    assert load_config(None, ["output.formats=json"], "construct")[
+        "output.formats"] == "json"
+
+
 @pytest.mark.parametrize("formats", ["xyz", "json,cvs"])
 def test_unknown_output_format_is_config_error(formats, tmp_path, capsys,
                                                monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chasflow.boundary_layers as bl
-from chasflow.discretization import build_channel_grid
+from chasflow.discretization import build_channel_grid, pchip_operator
 from chasflow.expansion import (ExpansionError, construct_expansion,
                                 expansion_report)
 from chasflow.nonlinear import build_case_forcing
@@ -165,14 +165,15 @@ def test_assembly_audit_bit_identical(couette_expansion):
 
 def test_euler_convection_follows_each_wall(couette_expansion):
     # an Euler part's convection keys on a wall are its own fields
-    # interpolated to that wall's layer nodes, one cache entry per wall
+    # interpolated to that wall's layer nodes inside the cut support, one
+    # cache entry per wall
     casc = couette_expansion.cascade
     part = next(p for p in casc.convecting if p.side is None)
     for side, wall in casc.walls.items():
         conv = part.convection(side)
         assert set(conv) == {"u", "v", "ux", "uy", "vx", "vy"}
         for key, field in conv.items():
-            assert field.shape == wall.grid.shape
+            assert field.shape == (wall.grid.nx, wall.nS)
             direct = bl.interp_channel_field(part.scaled(key), part.corr.grid,
                                              wall.grid.x, wall.y_of_Y)
             assert np.array_equal(field, direct), (side, key)
@@ -181,8 +182,11 @@ def test_euler_convection_follows_each_wall(couette_expansion):
 def test_interpolation_work_per_construct(monkeypatch):
     # each Euler part sends the six convection keys to each wall (3 parts
     # x 2 walls x 6); each layer sends its 8 nonzero keys and each aux
-    # pressure its 3 to the channel (4 x 8 + 4 x 3)
+    # pressure its 3 to the channel (4 x 8 + 4 x 3).  The values the PCHIP
+    # passes output are the work: the wall-normal pass to the layer nodes
+    # inside the cut support and the x pass over the channel columns there
     calls = {"interp_channel_field": 0, "interp_layer_field": 0}
+    values = []
 
     def counting(name):
         fn = getattr(bl, name)
@@ -192,11 +196,22 @@ def test_interpolation_work_per_construct(monkeypatch):
             return fn(*args)
         return wrapped
 
+    def counting_pchip(xs, xq):
+        op = pchip_operator(xs, xq)
+
+        def apply(y, axis=0):
+            out = op(y, axis)
+            values.append(out.size)
+            return out
+        return apply
+
     for name in calls:
         monkeypatch.setattr(bl, name, counting(name))
+    monkeypatch.setattr(bl, "pchip_operator", counting_pchip)
     construct_expansion(
         point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
     assert calls == {"interp_channel_field": 36, "interp_layer_field": 44}
+    assert (len(values), sum(values)) == (160, 423522)
 
 
 def test_forcing_component_sum_audit():
