@@ -358,7 +358,7 @@ def boundary_rows(x, y, conditions):
 # ND_LEAF nodes keep their natural order.  SuperLU pivots on the diagonal
 # unless it is below ND_PIVOT times the largest entry of its column.  With
 # 0 (never pivot) the backward error at 48x96 was 20x COLAMD's on the
-# stream-function system and 7000x on the bordered pressure system.
+# stream-function system.
 ND_SEPARATOR = 3
 ND_LEAF = 64
 ND_PIVOT = 0.01
@@ -423,13 +423,10 @@ class GridLU:
 
 
 def grid_lu(A, nx, ny):
-    """LU of a system whose first nx*ny unknowns are the nodes of an
-    nx x ny grid, ordered by nested dissection; any further (border)
-    unknowns, such as a Lagrange multiplier, are eliminated last."""
-    n = A.shape[0]
-    perm = np.concatenate([nested_dissection(nx, ny), np.arange(nx * ny, n)])
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
+    """Nested-dissection LU of a system on the nodes of an nx x ny grid."""
+    perm = nested_dissection(nx, ny)
+    rank = np.empty(perm.size, dtype=np.int64)
+    rank[perm] = np.arange(perm.size)
     A = A.tocoo()
     B = sp.csc_matrix((A.data, (rank[A.row], rank[A.col])), shape=A.shape)
     lu = spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
@@ -437,16 +434,16 @@ def grid_lu(A, nx, ny):
 
 
 class GridSolveError(RuntimeError):
-    """A grid system's solve produced non-finite values."""
+    """A solve on the channel grid produced non-finite values, or its
+    separable system is too ill-conditioned to solve."""
 
 
 class GridSystem:
-    """A on the C-order nodes of a channel grid (then any border unknowns,
-    such as the pressure's Lagrange multiplier), with the ``boundary_rows``
-    of the condition table walls in place of its rows there; keeps that
-    ``A``, the rows ``bnd``, the row scale ``d`` (the largest |entry| of
-    each grid-node row, 1 for an empty or border row) and the ``grid_lu``
-    factor ``lu`` of diag(1/d) A."""
+    """A stream-function operator A on the C-order nodes of a channel grid,
+    with the ``boundary_rows`` of the condition table walls in place of its
+    rows there; keeps that ``A``, the rows ``bnd``, the row scale ``d``
+    (the largest |entry| of each row, 1 for an empty row) and the
+    ``grid_lu`` factor ``lu`` of diag(1/d) A."""
 
     def __init__(self, A, grid, walls):
         rows = boundary_rows(grid.x, grid.y, walls)
@@ -455,24 +452,105 @@ class GridSystem:
         self.grid = grid
         d = abs(self.A).max(axis=1).toarray().ravel()
         d[d == 0.0] = 1.0
-        # scaling the pressure's Lagrange row (weights of size hx*hy) moves
-        # SuperLU's pivots: at 96x192 L+U grew from 2.55M to 13.6M nonzeros
-        d[grid.nx * grid.ny:] = 1.0
         self.d = d
         self.lu = grid_lu((sp.diags(1.0 / d) @ self.A).tocsc(),
                           grid.nx, grid.ny)
 
-    def solve(self, f, wall=0.0):
-        """The grid unknowns (nx, ny) for right-hand side f, wall (a scalar
-        or an (nx, ny) array) at the boundary rows and 0 at border rows."""
-        nx, ny = self.grid.nx, self.grid.ny
-        b = np.zeros(self.A.shape[0])
-        b[:nx * ny] = np.ravel(f)
-        b[self.bnd] = np.broadcast_to(wall, (nx, ny)).reshape(-1)[self.bnd]
-        x = self.lu.solve(b / self.d)[:nx * ny]
+    def solve(self, f):
+        """The grid unknowns (nx, ny) for f, with 0 at the boundary rows."""
+        b = np.array(f, dtype=float).ravel()
+        b[self.bnd] = 0.0
+        x = self.lu.solve(b / self.d)
         if not np.all(np.isfinite(x)):
             raise GridSolveError("grid system solve produced non-finite values")
-        return x.reshape(nx, ny)
+        return x.reshape(self.grid.shape)
+
+
+# refuse a reduced 1-D operator whose eigenvector matrix is conditioned worse
+# than this: the tensor-product solve loses about that factor in accuracy
+EIG_COND_LIMIT = 1e6
+# with a null mode, every other |mu_i + lambda_k| must exceed its round-off
+# value this many times, or the solve would divide by a second one
+NULL_MODE_GAP = 1e6
+
+
+class LineModes:
+    """The 1-D part of a separable grid operator along one axis.
+
+    ``-d2 + diag(w)`` on the interior nodes, with the two end values
+    eliminated by the condition each end fixes (``ends``: derivative 0, the
+    value, or 1, by the 3-point one-sided row): a full line is
+    ``P @ interior + Q @ (start, end)`` with the ends' data, so the reduced
+    operator is ``K = (-d2 @ P)[1:-1] + diag(w)`` and the data enter the
+    interior rows as ``G @ data``.  Keeps the eigendecomposition ``K = R
+    diag(lam) R^-1`` and the 2-norm condition number ``cond`` of R; raises
+    ``GridSolveError`` above EIG_COND_LIMIT.
+    """
+
+    def __init__(self, x, d2, ends, w):
+        n = x.size
+        self.P = np.eye(n, n - 2, -1)
+        self.Q = np.zeros((n, 2))
+        for k, (at_start, deriv) in enumerate(zip((True, False), ends)):
+            end = 0 if at_start else n - 1
+            if deriv == 0:
+                self.Q[end, k] = 1.0
+                continue
+            idx, wts = one_sided_row(x, at_start, deriv, 3)
+            own = idx == end
+            self.P[end, idx[~own] - 1] = -wts[~own] / wts[own]
+            self.Q[end, k] = 1.0 / wts[own][0]
+        K = -(d2 @ self.P)[1:-1] + np.diag(np.broadcast_to(w, n - 2))
+        self.G = (d2 @ self.Q)[1:-1]
+        self.lam, self.R = np.linalg.eig(K)
+        self.cond = float(np.linalg.cond(self.R))
+        if not self.cond <= EIG_COND_LIMIT:
+            raise GridSolveError(
+                f"eigenvector condition number {self.cond:.3g} of a reduced "
+                f"1-D operator exceeds {EIG_COND_LIMIT:.0e}")
+        self.Rinv = np.linalg.inv(self.R)
+
+
+class SeparableSystem:
+    """``Bx (x) I + I (x) Ky`` on the interior nodes of a channel grid, from
+    the ``LineModes`` of x (``Bx``) and y (``Ky``): ``-lap + w(y)`` with its
+    wall rows eliminated, solved by the tensor-product (fast
+    diagonalization) method of Lynch, Rice & Thomas, Numer. Math. 6 (1964)
+    185, in complex arithmetic for a complex spectrum (the real part kept).
+    With ``null``, the mode z of the smallest |mu_i + lambda_k| is its one
+    null mode (``floor``: that and the next smallest), whose coefficient a
+    solve sets to 0.  When z is the constant, that is the bordered system
+    ``[K 1; w^T 0]`` up to a constant: its multiplier adds ``c 1~`` to the
+    transformed data, and 1~ vanishes outside mode z (``c = -F~_z / 1~_z``
+    cancels that mode's datum and moves no other)."""
+
+    def __init__(self, xm, ym, null):
+        self.xm, self.ym = xm, ym
+        self.denom = xm.lam[:, None] + ym.lam[None, :]
+        if null:
+            size = np.abs(self.denom).ravel()
+            first, second = np.argpartition(size, 1)[:2]
+            self.floor = (float(size[first]), float(size[second]))
+            if not self.floor[1] > NULL_MODE_GAP * self.floor[0]:
+                raise GridSolveError(
+                    "a second near-null mode: |mu + lambda| %.3g then %.3g"
+                    % self.floor)
+            self.denom[np.unravel_index(first, self.denom.shape)] = np.inf
+
+    def solve(self, f, wall):
+        """The grid unknowns (nx, ny) for right-hand side f at the interior
+        nodes and wall (a scalar or an (nx, ny) array) at the wall nodes:
+        the datum of each y wall's condition at every x (corners included),
+        and of each x end's between the walls."""
+        xm, ym = self.xm, self.ym
+        wall = np.broadcast_to(wall, (xm.P.shape[0], ym.P.shape[0]))
+        ends_x, ends_y = wall[[0, -1], 1:-1], wall[:, [0, -1]]
+        F = f[1:-1, 1:-1] + xm.G @ ends_x + ends_y[1:-1] @ ym.G.T
+        V = (xm.R @ ((xm.Rinv @ F @ ym.Rinv.T) / self.denom) @ ym.R.T).real
+        v = (xm.P @ V + xm.Q @ ends_x) @ ym.P.T + ends_y @ ym.Q.T
+        if not np.all(np.isfinite(v)):
+            raise GridSolveError("non-finite separable solve")
+        return v
 
 
 def trapezoid_weights(x):

@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .discretization import DiffOps, cumtrapz0, one_sided_row
+from .discretization import DiffOps, LineModes, SeparableSystem, cumtrapz0
 
 log = logging.getLogger(__name__)
 
@@ -23,77 +23,10 @@ log = logging.getLogger(__name__)
 # v_x = 0 at the inflow and v = 0 at the outflow, between the walls
 SIDES = {"first": (0, 0), "plus": (1, 0), "minus": (0, 1)}
 INFLOW_OUTFLOW = (1, 0)
-# refuse a reduced 1-D operator whose eigenvector matrix is conditioned worse
-# than this: the tensor-product solve loses about that factor in accuracy
-EIG_COND_LIMIT = 1e6
 
 
 class EulerSolveError(RuntimeError):
     pass
-
-
-class LineModes:
-    """The 1-D part of the separable corrector operator along one axis.
-
-    ``-d2 + diag(w)`` on the interior nodes, with the two end values
-    eliminated by the condition each end fixes (``ends``, derivative 0 or 1
-    as in ``SIDES``): a full line is ``P @ interior + Q @ (start, end)``
-    with the ends' data, so the reduced operator is ``K = (-d2 @ P)[1:-1] +
-    diag(w)`` and the data enter the interior rows as ``G @ data``.  Keeps
-    the eigendecomposition ``K = R diag(lam) R^-1`` and the 2-norm condition
-    number ``cond`` of R; raises ``EulerSolveError`` above EIG_COND_LIMIT.
-    """
-
-    def __init__(self, x, d2, ends, w):
-        n = x.size
-        self.P = np.eye(n, n - 2, -1)
-        self.Q = np.zeros((n, 2))
-        for k, (at_start, deriv) in enumerate(zip((True, False), ends)):
-            end = 0 if at_start else n - 1
-            if deriv == 0:
-                self.Q[end, k] = 1.0
-                continue
-            idx, wts = one_sided_row(x, at_start, deriv, 3)
-            own = idx == end
-            self.P[end, idx[~own] - 1] = -wts[~own] / wts[own]
-            self.Q[end, k] = 1.0 / wts[own][0]
-        K = -(d2 @ self.P)[1:-1] + np.diag(np.broadcast_to(w, n - 2))
-        self.G = (d2 @ self.Q)[1:-1]
-        self.lam, self.R = np.linalg.eig(K)
-        self.cond = float(np.linalg.cond(self.R))
-        if not self.cond <= EIG_COND_LIMIT:
-            raise EulerSolveError(
-                f"eigenvector condition number {self.cond:.3g} of a reduced "
-                f"corrector operator exceeds {EIG_COND_LIMIT:.0e}")
-        self.Rinv = np.linalg.inv(self.R)
-
-
-class SeparableSystem:
-    """``Bx (x) I + I (x) Ky`` on the interior nodes of a channel grid, from
-    the ``LineModes`` of x (``Bx``) and y (``Ky``): the corrector operator
-    ``-lap + mu''/mu(y)`` with its wall rows eliminated, solved by the
-    tensor-product (fast diagonalization) method of Lynch, Rice & Thomas,
-    Numer. Math. 6 (1964) 185.  A complex-conjugate spectrum is solved in
-    complex arithmetic, and the real part kept."""
-
-    def __init__(self, xm, ym):
-        self.xm, self.ym = xm, ym
-        self.denom = xm.lam[:, None] + ym.lam[None, :]
-
-    def solve(self, f, wall):
-        """The grid unknowns (nx, ny) for right-hand side f at the interior
-        nodes and wall (a scalar or an (nx, ny) array) at the wall nodes:
-        the value or dv/dy on each y wall (corners included), v_x at the
-        inflow and v at the outflow between the walls."""
-        xm, ym = self.xm, self.ym
-        wall = np.broadcast_to(wall, (xm.P.shape[0], ym.P.shape[0]))
-        ends_x, ends_y = wall[[0, -1], 1:-1], wall[:, [0, -1]]
-        F = f[1:-1, 1:-1] + xm.G @ ends_x + ends_y[1:-1] @ ym.G.T
-        V = (xm.R @ ((xm.Rinv @ F @ ym.Rinv.T) / self.denom) @ ym.R.T).real
-        v = (xm.P @ V + xm.Q @ ends_x) @ ym.P.T + ends_y @ ym.Q.T
-        if not np.all(np.isfinite(v)):
-            raise EulerSolveError("corrector solve produced non-finite values")
-        return v
 
 
 class EulerCorrector:
@@ -143,7 +76,7 @@ class EulerSolver:
                       side, self.grid.nx - 2, self.grid.ny - 2,
                       ym.lam.real.min(), ym.lam.real.max(),
                       self.x_modes.cond, ym.cond)
-            self.systems[side] = SeparableSystem(self.x_modes, ym)
+            self.systems[side] = SeparableSystem(self.x_modes, ym, null=False)
         wall = np.zeros(self.grid.shape)
         if trace is not None:   # on the one Dirichlet wall of plus or minus
             wall[:, 0 if side == "minus" else -1] = trace

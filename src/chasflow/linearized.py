@@ -8,10 +8,14 @@ Neumann data read off the momentum equations.  All diagnostic norms (A1-A3
 and the weighted solution norm) live here as well.
 """
 
+import logging
+
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import GridSystem
+from .discretization import LineModes, SeparableSystem
+
+log = logging.getLogger(__name__)
 
 
 class LinearSolveError(RuntimeError):
@@ -75,11 +79,6 @@ PSI_WALLS = (
     (0, True, 0, 1, 0, _EVERY), (0, False, 1, 4, 0, _INNER),
     (0, True, 2, 5, 1, _INNER), (0, False, 3, 6, 1, _INNER),
     (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2)))
-# the pressure's Neumann rows on the walls, then at inflow and outflow
-# between them
-PRESSURE_WALLS = (
-    (1, True, 1, 3, 0, _EVERY), (1, False, 1, 3, 0, _EVERY),
-    (0, True, 1, 3, 0, _INNER), (0, False, 1, 3, 0, _INNER))
 
 
 def assemble_linearized_operator(problem):
@@ -115,7 +114,8 @@ def solve_linearized(problem):
 
 
 def recover_pressure(sol, problem):
-    """Poisson-Neumann pressure with mean-defect projection, zero mean."""
+    """Zero-mean P of the bordered Poisson-Neumann system [lap 1; w2^T 0],
+    solved by the separable solve with one null mode (the constant)."""
     ops = problem.ops
     grid = problem.grid
     bg = problem.bg
@@ -137,18 +137,20 @@ def recover_pressure(sol, problem):
     wall = gx.copy()    # gx at inflow and outflow, gy on the walls
     wall[:, [0, -1]] = gy[:, [0, -1]]
     # compatibility (Green): int rhs = sum of oriented boundary fluxes;
-    # report the defect, then solve the bordered system with a mean-zero
-    # Lagrange constraint (a point pin would amplify the defect into a
-    # spurious constant through the near-null mode).  The wall rows replace
-    # the border column's entries as well.
+    # report the defect, which the multiplier absorbs (a point pin would
+    # amplify it into a spurious constant through the null mode)
     flux = (float(ops.wx @ gy[:, ny - 1]) - float(ops.wx @ gy[:, 0])
             + float(ops.wy @ gx[nx - 1, :]) - float(ops.wy @ gx[0, :]))
     area = float(ops.w2.sum())
     defect = (ops.integrate(rhs) - flux) / area
     sol.residuals["pressure_compatibility_defect"] = abs(defect)
-    A = sp.bmat([[ops.lap, np.ones((nx * ny, 1))],
-                 [sp.csr_matrix(ops.w2.reshape(1, -1)), None]])
-    P = GridSystem(A, grid, PRESSURE_WALLS).solve(rhs, wall)
+    xm = LineModes(grid.x, ops.d2x, (1, 1), 0.0)
+    ym = LineModes(grid.y, ops.d2y, (1, 1), 0.0)
+    system = SeparableSystem(xm, ym, null=True)
+    log.debug("pressure system: %d x %d modes, null |mu + lambda| %.3g, "
+              "next %.4g, eigenvector cond %.3g (x), %.3g (y)",
+              nx - 2, ny - 2, *system.floor, xm.cond, ym.cond)
+    P = system.solve(-rhs, wall)        # its operator is -lap
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
     sol.P = P
     return P

@@ -17,7 +17,7 @@ from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      pchip_operator, replace_rows,
                                      tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
-from chasflow.linearized import (PRESSURE_WALLS, PSI_WALLS, LinearizedProblem,
+from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  assemble_linearized_operator)
 from conftest import lil_replace_rows, make_grid, same_arrays
 
@@ -525,8 +525,7 @@ def test_replace_rows_keeps_explicit_zeros():
 # -- nested-dissection LU of the tensor-grid systems -------------------------
 
 @pytest.mark.parametrize("nx, ny, border", [(24, 48, 0), (25, 47, 0),
-                                             (9, 96, 0), (60, 96, 0),
-                                             (24, 48, 1)])
+                                             (9, 96, 0), (60, 96, 0)])
 def test_grid_order_is_a_permutation(nx, ny, border):
     n = nx * ny
     perm = nested_dissection(nx, ny)
@@ -534,7 +533,6 @@ def test_grid_order_is_a_permutation(nx, ny, border):
     A = sp.identity(n + border, format="csc")
     lu = grid_lu(A, nx, ny)
     assert np.array_equal(np.sort(lu.perm), np.arange(n + border))
-    assert np.array_equal(lu.perm[n:], np.arange(n, n + border))  # border last
     assert nested_dissection(nx, ny) is perm                       # cached
 
 
@@ -542,10 +540,10 @@ def test_grid_order_is_a_permutation(nx, ny, border):
 def grid_systems():
     """name -> (A, nx, ny): each kind of system that the library factors on
     a 24x48 grid, caught at the call of ``grid_lu`` in ``GridSystem``: the
-    biharmonic system, then Picard's linearized psi system and pressure.
-    Newton factors nothing: its last (row-scaled) Jacobian, which carries
-    the nonlinear terms of a nonzero iterate, is caught at its GMRES call.
-    The Euler corrector systems are solved without a grid LU."""
+    biharmonic system, then Picard's linearized psi system.  Newton factors
+    nothing: its last (row-scaled) Jacobian, which carries the nonlinear
+    terms of a nonzero iterate, is caught at its GMRES call.  The Euler
+    corrector and pressure systems are solved without a grid LU."""
     import chasflow.discretization as discretization
     import chasflow.nonlinear as nonlinear
     from chasflow.expansion import construct_expansion
@@ -574,8 +572,8 @@ def grid_systems():
         GridSystem(exp.ops.bih, grid, PSI_WALLS)
         sol, _ = picard_solve(exp, build_case_forcing(exp))
         newton_solve(sol.problem)
-    assert len(caught) == 3
-    systems.update(zip(("biharmonic", "linearized", "pressure"), caught))
+    assert len(caught) == 2
+    systems.update(zip(("biharmonic", "linearized"), caught))
     return systems
 
 
@@ -585,11 +583,10 @@ def _backward_error(A, x, b):
             / (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()))
 
 
-@pytest.mark.parametrize("name", ["biharmonic", "linearized", "newton",
-                                  "pressure"])
+@pytest.mark.parametrize("name", ["biharmonic", "linearized", "newton"])
 def test_grid_lu_matches_colamd(grid_systems, name):
     A, nx, ny = grid_systems[name]
-    assert A.shape[0] == nx * ny + (name == "pressure")
+    assert A.shape[0] == nx * ny
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     x = grid_lu(A, nx, ny).solve(b)
     x_ref = spla.splu(A).solve(b)
@@ -602,52 +599,11 @@ def test_grid_lu_matches_colamd(grid_systems, name):
     assert gap <= 4.0 * kappa * (err + err_ref), (gap, kappa)
 
 
-# -- one grid system for the psi and pressure solves -----------------------
-
-def _bordered_neumann():
-    """A small grid, its bordered Laplacian (the pressure's: a Lagrange
-    column of ones and the quadrature row), and the same system built
-    apart: the Neumann rows set on the Laplacian, then bordered with the
-    column's wall entries zeroed."""
-    g = make_grid(8, L=0.1)
-    ops = DiffOps(g.x, g.y)
-    n = g.nx * g.ny
-    w2 = sp.csr_matrix(ops.w2.reshape(1, -1))
-    A = sp.bmat([[ops.lap, np.ones((n, 1))], [w2, None]])
-    rows = boundary_rows(g.x, g.y, PRESSURE_WALLS)
-    col = np.ones(n)
-    col[np.fromiter(rows, int)] = 0.0
-    ref = sp.bmat([[replace_rows(ops.lap, rows), col.reshape(-1, 1)],
-                   [w2, None]], format="csc")
-    return g, A, ref
-
-
-def test_grid_system_solves_a_bordered_neumann_system():
-    g, A, ref = _bordered_neumann()
-    system = GridSystem(A, g, PRESSURE_WALLS)
-    assert same_arrays(system.A, ref)
-    rng = np.random.default_rng(11)
-    f = rng.standard_normal(g.shape)
-    wall = rng.standard_normal(g.shape)    # read at the boundary rows only
-    b = np.r_[f.ravel(), 0.0]
-    b[system.bnd] = wall.ravel()[system.bnd]
-    expect = np.linalg.solve(ref.toarray(), b)[:-1].reshape(g.shape)
-    x = system.solve(f, wall)
-    assert np.abs(x - expect).max() <= 1e-10 * np.abs(expect).max()
-
-
-def test_grid_system_scales_grid_rows_only():
-    g, A, _ = _bordered_neumann()
-    system = GridSystem(A, g, PRESSURE_WALLS)
-    n = g.nx * g.ny
-    largest = abs(system.A).max(axis=1).toarray().ravel()
-    assert np.array_equal(system.d[:n], largest[:n])
-    assert largest[n] < 1.0 and system.d[n] == 1.0
-
+# -- the psi grid system -----------------------------------------------------
 
 def test_grid_system_refuses_a_non_finite_result():
-    g, A, _ = _bordered_neumann()
-    system = GridSystem(A, g, PRESSURE_WALLS)
+    g = make_grid(8, L=0.1)
+    system = GridSystem(DiffOps(g.x, g.y).bih, g, PSI_WALLS)
     f = np.zeros(g.shape)
     f[3, 4] = np.nan
     with pytest.raises(GridSolveError, match="non-finite"):

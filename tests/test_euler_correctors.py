@@ -5,12 +5,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chasflow import euler_correctors
+from chasflow import discretization
 from chasflow.cli import EXIT_NUMERICAL, main
-from chasflow.discretization import (build_channel_grid, cumtrapz0,
-                                     mms_convergence, one_sided_row)
-from chasflow.euler_correctors import (SIDES, EulerSolveError, EulerSolver,
-                                       LineModes, SeparableSystem)
+from chasflow.discretization import (GridSolveError, LineModes,
+                                     SeparableSystem, build_channel_grid,
+                                     cumtrapz0, mms_convergence,
+                                     one_sided_row)
+from chasflow.euler_correctors import SIDES, EulerSolveError, EulerSolver
 from chasflow.expansion import _extended_grid
 from chasflow.profiles import PerturbationSpec, build_profile
 from conftest import lil_replace_rows
@@ -218,8 +219,7 @@ def test_separable_solve_matches_sparse_lu(side, make, perturbed_couette):
     v = s._solve_v(side, rhs, trace)
     ref = _reference_v(_operator(s), g, side, rhs, wall)
     assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
-    # data at every wall row, as GridSystem.solve takes them: the Neumann,
-    # inflow and outflow rows too
+    # data at every wall row: the Neumann, inflow and outflow rows too
     wall = rng.standard_normal(g.shape)
     v = s.systems[side].solve(rhs, wall)
     ref = _reference_v(_operator(s), g, side, rhs, wall)
@@ -238,7 +238,7 @@ def test_a_complex_spectrum_is_solved_in_complex_arithmetic(
     assert np.iscomplexobj(ym.lam)
     rng = np.random.default_rng(6)
     rhs, wall = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
-    v = SeparableSystem(s.x_modes, ym).solve(rhs, wall)
+    v = SeparableSystem(s.x_modes, ym, null=False).solve(rhs, wall)
     assert v.dtype == np.float64
     A = _operator(s) - sp.kron(sp.identity(g.nx), skew)
     ref = _reference_v(A, g, "plus", rhs, wall)
@@ -248,8 +248,8 @@ def test_a_complex_spectrum_is_solved_in_complex_arithmetic(
 def test_ill_conditioned_modes_are_refused(perturbed_couette, channel_48x96,
                                            monkeypatch, tmp_path, capsys):
     # every eigenvector matrix has condition number >= 1
-    monkeypatch.setattr(euler_correctors, "EIG_COND_LIMIT", 0.5)
-    with pytest.raises(EulerSolveError, match="condition number"):
+    monkeypatch.setattr(discretization, "EIG_COND_LIMIT", 0.5)
+    with pytest.raises(GridSolveError, match="condition number"):
         EulerSolver(channel_48x96, perturbed_couette)
     rc = main(["construct", "--set", "grid.nx=24", "--set", "grid.ny=64",
                "--out", str(tmp_path)])

@@ -1,17 +1,24 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import sympy as sy
 
-import chasflow.discretization as discretization
-from chasflow.discretization import (DiffOps, GridSystem, one_sided_row,
-                                     replace_rows)
+from chasflow import discretization
+from chasflow.cli import EXIT_NUMERICAL, main
+from chasflow.discretization import (DiffOps, GridSolveError, GridSystem,
+                                     LineModes, SeparableSystem,
+                                     boundary_rows, build_channel_grid,
+                                     diff_matrix, replace_rows,
+                                     tanh_stretched)
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  RemainderSolution,
                                  assemble_linearized_operator, compute_norms,
                                  compute_q, curl_residual, momentum_residual,
                                  recover_pressure, solve_linearized)
-from conftest import lil_replace_rows, make_grid, same_arrays
+from conftest import make_grid
 
 L = 0.1
 M0 = 11.0 / 8.0 + 0.05
@@ -147,38 +154,95 @@ def test_pressure_recovery_trivial():
     assert abs(ops.integrate(P)) < 1e-12
 
 
-def test_pressure_neumann_rows_match_lil(monkeypatch):
+# the pressure's Neumann rows (a ``boundary_rows`` table): the 3-point
+# one-sided normal derivative on the y walls at every x, then at the inflow
+# and outflow between them
+_EVERY, _INNER = slice(None), slice(1, -1)
+NEUMANN_WALLS = ((1, True, 1, 3, 0, _EVERY), (1, False, 1, 3, 0, _EVERY),
+                 (0, True, 1, 3, 0, _INNER), (0, False, 1, 3, 0, _INNER))
+
+
+def _bordered_pressure(g, ops, rhs, wall):
+    """The zero-mean P of the bordered Neumann system [lap 1; w2^T 0]: the
+    Neumann rows replace the Laplacian's and the multiplier column's wall
+    entries, and splu solves it, refined twice against its residual."""
+    rows = boundary_rows(g.x, g.y, NEUMANN_WALLS)
+    bnd = np.fromiter(rows, int)
+    n = g.nx * g.ny
+    col = np.ones((n, 1))
+    col[bnd] = 0.0
+    A = sp.bmat([[replace_rows(ops.lap, rows), col],
+                 [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
+    b = np.r_[rhs.ravel(), 0.0]
+    b[bnd] = wall.ravel()[bnd]
+    lu = spla.splu(A)
+    x = lu.solve(b)
+    for _ in range(2):
+        x += lu.solve(b - A @ x)
+    P = x[:n].reshape(g.shape)
+    return P - ops.integrate(P) / ops.integrate(np.ones_like(P))
+
+
+@pytest.mark.parametrize("nx, ny, eps", [(48, 96, 1e-3), (96, 192, 1e-2)],
+                         ids=["stretched_48x96", "96x192"])
+def test_pressure_matches_the_bordered_lu(nx, ny, eps):
+    # with u = v = 0, rhs = div(F1, F2) and the Neumann data are F1 at the
+    # inflow and outflow and F2 on the walls, all random
+    g = build_channel_grid(L, nx, ny, eps)
+    ops = DiffOps(g.x, g.y)
+    rng = np.random.default_rng(7)
+    bg = {k: rng.standard_normal(g.shape)
+          for k in ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y",
+                    "lap_us", "lap_vs")}
+    F1, F2 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    prob = LinearizedProblem(bg, 1e-2, M0, F1=F1, F2=F2, grid=g, ops=ops)
+    zero = np.zeros(g.shape)
+    P = recover_pressure(RemainderSolution(g, ops, zero, zero), prob)
+    wall = F1.copy()
+    wall[:, [0, -1]] = F2[:, [0, -1]]
+    rhs = ops.apply(ops.Dx, F1) + ops.apply(ops.Dy, F2)
+    ref = _bordered_pressure(g, ops, rhs, wall)
+    assert np.abs(P - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_a_second_near_null_mode_is_refused(monkeypatch, tmp_path, capsys):
+    # Neumann modes on one set of nodes along both axes, the y ones shifted
+    # by -mu_1 (the second x eigenvalue): then mode (1, 0) and mode (0, 1)
+    # both have |mu + lambda| at round-off
+    nodes = tanh_stretched(0.0, 2.0, 33, 1.2)
+    d2 = diff_matrix(nodes, 2)
+    xm = LineModes(nodes, d2, (1, 1), 0.0)
+    system = SeparableSystem(xm, xm, null=True)
+    assert system.floor[1] > 1e9 * system.floor[0]
+    mu1 = np.sort(xm.lam.real)[1]
+    shifted = LineModes(nodes, d2, (1, 1), -mu1)
+    with pytest.raises(GridSolveError, match="second near-null mode"):
+        SeparableSystem(xm, shifted, null=True)
+    # a run whose pressure system fails the guard exits 3
+    monkeypatch.setattr(discretization, "NULL_MODE_GAP", np.inf)
+    rc = main(["solve", "--set", "grid.nx=24", "--set", "grid.ny=48",
+               "--set", "expansion.case=poiseuille_couette_noforce",
+               "--set", "profile.kind=poiseuille_couette",
+               "--set", "profile.alpha1=0.5", "--set", "profile.alpha2=0.5",
+               "--set", "profile.perturbation.amplitude=0.05",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "near-null mode" in capsys.readouterr().err
+
+
+def test_each_pressure_build_logs_one_debug_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="chasflow.linearized")
     g = make_grid(24, L=L)
     ops = DiffOps(g.x, g.y)
-    built = []
-
-    def capture(A, rows):
-        built.append(replace_rows(A, rows))
-        return built[-1]
-
-    monkeypatch.setattr(discretization, "replace_rows", capture)
     prob = LinearizedProblem(_couette_bg(g), 1e-2, M0, grid=g, ops=ops)
-    recover_pressure(RemainderSolution(g, ops, np.zeros(g.shape),
-                                       np.zeros(g.shape)), prob)
-    # the Neumann rows in the order the LIL loop set them
-    nx, ny = g.nx, g.ny
-    ix0, wx0 = one_sided_row(g.x, True, 1, 3)
-    ixL, wxL = one_sided_row(g.x, False, 1, 3)
-    iy0, wy0 = one_sided_row(g.y, True, 1, 3)
-    iyL, wyL = one_sided_row(g.y, False, 1, 3)
-    ref = []
-    for i in range(nx):
-        ref.append((i * ny, [i * ny + k for k in iy0], wy0))
-        ref.append((i * ny + ny - 1, [i * ny + k for k in iyL], wyL))
-    for j in range(1, ny - 1):
-        ref.append((j, [k * ny + j for k in ix0], wx0))
-        ref.append(((nx - 1) * ny + j, [k * ny + j for k in ixL], wxL))
-    # the bordered Laplacian: its wall rows drop the border column too
-    n = nx * ny
-    bordered = sp.bmat([[ops.lap, np.ones((n, 1))],
-                        [sp.csr_matrix(ops.w2.reshape(1, -1)), None]])
-    assert len(built) == 1
-    assert same_arrays(built[0], lil_replace_rows(bordered, ref))
+    zero = np.zeros(g.shape)
+    for _ in range(2):
+        recover_pressure(RemainderSolution(g, ops, zero, zero), prob)
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    assert lines[0].startswith(f"pressure system: {g.nx - 2} x {g.ny - 2} "
+                               "modes, null |mu + lambda| ")
+    assert "eigenvector cond" in lines[0]
 
 
 def test_pressure_recovery_mms_order():

@@ -158,6 +158,14 @@ def _catch_grid_lu(monkeypatch):
     return calls
 
 
+def test_picard_factors_once(case_i_24x48, monkeypatch):
+    # the psi system is Picard's one LU; its pressure is solved without one
+    calls = _catch_grid_lu(monkeypatch)
+    sol, _ = picard_solve(*case_i_24x48)
+    assert len(calls) == 1 and sol.problem.system.lu is calls[0]
+    assert sol.P is not None
+
+
 def test_newton_factors_nothing(case_i_24x48, monkeypatch):
     sol, _ = picard_solve(*case_i_24x48)
     calls = _catch_grid_lu(monkeypatch)
@@ -168,7 +176,7 @@ def test_newton_factors_nothing(case_i_24x48, monkeypatch):
 def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
     calls = _catch_grid_lu(monkeypatch)
     sol, _ = picard_solve(*case_i_24x48)
-    picard = calls[0]        # the psi LU; calls[1] is the pressure LU
+    picard = calls[0]        # the psi LU, Picard's only one
     assert sol.problem.system.lu is picard
     matvecs = []
 
