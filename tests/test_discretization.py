@@ -601,6 +601,22 @@ def test_grid_lu_matches_colamd(grid_systems, name):
 
 # -- the psi grid system -----------------------------------------------------
 
+def test_grid_system_scales_grid_rows_only():
+    # d is each grid row's largest |entry|, and only the rows are scaled:
+    # the solve returns the unknowns of the unscaled system A x = b
+    g = make_grid(12, L=0.1)
+    system = GridSystem(DiffOps(g.x, g.y).bih, g, PSI_WALLS)
+    largest = abs(system.A).max(axis=1).toarray().ravel()
+    assert system.d.shape == (g.nx * g.ny,)
+    assert np.array_equal(system.d, largest)
+    assert largest.max() > 1e3 * largest.min()
+    f = np.random.default_rng(5).standard_normal(g.shape)
+    x = system.solve(f).ravel()
+    b = f.ravel().copy()
+    b[system.bnd] = 0.0
+    assert np.abs(system.A @ x - b).max() <= 1e-9 * np.abs(b).max()
+
+
 def test_grid_system_refuses_a_non_finite_result():
     g = make_grid(8, L=0.1)
     system = GridSystem(DiffOps(g.x, g.y).bih, g, PSI_WALLS)

@@ -11,14 +11,14 @@ from chasflow.cli import EXIT_NUMERICAL, main
 from chasflow.discretization import (DiffOps, GridSolveError, GridSystem,
                                      LineModes, SeparableSystem,
                                      boundary_rows, build_channel_grid,
-                                     diff_matrix, replace_rows,
-                                     tanh_stretched)
+                                     diff_matrix, one_sided_row,
+                                     replace_rows, tanh_stretched)
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  RemainderSolution,
                                  assemble_linearized_operator, compute_norms,
                                  compute_q, curl_residual, momentum_residual,
                                  recover_pressure, solve_linearized)
-from conftest import make_grid
+from conftest import lil_replace_rows, make_grid, same_arrays
 
 L = 0.1
 M0 = 11.0 / 8.0 + 0.05
@@ -162,10 +162,10 @@ NEUMANN_WALLS = ((1, True, 1, 3, 0, _EVERY), (1, False, 1, 3, 0, _EVERY),
                  (0, True, 1, 3, 0, _INNER), (0, False, 1, 3, 0, _INNER))
 
 
-def _bordered_pressure(g, ops, rhs, wall):
-    """The zero-mean P of the bordered Neumann system [lap 1; w2^T 0]: the
-    Neumann rows replace the Laplacian's and the multiplier column's wall
-    entries, and splu solves it, refined twice against its residual."""
+def _bordered_neumann(g, ops):
+    """The bordered Neumann matrix [lap 1; w2^T 0] with the Neumann rows in
+    place of the Laplacian's and the multiplier column's wall entries, and
+    those rows."""
     rows = boundary_rows(g.x, g.y, NEUMANN_WALLS)
     bnd = np.fromiter(rows, int)
     n = g.nx * g.ny
@@ -173,6 +173,14 @@ def _bordered_pressure(g, ops, rhs, wall):
     col[bnd] = 0.0
     A = sp.bmat([[replace_rows(ops.lap, rows), col],
                  [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
+    return A, bnd
+
+
+def _bordered_pressure(g, ops, rhs, wall):
+    """The zero-mean P of the bordered Neumann system, solved by splu and
+    refined twice against its residual."""
+    A, bnd = _bordered_neumann(g, ops)
+    n = g.nx * g.ny
     b = np.r_[rhs.ravel(), 0.0]
     b[bnd] = wall.ravel()[bnd]
     lu = spla.splu(A)
@@ -181,6 +189,45 @@ def _bordered_pressure(g, ops, rhs, wall):
         x += lu.solve(b - A @ x)
     P = x[:n].reshape(g.shape)
     return P - ops.integrate(P) / ops.integrate(np.ones_like(P))
+
+
+def test_pressure_neumann_rows_match_lil():
+    g = make_grid(24, L=L)
+    ops = DiffOps(g.x, g.y)
+    A, bnd = _bordered_neumann(g, ops)
+    # the Neumann rows in the order the LIL loop set them
+    nx, ny = g.nx, g.ny
+    ix0, wx0 = one_sided_row(g.x, True, 1, 3)
+    ixL, wxL = one_sided_row(g.x, False, 1, 3)
+    iy0, wy0 = one_sided_row(g.y, True, 1, 3)
+    iyL, wyL = one_sided_row(g.y, False, 1, 3)
+    ref = []
+    for i in range(nx):
+        ref.append((i * ny, [i * ny + k for k in iy0], wy0))
+        ref.append((i * ny + ny - 1, [i * ny + k for k in iyL], wyL))
+    for j in range(1, ny - 1):
+        ref.append((j, [k * ny + j for k in ix0], wx0))
+        ref.append(((nx - 1) * ny + j, [k * ny + j for k in ixL], wxL))
+    # the bordered Laplacian: its wall rows drop the border column too
+    n = nx * ny
+    bordered = sp.bmat([[ops.lap, np.ones((n, 1))],
+                        [sp.csr_matrix(ops.w2.reshape(1, -1)), None]])
+    assert same_arrays(A, lil_replace_rows(bordered, ref))
+    assert sorted(bnd) == sorted(r for r, _, _ in ref)
+    # recover_pressure's P meets those rows: F1 at the inflow and outflow
+    # and F2 on the walls, random, with u = v = 0
+    rng = np.random.default_rng(11)
+    F1, F2 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    prob = LinearizedProblem(_couette_bg(g), 1e-2, M0, F1=F1, F2=F2,
+                             grid=g, ops=ops)
+    zero = np.zeros(g.shape)
+    P = recover_pressure(RemainderSolution(g, ops, zero, zero), prob)
+    wall = F1.copy()
+    wall[:, [0, -1]] = F2[:, [0, -1]]
+    rows = A[bnd]
+    got = rows @ np.r_[P.ravel(), 0.0]
+    scale = abs(rows).sum(axis=1).max() * np.abs(P).max()
+    assert np.abs(got - wall.ravel()[bnd]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("nx, ny, eps", [(48, 96, 1e-3), (96, 192, 1e-2)],
