@@ -400,8 +400,6 @@ class GridLU:
     """Sparse LU of a system whose unknowns are eliminated in order ``perm``.
 
     ``solve(b)`` takes and returns vectors in the system's own numbering.
-    ``L`` and ``U`` are the factors of the permuted system (SuperLU builds
-    them on each access).
     """
 
     def __init__(self, lu, perm):
@@ -412,14 +410,6 @@ class GridLU:
         x = np.empty(self.perm.size)
         x[self.perm] = self._lu.solve(np.asarray(b, dtype=float)[self.perm])
         return x
-
-    @property
-    def L(self):
-        return self._lu.L
-
-    @property
-    def U(self):
-        return self._lu.U
 
 
 def grid_lu(A, nx, ny):

@@ -3,14 +3,14 @@
 The map freezes the quadratic terms at the previous iterate and solves the
 linearized system; its fixed point is the Navier-Stokes remainder.  A damped
 Newton-Krylov solve of the same discrete system serves as an independent
-oracle: GMRES, preconditioned by Picard's factor, solves each Newton step,
-while Newton's own residual and stopping rule set the root.
+oracle: GMRES, preconditioned by Picard's factor, solves each Newton step
+with the Jacobian applied from the stencils (never assembled), while
+Newton's own residual and stopping rule set the root.
 """
 
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .discretization import GridSystem
@@ -135,21 +135,30 @@ def picard_solve(expansion, forcing):
     return sol, trace
 
 
-def _newton_jacobian_curlN(prob, u, v):
-    """Frechet derivative of curl N at (u, v), as an operator on psi."""
-    ops = prob.ops
-    c = prob.eps ** prob.M0
-    uy = sp.diags(ops.apply(ops.Dy, u).ravel())
-    ux = sp.diags(ops.apply(ops.Dx, u).ravel())
-    vy = sp.diags(ops.apply(ops.Dy, v).ravel())
-    vx = sp.diags(ops.apply(ops.Dx, v).ravel())
-    du = sp.diags(u.ravel())
-    dv = sp.diags(v.ravel())
-    J1 = -c * (uy @ (-ops.Dx) + dv @ (ops.Dy @ ops.Dy)
-               + ux @ ops.Dy + du @ (ops.Dx @ ops.Dy))
-    J2 = -c * (vy @ (-ops.Dx) + dv @ (ops.Dy @ (-ops.Dx))
-               + vx @ ops.Dy + du @ (ops.Dx @ (-ops.Dx)))
-    return (ops.Dy @ J1 - ops.Dx @ J2).tocsr()
+class _NewtonJacobian(LinearOperator):
+    """Newton's row-scaled Jacobian diag(1/d) (A - diag(mask) curl J_N) at
+    (u, v), applied from the stencils; J_N is the derivative of (N1, N2)
+    along (Dy p, -Dx p).  ``products`` counts the products taken."""
+
+    def __init__(self, problem, mask, u, v):
+        super().__init__(float, problem.system.A.shape)
+        ops = problem.ops
+        self.problem, self.mask, self.products = problem, mask, 0
+        self.fields = (u, v) + tuple(ops.apply(D, f) for f in (u, v)
+                                     for D in (ops.Dx, ops.Dy))
+
+    def _matvec(self, p):
+        self.products += 1
+        ops, system = self.problem.ops, self.problem.system
+        u, v, ux, uy, vx, vy = self.fields
+        du, dv = ops.apply(ops.Dy, p), -ops.apply(ops.Dx, p)
+        c = -self.problem.eps ** self.problem.M0
+        J1 = c * (uy * dv + v * ops.apply(ops.Dy, du)
+                  + ux * du + u * ops.apply(ops.Dx, du))
+        J2 = c * (vy * dv + v * ops.apply(ops.Dy, dv)
+                  + vx * du + u * ops.apply(ops.Dx, dv))
+        curlJ = ops.apply(ops.Dy, J1) - ops.apply(ops.Dx, J2)
+        return (system.A @ p.ravel() - self.mask * curlJ.ravel()) / system.d
 
 
 def newton_solve(problem):
@@ -160,12 +169,13 @@ def newton_solve(problem):
     the points it runs on, whose residual floors at 2.2e-9 to 2.6e-9 of its
     first value.  A zero first residual (an exact point) gives psi = 0; a
     line search that cannot decrease the residual raises
-    ``ConvergenceError``.  GMRES solves each Jacobian system to
-    NEWTON_INNER_RTOL, preconditioned by the factor of ``problem.system``; a
-    factor that fits badly costs iterations but cannot move the root, which
-    Newton's own residual sets.  The problem's frozen pair is left as it is.
-    The oracle compares velocities, so no pressure is recovered (P stays
-    None); ``norms["gmres_iterations"]`` counts the inner iterations."""
+    ``ConvergenceError``.  GMRES solves each Jacobian system, applied from
+    the stencils (``_NewtonJacobian``), to NEWTON_INNER_RTOL, preconditioned
+    by the factor of ``problem.system``; a factor that fits badly costs
+    iterations but cannot move the root, which Newton's own residual sets.
+    The problem's frozen pair is left as it is.  The oracle compares
+    velocities, so no pressure is recovered (P stays None);
+    ``norms["gmres_iterations"]`` counts the inner iterations."""
     grid, ops, system = problem.grid, problem.ops, problem.system
     A, d = system.A, system.d
     curlF = (ops.apply(ops.Dy, problem.F1)
@@ -189,19 +199,19 @@ def newton_solve(problem):
         gnorm = np.linalg.norm(G)
         if gnorm == 0.0:    # an exact root: the zero start of an exact point
             break
-        Js = (sp.diags(1.0 / d) @ (A - sp.diags(mask)
-                                   @ _newton_jacobian_curlN(problem, u, v))
-              ).tocsr()
+        Js = _NewtonJacobian(problem, mask, u, v)
         b = -G / d
         inner = []
         delta, _ = gmres(Js, b, rtol=NEWTON_INNER_RTOL, restart=30, maxiter=2,
                          M=precond, callback=inner.append,
                          callback_type="pr_norm")
+        products = Js.products
         # gmres's info does not say how far it got: test the true residual
         rel = np.linalg.norm(b - Js @ delta) / np.linalg.norm(b)
         inner_total += len(inner)
         log.debug("newton step %d: |G| %.3e, %d GMRES iterations, inner "
-                  "residual %.1e", it + 1, gnorm, len(inner), rel)
+                  "residual %.1e, %d Jacobian products", it + 1, gnorm,
+                  len(inner), rel, products)
         if not rel <= NEWTON_INNER_RTOL:
             raise ConvergenceError(
                 f"Newton step {it + 1}: GMRES reached a relative residual of "

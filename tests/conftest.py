@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chasflow.discretization import ChannelGrid, DiffOps, build_channel_grid, tanh_stretched
 from chasflow.profiles import PerturbationSpec, build_profile
@@ -65,3 +66,27 @@ def same_arrays(a, b):
     return all(getattr(a, f).dtype == getattr(b, f).dtype
                and getattr(a, f).tobytes() == getattr(b, f).tobytes()
                for f in ("data", "indices", "indptr"))
+
+
+def newton_jacobian(problem, u, v):
+    """Newton's row-scaled Jacobian diag(1/d) (A - diag(mask) curl J_N) at
+    the iterate (u, v), assembled from sparse products (mask is 0 on the
+    boundary rows of ``problem.system``): the reference for the operator
+    that ``newton_solve`` applies from the stencils."""
+    ops, system = problem.ops, problem.system
+    c = problem.eps ** problem.M0
+    uy = sp.diags(ops.apply(ops.Dy, u).ravel())
+    ux = sp.diags(ops.apply(ops.Dx, u).ravel())
+    vy = sp.diags(ops.apply(ops.Dy, v).ravel())
+    vx = sp.diags(ops.apply(ops.Dx, v).ravel())
+    du = sp.diags(u.ravel())
+    dv = sp.diags(v.ravel())
+    J1 = -c * (uy @ (-ops.Dx) + dv @ (ops.Dy @ ops.Dy)
+               + ux @ ops.Dy + du @ (ops.Dx @ ops.Dy))
+    J2 = -c * (vy @ (-ops.Dx) + dv @ (ops.Dy @ (-ops.Dx))
+               + vx @ ops.Dy + du @ (ops.Dx @ (-ops.Dx)))
+    mask = np.ones(system.A.shape[0])
+    mask[system.bnd] = 0.0
+    return (sp.diags(1.0 / system.d)
+            @ (system.A - sp.diags(mask) @ (ops.Dy @ J1 - ops.Dx @ J2))
+            ).tocsr()

@@ -541,14 +541,14 @@ def grid_systems():
     """name -> (A, nx, ny): each kind of system that the library factors on
     a 24x48 grid, caught at the call of ``grid_lu`` in ``GridSystem``: the
     biharmonic system, then Picard's linearized psi system.  Newton factors
-    nothing: its last (row-scaled) Jacobian, which carries the nonlinear
-    terms of a nonzero iterate, is caught at its GMRES call.  The Euler
-    corrector and pressure systems are solved without a grid LU."""
+    nothing and applies its Jacobian without assembling it: its row-scaled
+    Jacobian at its last iterate, which carries the nonlinear terms of a
+    nonzero psi, is assembled by the reference ``newton_jacobian``.  The
+    Euler corrector and pressure systems are solved without a grid LU."""
     import chasflow.discretization as discretization
-    import chasflow.nonlinear as nonlinear
     from chasflow.expansion import construct_expansion
     from chasflow.nonlinear import build_case_forcing, newton_solve, picard_solve
-    from conftest import point_spec
+    from conftest import newton_jacobian, point_spec
 
     exp = construct_expansion(
         point_spec("poiseuille_couette_noforce", 24, 48,
@@ -556,24 +556,21 @@ def grid_systems():
                    pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), 1e-2)
     grid = exp.grid
     caught = []
-    systems = {}
 
     def lu(A, nx, ny):
         caught.append((A.tocsc(), nx, ny))
         return grid_lu(A, nx, ny)
 
-    def gmres(A, b, **kwargs):
-        systems["newton"] = (A.tocsc(), grid.nx, grid.ny)
-        return spla.gmres(A, b, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discretization, "grid_lu", lu)
-        mp.setattr(nonlinear, "gmres", gmres)
         GridSystem(exp.ops.bih, grid, PSI_WALLS)
         sol, _ = picard_solve(exp, build_case_forcing(exp))
-        newton_solve(sol.problem)
+        newton = newton_solve(sol.problem)
     assert len(caught) == 2
-    systems.update(zip(("biharmonic", "linearized"), caught))
+    systems = dict(zip(("biharmonic", "linearized"), caught))
+    # Newton's last Jacobian is the one at the root it returns
+    systems["newton"] = (newton_jacobian(sol.problem, newton.u,
+                                         newton.v).tocsc(), grid.nx, grid.ny)
     return systems
 
 

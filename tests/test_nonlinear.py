@@ -14,7 +14,7 @@ import chasflow.nonlinear as nonlinear
 from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
-from conftest import point_spec
+from conftest import newton_jacobian, point_spec
 
 L = 0.1
 EPS = 1e-2
@@ -231,6 +231,44 @@ def test_newton_refuses_a_stalled_line_search(case_i_24x48):
         newton_solve(problem)
 
 
+def test_newton_jacobian_is_the_derivative_of_the_residual(case_i_24x48):
+    # at a nonzero iterate, Picard's psi scaled up 1e7 times: there J_N
+    # carries about 1e-3 of each product and each of its eight terms more
+    # than 1e-6, where at Picard's root J_N carries 2e-10 of it, which a
+    # 1e-12 check could not see
+    sol, _ = picard_solve(*case_i_24x48)
+    problem = sol.problem
+    ops, system = problem.ops, problem.system
+    mask = np.ones(system.A.shape[0])
+    mask[system.bnd] = 0.0
+
+    def residual(psi):
+        """Newton's residual G, less its constant curl F."""
+        u, v = ops.apply(ops.Dy, psi), -ops.apply(ops.Dx, psi)
+        N1, N2 = problem.nonlinear_terms(u, v)
+        curlN = ops.apply(ops.Dy, N1) - ops.apply(ops.Dx, N2)
+        return system.A @ psi - mask * curlN.ravel()
+
+    psi = 1e7 * sol.psi.ravel()
+    u, v = ops.apply(ops.Dy, psi), -ops.apply(ops.Dx, psi)
+    jacobian = nonlinear._NewtonJacobian(problem, mask, u, v)
+    reference = newton_jacobian(problem, u, v)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        p = rng.standard_normal(psi.size)
+        Jp = jacobian @ p
+        assert (np.linalg.norm(Jp - system.A @ p / system.d)
+                > 1e-4 * np.linalg.norm(Jp))
+        assert (np.linalg.norm(Jp - reference @ p)
+                <= 1e-12 * np.linalg.norm(reference @ p))
+        # N is quadratic, so the central difference is exact up to round-off
+        h = np.linalg.norm(psi) / np.linalg.norm(p)
+        fd = (residual(psi + h * p) - residual(psi - h * p)) / (2.0 * h)
+        assert (np.linalg.norm(Jp - fd / system.d)
+                <= 1e-12 * np.linalg.norm(fd / system.d))
+    assert jacobian.products == 3
+
+
 def test_newton_logs_each_step(case_i_24x48, caplog):
     expansion, forcing = case_i_24x48
     sol, _ = picard_solve(expansion, forcing)
@@ -241,6 +279,8 @@ def test_newton_logs_each_step(case_i_24x48, caplog):
     assert [s[0] for s in steps] == list(range(1, len(steps) + 1))
     assert sum(s[2] for s in steps) == newton.norms["gmres_iterations"]
     assert all(s[3] <= nonlinear.NEWTON_INNER_RTOL for s in steps)
+    # each GMRES iteration takes at least one Jacobian product
+    assert all(s[4] >= s[2] for s in steps)
 
 
 def test_assemble_full_solution_zero_remainder():
