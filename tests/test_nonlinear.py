@@ -233,7 +233,7 @@ def test_newton_refuses_a_stalled_line_search(case_i_24x48):
 
 def test_newton_jacobian_is_the_derivative_of_the_residual(case_i_24x48):
     # at a nonzero iterate, Picard's psi scaled up 1e7 times: there J_N
-    # carries about 1e-3 of each product and each of its eight terms more
+    # carries about 2e-3 of each product and each of its eight terms more
     # than 1e-6, where at Picard's root J_N carries 2e-10 of it, which a
     # 1e-12 check could not see
     sol, _ = picard_solve(*case_i_24x48)
