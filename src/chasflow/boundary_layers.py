@@ -99,16 +99,15 @@ def fitted_dx(x, field, weight):
 
 # -- half-line marching solvers ---------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _integral_matrix(Ybytes, last_layer):
-    """K with V = K @ (dx u) on the Y nodes (their float64 bytes): from Ymax
-    down (decaying) or -int from 0 (last).  Built once per process; shared.
+def _integral_matrix(Y, last_layer):
+    """K with V = K @ (dx u) on the Y nodes: from Ymax down (decaying) or
+    -int from 0 (last).
 
     An entry is a sum of at most two half-spacings: column c takes h_c from
     the trapezoid on [Y_c, Y_c+1] (lo) and h_c-1 from the one on
     [Y_c-1, Y_c] (hi), in every row whose integral covers that trapezoid.
     """
-    h = 0.5 * np.diff(np.frombuffer(Ybytes))
+    h = 0.5 * np.diff(Y)
     lo, hi = np.r_[h, 0.0], np.r_[0.0, h]
     n = lo.size
     if last_layer:
@@ -218,7 +217,7 @@ class _MarchPlan:
         nY = Y.size
         self.coupled = side == "minus"
         self.d2 = diff_matrix(Y, 2)
-        self.kq = _integral_matrix(Y.tobytes(), last_layer)
+        self.kq = _integral_matrix(Y, last_layer)
         self.kqT = self.kq.T.toarray()
         self.kqT.flags.writeable = False
         interior, walls = _wall_rows(Y, last_layer)
@@ -246,7 +245,7 @@ def _march_plan(Ybytes, side, last_layer):
     return _MarchPlan(np.frombuffer(Ybytes), side, last_layer)
 
 
-def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn"):
+def _march(grid, F, g, last_layer, kind, m_coef, scheme):
     """Implicit theta-scheme march in x for both layer types."""
     x = grid.x
     nx, nY = grid.nx, grid.nY
@@ -285,25 +284,25 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme="cn"):
     return U, DXU, V
 
 
-def solve_layer_plus(F, g, grid, last_layer=False, m_coef=2.0, index=0,
-                     scheme="cn"):
+def solve_layer_plus(F, g, grid, last_layer=False, m_coef=2.0, index=0, *,
+                     scheme):
     """u solves m u_x - u_YY = F, u(0,Y)=0, u(x,0)=g, decaying far field.
 
     The stored V carries the divergence-consistent sign for the upper wall:
     V = -int_Y^inf dx u (last layer: V = +int_0^Y dx u, so V(x,0) = 0).
     """
-    U, DXU, V = _march(grid, F, g, last_layer, "plus", m_coef, scheme=scheme)
+    U, DXU, V = _march(grid, F, g, last_layer, "plus", m_coef, scheme)
     return LayerProfile(grid, "plus", index, last_layer, U, DXU, -V, F)
 
 
-def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0,
-                      scheme="cn"):
+def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0, *,
+                      scheme):
     """u solves m (Y u_x + v) - u_YY = F with the nonlocal vertical velocity.
 
     Each implicit step couples u to v = int_Y^inf dx u and solves the
     coupled system monolithically.
     """
-    U, DXU, V = _march(grid, F, g, last_layer, "minus", m_coef, scheme=scheme)
+    U, DXU, V = _march(grid, F, g, last_layer, "minus", m_coef, scheme)
     return LayerProfile(grid, "minus", index, last_layer, U, DXU, V, F)
 
 

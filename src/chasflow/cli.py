@@ -198,12 +198,6 @@ def _run_spec(cfg, command):
                    scheme=cfg["expansion.scheme"], **solver)
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _outdir(cfg, args):
     out = args.out or cfg["output.dir"]
     os.makedirs(out, exist_ok=True)
@@ -220,7 +214,7 @@ def cmd_construct(cfg, args):
         if "csv" in formats:
             field.to_csv(os.path.join(out, f"{name}.csv"))
         field.to_binary(os.path.join(out, f"{name}.bin"))
-    _write_json(expansion_report(expansion), os.path.join(out, "expansion_report.json"))
+    report_to_json(expansion_report(expansion), os.path.join(out, "expansion_report.json"))
     log.info("construct: wrote artifacts to %s", out)
     return EXIT_OK
 
@@ -240,7 +234,7 @@ def cmd_solve(cfg, args):
     if cfg["solver.newton_check"]:
         newton = newton_solve(sol.problem)
         payload["newton_X_norm"] = newton.norms["X_norm"]
-    _write_json(payload, os.path.join(out, "solve_report.json"))
+    report_to_json(payload, os.path.join(out, "solve_report.json"))
     log.info("solve: converged in %d iterations", sol.norms["iterations"])
     return EXIT_OK
 
@@ -277,7 +271,7 @@ def cmd_audit(cfg, args):
                                           cfg["expansion.epsilon"])
     report = audit_invariants(expansion, sol=sol, full=full)
     out = _outdir(cfg, args)
-    _write_json(report, os.path.join(out, "audit.json"))
+    report_to_json(report, os.path.join(out, "audit.json"))
     for chk in report["checks"]:
         status = "ok " if chk["pass"] else "FAIL"
         log.info("%s %-42s %.3e (tol %.1e)", status, chk["name"],

@@ -673,34 +673,25 @@ class HalfLineGrid:
 
 
 class Field2D:
-    """Scalar grid function on a channel or half-line grid."""
+    """Scalar grid function on a channel grid."""
 
-    def __init__(self, grid, values=None):
+    def __init__(self, grid, values):
         self.grid = grid
-        if values is None:
-            values = np.zeros(grid.shape)
         values = np.asarray(values, dtype=float)
         if values.shape != tuple(grid.shape):
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         self.values = values
 
     def to_csv(self, path):
-        xs = getattr(self.grid, "x")
-        ys = getattr(self.grid, "y", None)
-        if ys is None:
-            ys = self.grid.Y
         with open(path, "w") as fh:
             fh.write("x,y,value\n")
-            for i, xv in enumerate(xs):
-                for j, yv in enumerate(ys):
+            for i, xv in enumerate(self.grid.x):
+                for j, yv in enumerate(self.grid.y):
                     fh.write(f"{xv!r},{yv!r},{self.values[i, j]!r}\n")
 
     def to_binary(self, path):
-        xs = np.asarray(getattr(self.grid, "x"), dtype=float)
-        ys = getattr(self.grid, "y", None)
-        if ys is None:
-            ys = self.grid.Y
-        ys = np.asarray(ys, dtype=float)
+        xs = np.asarray(self.grid.x, dtype=float)
+        ys = np.asarray(self.grid.y, dtype=float)
         header = struct.pack("<4sIII", MAGIC, BINARY_VERSION, xs.size, ys.size)
         with open(path, "wb") as fh:
             fh.write(header)
@@ -743,35 +734,30 @@ class DiffOps:
         self.Dyy = sp.kron(Ix, self.d2y, format="csr")
         self.Dxy = sp.kron(self.d1x, self.d1y, format="csr")
         self.lap = (self.Dxx + self.Dyy).tocsr()
-        self._bih = None
-        self._third = None
         self.wx = trapezoid_weights(self.x)
         self.wy = trapezoid_weights(self.y)
         self.w2 = np.outer(self.wx, self.wy).ravel()
 
-    @property
+    @functools.cached_property
     def bih(self):
-        if self._bih is None:
-            Ix = sp.identity(self.nx, format="csr")
-            Iy = sp.identity(self.ny, format="csr")
-            d4x = diff_matrix(self.x, 4)
-            d4y = diff_matrix(self.y, 4)
-            self._bih = (sp.kron(d4x, Iy) + 2.0 * sp.kron(self.d2x, self.d2y)
-                         + sp.kron(Ix, d4y)).tocsr()
-        return self._bih
+        Ix = sp.identity(self.nx, format="csr")
+        Iy = sp.identity(self.ny, format="csr")
+        d4x = diff_matrix(self.x, 4)
+        d4y = diff_matrix(self.y, 4)
+        return (sp.kron(d4x, Iy) + 2.0 * sp.kron(self.d2x, self.d2y)
+                + sp.kron(Ix, d4y)).tocsr()
 
+    @functools.cached_property
     def third_ops(self):
         """(Dxxx, Dxxy, Dxyy, Dyyy) for third-derivative norms."""
-        if self._third is None:
-            Ix = sp.identity(self.nx, format="csr")
-            Iy = sp.identity(self.ny, format="csr")
-            d3x = diff_matrix(self.x, 3)
-            d3y = diff_matrix(self.y, 3)
-            self._third = (sp.kron(d3x, Iy, format="csr"),
-                           sp.kron(self.d2x, self.d1y, format="csr"),
-                           sp.kron(self.d1x, self.d2y, format="csr"),
-                           sp.kron(Ix, d3y, format="csr"))
-        return self._third
+        Ix = sp.identity(self.nx, format="csr")
+        Iy = sp.identity(self.ny, format="csr")
+        d3x = diff_matrix(self.x, 3)
+        d3y = diff_matrix(self.y, 3)
+        return (sp.kron(d3x, Iy, format="csr"),
+                sp.kron(self.d2x, self.d1y, format="csr"),
+                sp.kron(self.d1x, self.d2y, format="csr"),
+                sp.kron(Ix, d3y, format="csr"))
 
     def apply(self, op, f):
         return (op @ f.ravel()).reshape(self.nx, self.ny)

@@ -90,7 +90,7 @@ def assemble_linearized_operator(problem):
     usx = sp.diags(bg["us_x"].ravel())
     vsx = sp.diags(bg["vs_x"].ravel())
     lap_us = sp.diags(bg["lap_us"].ravel())
-    Dxxx, _, Dxyy, _ = ops.third_ops()
+    Dxxx, _, Dxyy, _ = ops.third_ops
     A = us @ (Dxyy + Dxxx) - lap_us @ ops.Dx
     # S(u, v) with u = psi_y, v = -psi_x
     S = (ops.Dy @ (usx @ ops.Dy + vs @ ops.Dyy)
@@ -256,7 +256,7 @@ def compute_norms(sol, background, eps):
 
     # squared norms of (Dxxx, Dxxy, Dxyy, Dyyy) applied to u, then to v
     third = [ops.norm_l2(ops.apply(op, f)) ** 2
-             for f in (u, v) for op in ops.third_ops()]
+             for f in (u, v) for op in ops.third_ops]
     A3 = np.sqrt(eps ** 3 * (third[4] + third[5] + third[6]))
     third_sum = 0.0
     for t in third:     # left to right: sum() compensates from Python 3.12

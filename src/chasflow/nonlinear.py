@@ -182,7 +182,7 @@ def newton_solve(problem):
              - ops.apply(ops.Dx, problem.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
     mask[system.bnd] = curlF[system.bnd] = 0.0
-    precond = LinearOperator(A.shape, matvec=system.lu.solve)
+    precond = LinearOperator(A.shape, matvec=system.lu.solve, dtype=float)
 
     def residual(psi_flat):
         sf = psi_flat.reshape(grid.nx, grid.ny)

@@ -2,9 +2,11 @@
 
 A profile carries closed-form evaluators for mu(y) and its derivatives
 through order 4, plus the degenerate-ratio evaluators mu''/mu and mu'''/mu
-whose wall values are taken by series limits (mu vanishes at no-slip walls,
-so raw division is 0/0 there).
+by direct division off the walls and, at a wall where mu vanishes (a
+no-slip wall, where division is 0/0), by their limit from inside.
 """
+
+from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -18,11 +20,6 @@ _FINE = np.linspace(0.0, 2.0, 10001)
 
 class ProfileError(ValueError):
     pass
-
-
-def _binom(k, j):
-    from math import comb
-    return comb(k, j)
 
 
 class BumpShape:
@@ -52,7 +49,7 @@ class BumpShape:
         for j in range(k + 1):
             # d^(k-j) sin(pi y) = pi^(k-j) sin(pi y + (k-j) pi/2)
             trig = np.pi ** (k - j) * np.sin(np.pi * y + (k - j) * np.pi / 2.0)
-            out += _binom(k, j) * self._poly_d(y, j) * trig
+            out += comb(k, j) * self._poly_d(y, j) * trig
         return self._scale * out
 
     def c4_norm(self):
@@ -113,47 +110,30 @@ class ShearProfile:
 
     # -- degenerate ratios ---------------------------------------------------
 
-    def _ratio(self, y, num_order):
-        """mu^(num_order)/mu, by series within 1e-4 of a wall where mu vanishes."""
-        wall_window = 1e-4
+    def _ratio(self, y, k):
+        """mu^(k)/mu by direct division; at a wall where mu vanishes, the
+        limit from inside, where mu > 0: mu^(k+1)/mu' if mu^(k) vanishes
+        there too, else sign(mu^(k)) * inf."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y)
-        plain = np.ones(y.shape, dtype=bool)
-        for wall, sgn in ((0.0, 1.0), (2.0, -1.0)):
-            if abs(self.mu(np.array([wall]))[0]) > 1e-12:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.mu(y, k) / self.mu(y)
+        for wall in (0.0, 2.0):
+            w = np.array([wall])
+            if abs(self.mu(w)[0]) > 1e-12:
                 continue
-            near = np.abs(y - wall) < wall_window
-            if not np.any(near):
-                continue
-            plain &= ~near
-            t = sgn * (y[near] - wall)  # distance into the channel
-            d = [float(self.mu(np.array([wall]), k)[0]) * sgn ** k for k in range(5)]
-            num = (d[num_order] + t * d[num_order + 1]
-                   + (t ** 2 / 2.0) * (d[num_order + 2] if num_order + 2 <= 4 else 0.0))
-            den = t * (d[1] + t * d[2] / 2.0 + t ** 2 * d[3] / 6.0)
-            num *= sgn ** num_order
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(den != 0.0, num / np.where(den == 0.0, 1.0, den),
-                             np.where(num == 0.0, 0.0, np.inf) * np.sign(num + (num == 0.0)))
-            # removable limit when leading numerator coefficient vanishes
-            at_wall = t == 0.0
-            if np.any(at_wall):
-                lead = d[num_order] * sgn ** num_order
-                if abs(lead) < 1e-12 * max(1.0, self.c4_bound):
-                    lim = (d[num_order + 1] * sgn ** num_order) / d[1] if num_order + 1 <= 4 else 0.0
-                    r = np.where(at_wall, lim, r)
-                else:
-                    r = np.where(at_wall, np.inf * np.sign(lead) / d[1], r)
-            out[near] = r
-        out[plain] = self.mu(y[plain], num_order) / self.mu(y[plain])
+            dk = self.mu(w, k)[0]
+            if abs(dk) < 1e-12 * max(1.0, self.c4_bound):
+                out[y == wall] = self.mu(w, k + 1)[0] / self.mu(w, 1)[0]
+            else:
+                out[y == wall] = np.sign(dk) * np.inf
         return out
 
     def ratio2(self, y):
-        """mu''/mu, wall values by one-sided series limit."""
+        """mu''/mu, wall values by their limit from inside."""
         return self._ratio(y, 2)
 
     def ratio3(self, y):
-        """mu'''/mu, wall values by one-sided series limit."""
+        """mu'''/mu, wall values by their limit from inside."""
         return self._ratio(y, 3)
 
     # -- admissibility -------------------------------------------------------
@@ -202,8 +182,8 @@ def build_profile(kind, alpha1, alpha2, perturbation=None, eps=1.0,
 def check_couette_degeneracy(profile, n_samples=10000):
     """Report sup|mu''/mu| and |mu'''/mu|_{C^k} against RATIO2_SUP and RATIO3_CK.
 
-    Wall values use the series limits (mu'(0) > 0 makes them well defined for
-    degenerate profiles); C^k derivatives of the ratio are measured on the
+    Wall values are the ratios' limits (mu'(0) > 0 makes them well defined
+    for degenerate profiles); C^k derivatives of the ratio are measured on the
     sample grid.  Report-only: never raises.
     """
     k = 2

@@ -75,7 +75,7 @@ def test_criterion_2_biharmonic_mms():
 def test_criterion_3_erfc_similarity():
     t0 = time.time()
     grid = HalfLineGrid(L, 201, 400, Ymax=20.0)
-    lay = solve_layer_plus(None, np.ones(201), grid, m_coef=2.0)
+    lay = solve_layer_plus(None, np.ones(201), grid, m_coef=2.0, scheme="cn")
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     with np.errstate(divide="ignore"):
         exact = erfc(Y / np.sqrt(2.0 * np.maximum(X, 1e-300)))
@@ -96,7 +96,7 @@ def test_criterion_4_degenerate_mms_order():
         grid = HalfLineGrid(L, nx, 301)
         X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
         F = Y * np.exp(-Y) + np.exp(-Y) - X * np.exp(-Y)
-        lay = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0)
+        lay = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0, scheme="cn")
         flat.append(float(np.abs(lay.U - X * np.exp(-Y)).max()))
     k = 40.0
     errs = []
@@ -105,7 +105,7 @@ def test_criterion_4_degenerate_mms_order():
         X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
         F = (Y * k * np.cos(k * X) * np.exp(-Y) + k * np.cos(k * X) * np.exp(-Y)
              - np.sin(k * X) * np.exp(-Y))
-        lay = solve_layer_minus(F, np.sin(k * grid.x), grid, m_coef=1.0)
+        lay = solve_layer_minus(F, np.sin(k * grid.x), grid, m_coef=1.0, scheme="cn")
         errs.append(float(np.abs(lay.U - np.sin(k * X) * np.exp(-Y)).max()))
     order = float(np.polyfit(np.log([1 / 50, 1 / 100, 1 / 200]),
                              np.log(errs), 1)[0])
@@ -219,8 +219,10 @@ def test_criterion_10_invariant_suite():
     g = -0.1 * np.sin(np.pi * base.x / (2 * L)) ** 2
     drift = 0.0
     for m in (0, 2, 4):
-        a = solve_layer_plus(None, g, base, m_coef=2.0).weighted_norm(m, 1, 1)
-        b = solve_layer_plus(None, g, doubled, m_coef=2.0).weighted_norm(m, 1, 1)
+        a = solve_layer_plus(None, g, base, m_coef=2.0,
+                             scheme="cn").weighted_norm(m, 1, 1)
+        b = solve_layer_plus(None, g, doubled, m_coef=2.0,
+                             scheme="cn").weighted_norm(m, 1, 1)
         drift = max(drift, abs(a - b) / max(abs(a), 1e-30))
 
     # norm homogeneity

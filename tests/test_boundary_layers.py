@@ -31,7 +31,7 @@ def test_chi_shape():
 def test_zero_data_zero_solution():
     grid = HalfLineGrid(L, 61, 101)
     for solver, m in ((solve_layer_plus, 2.0), (solve_layer_minus, 1.0)):
-        lay = solver(None, None, grid, m_coef=m)
+        lay = solver(None, None, grid, m_coef=m, scheme="cn")
         assert np.abs(lay.U).max() == 0.0
         assert np.abs(lay.V).max() == 0.0
 
@@ -39,7 +39,7 @@ def test_zero_data_zero_solution():
 def test_plus_erfc_similarity():
     # 2 u_x = u_YY with g = 1: u = erfc(Y / sqrt(2x)); corner-singular data
     grid = HalfLineGrid(L, 201, 400, Ymax=20.0)
-    lay = solve_layer_plus(None, np.ones(201), grid, m_coef=2.0)
+    lay = solve_layer_plus(None, np.ones(201), grid, m_coef=2.0, scheme="cn")
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     with np.errstate(divide="ignore"):
         exact = erfc(Y / np.sqrt(2.0 * np.maximum(X, 1e-300)))
@@ -52,7 +52,7 @@ def test_plus_mms_sine():
     grid = HalfLineGrid(L, 161, 360)
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     F = 2.0 * np.cos(X) * np.exp(-Y) - np.sin(X) * np.exp(-Y)
-    lay = solve_layer_plus(F, np.sin(grid.x), grid, m_coef=2.0)
+    lay = solve_layer_plus(F, np.sin(grid.x), grid, m_coef=2.0, scheme="cn")
     assert np.abs(lay.U - np.sin(X) * np.exp(-Y)).max() < 5e-6
 
 
@@ -61,7 +61,7 @@ def test_minus_mms_handbuilt():
     grid = HalfLineGrid(L, 101, 301)
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     F = Y * np.exp(-Y) + np.exp(-Y) - X * np.exp(-Y)
-    lay = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0)
+    lay = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0, scheme="cn")
     assert np.abs(lay.U - X * np.exp(-Y)).max() < 5e-6
     # the x = 0 column of V is the definitional wall-concentrated start
     inner = grid.Y < 10.0
@@ -74,7 +74,7 @@ def _march_minus_picard(grid, F, g, last_layer, m_coef, tol=1e-10, max_it=200):
     x, Y = grid.x, grid.Y
     nx, nY = grid.nx, grid.nY
     d2 = diff_matrix(Y, 2)
-    kq = _integral_matrix(grid.Y.tobytes(), last_layer)
+    kq = _integral_matrix(grid.Y, last_layer)
     interior, walls = _wall_rows(Y, last_layer)
     U = np.zeros((nx, nY))
     U[0, 0] = g[0]
@@ -135,7 +135,7 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     # each step solved densely: m/dx conv u - th u_YY = theta-weighted rest
     nY = grid.nY
     d2 = diff_matrix(grid.Y, 2).toarray()
-    kq = _integral_matrix(grid.Y.tobytes(), last_layer).toarray()
+    kq = _integral_matrix(grid.Y, last_layer).toarray()
     conv = np.eye(nY) if side == "plus" else np.diag(grid.Y) + kq
     ider, wder = one_sided_row(grid.Y, False, 1, 3)
     U = np.zeros(grid.shape)
@@ -182,7 +182,7 @@ def _integral_matrix_rows(Y, last_layer):
 @pytest.mark.parametrize("last_layer", [False, True])
 def test_integral_matrix_matches_row_loop(last_layer):
     Y = HalfLineGrid(L, 11, 57).Y
-    K, ref = _integral_matrix(Y.tobytes(), last_layer), _integral_matrix_rows(Y, last_layer)
+    K, ref = _integral_matrix(Y, last_layer), _integral_matrix_rows(Y, last_layer)
     for a in ("data", "indices", "indptr"):
         assert getattr(K, a).tobytes() == getattr(ref, a).tobytes()
     assert K.T.toarray().tobytes() == ref.T.toarray().tobytes()
@@ -217,12 +217,12 @@ def test_repeated_march_factors_nothing(monkeypatch):
     grid = HalfLineGrid(L, 41, 61)
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     F = np.exp(-Y) * (1.0 + X)
-    first = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0)
+    first = solve_layer_minus(F, grid.x.copy(), grid, m_coef=1.0, scheme="cn")
 
     def no_splu(A, *args, **kwargs):
         raise AssertionError("step matrix refactored")
     monkeypatch.setattr(spla, "splu", no_splu)
-    again = solve_layer_minus(2.0 * F, 2.0 * grid.x, grid, m_coef=1.0)
+    again = solve_layer_minus(2.0 * F, 2.0 * grid.x, grid, m_coef=1.0, scheme="cn")
     assert np.array_equal(again.U, 2.0 * first.U)
 
 
@@ -231,8 +231,8 @@ def test_layer_linearity():
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     F = Y * np.exp(-Y) + np.exp(-Y) - X * np.exp(-Y)
     g = grid.x.copy()
-    one = solve_layer_minus(F, g, grid, m_coef=1.0)
-    two = solve_layer_minus(2 * F, 2 * g, grid, m_coef=1.0)
+    one = solve_layer_minus(F, g, grid, m_coef=1.0, scheme="cn")
+    two = solve_layer_minus(2 * F, 2 * g, grid, m_coef=1.0, scheme="cn")
     assert np.allclose(two.U, 2 * one.U, rtol=1e-12, atol=1e-16)
 
 
@@ -244,7 +244,7 @@ def test_marching_x_order():
         grid = HalfLineGrid(L, nx, 401)
         X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
         F = 2 * k * np.cos(k * X) * np.exp(-Y) - np.sin(k * X) * np.exp(-Y)
-        lay = solve_layer_plus(F, np.sin(k * grid.x), grid, m_coef=2.0)
+        lay = solve_layer_plus(F, np.sin(k * grid.x), grid, m_coef=2.0, scheme="cn")
         errs.append(np.abs(lay.U - np.sin(k * X) * np.exp(-Y)).max())
     order = np.polyfit(np.log([1 / 50, 1 / 100, 1 / 200]), np.log(errs), 1)[0]
     assert order >= 1.7
@@ -254,7 +254,7 @@ def test_last_layer_wall_normal_velocity_zero():
     grid = HalfLineGrid(L, 81, 201)
     g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
     for solver, m in ((solve_layer_plus, 2.0), (solve_layer_minus, 1.0)):
-        lay = solver(None, g, grid, last_layer=True, m_coef=m)
+        lay = solver(None, g, grid, last_layer=True, m_coef=m, scheme="cn")
         assert np.abs(lay.V[:, 0]).max() == 0.0
         # ||v / Y|| finite near Y = 0
         ratio = lay.V[:, 1:6] / grid.Y[None, 1:6]
@@ -271,7 +271,7 @@ def test_far_field_decay_and_ymax_doubling():
     doubled = HalfLineGrid(L, None, None, x=base.x, Y=ext_Y)
     norms = {}
     for grid in (base, doubled):
-        lay = solve_layer_plus(None, g, grid, m_coef=2.0)
+        lay = solve_layer_plus(None, g, grid, m_coef=2.0, scheme="cn")
         assert lay.far_field() < 1e-12
         for m in (0, 2, 4):
             for n in (0, 1, 2):
@@ -295,13 +295,13 @@ def test_marching_monotone_mass_for_negative_trace():
 def test_cutoff_zero_layer_and_identity_region():
     eps, a0 = 1e-2, 0.25
     grid = HalfLineGrid(L, 81, 201, Ymax=max(20.0, 1.1 * a0 * eps ** -0.5))
-    lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0)
+    lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0, scheme="cn")
     cg = build_channel_grid(L, 32, 96, eps)
     f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
     assert np.abs(f["u"]).max() == 0.0 and np.abs(f["v"]).max() == 0.0
     # chi = 1 where the wall distance stays below a0/2
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
-                            grid, m_coef=2.0)
+                            grid, m_coef=2.0, scheme="cn")
     cut2 = LayerPart(lay2, 1.0, a0, eps, 0.0)
     # the part keeps the first nS nodes, which hold every node of chi = 1
     inner = eps ** 0.5 * grid.Y[:cut2.nS] <= a0 / 2
@@ -398,7 +398,7 @@ def test_cutoff_divergence_identity():
         grid = HalfLineGrid(L, 121, 301,
                             Ymax=max(20.0, 1.1 * a0 * eps ** (-1 / 2)))
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
-        lay = solver(None, g, grid, m_coef=m)
+        lay = solver(None, g, grid, m_coef=m, scheme="cn")
         cut = LayerPart(lay, 1.0, a0, eps, 0.0)
         d1Y = diff_matrix(grid.Y[:cut.nS], 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
@@ -414,7 +414,7 @@ def test_channel_divergence_after_cutoff_converges():
     for n in (1, 2):
         grid = HalfLineGrid(L, 100 * n + 1, 200 * n + 1)
         g = 0.05 * np.sin(np.pi * grid.x / (2 * L))
-        lay = solve_layer_minus(None, g, grid, m_coef=1.0)
+        lay = solve_layer_minus(None, g, grid, m_coef=1.0, scheme="cn")
         cg = build_channel_grid(L, 32 * n, 96 * n, eps)
         f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
         u, v = f["u"], f["v"]

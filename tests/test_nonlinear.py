@@ -178,15 +178,21 @@ def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
     sol, _ = picard_solve(*case_i_24x48)
     picard = calls[0]        # the psi LU, Picard's only one
     assert sol.problem.system.lu is picard
-    matvecs = []
+    matvecs, inputs = [], []
 
-    def operator(shape, matvec):
+    def operator(shape, matvec, dtype=None):
         matvecs.append(matvec)
-        return LinearOperator(shape, matvec=matvec)
+
+        def recorded(b):
+            inputs.append(np.array(b))
+            return matvec(b)
+        return LinearOperator(shape, matvec=recorded, dtype=dtype)
 
     monkeypatch.setattr(nonlinear, "LinearOperator", operator)
     newton_solve(sol.problem)
     assert len(matvecs) == 1 and matvecs[0].__self__ is picard
+    # with its dtype given, scipy spends no solve on a zero vector to probe it
+    assert inputs and all(np.any(b) for b in inputs)
 
 
 def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48,

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,7 +107,7 @@ def _cubic_bump_mu(y, k=0):
 
 def test_degeneracy_cubic_bump_sampling_oracle():
     # mu = y + 0.01 y^3 (2-y)^3: sample at 1e4 points and Richardson-extrapolate
-    # the wall limit of mu''/mu; the series evaluator must agree
+    # the wall limit of mu''/mu; the wall value must agree
     mu = _cubic_bump_mu
     prof = build_profile("custom", 1.0, 0.0, custom=mu)
     rep = check_couette_degeneracy(prof, n_samples=10000)
@@ -115,8 +116,8 @@ def test_degeneracy_cubic_bump_sampling_oracle():
     hs = np.array([1e-3, 5e-4])
     vals = mu(hs, 2) / mu(hs)
     wall = vals[1] + (vals[1] - vals[0])  # first-order extrapolation in h
-    series = prof.ratio2(np.array([0.0]))[0]
-    assert series == pytest.approx(wall, rel=5e-3)
+    limit = prof.ratio2(np.array([0.0]))[0]
+    assert limit == pytest.approx(wall, rel=5e-3)
 
 
 def test_degeneracy_unbounded_ratio3_without_nan_arithmetic():
@@ -127,3 +128,65 @@ def test_degeneracy_unbounded_ratio3_without_nan_arithmetic():
         rep = check_couette_degeneracy(prof, n_samples=10000)
     assert rep["ratio3_ck"] == np.inf
     assert not rep["pass"]
+
+
+def _mp_ratio(prof, y, k):
+    """mu^(k)/mu at the float y, to 40 digits, from the profile's own
+    constants; mpmath differentiates mu."""
+    pert = prof.perturbation
+    with mp.workdps(40):
+        a1, a2 = mp.mpf(prof.alpha1), mp.mpf(prof.alpha2)
+        bump = (0 if pert is None
+                else mp.mpf(pert.scale(prof.eps)) * mp.mpf(pert.shape._scale))
+
+        def mu(t):
+            return (a1 * t + a2 * t * (2 - t)
+                    + bump * t ** 4 * (2 - t) ** 4 * mp.sin(mp.pi * t))
+        y = mp.mpf(y)
+        return float(mp.diff(mu, y, k) / mu(y))
+
+
+NEAR_WALL = np.array([1e-7, 1e-5, 9.9e-5])
+
+
+@pytest.mark.parametrize("name, kind, alpha1, alpha2, pert, y", [
+    ("perturbed couette", "couette", 1.0, 0.0, (0.05, 0.0), NEAR_WALL),
+    ("family", "poiseuille_couette", 0.5, 0.5, (0.05, 0.425), NEAR_WALL),
+    ("perturbed poiseuille", "poiseuille", 0.0, 1.0, (0.05, 0.0), NEAR_WALL),
+    ("poiseuille", "poiseuille", 0.0, 1.0, None, 2.0 - NEAR_WALL),
+])
+def test_ratios_near_a_wall_match_mpmath(name, kind, alpha1, alpha2, pert, y):
+    # within 1e-4 of a wall where mu vanishes, mu^(k)/mu to 1e-12 relative
+    # (absolute below 1)
+    spec = None if pert is None else PerturbationSpec(*pert)
+    prof = build_profile(kind, alpha1, alpha2, perturbation=spec, eps=1e-2)
+    for k, ratio in ((2, prof.ratio2), (3, prof.ratio3)):
+        got = ratio(y)
+        for yj, rj in zip(y, got):
+            ref = _mp_ratio(prof, yj, k)
+            assert abs(rj - ref) <= 1e-12 * max(1.0, abs(ref)), (name, k, yj)
+
+
+def test_wall_ratios_are_limits(poiseuille, perturbed_couette):
+    walls = np.array([0.0, 2.0])
+    assert np.all(poiseuille.ratio2(walls) == -np.inf)
+    family = build_profile("poiseuille_couette", 0.5, 0.5, eps=1e-2,
+                           perturbation=PerturbationSpec(0.05, 0.425))
+    cubic = build_profile("custom", 1.0, 0.0, custom=_cubic_bump_mu)
+    vanishing = 0
+    for prof in (poiseuille, perturbed_couette, family, cubic):
+        for wall in walls:
+            w = np.array([wall])
+            if abs(prof.mu(w)[0]) > 1e-12:
+                continue
+            for k, ratio in ((2, prof.ratio2), (3, prof.ratio3)):
+                dk = prof.mu(w, k)[0]
+                if abs(dk) < 1e-12 * max(1.0, prof.c4_bound):
+                    # removable: mu^(k+1)/mu', bit for bit
+                    vanishing += 1
+                    assert ratio(w)[0] == prof.mu(w, k + 1)[0] / prof.mu(w, 1)[0]
+                else:
+                    assert ratio(w)[0] == np.sign(dk) * np.inf
+    # the cubic bump's mu''/mu tends to mu'''(0)/mu'(0) = 0.48
+    assert cubic.ratio2(np.array([0.0]))[0] == pytest.approx(0.48, rel=1e-15)
+    assert vanishing == 6
