@@ -157,14 +157,10 @@ def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope):
     The wall row carries the data slope g'(0) so the divergence relation
     holds up to the corner.
     """
-    if kind == "plus":
-        out = F0 / m_coef
-        out[0] = g_slope
-        return out
-    # degenerate side: the similarity limit of d_x u at x=0 concentrates at
-    # the wall (g'(0) there, 0 above); the integral equation itself is
-    # ill-conditioned near Y=0 and is not used by the march.
-    out = np.zeros(grid.nY)
+    # on the degenerate side the similarity limit of d_x u at x=0
+    # concentrates at the wall (g'(0) there, 0 above); the integral equation
+    # itself is ill-conditioned near Y=0 and is not used by the march.
+    out = F0 / m_coef if kind == "plus" else np.zeros(grid.nY)
     out[0] = g_slope
     return out
 
@@ -173,17 +169,13 @@ class LayerProfile:
     """One solved boundary-layer corrector on its half-line grid."""
 
     def __init__(self, grid, side, index, last_layer, U, DXU, V, F):
-        self.grid = grid
-        self.side = side
-        self.index = index
+        self.grid, self.side, self.index = grid, side, index
         self.last_layer = last_layer
         self.U = U          # (nx, nY)
         self.DXU = DXU      # backward differences, consistent with the march
         self.V = V          # divergence-consistent vertical velocity
         self.W = cumtrapz0(V, grid.x)
-        self.DXW = np.empty_like(V)
-        self.DXW[0] = V[0]
-        self.DXW[1:] = 0.5 * (V[1:] + V[:-1])
+        self.DXW = np.r_[V[:1], 0.5 * (V[1:] + V[:-1])]
         self.F = F          # the forcing the march balanced (None: zero)
 
     def far_field(self):
@@ -216,6 +208,7 @@ class _MarchPlan:
     def __init__(self, Y, side, last_layer):
         nY = Y.size
         self.coupled = side == "minus"
+        self.conv = Y if self.coupled else np.ones(nY)   # diagonal of conv
         self.d2 = diff_matrix(Y, 2)
         self.kq = _integral_matrix(Y, last_layer)
         self.kqT = self.kq.T.toarray()
@@ -223,20 +216,37 @@ class _MarchPlan:
         interior, walls = _wall_rows(Y, last_layer)
         # step matrix (m/dx) C - theta D + E; on the minus side W = kq @ u
         # joins the unknowns through its recurrence rows, so it stays sparse
-        self.conv = sp.diags(Y) if self.coupled else sp.identity(nY, format="csr")
-        C, D, E = interior @ self.conv, interior @ self.d2, walls
+        C, D, E = interior @ sp.diags(self.conv), interior @ self.d2, walls
         if self.coupled:
             zero = sp.csr_matrix((nY, nY))
             C = sp.bmat([[C, interior], [zero, zero]])
             D = sp.bmat([[D, zero], [zero, zero]])
             E = sp.bmat([[E, None], list(_integral_rows(Y, last_layer))])
-        self.C, self.D, self.E = C.tocsc(), D.tocsc(), E.tocsc()
+        self.C, self.D, self.E = blocks = C.tocsc(), D.tocsc(), E.tocsc()
+        # the union of their patterns in CSC order (column-major keys), and
+        # the data of each spread onto it with zeros elsewhere
+        nr, nc = C.shape
+        keys = [np.repeat(np.arange(nc), np.diff(M.indptr)) * nr + M.indices
+                for M in blocks]
+        union = functools.reduce(np.union1d, keys)
+        self.pattern = (union % nr, np.searchsorted(union // nr, np.arange(nc + 1)))
+        self.spread = np.zeros((3, union.size))
+        for row, k, M in zip(self.spread, keys, blocks):
+            row[np.searchsorted(union, k)] = M.data
+
+    def step_matrix(self, m_dx, th):
+        """m_dx C - th D + E as scipy's sparse sums give it, array for array:
+        a missing entry reads 0.0 there too, and zero results are dropped."""
+        c, d, e = self.spread
+        A = sp.csc_matrix((m_dx * c - th * d + e, *self.pattern), shape=self.C.shape)
+        A.eliminate_zeros()
+        return A
 
     @functools.lru_cache(maxsize=MARCH_LU_MEMO)
     def step_lu(self, m_dx, th):
         """splu of the step matrix; m_dx is the quotient m/dx that scales C,
         so (plan, m_dx, th) fixes the matrix bit for bit."""
-        return spla.splu(m_dx * self.C - th * self.D + self.E)
+        return spla.splu(self.step_matrix(m_dx, th))
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,29 +267,29 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme):
     U = np.zeros((nx, nY))
     DXU = np.zeros((nx, nY))
     U[0, 0] = g[0]
-    g_slope = (g[1] - g[0]) / (x[1] - x[0])
-    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
+    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, (g[1] - g[0]) / (x[1] - x[0]))
     W = plan.kq @ U[0]
+    # the right-hand side; on the minus side W's recurrence rows read 0
+    rhs = np.zeros(2 * nY if plan.coupled else nY)
+    b = rhs[:nY]
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
         th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
         m_dx = m_coef / dx
-        carry = plan.conv @ U[k - 1]
+        # conv @ u as a sparse product forms it, from 0.0 up (-0.0 -> +0.0)
+        carry = plan.conv * U[k - 1] + 0.0
         if plan.coupled:
             carry += W
-        b = (th * F[k] + (1.0 - th) * F[k - 1] + m_dx * carry
-             + (1.0 - th) * (plan.d2 @ U[k - 1]))
+        b[:] = th * F[k] + (1.0 - th) * F[k - 1] + m_dx * carry
+        if th != 1.0:
+            b += (1.0 - th) * (plan.d2 @ U[k - 1])
         b[0] = g[k]
         b[-1] = 0.0
-        lu = plan.step_lu(m_dx, th)
-        if plan.coupled:
-            sol = lu.solve(np.r_[b, np.zeros(nY)])
-            U[k], W = sol[:nY], sol[nY:]
-        else:
-            U[k] = lu.solve(b)
-        if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > BLOWUP * scale:
+        sol = plan.step_lu(m_dx, th).solve(rhs)
+        U[k], W = sol[:nY], sol[nY:]
+        if not np.max(np.abs(U[k])) <= BLOWUP * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
-        DXU[k] = (U[k] - U[k - 1]) / dx
+    DXU[1:] = np.diff(U, axis=0) / np.diff(x)[:, None]
     V = DXU @ plan.kqT
     return U, DXU, V
 
@@ -330,10 +340,8 @@ class Wall:
         self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
                               * (eps ** S_EXP[side] * self.Y), 0.0, 2.0)
         # convection at the wall: mu'(0) Y below, mu(2) above
-        if side == "minus":
-            self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
-        else:
-            self.m_coef = float(profile.mu(np.array([2.0]))[0])
+        self.m_coef = float(profile.mu(np.array([WALL_Y[side]]),
+                                       int(side == "minus"))[0])
         # corner ramp: forcings and aux pressures only absorb residual terms
         # where the inflow-corner singularities are resolvable; the sliver
         # below a few reporting cells stays in the measured remainder.
@@ -351,22 +359,25 @@ _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
 def interp_layer_field(field, lgrid, side, eps, cx, cy):
     """Interpolate a cut field on the first `support_width` Y nodes of a
     layer grid to channel nodes.  Past those, PCHIP of the full-width field
-    gives exactly +0.0, so those channel columns stay zero untouched."""
-    Y = lgrid.Y[:field.shape[1]]
+    gives exactly +0.0, so those channel columns stay zero untouched.
+    Leading axes stack fields into one pass pair; a pass works column by
+    column, so each field comes out as from its own call, bit for bit."""
+    Y = lgrid.Y[:field.shape[-1]]
     Yq = SIGN_Y[side] * (cy - WALL_Y[side]) / eps ** S_EXP[side]
     inside = Yq <= Y[-1]
-    tmp = pchip_operator(Y, np.clip(Yq[inside], 0.0, Y[-1]))(field, axis=1)
-    out = np.zeros((cx.size, cy.size))
-    out[:, inside] = pchip_operator(lgrid.x, cx)(tmp, axis=0)
+    tmp = pchip_operator(Y, np.clip(Yq[inside], 0.0, Y[-1]))(field, axis=-1)
+    out = np.zeros(field.shape[:-2] + (cx.size, cy.size))
+    out[..., inside] = pchip_operator(lgrid.x, cx)(tmp, axis=-2)
     return out
 
 
 def interp_channel_field(field, cgrid, xq, yq):
-    """Interpolate a channel field to arbitrary (xq, yq) tensor nodes."""
+    """Interpolate a channel field, or a stack of them along leading axes
+    (as `interp_layer_field`), to arbitrary (xq, yq) tensor nodes."""
     yc = np.clip(yq, cgrid.y[0], cgrid.y[-1])
     xc = np.clip(xq, cgrid.x[0], cgrid.x[-1])
-    tmp = pchip_operator(cgrid.y, yc)(field, axis=1)
-    return pchip_operator(cgrid.x, xc)(tmp, axis=0)
+    tmp = pchip_operator(cgrid.y, yc)(field, axis=-1)
+    return pchip_operator(cgrid.x, xc)(tmp, axis=-2)
 
 
 def restrict_channel_field(field, src, dst):
@@ -377,11 +388,6 @@ def restrict_channel_field(field, src, dst):
             and np.allclose(src.y, dst.y)):
         raise ValueError("dst grid is not a leading x block of src grid")
     return field[:dst.nx]
-
-
-def _layer_to_channel(fields, lgrid, side, eps, grid):
-    return {k: interp_layer_field(f, lgrid, side, eps, grid.x, grid.y)
-            for k, f in fields.items()}
 
 
 # Every part gives channel_fields(grid): its nonzero keys among u, v, ux, uy,
@@ -432,14 +438,23 @@ class EulerPart:
     def convection(self, side):
         if side not in self._conv:
             wall = self.walls[side]
-            self._conv[side] = {
-                k: interp_channel_field(self.scaled(k), self.corr.grid,
-                                        wall.grid.x, wall.y_of_Y)
-                for k in _CONV_KEYS}
+            stack = interp_channel_field(np.stack([self.scaled(k) for k in _CONV_KEYS]),
+                                         self.corr.grid, wall.grid.x, wall.y_of_Y)
+            self._conv[side] = dict(zip(_CONV_KEYS, stack))
         return self._conv[side]
 
 
-class LayerPart:
+class _CutPart:
+    """A part whose fields live on the first nS Y nodes of its wall's layer
+    grid lgrid; they reach the channel as one stack."""
+
+    def channel_fields(self, grid):
+        stack = interp_layer_field(np.stack(list(self.fields.values())),
+                                   self.lgrid, self.side, self.eps, grid.x, grid.y)
+        return dict(zip(self.fields, stack))
+
+
+class LayerPart(_CutPart):
     """One boundary-layer corrector cut off at its wall, prefactor cu
     included, with divergence-consistent fields.
 
@@ -452,7 +467,7 @@ class LayerPart:
         self.layer = layer
         self.side = side = layer.side
         self.eps = eps
-        lgrid = layer.grid
+        self.lgrid = lgrid = layer.grid
         s = S_EXP[side]
         self.nS = nS = support_width(lgrid.Y, side, eps, a0)
         yy = eps ** s * lgrid.Y[:nS]          # distance from the wall
@@ -468,10 +483,8 @@ class LayerPart:
         self.Uhat = chiv * layer.U[:, :nS] + cc * layer.W[:, :nS]
         self.DXUhat = chiv * layer.DXU[:, :nS] + cc * layer.DXW[:, :nS]
         self.Vhat = chiv * layer.V[:, :nS]
-        self.DXVhat = np.empty_like(self.Vhat)
-        self.DXVhat[0] = 0.0
-        dxs = np.diff(lgrid.x)[:, None]
-        self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
+        self.DXVhat = np.zeros_like(self.Vhat)
+        self.DXVhat[1:] = np.diff(self.Vhat, axis=0) / np.diff(lgrid.x)[:, None]
         self._d1Y = diff_matrix(lgrid.Y[:nS], 1)
         d2Y = diff_matrix(lgrid.Y[:nS], 2)
         d2x = diff_matrix(lgrid.x, 2)
@@ -497,26 +510,16 @@ class LayerPart:
     def dY(self, f):
         return (self._d1Y @ f.T).T
 
-    def channel_fields(self, grid):
-        return _layer_to_channel(self.fields, self.layer.grid, self.side,
-                                 self.eps, grid)
-
     def convection(self, side):
         return self._conv[side]
 
 
-class AuxPart:
+class AuxPart(_CutPart):
     """Auxiliary layer pressure: zeroes pending vertical-momentum terms."""
 
     def __init__(self, side, lgrid, eps, py, px, P):
-        self.side = side
-        self.lgrid = lgrid
-        self.eps = eps
+        self.side, self.lgrid, self.eps = side, lgrid, eps
         self.fields = {"px": px, "py": py, "P": P}   # at support width
-
-    def channel_fields(self, grid):
-        return _layer_to_channel(self.fields, self.lgrid, self.side,
-                                 self.eps, grid)
 
 
 def _pair_terms(P, Q, side, comp):

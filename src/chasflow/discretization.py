@@ -400,16 +400,22 @@ class GridLU:
     """Sparse LU of a system whose unknowns are eliminated in order ``perm``.
 
     ``solve(b)`` takes and returns vectors in the system's own numbering.
+    A repeat of the last ``b``, byte for byte (GMRES applies its
+    preconditioner twice to one vector), gets a copy of the last solution.
     """
 
     def __init__(self, lu, perm):
         self._lu = lu
         self.perm = perm
+        self._last = (None, None)
 
     def solve(self, b):
-        x = np.empty(self.perm.size)
-        x[self.perm] = self._lu.solve(np.asarray(b, dtype=float)[self.perm])
-        return x
+        b = np.asarray(b, dtype=float)
+        if b.tobytes() != self._last[0]:
+            x = np.empty(self.perm.size)
+            x[self.perm] = self._lu.solve(b[self.perm])
+            self._last = (b.tobytes(), x)
+        return self._last[1].copy()
 
 
 def grid_lu(A, nx, ny):

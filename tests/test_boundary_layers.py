@@ -5,11 +5,12 @@ from scipy.special import erfc
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chasflow.boundary_layers import (S_EXP, SIGN_Y, LayerPart, LayerProfile,
-                                      MarchError, _dxu_at_inflow,
+import chasflow.boundary_layers as bl
+from chasflow.boundary_layers import (BE_STEPS, S_EXP, SIGN_Y, LayerPart,
+                                      LayerProfile, MarchError, _dxu_at_inflow,
                                       _integral_matrix, _march_plan, _wall_rows,
                                       chi, chi_d2, chi_d3, chi_prime,
-                                      interp_layer_field,
+                                      interp_channel_field, interp_layer_field,
                                       restrict_channel_field,
                                       solve_layer_minus, solve_layer_plus,
                                       support_width)
@@ -161,6 +162,104 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     assert np.abs(lay.V[1:] - V).max() <= 1e-10 * np.abs(V).max()
 
 
+def _march_step_loop(grid, F, g, last_layer, kind, m_coef, scheme):
+    """The march as one loop of sparse products per step, with each step
+    matrix formed by sparse sums, its blow-up test on isfinite and each
+    DXU row formed in the loop: the reference that the march's elementwise
+    steps and filled step pattern must reproduce bit for bit."""
+    x, Y = grid.x, grid.Y
+    nx, nY = grid.nx, grid.nY
+    scale = max(np.max(np.abs(g)), np.max(np.abs(F)), 1.0)
+    plan = _march_plan(Y.tobytes(), kind, last_layer)
+    conv = sp.diags(Y) if kind == "minus" else sp.identity(nY, format="csr")
+    U = np.zeros((nx, nY))
+    DXU = np.zeros((nx, nY))
+    U[0, 0] = g[0]
+    g_slope = (g[1] - g[0]) / (x[1] - x[0])
+    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
+    W = plan.kq @ U[0]
+    lus = {}
+    for k in range(1, nx):
+        dx = x[k] - x[k - 1]
+        th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
+        m_dx = m_coef / dx
+        carry = conv @ U[k - 1]
+        if kind == "minus":
+            carry += W
+        b = (th * F[k] + (1.0 - th) * F[k - 1] + m_dx * carry
+             + (1.0 - th) * (plan.d2 @ U[k - 1]))
+        b[0] = g[k]
+        b[-1] = 0.0
+        if (m_dx, th) not in lus:
+            lus[m_dx, th] = spla.splu(m_dx * plan.C - th * plan.D + plan.E)
+        if kind == "minus":
+            sol = lus[m_dx, th].solve(np.r_[b, np.zeros(nY)])
+            U[k], W = sol[:nY], sol[nY:]
+        else:
+            U[k] = lus[m_dx, th].solve(b)
+        if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > bl.BLOWUP * scale:
+            raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
+        DXU[k] = (U[k] - U[k - 1]) / dx
+    V = DXU @ plan.kqT
+    return U, DXU, V
+
+
+def _signed_march_data(grid):
+    """Forcing and wall data of both signs that are -0.0 on the first six
+    x nodes (and the forcing far out): the columns marched from them are
+    signed zeros, whose sign bits agree only if every step forms its
+    right-hand side as the loop does."""
+    X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
+    F = np.sin(40.0 * X) * np.exp(-Y) - 0.3 * Y * np.exp(-Y)
+    F[:6] = -0.0
+    F[:, grid.Y > 12.0] = -0.0
+    g = 0.1 * np.sin(np.pi * grid.x / (2 * grid.x[-1])) - 0.5 * grid.x
+    g[:6] = -0.0
+    return F, g
+
+
+@pytest.mark.parametrize("scheme", ["be", "cn"])
+@pytest.mark.parametrize("last_layer", [False, True])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_march_matches_the_step_loop(side, last_layer, scheme):
+    # graded x nodes, so each step size is its own factor
+    grid = HalfLineGrid(L, 31, 61)
+    F, g = _signed_march_data(grid)
+    m = {"plus": 2.0, "minus": 1.0}[side]
+    got = bl._march(grid, F, g, last_layer, side, m, scheme)
+    ref = _march_step_loop(grid, F, g, last_layer, side, m, scheme)
+    for name, a, b in zip(("U", "DXU", "V"), got, ref):
+        assert a.tobytes() == b.tobytes(), name
+    assert np.signbit(ref[0][ref[0] == 0.0]).any()
+
+
+@pytest.mark.parametrize("scheme", ["be", "cn"])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_march_blows_up_where_the_step_loop_does(side, scheme, monkeypatch):
+    grid = HalfLineGrid(L, 31, 61)
+    F, g = _signed_march_data(grid)
+    m = {"plus": 2.0, "minus": 1.0}[side]
+    U = _march_step_loop(grid, F, g, False, side, m, scheme)[0]
+    scale = max(np.abs(g).max(), np.abs(F).max(), 1.0)
+    # a bound that the middle step's column is the first to pass
+    peak = np.maximum.accumulate(np.abs(U).max(axis=1))
+    k = 15
+    assert peak[k] > peak[k - 1]
+    monkeypatch.setattr(bl, "BLOWUP", 0.5 * (peak[k - 1] + peak[k]) / scale)
+    F_nan = F.copy()
+    F_nan[22, 5] = np.nan       # and a NaN forcing, with the bound lifted
+    for data, blowup in ((F, bl.BLOWUP), (F_nan, 1e6)):
+        monkeypatch.setattr(bl, "BLOWUP", blowup)
+        messages = []
+        for march in (bl._march, _march_step_loop):
+            with pytest.raises(MarchError) as err:
+                march(grid, data, g, False, side, m, scheme)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        step = k if data is F else 22
+        assert messages[0].startswith(f"marching blow-up at step {step} ")
+
+
 def _integral_matrix_rows(Y, last_layer):
     """The trapezoid integral matrix built one row at a time from the last."""
     nY = Y.size
@@ -211,6 +310,23 @@ def test_march_plan_memo_is_sound():
         b = rng.standard_normal(plan.C.shape[0])
         A = a["m_dx"] * plan.C - a["th"] * plan.D + plan.E
         assert other.solve(b).tobytes() == spla.splu(A).solve(b).tobytes()
+
+
+@pytest.mark.parametrize("last_layer", [False, True])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_step_matrix_is_the_sparse_sum(side, last_layer):
+    # the filled pattern gives scipy's sum array for array; with m/dx =
+    # D[5, 5] and theta = C[5, 5] the diagonal of interior row 5 cancels
+    # exactly, an entry that both drop
+    Y = HalfLineGrid(L, 11, 31).Y
+    plan = _march_plan(Y.tobytes(), side, last_layer)
+    cancel = (plan.D[5, 5], plan.C[5, 5])
+    for m_dx, th in ((50.0, 1.0), (3.0e4, 0.5), cancel):
+        A = plan.step_matrix(m_dx, th)
+        ref = m_dx * plan.C - th * plan.D + plan.E
+        for a in ("data", "indices", "indptr"):
+            assert getattr(A, a).tobytes() == getattr(ref, a).tobytes(), a
+    assert A[5, 5] == 0.0 and A.nnz < plan.spread.shape[1]
 
 
 def test_repeated_march_factors_nothing(monkeypatch):
@@ -385,6 +501,36 @@ def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
         ref = interp_layer_field(full_fields[key], grid, side, eps, cx, cy)
         got = interp_layer_field(f, grid, side, eps, cx, cy)
         assert ref.tobytes() == got.tobytes(), key
+
+
+def test_stacked_interpolation_matches_per_field_calls():
+    # fields stacked along leading axes share one pass pair, and each comes
+    # out as from its own call bit for bit.  The data mixes smooth values,
+    # runs of equal values (zero secants), sign changes and -0.0
+    eps = 1e-2
+    rng = np.random.default_rng(3)
+    lgrid = HalfLineGrid(L, 21, 81)
+    cg = build_channel_grid(L, 16, 48, eps)
+
+    def data(shape):
+        f = rng.standard_normal(shape) * rng.integers(-2, 3, shape)
+        f[0, 0] = -0.0
+        return f
+
+    layer = data((2, 3, lgrid.nx, 40))
+    channel = data((2, 3, cg.nx, cg.ny))
+    for side in ("minus", "plus"):
+        got = interp_layer_field(layer, lgrid, side, eps, cg.x, cg.y)
+        assert got.shape == (2, 3, cg.nx, cg.ny)
+        for i in np.ndindex(2, 3):
+            one = interp_layer_field(layer[i], lgrid, side, eps, cg.x, cg.y)
+            assert got[i].tobytes() == one.tobytes(), (side, i)
+    xq, yq = lgrid.x, 2.0 - eps ** 0.5 * lgrid.Y[:40]
+    got = interp_channel_field(channel, cg, xq, yq)
+    assert got.shape == (2, 3, xq.size, yq.size)
+    for i in np.ndindex(2, 3):
+        one = interp_channel_field(channel[i], cg, xq, yq)
+        assert got[i].tobytes() == one.tobytes(), i
 
 
 def test_cutoff_divergence_identity():

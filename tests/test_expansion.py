@@ -180,11 +180,13 @@ def test_euler_convection_follows_each_wall(couette_expansion):
 
 
 def test_interpolation_work_per_construct(monkeypatch):
-    # each Euler part sends the six convection keys to each wall (3 parts
-    # x 2 walls x 6); each layer sends its 8 nonzero keys and each aux
-    # pressure its 3 to the channel (4 x 8 + 4 x 3).  The values the PCHIP
-    # passes output are the work: the wall-normal pass to the layer nodes
-    # inside the cut support and the x pass over the channel columns there
+    # each Euler part sends its six convection keys to each wall as one
+    # stack (3 parts x 2 walls); each layer sends its 8 nonzero keys and
+    # each aux pressure its 3 to the channel as one stack (4 + 4), and each
+    # call makes one pass pair.  The values the PCHIP passes output are the
+    # work, the same as with one call per key: the wall-normal pass to the
+    # layer nodes inside the cut support and the x pass over the channel
+    # columns there
     calls = {"interp_channel_field": 0, "interp_layer_field": 0}
     values = []
 
@@ -210,8 +212,8 @@ def test_interpolation_work_per_construct(monkeypatch):
     monkeypatch.setattr(bl, "pchip_operator", counting_pchip)
     construct_expansion(
         point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
-    assert calls == {"interp_channel_field": 36, "interp_layer_field": 44}
-    assert (len(values), sum(values)) == (160, 423522)
+    assert calls == {"interp_channel_field": 6, "interp_layer_field": 8}
+    assert (len(values), sum(values)) == (28, 423522)
 
 
 def test_forcing_component_sum_audit():

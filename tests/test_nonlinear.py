@@ -195,6 +195,37 @@ def test_newton_preconditioner_is_picards_factor(case_i_24x48, monkeypatch):
     assert inputs and all(np.any(b) for b in inputs)
 
 
+def test_newton_repeats_no_superlu_solve(case_i_24x48, monkeypatch):
+    # GMRES applies the preconditioner to the same vector twice in a row in
+    # each Newton step; the factor solves it once and returns a copy
+    sol, _ = picard_solve(*case_i_24x48)
+    picard = sol.problem.system.lu
+    applied, reached = [], []
+    solve = picard.solve
+
+    def counted(b):
+        applied.append(np.array(b))
+        return solve(b)
+
+    class Recorded:
+        def solve(self, b):
+            reached.append(np.array(b))
+            return superlu.solve(b)
+
+    superlu = picard._lu
+    monkeypatch.setattr(picard, "_lu", Recorded())
+    monkeypatch.setattr(picard, "solve", counted)
+    newton_solve(sol.problem)
+    repeats = sum(np.array_equal(a, b) for a, b in zip(applied, applied[1:]))
+    assert repeats > 0
+    assert len(reached) == len(applied) - repeats
+    assert not any(np.array_equal(a, b) for a, b in zip(reached, reached[1:]))
+    # a repeat's answer is a copy: the caller may overwrite it
+    x = picard.solve(applied[-1])
+    x[:] = 0.0
+    assert np.any(picard.solve(applied[-1]))
+
+
 def test_mismatched_preconditioner_reaches_the_same_root(case_i_24x48,
                                                          monkeypatch):
     # the factor of another amplitude on the same grid only preconditions:
