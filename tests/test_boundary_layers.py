@@ -206,9 +206,8 @@ def _march_step_loop(grid, F, g, last_layer, kind, m_coef, scheme):
 
 def _signed_march_data(grid):
     """Forcing and wall data of both signs that are -0.0 on the first six
-    x nodes (and the forcing far out): the columns marched from them are
-    signed zeros, whose sign bits agree only if every step forms its
-    right-hand side as the loop does."""
+    x nodes (and the forcing far out), so that the marched columns hold
+    zeros of both signs for the byte comparison to check."""
     X, Y = np.meshgrid(grid.x, grid.Y, indexing="ij")
     F = np.sin(40.0 * X) * np.exp(-Y) - 0.3 * Y * np.exp(-Y)
     F[:6] = -0.0
@@ -245,10 +244,10 @@ def test_march_blows_up_where_the_step_loop_does(side, scheme, monkeypatch):
     peak = np.maximum.accumulate(np.abs(U).max(axis=1))
     k = 15
     assert peak[k] > peak[k - 1]
-    monkeypatch.setattr(bl, "BLOWUP", 0.5 * (peak[k - 1] + peak[k]) / scale)
+    bound = 0.5 * (peak[k - 1] + peak[k]) / scale
     F_nan = F.copy()
-    F_nan[22, 5] = np.nan       # and a NaN forcing, with the bound lifted
-    for data, blowup in ((F, bl.BLOWUP), (F_nan, 1e6)):
+    F_nan[22, 5] = np.nan       # and a NaN forcing under the usual bound
+    for data, blowup, step in ((F, bound, k), (F_nan, 1e6, 22)):
         monkeypatch.setattr(bl, "BLOWUP", blowup)
         messages = []
         for march in (bl._march, _march_step_loop):
@@ -256,7 +255,6 @@ def test_march_blows_up_where_the_step_loop_does(side, scheme, monkeypatch):
                 march(grid, data, g, False, side, m, scheme)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        step = k if data is F else 22
         assert messages[0].startswith(f"marching blow-up at step {step} ")
 
 
