@@ -157,10 +157,14 @@ def _dxu_at_inflow(grid, F0, m_coef, kind, g_slope):
     The wall row carries the data slope g'(0) so the divergence relation
     holds up to the corner.
     """
-    # on the degenerate side the similarity limit of d_x u at x=0
-    # concentrates at the wall (g'(0) there, 0 above); the integral equation
-    # itself is ill-conditioned near Y=0 and is not used by the march.
-    out = F0 / m_coef if kind == "plus" else np.zeros(grid.nY)
+    if kind == "plus":
+        out = F0 / m_coef
+        out[0] = g_slope
+        return out
+    # degenerate side: the similarity limit of d_x u at x=0 concentrates at
+    # the wall (g'(0) there, 0 above); the integral equation itself is
+    # ill-conditioned near Y=0 and is not used by the march.
+    out = np.zeros(grid.nY)
     out[0] = g_slope
     return out
 
@@ -169,13 +173,17 @@ class LayerProfile:
     """One solved boundary-layer corrector on its half-line grid."""
 
     def __init__(self, grid, side, index, last_layer, U, DXU, V, F):
-        self.grid, self.side, self.index = grid, side, index
+        self.grid = grid
+        self.side = side
+        self.index = index
         self.last_layer = last_layer
         self.U = U          # (nx, nY)
         self.DXU = DXU      # backward differences, consistent with the march
         self.V = V          # divergence-consistent vertical velocity
         self.W = cumtrapz0(V, grid.x)
-        self.DXW = np.r_[V[:1], 0.5 * (V[1:] + V[:-1])]
+        self.DXW = np.empty_like(V)
+        self.DXW[0] = V[0]
+        self.DXW[1:] = 0.5 * (V[1:] + V[:-1])
         self.F = F          # the forcing the march balanced (None: zero)
 
     def far_field(self):
@@ -222,31 +230,13 @@ class _MarchPlan:
             C = sp.bmat([[C, interior], [zero, zero]])
             D = sp.bmat([[D, zero], [zero, zero]])
             E = sp.bmat([[E, None], list(_integral_rows(Y, last_layer))])
-        self.C, self.D, self.E = blocks = C.tocsc(), D.tocsc(), E.tocsc()
-        # the union of their patterns in CSC order (column-major keys), and
-        # the data of each spread onto it with zeros elsewhere
-        nr, nc = C.shape
-        keys = [np.repeat(np.arange(nc), np.diff(M.indptr)) * nr + M.indices
-                for M in blocks]
-        union = functools.reduce(np.union1d, keys)
-        self.pattern = (union % nr, np.searchsorted(union // nr, np.arange(nc + 1)))
-        self.spread = np.zeros((3, union.size))
-        for row, k, M in zip(self.spread, keys, blocks):
-            row[np.searchsorted(union, k)] = M.data
-
-    def step_matrix(self, m_dx, th):
-        """m_dx C - th D + E as scipy's sparse sums give it, array for array:
-        a missing entry reads 0.0 there too, and zero results are dropped."""
-        c, d, e = self.spread
-        A = sp.csc_matrix((m_dx * c - th * d + e, *self.pattern), shape=self.C.shape)
-        A.eliminate_zeros()
-        return A
+        self.C, self.D, self.E = C.tocsc(), D.tocsc(), E.tocsc()
 
     @functools.lru_cache(maxsize=MARCH_LU_MEMO)
     def step_lu(self, m_dx, th):
         """splu of the step matrix; m_dx is the quotient m/dx that scales C,
         so (plan, m_dx, th) fixes the matrix bit for bit."""
-        return spla.splu(self.step_matrix(m_dx, th))
+        return spla.splu(m_dx * self.C - th * self.D + self.E)
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,7 +257,8 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme):
     U = np.zeros((nx, nY))
     DXU = np.zeros((nx, nY))
     U[0, 0] = g[0]
-    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, (g[1] - g[0]) / (x[1] - x[0]))
+    g_slope = (g[1] - g[0]) / (x[1] - x[0])
+    DXU[0] = _dxu_at_inflow(grid, F[0], m_coef, kind, g_slope=g_slope)
     W = plan.kq @ U[0]
     # the right-hand side; on the minus side W's recurrence rows read 0
     rhs = np.zeros(2 * nY if plan.coupled else nY)
@@ -340,8 +331,10 @@ class Wall:
         self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
                               * (eps ** S_EXP[side] * self.Y), 0.0, 2.0)
         # convection at the wall: mu'(0) Y below, mu(2) above
-        self.m_coef = float(profile.mu(np.array([WALL_Y[side]]),
-                                       int(side == "minus"))[0])
+        if side == "minus":
+            self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
+        else:
+            self.m_coef = float(profile.mu(np.array([2.0]))[0])
         # corner ramp: forcings and aux pressures only absorb residual terms
         # where the inflow-corner singularities are resolvable; the sliver
         # below a few reporting cells stays in the measured remainder.
@@ -483,8 +476,10 @@ class LayerPart(_CutPart):
         self.Uhat = chiv * layer.U[:, :nS] + cc * layer.W[:, :nS]
         self.DXUhat = chiv * layer.DXU[:, :nS] + cc * layer.DXW[:, :nS]
         self.Vhat = chiv * layer.V[:, :nS]
-        self.DXVhat = np.zeros_like(self.Vhat)
-        self.DXVhat[1:] = np.diff(self.Vhat, axis=0) / np.diff(lgrid.x)[:, None]
+        self.DXVhat = np.empty_like(self.Vhat)
+        self.DXVhat[0] = 0.0
+        dxs = np.diff(lgrid.x)[:, None]
+        self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
         self._d1Y = diff_matrix(lgrid.Y[:nS], 1)
         d2Y = diff_matrix(lgrid.Y[:nS], 2)
         d2x = diff_matrix(lgrid.x, 2)
@@ -518,7 +513,9 @@ class AuxPart(_CutPart):
     """Auxiliary layer pressure: zeroes pending vertical-momentum terms."""
 
     def __init__(self, side, lgrid, eps, py, px, P):
-        self.side, self.lgrid, self.eps = side, lgrid, eps
+        self.side = side
+        self.lgrid = lgrid
+        self.eps = eps
         self.fields = {"px": px, "py": py, "P": P}   # at support width
 
 

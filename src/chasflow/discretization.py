@@ -411,10 +411,11 @@ class GridLU:
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        if b.tobytes() != self._last[0]:
+        key = b.tobytes()
+        if key != self._last[0]:
             x = np.empty(self.perm.size)
             x[self.perm] = self._lu.solve(b[self.perm])
-            self._last = (b.tobytes(), x)
+            self._last = (key, x)
         return self._last[1].copy()
 
 

@@ -4,15 +4,15 @@ end-to-end metrics.
 Usage (from anywhere):
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W [W ...]
-        --pairs N [--seed S [S ...]] [--seconds T] [--traced]
+        --pairs N [--seed S [S ...]] [--traced]
 
 PARENT and CHANGE are checkout directories, each with its own
 ``perfbench/run.py`` and ``src``.  For each workload W, pair i runs
 ``python3 perfbench/run.py --workload W --seed S --trace 0`` in both
 checkouts, one run at a time: the parent first in even pairs, the change
 first in odd ones.  S cycles through the given seeds (default 0), so with
-seeds 0 and 7 the pairs run seeds 0, 7, 0, 7, ...  ``--seconds`` is passed
-on (default 20, as ``BENCHMARK.json`` runs it).
+seeds 0 and 7 the pairs run seeds 0, 7, 0, 7, ...  The run length is
+``perfbench/run.py``'s own, the same on both sides.
 
 For every end-to-end metric of ``CHANGE/BENCHMARK.json`` the JSON on stdout
 gives, per workload: each run's value, both medians, the parent's first and
@@ -66,7 +66,6 @@ def main(argv=None):
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -87,8 +86,7 @@ def main(argv=None):
                 order.append(f"{stamp} {side} {workload} pair {i} seed {seed}")
                 print(order[-1], file=sys.stderr)
                 runs[side].append(run_bench(sides[side], [
-                    "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(args.seconds), "--trace", "0"]))
+                    "--workload", workload, "--seed", str(seed), "--trace", "0"]))
         result = {"pairs": args.pairs, "seeds": seeds}
         for key in ("correct", "attempted", "failed"):
             result[key] = {s: [r[key] for r in runs[s]] for s in runs}
@@ -105,8 +103,7 @@ def main(argv=None):
             order.append(f"{stamp} {side} all traced seed {args.seed[0]}")
             print(order[-1], file=sys.stderr)
             traced[side] = run_bench(sides[side], [
-                "--workload", "all", "--seed", str(args.seed[0]),
-                "--seconds", str(args.seconds), "--trace", "1"])
+                "--workload", "all", "--seed", str(args.seed[0]), "--trace", "1"])
         counts = {}
         for name, m in traced["change"]["metrics"].items():
             if m["unit"] in ("count", "ratio"):
