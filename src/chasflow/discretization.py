@@ -64,25 +64,26 @@ def _fornberg_rows(z, X, m):
 _NPTS = {1: 3, 2: 4, 3: 6, 4: 7}
 
 
-def _fix_low_moments(w, d, deriv):
-    """Zero the 0th/1st moment defects exactly in double precision.
-
-    Adjusts the two largest weights so constants are annihilated and linear
-    functions differentiated exactly, whatever the node spacing.
-    """
+def _fix_low_moments(W, D, deriv):
+    """Zero the 0th/1st moment defects of each row of weights W (offsets D)
+    exactly in double precision, in place: adjusts a row's two largest
+    weights so constants are annihilated and linear functions differentiated
+    exactly, whatever the node spacing.  Each row's ``w @ d`` and
+    ``math.fsum`` run alone, so no row depends on the rows beside it."""
     t1 = 1.0 if deriv == 1 else 0.0
-    a, b = np.argsort(np.abs(w))[-2:]
-    r0 = w.sum()
-    r1 = float(w @ d) - t1
-    det = d[b] - d[a]
-    if det == 0.0:
-        w[a] -= r0
-        return w
-    db = (r0 * d[a] - r1) / det
-    w[a] += -r0 - db
-    w[b] += db
-    w[a] -= math.fsum(w)  # final exact-sum pass against += rounding
-    return w
+    a, b = np.argsort(np.abs(W), axis=1)[:, -2:].T
+    i = np.arange(W.shape[0])
+    r0 = W.sum(axis=1)
+    r1 = np.array([float(w @ d) for w, d in zip(W, D)]) - t1
+    det = D[i, b] - D[i, a]
+    flat = det == 0.0
+    W[i[flat], a[flat]] -= r0[flat]
+    i, a, b, r0, r1, det = (v[~flat] for v in (i, a, b, r0, r1, det))
+    db = (r0 * D[i, a] - r1) / det
+    W[i, a] += -r0 - db
+    W[i, b] += db
+    W[i, a] -= [math.fsum(w) for w in W[i].tolist()]  # exact-sum pass
+    return W
 
 
 def diff_matrix(x, deriv):
@@ -109,9 +110,7 @@ def _diff_matrix(xbytes, deriv):
     idx = lo[:, None] + np.arange(npts)
     nodes = x[idx]
     w = _fornberg_rows(x, nodes, deriv)
-    d = nodes - x[:, None]
-    for i in range(n):
-        _fix_low_moments(w[i], d[i], deriv)
+    _fix_low_moments(w, nodes - x[:, None], deriv)
     rows = np.repeat(np.arange(n), npts)
     return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
 
@@ -125,9 +124,8 @@ def one_sided_row(x, at_start, deriv, npts):
     else:
         idx = np.arange(x.size - npts, x.size)
         z = x[-1]
-    w = _fornberg_rows([z], x[idx][None, :], deriv)[0]
-    w = _fix_low_moments(w, x[idx] - z, deriv)
-    return idx, w
+    w = _fornberg_rows([z], x[idx][None, :], deriv)
+    return idx, _fix_low_moments(w, x[idx][None, :] - z, deriv)[0]
 
 
 # (source nodes, query nodes) pairs whose PCHIP operator each process keeps;
@@ -305,26 +303,9 @@ class PchipOperator:
         return np.moveaxis(out.reshape(out.shape[:1] + rest), 0, axis)
 
 
-def replace_rows(A, rows):
-    """A with each row r replaced by rows[r] = (cols, vals), as CSC.
-
-    The kept rows keep every stored entry, explicit zeros included (SuperLU
-    orders the columns by the sparsity structure), and so does a
-    replacement row, which lists each column once.  Equal, array for array,
-    to setting the rows of ``A.tolil()`` and converting with ``tocsc()``.
-    """
-    A = A.tocoo()
-    kept = ~np.isin(A.row, np.fromiter(rows, dtype=np.int64, count=len(rows)))
-    i = [A.row[kept]] + [np.full(len(cols), r) for r, (cols, _) in rows.items()]
-    j = [A.col[kept]] + [cols for cols, _ in rows.values()]
-    v = [A.data[kept]] + [vals for _, vals in rows.values()]
-    ij = (np.concatenate(i), np.concatenate(j))
-    return sp.coo_matrix((np.concatenate(v), ij), shape=A.shape).tocsc()
-
-
 def boundary_rows(x, y, conditions):
-    """The ``replace_rows`` rows that impose wall conditions on the C-order
-    nodes ``i * ny + j`` of the tensor grid x by y.
+    """The rows {row: (cols, vals)} that impose wall conditions on the
+    C-order nodes ``i * ny + j`` of the tensor grid x by y.
 
     Each condition ``(axis, at_start, deriv, npts, offset, span)`` imposes
     the deriv-th derivative along axis (0: x, 1: y) at the wall where that
@@ -424,9 +405,11 @@ def grid_lu(A, nx, ny):
     perm = nested_dissection(nx, ny)
     rank = np.empty(perm.size, dtype=np.int64)
     rank[perm] = np.arange(perm.size)
-    A = A.tocoo()
-    B = sp.csc_matrix((A.data, (rank[A.row], rank[A.col])), shape=A.shape)
-    lu = spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
+    A = sp.csr_matrix(A)
+    # rows in elimination order; tocsc's counting pass keeps that order
+    B = sp.csr_matrix((A.data, rank[A.indices], A.indptr), shape=A.shape)
+    lu = spla.splu(B[perm].tocsc(), permc_spec="NATURAL",
+                   diag_pivot_thresh=ND_PIVOT)
     return GridLU(lu, perm)
 
 
@@ -438,20 +421,27 @@ class GridSolveError(RuntimeError):
 class GridSystem:
     """A stream-function operator A on the C-order nodes of a channel grid,
     with the ``boundary_rows`` of the condition table walls in place of its
-    rows there; keeps that ``A``, the rows ``bnd``, the row scale ``d``
-    (the largest |entry| of each row, 1 for an empty row) and the
-    ``grid_lu`` factor ``lu`` of diag(1/d) A."""
+    rows there (the others keep every entry, explicit zeros included); keeps
+    that CSR ``A``, the rows ``bnd``, the row scale ``d`` (each row's largest
+    |entry|, 1 for an empty row) and ``lu``, the ``grid_lu`` of diag(1/d) A."""
 
     def __init__(self, A, grid, walls):
         rows = boundary_rows(grid.x, grid.y, walls)
-        self.A = replace_rows(A, rows)
         self.bnd = np.fromiter(rows, int)
         self.grid = grid
+        A = sp.csr_matrix(A)
+        n, cols = A.shape[0], [c for c, _ in rows.values()]
+        R = sp.csr_matrix((np.concatenate([v for _, v in rows.values()]),
+                           np.concatenate(cols),
+                           np.cumsum([0] + [len(c) for c in cols])),
+                          shape=(len(rows), n))
+        order = np.arange(n)               # A's rows, R's in place of some
+        order[self.bnd] = n + np.arange(len(rows))
+        self.A = sp.vstack([A, R], format="csr")[order]
+        self.A.sum_duplicates()       # sorts columns: A @ p adds as CSC did
         d = abs(self.A).max(axis=1).toarray().ravel()
-        d[d == 0.0] = 1.0
-        self.d = d
-        self.lu = grid_lu((sp.diags(1.0 / d) @ self.A).tocsc(),
-                          grid.nx, grid.ny)
+        self.d = np.where(d == 0.0, 1.0, d)
+        self.lu = grid_lu(sp.diags(1.0 / self.d) @ self.A, grid.nx, grid.ny)
 
     def solve(self, f):
         """The grid unknowns (nx, ny) for f, with 0 at the boundary rows."""
@@ -506,6 +496,30 @@ class LineModes:
                 f"eigenvector condition number {self.cond:.3g} of a reduced "
                 f"1-D operator exceeds {EIG_COND_LIMIT:.0e}")
         self.Rinv = np.linalg.inv(self.R)
+
+
+def line_modes(x, d2, ends, w):
+    """``LineModes(x, d2, ends, w)``, built once per distinct input in each
+    process (d2's arrays as stored) and shared read-only."""
+    d2 = d2.tocsr()
+    inputs = (x, np.broadcast_to(w, len(x) - 2), d2.data, d2.indices,
+              d2.indptr)
+    return _line_modes(tuple(ends), EIG_COND_LIMIT,
+                       *(np.asarray(a, dtype=float).tobytes() for a in inputs))
+
+
+# a couette sweep point uses six; its two x modes are every point's
+@functools.lru_cache(maxsize=6)
+def _line_modes(ends, limit, *inputs):
+    # keyed on float64 bytes (exact for the indices too), and on the
+    # EIG_COND_LIMIT that the build checks against
+    x, w, data, indices, indptr = map(np.frombuffer, inputs)
+    d2 = sp.csr_matrix((data, indices.astype(int), indptr.astype(int)),
+                       shape=(x.size, x.size))
+    modes = LineModes(x, d2, ends, w)
+    for a in (modes.P, modes.Q, modes.G, modes.lam, modes.R, modes.Rinv):
+        a.flags.writeable = False
+    return modes
 
 
 class SeparableSystem:
@@ -805,18 +819,3 @@ def lsq_slope(xs, ys):
     coef, res, _, _ = np.linalg.lstsq(A, ys, rcond=None)
     resid = float(np.sqrt(res[0] / xs.size)) if res.size else 0.0
     return float(coef[0]), float(coef[1]), resid
-
-
-def mms_convergence(apply_level, levels):
-    """Observed order of accuracy from a refinement study.
-
-    apply_level(level) must return (h, err) with err the measured error of the
-    operator or solver against the manufactured solution at that level.
-    """
-    hs, errs = [], []
-    for lv in levels:
-        h, e = apply_level(lv)
-        hs.append(h)
-        errs.append(max(e, 1e-300))
-    slope, _, _ = lsq_slope(np.log(hs), np.log(errs))
-    return slope, np.array(hs), np.array(errs)

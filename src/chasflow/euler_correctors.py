@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from .discretization import DiffOps, LineModes, SeparableSystem, cumtrapz0
+from .discretization import DiffOps, SeparableSystem, cumtrapz0, line_modes
 
 log = logging.getLogger(__name__)
 
@@ -63,14 +63,14 @@ class EulerSolver:
         self.w = profile.ratio2(grid.y)
         if not np.all(np.isfinite(self.w)):
             raise EulerSolveError("mu''/mu is unbounded on this profile")
-        self.x_modes = LineModes(grid.x, self.ops.d2x, INFLOW_OUTFLOW, 0.0)
+        self.x_modes = line_modes(grid.x, self.ops.d2x, INFLOW_OUTFLOW, 0.0)
         self.systems = {}
 
     def _solve_v(self, side, rhs, trace):
         """v of the side's system; the trace (or 0) on its Dirichlet walls."""
         if side not in self.systems:
-            ym = LineModes(self.grid.y, self.ops.d2y, SIDES[side],
-                           self.w[1:-1])
+            ym = line_modes(self.grid.y, self.ops.d2y, SIDES[side],
+                            self.w[1:-1])
             log.debug("euler %s system: %d x %d modes, lambda in "
                       "[%.4g, %.4g], eigenvector cond %.3g (x), %.3g (y)",
                       side, self.grid.nx - 2, self.grid.ny - 2,

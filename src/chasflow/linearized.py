@@ -13,7 +13,7 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import LineModes, SeparableSystem
+from .discretization import SeparableSystem, line_modes
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +144,8 @@ def recover_pressure(sol, problem):
     area = float(ops.w2.sum())
     defect = (ops.integrate(rhs) - flux) / area
     sol.residuals["pressure_compatibility_defect"] = abs(defect)
-    xm = LineModes(grid.x, ops.d2x, (1, 1), 0.0)
-    ym = LineModes(grid.y, ops.d2y, (1, 1), 0.0)
+    xm = line_modes(grid.x, ops.d2x, (1, 1), 0.0)
+    ym = line_modes(grid.y, ops.d2y, (1, 1), 0.0)
     system = SeparableSystem(xm, ym, null=True)
     log.debug("pressure system: %d x %d modes, null |mu + lambda| %.3g, "
               "next %.4g, eigenvector cond %.3g (x), %.3g (y)",

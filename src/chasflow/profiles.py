@@ -6,6 +6,7 @@ by direct division off the walls and, at a wall where mu vanishes (a
 no-slip wall, where division is 0/0), by their limit from inside.
 """
 
+import functools
 from math import comb
 
 import numpy as np
@@ -30,30 +31,34 @@ class BumpShape:
     """
 
     def __init__(self):
-        # (y^4)(2-y)^4 expanded once; derivatives exact via polyder + Leibniz
-        p = npoly.polypow([0.0, 0.0, 0.0, 0.0, 1.0], 1)
-        q = npoly.polypow([2.0, -1.0], 4)
-        base = npoly.polymul(p, q)
-        self._polys = [base]
-        for _ in range(4):
-            self._polys.append(npoly.polyder(self._polys[-1]))
         self._scale = 1.0
         self._scale = 1.0 / self.c4_norm()
 
-    def _poly_d(self, y, j):
-        return npoly.polyval(y, self._polys[j])
-
     def __call__(self, y, k=0):
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for j in range(k + 1):
-            # d^(k-j) sin(pi y) = pi^(k-j) sin(pi y + (k-j) pi/2)
-            trig = np.pi ** (k - j) * np.sin(np.pi * y + (k - j) * np.pi / 2.0)
-            out += comb(k, j) * self._poly_d(y, j) * trig
-        return self._scale * out
+        return self._scale * _bump(y.tobytes(), k).reshape(y.shape)
 
     def c4_norm(self):
         return max(np.max(np.abs(self(_FINE, k))) for k in range(5))
+
+
+@functools.lru_cache(maxsize=32)    # the fine nodes', the gate's, a point's
+def _bump(ybytes, k):
+    """d^k [y^4 (2-y)^4 sin(pi y)] at the float64 nodes ybytes, read-only;
+    eps does not enter, so each process evaluates it once per (nodes, k)."""
+    y = np.frombuffer(ybytes)
+    # (y^4)(2-y)^4 expanded; derivatives exact via polyder + Leibniz
+    polys = [npoly.polymul(npoly.polypow([0.0, 0.0, 0.0, 0.0, 1.0], 1),
+                           npoly.polypow([2.0, -1.0], 4))]
+    for _ in range(k):
+        polys.append(npoly.polyder(polys[-1]))
+    out = np.zeros_like(y)
+    for j in range(k + 1):
+        # d^(k-j) sin(pi y) = pi^(k-j) sin(pi y + (k-j) pi/2)
+        trig = np.pi ** (k - j) * np.sin(np.pi * y + (k - j) * np.pi / 2.0)
+        out += comb(k, j) * npoly.polyval(y, polys[j]) * trig
+    out.flags.writeable = False
+    return out
 
 
 class PerturbationSpec:
@@ -85,7 +90,8 @@ class ShearProfile:
         self.eps = float(eps)
         self._custom = custom  # callable (y, k) -> derivative, overrides family
         self.c4_bound = max(np.max(np.abs(self.mu(_FINE, k))) for k in range(5))
-        self.admissible = self._check_admissible()
+        self.admissible = bool(np.all(self.mu(_FINE)[1:-1] > 0.0)
+                               and self.mu(np.array([0.0]), 1)[0] > 0.0)
 
     # -- evaluators --------------------------------------------------------
 
@@ -135,14 +141,6 @@ class ShearProfile:
     def ratio3(self, y):
         """mu'''/mu, wall values by their limit from inside."""
         return self._ratio(y, 3)
-
-    # -- admissibility -------------------------------------------------------
-
-    def _check_admissible(self):
-        interior = _FINE[1:-1]
-        vals = self.mu(interior)
-        dmu0 = float(self.mu(np.array([0.0]), 1)[0])
-        return bool(np.all(vals > 0.0) and dmu0 > 0.0)
 
     def __repr__(self):
         return (f"ShearProfile(kind={self.kind!r}, alpha1={self.alpha1}, "

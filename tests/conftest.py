@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chasflow.discretization import ChannelGrid, DiffOps, build_channel_grid, tanh_stretched
+from chasflow.discretization import (ChannelGrid, DiffOps, build_channel_grid,
+                                     lsq_slope, tanh_stretched)
 from chasflow.profiles import PerturbationSpec, build_profile
 from chasflow.verification import RunSpec
 
@@ -48,8 +49,21 @@ def make_grid(n, L=0.1, sigma=1.2):
     return ChannelGrid(L, x, y)
 
 
+def mms_convergence(apply_level, levels):
+    """Observed order of accuracy from a refinement study: the slope of
+    log err against log h, where apply_level(level) returns (h, err), err
+    the measured error against the manufactured solution at that level."""
+    hs, errs = [], []
+    for lv in levels:
+        h, e = apply_level(lv)
+        hs.append(h)
+        errs.append(max(e, 1e-300))
+    slope, _, _ = lsq_slope(np.log(hs), np.log(errs))
+    return slope, np.array(hs), np.array(errs)
+
+
 def lil_replace_rows(A, assignments):
-    """Row replacement through LIL, the reference for ``replace_rows``.
+    """Row replacement through LIL, the reference for ``GridSystem``'s.
 
     Sets each (row, cols, vals) of ``assignments`` on ``A.tolil()`` in
     order, so a later assignment to a row wins, then converts to CSC.

@@ -415,6 +415,24 @@ def test_sweep_spec_defaults_match_run_spec():
         RunSpec("couette_noforce"))
 
 
+def test_single_point_spec_differs_from_run_spec_as_the_readme_says():
+    # grid.min_layer_nodes is 6 for a single point but 8 in a sweep and in
+    # RunSpec, and a single point never refines ny: those are the only
+    # differences between `chasflow construct` and RunSpec(case) at
+    # default settings, and at 48x96, eps = 1e-2 they give other grids
+    point = vars(_run_spec(load_config(None, (), "construct"), "construct"))
+    library = vars(RunSpec(point["case"]))
+    assert {k for k in library if point[k] != library[k]} == {
+        "min_layer_nodes", "ny_cap"}
+    assert (point["min_layer_nodes"], point["ny_cap"]) == (6, 96)
+    assert (library["min_layer_nodes"], library["ny_cap"]) == (8, 224)
+    assert SCHEMA["grid.min_layer_nodes"] == (int, 6)
+    assert SCHEMA["sweep.min_layer_nodes"] == (int, 8)
+    sigmas = [RunSpec(point["case"], ny_cap=96, min_layer_nodes=m).grid(
+        1e-2).sigma for m in (6, 8)]
+    assert [round(s, 3) for s in sigmas] == [0.668, 1.059]
+
+
 def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def singular(spec, eps):
         raise np.linalg.LinAlgError("Singular matrix")

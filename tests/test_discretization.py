@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 
@@ -7,19 +8,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import PchipInterpolator
 
+from chasflow import discretization
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, GridSolveError,
-                                     GridSystem, HalfLineGrid,
-                                     _fix_low_moments, boundary_rows,
+                                     GridSystem, HalfLineGrid, LineModes,
+                                     _fix_low_moments,
+                                     _fornberg_rows, boundary_rows,
                                      build_channel_grid,
-                                     diff_matrix, grid_lu, mms_convergence,
-                                     nested_dissection, one_sided_row,
-                                     pchip_operator, replace_rows,
+                                     diff_matrix, grid_lu, line_modes,
+                                     nested_dissection,
+                                     one_sided_row, pchip_operator,
                                      tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  assemble_linearized_operator)
-from conftest import lil_replace_rows, make_grid, same_arrays
+from conftest import (lil_replace_rows, make_grid, mms_convergence,
+                      same_arrays)
 
 
 def test_build_channel_grid_resolves_layers():
@@ -240,6 +244,25 @@ def fornberg_weights(z, x, m):
     return w[:, m].astype(float)
 
 
+def _fix_row(w, d, deriv):
+    """The one-row moment fix that ``_fix_low_moments`` runs on all rows at
+    once, kept as its reference: zero the 0th/1st moment defects of w by
+    adjusting its two largest weights, then an exact-sum pass."""
+    t1 = 1.0 if deriv == 1 else 0.0
+    a, b = np.argsort(np.abs(w))[-2:]
+    r0 = w.sum()
+    r1 = float(w @ d) - t1
+    det = d[b] - d[a]
+    if det == 0.0:
+        w[a] -= r0
+        return w
+    db = (r0 * d[a] - r1) / det
+    w[a] += -r0 - db
+    w[b] += db
+    w[a] -= math.fsum(w)
+    return w
+
+
 def _diff_matrix_loop(x, deriv):
     n = x.size
     npts = _NPTS[deriv]
@@ -247,8 +270,8 @@ def _diff_matrix_loop(x, deriv):
     for i in range(n):
         lo = min(max(i - npts // 2, 0), n - npts)
         idx = np.arange(lo, lo + npts)
-        w = _fix_low_moments(fornberg_weights(x[i], x[idx], deriv),
-                             x[idx] - x[i], deriv)
+        w = _fix_row(fornberg_weights(x[i], x[idx], deriv), x[idx] - x[i],
+                     deriv)
         rows.extend([i] * npts)
         cols.extend(idx)
         vals.extend(w)
@@ -286,9 +309,52 @@ def test_one_sided_row_bit_identical_to_fornberg_loop():
             for deriv, npts in ((1, 3), (1, 4), (2, 5), (3, 6)):
                 idx, w = one_sided_row(x, at_start, deriv, npts)
                 z = x[0] if at_start else x[-1]
-                ref = _fix_low_moments(fornberg_weights(z, x[idx], deriv),
-                                       x[idx] - z, deriv)
+                ref = _fix_row(fornberg_weights(z, x[idx], deriv),
+                               x[idx] - z, deriv)
                 assert w.tobytes() == ref.tobytes(), (x.size, deriv, npts)
+
+
+def _moment_fix_grids():
+    """A uniform grid, tanh-stretched grids at sigma 1.06 and 2.07, the
+    extended-strip x grid and the 320-node layer Y."""
+    x_ext = _extended_grid(build_channel_grid(0.1, 48, 96, 1e-2), 1.25).x
+    x_layer = _layer_xgrid(x_ext, LAYER_SUB)
+    return {"uniform": np.linspace(0.0, 2.0, 96),
+            "tanh_1.06": tanh_stretched(0.0, 2.0, 96, 1.06),
+            "tanh_2.07": tanh_stretched(0.0, 2.0, 96, 2.07),
+            "extended_x": x_ext,
+            "layer_Y": HalfLineGrid(x_layer[-1], None, 320, x=x_layer).Y}
+
+
+@pytest.mark.parametrize("deriv", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", sorted(_moment_fix_grids()))
+def test_moment_fix_rows_match_the_per_row_fix(grid, deriv):
+    x = _moment_fix_grids()[grid]
+    npts = _NPTS[deriv]
+    lo = np.clip(np.arange(x.size) - npts // 2, 0, x.size - npts)
+    nodes = x[lo[:, None] + np.arange(npts)]
+    W, D = _fornberg_rows(x, nodes, deriv), nodes - x[:, None]
+    ref = W.copy()
+    for w, d in zip(ref, D):
+        _fix_row(w, d, deriv)
+    out = _fix_low_moments(W, D, deriv)
+    assert out is W
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_moment_fix_rows_take_the_flat_branch():
+    # the two largest |w| of rows 0 and 2 sit at equal offsets (det == 0),
+    # so only w[a] -= sum(w) is applied there; row 1 takes the full fix
+    W = np.array([[0.1, 2.0, 3.0], [1.0, -2.5, 1.0], [0.5, 4.0, -4.0]])
+    D = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-0.5, 0.25, 0.25]])
+    for deriv in (1, 2):
+        ref = W.copy()
+        for w, d in zip(ref, D):
+            _fix_row(w, d, deriv)
+        assert _fix_low_moments(W.copy(), D, deriv).tobytes() == ref.tobytes()
+        assert ref[0].tolist() == [0.1, 2.0 - (0.1 + 2.0 + 3.0), 3.0]
+        assert ref[2].sum() == 0.0 and ref[2, 0] == 0.5
+        assert ref[1].tolist() != W[1].tolist()
 
 
 def test_diff_matrix_memo_is_sound():
@@ -489,37 +555,140 @@ def test_psi_rows_match_node_loop(nx, ny):
     bih = DiffOps(g.x, g.y).bih
     system = GridSystem(bih, g, PSI_WALLS)
     assert sorted(system.bnd) == sorted(loop)
-    assert same_arrays(system.A, lil_replace_rows(bih, _as_assignments(loop)))
+    assert same_arrays(system.A,
+                       lil_replace_rows(bih, _as_assignments(loop)).tocsr())
 
 
-def test_replace_rows_matches_lil_on_biharmonic(channel_48x96, ops_48x96):
-    g = channel_48x96
-    rows = boundary_rows(g.x, g.y, PSI_WALLS)
-    assert same_arrays(replace_rows(ops_48x96.bih, rows),
-                       lil_replace_rows(ops_48x96.bih, _as_assignments(rows)))
+def _old_grid_system(A, grid, rows):
+    """What ``GridSystem`` formed through COO and CSC, the reference: A with
+    the boundary rows set through LIL (array for array the deleted
+    ``replace_rows``), the row scale d, and the ND-ordered, row-scaled CSC
+    that SuperLU factors, from ``diag(1/d) @ A`` by way of COO."""
+    A = lil_replace_rows(A, _as_assignments(rows))
+    d = abs(A).max(axis=1).toarray().ravel()
+    d[d == 0.0] = 1.0
+    S = (sp.diags(1.0 / d) @ A).tocsc().tocoo()
+    perm = nested_dissection(grid.nx, grid.ny)
+    rank = np.empty(perm.size, dtype=np.int64)
+    rank[perm] = np.arange(perm.size)
+    B = sp.csc_matrix((S.data, (rank[S.row], rank[S.col])), shape=S.shape)
+    return A, d, B
 
 
-def test_replace_rows_matches_lil_on_linearized(channel_48x96, ops_48x96):
-    g = channel_48x96
+def _catch_splu(monkeypatch):
+    """Copies of the matrices that SuperLU factors from now on."""
+    caught, splu = [], spla.splu
+
+    def catch(B, **options):
+        caught.append(B.copy())
+        return splu(B, **options)
+
+    monkeypatch.setattr(spla, "splu", catch)
+    return caught
+
+
+@pytest.fixture(scope="module")
+def psi_operators(channel_48x96, ops_48x96):
+    """name -> (operator, grid): the 48x96 biharmonic and a linearized
+    operator of a random background on it, and the linearized operators of
+    a 24x48 couette point (with S terms, columns unsorted) and a case-(i)
+    point."""
+    from chasflow.expansion import construct_expansion
+    from conftest import point_spec
+
     rng = np.random.default_rng(5)
-    bg = {k: rng.standard_normal(g.shape)
+    bg = {k: rng.standard_normal(channel_48x96.shape)
           for k in ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y",
                     "lap_us", "lap_vs")}
-    A = assemble_linearized_operator(
-        LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05, grid=g, ops=ops_48x96))
+    out = {"biharmonic": (ops_48x96.bih, channel_48x96),
+           "random_background": (assemble_linearized_operator(
+               LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05,
+                                 grid=channel_48x96, ops=ops_48x96)),
+               channel_48x96)}
+    for name, case, settings in (
+            ("couette", "couette_noforce", {"pert_amplitude": 0.05}),
+            ("case_i", "poiseuille_couette_noforce",
+             {"kind": "poiseuille_couette", "alpha1": 0.5, "alpha2": 0.5,
+              "pert_amplitude": 0.05, "pert_exponent": 0.425})):
+        exp = construct_expansion(point_spec(case, 24, 48, **settings), 1e-2)
+        out[name] = (assemble_linearized_operator(LinearizedProblem(
+            exp.fields, exp.eps, exp.M0, grid=exp.grid, ops=exp.ops)),
+            exp.grid)
+    return out
+
+
+@pytest.mark.parametrize("name", ["biharmonic", "random_background",
+                                  "couette", "case_i"])
+def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
+    A, grid = psi_operators[name]
+    if name == "couette":
+        assert not A.has_sorted_indices
+    before = A.copy()
+    caught = _catch_splu(monkeypatch)
+    system = GridSystem(A, grid, PSI_WALLS)
+    assert same_arrays(A, before)
+    # (tolil sorts its input's columns in place)
+    ref_A, ref_d, ref_B = _old_grid_system(
+        A.copy(), grid, boundary_rows(grid.x, grid.y, PSI_WALLS))
+    assert len(caught) == 1 and same_arrays(caught[0], ref_B)
+    assert system.d.tobytes() == ref_d.tobytes()
+    assert same_arrays(system.A, ref_A.tocsr())
+    # sorted columns: each row of A @ p adds its terms as the CSC product did
+    p = np.random.default_rng(2).standard_normal(A.shape[0])
+    assert (system.A @ p).tobytes() == (ref_A @ p).tobytes()
+
+
+def test_grid_system_keeps_explicit_zeros(monkeypatch):
+    # stored zeros in two kept rows, and one in a boundary row given with
+    # its columns out of order, stay in A (its columns sorted); the
+    # row-scaled factor input drops them, as the product diag(1/d) @ A did
+    g = make_grid(8, L=0.1)
+    A = DiffOps(g.x, g.y).bih.copy()
+    for r in (4 * g.ny + 4, 8 * g.ny + 3):
+        A.data[A.indptr[r]:A.indptr[r] + 2] = 0.0
     rows = boundary_rows(g.x, g.y, PSI_WALLS)
-    assert same_arrays(replace_rows(A, rows),
-                       lil_replace_rows(A, _as_assignments(rows)))
+    cols, vals = rows[g.ny + 4]          # nodes (0..4, 4); add (6, 4)
+    rows[g.ny + 4] = (np.r_[cols[::-1], 6 * g.ny + 4],
+                      np.r_[vals[::-1], 0.0])
+    monkeypatch.setattr(discretization, "boundary_rows", lambda *_: rows)
+    before = A.copy()
+    caught = _catch_splu(monkeypatch)
+    system = GridSystem(A, g, PSI_WALLS)
+    assert same_arrays(A, before)
+    ref_A, ref_d, ref_B = _old_grid_system(A, g, rows)
+    assert same_arrays(system.A, ref_A.tocsr())
+    assert np.count_nonzero(system.A.data == 0.0) == 5
+    assert same_arrays(caught[0], ref_B) and caught[0].nnz == system.A.nnz - 5
 
 
-def test_replace_rows_keeps_explicit_zeros():
-    A = sp.csr_matrix(np.arange(1.0, 17.0).reshape(4, 4))
-    A.data[[1, 6]] = 0.0                   # stored zeros in kept rows
-    rows = {2: ([3, 0], [7.0, 0.0])}       # unsorted, with a stored zero
-    out = replace_rows(A, rows)
-    assert same_arrays(out, lil_replace_rows(A, _as_assignments(rows)))
-    assert out.nnz == 14
-    assert A.nnz == 16 and A.data[1] == 0.0
+def test_line_modes_memo_is_sound(monkeypatch):
+    x = tanh_stretched(0.0, 2.0, 30, 1.3)
+    d2 = diff_matrix(x, 2)
+    first = line_modes(x, d2, (1, 1), 0.0)
+    # equal inputs (w as a scalar or its array) get the same read-only object
+    assert line_modes(x.copy(), diff_matrix(x, 2), (1, 1), np.zeros(28)) \
+        is first
+    for a in (first.P, first.Q, first.G, first.lam, first.R, first.Rinv):
+        assert not a.flags.writeable
+    fresh = LineModes(x, d2, (1, 1), 0.0)
+    for name in ("P", "Q", "G", "lam", "R", "Rinv"):
+        assert getattr(first, name).tobytes() == getattr(fresh, name).tobytes()
+    # every input is in the key: ends, w, d2's values and their stored order
+    reordered = d2.copy()
+    for r in range(x.size):
+        seg = slice(reordered.indptr[r], reordered.indptr[r + 1])
+        reordered.indices[seg] = reordered.indices[seg][::-1]
+        reordered.data[seg] = reordered.data[seg][::-1]
+    assert (reordered != d2).nnz == 0
+    for other in (line_modes(x, d2, (1, 0), 0.0),
+                  line_modes(x, d2, (1, 1), 1.0),
+                  line_modes(x, 2.0 * d2, (1, 1), 0.0),
+                  line_modes(x, reordered, (1, 1), 0.0)):
+        assert other is not first
+    # and so is the condition limit that the build checks against
+    monkeypatch.setattr(discretization, "EIG_COND_LIMIT", 0.5)
+    with pytest.raises(GridSolveError, match="condition number"):
+        line_modes(x, d2, (1, 1), 0.0)
 
 
 # -- nested-dissection LU of the tensor-grid systems -------------------------

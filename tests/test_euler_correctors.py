@@ -9,12 +9,11 @@ from chasflow import discretization
 from chasflow.cli import EXIT_NUMERICAL, main
 from chasflow.discretization import (GridSolveError, LineModes,
                                      SeparableSystem, build_channel_grid,
-                                     cumtrapz0, mms_convergence,
-                                     one_sided_row)
+                                     cumtrapz0, line_modes, one_sided_row)
 from chasflow.euler_correctors import SIDES, EulerSolveError, EulerSolver
 from chasflow.expansion import _extended_grid
 from chasflow.profiles import PerturbationSpec, build_profile
-from conftest import lil_replace_rows
+from conftest import lil_replace_rows, mms_convergence
 
 L = 0.1
 
@@ -226,14 +225,19 @@ def test_separable_solve_matches_sparse_lu(side, make, perturbed_couette):
     assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def _skew(g):
+    """A skew coupling of two y nodes: it gives Ky a complex-conjugate
+    spectrum (eigenvector condition number 2.7)."""
+    return sp.csr_matrix(([1e4, -1e4], ([20, 21], [21, 20])),
+                         shape=(g.ny, g.ny))
+
+
 def test_a_complex_spectrum_is_solved_in_complex_arithmetic(
         perturbed_couette):
-    # a skew coupling of two y nodes gives Ky a complex-conjugate spectrum
-    # (eigenvector condition number 2.7); the solve keeps the real part
+    # the solve of a complex spectrum keeps the real part
     g = _stretched_24x48()
     s = EulerSolver(g, perturbed_couette)
-    skew = sp.csr_matrix(([1e4, -1e4], ([20, 21], [21, 20])),
-                         shape=(g.ny, g.ny))
+    skew = _skew(g)
     ym = LineModes(g.y, s.ops.d2y + skew, SIDES["plus"], s.w[1:-1])
     assert np.iscomplexobj(ym.lam)
     rng = np.random.default_rng(6)
@@ -243,6 +247,21 @@ def test_a_complex_spectrum_is_solved_in_complex_arithmetic(
     A = _operator(s) - sp.kron(sp.identity(g.nx), skew)
     ref = _reference_v(A, g, "plus", rhs, wall)
     assert np.abs(v - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_skewed_modes_are_never_served_from_the_memo(perturbed_couette):
+    # the plus side's modes are memoized; the skewed d2 of the complex
+    # spectrum differs in d2's arrays alone, so it gets its own build
+    g = _stretched_24x48()
+    s = EulerSolver(g, perturbed_couette)
+    args = (g.y, s.ops.d2y, SIDES["plus"], s.w[1:-1])
+    plain = line_modes(*args)
+    skewed = line_modes(g.y, s.ops.d2y + _skew(g), *args[2:])
+    assert skewed is not plain
+    assert np.iscomplexobj(skewed.lam) and not np.iscomplexobj(plain.lam)
+    fresh = LineModes(g.y, s.ops.d2y + _skew(g), *args[2:])
+    assert skewed.lam.tobytes() == fresh.lam.tobytes()
+    assert line_modes(*args) is plain
 
 
 def test_ill_conditioned_modes_are_refused(perturbed_couette, channel_48x96,

@@ -12,7 +12,7 @@ from chasflow.discretization import (DiffOps, GridSolveError, GridSystem,
                                      LineModes, SeparableSystem,
                                      boundary_rows, build_channel_grid,
                                      diff_matrix, one_sided_row,
-                                     replace_rows, tanh_stretched)
+                                     tanh_stretched)
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  RemainderSolution,
                                  assemble_linearized_operator, compute_norms,
@@ -171,7 +171,9 @@ def _bordered_neumann(g, ops):
     n = g.nx * g.ny
     col = np.ones((n, 1))
     col[bnd] = 0.0
-    A = sp.bmat([[replace_rows(ops.lap, rows), col],
+    lap = lil_replace_rows(ops.lap,
+                           [(r, c, v) for r, (c, v) in rows.items()])
+    A = sp.bmat([[lap, col],
                  [sp.csr_matrix(ops.w2.reshape(1, -1)), None]], format="csc")
     return A, bnd
 

@@ -1,7 +1,11 @@
+from math import comb
+
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from chasflow import profiles
 from chasflow.profiles import (BumpShape, PerturbationSpec, ProfileError,
                                build_profile, check_couette_degeneracy)
 
@@ -58,6 +62,42 @@ def test_perturbation_linearity():
     p2 = PerturbationSpec(0.10, 0.0, shape=bump)
     y = np.linspace(0, 2, 501)
     assert np.allclose(2.0 * p1.delta(y, 1e-2), p2.delta(y, 1e-2), rtol=0, atol=1e-16)
+
+
+def _bump_formula(y, k):
+    """c * d^k [y^4 (2-y)^4 sin(pi y)] by Leibniz, evaluated afresh."""
+    polys = [npoly.polymul([0.0, 0.0, 0.0, 0.0, 1.0],
+                           npoly.polypow([2.0, -1.0], 4))]
+    for _ in range(4):
+        polys.append(npoly.polyder(polys[-1]))
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    for j in range(k + 1):
+        trig = np.pi ** (k - j) * np.sin(np.pi * y + (k - j) * np.pi / 2.0)
+        out += comb(k, j) * npoly.polyval(y, polys[j]) * trig
+    return out
+
+
+def test_bump_values_are_computed_once_per_nodes_and_order():
+    bump = BumpShape()
+    scale = 1.0 / max(np.abs(_bump_formula(FINE, k)).max() for k in range(5))
+    assert bump._scale == scale
+    grid = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    for y in (FINE, grid, grid.T, 0.3):
+        for k in range(5):
+            got = bump(y, k)
+            assert np.shape(got) == np.shape(y)
+            assert np.asarray(got).tobytes() == np.asarray(
+                scale * _bump_formula(y, k)).tobytes()
+    first = profiles._bump(FINE.tobytes(), 3)
+    assert profiles._bump(FINE.copy().tobytes(), 3) is first
+    assert not first.flags.writeable
+    # a caller gets its own array; other nodes or orders are other entries
+    mine = bump(FINE, 3)
+    mine[:] = 0.0
+    assert np.abs(bump(FINE, 3)).max() > 0.0
+    assert profiles._bump(FINE.tobytes(), 2) is not first
+    assert profiles._bump(FINE[:-1].tobytes(), 3) is not first
 
 
 def test_admissibility_rejections():
