@@ -7,13 +7,16 @@ smoothly stretched nonuniform nodes; quadrature is trapezoidal to match.
 """
 
 import functools
+import logging
 import math
 import struct
+import time
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+log = logging.getLogger(__name__)
 MAGIC = b"CHAS"
 BINARY_VERSION = 1
 
@@ -401,15 +404,19 @@ class GridLU:
 
 
 def grid_lu(A, nx, ny):
-    """Nested-dissection LU of a system on the nodes of an nx x ny grid."""
+    """Nested-dissection LU of a system on the nodes of an nx x ny grid; the
+    CSC it factors replaces ``A``, so a temporary argument is freed first."""
     perm = nested_dissection(nx, ny)
     rank = np.empty(perm.size, dtype=np.int64)
     rank[perm] = np.arange(perm.size)
     A = sp.csr_matrix(A)
     # rows in elimination order; tocsc's counting pass keeps that order
-    B = sp.csr_matrix((A.data, rank[A.indices], A.indptr), shape=A.shape)
-    lu = spla.splu(B[perm].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=ND_PIVOT)
+    A = sp.csr_matrix((A.data, rank[A.indices], A.indptr),
+                      shape=A.shape)[perm].tocsc()
+    start = time.perf_counter()
+    lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
+    log.debug("grid LU %dx%d: nnz %d, SuperLU supernodal storage (lu.nnz, "
+              "not L+U) %d, %.3f s", nx, ny, A.nnz, lu.nnz, time.perf_counter() - start)
     return GridLU(lu, perm)
 
 
@@ -423,7 +430,8 @@ class GridSystem:
     with the ``boundary_rows`` of the condition table walls in place of its
     rows there (the others keep every entry, explicit zeros included); keeps
     that CSR ``A``, the rows ``bnd``, the row scale ``d`` (each row's largest
-    |entry|, 1 for an empty row) and ``lu``, the ``grid_lu`` of diag(1/d) A."""
+    |entry|, 1 for an empty row) and ``lu``, the ``grid_lu`` of diag(1/d) A,
+    factored at its first use: by then the operator given is no longer alive."""
 
     def __init__(self, A, grid, walls):
         rows = boundary_rows(grid.x, grid.y, walls)
@@ -441,7 +449,10 @@ class GridSystem:
         self.A.sum_duplicates()       # sorts columns: A @ p adds as CSC did
         d = abs(self.A).max(axis=1).toarray().ravel()
         self.d = np.where(d == 0.0, 1.0, d)
-        self.lu = grid_lu(sp.diags(1.0 / self.d) @ self.A, grid.nx, grid.ny)
+
+    @functools.cached_property
+    def lu(self):       # the product drops the entries that scale to zero
+        return grid_lu(sp.diags(1.0 / self.d) @ self.A, self.grid.nx, self.grid.ny)
 
     def solve(self, f):
         """The grid unknowns (nx, ny) for f, with 0 at the boundary rows."""
@@ -733,55 +744,60 @@ class Field2D:
 
 
 class DiffOps:
-    """Sparse difference operators on a tensor grid, flattened C-order (nx, ny).
-
-    All first/second derivative operators are formally second order on
-    smoothly stretched nodes and annihilate constants exactly.
+    """Difference operators on a tensor grid, for fields in C order (nx, ny):
+    the 1-D matrices ``d{k}x``, ``d{k}y`` (k = 1..3) and the Kronecker CSR
+    ``lap``.  All first/second derivative operators are formally second
+    order on smoothly stretched nodes and annihilate constants exactly.
     """
 
     def __init__(self, x, y):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.nx, self.ny = self.x.size, self.y.size
-        self.d1x = diff_matrix(self.x, 1)
-        self.d1y = diff_matrix(self.y, 1)
-        self.d2x = diff_matrix(self.x, 2)
-        self.d2y = diff_matrix(self.y, 2)
-        Ix = sp.identity(self.nx, format="csr")
-        Iy = sp.identity(self.ny, format="csr")
-        self.Dx = sp.kron(self.d1x, Iy, format="csr")
-        self.Dy = sp.kron(Ix, self.d1y, format="csr")
-        self.Dxx = sp.kron(self.d2x, Iy, format="csr")
-        self.Dyy = sp.kron(Ix, self.d2y, format="csr")
-        self.Dxy = sp.kron(self.d1x, self.d1y, format="csr")
-        self.lap = (self.Dxx + self.Dyy).tocsr()
+        self.d1x, self.d2x, self.d3x = (diff_matrix(self.x, k) for k in (1, 2, 3))
+        self.d1y, self.d2y, self.d3y = (diff_matrix(self.y, k) for k in (1, 2, 3))
+        self.lap = (self.kron("Dxx") + self.kron("Dyy")).tocsr()
         self.wx = trapezoid_weights(self.x)
         self.wy = trapezoid_weights(self.y)
         self.w2 = np.outer(self.wx, self.wy).ravel()
 
-    @functools.cached_property
-    def bih(self):
-        Ix = sp.identity(self.nx, format="csr")
-        Iy = sp.identity(self.ny, format="csr")
-        d4x = diff_matrix(self.x, 4)
-        d4y = diff_matrix(self.y, 4)
-        return (sp.kron(d4x, Iy) + 2.0 * sp.kron(self.d2x, self.d2y)
-                + sp.kron(Ix, d4y)).tocsr()
+    def kron(self, op):
+        """The Kronecker CSR matrix of the operator named ``op`` ("Dx", ...,
+        "Dxyy", or "bih", the biharmonic), built afresh on each call."""
+        Ix, Iy = eye = [sp.identity(n, format="csr") for n in (self.nx, self.ny)]
+        if op == "bih":
+            return (sp.kron(diff_matrix(self.x, 4), Iy) + 2.0 * sp.kron(
+                self.d2x, self.d2y) + sp.kron(Ix, diff_matrix(self.y, 4))).tocsr()
+        return sp.kron(*self._axes(op, eye), format="csr")
 
-    @functools.cached_property
-    def third_ops(self):
-        """(Dxxx, Dxxy, Dxyy, Dyyy) for third-derivative norms."""
-        Ix = sp.identity(self.nx, format="csr")
-        Iy = sp.identity(self.ny, format="csr")
-        d3x = diff_matrix(self.x, 3)
-        d3y = diff_matrix(self.y, 3)
-        return (sp.kron(d3x, Iy, format="csr"),
-                sp.kron(self.d2x, self.d1y, format="csr"),
-                sp.kron(self.d1x, self.d2y, format="csr"),
-                sp.kron(Ix, d3y, format="csr"))
+    def _axes(self, op, fill):
+        """op's 1-D matrices along x and y, fill's on an axis it leaves alone."""
+        k = [op.count(a) for a in "xy"]
+        if op != "D" + "x" * k[0] + "y" * k[1] or not 0 < max(k) <= 3:
+            raise ValueError(f"unknown operator {op!r}")
+        return [getattr(self, f"d{n}{a}") if n else v for n, a, v in zip(k, "xy", fill)]
 
     def apply(self, op, f):
-        return (op @ f.ravel()).reshape(self.nx, self.ny)
+        """The operator named ``op`` ("Dx", "Dxy", "Dyyy", "lap", ...) on f,
+        flat or (nx, ny), as a C-order (nx, ny) array, byte for byte
+        ``kron(op) @ f``: each value adds the same products (wx * wy) * f
+        from 0.0 in the same order, along the 1-D stencils' columns."""
+        F = np.asarray(f, dtype=float).reshape(self.nx, self.ny)
+        if op == "lap":
+            return (self.lap @ F.ravel()).reshape(F.shape)
+        dx, dy = self._axes(op, (None, None))
+        if dy is None:
+            return dx @ F
+        if dx is None:
+            return np.ascontiguousarray((dy @ F.T).T)
+        cx, wx, cy, wy = (a.reshape(d.shape[0], -1) for d in (dx, dy)
+                          for a in (d.indices, d.data))
+        cols = [F[:, c] for c in cy.T]
+        out = np.zeros(F.shape)
+        for p, rows in enumerate(cx.T):
+            for q, G in enumerate(cols):
+                out += (wx[:, p, None] * wy[:, q]) * G[rows]
+        return out
 
     # -- norms ------------------------------------------------------------
 
@@ -799,16 +815,12 @@ class DiffOps:
             return float(np.max(np.abs(f)))
         if kind == "L2":
             return self.norm_l2(f)
-        fx = self.apply(self.Dx, f)
-        fy = self.apply(self.Dy, f)
-        s = self.norm_l2(f) ** 2 + self.norm_l2(fx) ** 2 + self.norm_l2(fy) ** 2
-        if kind == "H1":
-            return float(np.sqrt(s))
-        if kind == "H2":
-            for op in (self.Dxx, self.Dxy, self.Dyy):
-                s += self.norm_l2(self.apply(op, f)) ** 2
-            return float(np.sqrt(s))
-        raise ValueError(f"unknown norm kind {kind!r}")
+        if kind not in ("H1", "H2"):
+            raise ValueError(f"unknown norm kind {kind!r}")
+        s = self.norm_l2(f) ** 2
+        for op in ("Dx", "Dy", "Dxx", "Dxy", "Dyy")[:2 if kind == "H1" else 5]:
+            s += self.norm_l2(self.apply(op, f)) ** 2
+        return float(np.sqrt(s))
 
 
 def lsq_slope(xs, ys):

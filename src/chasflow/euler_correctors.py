@@ -42,7 +42,7 @@ class EulerCorrector:
         self.u, self.v, self.P = fields["u"], fields["v"], fields["P"]
 
     def divergence(self, ops):
-        return ops.apply(ops.Dx, self.u) + ops.apply(ops.Dy, self.v)
+        return ops.apply("Dx", self.u) + ops.apply("Dy", self.v)
 
 
 class EulerSolver:
@@ -113,13 +113,12 @@ class EulerSolver:
         dP/dy = -mu dv/dx holds in the continuum."""
         g, ops = self.grid, self.ops
         mu, mup = self.profile.mu(g.y), self.profile.mu(g.y, 1)
-        vy = ops.apply(ops.Dy, v)
+        vy = ops.apply("Dy", v)
         u = -cumtrapz0(vy, g.x)
         ux = -vy
         px = rhs_x[None, :] - mu[None, :] * ux - mup[None, :] * v
-        fields = {"u": u, "v": v, "ux": ux, "uy": ops.apply(ops.Dy, u),
-                  "vx": ops.apply(ops.Dx, v), "vy": vy,
-                  "lap_u": ops.apply(ops.lap, u),
-                  "lap_v": ops.apply(ops.lap, v),
+        fields = {"u": u, "v": v, "ux": ux, "uy": ops.apply("Dy", u),
+                  "vx": ops.apply("Dx", v), "vy": vy,
+                  "lap_u": ops.apply("lap", u), "lap_v": ops.apply("lap", v),
                   "px": px, "P": cumtrapz0(px, g.x)}
         return EulerCorrector(index, side, g, fields, mu)

@@ -261,7 +261,7 @@ def _pointwise_constants(res):
     bound225 = np.minimum(eps * yv, eps * (2.0 - yv))
     vx = f["vs_x"]
     # l = 0,1 from stored fields; l = 2 via one FD pass in x
-    d2 = res.ops.apply(res.ops.Dxx, f["v_s"])
+    d2 = res.ops.apply("Dxx", f["v_s"])
     num225 = np.maximum.reduce([np.abs(f["v_s"])[:, inner],
                                 np.abs(vx)[:, inner], np.abs(d2)[:, inner]])
     c225 = float(np.max(num225 / bound225[None, :]))

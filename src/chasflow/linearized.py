@@ -45,10 +45,7 @@ class LinearizedProblem:
         ub = self.ubar if ubar is None else ubar
         vb = self.vbar if vbar is None else vbar
         c = self.eps ** self.M0
-        uy = ops.apply(ops.Dy, ub)
-        ux = ops.apply(ops.Dx, ub)
-        vy = ops.apply(ops.Dy, vb)
-        vx = ops.apply(ops.Dx, vb)
+        uy, ux, vy, vx = (ops.apply(op, f) for f in (ub, vb) for op in ("Dy", "Dx"))
         N1 = -c * (vb * uy + ub * ux)
         N2 = -c * (vb * vy + ub * vx)
         return N1, N2
@@ -90,12 +87,12 @@ def assemble_linearized_operator(problem):
     usx = sp.diags(bg["us_x"].ravel())
     vsx = sp.diags(bg["vs_x"].ravel())
     lap_us = sp.diags(bg["lap_us"].ravel())
-    Dxxx, _, Dxyy, _ = ops.third_ops
-    A = us @ (Dxyy + Dxxx) - lap_us @ ops.Dx
+    Dx, Dy, Dyy, Dxxx, Dxyy, bih = map(ops.kron, ("Dx", "Dy", "Dyy", "Dxxx",
+                                                   "Dxyy", "bih"))
+    A = us @ (Dxyy + Dxxx) - lap_us @ Dx
     # S(u, v) with u = psi_y, v = -psi_x
-    S = (ops.Dy @ (usx @ ops.Dy + vs @ ops.Dyy)
-         + ops.Dx @ (vs @ (ops.Dy @ ops.Dx)) - ops.Dx @ (vsx @ ops.Dy))
-    A = A + S - problem.eps * ops.bih
+    S = Dy @ (usx @ Dy + vs @ Dyy) + Dx @ (vs @ (Dy @ Dx)) - Dx @ (vsx @ Dy)
+    A = A + S - problem.eps * bih
     return A.tocsr()
 
 
@@ -107,10 +104,10 @@ def solve_linearized(problem):
     """
     ops = problem.ops
     N1, N2 = problem.nonlinear_terms()
-    psi = problem.system.solve(ops.apply(ops.Dy, N1 + problem.F1)
-                               - ops.apply(ops.Dx, N2 + problem.F2))
-    return RemainderSolution(problem.grid, ops, ops.apply(ops.Dy, psi),
-                             -ops.apply(ops.Dx, psi), psi=psi)
+    psi = problem.system.solve(ops.apply("Dy", N1 + problem.F1)
+                               - ops.apply("Dx", N2 + problem.F2))
+    return RemainderSolution(problem.grid, ops, ops.apply("Dy", psi),
+                             -ops.apply("Dx", psi), psi=psi)
 
 
 def recover_pressure(sol, problem):
@@ -123,10 +120,8 @@ def recover_pressure(sol, problem):
     N1, N2 = problem.nonlinear_terms()
     f1 = N1 + problem.F1
     f2 = N2 + problem.F2
-    uy = ops.apply(ops.Dy, u)
-    vx = ops.apply(ops.Dx, v)
-    vy = ops.apply(ops.Dy, v)
-    rhs = (ops.apply(ops.Dx, f1) + ops.apply(ops.Dy, f2)
+    uy, vx, vy = ops.apply("Dy", u), ops.apply("Dx", v), ops.apply("Dy", v)
+    rhs = (ops.apply("Dx", f1) + ops.apply("Dy", f2)
            - (2.0 * bg["us_y"] * vx + 4.0 * bg["vs_y"] * vy + 2.0 * bg["vs_x"] * uy))
     # Neumann data from the momentum balances
     m1, m2 = _momentum_balances(problem, u, v)
@@ -162,10 +157,10 @@ def _momentum_balances(problem, u, v):
     ops = problem.ops
     bg = problem.bg
     eps = problem.eps
-    m1 = (bg["u_s"] * ops.apply(ops.Dx, u) + bg["us_y"] * v + bg["us_x"] * u
-          + bg["v_s"] * ops.apply(ops.Dy, u) - eps * ops.apply(ops.lap, u))
-    m2 = (bg["u_s"] * ops.apply(ops.Dx, v) + bg["v_s"] * ops.apply(ops.Dy, v)
-          + bg["vs_x"] * u + v * bg["vs_y"] - eps * ops.apply(ops.lap, v))
+    m1 = (bg["u_s"] * ops.apply("Dx", u) + bg["us_y"] * v + bg["us_x"] * u
+          + bg["v_s"] * ops.apply("Dy", u) - eps * ops.apply("lap", u))
+    m2 = (bg["u_s"] * ops.apply("Dx", v) + bg["v_s"] * ops.apply("Dy", v)
+          + bg["vs_x"] * u + v * bg["vs_y"] - eps * ops.apply("lap", v))
     return m1, m2
 
 
@@ -174,8 +169,8 @@ def momentum_residual(sol, problem):
     ops = problem.ops
     N1, N2 = problem.nonlinear_terms()
     m1, m2 = _momentum_balances(problem, sol.u, sol.v)
-    r1 = m1 + ops.apply(ops.Dx, sol.P) - N1 - problem.F1
-    r2 = m2 + ops.apply(ops.Dy, sol.P) - N2 - problem.F2
+    r1 = m1 + ops.apply("Dx", sol.P) - N1 - problem.F1
+    r2 = m2 + ops.apply("Dy", sol.P) - N2 - problem.F2
     return r1, r2
 
 
@@ -186,12 +181,12 @@ def curl_residual(sol, problem):
     eps = problem.eps
     u, v = sol.u, sol.v
     N1, N2 = problem.nonlinear_terms()
-    curl_rhs = ops.apply(ops.Dy, N1 + problem.F1) - ops.apply(ops.Dx, N2 + problem.F2)
-    S = (ops.apply(ops.Dy, bg["us_x"] * u + bg["v_s"] * ops.apply(ops.Dy, u))
-         - ops.apply(ops.Dx, bg["v_s"] * ops.apply(ops.Dy, v) + bg["vs_x"] * u))
-    lhs = (-bg["u_s"] * ops.apply(ops.Dyy, v) + ops.apply(ops.Dyy, bg["u_s"]) * v
-           - bg["u_s"] * ops.apply(ops.Dxx, v) + ops.apply(ops.Dxx, bg["u_s"]) * v
-           + S - eps * ops.apply(ops.lap, ops.apply(ops.Dy, u) - ops.apply(ops.Dx, v)))
+    curl_rhs = ops.apply("Dy", N1 + problem.F1) - ops.apply("Dx", N2 + problem.F2)
+    S = (ops.apply("Dy", bg["us_x"] * u + bg["v_s"] * ops.apply("Dy", u))
+         - ops.apply("Dx", bg["v_s"] * ops.apply("Dy", v) + bg["vs_x"] * u))
+    lhs = (-bg["u_s"] * ops.apply("Dyy", v) + ops.apply("Dyy", bg["u_s"]) * v
+           - bg["u_s"] * ops.apply("Dxx", v) + ops.apply("Dxx", bg["u_s"]) * v
+           + S - eps * ops.apply("lap", ops.apply("Dy", u) - ops.apply("Dx", v)))
     return lhs - curl_rhs
 
 
@@ -202,8 +197,8 @@ def compute_q(u_s, v, grid, ops):
     if scale <= 0.0:
         raise LinearSolveError("background u_s vanishes identically")
     floor = 1e-10 * scale
-    dy_v = ops.apply(ops.Dy, v)
-    dy_us = ops.apply(ops.Dy, u_s)
+    dy_v = ops.apply("Dy", v)
+    dy_us = ops.apply("Dy", u_s)
     safe = np.abs(u_s) > floor
     q[safe] = v[safe] / u_s[safe]
     bad = ~safe
@@ -237,16 +232,13 @@ def compute_norms(sol, background, eps):
     u, v = sol.u, sol.v
     u_s = background["u_s"]
     sqrt_us = np.sqrt(np.maximum(u_s, 0.0))
-    vx = ops.apply(ops.Dx, v)
-    vy = ops.apply(ops.Dy, v)
+    vx = ops.apply("Dx", v)
+    vy = ops.apply("Dy", v)
     A1 = np.sqrt(ops.norm_l2(sqrt_us * vy) ** 2 + ops.norm_l2(sqrt_us * vx) ** 2)
 
     q = compute_q(u_s, v, grid, ops)
-    qxx = ops.apply(ops.Dxx, q)
-    qxy = ops.apply(ops.Dxy, q)
-    qyy = ops.apply(ops.Dyy, q)
-    qy = ops.apply(ops.Dy, q)
-    qx = ops.apply(ops.Dx, q)
+    qxx, qxy, qyy, qy, qx = (ops.apply(op, q)
+                             for op in ("Dxx", "Dxy", "Dyy", "Dy", "Dx"))
     wy = ops.wy
     edge_qy = float(np.sqrt(wy @ (u_s[0] * qy[0]) ** 2))
     edge_qx = float(np.sqrt(wy @ (u_s[-1] * qx[-1]) ** 2))
@@ -256,7 +248,7 @@ def compute_norms(sol, background, eps):
 
     # squared norms of (Dxxx, Dxxy, Dxyy, Dyyy) applied to u, then to v
     third = [ops.norm_l2(ops.apply(op, f)) ** 2
-             for f in (u, v) for op in ops.third_ops]
+             for f in (u, v) for op in ("Dxxx", "Dxxy", "Dxyy", "Dyyy")]
     A3 = np.sqrt(eps ** 3 * (third[4] + third[5] + third[6]))
     third_sum = 0.0
     for t in third:     # left to right: sum() compensates from Python 3.12

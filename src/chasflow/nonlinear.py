@@ -144,20 +144,20 @@ class _NewtonJacobian(LinearOperator):
         super().__init__(float, problem.system.A.shape)
         ops = problem.ops
         self.problem, self.mask, self.products = problem, mask, 0
-        self.fields = (u, v) + tuple(ops.apply(D, f) for f in (u, v)
-                                     for D in (ops.Dx, ops.Dy))
+        self.fields = (u, v) + tuple(ops.apply(op, f) for f in (u, v)
+                                     for op in ("Dx", "Dy"))
 
     def _matvec(self, p):
         self.products += 1
         ops, system = self.problem.ops, self.problem.system
         u, v, ux, uy, vx, vy = self.fields
-        du, dv = ops.apply(ops.Dy, p), -ops.apply(ops.Dx, p)
+        du, dv = ops.apply("Dy", p), -ops.apply("Dx", p)
         c = -self.problem.eps ** self.problem.M0
-        J1 = c * (uy * dv + v * ops.apply(ops.Dy, du)
-                  + ux * du + u * ops.apply(ops.Dx, du))
-        J2 = c * (vy * dv + v * ops.apply(ops.Dy, dv)
-                  + vx * du + u * ops.apply(ops.Dx, dv))
-        curlJ = ops.apply(ops.Dy, J1) - ops.apply(ops.Dx, J2)
+        J1 = c * (uy * dv + v * ops.apply("Dy", du)
+                  + ux * du + u * ops.apply("Dx", du))
+        J2 = c * (vy * dv + v * ops.apply("Dy", dv)
+                  + vx * du + u * ops.apply("Dx", dv))
+        curlJ = ops.apply("Dy", J1) - ops.apply("Dx", J2)
         return (system.A @ p.ravel() - self.mask * curlJ.ravel()) / system.d
 
 
@@ -178,18 +178,18 @@ def newton_solve(problem):
     ``norms["gmres_iterations"]`` counts the inner iterations."""
     grid, ops, system = problem.grid, problem.ops, problem.system
     A, d = system.A, system.d
-    curlF = (ops.apply(ops.Dy, problem.F1)
-             - ops.apply(ops.Dx, problem.F2)).ravel()
+    curlF = (ops.apply("Dy", problem.F1)
+             - ops.apply("Dx", problem.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
     mask[system.bnd] = curlF[system.bnd] = 0.0
     precond = LinearOperator(A.shape, matvec=system.lu.solve, dtype=float)
 
     def residual(psi_flat):
         sf = psi_flat.reshape(grid.nx, grid.ny)
-        u = ops.apply(ops.Dy, sf)
-        v = -ops.apply(ops.Dx, sf)
+        u = ops.apply("Dy", sf)
+        v = -ops.apply("Dx", sf)
         N1, N2 = problem.nonlinear_terms(u, v)
-        curlN = (ops.apply(ops.Dy, N1) - ops.apply(ops.Dx, N2)).ravel()
+        curlN = (ops.apply("Dy", N1) - ops.apply("Dx", N2)).ravel()
         return A @ psi_flat - mask * curlN - curlF, u, v
 
     psi = np.zeros(grid.nx * grid.ny)

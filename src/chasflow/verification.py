@@ -298,7 +298,7 @@ def audit_invariants(expansion, sol, full):
     # discrete divergence of the assembled pair: channel-operator truncation
     # at layer scale plus corner/interpolation dust relative to the O(1)
     # shear gradient
-    divd = ops.apply(ops.Dx, f["u_s"]) + ops.apply(ops.Dy, f["v_s"])
+    divd = ops.apply("Dx", f["u_s"]) + ops.apply("Dy", f["v_s"])
     add("expansion.divergence_discrete", ops.norm(divd, "L2"),
         0.2 * ops.norm(f["us_x"], "L2") + 1e-5 * ops.norm(f["us_y"], "L2"),
         "channel-grid FD at layer scale")
@@ -310,7 +310,7 @@ def audit_invariants(expansion, sol, full):
         for name, val in expansion.report.get("opposite_wall_traces", {}).items():
             add(f"euler_trace.{name}", val, 1e-3 * max(scale, 1e-12))
 
-    divr = ops.apply(ops.Dx, sol.u) + ops.apply(ops.Dy, sol.v)
+    divr = ops.apply("Dx", sol.u) + ops.apply("Dy", sol.v)
     rscale = max(float(np.max(np.abs(sol.u))), 1e-30)
     ij = np.unravel_index(np.abs(divr).argmax(), divr.shape)
     add("remainder.divergence", np.max(np.abs(divr)), 1e-10 * rscale,

@@ -65,10 +65,11 @@ def mms_convergence(apply_level, levels):
 def lil_replace_rows(A, assignments):
     """Row replacement through LIL, the reference for ``GridSystem``'s.
 
-    Sets each (row, cols, vals) of ``assignments`` on ``A.tolil()`` in
-    order, so a later assignment to a row wins, then converts to CSC.
+    Sets each (row, cols, vals) of ``assignments`` on a LIL copy of ``A`` in
+    order, so a later assignment to a row wins, then converts to CSC.  ``A``
+    is left as it was (``tolil`` sorts a CSR input's columns in place).
     """
-    A = A.tolil()
+    A = A.copy().tolil()
     for r, cols, vals in assignments:
         A.rows[r] = list(cols)
         A.data[r] = list(vals)
@@ -89,18 +90,16 @@ def newton_jacobian(problem, u, v):
     that ``newton_solve`` applies from the stencils."""
     ops, system = problem.ops, problem.system
     c = problem.eps ** problem.M0
-    uy = sp.diags(ops.apply(ops.Dy, u).ravel())
-    ux = sp.diags(ops.apply(ops.Dx, u).ravel())
-    vy = sp.diags(ops.apply(ops.Dy, v).ravel())
-    vx = sp.diags(ops.apply(ops.Dx, v).ravel())
+    uy = sp.diags(ops.apply("Dy", u).ravel())
+    ux = sp.diags(ops.apply("Dx", u).ravel())
+    vy = sp.diags(ops.apply("Dy", v).ravel())
+    vx = sp.diags(ops.apply("Dx", v).ravel())
     du = sp.diags(u.ravel())
     dv = sp.diags(v.ravel())
-    J1 = -c * (uy @ (-ops.Dx) + dv @ (ops.Dy @ ops.Dy)
-               + ux @ ops.Dy + du @ (ops.Dx @ ops.Dy))
-    J2 = -c * (vy @ (-ops.Dx) + dv @ (ops.Dy @ (-ops.Dx))
-               + vx @ ops.Dy + du @ (ops.Dx @ (-ops.Dx)))
+    Dx, Dy = ops.kron("Dx"), ops.kron("Dy")
+    J1 = -c * (uy @ (-Dx) + dv @ (Dy @ Dy) + ux @ Dy + du @ (Dx @ Dy))
+    J2 = -c * (vy @ (-Dx) + dv @ (Dy @ (-Dx)) + vx @ Dy + du @ (Dx @ (-Dx)))
     mask = np.ones(system.A.shape[0])
     mask[system.bnd] = 0.0
     return (sp.diags(1.0 / system.d)
-            @ (system.A - sp.diags(mask) @ (ops.Dy @ J1 - ops.Dx @ J2))
-            ).tocsr()
+            @ (system.A - sp.diags(mask) @ (Dy @ J1 - Dx @ J2))).tocsr()

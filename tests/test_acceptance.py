@@ -62,7 +62,7 @@ def test_criterion_2_biharmonic_mms():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = GridSystem(ops.bih, g, PSI_WALLS).solve(f)
+        psi = GridSystem(ops.kron("bih"), g, PSI_WALLS).solve(f)
         errs.append(np.abs(psi - X * Y).max())
     order = float(np.polyfit(np.log([1 / 48, 1 / 96, 1 / 192]),
                              np.log(errs), 1)[0])

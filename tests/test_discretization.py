@@ -1,5 +1,7 @@
+import logging
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,14 +51,14 @@ def test_build_channel_grid_unresolvable():
 
 def test_operators_annihilate_constants(ops_48x96):
     one = np.ones((48, 96))
-    assert np.abs(ops_48x96.apply(ops_48x96.Dx, one)).max() < 1e-12
+    assert np.abs(ops_48x96.apply("Dx", one)).max() < 1e-12
     # the h^-2 weight amplification makes the absolute linear-annihilation
     # bound an O(1)-spacing statement; roundoff floor ~ ulp(h^-2)
     x = np.linspace(0.0, 2.0, 20)
     y = tanh_stretched(0.0, 2.0, 24, 1.0)
     ops = DiffOps(x, y)
     lin = x[:, None] + 2.0 * y[None, :]
-    assert np.abs(ops.apply(ops.lap, lin + 0.0)).max() < 1e-10
+    assert np.abs(ops.apply("lap", lin + 0.0)).max() < 1e-10
 
 
 def test_biharmonic_exact_on_cubics():
@@ -67,7 +69,7 @@ def test_biharmonic_exact_on_cubics():
     ops = DiffOps(x, y)
     XX, YY = np.meshgrid(x, y, indexing="ij")
     cub = XX ** 3 + YY ** 3 + XX * YY ** 2 + XX ** 2 * YY
-    assert np.abs(ops.apply(ops.bih, cub)).max() < 1e-9
+    assert np.abs(ops.kron("bih") @ cub.ravel()).max() < 1e-9
 
 
 def test_norm_trivial_cases(ops_48x96):
@@ -110,7 +112,7 @@ def test_mms_laplacian_order():
         ops = DiffOps(g.x, g.y)
         f = np.sin(np.pi * g.XX / L) * np.sin(np.pi * g.YY / 2)
         exact = -((np.pi / L) ** 2 + (np.pi / 2) ** 2) * f
-        err = np.abs(ops.apply(ops.lap, f) - exact).max() / np.abs(exact).max()
+        err = np.abs(ops.apply("lap", f) - exact).max() / np.abs(exact).max()
         return 1.0 / n, err
 
     slope, _, errs = mms_convergence(level, [16, 32, 64])
@@ -122,7 +124,7 @@ def test_mms_dx_constant_zero():
     for n in (16, 32):
         g = make_grid(n)
         ops = DiffOps(g.x, g.y)
-        assert np.abs(ops.apply(ops.Dx, np.ones(g.shape))).max() < 1e-12
+        assert np.abs(ops.apply("Dx", np.ones(g.shape))).max() < 1e-12
 
 
 def test_refinement_never_degrades():
@@ -134,7 +136,7 @@ def test_refinement_never_degrades():
         ops = DiffOps(g.x, g.y)
         f = np.sin(np.pi * g.XX / L) * np.sin(np.pi * g.YY / 2)
         exact = -((np.pi / L) ** 2 + (np.pi / 2) ** 2) * f
-        errs.append(np.abs(ops.apply(ops.lap, f) - exact).max())
+        errs.append(np.abs(ops.apply("lap", f) - exact).max())
     for a, b in zip(errs, errs[1:]):
         assert b <= 1.05 * a
 
@@ -151,8 +153,8 @@ def test_summation_by_parts():
         bump_y = np.sin(np.pi * g.YY / 2)
         f = bump_x * bump_y
         h = bump_x ** 2 * bump_y ** 2
-        lhs = abs(ops.integrate(ops.apply(ops.Dx, f) * h)
-                  + ops.integrate(f * ops.apply(ops.Dx, h)))
+        lhs = abs(ops.integrate(ops.apply("Dx", f) * h)
+                  + ops.integrate(f * ops.apply("Dx", h)))
         rel = lhs / (ops.norm(f, "L2") * ops.norm(h, "L2"))
         assert rel <= 1e-2 * (g.x[1] - g.x[0]) ** 2
 
@@ -369,6 +371,79 @@ def test_diff_matrix_memo_is_sound():
     assert same_arrays(diff_matrix(x.tolist(), 2), ref)
 
 
+# -- DiffOps along the grid axes against the Kronecker CSR matvec -----------
+
+AXIS_OPS = ("Dx", "Dy", "Dxx", "Dyy", "Dxy", "lap", "Dxxx", "Dxxy", "Dxyy",
+            "Dyyy")
+
+
+def _kron_reference(x, y, op):
+    """The Kronecker CSR matrix of op as DiffOps built it before it applied
+    its operators along the grid axes: the reference for ``apply`` (as
+    ``kron(op) @ f.ravel()``) and for ``kron``."""
+    Ix = sp.identity(x.size, format="csr")
+    Iy = sp.identity(y.size, format="csr")
+    if op == "lap":
+        return (sp.kron(diff_matrix(x, 2), Iy, format="csr")
+                + sp.kron(Ix, diff_matrix(y, 2), format="csr")).tocsr()
+    if op == "bih":
+        return (sp.kron(diff_matrix(x, 4), Iy)
+                + 2.0 * sp.kron(diff_matrix(x, 2), diff_matrix(y, 2))
+                + sp.kron(Ix, diff_matrix(y, 4))).tocsr()
+    kx, ky = op.count("x"), op.count("y")
+    return sp.kron(diff_matrix(x, kx) if kx else Ix,
+                   diff_matrix(y, ky) if ky else Iy, format="csr")
+
+
+def _axis_grids():
+    """A tanh-stretched channel grid and the extended corrector strip on it
+    (uniform x, longer than the channel)."""
+    g = build_channel_grid(0.1, 24, 48, 1e-3)
+    return {"stretched": g, "extended_strip": _extended_grid(g, 1.5)}
+
+
+@pytest.mark.parametrize("grid_name", ["stretched", "extended_strip"])
+def test_apply_along_axes_is_the_kronecker_matvec(grid_name):
+    g = _axis_grids()[grid_name]
+    ops = DiffOps(g.x, g.y)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(g.shape)
+    f[rng.random(g.shape) < 0.2] = -0.0       # signed zeros among the data
+    f[3] = 0.0                                 # exact-zero node lines
+    f[:, 5] = -0.0
+    f[7] = -0.0
+    cases = (f, f.ravel(), np.zeros(g.shape), -np.zeros(g.shape))
+    corners = [0, g.shape[0] // 2 * g.shape[1] + g.shape[1] // 2, f.size - 1]
+    for op in AXIS_OPS:
+        K = _kron_reference(g.x, g.y, op)
+        # zeros signed so that every product of three rows is -0.0: a sum
+        # from 0.0 gives +0.0 there, one from the first product -0.0
+        signed = np.zeros(f.size)
+        for r in corners:
+            cols = K.indices[K.indptr[r]:K.indptr[r + 1]]
+            signed[cols] = np.copysign(0.0, -K.data[K.indptr[r]:K.indptr[r + 1]])
+        assert not np.signbit((K @ signed)[corners]).any()
+        for data in cases + (signed,):
+            ref = (K @ data.ravel()).reshape(g.shape)
+            out = ops.apply(op, data)
+            assert out.shape == g.shape and out.flags.c_contiguous, op
+            assert out.tobytes() == ref.tobytes(), op
+        if op != "lap":
+            assert same_arrays(ops.kron(op), K), op
+    assert same_arrays(ops.kron("bih"), _kron_reference(g.x, g.y, "bih"))
+    assert same_arrays(ops.lap, _kron_reference(g.x, g.y, "lap"))
+
+
+def test_diff_ops_refuse_an_unknown_operator(ops_48x96):
+    f = np.zeros((48, 96))
+    for op in ("D", "Dxxxx", "Dyx", "dx", "Dxq", "lap "):
+        with pytest.raises(ValueError, match="unknown operator"):
+            ops_48x96.apply(op, f)
+    for op in ("lap", "Dyyyy", "Dz"):
+        with pytest.raises(ValueError, match="unknown operator"):
+            ops_48x96.kron(op)
+
+
 # -- PCHIP transfers against scipy's PchipInterpolator ----------------------
 
 def _pchip_reference(xs, y, xq, axis=0):
@@ -552,7 +627,7 @@ def test_psi_rows_match_node_loop(nx, ny):
     g = build_channel_grid(0.1, nx, ny, 1e-2)
     loop = _psi_rows_loop(g)
     assert _same_rows(boundary_rows(g.x, g.y, PSI_WALLS), loop)
-    bih = DiffOps(g.x, g.y).bih
+    bih = DiffOps(g.x, g.y).kron("bih")
     system = GridSystem(bih, g, PSI_WALLS)
     assert sorted(system.bnd) == sorted(loop)
     assert same_arrays(system.A,
@@ -575,11 +650,15 @@ def _old_grid_system(A, grid, rows):
     return A, d, B
 
 
-def _catch_splu(monkeypatch):
-    """Copies of the matrices that SuperLU factors from now on."""
+def _catch_splu(monkeypatch, traced=None):
+    """Copies of the matrices that SuperLU factors from now on; given a list
+    ``traced``, appends to it tracemalloc's traced bytes as each one starts,
+    read before the copy is made."""
     caught, splu = [], spla.splu
 
     def catch(B, **options):
+        if traced is not None:
+            traced.append(tracemalloc.get_traced_memory()[0])
         caught.append(B.copy())
         return splu(B, **options)
 
@@ -600,7 +679,7 @@ def psi_operators(channel_48x96, ops_48x96):
     bg = {k: rng.standard_normal(channel_48x96.shape)
           for k in ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y",
                     "lap_us", "lap_vs")}
-    out = {"biharmonic": (ops_48x96.bih, channel_48x96),
+    out = {"biharmonic": (ops_48x96.kron("bih"), channel_48x96),
            "random_background": (assemble_linearized_operator(
                LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05,
                                  grid=channel_48x96, ops=ops_48x96)),
@@ -626,6 +705,7 @@ def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
     before = A.copy()
     caught = _catch_splu(monkeypatch)
     system = GridSystem(A, grid, PSI_WALLS)
+    system.lu                                    # factored at its first use
     assert same_arrays(A, before)
     # (tolil sorts its input's columns in place)
     ref_A, ref_d, ref_B = _old_grid_system(
@@ -638,12 +718,22 @@ def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
     assert (system.A @ p).tobytes() == (ref_A @ p).tobytes()
 
 
+def test_lil_replace_rows_leaves_its_input_alone(psi_operators):
+    # the reference works on a copy: a CSR input keeps its unsorted columns
+    A, grid = psi_operators["couette"]
+    before = A.copy()
+    rows = boundary_rows(grid.x, grid.y, PSI_WALLS)
+    out = lil_replace_rows(A, _as_assignments(rows))
+    assert same_arrays(A, before) and not A.has_sorted_indices
+    assert out.has_sorted_indices
+
+
 def test_grid_system_keeps_explicit_zeros(monkeypatch):
     # stored zeros in two kept rows, and one in a boundary row given with
     # its columns out of order, stay in A (its columns sorted); the
     # row-scaled factor input drops them, as the product diag(1/d) @ A did
     g = make_grid(8, L=0.1)
-    A = DiffOps(g.x, g.y).bih.copy()
+    A = DiffOps(g.x, g.y).kron("bih")
     for r in (4 * g.ny + 4, 8 * g.ny + 3):
         A.data[A.indptr[r]:A.indptr[r] + 2] = 0.0
     rows = boundary_rows(g.x, g.y, PSI_WALLS)
@@ -654,6 +744,7 @@ def test_grid_system_keeps_explicit_zeros(monkeypatch):
     before = A.copy()
     caught = _catch_splu(monkeypatch)
     system = GridSystem(A, g, PSI_WALLS)
+    system.lu                                    # factored at its first use
     assert same_arrays(A, before)
     ref_A, ref_d, ref_B = _old_grid_system(A, g, rows)
     assert same_arrays(system.A, ref_A.tocsr())
@@ -732,7 +823,7 @@ def grid_systems():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discretization, "grid_lu", lu)
-        GridSystem(exp.ops.bih, grid, PSI_WALLS)
+        GridSystem(exp.ops.kron("bih"), grid, PSI_WALLS).lu
         sol, _ = picard_solve(exp, build_case_forcing(exp))
         newton = newton_solve(sol.problem)
     assert len(caught) == 2
@@ -771,7 +862,7 @@ def test_grid_system_scales_grid_rows_only():
     # d is each grid row's largest |entry|, and only the rows are scaled:
     # the solve returns the unknowns of the unscaled system A x = b
     g = make_grid(12, L=0.1)
-    system = GridSystem(DiffOps(g.x, g.y).bih, g, PSI_WALLS)
+    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
     largest = abs(system.A).max(axis=1).toarray().ravel()
     assert system.d.shape == (g.nx * g.ny,)
     assert np.array_equal(system.d, largest)
@@ -783,9 +874,69 @@ def test_grid_system_scales_grid_rows_only():
     assert np.abs(system.A @ x - b).max() <= 1e-9 * np.abs(b).max()
 
 
+# The bytes tracemalloc traces at the start of the psi factor, from the
+# assembly on, over the bytes of the CSC that SuperLU receives: GridSystem.A
+# (as large, with the explicit zeros that the CSC drops) and that CSC are the
+# two grid-sized matrices alive (2.28 in all), and the rest is grid vectors.
+# Before DiffOps applied its stencils along the axes and the factor waited
+# for the first solve, this read 8.88 on the same system: the assembled
+# operator, its row-scaled and renumbered copies, and the Kronecker operands
+# that DiffOps cached during the assembly were alive as well.
+FACTOR_TRACED_RATIO = 2.5
+
+
+def test_no_other_grid_sized_matrix_is_alive_when_superlu_runs(monkeypatch):
+    from chasflow.expansion import construct_expansion
+    from conftest import point_spec
+
+    exp = construct_expansion(
+        point_spec("poiseuille_couette_noforce", 48, 96,
+                   kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
+                   pert_amplitude=0.05, pert_exponent=0.425), 1e-2)
+    ops, n = exp.ops, exp.grid.nx * exp.grid.ny
+
+    def grid_sized():
+        return sorted(k for k, v in vars(ops).items()
+                      if sp.issparse(v) and v.shape == (n, n))
+
+    assert grid_sized() == ["lap"]
+    traced = []
+    caught = _catch_splu(monkeypatch, traced)
+    problem = LinearizedProblem(exp.fields, exp.eps, exp.M0, grid=exp.grid,
+                                ops=ops)
+    tracemalloc.start()
+    try:
+        system = GridSystem(assemble_linearized_operator(problem), exp.grid,
+                            PSI_WALLS)
+        assert caught == []                 # nothing factored yet
+        system.solve(np.ones(exp.grid.shape))
+    finally:
+        tracemalloc.stop()
+    (B,) = caught
+    csc = B.data.nbytes + B.indices.nbytes + B.indptr.nbytes
+    assert traced[0] <= FACTOR_TRACED_RATIO * csc, traced[0] / csc
+    assert grid_sized() == ["lap"]          # the assembly cached nothing
+
+
+def test_grid_lu_logs_each_factor(monkeypatch, caplog):
+    g = make_grid(8, L=0.1)
+    caplog.set_level(logging.DEBUG, logger="chasflow.discretization")
+    caught = _catch_splu(monkeypatch)
+    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
+    system.solve(np.ones(g.shape))
+    system.solve(np.zeros(g.shape))
+    (record,) = caplog.records              # one factor, one line
+    message = record.getMessage()
+    assert record.levelno == logging.DEBUG
+    assert message.startswith(f"grid LU {g.nx}x{g.ny}: nnz {caught[0].nnz}, ")
+    assert (f"SuperLU supernodal storage (lu.nnz, not L+U) "
+            f"{system.lu._lu.nnz}, ") in message
+    assert message.endswith(" s")
+
+
 def test_grid_system_refuses_a_non_finite_result():
     g = make_grid(8, L=0.1)
-    system = GridSystem(DiffOps(g.x, g.y).bih, g, PSI_WALLS)
+    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
     f = np.zeros(g.shape)
     f[3, 4] = np.nan
     with pytest.raises(GridSolveError, match="non-finite"):

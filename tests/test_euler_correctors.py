@@ -87,7 +87,7 @@ def test_divergence_free(perturbed_couette, channel_48x96):
     trace = 0.1 * np.sin(np.pi * g.x / (2 * L)) ** 2
     c = s.solve_higher(2, "plus", trace)
     div = c.divergence(s.ops)
-    scale = max(np.abs(s.ops.apply(s.ops.Dx, c.u)).max(), 1e-30)
+    scale = max(np.abs(s.ops.apply("Dx", c.u)).max(), 1e-30)
     assert np.abs(div).max() < 5e-2 * scale
 
 
@@ -116,8 +116,8 @@ def test_pressure_cross_consistency_refines(perturbed_couette):
         trace = 0.1 * np.sin(np.pi * g.x / L) ** 2  # compatible at both ends
         c = s.solve_higher(2, "plus", trace)
         mu = perturbed_couette.mu(g.y)
-        r = (s.ops.apply(s.ops.Dy, c.P)
-             + mu[None, :] * s.ops.apply(s.ops.Dx, c.v))
+        r = (s.ops.apply("Dy", c.P)
+             + mu[None, :] * s.ops.apply("Dx", c.v))
         mx = (g.x > 0.1 * L) & (g.x < 0.9 * L)
         my = (g.y > 0.1) & (g.y < 1.9)
         sub = r[np.ix_(mx, my)]
@@ -138,16 +138,16 @@ def test_field_record_matches_its_relations(perturbed_couette,
     f = c.fields
     assert sorted(f) == sorted(["u", "v", "ux", "uy", "vx", "vy", "lap_u",
                                 "lap_v", "px", "P"])
-    assert np.array_equal(f["ux"], -ops.apply(ops.Dy, c.v))
+    assert np.array_equal(f["ux"], -ops.apply("Dy", c.v))
     assert np.array_equal(f["u"], cumtrapz0(f["ux"], g.x))
     assert np.array_equal(f["P"], cumtrapz0(f["px"], g.x))
     mu, mup = perturbed_couette.mu(g.y), perturbed_couette.mu(g.y, 1)
     px = (perturbed_couette.mu(g.y, 2)[None, :] - mu[None, :] * f["ux"]
           - mup[None, :] * c.v)
     assert np.array_equal(f["px"], px)
-    for key, op, src in (("uy", ops.Dy, "u"), ("vx", ops.Dx, "v"),
-                         ("vy", ops.Dy, "v"), ("lap_u", ops.lap, "u"),
-                         ("lap_v", ops.lap, "v")):
+    for key, op, src in (("uy", "Dy", "u"), ("vx", "Dx", "v"),
+                         ("vy", "Dy", "v"), ("lap_u", "lap", "u"),
+                         ("lap_v", "lap", "v")):
         assert np.array_equal(f[key], ops.apply(op, f[src])), key
     assert np.abs(f["v"]).max() > 0.0
 

@@ -281,13 +281,13 @@ def test_newton_jacobian_is_the_derivative_of_the_residual(case_i_24x48):
 
     def residual(psi):
         """Newton's residual G, less its constant curl F."""
-        u, v = ops.apply(ops.Dy, psi), -ops.apply(ops.Dx, psi)
+        u, v = ops.apply("Dy", psi), -ops.apply("Dx", psi)
         N1, N2 = problem.nonlinear_terms(u, v)
-        curlN = ops.apply(ops.Dy, N1) - ops.apply(ops.Dx, N2)
+        curlN = ops.apply("Dy", N1) - ops.apply("Dx", N2)
         return system.A @ psi - mask * curlN.ravel()
 
     psi = 1e7 * sol.psi.ravel()
-    u, v = ops.apply(ops.Dy, psi), -ops.apply(ops.Dx, psi)
+    u, v = ops.apply("Dy", psi), -ops.apply("Dx", psi)
     jacobian = nonlinear._NewtonJacobian(problem, mask, u, v)
     reference = newton_jacobian(problem, u, v)
     rng = np.random.default_rng(5)
