@@ -10,6 +10,7 @@ import concurrent.futures
 import configparser
 import json
 import logging
+import math
 import os
 import sys
 
@@ -163,7 +164,7 @@ def _parse_epsilons(text):
         try:
             if "**" in tok:
                 base, exp = tok.split("**")
-                vals.append(float(base) ** float(exp))
+                vals.append(math.pow(float(base), float(exp)))
             else:
                 vals.append(float(tok))
         except (ValueError, OverflowError) as exc:

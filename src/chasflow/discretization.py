@@ -119,8 +119,15 @@ def _diff_matrix(xbytes, deriv):
 
 
 def one_sided_row(x, at_start, deriv, npts):
-    """Weights (indices, values) for a one-sided derivative at an endpoint."""
-    x = np.asarray(x, dtype=float)
+    """Weights (indices, values) for a one-sided derivative at an endpoint,
+    built once per (nodes, end, deriv, npts) in each process; returns copies."""
+    key = np.asarray(x, dtype=float).tobytes(), at_start, deriv, npts
+    return tuple(a.copy() for a in _one_sided_row(*key))
+
+
+@functools.lru_cache(maxsize=64)
+def _one_sided_row(xbytes, at_start, deriv, npts):
+    x = np.frombuffer(xbytes)
     if at_start:
         idx = np.arange(npts)
         z = x[0]
@@ -420,6 +427,16 @@ def grid_lu(A, nx, ny):
     return GridLU(lu, perm)
 
 
+def scale_rows(c, M):
+    """``sp.diags(c.ravel()) @ M`` for a CSR M, value for value: row r of M
+    times c.flat[r], the entries that scale to exact zeros dropped."""
+    out = sp.csr_matrix((np.repeat(c, np.diff(M.indptr)), M.indices.copy(),
+                         M.indptr.copy()), shape=M.shape)
+    out.data *= M.data
+    out.eliminate_zeros()
+    return out
+
+
 class GridSolveError(RuntimeError):
     """A solve on the channel grid produced non-finite values, or its
     separable system is too ill-conditioned to solve."""
@@ -451,8 +468,8 @@ class GridSystem:
         self.d = np.where(d == 0.0, 1.0, d)
 
     @functools.cached_property
-    def lu(self):       # the product drops the entries that scale to zero
-        return grid_lu(sp.diags(1.0 / self.d) @ self.A, self.grid.nx, self.grid.ny)
+    def lu(self):
+        return grid_lu(scale_rows(1.0 / self.d, self.A), self.grid.nx, self.grid.ny)
 
     def solve(self, f):
         """The grid unknowns (nx, ny) for f, with 0 at the boundary rows."""
@@ -756,7 +773,7 @@ class DiffOps:
         self.nx, self.ny = self.x.size, self.y.size
         self.d1x, self.d2x, self.d3x = (diff_matrix(self.x, k) for k in (1, 2, 3))
         self.d1y, self.d2y, self.d3y = (diff_matrix(self.y, k) for k in (1, 2, 3))
-        self.lap = (self.kron("Dxx") + self.kron("Dyy")).tocsr()
+        self.lap = self._kron(self.d2x, None) + self._kron(None, self.d2y)
         self.wx = trapezoid_weights(self.x)
         self.wy = trapezoid_weights(self.y)
         self.w2 = np.outer(self.wx, self.wy).ravel()
@@ -764,18 +781,30 @@ class DiffOps:
     def kron(self, op):
         """The Kronecker CSR matrix of the operator named ``op`` ("Dx", ...,
         "Dxyy", or "bih", the biharmonic), built afresh on each call."""
-        Ix, Iy = eye = [sp.identity(n, format="csr") for n in (self.nx, self.ny)]
         if op == "bih":
-            return (sp.kron(diff_matrix(self.x, 4), Iy) + 2.0 * sp.kron(
-                self.d2x, self.d2y) + sp.kron(Ix, diff_matrix(self.y, 4))).tocsr()
-        return sp.kron(*self._axes(op, eye), format="csr")
+            return (self._kron(diff_matrix(self.x, 4), None)
+                    + 2.0 * self._kron(self.d2x, self.d2y)
+                    + self._kron(None, diff_matrix(self.y, 4)))
+        return self._kron(*self._axes(op))
 
-    def _axes(self, op, fill):
-        """op's 1-D matrices along x and y, fill's on an axis it leaves alone."""
+    def _kron(self, mx, my):
+        """``scipy.sparse.kron(mx, my)`` as CSR (None an identity), array for
+        array, from the fixed-width 1-D stencils: row ``i * ny + j`` holds
+        ``wx * wy`` in the columns ``cx * ny + cy``, x then y."""
+        (cx, wx), (cy, wy) = ((np.arange(k)[:, None], np.ones((k, 1))) if m is None
+                              else (m.indices.reshape(k, -1), m.data.reshape(k, -1))
+                              for m, k in zip((mx, my), (self.nx, self.ny)))
+        cols = (cx[:, None, :, None] * self.ny + cy[None, :, None, :]).ravel()
+        n, width = self.nx * self.ny, cx.shape[1] * cy.shape[1]
+        return sp.csr_matrix(((wx[:, None, :, None] * wy[None, :, None, :]).ravel(),
+                              cols, np.arange(0, cols.size + 1, width)), shape=(n, n))
+
+    def _axes(self, op):
+        """op's 1-D matrices along x and y, None on an axis it leaves alone."""
         k = [op.count(a) for a in "xy"]
         if op != "D" + "x" * k[0] + "y" * k[1] or not 0 < max(k) <= 3:
             raise ValueError(f"unknown operator {op!r}")
-        return [getattr(self, f"d{n}{a}") if n else v for n, a, v in zip(k, "xy", fill)]
+        return [getattr(self, f"d{n}{a}") if n else None for n, a in zip(k, "xy")]
 
     def apply(self, op, f):
         """The operator named ``op`` ("Dx", "Dxy", "Dyyy", "lap", ...) on f,
@@ -785,7 +814,7 @@ class DiffOps:
         F = np.asarray(f, dtype=float).reshape(self.nx, self.ny)
         if op == "lap":
             return (self.lap @ F.ravel()).reshape(F.shape)
-        dx, dy = self._axes(op, (None, None))
+        dx, dy = self._axes(op)
         if dy is None:
             return dx @ F
         if dx is None:

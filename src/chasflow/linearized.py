@@ -11,9 +11,8 @@ and the weighted solution norm) live here as well.
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 
-from .discretization import SeparableSystem, line_modes
+from .discretization import SeparableSystem, line_modes, scale_rows
 
 log = logging.getLogger(__name__)
 
@@ -79,21 +78,17 @@ PSI_WALLS = (
 
 
 def assemble_linearized_operator(problem):
-    """u_s psi_xyy + u_s psi_xxx - lap(u_s) psi_x + S(psi_y, -psi_x) - eps lap^2."""
-    ops = problem.ops
-    bg = problem.bg
-    us = sp.diags(bg["u_s"].ravel())
-    vs = sp.diags(bg["v_s"].ravel())
-    usx = sp.diags(bg["us_x"].ravel())
-    vsx = sp.diags(bg["vs_x"].ravel())
-    lap_us = sp.diags(bg["lap_us"].ravel())
-    Dx, Dy, Dyy, Dxxx, Dxyy, bih = map(ops.kron, ("Dx", "Dy", "Dyy", "Dxxx",
-                                                   "Dxyy", "bih"))
-    A = us @ (Dxyy + Dxxx) - lap_us @ Dx
-    # S(u, v) with u = psi_y, v = -psi_x
-    S = Dy @ (usx @ Dy + vs @ Dyy) + Dx @ (vs @ (Dy @ Dx)) - Dx @ (vsx @ Dy)
-    A = A + S - problem.eps * bih
-    return A.tocsr()
+    """u_s psi_xyy + u_s psi_xxx - lap(u_s) psi_x + S(psi_y, -psi_x) - eps lap^2,
+    its coefficients row scalings; S only if v_s, us_x or vs_x is nonzero."""
+    ops, bg = problem.ops, problem.bg
+    Dx = ops.kron("Dx")
+    A = (scale_rows(bg["u_s"], ops.kron("Dxyy") + ops.kron("Dxxx"))
+         - scale_rows(bg["lap_us"], Dx))
+    if any(np.any(bg[k]) for k in ("v_s", "us_x", "vs_x")):
+        Dy, vs = ops.kron("Dy"), bg["v_s"]
+        A = A + (Dy @ (scale_rows(bg["us_x"], Dy) + scale_rows(vs, ops.kron("Dyy")))
+                 + Dx @ scale_rows(vs, Dy @ Dx) - Dx @ scale_rows(bg["vs_x"], Dy))
+    return A - problem.eps * ops.kron("bih")
 
 
 def solve_linearized(problem):

@@ -83,6 +83,29 @@ def same_arrays(a, b):
                for f in ("data", "indices", "indptr"))
 
 
+def assemble_reference(problem):
+    """The psi operator of ``problem`` from products of sparse diagonal
+    coefficient matrices and the Kronecker CSRs, S always included: the
+    reference for ``assemble_linearized_operator``, which scales rows in
+    place of the products and skips an S that would be empty.  Its columns
+    are in the order the products leave them."""
+    ops, bg = problem.ops, problem.bg
+    us, vs, usx, vsx, lap_us = (sp.diags(bg[k].ravel()) for k in (
+        "u_s", "v_s", "us_x", "vs_x", "lap_us"))
+    Dx, Dy, Dyy, Dxxx, Dxyy, bih = map(ops.kron, ("Dx", "Dy", "Dyy", "Dxxx",
+                                                   "Dxyy", "bih"))
+    A = us @ (Dxyy + Dxxx) - lap_us @ Dx
+    S = Dy @ (usx @ Dy + vs @ Dyy) + Dx @ (vs @ (Dy @ Dx)) - Dx @ (vsx @ Dy)
+    return (A + S - problem.eps * bih).tocsr()
+
+
+def sorted_columns(M):
+    """A copy of the CSR M with each row's columns in increasing order."""
+    M = M.copy()
+    M.sort_indices()
+    return M
+
+
 def newton_jacobian(problem, u, v):
     """Newton's row-scaled Jacobian diag(1/d) (A - diag(mask) curl J_N) at
     the iterate (u, v), assembled from sparse products (mask is 0 on the

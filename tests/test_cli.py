@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
-                          SWEEP_KEYS, _run_spec, load_config, main)
+                          SWEEP_KEYS, _parse_epsilons, _run_spec,
+                          load_config, main)
 from chasflow.discretization import GridResolutionError
 from chasflow.verification import RunSpec
 
@@ -184,7 +185,9 @@ NON_FINITE = [f"{key}={value}" for value in ("nan", "inf") for key in (
                                  "sweep.epsilons=1e-1,1e-2,1e-3",
                                  "sweep.epsilons=1e-1,x,1e-2,1e-3,1e-4",
                                  "sweep.epsilons=1e-1,1e-3,1e-2,1e-4",
-                                 "sweep.epsilons=1e-1,1e-2,1e-3,-1"]
+                                 "sweep.epsilons=1e-1,1e-2,1e-3,-1",
+                                 "sweep.epsilons=-10**0.5,1e-2,1e-3,1e-4",
+                                 "sweep.epsilons=0**-1,1e-2,1e-3,1e-4"]
                          + NON_FINITE)
 def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
                                                    monkeypatch):
@@ -353,6 +356,14 @@ def test_unknown_scheme_is_config_error(tmp_path, capsys):
                "--set", "expansion.scheme=bogus", "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "scheme" in capsys.readouterr().err
+
+
+def test_a_false_boolean_and_a_blank_epsilon_token_are_read():
+    cfg = load_config(None, ["solver.newton_check=off"], "solve")
+    assert cfg["solver.newton_check"] is False
+    assert _parse_epsilons("1e-1,,1e-2,1e-3,1e-4") == [1e-1, 1e-2, 1e-3, 1e-4]
+    # a power token is C pow, bit for bit the ** of two floats
+    assert _parse_epsilons("10**-1.5,10**-2.5") == [10.0 ** -1.5, 10.0 ** -2.5]
 
 
 def test_negative_epsilon_exits_before_the_profile(tmp_path, capsys):

@@ -20,12 +20,12 @@ from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      diff_matrix, grid_lu, line_modes,
                                      nested_dissection,
                                      one_sided_row, pchip_operator,
-                                     tanh_stretched)
+                                     scale_rows, tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  assemble_linearized_operator)
-from conftest import (lil_replace_rows, make_grid, mms_convergence,
-                      same_arrays)
+from conftest import (assemble_reference, lil_replace_rows, make_grid,
+                      mms_convergence, same_arrays, sorted_columns)
 
 
 def test_build_channel_grid_resolves_layers():
@@ -371,6 +371,24 @@ def test_diff_matrix_memo_is_sound():
     assert same_arrays(diff_matrix(x.tolist(), 2), ref)
 
 
+def test_one_sided_row_memo_is_sound():
+    x = tanh_stretched(0.0, 2.0, 30, 1.3)
+    discretization._one_sided_row.cache_clear()
+    idx, w = one_sided_row(x, False, 1, 4)
+    ref = idx.copy(), w.copy()
+    idx[:], w[:] = 0, 0.0            # a caller editing its row
+    for again in (one_sided_row(x, False, 1, 4),
+                  one_sided_row(x.tolist(), 0, 1, 4)):
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in ref]
+        assert again[1] is not w
+    assert discretization._one_sided_row.cache_info().misses == 1
+    others = [(tanh_stretched(0.0, 2.0, 30, 0.7), False, 1, 4),
+              (x, True, 1, 4), (x, False, 2, 4), (x, False, 1, 5)]
+    for k, args in enumerate(others, start=2):
+        assert one_sided_row(*args)[1].tobytes() != ref[1].tobytes()
+        assert discretization._one_sided_row.cache_info().misses == k
+
+
 # -- DiffOps along the grid axes against the Kronecker CSR matvec -----------
 
 AXIS_OPS = ("Dx", "Dy", "Dxx", "Dyy", "Dxy", "lap", "Dxxx", "Dxxy", "Dxyy",
@@ -667,11 +685,10 @@ def _catch_splu(monkeypatch, traced=None):
 
 
 @pytest.fixture(scope="module")
-def psi_operators(channel_48x96, ops_48x96):
-    """name -> (operator, grid): the 48x96 biharmonic and a linearized
-    operator of a random background on it, and the linearized operators of
-    a 24x48 couette point (with S terms, columns unsorted) and a case-(i)
-    point."""
+def psi_problems(channel_48x96, ops_48x96):
+    """name -> LinearizedProblem: a random background on the 48x96 grid, a
+    24x48 couette point (S present) and a case-(i) point (a pure shear, no
+    S)."""
     from chasflow.expansion import construct_expansion
     from conftest import point_spec
 
@@ -679,20 +696,27 @@ def psi_operators(channel_48x96, ops_48x96):
     bg = {k: rng.standard_normal(channel_48x96.shape)
           for k in ("u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y",
                     "lap_us", "lap_vs")}
-    out = {"biharmonic": (ops_48x96.kron("bih"), channel_48x96),
-           "random_background": (assemble_linearized_operator(
-               LinearizedProblem(bg, 1e-2, 11.0 / 8.0 + 0.05,
-                                 grid=channel_48x96, ops=ops_48x96)),
-               channel_48x96)}
+    out = {"random_background": LinearizedProblem(
+        bg, 1e-2, 11.0 / 8.0 + 0.05, grid=channel_48x96, ops=ops_48x96)}
     for name, case, settings in (
             ("couette", "couette_noforce", {"pert_amplitude": 0.05}),
             ("case_i", "poiseuille_couette_noforce",
              {"kind": "poiseuille_couette", "alpha1": 0.5, "alpha2": 0.5,
               "pert_amplitude": 0.05, "pert_exponent": 0.425})):
         exp = construct_expansion(point_spec(case, 24, 48, **settings), 1e-2)
-        out[name] = (assemble_linearized_operator(LinearizedProblem(
-            exp.fields, exp.eps, exp.M0, grid=exp.grid, ops=exp.ops)),
-            exp.grid)
+        out[name] = LinearizedProblem(exp.fields, exp.eps, exp.M0,
+                                      grid=exp.grid, ops=exp.ops)
+    return out
+
+
+@pytest.fixture(scope="module")
+def psi_operators(psi_problems, channel_48x96, ops_48x96):
+    """name -> (operator, grid): the 48x96 biharmonic and the linearized
+    operators of ``psi_problems`` (the couette one with S terms, columns
+    unsorted)."""
+    out = {"biharmonic": (ops_48x96.kron("bih"), channel_48x96)}
+    for name, problem in psi_problems.items():
+        out[name] = (assemble_linearized_operator(problem), problem.grid)
     return out
 
 
@@ -716,6 +740,56 @@ def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
     # sorted columns: each row of A @ p adds its terms as the CSC product did
     p = np.random.default_rng(2).standard_normal(A.shape[0])
     assert (system.A @ p).tobytes() == (ref_A @ p).tobytes()
+
+
+@pytest.mark.parametrize("name", ["random_background", "couette", "case_i"])
+def test_assembly_matches_the_sparse_algebra(psi_problems, name, monkeypatch):
+    # row scalings in place of diagonal products, and no S for a pure shear
+    problem = psi_problems[name]
+    asked, kron = [], DiffOps.kron
+    monkeypatch.setattr(DiffOps, "kron",
+                        lambda self, op: asked.append(op) or kron(self, op))
+    A = assemble_linearized_operator(problem)
+    monkeypatch.undo()
+    ref = assemble_reference(problem)
+    assert same_arrays(sorted_columns(A), sorted_columns(ref))
+    assert np.count_nonzero(A.data == 0.0) == 0
+    shear = not any(np.any(problem.bg[k]) for k in ("v_s", "us_x", "vs_x"))
+    assert shear == (name == "case_i")
+    assert ("Dy" in asked) == ("Dyy" in asked) == (not shear)
+
+
+@pytest.mark.parametrize("name", ["couette", "case_i"])
+def test_superlu_gets_the_sparse_algebra_csc(psi_problems, name, monkeypatch):
+    # the CSC SuperLU factors, A and d, as the products diag(1/d) @ A of the
+    # sparse-algebra operator gave them
+    problem = psi_problems[name]
+    grid = problem.grid
+    caught = _catch_splu(monkeypatch)
+    system = GridSystem(assemble_linearized_operator(problem), grid, PSI_WALLS)
+    system.lu                                    # factored at its first use
+    ref = GridSystem(assemble_reference(problem), grid, PSI_WALLS)
+    grid_lu(sp.diags(1.0 / ref.d) @ ref.A, grid.nx, grid.ny)
+    assert len(caught) == 2 and same_arrays(caught[0], caught[1])
+    assert same_arrays(system.A, ref.A)
+    assert system.d.tobytes() == ref.d.tobytes()
+
+
+def test_scale_rows_is_the_diagonal_product():
+    # signed and exact zeros in the scale and stored zeros in the matrix:
+    # the product drops every entry that scales to a zero, and keeps the
+    # matrix's column order
+    rng = np.random.default_rng(4)
+    M = sp.csr_matrix(np.where(rng.random((40, 40)) < 0.2,
+                               rng.standard_normal((40, 40)), 0.0))
+    M.data[::7] = 0.0
+    M.data[1::9] *= -1.0
+    c = rng.standard_normal(40)
+    c[[3, 11, 12]] = [0.0, -0.0, 0.0]
+    out = scale_rows(c, M)
+    assert same_arrays(sorted_columns(out), sorted_columns(sp.diags(c) @ M))
+    assert np.count_nonzero(out.data == 0.0) == 0 and out.has_sorted_indices
+    assert out.indptr[4] == out.indptr[3] and out.indptr[13] == out.indptr[11]
 
 
 def test_lil_replace_rows_leaves_its_input_alone(psi_operators):

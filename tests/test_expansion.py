@@ -3,8 +3,8 @@ import pytest
 
 import chasflow.boundary_layers as bl
 from chasflow.discretization import build_channel_grid, pchip_operator
-from chasflow.expansion import (ExpansionError, construct_expansion,
-                                expansion_report)
+from chasflow.expansion import (ExpansionError, _mollify_corner,
+                                construct_expansion, expansion_report)
 from chasflow.nonlinear import build_case_forcing
 from chasflow.verification import ConfigError, RunSpec
 from conftest import point_spec
@@ -42,6 +42,16 @@ def test_config_invariants():
         RunSpec("couette_noforce", scheme="rk4")
     with pytest.raises(ConfigError):
         RunSpec("couette_noforce", alpha2=1.0)
+
+
+def test_mollify_corner_leaves_the_first_two_cells_alone():
+    # a corner x0 inside the first two cells has no room for the cubic
+    x = np.linspace(0.0, 1.0, 11) ** 2
+    g = np.sqrt(x)
+    for x0 in (0.0, 0.5 * x[1], x[1]):
+        out = _mollify_corner(g, x, x0)
+        assert out is not g and out.tobytes() == g.tobytes()
+    assert _mollify_corner(g, x, x[2])[1] != g[1]
 
 
 def test_exact_couette_all_zero(couette):

@@ -18,10 +18,16 @@ For every end-to-end metric of ``CHANGE/BENCHMARK.json`` the JSON on stdout
 gives, per workload: each run's value, both medians, the parent's first and
 third quartiles, the relative change of the median, the pairs in which the
 change is better, and whether the medians differ by more than the parent's
-quartile spread.  It also gives each run's ``correct``, ``attempted`` and
+quartile spread.  Two verdicts follow, as a change is judged on them:
+``gain_rule_met`` (better in at least 9 of 10 pairs, and a median better by
+more than the parent's quartile spread) and ``within_bound`` (a median no
+worse than the parent's by more than the metric's relative ``bound``).  It
+also gives each run's ``correct``, ``attempted`` and
 ``failed``, and the start time, side and seed of every run.  ``--traced``
-adds one ``--workload all --trace 1`` run per side and every count and
-ratio it reports (span call counts and the named counters), side by side.
+adds one ``--workload all --trace 1`` run per side and every per-layer
+metric it reports, side by side: each count and ratio (span call counts
+and the named counters) under ``counts``, and each span time under
+``seconds``, which, read from one run per side, moves with the host.
 Progress goes to stderr.
 """
 
@@ -45,18 +51,22 @@ def run_bench(checkout, args):
     return json.loads(lines[-1])
 
 
-def summarize(parent, change, better):
-    """Per-run values of both sides and how the change compares."""
+def summarize(parent, change, better, bound):
+    """Per-run values of both sides, how the change compares, and the two
+    verdicts: the gain rule and the metric's bound."""
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     med_p, med_c = statistics.median(parent), statistics.median(change)
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    gain = sign * (med_p - med_c)         # > 0: the change's median is better
     return {"parent": parent, "change": change,
             "median_parent": med_p, "median_change": med_c,
             "q1_q3_parent": [q1, q3],
             "change_of_median": f"{100.0 * (med_c - med_p) / med_p:+.1f}%",
             "change_better_in_pairs": f"{wins}/{len(parent)}",
-            "medians_apart_beyond_parent_spread": abs(med_c - med_p) > q3 - q1}
+            "medians_apart_beyond_parent_spread": abs(med_c - med_p) > q3 - q1,
+            "gain_rule_met": 10 * wins >= 9 * len(parent) and gain > q3 - q1,
+            "within_bound": -gain <= bound * abs(med_p)}
 
 
 def main(argv=None):
@@ -72,7 +82,7 @@ def main(argv=None):
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     order, out = [], {}
     for workload in args.workload:
@@ -90,10 +100,11 @@ def main(argv=None):
         result = {"pairs": args.pairs, "seeds": seeds}
         for key in ("correct", "attempted", "failed"):
             result[key] = {s: [r[key] for r in runs[s]] for s in runs}
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             values = {s: [r["metrics"][name]["value"] for r in runs[s]]
                       for s in runs}
-            result[name] = summarize(values["parent"], values["change"], better)
+            result[name] = summarize(values["parent"], values["change"],
+                                     better, bound)
         out[workload] = result
 
     if args.traced:
@@ -104,14 +115,14 @@ def main(argv=None):
             print(order[-1], file=sys.stderr)
             traced[side] = run_bench(sides[side], [
                 "--workload", "all", "--seed", str(args.seed[0]), "--trace", "1"])
-        counts = {}
+        tables = {"counts": {}, "seconds": {}}
         for name, m in traced["change"]["metrics"].items():
-            if m["unit"] in ("count", "ratio"):
-                before = traced["parent"]["metrics"].get(name, {}).get("value")
-                counts[name] = {"parent": before, "change": m["value"]}
+            before = traced["parent"]["metrics"].get(name, {}).get("value")
+            table = tables["seconds" if m["unit"] == "s" else "counts"]
+            table[name] = {"parent": before, "change": m["value"]}
         out["traced"] = {"correct": {s: traced[s]["correct"] for s in traced},
                          "failed": {s: traced[s]["failed"] for s in traced},
-                         "counts": counts}
+                         **tables}
     out["order"] = order
     json.dump(out, sys.stdout, indent=2)
     print()
