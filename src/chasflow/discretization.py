@@ -119,15 +119,8 @@ def _diff_matrix(xbytes, deriv):
 
 
 def one_sided_row(x, at_start, deriv, npts):
-    """Weights (indices, values) for a one-sided derivative at an endpoint,
-    built once per (nodes, end, deriv, npts) in each process; returns copies."""
-    key = np.asarray(x, dtype=float).tobytes(), at_start, deriv, npts
-    return tuple(a.copy() for a in _one_sided_row(*key))
-
-
-@functools.lru_cache(maxsize=64)
-def _one_sided_row(xbytes, at_start, deriv, npts):
-    x = np.frombuffer(xbytes)
+    """Weights (indices, values) for a one-sided derivative at an endpoint."""
+    x = np.asarray(x, dtype=float)
     if at_start:
         idx = np.arange(npts)
         z = x[0]
@@ -429,10 +422,14 @@ def grid_lu(A, nx, ny):
 
 def scale_rows(c, M):
     """``sp.diags(c.ravel()) @ M`` for a CSR M, value for value: row r of M
-    times c.flat[r], the entries that scale to exact zeros dropped."""
-    out = sp.csr_matrix((np.repeat(c, np.diff(M.indptr)), M.indices.copy(),
-                         M.indptr.copy()), shape=M.shape)
-    out.data *= M.data
+    times c.flat[r], the entries that scale to exact zeros dropped, and a
+    row with c.flat[r] == 0 empty even where M holds inf or nan."""
+    counts = np.diff(M.indptr)
+    data = np.repeat(c, counts)
+    with np.errstate(invalid="ignore"):      # 0 * inf and 0 * nan, cleared
+        data *= M.data
+    data[np.repeat(np.ravel(c) == 0.0, counts)] = 0.0
+    out = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
     out.eliminate_zeros()
     return out
 

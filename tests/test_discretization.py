@@ -371,24 +371,6 @@ def test_diff_matrix_memo_is_sound():
     assert same_arrays(diff_matrix(x.tolist(), 2), ref)
 
 
-def test_one_sided_row_memo_is_sound():
-    x = tanh_stretched(0.0, 2.0, 30, 1.3)
-    discretization._one_sided_row.cache_clear()
-    idx, w = one_sided_row(x, False, 1, 4)
-    ref = idx.copy(), w.copy()
-    idx[:], w[:] = 0, 0.0            # a caller editing its row
-    for again in (one_sided_row(x, False, 1, 4),
-                  one_sided_row(x.tolist(), 0, 1, 4)):
-        assert [a.tobytes() for a in again] == [a.tobytes() for a in ref]
-        assert again[1] is not w
-    assert discretization._one_sided_row.cache_info().misses == 1
-    others = [(tanh_stretched(0.0, 2.0, 30, 0.7), False, 1, 4),
-              (x, True, 1, 4), (x, False, 2, 4), (x, False, 1, 5)]
-    for k, args in enumerate(others, start=2):
-        assert one_sided_row(*args)[1].tobytes() != ref[1].tobytes()
-        assert discretization._one_sided_row.cache_info().misses == k
-
-
 # -- DiffOps along the grid axes against the Kronecker CSR matvec -----------
 
 AXIS_OPS = ("Dx", "Dy", "Dxx", "Dyy", "Dxy", "lap", "Dxxx", "Dxxy", "Dxyy",
@@ -790,6 +772,17 @@ def test_scale_rows_is_the_diagonal_product():
     assert same_arrays(sorted_columns(out), sorted_columns(sp.diags(c) @ M))
     assert np.count_nonzero(out.data == 0.0) == 0 and out.has_sorted_indices
     assert out.indptr[4] == out.indptr[3] and out.indptr[13] == out.indptr[11]
+    # non-finite entries: a zero scale still empties its row, as the product
+    # does, and any other scale carries the inf or nan through
+    for r, bad in ((3, np.inf), (11, np.nan), (5, -np.inf), (6, np.nan)):
+        M.data[M.indptr[r]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = scale_rows(c, M)
+    ref = sp.diags(c) @ M
+    assert same_arrays(sorted_columns(out), sorted_columns(ref))
+    assert out.indptr[4] == out.indptr[3] and out.indptr[12] == out.indptr[11]
+    assert np.isinf(out[5].data).any() and np.isnan(out[6].data).any()
 
 
 def test_lil_replace_rows_leaves_its_input_alone(psi_operators):
