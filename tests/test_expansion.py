@@ -360,3 +360,35 @@ def test_layer_pushes_land_on_its_own_wall_only(monkeypatch):
     assert pushes[0][1] == set()
     for kind, walls in pushes[1:]:
         assert walls == ({"minus", "plus"} if kind == "euler" else {kind})
+
+
+def test_dumped_report_does_not_depend_on_the_split_into_items(monkeypatch):
+    # the report gives, per wall, component and tag, max |sum| of what is
+    # pending; splitting an item in two, by disjoint supports so that the
+    # sums are exact, leaves every value as it was
+    cascades = []
+    report = bl.Cascade.dumped_report
+    monkeypatch.setattr(bl.Cascade, "dumped_report",
+                        lambda self: cascades.append(self) or report(self))
+    exp = construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
+    (casc,) = cascades
+    before = exp.report["dumped"]
+    for side, wall in casc.walls.items():
+        for comp, lst in (("u", wall.pending_u), ("v", wall.pending_v)):
+            for tag in {t for t, _ in lst}:
+                total = sum(f for t, f in lst if t == tag)
+                assert before[f"{side}.{comp}.{tag}"] == np.max(np.abs(total))
+    split = 0
+    for wall in casc.walls.values():
+        for lst in (wall.pending_u, wall.pending_v):
+            for k in range(len(lst) - 1, -1, -1):
+                tag, f = lst[k]
+                low = np.arange(f.shape[0])[:, None] < f.shape[0] // 2
+                a, b = np.where(low, f, 0.0), np.where(low, 0.0, f)
+                lst[k:k + 1] = [[tag, a], [tag, b]]
+                # the old sum of each item's max |f| would have moved here
+                split += np.max(np.abs(a)) + np.max(np.abs(b)) \
+                    > np.max(np.abs(f))
+    assert split > 0
+    assert casc.dumped_report() == before
