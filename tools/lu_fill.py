@@ -19,7 +19,6 @@ from, so one copy of this tool measures any checkout.  Set
 """
 
 import argparse
-import importlib.util
 import json
 import statistics
 import sys
@@ -28,17 +27,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
+from report_identity import ROOT, _perfbench_sets
 
 
 def oracle_sets():
     """``perfbench/run.py`` ``ORACLE`` without its grid and Newton keys."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return [s for s in run.ORACLE
+    return [s for s in _perfbench_sets()[1]
             if not s.startswith(("grid.", "solver.newton_check"))]
 
 
