@@ -263,15 +263,17 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme):
     # the right-hand side; on the minus side W's recurrence rows read 0
     rhs = np.zeros(2 * nY if plan.coupled else nY)
     b = rhs[:nY]
+    ths = np.where((scheme == "be") | (np.arange(1, nx) <= BE_STEPS), 1.0, 0.5)
+    blend = ths[:, None] * F[1:] + (1.0 - ths[:, None]) * F[:-1]    # all steps
     for k in range(1, nx):
         dx = x[k] - x[k - 1]
-        th = 1.0 if (scheme == "be" or k <= BE_STEPS) else 0.5
+        th = float(ths[k - 1])
         m_dx = m_coef / dx
         # conv @ u as a sparse product forms it, from 0.0 up (-0.0 -> +0.0)
         carry = plan.conv * U[k - 1] + 0.0
         if plan.coupled:
             carry += W
-        b[:] = th * F[k] + (1.0 - th) * F[k - 1] + m_dx * carry
+        b[:] = blend[k - 1] + m_dx * carry
         if th != 1.0:
             b += (1.0 - th) * (plan.d2 @ U[k - 1])
         b[0] = g[k]
@@ -374,13 +376,14 @@ def interp_channel_field(field, cgrid, xq, yq):
 
 
 def restrict_channel_field(field, src, dst):
-    """A field on channel grid src, on dst, whose nodes are a leading x block
-    of src's with the same y (to round-off: the strip's nodes are h*arange)."""
+    """A field (or a dict of fields) on channel grid src, on dst, whose nodes
+    are a leading x block of src's with the same y (to round-off: h*arange)."""
     if not (src.nx >= dst.nx and src.ny == dst.ny
             and np.allclose(src.x[:dst.nx], dst.x)
             and np.allclose(src.y, dst.y)):
         raise ValueError("dst grid is not a leading x block of src grid")
-    return field[:dst.nx]
+    return ({k: f[:dst.nx] for k, f in field.items()}
+            if isinstance(field, dict) else field[:dst.nx])
 
 
 # Every part gives channel_fields(grid): its nonzero keys among u, v, ux, uy,
@@ -425,8 +428,8 @@ class EulerPart:
         return self.prefac * self.corr.fields[key]
 
     def channel_fields(self, grid):
-        return {k: restrict_channel_field(self.scaled(k), self.corr.grid, grid)
-                for k in [*self.corr.fields, "py"]}
+        fields = {k: self.scaled(k) for k in [*self.corr.fields, "py"]}
+        return restrict_channel_field(fields, self.corr.grid, grid)  # one check
 
     def convection(self, side):
         if side not in self._conv:

@@ -150,13 +150,13 @@ def pchip_operator(xs, xq):
     xq = np.asarray(xq, dtype=float)
     if xs.ndim != 1 or xq.ndim != 1:
         raise ValueError("pchip_operator needs 1-D nodes and queries")
-    return _pchip_operator(xs.tobytes(), xq.tobytes())
+    return _pchip_operator(xs.tobytes(), xq.tobytes(), True)
 
 
 @functools.lru_cache(maxsize=PCHIP_MEMO)
-def _pchip_operator(xsbytes, xqbytes):
+def _pchip_operator(xsbytes, xqbytes, nodes):
     # keyed on the float64 bytes: equal keys are equal nodes, bit for bit
-    return PchipOperator(np.frombuffer(xsbytes), np.frombuffer(xqbytes))
+    return PchipOperator(np.frombuffer(xsbytes), np.frombuffer(xqbytes), nodes)
 
 
 def _as_index(ix):
@@ -184,17 +184,17 @@ class PchipOperator:
     """The data-free part of scipy's PCHIP on fixed nodes and queries.
 
     Each query lies in the interval that scipy's ``PPoly`` picks (the end
-    intervals extrapolate); only the knots of the used intervals get a
-    slope.  A call forms the Fritsch–Butland slopes there (Fritsch and
-    Carlson, SIAM J. Numer. Anal. 17, 1980; Fritsch and Butland, SIAM J.
-    Sci. Stat. Comput. 5, 1984) with the operations of scipy 1.17's
+    intervals extrapolate).  If nodes, a query on its interval's left node
+    is that node's value + 0.0 for data below ymax, and only the others'
+    intervals get Fritsch–Butland slopes (Fritsch and Carlson, SIAM J.
+    Numer. Anal. 17, 1980; Fritsch and Butland, SIAM J. Sci. Stat. Comput.
+    5, 1984), with the operations of scipy 1.17's
     ``PchipInterpolator._find_derivatives`` and ``_edge_case``, in their
     order, then the coefficients as ``CubicHermiteSpline`` forms them and
-    ``PPoly``'s power sum, so every bit, signs of zero included, is
-    scipy's.
+    ``PPoly``'s power sum, so every bit, signs of zero included, is scipy's.
     """
 
-    def __init__(self, xs, xq):
+    def __init__(self, xs, xq, nodes):
         n = xs.size
         if n < 3:
             raise ValueError(f"PCHIP needs at least 3 nodes, got {n}")
@@ -202,7 +202,16 @@ class PchipOperator:
             raise ValueError("PCHIP nodes must be finite and strictly increasing")
         hk = xs[1:] - xs[:-1]
         iv = np.clip(np.searchsorted(xs, xq, "right") - 1, 0, n - 2)
-        used, at = np.unique(iv, return_inverse=True)
+        # a query on its node is y + 0.0 while every coefficient is finite,
+        # as for max|y| < ymax: |secant| <= 2 max|y| / min h, coefficients and
+        # their terms <= 16 |secant| max(1, max h, 1 / min h^2)
+        with np.errstate(over="ignore", divide="ignore"):
+            reach = 32 / hk.min() * max(1.0, 32 * hk.max(), hk.min() ** -2.0)
+        self.ymax = np.finfo(float).max / reach if nodes else np.inf
+        self.keys = xs.tobytes(), xq.tobytes()
+        rows = np.flatnonzero((xq != xs[iv]) | (not nodes))
+        self.nq, self.rows, self.interval = xq.size, _as_index(rows), _as_index(iv)
+        used, at = np.unique(iv[rows], return_inverse=True)
         knots = np.union1d(used, used + 1)
         inner = knots[(knots >= 1) & (knots <= n - 2)]
         first = knots.size > 0 and knots[0] == 0
@@ -237,10 +246,9 @@ class PchipOperator:
         self.lo, self.hi = _as_index(lo), _as_index(lo + 1)
         self.used_sec = _as_index(np.searchsorted(sec, used))
         self.hused = hk[used].reshape(col)
-        # per query: its interval, and that interval's place among the used
-        self.interval = _as_index(iv)
+        # per cubic row: its interval's place among the used
         self.slot = _as_index(at)
-        s = (xq - xs[iv]).reshape(col)
+        s = (xq - xs[iv])[rows].reshape(col)
         self.s, self.s2 = s, s * s
         self.s3 = self.s2 * s
         for v in vars(self).values():
@@ -254,55 +262,60 @@ class PchipOperator:
         if y.shape[axis] != self.n:
             raise ValueError(f"data has {y.shape[axis]} values along axis "
                              f"{axis}, the nodes {self.n}")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(big := np.abs(y).max(initial=0.0)):
             raise ValueError("PCHIP data must be finite")
+        if not big < self.ymax:     # a coefficient's NaN may reach a node too
+            return _pchip_operator(*self.keys, False)(y, axis)
         y = np.moveaxis(y, axis, 0)
         rest = y.shape[1:]
         y = y.reshape(self.n, math.prod(rest))
-        mk = y[self.sec1] - y[self.sec]
-        mk /= self.hsec
-
-        # every knot is interior or an end, so each row of d is set below
-        d = np.empty((self.nknots, y.shape[1]))
-        m0, m1 = mk[self.left], mk[self.right]
-        condition = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
-        # an overflowing w/mk makes whmean inf and the slope 1/inf = 0, as
-        # in scipy, which ignores only the division by zero and 0/0 here
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            whmean = self.w1 / m0
-            whmean += self.w2 / m1
-            whmean /= self.w12
-            np.divide(1.0, whmean, out=whmean)
-        np.copyto(whmean, 0.0, where=condition)
-        d[self.inner] = whmean
-        for k, h0, h1, a, b in self.ends:
-            m0, m1 = mk[a], mk[b]
-            dk = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            mask = np.sign(dk) != np.sign(m0)
-            mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(dk) > 3. * np.abs(m0))
-            mmm = (~mask) & mask2
-            dk[mask] = 0.
-            dk[mmm] = 3. * m0[mmm]
-            d[k] = dk
-
-        slope = mk[self.used_sec]
-        dl = d[self.lo]
-        t = dl + d[self.hi]
-        t -= 2 * slope
-        t /= self.hused
-        c0 = t / self.hused
-        c1 = slope - dl
-        c1 /= self.hused
-        c1 -= t
         # PPoly's sum ((0 + c3) + c2 s) + c1 s^2 + c0 s^3, into a C-ordered
         # (query, column) array as PPoly writes it; x + 0.0 is 0.0 + x
-        out = _take(y, self.interval, np.empty((self.s.shape[0], y.shape[1])))
+        out = _take(y, self.interval, np.empty((self.nq, y.shape[1])))
         out += 0.0
-        term = np.empty_like(out)
-        for c, p in ((dl, self.s), (c1, self.s2), (c0, self.s3)):
-            _take(c, self.slot, term)
-            term *= p
-            out += term
+        if self.s.size:             # the rest of the sum, on the cubic rows
+            mk = y[self.sec1] - y[self.sec]
+            mk /= self.hsec
+
+            # every knot is interior or an end, so each row of d is set below
+            d = np.empty((self.nknots, y.shape[1]))
+            m0, m1 = mk[self.left], mk[self.right]
+            condition = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+            # an overflowing w/mk makes whmean inf and the slope 1/inf = 0, as
+            # in scipy, which ignores only the division by zero and 0/0 here
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                whmean = self.w1 / m0
+                whmean += self.w2 / m1
+                whmean /= self.w12
+                np.divide(1.0, whmean, out=whmean)
+            np.copyto(whmean, 0.0, where=condition)
+            d[self.inner] = whmean
+            for k, h0, h1, a, b in self.ends:
+                m0, m1 = mk[a], mk[b]
+                dk = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+                mask = np.sign(dk) != np.sign(m0)
+                mask2 = (np.sign(m0) != np.sign(m1)) & (np.abs(dk) > 3. * np.abs(m0))
+                mmm = (~mask) & mask2
+                dk[mask] = 0.
+                dk[mmm] = 3. * m0[mmm]
+                d[k] = dk
+
+            slope = mk[self.used_sec]
+            dl = d[self.lo]
+            t = dl + d[self.hi]
+            t -= 2 * slope
+            t /= self.hused
+            c0 = t / self.hused
+            c1 = slope - dl
+            c1 /= self.hused
+            c1 -= t
+            part = out[self.rows]       # a view when the rows are a slice
+            term = np.empty_like(part)
+            for c, p in ((dl, self.s), (c1, self.s2), (c0, self.s3)):
+                _take(c, self.slot, term)
+                term *= p
+                part += term
+            out[self.rows] = part       # a no-op for a view
         return np.moveaxis(out.reshape(out.shape[:1] + rest), 0, axis)
 
 

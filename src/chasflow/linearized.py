@@ -56,7 +56,7 @@ class RemainderSolution:
         self.ops = ops
         self.u = u
         self.v = v
-        self.P = None       # recover_pressure sets it
+        self.P = self.momentum = None   # recover_pressure sets both
         self.psi = psi
         self.problem = None  # picard_solve sets its converged problem
         self.norms = {}
@@ -107,7 +107,8 @@ def solve_linearized(problem):
 
 def recover_pressure(sol, problem):
     """Zero-mean P of the bordered Poisson-Neumann system [lap 1; w2^T 0],
-    solved by the separable solve with one null mode (the constant)."""
+    solved by the separable solve with one null mode (the constant); sets
+    sol.P and sol.momentum, its momentum_residual, from the same terms."""
     ops = problem.ops
     grid = problem.grid
     bg = problem.bg
@@ -143,6 +144,7 @@ def recover_pressure(sol, problem):
     P = system.solve(-rhs, wall)        # its operator is -lap
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
     sol.P = P
+    sol.momentum = _momentum_residual(problem, P, (N1, N2), (m1, m2))
     return P
 
 
@@ -161,12 +163,14 @@ def _momentum_balances(problem, u, v):
 
 def momentum_residual(sol, problem):
     """Residuals of the two linearized momentum equations with recovered P."""
-    ops = problem.ops
-    N1, N2 = problem.nonlinear_terms()
-    m1, m2 = _momentum_balances(problem, sol.u, sol.v)
-    r1 = m1 + ops.apply("Dx", sol.P) - N1 - problem.F1
-    r2 = m2 + ops.apply("Dy", sol.P) - N2 - problem.F2
-    return r1, r2
+    return _momentum_residual(problem, sol.P, problem.nonlinear_terms(),
+                              _momentum_balances(problem, sol.u, sol.v))
+
+
+def _momentum_residual(problem, P, N, m):
+    """The residual pair of P, frozen terms N and momentum balances m."""
+    return (m[0] + problem.ops.apply("Dx", P) - N[0] - problem.F1,
+            m[1] + problem.ops.apply("Dy", P) - N[1] - problem.F2)
 
 
 def curl_residual(sol, problem):

@@ -470,7 +470,22 @@ def _pchip_cases():
     flat[10] = -0.0
     at_nodes = np.concatenate([xs, [xs[0], xs[-1], xs[0] - 1.0, xs[-1] + 1.0]])
     few = np.array([0.5 * (xs[11] + xs[12]), xs[12], 0.3 * xs[4] + 0.7 * xs[5]])
+    # the Euler convection transfer from channel to layer x: 59 of its 83
+    # queries are channel nodes
+    x_ext = (0.1 / 47) * np.arange(60)
+    signed = flat.copy()
+    signed[7] = -0.0                    # -0.0 + 0.0 is +0.0, at a node too
     return {
+        "layer-x-transfer": (x_ext, rng.standard_normal((60, 5)),
+                             _layer_xgrid(x_ext, LAYER_SUB), 0),
+        "every-query-on-a-node": (xs, y, xs[[3, 0, 7, 7, 23, 12]], 0),
+        "last-node-is-cubic": (xs, y, xs[[-1, 5, -1, -2]], 0),
+        "signed-zeros-flat-at-nodes": (xs, signed, xs[:-1], 0),
+        "signed-zeros-flat-at-nodes-axis1": (xs, np.ascontiguousarray(signed.T),
+                                             xs[[0, 3, 4, 5, 7, 10, 11]], 1),
+        # past the operator's bound on max|y|: every query is a cubic row
+        "data-past-the-bound": (np.arange(9.0), 1e306 * np.cos(np.arange(9.0)),
+                                np.linspace(-0.5, 8.5, 37), 0),
         "random-axis0": (xs, y, xq, 0),
         "random-axis1": (xs, np.ascontiguousarray(y.T), xq, 1),
         "random-1d": (xs, y[:, 2], xq, 0),
@@ -492,6 +507,35 @@ def test_pchip_operator_bit_identical_to_scipy(name):
     xs, y, xq, axis = _pchip_cases()[name]
     got = pchip_operator(xs, xq)(y, axis=axis)
     assert _same_bits(got, _pchip_reference(xs, y, xq, axis))
+
+
+def test_pchip_operator_answers_node_queries_from_the_node():
+    # the layer-x transfer: only the 23 graded first-cell queries and the
+    # last node (evaluated at s = h) are cubic rows
+    x_ext = _extended_grid(build_channel_grid(0.1, 48, 96, 1e-2), 1.25).x
+    xq = _layer_xgrid(x_ext, LAYER_SUB)
+    rows = np.arange(xq.size)[pchip_operator(x_ext, xq).rows]
+    assert (xq.size, rows.size) == (83, 24)
+    assert rows.tolist() == list(range(1, 24)) + [82]
+    xs, y, xq, _ = _pchip_cases()["every-query-on-a-node"]
+    assert np.arange(xq.size)[pchip_operator(xs, xq).rows].size == 0
+    xs, y, xq, _ = _pchip_cases()["data-past-the-bound"]
+    assert not np.abs(y).max() < pchip_operator(xs, xq).ymax
+
+
+def test_pchip_operator_nodes_1e_160_apart_give_scipys_nan():
+    # h^2 underflows, so scipy's c0 overflows and even its node queries read
+    # NaN: no node query is answered from the node here.  Scipy and the
+    # operator both overflow, so both run with that warning silenced
+    xs = 1e-160 * np.arange(9.0)
+    y = np.cos(np.arange(9.0))
+    xq = np.concatenate([xs, 0.5e-160 + xs])
+    op = pchip_operator(xs, xq)
+    assert op.ymax == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _pchip_reference(xs, y, xq)
+        got = op(y)
+    assert np.isnan(ref).all() and _same_bits(got, ref)
 
 
 def test_pchip_operator_overflowing_secants_match_scipy_silently():

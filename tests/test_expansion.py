@@ -173,6 +173,35 @@ def test_assembly_audit_bit_identical(couette_expansion):
     assert np.array_equal(v, couette_expansion.fields["v_s"])
 
 
+def test_euler_channel_fields_check_the_grids_once(couette_expansion,
+                                                  monkeypatch):
+    # each field is restrict_channel_field's of that field, byte for byte,
+    # and the leading-block relation of the grids is checked once per call
+    grid = couette_expansion.grid
+    parts = [p for p in couette_expansion.cascade.parts
+             if isinstance(p, bl.EulerPart)]
+    assert len(parts) == 5      # M = 3: one first, two higher per wall
+    checks = []
+    allclose = np.allclose
+
+    def counting(*args, **kwargs):
+        checks.append(args)
+        return allclose(*args, **kwargs)
+
+    for part in parts:
+        monkeypatch.setattr(np, "allclose", counting)
+        fields = part.channel_fields(grid)
+        assert len(checks) == 2
+        monkeypatch.undo()
+        checks.clear()
+        assert list(fields) == [*part.corr.fields, "py"]
+        for key, field in fields.items():
+            ref = bl.restrict_channel_field(part.scaled(key), part.corr.grid,
+                                            grid)
+            assert field.shape == ref.shape == grid.shape
+            assert field.tobytes() == ref.tobytes(), key
+
+
 def test_euler_convection_follows_each_wall(couette_expansion):
     # an Euler part's convection keys on a wall are its own fields
     # interpolated to that wall's layer nodes inside the cut support, one

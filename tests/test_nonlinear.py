@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator
 from chasflow.discretization import grid_lu
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
-                                 solve_linearized)
+                                 momentum_residual, solve_linearized)
 import chasflow.nonlinear as nonlinear
 from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
@@ -67,6 +67,58 @@ def test_fixed_point_property(case_i_setup):
     d = RemainderSolution(grid, ops, again.u - sol.u, again.v - sol.v)
     dx = compute_norms(d, expansion.fields, EPS)["X_norm"]
     assert dx < 1e-9 * max(1.0, sol.norms["X_norm"])
+
+
+def test_picard_takes_one_x_norm_for_its_first_step(case_i_24x48,
+                                                    monkeypatch):
+    # from the zero start the first step sol - 0.0 is the iterate, bit for
+    # bit, so Picard takes 2 k - 1 X-norms in k steps; each trace row holds
+    # the X-norms of the iterate and of its step from the previous one, as
+    # when both are taken at every step
+    expansion, forcing = case_i_24x48
+    calls, iterates = [], []
+
+    def norms(sol, background, eps):
+        calls.append(sol)
+        return compute_norms(sol, background, eps)
+
+    def solve(problem):
+        iterates.append(solve_linearized(problem))
+        return iterates[-1]
+
+    monkeypatch.setattr(nonlinear, "compute_norms", norms)
+    monkeypatch.setattr(nonlinear, "solve_linearized", solve)
+    sol, trace = picard_solve(expansion, forcing)
+    k = len(trace.rows)
+    assert k >= 2 and len(calls) == 2 * k - 1
+    grid, ops, bg = expansion.grid, expansion.ops, expansion.fields
+    pu = pv = np.zeros(grid.shape)
+    prev_diff = None
+    for row, it in zip(trace.rows, iterates):
+        step = RemainderSolution(grid, ops, it.u - pu, it.v - pv)
+        diff = compute_norms(step, bg, EPS)["X_norm"]
+        xnorm = compute_norms(RemainderSolution(grid, ops, it.u, it.v), bg,
+                              EPS)["X_norm"]
+        assert row[1:3] == (xnorm, diff)
+        if prev_diff is None:
+            assert np.isnan(row[3])
+        else:
+            assert row[3] == diff / prev_diff
+        pu, pv, prev_diff = it.u, it.v, diff
+
+
+def test_picard_residual_is_its_pressure_recoverys(case_i_24x48):
+    # recover_pressure leaves the momentum residual of the terms it formed;
+    # it is momentum_residual's, and the trace's last residual is its norm
+    expansion, forcing = case_i_24x48
+    sol, trace = picard_solve(expansion, forcing)
+    ops, c = expansion.ops, EPS ** expansion.M0
+    again = momentum_residual(sol, sol.problem)
+    for got, ref in zip(sol.momentum, again):
+        assert got.tobytes() == ref.tobytes()
+    resid = c * float(np.hypot(ops.norm(again[0], "L2"),
+                               ops.norm(again[1], "L2")))
+    assert trace.rows[-1][4] == resid == sol.residuals["nonlinear_momentum"]
 
 
 def test_newton_oracle_agreement(case_i_setup):

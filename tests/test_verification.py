@@ -115,3 +115,25 @@ def test_audit_fault_injection():
     failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
     assert "remainder.divergence" in failed
     assert "node" in failed["remainder.divergence"]["note"]
+
+
+def test_audit_passing_divergence_note_is_free_of_round_off():
+    # two remainders that differ by round-off (a bump of 5e-14 max|v| at one
+    # v node) put the largest divergence residue at different nodes; a pass
+    # names no node, so its note is the same for both
+    expansion, sol, full = _solved_bundle()
+    ops, v = expansion.ops, sol.v
+    checks, nodes = [], []
+    for bump in (0.0, 5e-14 * np.abs(v).max()):
+        sol.v = v.copy()
+        sol.v[10, 20] += bump
+        div = np.abs(ops.apply("Dx", sol.u) + ops.apply("Dy", sol.v))
+        nodes.append(np.unravel_index(div.argmax(), div.shape))
+        report = audit_invariants(expansion, sol=sol, full=full)
+        checks.append(next(c for c in report["checks"]
+                           if c["name"] == "remainder.divergence"))
+    assert nodes[0] != nodes[1]
+    assert checks[0]["pass"] and checks[1]["pass"]
+    assert checks[0]["value"] != checks[1]["value"]
+    assert checks[0]["note"] == checks[1]["note"]
+    assert "node" not in checks[0]["note"]
