@@ -30,6 +30,9 @@ WALL_Y = {"minus": 0.0, "plus": 2.0}    # y = WALL_Y + SIGN_Y * eps^s * Y
 S_EXP = {"minus": 1.0 / 3.0, "plus": 0.5}
 BE_STEPS = 3     # backward-Euler start-up steps of the "cn" scheme
 BLOWUP = 1e6     # a marched column above this times the data scale fails
+# a layer decays into its far field, and on x86 every subnormal operand takes
+# a slow path: the march sets each |v| below this to v * 0.0, a signed zero
+TINY = np.finfo(float).tiny
 # step LUs each process keeps; a couette sweep factors 128 distinct ones
 MARCH_LU_MEMO = 192
 
@@ -279,11 +282,15 @@ def _march(grid, F, g, last_layer, kind, m_coef, scheme):
         b[0] = g[k]
         b[-1] = 0.0
         sol = plan.step_lu(m_dx, th).solve(rhs)
+        mag = np.abs(sol)
+        np.multiply(sol, 0.0, out=sol, where=mag < TINY)
         U[k], W = sol[:nY], sol[nY:]
-        if not np.max(np.abs(U[k])) <= BLOWUP * scale:
+        if not np.max(mag[:nY]) <= BLOWUP * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
     DXU[1:] = np.diff(U, axis=0) / np.diff(x)[:, None]
+    np.multiply(DXU, 0.0, out=DXU, where=np.abs(DXU) < TINY)
     V = DXU @ plan.kqT
+    np.multiply(V, 0.0, out=V, where=np.abs(V) < TINY)
     return U, DXU, V
 
 

@@ -230,7 +230,7 @@ def cmd_solve(cfg, args):
         Field2D(expansion.grid, arr).to_binary(os.path.join(out, f"{name}.bin"))
     payload = {"expansion": expansion_report(expansion),
                "solution": full["report"],
-               "norms": norm_report(sol, sol.problem),
+               "norms": norm_report(sol),
                "residuals": sol.residuals}
     if cfg["solver.newton_check"]:
         newton = newton_solve(sol.problem)

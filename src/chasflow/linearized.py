@@ -56,9 +56,8 @@ class RemainderSolution:
         self.ops = ops
         self.u = u
         self.v = v
-        self.P = self.momentum = None   # recover_pressure sets both
+        self.P = self.momentum = self.problem = None  # set by recover_pressure
         self.psi = psi
-        self.problem = None  # picard_solve sets its converged problem
         self.norms = {}
         self.residuals = {}
 
@@ -108,7 +107,8 @@ def solve_linearized(problem):
 def recover_pressure(sol, problem):
     """Zero-mean P of the bordered Poisson-Neumann system [lap 1; w2^T 0],
     solved by the separable solve with one null mode (the constant); sets
-    sol.P and sol.momentum, its momentum_residual, from the same terms."""
+    sol.P, sol.problem and sol.momentum, the residual pair of the two
+    linearized momentum equations, from the same terms."""
     ops = problem.ops
     grid = problem.grid
     bg = problem.bg
@@ -143,7 +143,7 @@ def recover_pressure(sol, problem):
               nx - 2, ny - 2, *system.floor, xm.cond, ym.cond)
     P = system.solve(-rhs, wall)        # its operator is -lap
     P = P - ops.integrate(P) / ops.integrate(np.ones_like(P))
-    sol.P = P
+    sol.P, sol.problem = P, problem
     sol.momentum = _momentum_residual(problem, P, (N1, N2), (m1, m2))
     return P
 
@@ -159,12 +159,6 @@ def _momentum_balances(problem, u, v):
     m2 = (bg["u_s"] * ops.apply("Dx", v) + bg["v_s"] * ops.apply("Dy", v)
           + bg["vs_x"] * u + v * bg["vs_y"] - eps * ops.apply("lap", v))
     return m1, m2
-
-
-def momentum_residual(sol, problem):
-    """Residuals of the two linearized momentum equations with recovered P."""
-    return _momentum_residual(problem, sol.P, problem.nonlinear_terms(),
-                              _momentum_balances(problem, sol.u, sol.v))
 
 
 def _momentum_residual(problem, P, N, m):
@@ -261,15 +255,15 @@ def compute_norms(sol, background, eps):
     return report
 
 
-def norm_report(sol, problem):
-    """JSON-ready norm report with the substitution residuals."""
+def norm_report(sol):
+    """JSON-ready norm report with the substitution residuals of sol.problem."""
     rep = {k: sol.norms.get(k) for k in ("A1", "A2", "A3", "X_norm")}
-    cr = curl_residual(sol, problem)
+    ops = sol.problem.ops
+    cr = curl_residual(sol, sol.problem)
     inner = np.zeros_like(cr)
     inner[2:-2, 2:-2] = cr[2:-2, 2:-2]  # boundary rows carry BC equations
-    rep["residual_curl"] = problem.ops.norm(inner, "L2")
-    if sol.P is not None:
-        r1, r2 = momentum_residual(sol, problem)
-        rep["residual_momentum"] = float(np.hypot(
-            problem.ops.norm(r1, "L2"), problem.ops.norm(r2, "L2")))
+    rep["residual_curl"] = ops.norm(inner, "L2")
+    r1, r2 = sol.momentum
+    rep["residual_momentum"] = float(np.hypot(ops.norm(r1, "L2"),
+                                              ops.norm(r2, "L2")))
     return rep

@@ -132,7 +132,6 @@ def picard_solve(expansion, forcing):
     trace.rows[-1] = trace.rows[-1][:4] + (resid,)
     sol.residuals["nonlinear_momentum"] = resid
     sol.norms["iterations"] = len(trace.rows)
-    sol.problem = prob
     return sol, trace
 
 

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from chasflow.discretization import (ChannelGrid, DiffOps, build_channel_grid,
                                      lsq_slope, tanh_stretched)
+from chasflow.linearized import _momentum_balances, _momentum_residual
 from chasflow.profiles import PerturbationSpec, build_profile
 from chasflow.verification import RunSpec
 
@@ -126,3 +127,11 @@ def newton_jacobian(problem, u, v):
     mask[system.bnd] = 0.0
     return (sp.diags(1.0 / system.d)
             @ (system.A - sp.diags(mask) @ (Dy @ J1 - Dx @ J2))).tocsr()
+
+
+def momentum_residual(sol, problem):
+    """The two linearized momentum residuals of sol with its recovered P,
+    formed afresh: the reference for the pair recover_pressure leaves on
+    sol.momentum."""
+    return _momentum_residual(problem, sol.P, problem.nonlinear_terms(),
+                              _momentum_balances(problem, sol.u, sol.v))

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -162,11 +164,20 @@ def test_march_matches_dense_step_reference(side, last_layer, scheme):
     assert np.abs(lay.V[1:] - V).max() <= 1e-10 * np.abs(V).max()
 
 
-def _march_step_loop(grid, F, g, last_layer, kind, m_coef, scheme):
+def _flush_subnormals(a):
+    """a with each subnormal entry replaced by the zero of its sign."""
+    sub = (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+    return np.where(sub, np.copysign(0.0, a), a)
+
+
+def _march_step_loop(grid, F, g, last_layer, kind, m_coef, scheme, flush=True):
     """The march as one loop of sparse products per step, with each step
     matrix formed by sparse sums, its blow-up test on isfinite and each
     DXU row formed in the loop: the reference that the march's elementwise
-    steps must reproduce bit for bit."""
+    steps must reproduce bit for bit.  With flush, each step's solution,
+    DXU and V have their subnormals set to signed zeros, as the march
+    does; without, they are left as they come."""
+    keep = _flush_subnormals if flush else (lambda a: a)
     x, Y = grid.x, grid.Y
     nx, nY = grid.nx, grid.nY
     scale = max(np.max(np.abs(g)), np.max(np.abs(F)), 1.0)
@@ -193,15 +204,15 @@ def _march_step_loop(grid, F, g, last_layer, kind, m_coef, scheme):
         if (m_dx, th) not in lus:
             lus[m_dx, th] = spla.splu(m_dx * plan.C - th * plan.D + plan.E)
         if kind == "minus":
-            sol = lus[m_dx, th].solve(np.r_[b, np.zeros(nY)])
+            sol = keep(lus[m_dx, th].solve(np.r_[b, np.zeros(nY)]))
             U[k], W = sol[:nY], sol[nY:]
         else:
-            U[k] = lus[m_dx, th].solve(b)
+            U[k] = keep(lus[m_dx, th].solve(b))
         if not np.all(np.isfinite(U[k])) or np.max(np.abs(U[k])) > bl.BLOWUP * scale:
             raise MarchError(f"marching blow-up at step {k} (x={x[k]:.4g})")
         DXU[k] = (U[k] - U[k - 1]) / dx
-    V = DXU @ plan.kqT
-    return U, DXU, V
+    DXU = keep(DXU)
+    return U, DXU, keep(DXU @ plan.kqT)
 
 
 def _signed_march_data(grid):
@@ -230,6 +241,53 @@ def test_march_matches_the_step_loop(side, last_layer, scheme):
     for name, a, b in zip(("U", "DXU", "V"), got, ref):
         assert a.tobytes() == b.tobytes(), name
     assert np.signbit(ref[0][ref[0] == 0.0]).any()
+
+
+@pytest.mark.parametrize("scheme", ["be", "cn"])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_march_flushes_subnormals(side, scheme):
+    # a layer without forcing decays into a far field at Ymax = 20 that is
+    # deep in the subnormal range; the march leaves none of its values there
+    tiny = np.finfo(float).tiny
+    grid = HalfLineGrid(L, 31, 320, Ymax=20.0)
+    F = np.zeros(grid.shape)
+    g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
+    got = bl._march(grid, F, g, False, side, 1.0, scheme)
+    flushed = _march_step_loop(grid, F, g, False, side, 1.0, scheme)
+    raw = _march_step_loop(grid, F, g, False, side, 1.0, scheme, flush=False)
+    assert np.count_nonzero((raw[0] != 0.0) & (np.abs(raw[0]) < tiny)) > 0
+    for name, a, b, r in zip(("U", "DXU", "V"), got, flushed, raw):
+        assert a.tobytes() == b.tobytes(), name
+        assert not np.any((a != 0.0) & (np.abs(a) < tiny)), name
+        normal = np.abs(r) >= 1e-250
+        assert a[normal].tobytes() == r[normal].tobytes(), name
+        assert np.abs(a - r).max() <= 1e-290, name
+
+
+def test_march_flushes_dxu_and_v(monkeypatch):
+    # normal columns whose x differences are subnormal (rows 1-4) or, at
+    # the wall, just above the smallest normal, so that DXU and V = K DXU
+    # (K's wall weight being dY/2 < 1) would hold subnormals of their own;
+    # they replace the step solves
+    tiny = np.finfo(float).tiny
+    grid = HalfLineGrid(L, 11, 10)
+    U = np.zeros(grid.shape)
+    U[1:, 0] = 2.0 * tiny + 1.5 * tiny * grid.x[1:]
+    U[1:, 1:5] = 2.0 * tiny * (1.0 + np.arange(1, 11)[:, None] * 2.0 ** -51)
+    real = _march_plan(grid.Y.tobytes(), "plus", False)
+    cols = iter(U[1:])
+    step = types.SimpleNamespace(solve=lambda rhs: next(cols).copy())
+    plan = types.SimpleNamespace(**vars(real), step_lu=lambda m_dx, th: step)
+    monkeypatch.setattr(bl, "_march_plan", lambda *key: plan)
+    got = bl._march(grid, None, U[:, 0], False, "plus", 1.0, "be")
+    assert got[0].tobytes() == U.tobytes()
+    dxu = np.diff(U, axis=0) / np.diff(grid.x)[:, None]
+    flushed = _flush_subnormals(dxu)
+    assert not np.array_equal(flushed, dxu)
+    assert got[1][1:].tobytes() == flushed.tobytes()
+    v = got[1] @ real.kqT
+    assert not np.array_equal(_flush_subnormals(v), v)
+    assert got[2].tobytes() == _flush_subnormals(v).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["be", "cn"])

@@ -16,9 +16,9 @@ from chasflow.discretization import (DiffOps, GridSolveError, GridSystem,
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
                                  RemainderSolution,
                                  assemble_linearized_operator, compute_norms,
-                                 compute_q, curl_residual, momentum_residual,
-                                 recover_pressure, solve_linearized)
-from conftest import lil_replace_rows, make_grid, same_arrays
+                                 compute_q, curl_residual, recover_pressure,
+                                 solve_linearized)
+from conftest import lil_replace_rows, make_grid, momentum_residual, same_arrays
 
 L = 0.1
 M0 = 11.0 / 8.0 + 0.05

@@ -9,12 +9,12 @@ from scipy.sparse.linalg import LinearOperator
 from chasflow.discretization import grid_lu
 from chasflow.expansion import construct_expansion
 from chasflow.linearized import (RemainderSolution, compute_norms,
-                                 momentum_residual, solve_linearized)
+                                 norm_report, solve_linearized)
 import chasflow.nonlinear as nonlinear
 from chasflow.nonlinear import (ConvergenceError, ForcingError,
                                 assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
-from conftest import newton_jacobian, point_spec
+from conftest import momentum_residual, newton_jacobian, point_spec
 
 L = 0.1
 EPS = 1e-2
@@ -119,6 +119,18 @@ def test_picard_residual_is_its_pressure_recoverys(case_i_24x48):
     resid = c * float(np.hypot(ops.norm(again[0], "L2"),
                                ops.norm(again[1], "L2")))
     assert trace.rows[-1][4] == resid == sol.residuals["nonlinear_momentum"]
+
+
+def test_norm_report_residual_is_the_one_formed_afresh(case_i_24x48):
+    # norm_report reads the pair recover_pressure left with sol.problem; it
+    # is the residual of sol's own pair, formed again from the problem
+    expansion, forcing = case_i_24x48
+    sol, _ = picard_solve(expansion, forcing)
+    assert sol.problem.ubar is sol.u and sol.problem.vbar is sol.v
+    r1, r2 = momentum_residual(sol, sol.problem)
+    ops = expansion.ops
+    resid = float(np.hypot(ops.norm(r1, "L2"), ops.norm(r2, "L2")))
+    assert norm_report(sol)["residual_momentum"] == resid > 0.0
 
 
 def test_newton_oracle_agreement(case_i_setup):
