@@ -8,6 +8,7 @@ codes: 0 success, 2 config/precondition error, 3 numerical failure.
 import argparse
 import concurrent.futures
 import configparser
+import inspect
 import json
 import logging
 import math
@@ -21,81 +22,65 @@ from .expansion import ExpansionError, construct_expansion, expansion_report
 from .linearized import norm_report
 from .nonlinear import ConvergenceError, ForcingError, newton_solve
 from .profiles import ProfileError
-from .verification import (ConfigError, RunSpec, audit_invariants,
-                           report_to_csv, report_to_json, run_sweep,
-                           solve_point)
+from .verification import (DEFAULT_EPSILONS, ConfigError, RunSpec,
+                           audit_invariants, report_to_csv, report_to_json,
+                           run_sweep, solve_point)
 
 log = logging.getLogger("chasflow")
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
-# key -> (type, default).  Every configurable surface of the artifact.
-SCHEMA = {
-    "profile.kind": (str, "poiseuille_couette"),
-    "profile.alpha1": (float, 1.0),
-    "profile.alpha2": (float, 0.0),
-    "profile.perturbation.amplitude": (float, 0.0),
-    "profile.perturbation.exponent": (float, 0.0),
-    "grid.L": (float, 0.1),
-    "grid.nx": (int, 48),
-    "grid.ny": (int, 96),
-    "grid.resolve_factor": (float, 0.25),
-    "grid.min_layer_nodes": (int, 6),
-    "expansion.epsilon": (float, 1e-2),
-    "expansion.m_layers": (int, 3),
-    "expansion.gamma": (float, 0.05),
-    "expansion.a0": (float, 0.25),
-    "expansion.case": (str, "couette_noforce"),
-    "expansion.layer_ny": (int, 320),
-    "expansion.ext_factor": (float, 1.25),
-    "expansion.scheme": (str, "be"),
-    "solver.tol": (float, 1e-10),
-    "solver.max_iter": (int, 50),
-    "solver.newton_check": (bool, False),
-    "sweep.case": (str, "couette_noforce"),
-    "sweep.epsilons": (str, "1e-1,10**-1.5,1e-2,10**-2.5,1e-3"),
-    "sweep.nx": (int, 48),
-    "sweep.ny_base": (int, 96),
-    "sweep.ny_cap": (int, 224),
-    "sweep.m_layers": (int, 3),
-    "sweep.min_layer_nodes": (int, 8),
-    "sweep.pert_amplitude": (float, 0.0),
-    "sweep.pert_exponent": (float, 0.0),
-    "sweep.alpha1": (float, 1.0),
-    "sweep.alpha2": (float, 0.0),
-    "output.dir": (str, "out"),
-    "output.formats": (str, "json,csv"),
+# Every config key -> (the commands that read it, the RunSpec fields it sets
+# or eps, its default where RunSpec has none or another); its type is that of
+# its default.  A refusal names a key the command reads for the same field.
+POINT, SWEEP = ("construct", "solve", "audit"), ("sweep",)
+SETTINGS = {
+    "profile.kind": (POINT + SWEEP, "kind"),
+    "profile.alpha1": (POINT, "alpha1"),
+    "profile.alpha2": (POINT, "alpha2"),
+    "profile.perturbation.amplitude": (POINT, "pert_amplitude"),
+    "profile.perturbation.exponent": (POINT, "pert_exponent"),
+    "grid.L": (POINT + SWEEP, "L"),
+    "grid.nx": (POINT, "nx"),
+    "grid.ny": (POINT, "ny ny_cap"),    # a single point never refines ny
+    "grid.resolve_factor": (POINT + SWEEP, "resolve_factor"),
+    "grid.min_layer_nodes": (POINT, "min_layer_nodes", 6),
+    "expansion.epsilon": (POINT, "eps", 1e-2),
+    "expansion.m_layers": (POINT, "M"),
+    "expansion.gamma": (POINT + SWEEP, "gamma"),
+    "expansion.a0": (POINT + SWEEP, "a0"),
+    "expansion.case": (POINT, "case", "couette_noforce"),
+    "expansion.layer_ny": (POINT + SWEEP, "layer_nY"),
+    "expansion.ext_factor": (POINT + SWEEP, "ext_factor"),
+    "expansion.scheme": (POINT + SWEEP, "scheme"),
+    "solver.tol": (("solve", "audit", "sweep"), "tol"),
+    "solver.max_iter": (("solve", "audit", "sweep"), "max_iter"),
+    "solver.newton_check": (("solve",), "", False),
+    "sweep.case": (SWEEP, "case", "couette_noforce"),
+    "sweep.epsilons": (SWEEP, "eps", ",".join(map(repr, DEFAULT_EPSILONS))),
+    "sweep.nx": (SWEEP, "nx"),
+    "sweep.ny_base": (SWEEP, "ny"),
+    "sweep.ny_cap": (SWEEP, "ny_cap"),
+    "sweep.m_layers": (SWEEP, "M"),
+    "sweep.min_layer_nodes": (SWEEP, "min_layer_nodes"),
+    "sweep.pert_amplitude": (SWEEP, "pert_amplitude"),
+    "sweep.pert_exponent": (SWEEP, "pert_exponent"),
+    "sweep.alpha1": (SWEEP, "alpha1"),
+    "sweep.alpha2": (SWEEP, "alpha2"),
+    "output.dir": (POINT + SWEEP + ("report",), "", "out"),
+    # only construct writes the fields whose formats the list names
+    "output.formats": (("construct",), "", "json,csv"),
 }
 
-# In a sweep each of these sweep.* keys stands in for the key it maps to;
-# every other key is read from its own section by every command.
-SWEEP_KEYS = {
-    "expansion.case": "sweep.case",
-    "expansion.m_layers": "sweep.m_layers",
-    "grid.nx": "sweep.nx",
-    "grid.ny": "sweep.ny_base",
-    "grid.min_layer_nodes": "sweep.min_layer_nodes",
-    "profile.alpha1": "sweep.alpha1",
-    "profile.alpha2": "sweep.alpha2",
-    "profile.perturbation.amplitude": "sweep.pert_amplitude",
-    "profile.perturbation.exponent": "sweep.pert_exponent",
-}
-# the sweep.* key a sweep reads in place of each key a single point reads
-SWEEP_STAND_INS = SWEEP_KEYS | {"expansion.epsilon": "sweep.epsilons"}
-# the key a single point reads in place of each sweep.* key
-POINT_KEYS = {alias: key for key, alias in SWEEP_STAND_INS.items()} | {
-    "sweep.ny_cap": "grid.ny"}
-# the keys that a command does not read: construct runs no solver, only
-# solve runs the Newton check, and only construct writes the fields that
-# output.formats lists (load_config checks that list before construct runs)
-UNREAD = {"construct": ("solver.tol", "solver.max_iter", "solver.newton_check"),
-          "solve": ("output.formats",),
-          "sweep": ("solver.newton_check", "output.formats"),
-          "audit": ("solver.newton_check", "output.formats")}
+# each key's default: its own, or that of the first RunSpec field it sets
+_SIGNATURE = inspect.signature(RunSpec).parameters
+DEFAULTS = {key: row[2] if len(row) > 2
+            else _SIGNATURE[row[1].split()[0]].default
+            for key, row in SETTINGS.items()}
 
 
 def _coerce(key, raw):
-    typ, _ = SCHEMA[key]
+    typ = type(DEFAULTS[key])
     if typ is bool:
         val = str(raw).strip().lower()
         if val in ("1", "true", "yes", "on"):
@@ -111,35 +96,39 @@ def _coerce(key, raw):
 
 def load_config(path, overrides, command):
     """Parse the config file plus --set overrides, refusing a given key that
-    the command reads another key in place of or does not read at all
-    (report: any but output.dir)."""
-    cfg = {k: v for k, (_, v) in SCHEMA.items()}
+    the command does not read.  Option names keep their case, a % is
+    literal, and [DEFAULT] is a section like any other."""
+    cfg = dict(DEFAULTS)
     given = []
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no section header can name "", so [DEFAULT] is an ordinary section
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
+        parser.optionxform = str
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path!r}: {exc}")
         if not read:
             raise ConfigError(f"config file {path!r} not found")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                given.append((f"{section}.{key}", raw))
+        given = [(f"{section}.{key}", raw) for section in parser.sections()
+                 for key, raw in parser.items(section)]
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         key, raw = item.split("=", 1)
         given.append((key.strip(), raw))
-    stand_ins = SWEEP_STAND_INS if command == "sweep" else POINT_KEYS
+    reads = [key for key, row in SETTINGS.items() if command in row[0]]
     for key, raw in given:
-        if key not in SCHEMA:
+        if key not in SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        if command == "report" and key != "output.dir":
-            raise ConfigError(f"report does not read {key}; output.dir is "
-                              "the only key it reads")
-        if key in stand_ins:
-            raise ConfigError(f"{command} does not read {key}; it reads "
-                              f"{stand_ins[key]} in its place")
-        if key in UNREAD.get(command, ()):
-            raise ConfigError(f"{command} does not read {key}")
+        if key not in reads:
+            fields = set(SETTINGS[key][1].split())
+            instead = [k for k in reads if fields & set(SETTINGS[k][1].split())]
+            why = (f"; {reads[0]} is the only key it reads" if len(reads) == 1
+                   else f"; it reads {instead[0]} in its place" if instead
+                   else "")
+            raise ConfigError(f"{command} does not read {key}{why}")
         cfg[key] = _coerce(key, raw)
     _formats(cfg)
     return cfg
@@ -173,30 +162,15 @@ def _parse_epsilons(text):
 
 
 def _run_spec(cfg, command):
-    """The run spec of a command; a single point never refines its grid,
-    and construct, which runs no solver, takes the solver settings' own
-    defaults."""
-    sweep = command == "sweep"
-    if sweep:
-        cfg = dict(cfg, **{key: cfg[alias] for key, alias in SWEEP_KEYS.items()})
-    if cfg["expansion.case"] == "forced":
+    """The run spec of a command: the keys it reads set their fields, and
+    every other field keeps RunSpec's default (construct, which runs no
+    solver, takes the solver's own)."""
+    fields = {field: cfg[key] for key, row in SETTINGS.items()
+              if command in row[0] for field in row[1].split() if field != "eps"}
+    if fields["case"] == "forced":
         raise ConfigError("case forced needs a control force g, which no "
                           "config key can give; it runs from the library only")
-    solver = {} if command == "construct" else {
-        "tol": cfg["solver.tol"], "max_iter": cfg["solver.max_iter"]}
-    return RunSpec(cfg["expansion.case"], L=cfg["grid.L"], nx=cfg["grid.nx"],
-                   ny=cfg["grid.ny"],
-                   ny_cap=cfg["sweep.ny_cap"] if sweep else cfg["grid.ny"],
-                   M=cfg["expansion.m_layers"], kind=cfg["profile.kind"],
-                   alpha1=cfg["profile.alpha1"], alpha2=cfg["profile.alpha2"],
-                   pert_amplitude=cfg["profile.perturbation.amplitude"],
-                   pert_exponent=cfg["profile.perturbation.exponent"],
-                   resolve_factor=cfg["grid.resolve_factor"],
-                   min_layer_nodes=cfg["grid.min_layer_nodes"],
-                   gamma=cfg["expansion.gamma"], a0=cfg["expansion.a0"],
-                   layer_nY=cfg["expansion.layer_ny"],
-                   ext_factor=cfg["expansion.ext_factor"],
-                   scheme=cfg["expansion.scheme"], **solver)
+    return RunSpec(**fields)
 
 
 def _outdir(cfg, args):
@@ -293,7 +267,7 @@ def cmd_report(cfg, args):
             with open(path) as fh:
                 payload = json.load(fh)
             print(f"== {name} ==")
-            print(json.dumps(payload, indent=2, sort_keys=True)[:4000])
+            print(json.dumps(payload, indent=2, sort_keys=True))
     if not found:
         raise ConfigError(f"no report artifacts found in {out!r}")
     return EXIT_OK

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SCHEMA,
-                          SWEEP_KEYS, _parse_epsilons, _run_spec,
+from chasflow.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, SETTINGS,
+                          ConfigError, _parse_epsilons, _run_spec,
                           load_config, main)
 from chasflow.discretization import GridResolutionError
 from chasflow.verification import RunSpec
@@ -29,7 +29,6 @@ def test_load_config_defaults_and_overrides(tmp_path):
 def test_unknown_key_is_hard_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[profile]\nbogus = 1\n")
-    from chasflow.cli import ConfigError
     with pytest.raises(ConfigError):
         load_config(str(path), (), "solve")
     with pytest.raises(ConfigError):
@@ -112,8 +111,45 @@ def test_report_command(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_report_prints_a_long_report_whole(tmp_path, capsys):
+    payload = {"values": [0.1 * k for k in range(500)]}
+    (tmp_path / "rate_report.json").write_text(json.dumps(payload))
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert len(out) > 4000
+    assert json.loads(out.split("== rate_report.json ==\n", 1)[1]) == payload
+
+
+# a config file -> the values it sets, or the text of the exit-2 error
+CONFIG_FILES = [
+    ("[grid]\nL = 0.2\n", {"grid.L": 0.2}),
+    ("[output]\ndir = out%1\n", {"output.dir": "out%1"}),
+    ("[grid]\nNX = 16\n", "unknown config key 'grid.NX'"),
+    ("[DEFAULT]\nnx = 16\n", "unknown config key 'DEFAULT.nx'"),
+    ("nx = 16\n", "no section headers"),
+    ("[grid]\nnx = 16\nnx = 24\n", "option 'nx' in section 'grid' already exists"),
+    ("[grid]\nnx = 16\n[grid]\nny = 64\n", "section 'grid' already exists"),
+    ("[grid]\nnx\n", "parsing errors"),
+    ("[output]\ndir = out\xff\n", "codec can't decode byte 0xff"),
+]
+
+
+@pytest.mark.parametrize("text, expect", CONFIG_FILES)
+def test_config_file_parses_as_documented(text, expect, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text.encode("latin-1"))  # \xff is no UTF-8 byte
+    if isinstance(expect, dict):
+        cfg = load_config(str(path), (), "construct")
+        assert {key: cfg[key] for key in expect} == expect
+        return
+    (tmp_path / "audit.json").write_text("{}")  # report would run otherwise
+    rc = main(["report", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and expect in err
+
+
 def test_degeneracy_threshold_keys_are_rejected():
-    from chasflow.cli import ConfigError
     for key in ("profile.ratio2_threshold", "profile.ratio3_threshold"):
         with pytest.raises(ConfigError):
             load_config(None, [f"{key}=1e-12"], "solve")
@@ -243,17 +279,36 @@ def test_newton_check_on_an_exact_point_writes_zero(tmp_path):
 
 
 # (command, key it ignores, the key it reads in its place or None): each
-# pair of SWEEP_KEYS both ways, the two sweep-only keys, and the solver keys
-# of a command that runs no solver or no Newton check
-IGNORED = ([("sweep", key, alias) for key, alias in SWEEP_KEYS.items()]
-           + [("solve", alias, key) for key, alias in SWEEP_KEYS.items()]
-           + [("sweep", "expansion.epsilon", "sweep.epsilons"),
-              ("construct", "sweep.epsilons", "expansion.epsilon"),
-              ("audit", "sweep.ny_cap", "grid.ny")]
-           + [("construct", key, None) for key in (
-               "solver.tol", "solver.max_iter", "solver.newton_check")]
-           + [(command, "solver.newton_check", None)
-              for command in ("sweep", "audit")])
+# sweep.* key that stands in for a single point's key, both ways, the two
+# sweep-only keys, and the solver keys of a command that runs no solver or
+# no Newton check
+IGNORED = [
+    ("sweep", "expansion.case", "sweep.case"),
+    ("sweep", "expansion.m_layers", "sweep.m_layers"),
+    ("sweep", "grid.nx", "sweep.nx"),
+    ("sweep", "grid.ny", "sweep.ny_base"),
+    ("sweep", "grid.min_layer_nodes", "sweep.min_layer_nodes"),
+    ("sweep", "profile.alpha1", "sweep.alpha1"),
+    ("sweep", "profile.alpha2", "sweep.alpha2"),
+    ("sweep", "profile.perturbation.amplitude", "sweep.pert_amplitude"),
+    ("sweep", "profile.perturbation.exponent", "sweep.pert_exponent"),
+    ("solve", "sweep.case", "expansion.case"),
+    ("solve", "sweep.m_layers", "expansion.m_layers"),
+    ("solve", "sweep.nx", "grid.nx"),
+    ("solve", "sweep.ny_base", "grid.ny"),
+    ("solve", "sweep.min_layer_nodes", "grid.min_layer_nodes"),
+    ("solve", "sweep.alpha1", "profile.alpha1"),
+    ("solve", "sweep.alpha2", "profile.alpha2"),
+    ("solve", "sweep.pert_amplitude", "profile.perturbation.amplitude"),
+    ("solve", "sweep.pert_exponent", "profile.perturbation.exponent"),
+    ("sweep", "expansion.epsilon", "sweep.epsilons"),
+    ("construct", "sweep.epsilons", "expansion.epsilon"),
+    ("audit", "sweep.ny_cap", "grid.ny"),
+    ("construct", "solver.tol", None),
+    ("construct", "solver.max_iter", None),
+    ("construct", "solver.newton_check", None),
+    ("sweep", "solver.newton_check", None),
+    ("audit", "solver.newton_check", None)]
 
 
 @pytest.mark.parametrize("command, key, instead", IGNORED)
@@ -266,7 +321,8 @@ def test_a_key_the_command_ignores_exits_before_any_point(
     monkeypatch.setattr("chasflow.cli.construct_expansion", no_work)
     monkeypatch.setattr("chasflow.cli.solve_point", no_work)
     # even the default value, given, is refused
-    rc = main([command, "--set", f"{key}={SCHEMA[key][1]}",
+    default = load_config(None, (), command)[key]
+    rc = main([command, "--set", f"{key}={default}",
                "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -284,6 +340,99 @@ def test_report_refuses_every_key_but_output_dir(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"report does not read {key}; output.dir is the only key" in err
     assert main(["report", "--set", f"output.dir={tmp_path}"]) == EXIT_OK
+
+
+# the config keys each command reads; it refuses every other key
+READ_BY_ALL = {"profile.kind", "grid.L", "grid.resolve_factor",
+               "expansion.gamma", "expansion.a0", "expansion.layer_ny",
+               "expansion.ext_factor", "expansion.scheme", "output.dir"}
+READ_BY_POINTS = READ_BY_ALL | {
+    "profile.alpha1", "profile.alpha2", "profile.perturbation.amplitude",
+    "profile.perturbation.exponent", "grid.nx", "grid.ny",
+    "grid.min_layer_nodes", "expansion.epsilon", "expansion.m_layers",
+    "expansion.case"}
+READS = {
+    "construct": READ_BY_POINTS | {"output.formats"},
+    "solve": READ_BY_POINTS | {"solver.tol", "solver.max_iter",
+                               "solver.newton_check"},
+    "audit": READ_BY_POINTS | {"solver.tol", "solver.max_iter"},
+    "sweep": READ_BY_ALL | {
+        "solver.tol", "solver.max_iter", "sweep.case", "sweep.epsilons",
+        "sweep.nx", "sweep.ny_base", "sweep.ny_cap", "sweep.m_layers",
+        "sweep.min_layer_nodes", "sweep.pert_amplitude",
+        "sweep.pert_exponent", "sweep.alpha1", "sweep.alpha2"},
+    "report": {"output.dir"}}
+
+
+def _reads(command, key):
+    """Whether load_config takes key, given, for command (the value 1 parses
+    as every type the keys have)."""
+    try:
+        load_config(None, [f"{key}=1"], command)
+    except ConfigError as exc:
+        assert not str(exc).startswith("unknown config key"), exc
+        return not str(exc).startswith(f"{command} does not read {key}")
+    return True
+
+
+def test_each_command_reads_exactly_its_keys():
+    every = set().union(*READS.values())
+    assert len(every) == 34
+    for command, keys in READS.items():
+        assert {key for key in every if _reads(command, key)} == keys, command
+
+
+# key=value -> the RunSpec attributes that it changes (M0 follows gamma, and
+# a single point's grid.ny is its ny_cap too: a point never refines ny)
+REACH_ALL = {"profile.kind=couette": {"kind"}, "grid.L=0.2": {"L"},
+             "grid.resolve_factor=0.5": {"resolve_factor"},
+             "expansion.gamma=0.1": {"gamma", "M0"},
+             "expansion.a0=0.5": {"a0"},
+             "expansion.layer_ny=256": {"layer_nY"},
+             "expansion.ext_factor=1.5": {"ext_factor"},
+             "expansion.scheme=cn": {"scheme"}}
+REACH_SOLVER = {"solver.tol=1e-8": {"tol"}, "solver.max_iter=20": {"max_iter"}}
+REACH_POINT = {"profile.alpha1=2.0": {"alpha1"},
+               "profile.alpha2=0.5": {"alpha2"},
+               "profile.perturbation.amplitude=0.1": {"perturbation"},
+               "profile.perturbation.exponent=0.425": {"perturbation"},
+               "grid.nx=32": {"nx"}, "grid.ny=128": {"ny", "ny_cap"},
+               "grid.min_layer_nodes=4": {"min_layer_nodes"},
+               "expansion.m_layers=2": {"M"},
+               "expansion.case=couette_noforce": {"case"}}
+REACH_SWEEP = {"sweep.case=couette_noforce": {"case"}, "sweep.nx=32": {"nx"},
+               "sweep.ny_base=128": {"ny"}, "sweep.ny_cap=256": {"ny_cap"},
+               "sweep.m_layers=2": {"M"},
+               "sweep.min_layer_nodes=4": {"min_layer_nodes"},
+               "sweep.pert_amplitude=0.1": {"perturbation"},
+               "sweep.pert_exponent=0.425": {"perturbation"},
+               "sweep.alpha1=2.0": {"alpha1"}, "sweep.alpha2=0.5": {"alpha2"}}
+REACHES = (
+    [(command, setting, changed) for command in ("construct", "solve", "audit")
+     for setting, changed in (REACH_ALL | REACH_POINT).items()]
+    + [(command, setting, changed) for command in ("solve", "audit")
+       for setting, changed in REACH_SOLVER.items()]
+    + [("sweep", setting, changed)
+       for setting, changed in (REACH_ALL | REACH_SOLVER | REACH_SWEEP).items()])
+# a family case and a bump, so that alpha2 and the bump exponent can move
+POINT_BASE = ["expansion.case=poiseuille_couette_noforce",
+              "profile.perturbation.amplitude=0.05"]
+SWEEP_BASE = ["sweep.case=poiseuille_couette_noforce",
+              "sweep.pert_amplitude=0.05"]
+
+
+def _spec_attributes(command, settings):
+    spec = vars(_run_spec(load_config(None, settings, command), command))
+    bump = spec["perturbation"]
+    return dict(spec, perturbation=bump and (bump.amplitude, bump.exponent))
+
+
+@pytest.mark.parametrize("command, setting, changed", REACHES)
+def test_each_key_reaches_its_run_spec_field(command, setting, changed):
+    base = SWEEP_BASE if command == "sweep" else POINT_BASE
+    before = _spec_attributes(command, base)
+    after = _spec_attributes(command, base + [setting])
+    assert {k for k in before if before[k] != after[k]} == changed
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -421,7 +570,7 @@ def test_sweep_ny_cap_bounds_the_refinement(cap, ny):
 
 
 def test_sweep_spec_defaults_match_run_spec():
-    # SCHEMA and RunSpec are the two places a default is declared
+    # a sweep takes every default from RunSpec
     assert vars(_run_spec(load_config(None, (), "sweep"), "sweep")) == vars(
         RunSpec("couette_noforce"))
 
@@ -437,8 +586,10 @@ def test_single_point_spec_differs_from_run_spec_as_the_readme_says():
         "min_layer_nodes", "ny_cap"}
     assert (point["min_layer_nodes"], point["ny_cap"]) == (6, 96)
     assert (library["min_layer_nodes"], library["ny_cap"]) == (8, 224)
-    assert SCHEMA["grid.min_layer_nodes"] == (int, 6)
-    assert SCHEMA["sweep.min_layer_nodes"] == (int, 8)
+    defaults = load_config(None, (), "report")
+    assert type(defaults["grid.min_layer_nodes"]) is int
+    assert (defaults["grid.min_layer_nodes"],
+            defaults["sweep.min_layer_nodes"]) == (6, 8)
     sigmas = [RunSpec(point["case"], ny_cap=96, min_layer_nodes=m).grid(
         1e-2).sigma for m in (6, 8)]
     assert [round(s, 3) for s in sigmas] == [0.668, 1.059]
@@ -485,4 +636,4 @@ def test_readme_config_table_lists_schema():
     table = text.split("| key | meaning |\n", 1)[1].split("\n\n", 1)[0]
     keys = [key for line in table.splitlines()[1:]
             for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
-    assert sorted(keys) == sorted(SCHEMA)
+    assert sorted(keys) == sorted(SETTINGS)
