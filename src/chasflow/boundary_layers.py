@@ -8,13 +8,14 @@ divergence-free.  Marching is an implicit theta scheme (backward-Euler
 start-up steps, Crank-Nicolson after) with graded x steps near the inflow.
 
 The cascade bookkeeping is mechanical: each wall is one record (`Wall`:
-layer grid, march coefficient, corner ramps, pending lists), and every
+layer grid, cut-off and its coefficients, march coefficient, corner ramps,
+pending lists), and every
 x-momentum residual term that the correctors built so far generate at a
 wall is held in that wall's pending list (tagged cut / approx / quad /
 shear); the next layer of that wall takes the accumulated sum as its
 forcing, and an auxiliary layer pressure zeroes the pending
 vertical-momentum terms order by order.  Each layer level is one part
-(`LayerPart`): the cut-off coefficients, the cut fields and their record.
+(`LayerPart`): its cut fields and their record, read off its wall.
 """
 
 import functools
@@ -23,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import cumtrapz0, diff_matrix, one_sided_row, pchip_operator
+from .discretization import (HalfLineGrid, cumtrapz0, diff_matrix, one_sided_row,
+                             pchip_operator)
 
 SIGN_Y = {"minus": 1.0, "plus": -1.0}   # d/dy -> SIGN_Y * eps^(-s) d/dY
 WALL_Y = {"minus": 0.0, "plus": 2.0}    # y = WALL_Y + SIGN_Y * eps^s * Y
@@ -183,10 +185,6 @@ class LayerProfile:
         self.U = U          # (nx, nY)
         self.DXU = DXU      # backward differences, consistent with the march
         self.V = V          # divergence-consistent vertical velocity
-        self.W = cumtrapz0(V, grid.x)
-        self.DXW = np.empty_like(V)
-        self.DXW[0] = V[0]
-        self.DXW[1:] = 0.5 * (V[1:] + V[:-1])
         self.F = F          # the forcing the march balanced (None: zero)
 
     def far_field(self):
@@ -318,50 +316,77 @@ def solve_layer_minus(F, g, grid, last_layer=False, m_coef=1.0, index=0, *,
 
 # -- corrector parts --------------------------------------------------------
 
-def support_width(Y, side, eps, a0):
-    """How many leading Y nodes carry a layer's cut fields: chi(t), t = eps^s
-    Y / a0, is 0 for t >= 1 and chi_d3 reads chi(t + 2e-4), so every cut
-    coefficient is 0 from t = 1 + 3e-4 on, whatever the data; 4 more nodes
-    keep the d1/d2 stencils of nonzero nodes off the cut end and end on a
-    PCHIP interval with zero ends and slopes, which gives exactly +0.0."""
-    t = eps ** S_EXP[side] * Y / a0
-    return min(Y.size, int(np.count_nonzero(t < 1.0 + 3e-4)) + 4)
+def layer_grid(side, eps, a0, x, nY):
+    """A wall's half-line grid on the layer x nodes: Y reaches 1.1 times the
+    cut-off's edge a0 eps^-s, and 20 at least."""
+    ymax = max(20.0, 1.1 * a0 * eps ** (-S_EXP[side]))
+    return HalfLineGrid(x[-1], None, nY, Ymax=ymax, x=x)
 
 
 class Wall:
-    """One wall's layer state: its half-line grid (full width: the march's),
-    the support width nS, its first nS Y nodes and their channel y, the march
-    coefficient, the corner ramps and the (nx, nS) pending momentum lists."""
+    """One wall's layer state, built once per point and read by its parts:
+    the half-line grid (full width: the march's), d_xx with its corner mask,
+    the march coefficient, the corner ramps and, on the first nS Y nodes
+    (the support), their channel y, mu and mu' there, the cut-off chi(t),
+    t = eps^s Y / a0, with its coefficients, the Y difference matrices, the
+    aux tail integral and the (nx, nS) pending momentum lists.  chi_d3
+    reads chi(t + 2e-4), so every cut coefficient is 0 from t = 1 + 3e-4 on;
+    4 more nodes keep the d1/d2 stencils of nonzero nodes off the cut end
+    and end on a PCHIP interval with zero ends and slopes (exactly +0.0)."""
 
-    def __init__(self, side, grid, profile, eps, a0, hx, width):
-        self.grid = grid
-        self.nS = support_width(grid.Y, side, eps, a0)
-        self.Y = grid.Y[:self.nS]
-        self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side]
-                              * (eps ** S_EXP[side] * self.Y), 0.0, 2.0)
+    def __init__(self, side, grid, profile, eps, a0, hx):
+        self.side, self.grid, self.eps = side, grid, eps
+        s = S_EXP[side]
+        self.es = eps ** s
+        self.chain = SIGN_Y[side] * eps ** (-s)   # d/dy = chain * d/dY
+        self.e2s = eps ** (-2.0 * s)
+        yy = self.es * grid.Y                     # distance from the wall
+        t = yy / a0
+        self.nS = nS = min(grid.nY, int(np.count_nonzero(t < 1.0 + 3e-4)) + 4)
+        self.Y, yy, t = grid.Y[:nS], yy[:nS], t[:nS]
+        self.y_of_Y = np.clip(WALL_Y[side] + SIGN_Y[side] * yy, 0.0, 2.0)
+        self.mu_y, self.mup_y = profile.mu(self.y_of_Y), profile.mu(self.y_of_Y, 1)
         # convection at the wall: mu'(0) Y below, mu(2) above
-        if side == "minus":
-            self.m_coef = float(profile.mu(np.array([0.0]), 1)[0])
-        else:
-            self.m_coef = float(profile.mu(np.array([2.0]))[0])
+        k = 1 if side == "minus" else 0
+        self.m_coef = float(profile.mu(np.array([WALL_Y[side]]), k)[0])
+        scale, sgn = self.es / a0, -SIGN_Y[side]
+        self.chi = chi(t)
+        self.c1 = scale * chi_prime(t)
+        self.c2 = scale ** 2 * chi_d2(t)
+        self.cc = sgn * self.c1       # a sign flip is exact
+        self.ccpp = sgn * scale ** 3 * chi_d3(t)
+        self.d1Y, self.d2Y = diff_matrix(self.Y, 1), diff_matrix(self.Y, 2)
+        self.d2x = diff_matrix(grid.x, 2)
+        # rows below the reporting-grid cell scale carry unresolvable
+        # corner singularities of d_xx; they are zeroed (sub-quadrature).
+        self.x2_mask = (grid.x >= 1.5 * hx).astype(float)[:, None]
+        # int_Y^Ymax of a field that is 0 beyond the support (the aux
+        # pressure's): the block of the march's integral matrix suffices
+        self.tail = _march_plan(grid.Y.tobytes(), side, False).kqT[:nS, :nS]
         # corner ramp: forcings and aux pressures only absorb residual terms
         # where the inflow-corner singularities are resolvable; the sliver
         # below a few reporting cells stays in the measured remainder.
         # Forcing absorption ramps on the macro scale (re-expanding sharp
         # onsets would amplify); the aux kill only needs the corner guard.
+        width = max(grid.x[-1] / 3.0, 8.0 * hx)
         self.ramp = _smoothstep((grid.x - 2.0 * hx) / width)[:, None]
         self.ramp_aux = _smoothstep((grid.x - 2.0 * hx) / (4.0 * hx))[:, None]
-        self.pending_u = []   # [tag, field] items
-        self.pending_v = []
+        self.pending = {"u": [], "v": []}   # [tag, field] items by component
+
+    def dY(self, f):
+        return (self.d1Y @ f.T).T
+
+    def lap(self, f):
+        return self.x2_mask * (self.d2x @ f) + self.e2s * (self.d2Y @ f.T).T
 
 
 _CONV_KEYS = ("u", "v", "ux", "uy", "vx", "vy")   # read by the quadratic terms
 
 
 def interp_layer_field(field, lgrid, side, eps, cx, cy):
-    """Interpolate a cut field on the first `support_width` Y nodes of a
-    layer grid to channel nodes.  Past those, PCHIP of the full-width field
-    gives exactly +0.0, so those channel columns stay zero untouched.
+    """Interpolate a cut field on a wall's support, the first nS Y nodes of
+    its layer grid, to channel nodes.  Past those, PCHIP of the full-width
+    field gives exactly +0.0, so those channel columns stay zero untouched.
     Leading axes stack fields into one pass pair; a pass works column by
     column, so each field comes out as from its own call, bit for bit."""
     Y = lgrid.Y[:field.shape[-1]]
@@ -396,8 +421,7 @@ def restrict_channel_field(field, src, dst):
 # Every part gives channel_fields(grid): its nonzero keys among u, v, ux, uy,
 # vx, vy, lap_u, lap_v, P, px, py on a channel grid.  Euler and layer parts
 # also give convection(side): the _CONV_KEYS on that wall's layer grid,
-# cached per side.  side is the wall of a layer or aux part, None for an
-# Euler part.
+# cached per side.  side is a layer part's wall, None for an Euler part.
 
 class BasePart:
     """The base shear flow (mu(y), 0) with constant pressure."""
@@ -448,12 +472,13 @@ class EulerPart:
 
 
 class _CutPart:
-    """A part whose fields live on the first nS Y nodes of its wall's layer
-    grid lgrid; they reach the channel as one stack."""
+    """A part whose fields live on its wall's support; they reach the
+    channel as one stack."""
 
     def channel_fields(self, grid):
+        w = self.wall
         stack = interp_layer_field(np.stack(list(self.fields.values())),
-                                   self.lgrid, self.side, self.eps, grid.x, grid.y)
+                                   w.grid, w.side, w.eps, grid.x, grid.y)
         return dict(zip(self.fields, stack))
 
 
@@ -462,58 +487,31 @@ class LayerPart(_CutPart):
     included, with divergence-consistent fields.
 
     minus: Uhat = chi U - (eps^s/a0) chi' W;  plus: Uhat = chi U + (eps^s/a0) chi' W
-    (the sign difference mirrors the stored V sign); Vhat = chi V.
-    Every array it keeps is on the first nS = `support_width` Y nodes.
+    (the sign difference mirrors the stored V sign), W = int_0^x V;
+    Vhat = chi V.  Every array it keeps is on its wall's support.
     """
 
-    def __init__(self, layer, cu, a0, eps, x2_floor):
-        self.layer = layer
-        self.side = side = layer.side
-        self.eps = eps
-        self.lgrid = lgrid = layer.grid
-        s = S_EXP[side]
-        self.nS = nS = support_width(lgrid.Y, side, eps, a0)
-        yy = eps ** s * lgrid.Y[:nS]          # distance from the wall
-        self.chi = chi(yy / a0)
-        chip = chi_prime(yy / a0)
-        sgn = -SIGN_Y[side]
-        scale = eps ** s / a0
-        self.c1 = scale * chip
-        self.c2 = scale ** 2 * chi_d2(yy / a0)
-        self.cc = sgn * self.c1       # a sign flip is exact
-        self.ccpp = sgn * scale ** 3 * chi_d3(yy / a0)
-        chiv, cc = self.chi[None, :], self.cc[None, :]
-        self.Uhat = chiv * layer.U[:, :nS] + cc * layer.W[:, :nS]
-        self.DXUhat = chiv * layer.DXU[:, :nS] + cc * layer.DXW[:, :nS]
-        self.Vhat = chiv * layer.V[:, :nS]
-        self.DXVhat = np.empty_like(self.Vhat)
-        self.DXVhat[0] = 0.0
-        dxs = np.diff(lgrid.x)[:, None]
-        self.DXVhat[1:] = (self.Vhat[1:] - self.Vhat[:-1]) / dxs
-        self._d1Y = diff_matrix(lgrid.Y[:nS], 1)
-        d2Y = diff_matrix(lgrid.Y[:nS], 2)
-        d2x = diff_matrix(lgrid.x, 2)
-        # rows below the reporting-grid cell scale carry unresolvable
-        # corner singularities of d_xx; they are zeroed (sub-quadrature).
-        x2_mask = (lgrid.x >= x2_floor).astype(float)[:, None]
-        e2s = eps ** (-2.0 * s)
-
-        def lap(f):
-            return x2_mask * (d2x @ f) + e2s * (d2Y @ f.T).T
-
-        cv = self.cv = cu * eps ** s
-        chain = SIGN_Y[side] * eps ** (-s)
-        self.fields = {   # on the layer grid's first nS Y nodes
+    def __init__(self, layer, wall, cu):
+        self.wall, self.side = wall, wall.side
+        self.U, V = layer.U[:, :wall.nS], layer.V[:, :wall.nS]
+        # cumtrapz0 works column by column: the full-width W's leading block
+        self.W = cumtrapz0(V, wall.grid.x)
+        self.DXW = np.concatenate([V[:1], 0.5 * (V[1:] + V[:-1])])
+        chiv, cc = wall.chi[None, :], wall.cc[None, :]
+        self.Uhat = chiv * self.U + cc * self.W
+        self.DXUhat = chiv * layer.DXU[:, :wall.nS] + cc * self.DXW
+        self.Vhat = chiv * V
+        self.DXVhat = np.zeros_like(self.Vhat)
+        self.DXVhat[1:] = np.diff(self.Vhat, axis=0) / np.diff(wall.grid.x)[:, None]
+        cv = self.cv = cu * wall.es
+        self.fields = {   # on the wall's support
             "u": cu * self.Uhat, "v": cv * self.Vhat,
-            "ux": cu * self.DXUhat, "uy": cu * chain * self.dY(self.Uhat),
-            "vx": cv * self.DXVhat, "vy": cv * chain * self.dY(self.Vhat),
-            "lap_u": cu * lap(self.Uhat), "lap_v": cv * lap(self.Vhat),
+            "ux": cu * self.DXUhat, "uy": cu * wall.chain * wall.dY(self.Uhat),
+            "vx": cv * self.DXVhat, "vy": cv * wall.chain * wall.dY(self.Vhat),
+            "lap_u": cu * wall.lap(self.Uhat), "lap_v": cv * wall.lap(self.Vhat),
         }
         # cut supports are disjoint: a layer convects at its own wall only
-        self._conv = {side: {k: self.fields[k] for k in _CONV_KEYS}}
-
-    def dY(self, f):
-        return (self._d1Y @ f.T).T
+        self._conv = {self.side: {k: self.fields[k] for k in _CONV_KEYS}}
 
     def convection(self, side):
         return self._conv[side]
@@ -522,11 +520,9 @@ class LayerPart(_CutPart):
 class AuxPart(_CutPart):
     """Auxiliary layer pressure: zeroes pending vertical-momentum terms."""
 
-    def __init__(self, side, lgrid, eps, py, px, P):
-        self.side = side
-        self.lgrid = lgrid
-        self.eps = eps
-        self.fields = {"px": px, "py": py, "P": P}   # at support width
+    def __init__(self, wall, py, px, P):
+        self.wall = wall
+        self.fields = {"px": px, "py": py, "P": P}   # on the wall's support
 
 
 def _pair_terms(P, Q, side, comp):
@@ -546,6 +542,15 @@ def _self_terms(P, side, comp):
     return a["u"] * a["vx"] + a["v"] * a["vy"]
 
 
+def _tag_sums(items):
+    """tag -> the sum of a pending list's fields of that tag, from 0.0 in
+    list order."""
+    sums = {}
+    for tag, f in items:
+        sums[tag] = sums.get(tag, 0.0) + f
+    return sums
+
+
 class Cascade:
     """Pending-term registry driving the layer forcings and aux pressures.
 
@@ -558,14 +563,11 @@ class Cascade:
     measured remainder.
     """
 
-    def __init__(self, profile, eps, a0, grid, layer_grids):
-        self.profile = profile
+    def __init__(self, profile, eps, a0, grid, layer_x, layer_nY):
         self.eps = eps
-        self.a0 = a0
-        self.hx = grid.x[1] - grid.x[0]   # of the Euler correctors' grid
-        width = max(grid.L / 3.0, 8.0 * self.hx)
-        self.walls = {side: Wall(side, layer_grids[side], profile, eps, a0,
-                                 self.hx, width)
+        hx = grid.x[1] - grid.x[0]   # of the Euler correctors' grid
+        self.walls = {side: Wall(side, layer_grid(side, eps, a0, layer_x, layer_nY),
+                                 profile, eps, a0, hx)
                       for side in ("minus", "plus")}
         self.parts = [BasePart(profile)]   # every part, in assembly order
         self.convecting = []               # the Euler and layer parts
@@ -573,11 +575,8 @@ class Cascade:
     # -- bookkeeping helpers ------------------------------------------------
 
     def _push(self, side, comp, tag, field):
-        if not np.any(field):
-            return
-        wall = self.walls[side]
-        lst = wall.pending_u if comp == "u" else wall.pending_v
-        lst.append([tag, field])
+        if np.any(field):
+            self.walls[side].pending[comp].append([tag, field])
 
     def eq_scale(self, side, index):
         if side == "minus":
@@ -593,13 +592,11 @@ class Cascade:
         """Forcing for the next layer plus its recorded component breakdown."""
         q = self.eq_scale(side, index)
         wall = self.walls[side]
-        comps = {}
-        for tag, f in wall.pending_u:
-            comps[tag] = comps.get(tag, 0.0) + f
+        comps = {tag: -(wall.ramp * total) / q
+                 for tag, total in _tag_sums(wall.pending["u"]).items()}
         F = np.zeros(wall.grid.shape)   # the march's width: 0 past nS
-        for tag in comps:
-            comps[tag] = -(wall.ramp * comps[tag]) / q
-            F[:, :wall.nS] += comps[tag]
+        for comp in comps.values():
+            F[:, :wall.nS] += comp
         return smooth_x(F), comps
 
     # -- adding correctors ----------------------------------------------------
@@ -629,31 +626,30 @@ class Cascade:
         wall = self.walls[side]
         cu = self.u_prefac(side, index)
         q = self.eq_scale(side, index)
-        part = LayerPart(layer, cu, self.a0, self.eps, x2_floor=1.5 * self.hx)
-        mu_y = self.profile.mu(wall.y_of_Y)
-        mup_y = self.profile.mu(wall.y_of_Y, 1)
+        part = LayerPart(layer, wall, cu)
 
         # old pending content survives outside the new cut support and in
         # the unabsorbed corner sliver
-        damp = 1.0 - wall.ramp * part.chi[None, :]
-        for item in wall.pending_u:
+        damp = 1.0 - wall.ramp * wall.chi[None, :]
+        for item in wall.pending["u"]:
             item[1] = damp * item[1]
 
         # cut-off commutator, analytic in the layer fields (the discrete
         # scheme residual stays in the measured remainder, never in the
         # forcing: dividing it by the next equation order would compound
         # solver truncation through the cascade)
-        U, W, DXW = (f[:, :wall.nS] for f in (layer.U, layer.W, layer.DXW))
-        UY = part.dY(U)
+        U, W, DXW = part.U, part.W, part.DXW
+        UY = wall.dY(U)
         m = wall.m_coef
         conv = (m * wall.Y[None, :] if side == "minus" else m)
-        commut = (conv * part.cc[None, :] * DXW
-                  - part.c2[None, :] * U
-                  - 2.0 * part.c1[None, :] * UY
-                  - part.ccpp[None, :] * W
-                  - 2.0 * part.c2[None, :] * U
-                  - part.c1[None, :] * UY)
+        commut = (conv * wall.cc[None, :] * DXW
+                  - wall.c2[None, :] * U
+                  - 2.0 * wall.c1[None, :] * UY
+                  - wall.ccpp[None, :] * W
+                  - 2.0 * wall.c2[None, :] * U
+                  - wall.c1[None, :] * UY)
         self._push(side, "u", "cut", q * commut)
+        mu_y, mup_y = wall.mu_y, wall.mup_y
         if side == "minus":
             self._push(side, "u", "approx",
                        cu * (mu_y - m * wall.y_of_Y)[None, :] * part.DXUhat
@@ -679,33 +675,22 @@ class Cascade:
         # stays in the measured remainder: fed into the next forcing it would
         # re-amplify marching dust by 1/q per level at desk resolutions
         wall = self.walls[side]
-        lgrid, n = wall.grid, wall.nS
-        pv = wall.ramp_aux * sum((f for _, f in wall.pending_v),
-                                 np.zeros((lgrid.nx, n)))
-        for item in wall.pending_v:
+        pv = wall.ramp_aux * sum((f for _, f in wall.pending["v"]),
+                                 np.zeros((wall.grid.nx, wall.nS)))
+        for item in wall.pending["v"]:
             item[1] = (1.0 - wall.ramp_aux) * item[1]
-        py = -pv
-        s = S_EXP[side]
-        sgn = SIGN_Y[side]
-        # int_Y^Ymax; pv is 0 beyond the support, so its block suffices
-        tail = _march_plan(lgrid.Y.tobytes(), side, False).kqT[:n, :n]
-        Pi = sgn * self.eps ** s * (pv @ tail)
-        dxpv = fitted_dx(lgrid.x, pv, wall.ramp.ravel())
+        Pi = SIGN_Y[side] * wall.es * (pv @ wall.tail)
+        dxpv = fitted_dx(wall.grid.x, pv, wall.ramp.ravel())
         # the fit is unconstrained where the corner weight vanishes
-        px = wall.ramp * (sgn * self.eps ** s * (dxpv @ tail))
-        part = AuxPart(side, lgrid, self.eps, py, px, Pi)
+        px = wall.ramp * (SIGN_Y[side] * wall.es * (dxpv @ wall.tail))
+        part = AuxPart(wall, -pv, px, Pi)
         self.parts.append(part)
         return part
 
     def dumped_report(self):
         """Per wall, component and tag, max |sum| of the terms still pending:
         what is left in the remainder, however the terms were split."""
-        out = {}
-        for side, wall in self.walls.items():
-            for comp, lst in (("u", wall.pending_u), ("v", wall.pending_v)):
-                sums = {}
-                for tag, f in lst:
-                    sums[tag] = sums.get(tag, 0.0) + f
-                out.update((f"{side}.{comp}.{tag}", float(np.max(np.abs(total))))
-                           for tag, total in sums.items())
-        return out
+        return {f"{side}.{comp}.{tag}": float(np.max(np.abs(total)))
+                for side, wall in self.walls.items()
+                for comp, items in wall.pending.items()
+                for tag, total in _tag_sums(items).items()}

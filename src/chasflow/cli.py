@@ -17,14 +17,13 @@ import sys
 
 import numpy as np
 
-from .discretization import Field2D, GridResolutionError
-from .expansion import ExpansionError, construct_expansion, expansion_report
+from .discretization import Field2D
+from .expansion import construct_expansion, expansion_report
 from .linearized import norm_report
-from .nonlinear import ConvergenceError, ForcingError, newton_solve
-from .profiles import ProfileError
-from .verification import (DEFAULT_EPSILONS, ConfigError, RunSpec,
-                           audit_invariants, report_to_csv, report_to_json,
-                           run_sweep, solve_point)
+from .nonlinear import ConvergenceError, newton_solve
+from .verification import (CONFIG_ERRORS, DEFAULT_EPSILONS, ConfigError,
+                           RunSpec, audit_invariants, report_to_csv,
+                           report_to_json, run_sweep, solve_point)
 
 log = logging.getLogger("chasflow")
 
@@ -317,8 +316,7 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, ProfileError, ForcingError, ExpansionError,
-            GridResolutionError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # any other ValueError (a failed factorization or fit among them) comes

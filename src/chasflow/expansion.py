@@ -12,9 +12,9 @@ all assembled fields and remainders are restricted to [0, L] by slicing.
 
 import numpy as np
 
-from .discretization import ChannelGrid, DiffOps, HalfLineGrid, pchip_operator
+from .discretization import ChannelGrid, DiffOps, pchip_operator
 from .euler_correctors import EulerSolver
-from .boundary_layers import (BasePart, Cascade, S_EXP, solve_layer_minus,
+from .boundary_layers import (BasePart, Cascade, solve_layer_minus,
                               solve_layer_plus)
 from .profiles import check_couette_degeneracy
 
@@ -108,7 +108,6 @@ def construct_expansion(spec, eps):
 
     if spec.case == "couette_noforce":
         gate = check_couette_degeneracy(res.profile)
-        res.report["degeneracy"] = gate
         if not gate["pass"]:
             raise ExpansionError(
                 f"degeneracy gate failed: sup|mu''/mu|={gate['sup_ratio2']:.3g}, "
@@ -134,18 +133,13 @@ def _build_direct(res):
 
 def _build_couette(res):
     profile, spec, grid = res.profile, res.spec, res.grid
-    eps, M, a0 = res.eps, spec.M, spec.a0
+    eps, M = res.eps, spec.M
     grid_ext = _extended_grid(grid, spec.ext_factor)
     solver = EulerSolver(grid_ext, profile)
     res.ext = (grid_ext, solver.ops)
 
-    lay_x = _layer_xgrid(grid_ext.x, LAYER_SUB)
-    grids = {}
-    for side in ("minus", "plus"):
-        ymax = max(20.0, 1.1 * a0 * eps ** (-S_EXP[side]))
-        grids[side] = HalfLineGrid(grid_ext.L, None, spec.layer_nY,
-                                   Ymax=ymax, x=lay_x)
-    casc = Cascade(profile, eps, a0, grid_ext, grids)
+    casc = Cascade(profile, eps, spec.a0, grid_ext,
+                   _layer_xgrid(grid_ext.x, LAYER_SUB), spec.layer_nY)
     res.cascade = casc
 
     e1 = solver.solve_first()

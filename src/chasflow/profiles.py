@@ -42,7 +42,7 @@ class BumpShape:
         return max(np.max(np.abs(self(_FINE, k))) for k in range(5))
 
 
-@functools.lru_cache(maxsize=32)    # the fine nodes', the gate's, a point's
+@functools.lru_cache(maxsize=32)    # the fine nodes', a point's
 def _bump(ybytes, k):
     """d^k [y^4 (2-y)^4 sin(pi y)] at the float64 nodes ybytes, read-only;
     eps does not enter, so each process evaluates it once per (nodes, k)."""
@@ -62,14 +62,15 @@ def _bump(ybytes, k):
 
 
 class PerturbationSpec:
-    """Perturbation mu - U = amplitude * eps^exponent * shape(y)."""
+    """Perturbation mu - U = amplitude * eps^exponent * shape(y), shape the
+    unit bump (`BumpShape`)."""
 
-    def __init__(self, amplitude, exponent=0.0, shape=None):
+    def __init__(self, amplitude, exponent=0.0):
         if amplitude < 0:
             raise ProfileError("perturbation amplitude must be >= 0")
         self.amplitude = float(amplitude)
         self.exponent = float(exponent)
-        self.shape = shape if shape is not None else BumpShape()
+        self.shape = BumpShape()
 
     def scale(self, eps):
         return self.amplitude * eps ** self.exponent
@@ -177,15 +178,16 @@ def build_profile(kind, alpha1, alpha2, perturbation=None, eps=1.0,
     return prof
 
 
-def check_couette_degeneracy(profile, n_samples=10000):
+def check_couette_degeneracy(profile):
     """Report sup|mu''/mu| and |mu'''/mu|_{C^k} against RATIO2_SUP and RATIO3_CK.
 
-    Wall values are the ratios' limits (mu'(0) > 0 makes them well defined
-    for degenerate profiles); C^k derivatives of the ratio are measured on the
-    sample grid.  Report-only: never raises.
+    The samples are the 10,001 fine nodes, both walls among them.  Wall
+    values are the ratios' limits (mu'(0) > 0 makes them well defined for
+    degenerate profiles); C^k derivatives of the ratio are measured on the
+    samples.  Report-only: never raises.
     """
     k = 2
-    y = np.linspace(0.0, 2.0, n_samples)
+    y = _FINE
     r2 = profile.ratio2(y)
     r3 = profile.ratio3(y)
     sup_r2 = float(np.max(np.abs(r2)))

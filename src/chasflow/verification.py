@@ -13,9 +13,10 @@ import json
 import numpy as np
 
 from .discretization import GridResolutionError, build_channel_grid, lsq_slope
-from .expansion import CASES, SCHEMES, construct_expansion
-from .nonlinear import assemble_full_solution, build_case_forcing, picard_solve
-from .profiles import PerturbationSpec, build_profile
+from .expansion import CASES, SCHEMES, ExpansionError, construct_expansion
+from .nonlinear import (ForcingError, assemble_full_solution,
+                        build_case_forcing, picard_solve)
+from .profiles import PerturbationSpec, ProfileError, build_profile
 
 SLOPE_MARGIN = 0.08
 # the acceptance gate for the remainder rate is slope >= 1.8 against the
@@ -42,6 +43,11 @@ EXACT_LEVEL = 1e-11
 
 class ConfigError(ValueError):
     """A setting that no run can use, raised before any point runs."""
+
+
+# what a setting, not the numerics, makes a point raise (the CLI exits 2)
+CONFIG_ERRORS = (ConfigError, ProfileError, ForcingError, ExpansionError,
+                 GridResolutionError)
 
 
 class RunSpec:
@@ -170,19 +176,21 @@ def fit_quantity(epsilons, values):
 
 
 def _sweep_point(spec, eps):
-    """One sweep point as plain data: (values, audit summary, error).
+    """One sweep point as plain data: (values, audit summary, error, whether
+    the error is one of CONFIG_ERRORS).
 
     A point that raises is recorded by its error and the sweep continues.
     """
     try:
         values, expansion, sol, full = run_point(spec, eps)
     except Exception as exc:  # recorded, sweep continues
-        return None, None, f"{type(exc).__name__}: {exc}"
+        return (None, None, f"{type(exc).__name__}: {exc}",
+                isinstance(exc, CONFIG_ERRORS))
     audit = audit_invariants(expansion, sol=sol, full=full)
     summary = {"epsilon": eps, "pass": audit["pass"],
                "checks": [{"name": c["name"], "pass": c["pass"],
                            "value": c["value"]} for c in audit["checks"]]}
-    return values, summary, None
+    return values, summary, None, False
 
 
 def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
@@ -199,18 +207,18 @@ def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
         raise ConfigError("epsilon values must be strictly decreasing")
     if not all(0.0 < e < np.inf for e in epsilons):
         raise ConfigError("epsilon values must be positive and finite")
-    records = []
-    failures = []
-    audit = None
+    records, failures, audit, all_config = [], [], None, True
     points = map(_sweep_point, [spec] * len(epsilons), epsilons)
-    for eps, (values, summary, error) in zip(epsilons, points):
+    for eps, (values, summary, error, config) in zip(epsilons, points):
         if error is None:
             records.append((eps, values))
             audit = summary
         else:
             failures.append({"epsilon": eps, "error": error})
+            all_config = all_config and config
     if len(records) < 4:
-        raise RuntimeError(
+        # a setting that fails each failed point makes a config error
+        raise (ConfigError if all_config else RuntimeError)(
             f"only {len(records)} sweep points survived (need >= 4): {failures}")
     eps_ok = [e for e, _ in records]
     proven = PROVEN.get(spec.case, {})

@@ -9,17 +9,25 @@ import scipy.sparse.linalg as spla
 
 import chasflow.boundary_layers as bl
 from chasflow.boundary_layers import (BE_STEPS, S_EXP, SIGN_Y, LayerPart,
-                                      LayerProfile, MarchError, _dxu_at_inflow,
-                                      _integral_matrix, _march_plan, _wall_rows,
-                                      chi, chi_d2, chi_d3, chi_prime,
-                                      interp_channel_field, interp_layer_field,
+                                      LayerProfile, MarchError, Wall,
+                                      _dxu_at_inflow, _integral_matrix,
+                                      _march_plan, _wall_rows, chi, chi_d2,
+                                      chi_d3, chi_prime, interp_channel_field,
+                                      interp_layer_field, layer_grid,
                                       restrict_channel_field,
-                                      solve_layer_minus, solve_layer_plus,
-                                      support_width)
+                                      solve_layer_minus, solve_layer_plus)
 from chasflow.discretization import (DiffOps, HalfLineGrid, build_channel_grid,
-                                     diff_matrix, one_sided_row)
+                                     cumtrapz0, diff_matrix, one_sided_row)
+from chasflow.profiles import build_profile
 
 L = 0.1
+CUT_COEFFS = ("chi", "c1", "c2", "cc", "ccpp")   # a Wall's, shared by its layers
+
+
+def _wall(grid, side, eps, a0):
+    """A Couette Wall on a given layer grid, its x2 mask below 1.5 x[1]."""
+    return Wall(side, grid, build_profile("couette", 1.0, 0.0), eps, a0,
+                hx=grid.x[1])
 
 
 def test_chi_shape():
@@ -449,26 +457,28 @@ def test_marching_monotone_mass_for_negative_trace():
 
 def test_cutoff_zero_layer_and_identity_region():
     eps, a0 = 1e-2, 0.25
-    grid = HalfLineGrid(L, 81, 201, Ymax=max(20.0, 1.1 * a0 * eps ** -0.5))
+    grid = layer_grid("plus", eps, a0, HalfLineGrid(L, 81, 201).x, 201)
+    wall = _wall(grid, "plus", eps, a0)
     lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0, scheme="cn")
     cg = build_channel_grid(L, 32, 96, eps)
-    f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
+    f = LayerPart(lay, wall, 1.0).channel_fields(cg)
     assert np.abs(f["u"]).max() == 0.0 and np.abs(f["v"]).max() == 0.0
     # chi = 1 where the wall distance stays below a0/2
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
                             grid, m_coef=2.0, scheme="cn")
-    cut2 = LayerPart(lay2, 1.0, a0, eps, 0.0)
+    cut2 = LayerPart(lay2, wall, 1.0)
     # the part keeps the first nS nodes, which hold every node of chi = 1
-    inner = eps ** 0.5 * grid.Y[:cut2.nS] <= a0 / 2
+    inner = eps ** 0.5 * grid.Y[:wall.nS] <= a0 / 2
     assert np.count_nonzero(inner) == np.count_nonzero(
         eps ** 0.5 * grid.Y <= a0 / 2)
-    assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, :cut2.nS][:, inner],
+    assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, :wall.nS][:, inner],
                        atol=1e-300)
 
 
 def _full_width_cut(layer, cu, a0, eps, x2_floor):
-    """LayerPart's arrays built over every Y node of the layer grid, with
-    the full-width difference matrices, in LayerPart's operations."""
+    """The arrays of a LayerPart and its Wall built over every Y node of the
+    layer grid, with the full-width difference matrices, in their
+    operations."""
     side, grid = layer.side, layer.grid
     s = S_EXP[side]
     yy = eps ** s * grid.Y
@@ -476,9 +486,13 @@ def _full_width_cut(layer, cu, a0, eps, x2_floor):
     c1 = scale * chi_prime(yy / a0)
     f = {"chi": chi(yy / a0), "c1": c1, "c2": scale ** 2 * chi_d2(yy / a0),
          "cc": sgn * c1, "ccpp": sgn * scale ** 3 * chi_d3(yy / a0)}
+    f["W"] = cumtrapz0(layer.V, grid.x)
+    f["DXW"] = np.empty_like(layer.V)
+    f["DXW"][0] = layer.V[0]
+    f["DXW"][1:] = 0.5 * (layer.V[1:] + layer.V[:-1])
     chiv, cc = f["chi"][None, :], f["cc"][None, :]
-    f["Uhat"] = chiv * layer.U + cc * layer.W
-    f["DXUhat"] = chiv * layer.DXU + cc * layer.DXW
+    f["Uhat"] = chiv * layer.U + cc * f["W"]
+    f["DXUhat"] = chiv * layer.DXU + cc * f["DXW"]
     f["Vhat"] = chiv * layer.V
     f["DXVhat"] = np.zeros_like(f["Vhat"])
     f["DXVhat"][1:] = (f["Vhat"][1:] - f["Vhat"][:-1]) / np.diff(grid.x)[:, None]
@@ -502,9 +516,10 @@ def _full_width_cut(layer, cu, a0, eps, x2_floor):
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
 @pytest.mark.parametrize("side", ["minus", "plus"])
 def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
-    # every cut field built at full width is exactly 0 from column
-    # support_width on, and LayerPart's support-width field is that field's
-    # leading block bit for bit.  The data is nonzero on every node.  On the
+    # every cut field built at full width is exactly 0 from column nS (the
+    # Wall's support width) on, and the support-width field of the LayerPart
+    # or its Wall is that field's leading block bit for bit; so are W and
+    # DXW, which are not 0 past it.  The data is nonzero on every node.  On the
     # graded nodes the last nonzero column lies close to the support's end,
     # so the pad is what keeps the stencils off it; packed nodes at
     # t = eps^s Y / a0 in [1 - 2e-3, 1 + 2e-3] make a wider reach of the chi
@@ -519,17 +534,17 @@ def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
     rng = np.random.default_rng(7)
     U, DXU, V = rng.uniform(0.5, 1.5, (3, grid.nx, Y.size))
     layer = LayerProfile(grid, side, 1, False, U, DXU, V, None)
-    x2_floor = 1.5 * grid.x[1]
-    part = LayerPart(layer, 0.5, a0, eps, x2_floor)
-    nS = support_width(Y, side, eps, a0)
-    assert part.nS == nS < Y.size
-    full, full_fields = _full_width_cut(layer, 0.5, a0, eps, x2_floor)
-    kept = {k: getattr(part, k) for k in full}
+    wall = _wall(grid, side, eps, a0)
+    part = LayerPart(layer, wall, 0.5)
+    nS = wall.nS
+    assert nS < Y.size
+    full, full_fields = _full_width_cut(layer, 0.5, a0, eps, 1.5 * grid.x[1])
+    kept = {k: getattr(wall if k in CUT_COEFFS else part, k) for k in full}
     full |= {f"fields.{k}": f for k, f in full_fields.items()}
     kept |= {f"fields.{k}": f for k, f in part.fields.items()}
     assert set(kept) == set(full)
     for key, f in full.items():
-        assert not np.any(f[..., nS:]), key
+        assert key in ("W", "DXW") or not np.any(f[..., nS:]), key
         assert f[..., :nS].tobytes() == kept[key].tobytes(), key
     if packed:   # the packed nodes reach into the quotients' nonzero band
         assert np.any(full["ccpp"][Y > 0.999 * edge])
@@ -584,8 +599,8 @@ def test_cutoff_divergence_identity():
                             Ymax=max(20.0, 1.1 * a0 * eps ** (-1 / 2)))
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
         lay = solver(None, g, grid, m_coef=m, scheme="cn")
-        cut = LayerPart(lay, 1.0, a0, eps, 0.0)
-        d1Y = diff_matrix(grid.Y[:cut.nS], 1)
+        cut = LayerPart(lay, _wall(grid, side, eps, a0), 1.0)
+        d1Y = diff_matrix(grid.Y[:cut.wall.nS], 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
         div = cut.DXUhat + sgn * (d1Y @ cut.Vhat.T).T
         scale = np.abs(cut.DXUhat).max()
@@ -601,7 +616,7 @@ def test_channel_divergence_after_cutoff_converges():
         g = 0.05 * np.sin(np.pi * grid.x / (2 * L))
         lay = solve_layer_minus(None, g, grid, m_coef=1.0, scheme="cn")
         cg = build_channel_grid(L, 32 * n, 96 * n, eps)
-        f = LayerPart(lay, 1.0, a0, eps, 0.0).channel_fields(cg)
+        f = LayerPart(lay, _wall(grid, "minus", eps, a0), 1.0).channel_fields(cg)
         u, v = f["u"], f["v"]
         ops = DiffOps(cg.x, cg.y)
         div = ops.apply("Dx", u) + ops.apply("Dy", v)

@@ -183,6 +183,22 @@ def test_sweep_reads_solver_keys(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, amplitude, error", [
+    ("poiseuille_couette_noforce", "1e4", "ProfileError"),   # not admissible
+    ("couette_noforce", "50", "ExpansionError")])            # degeneracy gate
+def test_sweep_failing_every_point_on_a_setting_exits_2(tmp_path, capsys,
+                                                        case, amplitude, error):
+    # the bumped profile exists only once a point's eps is known, so a bad
+    # amplitude fails each point; when each fails on the setting, the sweep
+    # is a config error, as construct with that amplitude is
+    rc = main(["sweep", "--set", f"sweep.pert_amplitude={amplitude}",
+               "--set", "sweep.nx=16", "--set", "sweep.ny_base=32",
+               "--set", f"sweep.case={case}", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count(error) == 5
+
+
 def test_sweep_reads_expansion_keys(tmp_path):
     assert main(SMALL_SWEEP + ["--out", str(tmp_path / "be")]) == EXIT_OK
     assert main(SMALL_SWEEP + ["--set", "expansion.scheme=cn",

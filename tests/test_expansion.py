@@ -404,13 +404,13 @@ def test_dumped_report_does_not_depend_on_the_split_into_items(monkeypatch):
     (casc,) = cascades
     before = exp.report["dumped"]
     for side, wall in casc.walls.items():
-        for comp, lst in (("u", wall.pending_u), ("v", wall.pending_v)):
+        for comp, lst in wall.pending.items():
             for tag in {t for t, _ in lst}:
                 total = sum(f for t, f in lst if t == tag)
                 assert before[f"{side}.{comp}.{tag}"] == np.max(np.abs(total))
     split = 0
     for wall in casc.walls.values():
-        for lst in (wall.pending_u, wall.pending_v):
+        for lst in wall.pending.values():
             for k in range(len(lst) - 1, -1, -1):
                 tag, f = lst[k]
                 low = np.arange(f.shape[0])[:, None] < f.shape[0] // 2

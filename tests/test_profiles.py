@@ -57,9 +57,8 @@ def test_derivative_consistency_richardson(perturbed_couette):
 
 
 def test_perturbation_linearity():
-    bump = BumpShape()
-    p1 = PerturbationSpec(0.05, 0.0, shape=bump)
-    p2 = PerturbationSpec(0.10, 0.0, shape=bump)
+    p1 = PerturbationSpec(0.05, 0.0)
+    p2 = PerturbationSpec(0.10, 0.0)
     y = np.linspace(0, 2, 501)
     assert np.allclose(2.0 * p1.delta(y, 1e-2), p2.delta(y, 1e-2), rtol=0, atol=1e-16)
 
@@ -146,11 +145,12 @@ def _cubic_bump_mu(y, k=0):
 
 
 def test_degeneracy_cubic_bump_sampling_oracle():
-    # mu = y + 0.01 y^3 (2-y)^3: sample at 1e4 points and Richardson-extrapolate
-    # the wall limit of mu''/mu; the wall value must agree
+    # mu = y + 0.01 y^3 (2-y)^3: sample the gate's 10,001 nodes and
+    # Richardson-extrapolate the wall limit of mu''/mu; the wall value must
+    # agree
     mu = _cubic_bump_mu
     prof = build_profile("custom", 1.0, 0.0, custom=mu)
-    rep = check_couette_degeneracy(prof, n_samples=10000)
+    rep = check_couette_degeneracy(prof)
     assert np.isfinite(rep["sup_ratio2"])
     # Richardson oracle for the wall limit of mu''/mu ( -> mu'''(0)/mu'(0) )
     hs = np.array([1e-3, 5e-4])
@@ -165,7 +165,7 @@ def test_degeneracy_unbounded_ratio3_without_nan_arithmetic():
     # differentiating the non-finite samples
     prof = build_profile("custom", 1.0, 0.0, custom=_cubic_bump_mu)
     with np.errstate(all="raise"):
-        rep = check_couette_degeneracy(prof, n_samples=10000)
+        rep = check_couette_degeneracy(prof)
     assert rep["ratio3_ck"] == np.inf
     assert not rep["pass"]
 

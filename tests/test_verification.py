@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import chasflow.verification as verification
 from chasflow.expansion import construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from chasflow.verification import (ConfigError, RunSpec, audit_invariants,
@@ -22,6 +23,19 @@ def test_sweep_plan_validation():
                   epsilons=(1e-1, 1e-1, 1e-2, 1e-3))
     with pytest.raises(ConfigError):   # a vacuous layer-resolution check
         RunSpec("couette_noforce", min_layer_nodes=0)
+
+
+def test_too_few_survivors_is_a_config_error_only_if_every_failure_is(
+        monkeypatch):
+    # one numerical failure among config failures makes the sweep numerical
+    epsilons = (1e-1, 1e-2, 1e-3, 1e-4)
+    for numerical, kind in ((0, ConfigError), (1, RuntimeError)):
+        points = iter([(None, None, "ProfileError: p", True)] * (4 - numerical)
+                      + [(None, None, "ConvergenceError: c", False)] * numerical)
+        monkeypatch.setattr(verification, "_sweep_point",
+                            lambda spec, eps: next(points))
+        with pytest.raises(kind, match="only 0 sweep points survived"):
+            run_sweep(RunSpec("couette_noforce"), epsilons)
 
 
 def test_forced_case_runs_from_the_library():
