@@ -376,6 +376,22 @@ class Wall:
     def dY(self, f):
         return (self.d1Y @ f.T).T
 
+    def cut(self, layer):
+        """A layer's cut arrays on the support: U (a view of the march's),
+        W = int_0^x V (column by column: the full-width W's leading block),
+        DXW, Uhat = chi U + cc W (cc carries the stored V sign), DXUhat,
+        Vhat = chi V and DXVhat."""
+        U, V = layer.U[:, :self.nS], layer.V[:, :self.nS]
+        W = cumtrapz0(V, self.grid.x)
+        DXW = np.concatenate([V[:1], 0.5 * (V[1:] + V[:-1])])
+        chiv, cc = self.chi[None, :], self.cc[None, :]
+        Vhat = chiv * V
+        DXVhat = np.zeros_like(Vhat)
+        DXVhat[1:] = np.diff(Vhat, axis=0) / np.diff(self.grid.x)[:, None]
+        return {"U": U, "W": W, "DXW": DXW, "Uhat": chiv * U + cc * W,
+                "DXUhat": chiv * layer.DXU[:, :self.nS] + cc * DXW,
+                "Vhat": Vhat, "DXVhat": DXVhat}
+
     def lap(self, f):
         return self.x2_mask * (self.d2x @ f) + self.e2s * (self.d2Y @ f.T).T
 
@@ -484,31 +500,20 @@ class _CutPart:
 
 class LayerPart(_CutPart):
     """One boundary-layer corrector cut off at its wall, prefactor cu
-    included, with divergence-consistent fields.
+    included, with divergence-consistent fields made from its cut arrays
+    (`Wall.cut`).  It keeps the fields, on the wall's support, and the wall
+    column of Vhat, which the next Euler trace cancels; nothing more."""
 
-    minus: Uhat = chi U - (eps^s/a0) chi' W;  plus: Uhat = chi U + (eps^s/a0) chi' W
-    (the sign difference mirrors the stored V sign), W = int_0^x V;
-    Vhat = chi V.  Every array it keeps is on its wall's support.
-    """
-
-    def __init__(self, layer, wall, cu):
+    def __init__(self, cut, wall, cu):
         self.wall, self.side = wall, wall.side
-        self.U, V = layer.U[:, :wall.nS], layer.V[:, :wall.nS]
-        # cumtrapz0 works column by column: the full-width W's leading block
-        self.W = cumtrapz0(V, wall.grid.x)
-        self.DXW = np.concatenate([V[:1], 0.5 * (V[1:] + V[:-1])])
-        chiv, cc = wall.chi[None, :], wall.cc[None, :]
-        self.Uhat = chiv * self.U + cc * self.W
-        self.DXUhat = chiv * layer.DXU[:, :wall.nS] + cc * self.DXW
-        self.Vhat = chiv * V
-        self.DXVhat = np.zeros_like(self.Vhat)
-        self.DXVhat[1:] = np.diff(self.Vhat, axis=0) / np.diff(wall.grid.x)[:, None]
+        self.vhat_wall = cut["Vhat"][:, 0].copy()
+        Uhat, Vhat = cut["Uhat"], cut["Vhat"]
         cv = self.cv = cu * wall.es
         self.fields = {   # on the wall's support
-            "u": cu * self.Uhat, "v": cv * self.Vhat,
-            "ux": cu * self.DXUhat, "uy": cu * wall.chain * wall.dY(self.Uhat),
-            "vx": cv * self.DXVhat, "vy": cv * wall.chain * wall.dY(self.Vhat),
-            "lap_u": cu * wall.lap(self.Uhat), "lap_v": cv * wall.lap(self.Vhat),
+            "u": cu * Uhat, "v": cv * Vhat,
+            "ux": cu * cut["DXUhat"], "uy": cu * wall.chain * wall.dY(Uhat),
+            "vx": cv * cut["DXVhat"], "vy": cv * wall.chain * wall.dY(Vhat),
+            "lap_u": cu * wall.lap(Uhat), "lap_v": cv * wall.lap(Vhat),
         }
         # cut supports are disjoint: a layer convects at its own wall only
         self._conv = {self.side: {k: self.fields[k] for k in _CONV_KEYS}}
@@ -626,7 +631,8 @@ class Cascade:
         wall = self.walls[side]
         cu = self.u_prefac(side, index)
         q = self.eq_scale(side, index)
-        part = LayerPart(layer, wall, cu)
+        cut = wall.cut(layer)   # released on return: the part keeps its fields
+        part = LayerPart(cut, wall, cu)
 
         # old pending content survives outside the new cut support and in
         # the unabsorbed corner sliver
@@ -638,7 +644,7 @@ class Cascade:
         # scheme residual stays in the measured remainder, never in the
         # forcing: dividing it by the next equation order would compound
         # solver truncation through the cascade)
-        U, W, DXW = part.U, part.W, part.DXW
+        U, W, DXW = cut["U"], cut["W"], cut["DXW"]
         UY = wall.dY(U)
         m = wall.m_coef
         conv = (m * wall.Y[None, :] if side == "minus" else m)
@@ -652,13 +658,13 @@ class Cascade:
         mu_y, mup_y = wall.mu_y, wall.mup_y
         if side == "minus":
             self._push(side, "u", "approx",
-                       cu * (mu_y - m * wall.y_of_Y)[None, :] * part.DXUhat
-                       + part.cv * (mup_y - m)[None, :] * part.Vhat)
+                       cu * (mu_y - m * wall.y_of_Y)[None, :] * cut["DXUhat"]
+                       + part.cv * (mup_y - m)[None, :] * cut["Vhat"])
         else:
             self._push(side, "u", "approx",
-                       cu * (mu_y - m)[None, :] * part.DXUhat)
+                       cu * (mu_y - m)[None, :] * cut["DXUhat"])
             self._push(side, "u", "shear",
-                       part.cv * mup_y[None, :] * part.Vhat)
+                       part.cv * mup_y[None, :] * cut["Vhat"])
         # vertical momentum: base convection + viscous of the layer's v
         nf = part.fields
         self._push(side, "v", "vmom", mu_y[None, :] * nf["vx"] - self.eps * nf["lap_v"])

@@ -23,7 +23,8 @@ from .linearized import norm_report
 from .nonlinear import ConvergenceError, newton_solve
 from .verification import (CONFIG_ERRORS, DEFAULT_EPSILONS, ConfigError,
                            RunSpec, audit_invariants, report_to_csv,
-                           report_to_json, run_sweep, solve_point)
+                           report_to_json, run_sweep, solve_point,
+                           sweep_epsilons)
 
 log = logging.getLogger("chasflow")
 
@@ -173,15 +174,18 @@ def _run_spec(cfg, command):
 
 
 def _outdir(cfg, args):
+    """Make the output directory: a path no directory can take is refused."""
     out = args.out or cfg["output.dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out!r}: {exc.strerror or exc}")
     return out
 
 
 def cmd_construct(cfg, args):
-    expansion = construct_expansion(_run_spec(cfg, "construct"),
-                                    cfg["expansion.epsilon"])
-    out = _outdir(cfg, args)
+    spec, out = _run_spec(cfg, "construct"), _outdir(cfg, args)
+    expansion = construct_expansion(spec, cfg["expansion.epsilon"])
     formats = _formats(cfg)
     for name in ("u_s", "v_s", "P_s"):
         field = Field2D(expansion.grid, expansion.fields[name])
@@ -194,9 +198,8 @@ def cmd_construct(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    expansion, sol, trace, full = solve_point(_run_spec(cfg, "solve"),
-                                              cfg["expansion.epsilon"])
-    out = _outdir(cfg, args)
+    spec, out = _run_spec(cfg, "solve"), _outdir(cfg, args)
+    expansion, sol, trace, full = solve_point(spec, cfg["expansion.epsilon"])
     trace.to_csv(os.path.join(out, "iteration_trace.csv"))
     for name, arr in (("u_full", full["u"]), ("v_full", full["v"]),
                       ("P_full", full["P"])):
@@ -215,13 +218,13 @@ def cmd_solve(cfg, args):
 
 def cmd_sweep(cfg, args):
     spec = _run_spec(cfg, "sweep")
-    eps = _parse_epsilons(cfg["sweep.epsilons"])
+    eps = sweep_epsilons(_parse_epsilons(cfg["sweep.epsilons"]))
+    out = _outdir(cfg, args)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
             report = run_sweep(spec, eps, map=ex.map)
     else:
         report = run_sweep(spec, eps)
-    out = _outdir(cfg, args)
     report_to_json(report, os.path.join(out, "rate_report.json"))
     report_to_csv(report, os.path.join(out, "rate_report.csv"))
     _write_plot_data(report, os.path.join(out, "plot_data.csv"))
@@ -241,10 +244,9 @@ def _write_plot_data(report, path):
 
 
 def cmd_audit(cfg, args):
-    expansion, sol, _, full = solve_point(_run_spec(cfg, "audit"),
-                                          cfg["expansion.epsilon"])
+    spec, out = _run_spec(cfg, "audit"), _outdir(cfg, args)
+    expansion, sol, _, full = solve_point(spec, cfg["expansion.epsilon"])
     report = audit_invariants(expansion, sol=sol, full=full)
-    out = _outdir(cfg, args)
     report_to_json(report, os.path.join(out, "audit.json"))
     for chk in report["checks"]:
         status = "ok " if chk["pass"] else "FAIL"
@@ -263,8 +265,11 @@ def cmd_report(cfg, args):
         path = os.path.join(out, name)
         if os.path.exists(path):
             found = True
-            with open(path) as fh:
-                payload = json.load(fh)
+            try:
+                with open(path) as fh:
+                    payload = json.load(fh)
+            except (OSError, ValueError) as exc:   # JSON and decode errors
+                raise ConfigError(f"report {path!r} is not readable JSON: {exc}")
             print(f"== {name} ==")
             print(json.dumps(payload, indent=2, sort_keys=True))
     if not found:

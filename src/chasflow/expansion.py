@@ -32,12 +32,23 @@ class ExpansionError(RuntimeError):
     pass
 
 
+class LayerLevel:
+    """What later steps read of a solved layer (not its march's U, DXU, V):
+    index, side, grid, forcing F, far-field value and max |U| (its scale)."""
+
+    def __init__(self, layer):
+        self.index, self.side = layer.index, layer.side
+        self.grid, self.F = layer.grid, layer.F
+        self.far_field = layer.far_field()
+        self.u_max = float(np.max(np.abs(layer.U)))
+
+
 class CorrectorSet:
     """All solved correctors and the forcing record of each layer."""
 
     def __init__(self):
         self.euler = []        # EulerCorrector
-        self.layers = []       # LayerProfile
+        self.layers = []       # LayerLevel
         self.forcing_records = []
 
 
@@ -58,6 +69,12 @@ class ExpansionResult:
         self.report = {}
         self.cascade = None
         self.ext = None          # (grid, ops) of the extended corrector strip
+
+    def release(self):
+        """Drop the cascade, Euler correctors and extended strip: the solve
+        and audit read only the fields, remainders, report and levels."""
+        self.cascade = self.ext = None
+        self.correctors.euler = []
 
 
 def _extended_grid(grid, factor):
@@ -162,9 +179,10 @@ def _build_couette(res):
             lay = solve_fn[side](F if i > 1 else None, g_layer, wall.grid,
                                  last_layer=(i == M), m_coef=wall.m_coef,
                                  index=i, scheme=spec.scheme)
-            res.correctors.layers.append(lay)
+            level = LayerLevel(lay)
+            res.correctors.layers.append(level)
             parts[side] = casc.add_layer(lay, i)
-            rec = {"index": i, "side": side, "far_field": lay.far_field(),
+            rec = {"index": i, "side": side, "far_field": level.far_field,
                    "forcing_max": float(np.max(np.abs(F))),
                    "components_max": {k: float(np.max(np.abs(v)))
                                       for k, v in comps.items()}}
@@ -173,8 +191,8 @@ def _build_couette(res):
                 casc.make_aux(side)
         if i < M:
             for side, wall in casc.walls.items():
-                vhat_wall = parts[side].Vhat[:, 0]
-                trace = -pchip_operator(wall.grid.x, grid_ext.x)(vhat_wall)
+                trace = -pchip_operator(wall.grid.x, grid_ext.x)(
+                    parts[side].vhat_wall)
                 smooth = _mollify_corner(trace, grid_ext.x, 4.0 * grid_ext.x[1])
                 res.report["wall_deficit"] = (
                     res.report.get("wall_deficit", 0.0)

@@ -131,8 +131,11 @@ class RunSpec:
 
 
 def solve_point(spec, eps):
-    """Construct, Picard-solve: (expansion, sol, trace, full)."""
+    """Construct, Picard-solve: (expansion, sol, trace, full).  The
+    expansion is released before Picard factors its system, so the
+    construction's arrays are not held beside that factor."""
     expansion = construct_expansion(spec, eps)
+    expansion.release()
     sol, trace = picard_solve(expansion, build_case_forcing(expansion))
     return expansion, sol, trace, assemble_full_solution(expansion, sol)
 
@@ -193,13 +196,8 @@ def _sweep_point(spec, eps):
     return values, summary, None, False
 
 
-def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
-    """Execute the sweep and fit log-log rates for every tracked quantity.
-
-    ``epsilons`` needs at least four strictly decreasing values.  ``map``
-    runs the points; an executor's ``map`` runs them concurrently and gives
-    the same report, since every point is independent.
-    """
+def sweep_epsilons(epsilons):
+    """A sweep's eps as floats: four or more, decreasing, positive, finite."""
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) < 4:
         raise ConfigError("a sweep needs at least 4 epsilon values")
@@ -207,6 +205,17 @@ def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
         raise ConfigError("epsilon values must be strictly decreasing")
     if not all(0.0 < e < np.inf for e in epsilons):
         raise ConfigError("epsilon values must be positive and finite")
+    return epsilons
+
+
+def run_sweep(spec, epsilons=DEFAULT_EPSILONS, map=map):
+    """Execute the sweep and fit log-log rates for every tracked quantity.
+
+    ``epsilons`` is checked by ``sweep_epsilons``.  ``map`` runs the points;
+    an executor's ``map`` runs them concurrently and gives the same report,
+    since every point is independent.
+    """
+    epsilons = sweep_epsilons(epsilons)
     records, failures, audit, all_config = [], [], None, True
     points = map(_sweep_point, [spec] * len(epsilons), epsilons)
     for eps, (values, summary, error, config) in zip(epsilons, points):
@@ -311,12 +320,12 @@ def audit_invariants(expansion, sol, full):
         0.2 * ops.norm(f["us_x"], "L2") + 1e-5 * ops.norm(f["us_y"], "L2"),
         "channel-grid FD at layer scale")
 
-    if expansion.cascade is not None:
-        for layer in expansion.correctors.layers:
-            add(f"layer{layer.index}{layer.side[0]}.far_field", layer.far_field(),
-                1e-6 * max(np.max(np.abs(layer.U)), 1e-30))
-        for name, val in expansion.report.get("opposite_wall_traces", {}).items():
-            add(f"euler_trace.{name}", val, 1e-3 * max(scale, 1e-12))
+    # from the layer levels and the report: a released point has no cascade
+    for layer in expansion.correctors.layers:
+        add(f"layer{layer.index}{layer.side[0]}.far_field", layer.far_field,
+            1e-6 * max(layer.u_max, 1e-30))
+    for name, val in expansion.report.get("opposite_wall_traces", {}).items():
+        add(f"euler_trace.{name}", val, 1e-3 * max(scale, 1e-12))
 
     divr = ops.apply("Dx", sol.u) + ops.apply("Dy", sol.v)
     rscale = max(float(np.max(np.abs(sol.u))), 1e-30)

@@ -1,3 +1,6 @@
+import gc
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -135,3 +138,36 @@ def momentum_residual(sol, problem):
     sol.momentum."""
     return _momentum_residual(problem, sol.P, problem.nonlinear_terms(),
                               _momentum_balances(problem, sol.u, sol.v))
+
+
+# what a reachability walk does not enter: process-wide memos and code hang
+# off these, and a point's data does not
+_NOT_DATA = (type, types.ModuleType, types.FunctionType, types.MethodType,
+             types.BuiltinFunctionType)
+
+
+def reachable(root, stop=()):
+    """Every object reachable from root through the references the garbage
+    collector sees (containers, instance dicts, an array's base), entering
+    no class, module or function, nor any object in stop."""
+    seen, stack, out = {id(s) for s in stop}, [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_DATA):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+def held_bytes(root, stop=()):
+    """The nbytes summed over the distinct base arrays (an array that is no
+    view) reachable from root, as ``reachable`` walks."""
+    bases = {}
+    for obj in reachable(root, stop):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+    return sum(b.nbytes for b in bases.values())

@@ -1,7 +1,8 @@
 """The verdicts of tools/bench_pairs.py on synthetic runs: the gain rule
 (better in at least 9 of 10 pairs, and a median better by more than the
-parent's quartile spread) and the bound (a median no worse than the
-parent's by more than the metric's relative bound)."""
+parent's quartile spread), the bound (a median no worse than the parent's
+by more than the metric's relative bound) and whether the change's failed
+share is no larger than the parent's."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,23 @@ def test_the_bound_is_relative_to_the_parent_median():
     assert verdicts([p * 1.26 for p in PARENT]) == (False, False)
     assert verdicts([p * 1.09 for p in PARENT], bound=0.1) == (False, True)
     assert verdicts([p * 1.11 for p in PARENT], bound=0.1) == (False, False)
+
+
+def test_the_failed_share_may_not_grow():
+    attempted = {"parent": [10, 10], "change": [10, 10]}
+    same = bench_pairs.failed_share({"parent": [1, 0], "change": [0, 1]},
+                                    attempted)
+    assert same == {"parent": 0.05, "change": 0.05, "no_larger": True}
+    # one more failure in twenty operations is a larger share
+    more = bench_pairs.failed_share({"parent": [1, 0], "change": [1, 1]},
+                                    attempted)
+    assert (more["change"], more["no_larger"]) == (0.1, False)
+    # the share, not the count: 2 of 40 is no larger than 1 of 20
+    assert bench_pairs.failed_share(
+        {"parent": [1, 0], "change": [1, 1]},
+        {"parent": [10, 10], "change": [20, 20]})["no_larger"]
+    # a side that attempted nothing has no share, and no verdict is met
+    assert bench_pairs.failed_share(
+        {"parent": [0], "change": [0]},
+        {"parent": [4], "change": [0]}) == {"parent": 0.0, "change": None,
+                                           "no_larger": False}

@@ -30,6 +30,11 @@ def _wall(grid, side, eps, a0):
                 hx=grid.x[1])
 
 
+def _part(layer, wall, cu):
+    """The LayerPart of a solved layer on a Wall."""
+    return LayerPart(wall.cut(layer), wall, cu)
+
+
 def test_chi_shape():
     t = np.linspace(0, 2, 401)
     c = chi(t)
@@ -461,24 +466,24 @@ def test_cutoff_zero_layer_and_identity_region():
     wall = _wall(grid, "plus", eps, a0)
     lay = solve_layer_plus(None, np.zeros(81), grid, m_coef=2.0, scheme="cn")
     cg = build_channel_grid(L, 32, 96, eps)
-    f = LayerPart(lay, wall, 1.0).channel_fields(cg)
+    f = _part(lay, wall, 1.0).channel_fields(cg)
     assert np.abs(f["u"]).max() == 0.0 and np.abs(f["v"]).max() == 0.0
     # chi = 1 where the wall distance stays below a0/2
     lay2 = solve_layer_plus(None, 0.1 * np.sin(np.pi * grid.x / (2 * L)),
                             grid, m_coef=2.0, scheme="cn")
-    cut2 = LayerPart(lay2, wall, 1.0)
+    cut2 = wall.cut(lay2)
     # the part keeps the first nS nodes, which hold every node of chi = 1
     inner = eps ** 0.5 * grid.Y[:wall.nS] <= a0 / 2
     assert np.count_nonzero(inner) == np.count_nonzero(
         eps ** 0.5 * grid.Y <= a0 / 2)
-    assert np.allclose(cut2.Uhat[:, inner], lay2.U[:, :wall.nS][:, inner],
+    assert np.allclose(cut2["Uhat"][:, inner], lay2.U[:, :wall.nS][:, inner],
                        atol=1e-300)
 
 
 def _full_width_cut(layer, cu, a0, eps, x2_floor):
-    """The arrays of a LayerPart and its Wall built over every Y node of the
-    layer grid, with the full-width difference matrices, in their
-    operations."""
+    """The cut arrays, fields and coefficients of Wall.cut, a LayerPart and
+    its Wall built over every Y node of the layer grid, with the full-width
+    difference matrices, in their operations."""
     side, grid = layer.side, layer.grid
     s = S_EXP[side]
     yy = eps ** s * grid.Y
@@ -517,11 +522,11 @@ def _full_width_cut(layer, cu, a0, eps, x2_floor):
 @pytest.mark.parametrize("side", ["minus", "plus"])
 def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
     # every cut field built at full width is exactly 0 from column nS (the
-    # Wall's support width) on, and the support-width field of the LayerPart
-    # or its Wall is that field's leading block bit for bit; so are W and
-    # DXW, which are not 0 past it.  The data is nonzero on every node.  On the
-    # graded nodes the last nonzero column lies close to the support's end,
-    # so the pad is what keeps the stencils off it; packed nodes at
+    # Wall's support width) on, and the support-width array of Wall.cut, the
+    # LayerPart or the Wall is that field's leading block bit for bit; so are
+    # W and DXW, which are not 0 past it.  The data is nonzero on every node.
+    # On the graded nodes the last nonzero column lies close to the support's
+    # end, so the pad is what keeps the stencils off it; packed nodes at
     # t = eps^s Y / a0 in [1 - 2e-3, 1 + 2e-3] make a wider reach of the chi
     # quotients (chi_d3 reads chi(t + 2e-4)) put a nonzero column past it.
     s = S_EXP[side]
@@ -535,11 +540,12 @@ def test_cut_fields_vanish_beyond_the_support_width(side, eps, a0, packed):
     U, DXU, V = rng.uniform(0.5, 1.5, (3, grid.nx, Y.size))
     layer = LayerProfile(grid, side, 1, False, U, DXU, V, None)
     wall = _wall(grid, side, eps, a0)
-    part = LayerPart(layer, wall, 0.5)
+    cut = wall.cut(layer)
+    part = LayerPart(cut, wall, 0.5)
     nS = wall.nS
     assert nS < Y.size
     full, full_fields = _full_width_cut(layer, 0.5, a0, eps, 1.5 * grid.x[1])
-    kept = {k: getattr(wall if k in CUT_COEFFS else part, k) for k in full}
+    kept = {k: getattr(wall, k) if k in CUT_COEFFS else cut[k] for k in full}
     full |= {f"fields.{k}": f for k, f in full_fields.items()}
     kept |= {f"fields.{k}": f for k, f in part.fields.items()}
     assert set(kept) == set(full)
@@ -599,11 +605,12 @@ def test_cutoff_divergence_identity():
                             Ymax=max(20.0, 1.1 * a0 * eps ** (-1 / 2)))
         g = 0.1 * np.sin(np.pi * grid.x / (2 * L))
         lay = solver(None, g, grid, m_coef=m, scheme="cn")
-        cut = LayerPart(lay, _wall(grid, side, eps, a0), 1.0)
-        d1Y = diff_matrix(grid.Y[:cut.wall.nS], 1)
+        wall = _wall(grid, side, eps, a0)
+        cut = wall.cut(lay)
+        d1Y = diff_matrix(grid.Y[:wall.nS], 1)
         # layer-variable divergence: dx u + sgn * dY(v) with the stored signs
-        div = cut.DXUhat + sgn * (d1Y @ cut.Vhat.T).T
-        scale = np.abs(cut.DXUhat).max()
+        div = cut["DXUhat"] + sgn * (d1Y @ cut["Vhat"].T).T
+        scale = np.abs(cut["DXUhat"]).max()
         zone = slice(2, None)
         assert np.abs(div[zone]).max() < 4e-2 * scale, side
 
@@ -616,7 +623,7 @@ def test_channel_divergence_after_cutoff_converges():
         g = 0.05 * np.sin(np.pi * grid.x / (2 * L))
         lay = solve_layer_minus(None, g, grid, m_coef=1.0, scheme="cn")
         cg = build_channel_grid(L, 32 * n, 96 * n, eps)
-        f = LayerPart(lay, _wall(grid, "minus", eps, a0), 1.0).channel_fields(cg)
+        f = _part(lay, _wall(grid, "minus", eps, a0), 1.0).channel_fields(cg)
         u, v = f["u"], f["v"]
         ops = DiffOps(cg.x, cg.y)
         div = ops.apply("Dx", u) + ops.apply("Dy", v)

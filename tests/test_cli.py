@@ -120,6 +120,47 @@ def test_report_prints_a_long_report_whole(tmp_path, capsys):
     assert json.loads(out.split("== rate_report.json ==\n", 1)[1]) == payload
 
 
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("via", ["--out", "output.dir"])
+@pytest.mark.parametrize("command", ["construct", "solve", "sweep", "audit"])
+def test_an_output_path_no_directory_can_take_exits_2_before_any_point(
+        command, via, under, tmp_path, capsys, monkeypatch):
+    # a file, or a path under one, is refused before the command's work
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    for name in ("construct_expansion", "solve_point", "run_sweep"):
+        monkeypatch.setattr(f"chasflow.cli.{name}", no_work)
+    path = tmp_path / "a_file"
+    path.write_text("")
+    out = str(path / "run" if under else path)
+    given = (["--out", out] if via == "--out"
+             else ["--set", f"output.dir={out}"])
+    assert main([command, *given]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory")
+    assert repr(out) in err
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("bad", ["{\"values\": [0.1,", b"{\"k\": \"\xff\"}",
+                                 "a directory"])
+def test_report_on_an_unreadable_report_exits_2(bad, tmp_path, capsys):
+    # not JSON, not UTF-8, or no file at all: a bad path, not a numerical
+    # failure
+    path = tmp_path / "rate_report.json"
+    if bad == "a directory":
+        path.mkdir()
+    elif isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text(bad)
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: report")
+    assert repr(str(path)) in err
+
+
 # a config file -> the values it sets, or the text of the exit-2 error
 CONFIG_FILES = [
     ("[grid]\nL = 0.2\n", {"grid.L": 0.2}),
@@ -249,9 +290,10 @@ def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
         raise AssertionError("a point ran")
 
     monkeypatch.setattr(verification, "run_point", no_point)
-    rc = main(SMALL_SWEEP + ["--set", bad, "--out", str(tmp_path)])
+    rc = main(SMALL_SWEEP + ["--set", bad, "--out", str(tmp_path / "run")])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []   # nor is the output directory made
 
 
 def test_newton_check_assembles_the_operator_once(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from chasflow.expansion import (ExpansionError, _mollify_corner,
                                 construct_expansion, expansion_report)
 from chasflow.nonlinear import build_case_forcing
 from chasflow.verification import ConfigError, RunSpec
-from conftest import point_spec
+from conftest import held_bytes, point_spec
 
 L = 0.1
 # the profile of the perturbed_couette fixture
@@ -253,6 +253,27 @@ def test_interpolation_work_per_construct(monkeypatch):
         point_spec("couette_noforce", 32, 64, M=2, **PERTURBED_COUETTE), 1e-2)
     assert calls == {"interp_channel_field": 6, "interp_layer_field": 8}
     assert (len(values), sum(values)) == (28, 423522)
+
+
+# bytes of the distinct base arrays that a 32x64, M = 3 couette construct at
+# eps = 1e-2 and its first layer part hold.  They read 20,435,536 and
+# 732,816 when each layer level kept its march's full-width U, DXU and V,
+# and each part a view of U and all of its cut arrays
+HELD_BUDGET = {"construct": 15_739_264, "layer_part": 327_096}
+
+
+def test_held_bytes_budget():
+    # shapes fix these sums, so they are pinned: a part that keeps a march
+    # array (or a view of one) again, or a level that keeps U, DXU or V,
+    # exceeds them, and a change that holds less commits its lower figures.
+    # The part (level 1, minus) is counted without its wall, which every
+    # part of that wall shares
+    res = construct_expansion(
+        point_spec("couette_noforce", 32, 64, M=3, **PERTURBED_COUETTE), 1e-2)
+    part = next(p for p in res.cascade.parts if isinstance(p, bl.LayerPart))
+    held = {"construct": held_bytes(res),
+            "layer_part": held_bytes(part, stop=(part.wall,))}
+    assert held == HELD_BUDGET
 
 
 def test_forcing_component_sum_audit():

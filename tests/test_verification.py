@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import chasflow.expansion as expansion_mod
 import chasflow.verification as verification
 from chasflow.expansion import construct_expansion
 from chasflow.nonlinear import assemble_full_solution, build_case_forcing, picard_solve
 from chasflow.verification import (ConfigError, RunSpec, audit_invariants,
                                    fit_quantity, report_to_csv, report_to_json,
                                    run_point, run_sweep)
-from conftest import point_spec
+from conftest import point_spec, reachable
 
 L = 0.1
 EPS = 1e-2
@@ -151,3 +152,49 @@ def test_audit_passing_divergence_note_is_free_of_round_off():
     assert checks[0]["value"] != checks[1]["value"]
     assert checks[0]["note"] == checks[1]["note"]
     assert "node" not in checks[0]["note"]
+
+
+def test_picard_runs_on_a_released_point(monkeypatch):
+    # at Picard's entry the expansion reaches no cascade, no Euler corrector
+    # array and no march array (a layer's full-width U, DXU or V), and its
+    # audit is the audit of the unreleased construction, check for check
+    spec = point_spec("couette_noforce", 32, 64, M=2, kind="couette",
+                      pert_amplitude=0.05)
+    made, marches = {}, []
+    construct = verification.construct_expansion
+
+    def recording_construct(spec, eps):
+        res = construct(spec, eps)
+        made["cascade"], made["euler"] = res.cascade, list(res.correctors.euler)
+        return res
+
+    def recording(solve):
+        def wrapped(*args, **kwargs):
+            marches.append(solve(*args, **kwargs))
+            return marches[-1]
+        return wrapped
+
+    def checking_picard(expansion, forcing):
+        ids = {id(obj) for obj in reachable(expansion)}
+        made["reached"] = {
+            "cascade": id(made["cascade"]) in ids,
+            "euler": [k for c in made["euler"] for k, a in c.fields.items()
+                      if id(a) in ids],
+            "march": [name for lay in marches for name in ("U", "DXU", "V")
+                      if id(getattr(lay, name)) in ids]}
+        return picard_solve(expansion, forcing)
+
+    monkeypatch.setattr(verification, "construct_expansion", recording_construct)
+    monkeypatch.setattr(verification, "picard_solve", checking_picard)
+    for name in ("solve_layer_minus", "solve_layer_plus"):
+        monkeypatch.setattr(expansion_mod, name,
+                            recording(getattr(expansion_mod, name)))
+    expansion, sol, _, full = verification.solve_point(spec, EPS)
+    assert len(made["euler"]) == 3 and len(marches) == 4
+    assert made["reached"] == {"cascade": False, "euler": [], "march": []}
+    released = audit_invariants(expansion, sol=sol, full=full)
+    whole = audit_invariants(construct(spec, EPS), sol=sol, full=full)
+    checks = [(c["name"], c["value"]) for c in released["checks"]]
+    assert checks == [(c["name"], c["value"]) for c in whole["checks"]]
+    names = [name for name, _ in checks]
+    assert "layer2p.far_field" in names and "euler_trace.v_e2p(y=0)" in names

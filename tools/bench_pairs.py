@@ -22,12 +22,15 @@ quartile spread.  Two verdicts follow, as a change is judged on them:
 ``gain_rule_met`` (better in at least 9 of 10 pairs, and a median better by
 more than the parent's quartile spread) and ``within_bound`` (a median no
 worse than the parent's by more than the metric's relative ``bound``).  It
-also gives each run's ``correct``, ``attempted`` and
-``failed``, and the start time, side and seed of every run.  ``--traced``
-adds one ``--workload all --trace 1`` run per side and every per-layer
-metric it reports, side by side: each count and ratio (span call counts
-and the named counters) under ``counts``, and each span time under
-``seconds``, which, read from one run per side, moves with the host.
+also gives each run's ``correct``, ``attempted`` and ``failed``, a third
+verdict per workload, ``failed_share`` (each side's failed / attempted over
+its runs, and ``no_larger``: whether the change's share is no larger than
+the parent's, since no gain counts where more operations fail), and the
+start time, side and seed of every run.  ``--traced`` adds one
+``--workload all --trace 1`` run per side and every per-layer metric it
+reports, side by side: each count and ratio (span call counts and the
+named counters) under ``counts``, and each span time under ``seconds``,
+which, read from one run per side, moves with the host.
 Progress goes to stderr.
 """
 
@@ -69,6 +72,15 @@ def summarize(parent, change, better, bound):
             "within_bound": -gain <= bound * abs(med_p)}
 
 
+def failed_share(failed, attempted):
+    """Each side's failed / attempted over all its runs (None when it
+    attempted nothing), and whether the change's share is no larger."""
+    shares = {s: sum(failed[s]) / sum(attempted[s]) if sum(attempted[s])
+              else None for s in ("parent", "change")}
+    return {**shares, "no_larger": None not in shares.values()
+            and shares["change"] <= shares["parent"]}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -100,6 +112,8 @@ def main(argv=None):
         result = {"pairs": args.pairs, "seeds": seeds}
         for key in ("correct", "attempted", "failed"):
             result[key] = {s: [r[key] for r in runs[s]] for s in runs}
+        result["failed_share"] = failed_share(result["failed"],
+                                              result["attempted"])
         for name, (better, bound) in metrics.items():
             values = {s: [r["metrics"][name]["value"] for r in runs[s]]
                       for s in runs}
