@@ -106,16 +106,21 @@ def _diff_matrix(xbytes, deriv):
     # keyed on the float64 bytes: equal keys are equal nodes, bit for bit
     x = np.frombuffer(xbytes)
     n = x.size
+    idx = stencil_columns(n, deriv)
+    nodes = x[idx]
+    w = _fornberg_rows(x, nodes, deriv)
+    _fix_low_moments(w, nodes - x[:, None], deriv)
+    rows = np.repeat(np.arange(n), idx.shape[1])
+    return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
+
+
+def stencil_columns(n, deriv):
+    """The (n, npts) increasing columns of the rows of ``diff_matrix``."""
     npts = _NPTS[deriv]
     if npts > n:
         raise ValueError(f"need at least {npts} nodes for d{deriv}, got {n}")
     lo = np.clip(np.arange(n) - npts // 2, 0, n - npts)
-    idx = lo[:, None] + np.arange(npts)
-    nodes = x[idx]
-    w = _fornberg_rows(x, nodes, deriv)
-    _fix_low_moments(w, nodes - x[:, None], deriv)
-    rows = np.repeat(np.arange(n), npts)
-    return sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
+    return lo[:, None] + np.arange(npts)
 
 
 def one_sided_row(x, at_start, deriv, npts):
@@ -399,16 +404,20 @@ def nested_dissection(nx, ny):
 
 
 class GridLU:
-    """Sparse LU of a system whose unknowns are eliminated in order ``perm``.
+    """SuperLU factor of the CSC ``B`` of a system on the nodes of an nx x ny
+    grid, its rows and columns in ``nested_dissection(nx, ny)`` order.
 
     ``solve(b)`` takes and returns vectors in the system's own numbering.
     A repeat of the last ``b``, byte for byte (GMRES applies its
     preconditioner twice to one vector), gets a copy of the last solution.
     """
 
-    def __init__(self, lu, perm):
-        self._lu = lu
-        self.perm = perm
+    def __init__(self, B, nx, ny):
+        start = time.perf_counter()
+        self._lu = lu = spla.splu(B, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
+        log.debug("grid LU %dx%d: nnz %d, SuperLU supernodal storage (lu.nnz, "
+                  "not L+U) %d, %.3f s", nx, ny, B.nnz, lu.nnz, time.perf_counter() - start)
+        self.perm = nested_dissection(nx, ny)
         self._last = (None, None)
 
     def solve(self, b):
@@ -421,70 +430,24 @@ class GridLU:
         return self._last[1].copy()
 
 
-def grid_lu(A, nx, ny):
-    """Nested-dissection LU of a system on the nodes of an nx x ny grid; the
-    CSC it factors replaces ``A``, so a temporary argument is freed first."""
-    perm = nested_dissection(nx, ny)
-    rank = np.empty(perm.size, dtype=np.int64)
-    rank[perm] = np.arange(perm.size)
-    A = sp.csr_matrix(A)
-    # rows in elimination order; tocsc's counting pass keeps that order
-    A = sp.csr_matrix((A.data, rank[A.indices], A.indptr),
-                      shape=A.shape)[perm].tocsc()
-    start = time.perf_counter()
-    lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=ND_PIVOT)
-    log.debug("grid LU %dx%d: nnz %d, SuperLU supernodal storage (lu.nnz, "
-              "not L+U) %d, %.3f s", nx, ny, A.nnz, lu.nnz, time.perf_counter() - start)
-    return GridLU(lu, perm)
-
-
-def scale_rows(c, M):
-    """``sp.diags(c.ravel()) @ M`` for a CSR M, value for value: row r of M
-    times c.flat[r], the entries that scale to exact zeros dropped, and a
-    row with c.flat[r] == 0 empty even where M holds inf or nan."""
-    counts = np.diff(M.indptr)
-    data = np.repeat(c, counts)
-    with np.errstate(invalid="ignore"):      # 0 * inf and 0 * nan, cleared
-        data *= M.data
-    data[np.repeat(np.ravel(c) == 0.0, counts)] = 0.0
-    out = sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
-    out.eliminate_zeros()
-    return out
-
-
 class GridSolveError(RuntimeError):
     """A solve on the channel grid produced non-finite values, or its
     separable system is too ill-conditioned to solve."""
 
 
 class GridSystem:
-    """A stream-function operator A on the C-order nodes of a channel grid,
-    with the ``boundary_rows`` of the condition table walls in place of its
-    rows there (the others keep every entry, explicit zeros included); keeps
-    that CSR ``A``, the rows ``bnd``, the row scale ``d`` (each row's largest
-    |entry|, 1 for an empty row) and ``lu``, the ``grid_lu`` of diag(1/d) A,
-    factored at its first use: by then the operator given is no longer alive."""
+    """A system A on the C-order nodes of a channel grid, kept as its wall
+    rows ``bnd``, its row scale ``d`` (each row's largest |entry|, 1 for an
+    empty row) and ``B``, the CSC of diag(1/d) A in ``nested_dissection``
+    order, which ``lu`` factors at its first use and drops."""
 
-    def __init__(self, A, grid, walls):
-        rows = boundary_rows(grid.x, grid.y, walls)
-        self.bnd = np.fromiter(rows, int)
-        self.grid = grid
-        A = sp.csr_matrix(A)
-        n, cols = A.shape[0], [c for c, _ in rows.values()]
-        R = sp.csr_matrix((np.concatenate([v for _, v in rows.values()]),
-                           np.concatenate(cols),
-                           np.cumsum([0] + [len(c) for c in cols])),
-                          shape=(len(rows), n))
-        order = np.arange(n)               # A's rows, R's in place of some
-        order[self.bnd] = n + np.arange(len(rows))
-        self.A = sp.vstack([A, R], format="csr")[order]
-        self.A.sum_duplicates()       # sorts columns: A @ p adds as CSC did
-        d = abs(self.A).max(axis=1).toarray().ravel()
-        self.d = np.where(d == 0.0, 1.0, d)
+    def __init__(self, grid, bnd, d, B):
+        self.grid, self.bnd, self.d, self.B = grid, bnd, d, B
 
     @functools.cached_property
     def lu(self):
-        return grid_lu(scale_rows(1.0 / self.d, self.A), self.grid.nx, self.grid.ny)
+        B, self.B = self.B, None
+        return GridLU(B, self.grid.nx, self.grid.ny)
 
     def solve(self, f):
         """The grid unknowns (nx, ny) for f, with 0 at the boundary rows."""
@@ -788,31 +751,11 @@ class DiffOps:
         self.nx, self.ny = self.x.size, self.y.size
         self.d1x, self.d2x, self.d3x = (diff_matrix(self.x, k) for k in (1, 2, 3))
         self.d1y, self.d2y, self.d3y = (diff_matrix(self.y, k) for k in (1, 2, 3))
-        self.lap = self._kron(self.d2x, None) + self._kron(None, self.d2y)
+        self.lap = (sp.kron(self.d2x, sp.identity(self.ny), format="csr")
+                    + sp.kron(sp.identity(self.nx), self.d2y, format="csr"))
         self.wx = trapezoid_weights(self.x)
         self.wy = trapezoid_weights(self.y)
         self.w2 = np.outer(self.wx, self.wy).ravel()
-
-    def kron(self, op):
-        """The Kronecker CSR matrix of the operator named ``op`` ("Dx", ...,
-        "Dxyy", or "bih", the biharmonic), built afresh on each call."""
-        if op == "bih":
-            return (self._kron(diff_matrix(self.x, 4), None)
-                    + 2.0 * self._kron(self.d2x, self.d2y)
-                    + self._kron(None, diff_matrix(self.y, 4)))
-        return self._kron(*self._axes(op))
-
-    def _kron(self, mx, my):
-        """``scipy.sparse.kron(mx, my)`` as CSR (None an identity), array for
-        array, from the fixed-width 1-D stencils: row ``i * ny + j`` holds
-        ``wx * wy`` in the columns ``cx * ny + cy``, x then y."""
-        (cx, wx), (cy, wy) = ((np.arange(k)[:, None], np.ones((k, 1))) if m is None
-                              else (m.indices.reshape(k, -1), m.data.reshape(k, -1))
-                              for m, k in zip((mx, my), (self.nx, self.ny)))
-        cols = (cx[:, None, :, None] * self.ny + cy[None, :, None, :]).ravel()
-        n, width = self.nx * self.ny, cx.shape[1] * cy.shape[1]
-        return sp.csr_matrix(((wx[:, None, :, None] * wy[None, :, None, :]).ravel(),
-                              cols, np.arange(0, cols.size + 1, width)), shape=(n, n))
 
     def _axes(self, op):
         """op's 1-D matrices along x and y, None on an axis it leaves alone."""

@@ -8,11 +8,14 @@ Neumann data read off the momentum equations.  All diagnostic norms (A1-A3
 and the weighted solution norm) live here as well.
 """
 
+import functools
 import logging
 
 import numpy as np
+import scipy.sparse as sp
 
-from .discretization import SeparableSystem, line_modes, scale_rows
+from .discretization import (GridSystem, SeparableSystem, boundary_rows, diff_matrix,
+                             line_modes, nested_dissection, stencil_columns)
 
 log = logging.getLogger(__name__)
 
@@ -76,18 +79,114 @@ PSI_WALLS = (
     (1, True, 1, 3, 1, slice(2, -2)), (1, False, 1, 3, 1, slice(2, -2)))
 
 
-def assemble_linearized_operator(problem):
-    """u_s psi_xyy + u_s psi_xxx - lap(u_s) psi_x + S(psi_y, -psi_x) - eps lap^2,
-    its coefficients row scalings; S only if v_s, us_x or vs_x is nonzero."""
-    ops, bg = problem.ops, problem.bg
-    Dx = ops.kron("Dx")
-    A = (scale_rows(bg["u_s"], ops.kron("Dxyy") + ops.kron("Dxxx"))
-         - scale_rows(bg["lap_us"], Dx))
-    if any(np.any(bg[k]) for k in ("v_s", "us_x", "vs_x")):
-        Dy, vs = ops.kron("Dy"), bg["v_s"]
-        A = A + (Dy @ (scale_rows(bg["us_x"], Dy) + scale_rows(vs, ops.kron("Dyy")))
-                 + Dx @ scale_rows(vs, Dy @ Dx) - Dx @ scale_rows(bg["vs_x"], Dy))
-    return A - problem.eps * ops.kron("bih")
+_CHUNK = 256        # psi system columns (or rows) formed at a time
+
+
+def psi_system(problem):
+    """The GridSystem of ``psi_operator(problem)``, its values written into
+    the CSC of diag(1/d) A in nested-dissection order that SuperLU factors."""
+    data, indices, indptr, _, rows = _psi_entries(problem, True)
+    d = np.zeros(indptr.size - 1)           # in nested-dissection order
+    np.maximum.at(d, indices, np.abs(data))
+    d[d == 0.0] = 1.0
+    data *= (1.0 / d)[indices]
+    rank = np.argsort(nested_dissection(problem.grid.nx, problem.grid.ny))
+    return GridSystem(problem.grid, np.fromiter(rows, int), d[rank],
+                      _kept(sp.csc_matrix, data, indices, indptr, data != 0.0))
+
+
+def psi_operator(problem):
+    """The node-order CSR of u_s psi_xyy + u_s psi_xxx - lap(u_s) psi_x
+    + S(psi_y, -psi_x) - eps lap^2 psi (S if v_s, us_x or vs_x is nonzero)
+    with the PSI_WALLS rows, formed as the sparse algebra forms it: u_s (Dxyy
+    + Dxxx) - lap_us Dx [+ (Dy (us_x Dy + v_s Dyy) + Dx v_s (Dy Dx)) - Dx
+    vs_x Dy] - eps ((D4x + 2 D2x D2y) + D4y), each product summed over its
+    inner node upwards from 0.0; exact zeros dropped but in wall rows."""
+    data, indices, indptr, at_wall, _ = _psi_entries(problem, False)
+    keep = data != 0.0
+    keep[at_wall] = True
+    return _kept(sp.csr_matrix, data, indices, indptr, keep)
+
+
+def _kept(fmt, data, indices, indptr, keep):
+    """The square fmt (CSR or CSC) of the entries ``keep``, compacted in place."""
+    m, kept = 0, np.empty(np.count_nonzero(keep), indices.dtype)
+    for a in range(0, data.size, 16 * _CHUNK):
+        e = slice(a, a + 16 * _CHUNK)
+        n = np.count_nonzero(keep[e])
+        data[m:m + n], kept[m:m + n] = data[e][keep[e]], indices[e][keep[e]]
+        m += n
+    indptr = indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
+    return fmt((data[:m], kept, indptr), shape=(indptr.size - 1,) * 2)
+
+
+@functools.lru_cache(maxsize=2)     # the points of a sweep share one shape
+def _psi_pattern(nx, ny, coupled, walls, nd):
+    """The read-only (indices, indptr, at_wall) of the psi system's CSC in
+    nested-dissection order (nd) or CSR in node order: a wall row holds its
+    ``boundary_rows`` columns (``at_wall``, in their order), any other the
+    union of its terms' stencil windows.  ``walls`` is repr(PSI_WALLS)."""
+    X, Y = ([sp.csr_matrix((np.ones(c.size, bool), c.ravel(), np.arange(
+        0, c.size + 1, c.shape[1]))) for c in (stencil_columns(n, k) if k else
+                                               np.arange(n)[:, None] for k in range(5))]
+            for n in (nx, ny))      # the identity's and d_k's stencil windows
+    # Dxxx and D4x, Dxyy and D2x D2y (Dx's window lies in theirs), D4y, S's
+    terms = [(X[3] + X[4], Y[0]), (X[1] + X[2], Y[2]), (X[0], Y[4])] + (
+        [(X[0], Y[1] @ (Y[1] + Y[2])), (X[1] @ X[1], Y[1])] if coupled else [])
+    rows = boundary_rows(range(nx), range(ny), PSI_WALLS)
+    cols = [c for c, _ in rows.values()]
+    r, c = np.repeat(list(rows), list(map(len, cols))), np.concatenate(cols)
+    # a wall entry holds 2 + its place in the wall rows' list, the rest 1
+    M = sp.csr_matrix((np.arange(2, 2 + r.size, dtype=np.int32), (r, c)), (nx * ny,) * 2)
+    M += sp.diags((np.diff(M.indptr) == 0).astype(np.int32), format="csr",
+                  dtype=np.int32) @ sum(sp.kron(a, b, format="csr") for a, b in terms)
+    perm = nested_dissection(nx, ny)
+    M = M[perm][:, perm].tocsc() if nd else M
+    M.sort_indices()                        # a product's columns are not sorted
+    at_wall = np.flatnonzero(M.data > 1)[np.argsort(M.data[M.data > 1])]
+    for a in (M.indices, M.indptr, at_wall):
+        a.flags.writeable = False
+    return M.indices, M.indptr, at_wall
+
+
+def _psi_entries(problem, nd):
+    """(data, indices, indptr, at_wall, rows): ``psi_operator``'s values on
+    its ``_psi_pattern`` of nd (kept for nd only), wall rows ``rows`` set."""
+    ops, bg, (nx, ny) = problem.ops, problem.bg, problem.grid.shape
+    coupled = any(np.any(bg[k]) for k in ("v_s", "us_x", "vs_x"))
+    indices, indptr, at_wall = (_psi_pattern if nd else _psi_pattern.__wrapped__)(
+        nx, ny, coupled, repr(PSI_WALLS), nd)
+    # the identity and d1..d4 along x and y, dense: [k, i * n + i'] = d_k[i, i']
+    X, Y = (np.stack([np.eye(z.size)] + [m.toarray() for m in (
+        *(getattr(ops, f"d{k}{a}") for k in (1, 2, 3)), diff_matrix(z, 4))]).reshape(5, -1)
+        for a, z in (("x", ops.x), ("y", ops.y)))
+    node = nested_dissection(nx, ny) if nd else np.arange(nx * ny)
+    I, J = np.divmod(node, ny)
+    us, lap_us = (bg[k].ravel()[node] for k in ("u_s", "lap_us"))
+    us_x, vs, vs_x = (bg[k].ravel() for k in ("us_x", "v_s", "vs_x"))
+    win_x, win_y = (m.indices.reshape(m.shape[0], -1).T for m in (ops.d1x, ops.d1y))
+    data = np.empty(indices.size)
+    for q in range(0, indptr.size - 1, _CHUNK):
+        ends = indptr[q:q + _CHUNK + 1]
+        e, outer = slice(ends[0], ends[-1]), np.repeat(np.arange(q, q + ends.size - 1),
+                                                       np.diff(ends))
+        row, col = (indices[e], outer) if nd else (outer, indices[e])
+        i, j, ic, jc = I[row], J[row], I[col], J[col]
+        x, y = X.take(i * nx + ic, axis=1), Y.take(j * ny + jc, axis=1)
+        v = us[row] * (x[1] * y[2] + x[3] * y[0]) - lap_us[row] * (x[1] * y[0])
+        if coupled:
+            s1 = s2 = 0.0
+            for wx, wy in zip(win_x, win_y):
+                iq, jq = wx[i], wy[j]
+                k, yq = i * ny + jq, Y[1:3].take(jq * ny + jc, axis=1)
+                s1 += Y[1, j * ny + jq] * (us_x[k] * (x[0] * yq[0])
+                                           + vs[k] * (x[0] * yq[1]))
+                s2 += X[1, i * nx + iq] * (vs[iq * ny + j] * (y[1] * X[1, iq * nx + ic]))
+            v = v + ((s1 + s2) - x[1] * (vs_x[ic * ny + j] * y[1]))
+        data[e] = v - problem.eps * ((x[4] * y[0] + 2.0 * (x[2] * y[2])) + x[0] * y[4])
+    rows = boundary_rows(problem.grid.x, problem.grid.y, PSI_WALLS)
+    data[at_wall] = np.concatenate([v for _, v in rows.values()])
+    return data, indices, indptr, at_wall, rows
 
 
 def solve_linearized(problem):

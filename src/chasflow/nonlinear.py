@@ -13,10 +13,9 @@ import logging
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .discretization import GridSystem
-from .linearized import (PSI_WALLS, LinearizedProblem, RemainderSolution,
-                         assemble_linearized_operator, compute_norms,
-                         recover_pressure, solve_linearized)
+from .linearized import (LinearizedProblem, RemainderSolution, compute_norms,
+                         psi_operator, psi_system, recover_pressure,
+                         solve_linearized)
 
 
 NONCONTRACTION_LIMIT = 3   # growing Picard steps in a row that stop the map
@@ -92,8 +91,7 @@ def picard_solve(expansion, forcing):
     F1, F2 = forcing
     prob = LinearizedProblem(background, eps, M0, F1=F1, F2=F2, grid=grid,
                              ops=ops)
-    prob.system = GridSystem(assemble_linearized_operator(prob), grid,
-                             PSI_WALLS)
+    prob.system = psi_system(prob)
     trace = IterationTrace()
     ubar = np.zeros((grid.nx, grid.ny))
     vbar = np.zeros_like(ubar)
@@ -140,16 +138,16 @@ class _NewtonJacobian(LinearOperator):
     (u, v), applied from the stencils; J_N is the derivative of (N1, N2)
     along (Dy p, -Dx p).  ``products`` counts the products taken."""
 
-    def __init__(self, problem, mask, u, v):
-        super().__init__(float, problem.system.A.shape)
+    def __init__(self, problem, A, mask, u, v):
+        super().__init__(float, A.shape)
         ops = problem.ops
-        self.problem, self.mask, self.products = problem, mask, 0
+        self.problem, self.A, self.mask, self.products = problem, A, mask, 0
         self.fields = (u, v) + tuple(ops.apply(op, f) for f in (u, v)
                                      for op in ("Dx", "Dy"))
 
     def _matvec(self, p):
         self.products += 1
-        ops, system = self.problem.ops, self.problem.system
+        ops = self.problem.ops
         u, v, ux, uy, vx, vy = self.fields
         du, dv = ops.apply("Dy", p), -ops.apply("Dx", p)
         c = -self.problem.eps ** self.problem.M0
@@ -158,7 +156,7 @@ class _NewtonJacobian(LinearOperator):
         J2 = c * (vy * dv + v * ops.apply("Dy", dv)
                   + vx * du + u * ops.apply("Dx", dv))
         curlJ = ops.apply("Dy", J1) - ops.apply("Dx", J2)
-        return (system.A @ p.ravel() - self.mask * curlJ.ravel()) / system.d
+        return (self.A @ p.ravel() - self.mask * curlJ.ravel()) / self.problem.system.d
 
 
 def newton_solve(problem):
@@ -177,7 +175,7 @@ def newton_solve(problem):
     velocities, so no pressure is recovered (P stays None);
     ``norms["gmres_iterations"]`` counts the inner iterations."""
     grid, ops, system = problem.grid, problem.ops, problem.system
-    A, d = system.A, system.d
+    A, d = psi_operator(problem), system.d
     curlF = (ops.apply("Dy", problem.F1)
              - ops.apply("Dx", problem.F2)).ravel()
     mask = np.ones(grid.nx * grid.ny)
@@ -199,7 +197,7 @@ def newton_solve(problem):
         gnorm = np.linalg.norm(G)
         if gnorm == 0.0:    # an exact root: the zero start of an exact point
             break
-        Js = _NewtonJacobian(problem, mask, u, v)
+        Js = _NewtonJacobian(problem, A, mask, u, v)
         b = -G / d
         inner = []
         delta, _ = gmres(Js, b, rtol=NEWTON_INNER_RTOL, restart=30, maxiter=2,

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from chasflow.discretization import DiffOps, GridSystem, HalfLineGrid
+from chasflow.discretization import DiffOps, HalfLineGrid
 from chasflow.expansion import construct_expansion
-from chasflow.linearized import PSI_WALLS, RemainderSolution, compute_norms
+from chasflow.linearized import RemainderSolution, compute_norms
 from chasflow.boundary_layers import solve_layer_minus, solve_layer_plus
 from chasflow.nonlinear import (assemble_full_solution, build_case_forcing,
                                 newton_solve, picard_solve)
 from chasflow.verification import RunSpec, audit_invariants, run_sweep
-from conftest import make_grid, point_spec
+from conftest import grid_system, kron, make_grid, point_spec
 
 L = 0.1
 GAMMA = 0.05
@@ -62,7 +62,7 @@ def test_criterion_2_biharmonic_mms():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = GridSystem(ops.kron("bih"), g, PSI_WALLS).solve(f)
+        psi = grid_system(kron(ops, "bih"), g).solve(f)
         errs.append(np.abs(psi - X * Y).max())
     order = float(np.polyfit(np.log([1 / 48, 1 / 96, 1 / 192]),
                              np.log(errs), 1)[0])

@@ -297,18 +297,16 @@ def test_sweep_config_error_exits_before_any_point(bad, tmp_path, capsys,
 
 
 def test_newton_check_assembles_the_operator_once(tmp_path, monkeypatch):
-    # Newton reuses Picard's psi system instead of assembling its own
-    import chasflow.linearized as linearized
+    # Newton reuses Picard's factored psi system and forms the unscaled
+    # operator, which only it reads, once
     import chasflow.nonlinear as nonlinear
-    assemble = linearized.assemble_linearized_operator
     calls = []
 
-    def counted(problem):
-        calls.append(problem)
-        return assemble(problem)
+    def counted(build):
+        return lambda problem: calls.append(build.__name__) or build(problem)
 
-    for module in (linearized, nonlinear):
-        monkeypatch.setattr(module, "assemble_linearized_operator", counted)
+    for name in ("psi_system", "psi_operator"):
+        monkeypatch.setattr(nonlinear, name, counted(getattr(nonlinear, name)))
     rc = main(["solve", "--set", "grid.nx=24", "--set", "grid.ny=48",
                "--set", "expansion.case=poiseuille_couette_noforce",
                "--set", "profile.kind=poiseuille_couette",
@@ -320,7 +318,7 @@ def test_newton_check_assembles_the_operator_once(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "solve_report.json").read_text())
     assert payload["newton_X_norm"] == pytest.approx(
         payload["norms"]["X_norm"], rel=1e-6)
-    assert len(calls) == 1
+    assert calls == ["psi_system", "psi_operator"]
 
 
 def test_newton_check_on_an_exact_point_writes_zero(tmp_path):

@@ -13,20 +13,22 @@ from scipy.interpolate import PchipInterpolator
 from chasflow import discretization
 from chasflow.discretization import (_NPTS, ChannelGrid, DiffOps, Field2D,
                                      GridResolutionError, GridSolveError,
-                                     ND_LEAF, ND_SEPARATOR, GridSystem,
+                                     ND_LEAF, ND_SEPARATOR,
                                      HalfLineGrid, LineModes,
                                      _fix_low_moments,
                                      _fornberg_rows, boundary_rows,
                                      build_channel_grid,
-                                     diff_matrix, grid_lu, line_modes,
+                                     diff_matrix, line_modes,
                                      nested_dissection,
                                      one_sided_row, pchip_operator,
-                                     scale_rows, tanh_stretched)
+                                     tanh_stretched)
 from chasflow.expansion import LAYER_SUB, _extended_grid, _layer_xgrid
-from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
-                                 assemble_linearized_operator)
-from conftest import (assemble_reference, lil_replace_rows, make_grid,
-                      mms_convergence, same_arrays, sorted_columns)
+from chasflow.linearized import (PSI_WALLS, LinearizedProblem, psi_operator,
+                                 psi_system)
+import conftest
+from conftest import (assemble_linearized_operator, assemble_reference,
+                      grid_lu, grid_system, kron, lil_replace_rows, make_grid,
+                      mms_convergence, same_arrays, scale_rows, sorted_columns)
 
 
 def test_build_channel_grid_resolves_layers():
@@ -70,7 +72,7 @@ def test_biharmonic_exact_on_cubics():
     ops = DiffOps(x, y)
     XX, YY = np.meshgrid(x, y, indexing="ij")
     cub = XX ** 3 + YY ** 3 + XX * YY ** 2 + XX ** 2 * YY
-    assert np.abs(ops.kron("bih") @ cub.ravel()).max() < 1e-9
+    assert np.abs(kron(ops, "bih") @ cub.ravel()).max() < 1e-9
 
 
 def test_norm_trivial_cases(ops_48x96):
@@ -430,8 +432,8 @@ def test_apply_along_axes_is_the_kronecker_matvec(grid_name):
             assert out.shape == g.shape and out.flags.c_contiguous, op
             assert out.tobytes() == ref.tobytes(), op
         if op != "lap":
-            assert same_arrays(ops.kron(op), K), op
-    assert same_arrays(ops.kron("bih"), _kron_reference(g.x, g.y, "bih"))
+            assert same_arrays(kron(ops, op), K), op
+    assert same_arrays(kron(ops, "bih"), _kron_reference(g.x, g.y, "bih"))
     assert same_arrays(ops.lap, _kron_reference(g.x, g.y, "lap"))
 
 
@@ -442,7 +444,7 @@ def test_diff_ops_refuse_an_unknown_operator(ops_48x96):
             ops_48x96.apply(op, f)
     for op in ("lap", "Dyyyy", "Dz"):
         with pytest.raises(ValueError, match="unknown operator"):
-            ops_48x96.kron(op)
+            kron(ops_48x96, op)
 
 
 # -- PCHIP transfers against scipy's PchipInterpolator ----------------------
@@ -672,8 +674,8 @@ def test_psi_rows_match_node_loop(nx, ny):
     g = build_channel_grid(0.1, nx, ny, 1e-2)
     loop = _psi_rows_loop(g)
     assert _same_rows(boundary_rows(g.x, g.y, PSI_WALLS), loop)
-    bih = DiffOps(g.x, g.y).kron("bih")
-    system = GridSystem(bih, g, PSI_WALLS)
+    bih = kron(DiffOps(g.x, g.y), "bih")
+    system = grid_system(bih, g)
     assert sorted(system.bnd) == sorted(loop)
     assert same_arrays(system.A,
                        lil_replace_rows(bih, _as_assignments(loop)).tocsr())
@@ -695,15 +697,11 @@ def _old_grid_system(A, grid, rows):
     return A, d, B
 
 
-def _catch_splu(monkeypatch, traced=None):
-    """Copies of the matrices that SuperLU factors from now on; given a list
-    ``traced``, appends to it tracemalloc's traced bytes as each one starts,
-    read before the copy is made."""
+def _catch_splu(monkeypatch):
+    """Copies of the matrices that SuperLU factors from now on."""
     caught, splu = [], spla.splu
 
     def catch(B, **options):
-        if traced is not None:
-            traced.append(tracemalloc.get_traced_memory()[0])
         caught.append(B.copy())
         return splu(B, **options)
 
@@ -741,7 +739,7 @@ def psi_operators(psi_problems, channel_48x96, ops_48x96):
     """name -> (operator, grid): the 48x96 biharmonic and the linearized
     operators of ``psi_problems`` (the couette one with S terms, columns
     unsorted)."""
-    out = {"biharmonic": (ops_48x96.kron("bih"), channel_48x96)}
+    out = {"biharmonic": (kron(ops_48x96, "bih"), channel_48x96)}
     for name, problem in psi_problems.items():
         out[name] = (assemble_linearized_operator(problem), problem.grid)
     return out
@@ -755,7 +753,7 @@ def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
         assert not A.has_sorted_indices
     before = A.copy()
     caught = _catch_splu(monkeypatch)
-    system = GridSystem(A, grid, PSI_WALLS)
+    system = grid_system(A, grid)
     system.lu                                    # factored at its first use
     assert same_arrays(A, before)
     # (tolil sorts its input's columns in place)
@@ -773,9 +771,9 @@ def test_grid_system_matches_the_old_path(psi_operators, name, monkeypatch):
 def test_assembly_matches_the_sparse_algebra(psi_problems, name, monkeypatch):
     # row scalings in place of diagonal products, and no S for a pure shear
     problem = psi_problems[name]
-    asked, kron = [], DiffOps.kron
-    monkeypatch.setattr(DiffOps, "kron",
-                        lambda self, op: asked.append(op) or kron(self, op))
+    asked = []
+    monkeypatch.setattr(conftest, "kron",
+                        lambda ops, op: asked.append(op) or kron(ops, op))
     A = assemble_linearized_operator(problem)
     monkeypatch.undo()
     ref = assemble_reference(problem)
@@ -793,12 +791,12 @@ def test_superlu_gets_the_sparse_algebra_csc(psi_problems, name, monkeypatch):
     problem = psi_problems[name]
     grid = problem.grid
     caught = _catch_splu(monkeypatch)
-    system = GridSystem(assemble_linearized_operator(problem), grid, PSI_WALLS)
+    system = psi_system(problem)
     system.lu                                    # factored at its first use
-    ref = GridSystem(assemble_reference(problem), grid, PSI_WALLS)
+    ref = grid_system(assemble_reference(problem), grid)
     grid_lu(sp.diags(1.0 / ref.d) @ ref.A, grid.nx, grid.ny)
     assert len(caught) == 2 and same_arrays(caught[0], caught[1])
-    assert same_arrays(system.A, ref.A)
+    assert same_arrays(psi_operator(problem), ref.A)
     assert system.d.tobytes() == ref.d.tobytes()
 
 
@@ -845,17 +843,17 @@ def test_grid_system_keeps_explicit_zeros(monkeypatch):
     # its columns out of order, stay in A (its columns sorted); the
     # row-scaled factor input drops them, as the product diag(1/d) @ A did
     g = make_grid(8, L=0.1)
-    A = DiffOps(g.x, g.y).kron("bih")
+    A = kron(DiffOps(g.x, g.y), "bih")
     for r in (4 * g.ny + 4, 8 * g.ny + 3):
         A.data[A.indptr[r]:A.indptr[r] + 2] = 0.0
     rows = boundary_rows(g.x, g.y, PSI_WALLS)
     cols, vals = rows[g.ny + 4]          # nodes (0..4, 4); add (6, 4)
     rows[g.ny + 4] = (np.r_[cols[::-1], 6 * g.ny + 4],
                       np.r_[vals[::-1], 0.0])
-    monkeypatch.setattr(discretization, "boundary_rows", lambda *_: rows)
+    monkeypatch.setattr(conftest, "boundary_rows", lambda *_: rows)
     before = A.copy()
     caught = _catch_splu(monkeypatch)
-    system = GridSystem(A, g, PSI_WALLS)
+    system = grid_system(A, g)
     system.lu                                    # factored at its first use
     assert same_arrays(A, before)
     ref_A, ref_d, ref_B = _old_grid_system(A, g, rows)
@@ -915,7 +913,7 @@ def test_grid_order_takes_the_psi_wall_rows_first(nx, ny):
     # system's wall rows, and comes first, in C order
     g = ChannelGrid(0.1, np.linspace(0.0, 0.1, nx),
                     tanh_stretched(0.0, 2.0, ny, 1.2))
-    bnd = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS).bnd
+    bnd = np.fromiter(boundary_rows(g.x, g.y, PSI_WALLS), int)
     perm = nested_dissection(nx, ny)
     frame = perm[:bnd.size]
     assert set(frame.tolist()) == set(bnd.tolist())
@@ -934,8 +932,9 @@ def test_a_leaf_runs_along_its_shorter_side(nx, ny):
 @pytest.fixture(scope="module")
 def grid_systems():
     """name -> (A, nx, ny): each kind of system that the library factors on
-    a 24x48 grid, caught at the call of ``grid_lu`` in ``GridSystem``: the
-    biharmonic system, then Picard's linearized psi system.  Newton factors
+    a 24x48 grid, caught where ``GridSystem`` makes its ``GridLU`` and put
+    back in node order: the reference biharmonic system, then Picard's
+    linearized psi system.  Newton factors
     nothing and applies its Jacobian without assembling it: its row-scaled
     Jacobian at its last iterate, which carries the nonlinear terms of a
     nonzero psi, is assembled by the reference ``newton_jacobian``.  The
@@ -950,15 +949,16 @@ def grid_systems():
                    kind="poiseuille_couette", alpha1=0.5, alpha2=0.5,
                    pert_amplitude=0.05, pert_exponent=3.0 / 8.0 + 0.05), 1e-2)
     grid = exp.grid
-    caught = []
+    caught, GridLU = [], discretization.GridLU
 
-    def lu(A, nx, ny):
-        caught.append((A.tocsc(), nx, ny))
-        return grid_lu(A, nx, ny)
+    def lu(B, nx, ny):
+        rank = np.argsort(nested_dissection(nx, ny))
+        caught.append((B[rank][:, rank].tocsc(), nx, ny))
+        return GridLU(B, nx, ny)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discretization, "grid_lu", lu)
-        GridSystem(exp.ops.kron("bih"), grid, PSI_WALLS).lu
+        mp.setattr(discretization, "GridLU", lu)
+        grid_system(kron(exp.ops, "bih"), grid).lu
         sol, _ = picard_solve(exp, build_case_forcing(exp))
         newton = newton_solve(sol.problem)
     assert len(caught) == 2
@@ -1039,7 +1039,7 @@ def test_grid_system_scales_grid_rows_only():
     # d is each grid row's largest |entry|, and only the rows are scaled:
     # the solve returns the unknowns of the unscaled system A x = b
     g = make_grid(12, L=0.1)
-    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
+    system = grid_system(kron(DiffOps(g.x, g.y), "bih"), g)
     largest = abs(system.A).max(axis=1).toarray().ravel()
     assert system.d.shape == (g.nx * g.ny,)
     assert np.array_equal(system.d, largest)
@@ -1052,17 +1052,19 @@ def test_grid_system_scales_grid_rows_only():
 
 
 # The bytes tracemalloc traces at the start of the psi factor, from the
-# assembly on, over the bytes of the CSC that SuperLU receives: GridSystem.A
-# (as large, with the explicit zeros that the CSC drops) and that CSC are the
-# two grid-sized matrices alive (2.28 in all), and the rest is grid vectors.
-# Before DiffOps applied its stencils along the axes and the factor waited
-# for the first solve, this read 8.88 on the same system: the assembled
-# operator, its row-scaled and renumbered copies, and the Kronecker operands
-# that DiffOps cached during the assembly were alive as well.
-FACTOR_TRACED_RATIO = 2.5
+# build on (its shape's pattern already kept), over the bytes of the CSC
+# that SuperLU receives: that CSC is the one grid-sized matrix alive, and the
+# rest is grid vectors (1.15 alone, 1.18 after this module's other tests).
+# Before the build wrote that CSC straight from the pattern, this read 2.28:
+# the unscaled operator A was alive as well.  Before DiffOps applied its
+# stencils along the axes and the factor waited for the first solve, it read
+# 8.88 on the same system.
+FACTOR_TRACED_RATIO = 1.26
 
 
 def test_no_other_grid_sized_matrix_is_alive_when_superlu_runs(monkeypatch):
+    import gc
+
     from chasflow.expansion import construct_expansion
     from conftest import point_spec
 
@@ -1077,29 +1079,43 @@ def test_no_other_grid_sized_matrix_is_alive_when_superlu_runs(monkeypatch):
                       if sp.issparse(v) and v.shape == (n, n))
 
     assert grid_sized() == ["lap"]
-    traced = []
-    caught = _catch_splu(monkeypatch, traced)
     problem = LinearizedProblem(exp.fields, exp.eps, exp.M0, grid=exp.grid,
                                 ops=ops)
+    psi_system(problem)                     # the pattern of its shape, kept
+
+    def grid_sized_alive():
+        return [o for o in gc.get_objects() if sp.issparse(o) and o.shape == (n, n)]
+
+    traced, alive, splu = [], [], spla.splu
+    before = {id(o) for o in grid_sized_alive()}
+
+    def catch(B, **options):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        alive.extend(o for o in grid_sized_alive() if id(o) not in before)
+        return splu(B, **options)
+
+    monkeypatch.setattr(spla, "splu", catch)
     tracemalloc.start()
     try:
-        system = GridSystem(assemble_linearized_operator(problem), exp.grid,
-                            PSI_WALLS)
-        assert caught == []                 # nothing factored yet
+        system = psi_system(problem)
+        assert traced == []                 # nothing factored yet
         system.solve(np.ones(exp.grid.shape))
     finally:
         tracemalloc.stop()
-    (B,) = caught
+    # A is formed only by psi_operator: the CSC SuperLU factors is the only
+    # grid-sized matrix the build left alive
+    (B,) = alive
     csc = B.data.nbytes + B.indices.nbytes + B.indptr.nbytes
     assert traced[0] <= FACTOR_TRACED_RATIO * csc, traced[0] / csc
-    assert grid_sized() == ["lap"]          # the assembly cached nothing
+    assert not hasattr(system, "A") and system.B is None
+    assert grid_sized() == ["lap"]          # the build cached nothing
 
 
 def test_grid_lu_logs_each_factor(monkeypatch, caplog):
     g = make_grid(8, L=0.1)
     caplog.set_level(logging.DEBUG, logger="chasflow.discretization")
     caught = _catch_splu(monkeypatch)
-    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
+    system = grid_system(kron(DiffOps(g.x, g.y), "bih"), g)
     system.solve(np.ones(g.shape))
     system.solve(np.zeros(g.shape))
     (record,) = caplog.records              # one factor, one line
@@ -1113,7 +1129,7 @@ def test_grid_lu_logs_each_factor(monkeypatch, caplog):
 
 def test_grid_system_refuses_a_non_finite_result():
     g = make_grid(8, L=0.1)
-    system = GridSystem(DiffOps(g.x, g.y).kron("bih"), g, PSI_WALLS)
+    system = grid_system(kron(DiffOps(g.x, g.y), "bih"), g)
     f = np.zeros(g.shape)
     f[3, 4] = np.nan
     with pytest.raises(GridSolveError, match="non-finite"):

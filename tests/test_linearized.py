@@ -6,19 +6,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import sympy as sy
 
-from chasflow import discretization
+from chasflow import discretization, linearized
 from chasflow.cli import EXIT_NUMERICAL, main
-from chasflow.discretization import (DiffOps, GridSolveError, GridSystem,
-                                     LineModes, SeparableSystem,
-                                     boundary_rows, build_channel_grid,
-                                     diff_matrix, one_sided_row,
-                                     tanh_stretched)
+from chasflow.discretization import (ChannelGrid, DiffOps, GridSolveError,
+                                     LineModes, SeparableSystem, boundary_rows,
+                                     build_channel_grid, diff_matrix,
+                                     one_sided_row, tanh_stretched)
+from chasflow.expansion import construct_expansion
 from chasflow.linearized import (PSI_WALLS, LinearizedProblem,
-                                 RemainderSolution,
-                                 assemble_linearized_operator, compute_norms,
-                                 compute_q, curl_residual, recover_pressure,
-                                 solve_linearized)
-from conftest import lil_replace_rows, make_grid, momentum_residual, same_arrays
+                                 RemainderSolution, compute_norms, compute_q,
+                                 curl_residual, psi_operator, psi_system,
+                                 recover_pressure, solve_linearized)
+from conftest import (assemble_linearized_operator, grid_system, kron,
+                      lil_replace_rows, make_grid, momentum_residual,
+                      point_spec, same_arrays)
 
 L = 0.1
 M0 = 11.0 / 8.0 + 0.05
@@ -39,13 +40,12 @@ def _couette_bg(grid):
 
 def _solve(prob):
     """solve_linearized on the problem's own factored psi system."""
-    prob.system = GridSystem(assemble_linearized_operator(prob), prob.grid,
-                             PSI_WALLS)
+    prob.system = psi_system(prob)
     return solve_linearized(prob)
 
 
 def test_biharmonic_zero_rhs(channel_48x96, ops_48x96):
-    psi = GridSystem(ops_48x96.kron("bih"), channel_48x96, PSI_WALLS).solve(
+    psi = grid_system(kron(ops_48x96, "bih"), channel_48x96).solve(
         np.zeros(channel_48x96.shape))
     assert np.abs(psi).max() < 1e-14
 
@@ -62,7 +62,7 @@ def test_biharmonic_mms_order():
         Y = np.sin(np.pi * g.YY / 2) ** 2
         f = X * (k ** 4 * Y - k ** 2 * np.pi ** 2 * np.cos(np.pi * g.YY)
                  - (np.pi ** 4 / 2) * np.cos(np.pi * g.YY))
-        psi = GridSystem(ops.kron("bih"), g, PSI_WALLS).solve(f)
+        psi = grid_system(kron(ops, "bih"), g).solve(f)
         return 1.0 / n, np.abs(psi - X * Y).max()
 
     errs = []
@@ -102,9 +102,7 @@ def test_full_operator_mms():
               "lap_us": fns["lapus"](g.XX, g.YY),
               "lap_vs": fns["lapvs"](g.XX, g.YY)}
         prob = LinearizedProblem(bg, eps, M0, grid=g, ops=ops)
-        psi = GridSystem(assemble_linearized_operator(prob), g,
-                         PSI_WALLS).solve(
-            fns["f"](g.XX, g.YY))
+        psi = psi_system(prob).solve(fns["f"](g.XX, g.YY))
         errs.append(np.abs(psi - fns["psi"](g.XX, g.YY)).max())
     order = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
     assert order >= 1.9
@@ -442,3 +440,93 @@ def test_residual_substitution_small():
     inner[3:-3, 3:-3] = True
     assert np.abs(cr[inner]).max() < 0.2 * np.abs(
         ops.apply("Dy", F1)).max()
+
+
+# -- the one-pass psi build against the sparse algebra -----------------------
+
+PSI_POINTS = {      # name -> (case, settings)
+    "case_i": ("poiseuille_couette_noforce",
+               {"kind": "poiseuille_couette", "alpha1": 0.5, "alpha2": 0.5,
+                "pert_amplitude": 0.05, "pert_exponent": 0.425}),
+    "couette": ("couette_noforce", {"pert_amplitude": 0.05}),   # S terms
+    "linear": ("couette_noforce", {"pert_amplitude": 0.0}),     # lap_us = 0
+}
+
+
+def _psi_problem(name, nx, ny, eps=1e-2):
+    if name == "random":    # O(1) S terms, and x stretched: no zero d1 weight
+        g = ChannelGrid(0.1, tanh_stretched(0.0, 0.1, nx, 1.1),
+                        tanh_stretched(0.0, 2.0, ny, 1.2))
+        rng = np.random.default_rng(nx * ny)
+        bg = {k: rng.standard_normal(g.shape) for k in (
+            "u_s", "v_s", "us_x", "us_y", "vs_x", "vs_y", "lap_us", "lap_vs")}
+        return LinearizedProblem(bg, eps, 1.5, grid=g, ops=DiffOps(g.x, g.y))
+    case, settings = PSI_POINTS[name]
+    exp = construct_expansion(point_spec(case, nx, ny, **settings), eps)
+    return LinearizedProblem(exp.fields, exp.eps, exp.M0, grid=exp.grid,
+                             ops=exp.ops)
+
+
+def _same_system(problem, walls=PSI_WALLS):
+    """psi_system and psi_operator give, array for array, the CSC SuperLU
+    factors, A, d and bnd of the sparse algebra's chain."""
+    system, A = psi_system(problem), psi_operator(problem)
+    ref = grid_system(assemble_linearized_operator(problem), problem.grid, walls)
+    return (same_arrays(system.B, ref.B) and same_arrays(A, ref.A)
+            and system.d.tobytes() == ref.d.tobytes()
+            and system.bnd.tobytes() == ref.bnd.tobytes())
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 64), (48, 96), (25, 47)])
+@pytest.mark.parametrize("name", ["case_i", "couette", "linear", "random"])
+def test_psi_build_is_the_sparse_algebra_byte_for_byte(name, nx, ny):
+    problem = _psi_problem(name, nx, ny)
+    bg = problem.bg
+    assert any(np.any(bg[k]) for k in ("v_s", "us_x", "vs_x")) == (
+        name in ("couette", "random"))
+    assert (not np.any(bg["lap_us"])) == (name == "linear")
+    assert _same_system(problem)
+
+
+def test_psi_operator_keeps_a_wall_rows_explicit_zero(monkeypatch):
+    # a zero wall weight stays in A, as the replaced rows kept it, and the
+    # row-scaled CSC drops it, as diag(1/d) A did
+    import conftest
+    problem = _psi_problem("case_i", 32, 64)
+    g = problem.grid
+    rows = boundary_rows(g.x, g.y, PSI_WALLS)
+    r = g.ny + 4                                # psi_xx = 0 at x = 0
+    rows[r] = (rows[r][0], np.r_[0.0, rows[r][1][1:]])
+    for module in (linearized, conftest):
+        monkeypatch.setattr(module, "boundary_rows", lambda *_: rows)
+    A = psi_operator(problem)
+    assert np.count_nonzero(A.data == 0.0) == 1
+    assert A.indices[A.indptr[r]] == r - g.ny and A.data[A.indptr[r]] == 0.0
+    assert _same_system(problem)
+
+
+def test_psi_pattern_is_kept_per_shape_coupling_and_walls(monkeypatch):
+    memo = linearized._psi_pattern
+    memo.cache_clear()
+    assert memo.cache_info().maxsize == 2           # bounded
+    a, b = _psi_problem("case_i", 32, 64), _psi_problem("case_i", 32, 64, 1e-1)
+    assert a.grid.shape == b.grid.shape and not np.array_equal(a.grid.y, b.grid.y)
+    assert _same_system(a) and _same_system(b)
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)   # one shape, one pattern
+    key = (32, 64, False, repr(PSI_WALLS), True)
+    pattern = memo(*key)
+    assert memo(*key) is pattern
+    for arr in pattern:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # another shape, S terms, or other walls: another pattern
+    assert _same_system(_psi_problem("case_i", 48, 96))
+    assert _same_system(_psi_problem("couette", 32, 64))
+    walls = PSI_WALLS[:-1]
+    monkeypatch.setattr(linearized, "PSI_WALLS", walls)
+    assert _same_system(a, walls)
+    assert memo.cache_info().misses == 4
+    assert memo(*key) is not pattern                # evicted: two are kept
+    memo.cache_clear()

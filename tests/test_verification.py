@@ -198,3 +198,26 @@ def test_picard_runs_on_a_released_point(monkeypatch):
     assert checks == [(c["name"], c["value"]) for c in whole["checks"]]
     names = [name for name, _ in checks]
     assert "layer2p.far_field" in names and "euler_trace.v_e2p(y=0)" in names
+
+
+# run_sweep keeps the audit of its last surviving point only, so a failing
+# audit at another eps does not reach rate_report.json
+COUETTE_COARSE_AUDIT = (
+    "the couette sweep's eps = 0.1 point fails expansion.divergence_semianalytic"
+    " (2.02e-4 at 32x64, 4.78e-4 at 48x96, above its 1e-4 max(|us_x|, |us_y|)"
+    " tolerance); the sweep report keeps only the last point's audit")
+
+
+@pytest.mark.xfail(strict=True, reason=COUETTE_COARSE_AUDIT)
+def test_the_couette_sweeps_eps_0_1_point_passes_its_audit():
+    spec = RunSpec("couette_noforce", nx=32, ny=64, pert_amplitude=0.05)
+    _, summary, error, _ = verification._sweep_point(spec, 0.1)
+    assert error is None
+    assert [c["name"] for c in summary["checks"] if not c["pass"]] == []
+
+
+def test_the_unperturbed_couette_eps_0_1_point_passes_its_audit():
+    # the divergence check fails with the perturbation only
+    spec = RunSpec("couette_noforce", nx=32, ny=64, pert_amplitude=0.0)
+    _, summary, error, _ = verification._sweep_point(spec, 0.1)
+    assert error is None and summary["pass"]

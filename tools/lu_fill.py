@@ -1,5 +1,6 @@
 """Print the fill, the flops and the factor time of the psi LU that
-``chasflow solve`` factors, per grid shape.
+``chasflow solve`` factors, and the time and memory of the build that
+forms it, per grid shape.
 
 Usage (from anywhere):
 
@@ -7,15 +8,21 @@ Usage (from anywhere):
 
 For each shape, runs ``chasflow solve`` in this interpreter with the
 ``perfbench/run.py`` ``ORACLE`` settings at grid.nx=NX, grid.ny=NY
-(amplitude 0.05, no Newton check) and catches the one system that
-``grid_lu`` factors: Picard's row-scaled linearized psi system.  The JSON on
-stdout gives, per shape: the system's nonzeros; ``fill``, the nonzeros of
-L and U (the unit diagonal of L not counted); ``flops``, the sum over the
-pivots k of 2 |L column k| |U row k|, both counted off the diagonal; and
-``factor_s``, the median wall time of N more ``grid_lu`` calls on the same
-system.  SRC (default this checkout's ``src``) is where chasflow is imported
-from, so one copy of this tool measures any checkout.  Set
-``OPENBLAS_NUM_THREADS=1`` for times that compare.
+(amplitude 0.05, no Newton check) and catches Picard's problem and the one
+CSC that SuperLU factors: Picard's row-scaled linearized psi system, in
+nested-dissection order.  The JSON on stdout gives, per shape: the
+system's nonzeros; ``fill``, the nonzeros of L and U (the unit diagonal of
+L not counted); ``flops``, the sum over the pivots k of 2 |L column k|
+|U row k|, both counted off the diagonal; ``factor_s``, the median wall
+time of N more SuperLU factors of that CSC; ``build_s``, the median wall
+time of N more builds of the system from the problem up to the CSC that
+SuperLU receives (``linearized.psi_system``, or in a checkout before it the
+assembly, ``GridSystem`` and ``grid_lu``'s preparation), with the process's
+memos as the run left them; and ``build_traced_MB``, the tracemalloc peak
+of one such build above its start, in MB.  SRC (default this checkout's
+``src``) is where chasflow is imported from, so one copy of this tool
+measures any checkout.  Set ``OPENBLAS_NUM_THREADS=1`` for times that
+compare.
 """
 
 import argparse
@@ -24,6 +31,8 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +54,21 @@ def lu_counts(lu):
 
 
 def measure(nx, ny, repeats):
-    from chasflow import cli, discretization
+    import scipy.sparse.linalg as spla
+    from chasflow import cli, discretization, linearized, nonlinear
 
-    caught, grid_lu = [], discretization.grid_lu
+    caught, splu, solve = [], spla.splu, nonlinear.solve_linearized
 
-    def catch(A, *shape):
-        caught.append((A.copy(), shape))
-        return grid_lu(A, *shape)
+    def catch_problem(problem):
+        if not caught:
+            caught.append(problem)
+        return solve(problem)
 
-    discretization.grid_lu = catch
+    def catch_csc(B, **options):
+        caught.append((B.copy(), options))
+        return splu(B, **options)
+
+    nonlinear.solve_linearized, spla.splu = catch_problem, catch_csc
     try:
         with tempfile.TemporaryDirectory() as out:
             argv = ["solve", "--out", out]
@@ -64,17 +79,39 @@ def measure(nx, ny, repeats):
             if cli.main(argv) != 0:
                 raise SystemExit(f"chasflow {' '.join(argv)} failed")
     finally:
-        discretization.grid_lu = grid_lu
-    (A, shape), = caught
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        lu = grid_lu(A, *shape)
-        times.append(time.perf_counter() - start)
-    fill, flops = lu_counts(lu._lu)
-    return {"shape": f"{shape[0]}x{shape[1]}", "nnz": int(A.nnz),
-            "fill": int(fill), "flops": flops,
-            "factor_s": statistics.median(times)}
+        nonlinear.solve_linearized, spla.splu = solve, splu
+    problem, (B, options) = caught
+    if hasattr(linearized, "psi_system"):
+        def build():
+            return linearized.psi_system(problem).lu
+    else:                           # a checkout before the one-pass build
+        def build():
+            return discretization.GridSystem(
+                linearized.assemble_linearized_operator(problem),
+                problem.grid, linearized.PSI_WALLS).lu
+    spla.splu = lambda *_, **__: types.SimpleNamespace(nnz=0)   # no factor
+    try:
+        build_s = statistics.median(timed(build) for _ in range(repeats))
+        tracemalloc.start()
+        build()
+        traced = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    finally:
+        spla.splu = splu
+    lu = splu(B, **options)
+    factor_s = statistics.median(timed(lambda: splu(B, **options))
+                                 for _ in range(repeats))
+    fill, flops = lu_counts(lu)
+    return {"shape": f"{nx}x{ny}", "nnz": int(B.nnz), "fill": int(fill),
+            "flops": flops, "factor_s": factor_s, "build_s": build_s,
+            "build_traced_MB": traced / 1e6}
+
+
+def timed(fn):
+    """The wall time of one call of fn."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def main(argv=None):
